@@ -386,56 +386,7 @@ let ablation () =
     "  -> granting ownership without data saves %.1f%% of grant-path \
      bytes on upgrade-heavy sharing@."
     (100.0
-    *. (1.0 -. (float_of_int bytes_on /. float_of_int (max 1 bytes_off))));
-  section "Ablation: sequential page prefetch (coherence fast path)";
-  (* One remote thread walks a big array front to back: the canonical
-     perfectly-predictable fault stream the prefetcher turns into batched
-     round-trips (one demand fault resolves up to prefetch_depth extra
-     pages, and multi-page grants ride the RDMA path). *)
-  let scan_pages = if !tiny then 64 else 512 in
-  let scan ~prefetch =
-    let proto =
-      { Dex_proto.Proto_config.default with prefetch_enabled = prefetch }
-    in
-    let cl = Dex.cluster ~nodes:2 ~proto () in
-    let coh = ref None in
-    ignore
-      (Dex.run cl (fun proc main ->
-           coh := Some (Process.coherence proc);
-           let buf =
-             Process.memalign main ~align:4096 ~bytes:(scan_pages * 4096)
-               ~tag:"scan"
-           in
-           let th =
-             Process.spawn proc (fun th ->
-                 Process.migrate th 1;
-                 Process.read_range th ~site:"scan" buf
-                   ~len:(scan_pages * 4096))
-           in
-           Process.join th));
-    let stats = Dex_proto.Coherence.stats (Option.get !coh) in
-    let fstats = Dex_net.Fabric.stats (Cluster.fabric cl) in
-    ( Dex.elapsed cl,
-      Dex_sim.Stats.get stats "fault.read",
-      Dex_sim.Stats.get fstats "sent.page_req"
-      + Dex_sim.Stats.get fstats "sent.page_req_batch",
-      stats )
-  in
-  let t_on, faults_on, req_on, pstats = scan ~prefetch:true in
-  let t_off, faults_off, req_off, _ = scan ~prefetch:false in
-  Format.printf "  %-24s %12s %14s %16s@." "" "sim time" "read faults"
-    "page requests";
-  Format.printf "  %-24s %10.2fms %14d %16d@." "prefetch ON"
-    (Time_ns.to_ms_f t_on) faults_on req_on;
-  Format.printf "  %-24s %10.2fms %14d %16d@." "prefetch OFF"
-    (Time_ns.to_ms_f t_off) faults_off req_off;
-  Format.printf "  ";
-  Dex_profile.Report.pp_prefetch Format.std_formatter pstats;
-  Format.printf
-    "  -> prefetching cuts sequential-scan fault round-trips %.1fx and \
-     sim time %.1fx@."
-    (float_of_int faults_off /. float_of_int (max 1 faults_on))
-    (Time_ns.to_ms_f t_off /. Time_ns.to_ms_f t_on)
+    *. (1.0 -. (float_of_int bytes_on /. float_of_int (max 1 bytes_off))))
 
 (* ------------------------------------------------------------------ *)
 (* Baseline: traditional relaxed-consistency DSM (Sec. II / VI).       *)
@@ -906,8 +857,7 @@ let shard_bench () =
     let proto =
       {
         Dex_proto.Proto_config.default with
-        Dex_proto.Proto_config.sharding =
-          (if shards = 1 then `Off else `Range shards);
+        Dex_proto.Proto_config.sharding = `Range shards;
         (* Same cost model for every row, including the unsharded
            baseline: each home's handler is one service loop. *)
         serial_home_service = true;

@@ -41,13 +41,13 @@ let shards_arg =
   let doc =
     "Partition page ownership across $(docv) home nodes (range-sharded: \
      64-page runs round-robin over the homes, keeping sequential streams \
-     and their prefetch batches on one home). 0 (the default) keeps every \
-     page homed at the single origin."
+     on one home). 0 (the default) keeps every page homed at the single \
+     origin, the same as 1."
   in
   Arg.(value & opt int 0 & info [ "shards" ] ~docv:"SHARDS" ~doc)
 
-(* None when sharding is off: the apps then run with their historical
-   default-config behaviour, bit for bit. *)
+(* None for 0: the apps then run with their own default configuration,
+   whose one shard is homed at the origin. *)
 let proto_of_shards shards =
   if shards < 0 then begin
     Format.eprintf "--shards must be >= 0@.";

@@ -15,7 +15,7 @@ type batch_entry = {
   b_run : unit -> Dex_net.Msg.payload;
 }
 
-type batch_result = B_done of Dex_net.Msg.payload | B_parked
+type entry_result = B_done of Dex_net.Msg.payload | B_parked
 
 type Dex_net.Msg.payload +=
   | Migrate of {
@@ -45,7 +45,7 @@ type Dex_net.Msg.payload +=
   | Node_op of { pid : int; op : node_op }
   | Node_op_ack
   | Delegate_batch of { pid : int; entries : batch_entry list }
-  | Ret_batch of batch_result list
+  | Ret_batch of entry_result list
   | Delegate_wakeup of {
       pid : int;
       tid : int;

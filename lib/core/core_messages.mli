@@ -22,7 +22,7 @@ type batch_entry = {
 }
 (** One coalesced delegation inside a {!constructor-Delegate_batch}. *)
 
-type batch_result = B_done of Dex_net.Msg.payload | B_parked
+type entry_result = B_done of Dex_net.Msg.payload | B_parked
 
 type Dex_net.Msg.payload +=
   | Migrate of {
@@ -62,7 +62,7 @@ type Dex_net.Msg.payload +=
   | Delegate_batch of { pid : int; entries : batch_entry list }
       (** remote → origin: one node's coalesced delegations, executed in
           arrival order under a single HA fence *)
-  | Ret_batch of batch_result list
+  | Ret_batch of entry_result list
       (** per-entry results, positionally matching the batch entries *)
   | Delegate_wakeup of {
       pid : int;

@@ -63,8 +63,8 @@ type t = {
   mutable origin : int;  (* changes when a standby is promoted *)
   has : Ha.t option array;
       (* per-shard replication, per Proto_config.replication: shard s's
-         log roots at its home node; one-element array when sharding is
-         off *)
+         log roots at its home node; one-element array with one
+         shard *)
   coh : Coherence.t;
   alloc : Allocator.t;
   vmas : Vma_tree.t array;
@@ -140,8 +140,8 @@ let install_vma tree vma =
 (* Route a log entry to the shard whose home's state it describes:
    page-granular entries by the page's shard, futex transitions by the
    futex word's shard, VMA/layout entries to shard 0 (the allocator and
-   VMA services stay at the process origin). With sharding off everything
-   is shard 0. *)
+   VMA services stay at the process origin). With one shard everything is
+   shard 0. *)
 let ha_shard_of_entry t (e : Log_entry.t) =
   match e with
   | Log_entry.Dir_set { vpn; _ }
@@ -163,7 +163,7 @@ let ha_fence_shard t shard =
   match t.has.(shard) with Some ha -> Ha.fence ha | None -> ()
 
 (* Fence every armed shard homed at [node] — the delegation handlers'
-   replicate-before-externalize barrier. With sharding off the only
+   replicate-before-externalize barrier. With one shard the only
    delegation target is the origin, which homes the one shard. *)
 let ha_fence_node t ~node =
   Array.iteri
@@ -365,7 +365,7 @@ let enqueue_batched t ~node ~shard ~tid ~req_size ~resp_size ~may_park run =
 
 (* Crash recovery for the three places a batched entry can be caught:
    the local queue, the in-flight batch, and parked at a home. [homed]
-   lists the shards the dead node was homing (with sharding off, [[0]]
+   lists the shards the dead node was homing (with one shard, [[0]]
    exactly when the origin died). *)
 let batch_on_node_crash t ~node ~homed =
   let b = t.batch in
@@ -473,8 +473,8 @@ let rec vma_check th ~addr ~len ~access ~queried =
 (* Run [run] in the context of the paired original thread at [shard]'s
    home node and return its result — shard 0 (the default) is the origin,
    where the allocator/VMA/default services live; futex and file
-   delegations route to the owning shard when sharding is on. Threads
-   local to the home call straight into the kernel. [req_size] is the
+   delegations route to the owning shard. Threads local to the home call
+   straight into the kernel. [req_size] is the
    request-leg wire size — operations that carry a payload to the home
    (file writes) must charge for it. [may_park] marks runs that can block
    indefinitely (futex waits), which the batched path answers out of
@@ -530,9 +530,6 @@ let memalign th ~align ~bytes ~tag =
   | M.Ret_int addr -> addr
   | _ -> assert false
 
-(* Bulk accessors go through Coherence.access_range, which also primes the
-   sequential prefetcher with the exact page window being walked (a stream
-   hint): with prefetch enabled, even the first fault of the scan batches. *)
 let read_range th ?(site = "?") addr ~len =
   if len <= 0 then invalid_arg "Process.read_range: len must be positive";
   guard th (fun () ->
@@ -1140,7 +1137,7 @@ let handle_node_crash t ~node =
   let origin_died = node = t.origin in
   (* Shards whose home stood on the dead node. Computed here, before the
      per-shard promotion fibers (queued at priority 10) run, so the home
-     table still points at the casualty. With sharding off this is [0]
+     table still points at the casualty. With one shard this is [0]
      iff the origin died. *)
   let homed =
     List.filter
@@ -1353,7 +1350,7 @@ let create cluster ?(origin = 0) () =
                     invalid_arg "Process.create: empty standby list";
                   if List.length (List.sort_uniq compare l) <> List.length l
                   then invalid_arg "Process.create: duplicate standby node";
-                  (* With sharding on, one list serves every shard; each
+                  (* One list serves every shard; each
                      shard just skips its own home. *)
                   let l = List.filter (fun s -> s <> home) l in
                   if l = [] then

@@ -35,7 +35,7 @@ val create : Cluster.t -> ?origin:int -> unit -> t
     replication towards the configured replica set
     ({!Dex_proto.Proto_config.standbys}, default: the
     [standby_count] lowest non-origin nodes) — one instance per shard
-    when {!Dex_proto.Proto_config.sharding} is on (each shard's own home
+    of {!Dex_proto.Proto_config.sharding} (each shard's own home
     node is excluded from its standby list; at most 64 shards per
     process) — see {!ha}. *)
 
@@ -153,14 +153,11 @@ val mprotect :
     lazy. *)
 
 val read_range : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
-(** Bulk read: fault in every page of the range with read access. Emits a
-    stream hint: with {!Dex_proto.Proto_config.prefetch_enabled} the page
-    window is declared to the prefetcher up front, so the scan's faults
-    batch from the very first page and never overshoot the range. *)
+(** Bulk read: fault in every page of the range with read access. Page
+    contents are not materialized, only ownership and timing. *)
 
 val write_range : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
-(** Bulk write: acquire exclusive ownership of every page of the range.
-    Same stream hint as {!read_range}. *)
+(** Bulk write: acquire exclusive ownership of every page of the range. *)
 
 val read : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
 (** Alias for {!read_range}. *)
@@ -212,7 +209,7 @@ val compute_membound :
 
 val futex_wait : thread -> addr:Dex_mem.Page.addr -> expected:int64 -> bool
 (** FUTEX_WAIT: delegated to the home of the futex word's page (the
-    origin when sharding is off); atomically re-checks the futex word
+    origin with one shard); atomically re-checks the futex word
     there and sleeps until woken. Returns [false] on EAGAIN (value
     mismatch — caller must re-evaluate). *)
 
@@ -222,9 +219,9 @@ val futex_wake : thread -> addr:Dex_mem.Page.addr -> count:int -> int
 
 (** {1 File I/O (§III-A work delegation)}
 
-    The file table lives at the origin — or, with sharding on, files hash
-    by name to a shard and each shard's table lives at its home node
-    (descriptors encode the shard, so every later call routes without a
+    The file table lives at the origin — or, with more than one shard,
+    files hash by name to a shard and each shard's table lives at its home
+    node (descriptors encode the shard, so every later call routes without a
     lookup). Remote threads' calls are delegated, and read payloads
     travel back as the system-call result (large reads ride the fabric's
     RDMA path). Contents are not simulated, only sizes and cursors — data

@@ -46,7 +46,5 @@ let rec await_idle t ~vpn =
       Waitq.wait t.engine entry.conflicters;
       await_idle t ~vpn
 
-let has t ~vpn = Hashtbl.mem t.table vpn
-
 let ongoing t = Hashtbl.length t.table
 let coalesced_total t = t.coalesced

@@ -35,11 +35,6 @@ val await_idle : _ t -> vpn:Page.vpn -> unit
     page must be applied only after that fault completes, or the two could
     interleave inconsistently. *)
 
-val has : _ t -> vpn:Page.vpn -> bool
-(** Whether fault handling is ongoing on [vpn]. Never blocks — used by the
-    prefetcher to claim leader entries for predicted pages without risking
-    becoming a follower of someone else's fault. *)
-
 val ongoing : _ t -> int
 
 val coalesced_total : _ t -> int

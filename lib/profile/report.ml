@@ -13,25 +13,6 @@ let pp_ranked fmt title rows pp_key =
       rows
   end
 
-(* Prefetch effectiveness digest from the protocol's counters. Accuracy is
-   hits over retired prefetches (hit + waste); pages still sitting
-   untouched in the prefetched set count for neither side. *)
-let pp_prefetch fmt stats =
-  let get = Dex_sim.Stats.get stats in
-  let issued = get "prefetch.issued" in
-  if issued > 0 then begin
-    let hit = get "prefetch.hit" and waste = get "prefetch.waste" in
-    let retired = hit + waste in
-    let accuracy =
-      if retired = 0 then 0.0
-      else 100.0 *. float_of_int hit /. float_of_int retired
-    in
-    Format.fprintf fmt
-      "prefetch: issued=%d granted=%d batches=%d hit=%d waste=%d \
-       accuracy=%.1f%%@."
-      issued (get "prefetch.granted") (get "prefetch.batch") hit waste accuracy
-  end
-
 (* Chaos digest from the fabric's counters: faults injected on the wire
    vs the reliable layer's recovery work. Silent on healthy runs. *)
 let pp_chaos fmt stats =
@@ -204,8 +185,8 @@ let pp_serve ?(tenants = []) fmt stats =
 
 (* Sharded-home digest from the protocol's [shard.*] counters. Locality is
    local grants over all grants: the fraction of faults served by a node
-   that was also the page's home. Silent when sharding is off (the
-   counters are only maintained with more than one shard). *)
+   that was also the page's home. Silent with one shard (the counters are
+   only maintained with more than one). *)
 let pp_shard fmt stats =
   let get = Dex_sim.Stats.get stats in
   let homes = get "shard.homes" in
@@ -228,7 +209,6 @@ let pp_summary ?alloc ?stats ?net fmt events =
   let s = Analysis.summarize ?alloc events in
   Format.fprintf fmt "== DeX page-fault profile ==@.";
   Format.fprintf fmt "%a@." pp_compact s;
-  Option.iter (pp_prefetch fmt) stats;
   Option.iter (pp_chaos fmt) net;
   Option.iter (pp_crash fmt) stats;
   Option.iter (pp_shard fmt) stats;

@@ -10,14 +10,10 @@ val pp_summary :
   unit
 (** Full report: totals, kinds, hottest sites/objects, contended pages and
     fault-frequency timeline. Pass the protocol's [stats]
-    ({!Dex_proto.Coherence.stats}) to include a prefetch effectiveness
-    line (issued/hit/waste/accuracy) when prefetching was active, and the
-    fabric's [net] stats ({!Dex_net.Fabric.stats}) to include a chaos
-    fault-injection digest when chaos was active. *)
-
-val pp_prefetch : Format.formatter -> Dex_sim.Stats.t -> unit
-(** Just the prefetch digest; prints nothing when no prefetches were
-    issued. *)
+    ({!Dex_proto.Coherence.stats}) to include the crash, shard and
+    autopilot digests when those were active, and the fabric's [net]
+    stats ({!Dex_net.Fabric.stats}) to include a chaos fault-injection
+    digest when chaos was active. *)
 
 val pp_chaos : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Just the chaos digest (faults injected vs retransmission recovery);
@@ -81,7 +77,7 @@ val pp_shard : Format.formatter -> Dex_sim.Stats.t -> unit
     requester's own home vs another node's ([local]/[remote] plus the
     derived locality percentage), syscall delegations routed to a
     non-origin home ([cross_ops]) and per-shard failover promotions.
-    Prints nothing when sharding is off — the counters are only
+    Prints nothing with one shard — the counters are only
     maintained with more than one shard. Included in {!pp_summary}
     automatically when [stats] is passed. *)
 

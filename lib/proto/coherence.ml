@@ -5,24 +5,9 @@ module Msg = Dex_net.Msg
 
 type outcome = [ `Done | `Retry ]
 
-(* A batched page request in flight from a node to the origin: the demand
-   page (which owns a genuine fault-table entry) plus the prefetched pages
-   (which deliberately do NOT — claiming entries for them and freeing them
-   only when the whole batch reply lands would let origin grant fibers wait
-   on each other in cycles). A revocation arriving at the node for any page
-   of an in-flight batch poisons the record instead; the requester discards
-   poisoned grants when the reply is processed. Every batch is single-shard
-   (see {!claim_prefetch}), so its wire epoch is unambiguous. *)
-type batch_record = {
-  b_demand : Page.vpn;
-  b_vpns : Page.vpn list;  (* demand :: prefetched *)
-  mutable b_poisoned : Page.vpn list;
-}
-
 (* Page ownership is partitioned over [nshards] shards, each rooted at a
-   {e home node}. With sharding off there is exactly one shard, homed at
-   the origin — every array below then has a single slot and each code
-   path degenerates to the unsharded protocol bit-for-bit. *)
+   {e home node}. With one shard (the default) it is homed at the
+   origin and every array below has a single slot. *)
 type t = {
   fabric : Fabric.t;
   engine : Engine.t;
@@ -43,11 +28,6 @@ type t = {
   stores : Page_store.t array;
   ftables : outcome Fault_table.t array;
   rngs : Rng.t array;  (* per-node backoff jitter *)
-  pf : Prefetch.t;
-  prefetched : (Page.vpn, unit) Hashtbl.t array;
-      (* per node: pages granted by prefetch and not yet touched; feeds the
-         prefetch.hit / prefetch.waste accuracy counters *)
-  mutable inflight : batch_record list array;  (* per node *)
   stats : Stats.t;
   fault_latencies : Histogram.t;
   mutable tracer : (Fault_event.t -> unit) option;
@@ -76,11 +56,6 @@ type t = {
       (* per node: where that node steers faults for re-homed pages —
          the per-page overlay on home_view, taught by the re-home
          broadcast and corrected in-band by Page_redirect *)
-  mutable rehome_used : bool;
-      (* monotone: set by the first rehome_page. While false,
-         mis-addressed page requests keep their historical failwith, so a
-         build that never re-homes is bit-identical to one without the
-         autopilot. *)
   replicate_hint : (Page.vpn, unit) Hashtbl.t;
       (* pages marked replicate-don't-invalidate by the autopilot *)
   push_subs : (Page.vpn, int list) Hashtbl.t;
@@ -95,7 +70,6 @@ type t = {
 
 let shard_of t vpn =
   match t.cfg.Proto_config.sharding with
-  | `Off -> 0
   | `Hash n -> vpn mod n
   | `Range n -> vpn / 64 mod n
 
@@ -259,16 +233,13 @@ let reclaim_node t ~node =
      Unreachable path and retire their entries, which is what lets the
      coalesced followers drain instead of deadlocking the engine. *)
   t.ptables.(node) <- Page_table.create ();
-  t.stores.(node) <- Page_store.create ();
-  Hashtbl.reset t.prefetched.(node);
-  t.inflight.(node) <- []
+  t.stores.(node) <- Page_store.create ()
 
 (* A home node died with HA wired: the homed shards' recovery belongs to
    their promotion fibers (priority 10), but the dead node must still be
    scrubbed out of every {e other} shard's directory — those shards keep
-   serving and must not leave pages owned by a ghost. With sharding off
-   this is a no-op (the dead origin homes the only shard), preserving the
-   unsharded crash path exactly. *)
+   serving and must not leave pages owned by a ghost. With one shard this
+   is a no-op: the dead origin homes the only shard. *)
 let partial_scrub t ~node =
   let homed = shards_homed_at t node in
   for shard = 0 to t.nshards - 1 do
@@ -288,7 +259,6 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
   if origin < 0 || origin >= n then invalid_arg "Coherence.create: bad origin";
   let nshards =
     match cfg.Proto_config.sharding with
-    | `Off -> 1
     | `Hash s | `Range s ->
         if s < 1 then invalid_arg "Coherence.create: shard count must be >= 1";
         s
@@ -315,9 +285,6 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       stores = Array.init n (fun _ -> Page_store.create ());
       ftables = Array.init n (fun _ -> Fault_table.create engine ());
       rngs = Array.init n (fun _ -> Rng.split rng);
-      pf = Prefetch.create ();
-      prefetched = Array.init n (fun _ -> Hashtbl.create 64);
-      inflight = Array.make n [];
       stats = Stats.create ();
       fault_latencies = Histogram.create ();
       tracer = None;
@@ -333,7 +300,6 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       rehomed = Hashtbl.create 16;
       rehome_dirs = Array.init n (fun node -> Directory.create ~origin:node);
       page_view = Array.init n (fun _ -> Hashtbl.create 16);
-      rehome_used = false;
       replicate_hint = Hashtbl.create 16;
       push_subs = Hashtbl.create 16;
       pinned = Hashtbl.create 16;
@@ -393,43 +359,6 @@ let origin_store_mutated t vpn =
 let snapshot_if_materialized store vpn =
   if Page_store.mem store vpn then Some (Page_store.snapshot store vpn)
   else None
-
-(* --- prefetch accuracy accounting ---------------------------------- *)
-
-let note_prefetch_hit t ~node ~vpn =
-  if Hashtbl.mem t.prefetched.(node) vpn then begin
-    Hashtbl.remove t.prefetched.(node) vpn;
-    Stats.incr t.stats "prefetch.hit"
-  end
-
-let note_prefetch_waste t ~node ~vpn =
-  if Hashtbl.mem t.prefetched.(node) vpn then begin
-    Hashtbl.remove t.prefetched.(node) vpn;
-    Stats.incr t.stats "prefetch.waste"
-  end
-
-(* --- in-flight batch bookkeeping ------------------------------------ *)
-
-let inflight_covers t ~node ~vpn =
-  List.exists (fun r -> List.mem vpn r.b_vpns) t.inflight.(node)
-
-(* Entry protocol for a revocation arriving at [node] for [vpn]. Poison
-   every in-flight batch covering the page — the requester discards those
-   grants at reply time — then wait for local fault handling to drain,
-   UNLESS the page is the demand page of an in-flight batch: that fault
-   entry belongs to the batch leader, which is blocked on a reply the
-   revoking origin fiber may itself be withholding (its grant fan-out
-   waits on this very ack), so waiting there can deadlock. Skipping is
-   safe precisely because the record was just poisoned: the leader will
-   treat its grant as a NACK and retry. *)
-let revoke_entry t ~node ~vpn =
-  List.iter
-    (fun r ->
-      if List.mem vpn r.b_vpns && not (List.mem vpn r.b_poisoned) then
-        r.b_poisoned <- vpn :: r.b_poisoned)
-    t.inflight.(node);
-  if not (List.exists (fun r -> r.b_demand = vpn) t.inflight.(node)) then
-    Fault_table.await_idle t.ftables.(node) ~vpn
 
 (* ------------------------------------------------------------------ *)
 (* Home side: ownership decisions.                                     *)
@@ -518,35 +447,6 @@ let revoke_rpc t ~shard ~home ~target ~vpn ~mode ~want_data =
         None
   end
 
-(* Coalesced fan-out: one control message invalidates a whole run of pages
-   at [target] (batched grants would otherwise pay one RPC per (page,
-   victim) pair). The victim charges a single invalidate-handler entry for
-   the batch — that amortization is the point. *)
-let revoke_batch_rpc t ~shard ~home ~target ~vpns =
-  if Fabric.crash_detected t.fabric ~node:target then
-    Stats.incr t.stats "crash.revokes_skipped"
-  else begin
-    Stats.incr t.stats "revoke.batch";
-    Stats.add t.stats "revoke.batch_pages" (List.length vpns);
-    Stats.add t.stats "revoke.invalidate" (List.length vpns);
-    let src = home in
-    match
-      Fabric.call t.fabric ~src ~dst:target
-        ~kind:Messages.kind_invalidate_batch
-        ~size:(t.cfg.Proto_config.ctl_msg_size + (8 * List.length vpns))
-        (Messages.Invalidate_batch
-           {
-             pid = t.pid;
-             vpns;
-             mode = Messages.Invalidate;
-             epoch = t.epochs.(shard);
-           })
-    with
-    | Messages.Invalidate_batch_ack _ -> ()
-    | _ -> failwith "Coherence: unexpected batch revoke reply"
-    | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target
-  end
-
 (* Apply a revocation to the home's own page table. The home's page
    store is never dropped: it is the staging copy that grants snapshot
    from, and every flow that could leave it stale re-installs fresh data
@@ -633,8 +533,8 @@ let live_set t nodes =
   Node_set.of_list
     (List.filter (fun n -> not (Fabric.crash_detected t.fabric ~node:n)) nodes)
 
-(* Per-shard load accounting, live only when sharding is on: grants served
-   at the home for requesters co-located with it vs remote ones. *)
+(* Per-shard load accounting, live only with more than one shard: grants
+   served at the home for requesters co-located with it vs remote ones. *)
 let note_shard_grant t ~shard ~home ~requester =
   if t.nshards > 1 then begin
     t.shard_grants.(shard) <- t.shard_grants.(shard) + 1;
@@ -656,9 +556,9 @@ let note_push_subs t ~vpn nodes =
 (* Push unsolicited read copies of a replicate-marked page to the readers
    its last write grant displaced. Runs under the page's directory lock,
    right after a read grant returned the page to [Shared] — the home's
-   staging copy is fresh at exactly that point. Victims may decline (local
-   fault in flight, in-flight batch, stale epoch); the accepted ones join
-   the Shared set so the next write revokes them normally. *)
+   staging copy is fresh at exactly that point. Victims may decline (stale
+   epoch); the accepted ones join the Shared set so the next write revokes
+   them normally. *)
 let push_replicas t ~shard ~home ~dir ~vpn ~requester =
   match Hashtbl.find_opt t.push_subs vpn with
   | None -> ()
@@ -816,164 +716,6 @@ let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
           `Grant (data, wire_data)
         end)
 
-(* Batched ownership transition for a demand page plus its prefetch run.
-   Three phases so that the whole revocation fan-out of the batch is
-   coalesced:
-
-   A. lock + decide each page in request order — pages whose directory
-      entry is busy are NACKed individually, never the whole batch;
-   B. one parallel fan-out of all reclaims and (per victim node) all
-      invalidations, batched into a single {!Messages.Invalidate_batch}
-      per target when [batch_revoke] is set;
-   C. apply the directory transitions and unlock, snapshotting data per
-      page, again in request order.
-
-   Every lock taken in phase A is held across phase B; that is what makes
-   the victim-side skip in {!revoke_entry} sound — no new grant for a
-   locked page can race the revocation. *)
-let origin_grant_batch t ~shard ~requester ~vpns ~access =
-  let dir = t.dirs.(shard) in
-  let home = t.homes.(shard) in
-  if requester_gone t ~home ~requester then begin
-    Stats.incr t.stats "crash.grants_refused";
-    List.map (fun vpn -> (vpn, `Nack)) vpns
-  end
-  else begin
-    let reclaims = ref [] in
-    (* victim node -> pages to invalidate there, accumulated in reverse *)
-    let victims : (int, Page.vpn list ref) Hashtbl.t = Hashtbl.create 8 in
-    let add_victim target vpn =
-      match Hashtbl.find_opt victims target with
-      | Some cell -> cell := vpn :: !cell
-      | None -> Hashtbl.add victims target (ref [ vpn ])
-    in
-    (* Locks taken in phase A and not yet released by phase C; the protect
-       below is what guarantees no page stays locked when the fan-out
-       raises mid-batch. *)
-    let locked = ref [] in
-    let unlock_one vpn =
-      locked := List.filter (fun v -> v <> vpn) !locked;
-      Directory.unlock dir vpn
-    in
-    Fun.protect
-      ~finally:(fun () -> List.iter (Directory.unlock dir) !locked)
-      (fun () ->
-        (* Phase A *)
-        let decided =
-          List.map
-            (fun vpn ->
-              if Hashtbl.mem t.rehomed vpn then begin
-                (* The shard home no longer speaks for a re-homed page;
-                   batches always target the static home, so the page is
-                   NACKed out of the batch and the retry (a single
-                   request) follows the steer. *)
-                Stats.incr t.stats "grant.nack";
-                (vpn, `Nack)
-              end
-              else if not (Directory.try_lock dir vpn) then begin
-                Stats.incr t.stats "grant.nack";
-                (vpn, `Nack)
-              end
-              else begin
-                locked := vpn :: !locked;
-                if requester <> home then
-                  Fault_table.await_idle t.ftables.(home) ~vpn;
-                let had_copy = Directory.has_valid_copy dir vpn requester in
-                let apply =
-                  match (access, Directory.state dir vpn) with
-                  | Perm.Read, Directory.Exclusive owner when owner = requester
-                    ->
-                      fun () -> ()
-                  | Perm.Read, Directory.Exclusive owner ->
-                      reclaims := (vpn, owner, Messages.Downgrade) :: !reclaims;
-                      fun () ->
-                        Directory.set_shared dir vpn
-                          (live_set t [ owner; home; requester ])
-                  | Perm.Read, Directory.Shared _ ->
-                      fun () -> Directory.add_reader dir vpn requester
-                  | Perm.Write, Directory.Exclusive owner when owner = requester
-                    ->
-                      fun () -> ()
-                  | Perm.Write, Directory.Exclusive owner ->
-                      reclaims :=
-                        (vpn, owner, Messages.Invalidate) :: !reclaims;
-                      note_push_subs t ~vpn [ owner ];
-                      fun () -> Directory.set_exclusive dir vpn requester
-                  | Perm.Write, Directory.Shared readers ->
-                      let victims =
-                        List.filter
-                          (fun n -> n <> requester && n <> home)
-                          (Node_set.to_list readers)
-                      in
-                      List.iter (fun n -> add_victim n vpn) victims;
-                      note_push_subs t ~vpn victims;
-                      let origin_reader = Node_set.mem readers home in
-                      fun () ->
-                        if origin_reader && requester <> home then
-                          revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
-                        Directory.set_exclusive dir vpn requester
-                in
-                (vpn, `Locked (had_copy, apply))
-              end)
-            vpns
-        in
-        (* Phase B *)
-        let jobs =
-          List.rev_map
-            (fun (vpn, owner, mode) () ->
-              reclaim_from_owner t ~shard ~home ~owner ~vpn ~mode)
-            !reclaims
-          @ Hashtbl.fold
-              (fun target cell acc ->
-                if t.cfg.Proto_config.batch_revoke then
-                  (fun () ->
-                    revoke_batch_rpc t ~shard ~home ~target
-                      ~vpns:(List.rev !cell))
-                  :: acc
-                else
-                  List.fold_left
-                    (fun acc vpn ->
-                      (fun () ->
-                        ignore
-                          (revoke_rpc t ~shard ~home ~target ~vpn
-                             ~mode:Messages.Invalidate ~want_data:false))
-                      :: acc)
-                    acc !cell)
-              victims []
-        in
-        fanout t ~label:"revoke" jobs;
-        (* Phase C. If the requester's failure was declared while phase B
-           was blocked, the reclaim pass has already repaired the
-           directory; applying the decided transitions would reintroduce
-           the ghost, so the whole batch degrades to NACKs instead. *)
-        let ghost = requester_gone t ~home ~requester in
-        if ghost then Stats.incr t.stats "crash.grants_refused";
-        List.map
-          (fun (vpn, d) ->
-            match d with
-            | `Nack -> (vpn, `Nack)
-            | `Locked _ when ghost ->
-                unlock_one vpn;
-                (vpn, `Nack)
-            | `Locked (had_copy, apply) ->
-                apply ();
-                let wire_data =
-                  ((not had_copy)
-                  || not t.cfg.Proto_config.grant_without_data)
-                  && requester <> home
-                in
-                let data =
-                  if wire_data then snapshot_if_materialized t.stores.(home) vpn
-                  else None
-                in
-                unlock_one vpn;
-                Stats.incr t.stats
-                  (if wire_data then "grant.data" else "grant.nodata");
-                note_shard_grant t ~shard ~home ~requester;
-                (vpn, `Grant (data, wire_data)))
-          decided)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Node side: fault handling.                                          *)
 
@@ -992,35 +734,6 @@ let backoff_delay t ~node ~attempt =
 let backoff t ~node ~attempt =
   Engine.delay t.engine (backoff_delay t ~node ~attempt)
 
-(* Predict and filter the prefetch run to attach to a demand fault: only
-   pages of the {e same shard} as the demand page (each batch resolves at
-   one home under one epoch), that the node does not already hold at
-   [access], with no local fault in flight and not already covered by an
-   in-flight batch. No fault-table entries are claimed for these — see
-   {!batch_record}. *)
-let claim_prefetch t ~node ~tid ~vpn ~access =
-  let shard = shard_of t vpn in
-  if
-    (not t.cfg.Proto_config.prefetch_enabled)
-    || node = t.homes.(shard)
-    || Hashtbl.mem t.page_view.(node) vpn
-  then []
-  else
-    Prefetch.record t.pf ~node ~tid ~vpn
-      ~depth:t.cfg.Proto_config.prefetch_depth
-    |> List.filter (fun p ->
-           p <> vpn
-           && shard_of t p = shard
-           && (not (Page_table.allows t.ptables.(node) p access))
-           && (not (Fault_table.has t.ftables.(node) ~vpn:p))
-           && (not (inflight_covers t ~node ~vpn:p))
-           (* Steered pages resolve at their re-home target, not at the
-              shard home a batch would address. *)
-           && not (Hashtbl.mem t.page_view.(node) p))
-
-(* One protocol attempt as the fault leader. [prefetch] is the run of
-   predicted pages to resolve in the same round-trip (remote nodes only;
-   empty on retries). *)
 (* A page request that exhausted its retry budget against a live,
    undetected home: the home is not gone, it is slow — typically
    grinding through a revoke escalation against a dead node on this very
@@ -1077,7 +790,8 @@ let request_failure t ~node ~shard ~dst ~steered =
     end
   end
 
-let request_once t ~node ~vpn ~access ~prefetch =
+(* One protocol attempt as the fault leader. *)
+let request_once t ~node ~vpn ~access =
   let shard = shard_of t vpn in
   if node = page_home t vpn then begin
     Engine.delay t.engine t.cfg.Proto_config.local_op;
@@ -1097,7 +811,7 @@ let request_once t ~node ~vpn ~access ~prefetch =
           (Fabric.Unreachable
              { src = node; dst = node; kind = Messages.kind_revoke })
   end
-  else if prefetch = [] then begin
+  else begin
     let steer = Hashtbl.find_opt t.page_view.(node) vpn in
     let dst =
       match steer with
@@ -1141,86 +855,6 @@ let request_once t ~node ~vpn ~access ~prefetch =
         | `Nack -> `Nack
         | `Reraise -> raise e)
   end
-  else begin
-    Stats.incr t.stats "prefetch.batch";
-    Stats.add t.stats "prefetch.issued" (List.length prefetch);
-    let record = { b_demand = vpn; b_vpns = vpn :: prefetch; b_poisoned = [] } in
-    t.inflight.(node) <- record :: t.inflight.(node);
-    let dst = t.home_view.(node).(shard) in
-    let reply =
-      try
-        `Reply
-          (Fabric.call t.fabric ~src:node ~dst
-             ~kind:Messages.kind_page_request_batch
-             ~size:(t.cfg.Proto_config.ctl_msg_size + (8 * List.length prefetch))
-             (Messages.Page_request_batch
-                {
-                  pid = t.pid;
-                  vpns = record.b_vpns;
-                  access;
-                  epoch = t.epoch_view.(node).(shard);
-                }))
-      with
-      | Fabric.Unreachable _ as e -> (
-          t.inflight.(node) <-
-            List.filter (fun r -> r != record) t.inflight.(node);
-          match request_failure t ~node ~shard ~dst ~steered:false with
-          | `Nack -> `Timeout
-          | `Reraise -> raise e)
-      | e ->
-          (* The record must not linger when the call fails, or
-             revocations would poison a batch nobody owns. *)
-          t.inflight.(node) <-
-            List.filter (fun r -> r != record) t.inflight.(node);
-          raise e
-    in
-    match reply with
-    | `Timeout ->
-        (* The retry goes through the non-batch path (no prefetch on
-           retries), so the dropped batch record is not re-created. *)
-        `Nack
-    | `Reply (Messages.Page_stale { epoch; _ }) ->
-        t.inflight.(node) <-
-          List.filter (fun r -> r != record) t.inflight.(node);
-        t.epoch_view.(node).(shard) <- epoch;
-        `Nack
-    | `Reply (Messages.Page_grant_batch { results; _ }) ->
-        (* Everything from here to the PTE-update delay below runs in one
-           simulation event: the record is removed and every surviving
-           grant installed atomically, so a racing revocation sees either
-           the in-flight record (and poisons it) or the final page
-           tables — never half a batch. *)
-        t.inflight.(node) <-
-          List.filter (fun r -> r != record) t.inflight.(node);
-        let demand_ok = ref false in
-        let granted_prefetch = ref 0 in
-        List.iter
-          (fun (p, result) ->
-            let poisoned = List.mem p record.b_poisoned in
-            match result with
-            | Messages.Batch_nack ->
-                if p <> vpn then Stats.incr t.stats "prefetch.nacked"
-            | Messages.Batch_grant _ when poisoned ->
-                (* Revoked while the grant was on the wire: drop it. The
-                   demand page turns into a NACK and retries. *)
-                Stats.incr t.stats
-                  (if p = vpn then "fault.poisoned" else "prefetch.poisoned")
-            | Messages.Batch_grant data ->
-                Option.iter (Page_store.install t.stores.(node) p) data;
-                Page_table.set t.ptables.(node) p access;
-                if p = vpn then demand_ok := true
-                else begin
-                  incr granted_prefetch;
-                  Hashtbl.replace t.prefetched.(node) p ();
-                  Stats.incr t.stats "prefetch.granted"
-                end)
-          results;
-        if !granted_prefetch > 0 then
-          Engine.delay t.engine
-            (!granted_prefetch * t.cfg.Proto_config.pte_update);
-        if !demand_ok then `Granted else `Nack
-    | `Reply _ -> failwith "Coherence: unexpected batch reply"
-  end
 
 let kind_of_access = function
   | Perm.Read -> Fault_event.Read
@@ -1229,12 +863,7 @@ let kind_of_access = function
 (* Ensure [node] may perform [access] on [vpn]; the full fault handler. *)
 let ensure t ~node ~tid ~site ~vpn ~access =
   let pt = t.ptables.(node) in
-  if Page_table.allows pt vpn access then note_prefetch_hit t ~node ~vpn
-  else begin
-    (* A demand fault on a page we prefetched at a weaker access (or that
-       was revoked meanwhile) is neither a hit nor waste; just stop
-       tracking it. *)
-    Hashtbl.remove t.prefetched.(node) vpn;
+  if not (Page_table.allows pt vpn access) then begin
     let shard = shard_of t vpn in
     let t0 = Engine.now t.engine in
     let retries = ref 0 in
@@ -1297,11 +926,7 @@ let ensure t ~node ~tid ~site ~vpn ~access =
         | Fault_table.Conflict -> loop ()
         | Fault_table.Leader -> (
             was_leader := true;
-            let prefetch =
-              if !retries = 0 then claim_prefetch t ~node ~tid ~vpn ~access
-              else []
-            in
-            match request_once t ~node ~vpn ~access ~prefetch with
+            match request_once t ~node ~vpn ~access with
             | `Granted ->
                 Engine.delay t.engine t.cfg.Proto_config.pte_update;
                 ignore (Fault_table.finish t.ftables.(node) ~vpn `Done)
@@ -1352,15 +977,6 @@ let check_node t node name =
 let access_range t ~node ~tid ?(site = "?") ~addr ~len ~access () =
   check_node t node "access_range";
   let first, last = Page.pages_of_range addr ~len in
-  (* Bulk accessors declare their exact page window up front, so even the
-     first fault of the scan batches and predictions never overshoot. With
-     sharding on, the stream primes regardless of where this node sits:
-     some of the range's shards are remote even from a home node. *)
-  if
-    t.cfg.Proto_config.prefetch_enabled
-    && (node <> t.homes.(0) || t.nshards > 1)
-    && last > first
-  then Prefetch.prime t.pf ~node ~tid ~first ~last;
   for vpn = first to last do
     ensure t ~node ~tid ~site ~vpn ~access
   done
@@ -1452,7 +1068,6 @@ let zap_range t ~first ~last ~node =
   check_node t node "zap_range";
   let n = Page_table.zap_range t.ptables.(node) ~first ~last in
   for vpn = first to last do
-    note_prefetch_waste t ~node ~vpn;
     Page_store.drop t.stores.(node) vpn
   done;
   n
@@ -1491,7 +1106,6 @@ let rehome_page t ~vpn ~node =
         `Busy
       end
       else begin
-        t.rehome_used <- true;
         let state = Directory.state dir vpn in
         (* The staging snapshot only serves a target with no current copy.
            A target already holding the page has bytes at least as fresh —
@@ -1603,7 +1217,6 @@ let mark_replicate t ~first ~last =
 let apply_invalidation t ~node ~vpn ~mode =
   (match mode with
   | Messages.Invalidate ->
-      note_prefetch_waste t ~node ~vpn;
       Page_table.invalidate t.ptables.(node) vpn;
       Page_store.drop t.stores.(node) vpn
   | Messages.Downgrade -> Page_table.downgrade t.ptables.(node) vpn);
@@ -1641,8 +1254,6 @@ let handler_unguarded t (env : Fabric.env) =
       let shard = shard_of t vpn in
       let home = page_home t vpn in
       if msg.Msg.dst <> home then begin
-        if not t.rehome_used then
-          failwith "Coherence: page request addressed to a non-home node";
         (* The requester's steer is stale — the page's authority moved
            (re-home, fallback, or a fresh re-home after a fallback).
            Answer with the live address; the retry resolves there. *)
@@ -1679,61 +1290,6 @@ let handler_unguarded t (env : Fabric.env) =
                 (Messages.Page_grant { pid = t.pid; vpn; data })
       end;
       true
-  | Messages.Page_request_batch { pid; vpns; access; epoch } when pid = t.pid
-    ->
-      (* Batches are single-shard by construction (claim_prefetch filters
-         the run to the demand page's shard). *)
-      let shard =
-        match vpns with [] -> 0 | vpn :: _ -> shard_of t vpn
-      in
-      if msg.Msg.dst <> t.homes.(shard) then
-        failwith "Coherence: page request addressed to a non-home node";
-      (* One handler entry amortized over the run; each extra page costs a
-         local directory operation, not another round-trip. *)
-      home_service t ~node:msg.Msg.dst
-        (t.cfg.Proto_config.origin_handler
-        + ((List.length vpns - 1) * t.cfg.Proto_config.local_op));
-      if epoch <> t.epochs.(shard) then begin
-        Stats.incr t.stats "ha.stale_epoch_nacks";
-        env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-          (Messages.Page_stale { pid = t.pid; epoch = t.epochs.(shard) })
-      end
-      else begin
-        let results =
-          origin_grant_batch t ~shard ~requester:msg.Msg.src ~vpns ~access
-        in
-        let data_pages =
-          List.fold_left
-            (fun n (_, r) ->
-              match r with `Grant (_, true) -> n + 1 | _ -> n)
-            0 results
-        in
-        if
-          List.exists
-            (fun (_, r) -> match r with `Grant _ -> true | `Nack -> false)
-            results
-        then commit_fence t ~shard;
-        let size =
-          t.cfg.Proto_config.ctl_msg_size
-          + data_pages
-            * (t.cfg.Proto_config.page_msg_size
-             - t.cfg.Proto_config.ctl_msg_size)
-        in
-        env.Fabric.respond ~size
-          (Messages.Page_grant_batch
-             {
-               pid = t.pid;
-               results =
-                 List.map
-                   (fun (vpn, r) ->
-                     ( vpn,
-                       match r with
-                       | `Nack -> Messages.Batch_nack
-                       | `Grant (data, _) -> Messages.Batch_grant data ))
-                   results;
-             })
-      end;
-      true
   | Messages.Revoke { pid; vpn; mode; want_data; epoch } when pid = t.pid ->
       let node = msg.Msg.dst in
       let shard = shard_of t vpn in
@@ -1743,9 +1299,8 @@ let handler_unguarded t (env : Fabric.env) =
       end
       else begin
         (* A fault in flight on this page must complete before the
-           revocation applies, or PTE updates would interleave; in-flight
-           batched grants are poisoned instead (see revoke_entry). *)
-        revoke_entry t ~node ~vpn;
+           revocation applies, or PTE updates would interleave. *)
+        Fault_table.await_idle t.ftables.(node) ~vpn;
         Engine.delay t.engine t.cfg.Proto_config.invalidate_handler;
         let data =
           if want_data then snapshot_if_materialized t.stores.(node) vpn
@@ -1760,36 +1315,8 @@ let handler_unguarded t (env : Fabric.env) =
           (Messages.Revoke_ack { pid = t.pid; vpn; data })
       end;
       true
-  | Messages.Invalidate_batch { pid; vpns; mode; epoch } when pid = t.pid ->
-      let node = msg.Msg.dst in
-      let shard =
-        match vpns with [] -> 0 | vpn :: _ -> shard_of t vpn
-      in
-      if stale_origin_traffic t ~node ~shard ~src:msg.Msg.src ~epoch then begin
-        env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-          (Messages.Invalidate_batch_ack { pid = t.pid })
-      end
-      else begin
-        List.iter (fun vpn -> revoke_entry t ~node ~vpn) vpns;
-        (* A single handler entry for the whole run — the victim-side half
-           of the fan-out amortization. *)
-        Engine.delay t.engine t.cfg.Proto_config.invalidate_handler;
-        List.iter (fun vpn -> apply_invalidation t ~node ~vpn ~mode) vpns;
-        env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-          (Messages.Invalidate_batch_ack { pid = t.pid })
-      end;
-      true
   | Messages.Epoch_fence { pid; shard; epoch = _; keep } when pid = t.pid ->
       let node = msg.Msg.dst in
-      (* Grants in flight when the home died are from the dead epoch:
-         poison every in-flight batch of the fenced shard outright — their
-         replies (which will never arrive anyway, the sender is dead) must
-         not install. Other shards' batches are untouched: their homes are
-         alive and their grants remain valid. *)
-      List.iter
-        (fun r ->
-          if shard_of t r.b_demand = shard then r.b_poisoned <- r.b_vpns)
-        t.inflight.(node);
       Engine.delay t.engine t.cfg.Proto_config.invalidate_handler;
       (* Reconcile local copies of the fenced shard against what the
          promoted replica still vouches for. Under `Sync replication the
@@ -1815,7 +1342,6 @@ let handler_unguarded t (env : Fabric.env) =
                 incr zapped
               end
           | None ->
-              note_prefetch_waste t ~node ~vpn;
               Page_table.invalidate t.ptables.(node) vpn;
               Page_store.drop t.stores.(node) vpn;
               incr zapped)
@@ -1856,17 +1382,14 @@ let handler_unguarded t (env : Fabric.env) =
   | Messages.Page_push { pid; vpn; data; epoch } when pid = t.pid ->
       let node = msg.Msg.dst in
       let shard = shard_of t vpn in
-      (* A plain in-flight fault is NOT a reason to decline: the pusher
+      (* An in-flight fault is NOT a reason to decline: the pusher
          holds the page's directory lock, so that fault can only be in
          its NACK-retry loop — and the retry re-validates local
          permissions, so installing here retires it without another
          grant round trip. (That is the push's whole payoff when a write
-         storm displaces every reader at once.) An in-flight BATCH is
-         different: its grants install atomically later and would
-         clobber this PTE, so those still decline. *)
+         storm displaces every reader at once.) *)
       let accepted =
-        (not (stale_origin_traffic t ~node ~shard ~src:msg.Msg.src ~epoch))
-        && not (inflight_covers t ~node ~vpn)
+        not (stale_origin_traffic t ~node ~shard ~src:msg.Msg.src ~epoch)
       in
       if accepted then begin
         Engine.delay t.engine t.cfg.Proto_config.pte_update;
@@ -1962,8 +1485,6 @@ let promote t ~shard ~new_origin ~dir_entries ~page_data =
   (* The dead home's local state is unreachable hardware now. *)
   t.ptables.(old) <- Page_table.create ();
   t.stores.(old) <- Page_store.create ();
-  Hashtbl.reset t.prefetched.(old);
-  t.inflight.(old) <- [];
   t.dirs.(shard) <- dir;
   t.homes.(shard) <- new_origin;
   t.epochs.(shard) <- t.epochs.(shard) + 1;

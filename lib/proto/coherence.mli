@@ -20,26 +20,11 @@
     granted without page data whenever the requester already holds an
     up-to-date copy (read → write upgrades).
 
-    With {!Proto_config.prefetch_enabled}, remote fault leaders feed a
-    per-(node, thread) {!Prefetch} stream detector and resolve up to
-    [prefetch_depth] predicted pages in the same round-trip via
-    [Page_request_batch]; the home locks, decides and traces each batched
-    page individually (pages that lose the directory race are NACKed
-    individually, never the whole batch), and coalesces the revocation
-    fan-out into one [Invalidate_batch] per victim node when
-    {!Proto_config.batch_revoke} is set. A revocation arriving at a node
-    for a page of an in-flight batch poisons that batch's record instead
-    of blocking: the requester discards poisoned grants when the reply
-    lands (the demand page then retries as if NACKed), which closes the
-    revoke-overtakes-grant race without ever making a home-side grant
-    fiber wait on another grant's reply.
-
     {2 Sharded homes}
 
-    With {!Proto_config.sharding} off there is exactly one shard, homed at
-    the origin, and every path below degenerates to the single-origin
-    protocol bit-for-bit. With [`Hash n] or [`Range n], page ownership is
-    partitioned over [n] shards by {!shard_of}, shard [s] homed at node
+    Page ownership is partitioned by {!shard_of} over the [n] shards of
+    {!Proto_config.sharding} ([`Hash n] or [`Range n]); the default is one
+    shard. Shard [s] is homed at node
     [(origin + s) mod node_count] — shard 0 always coincides with the
     process origin, which keeps the delegated services there. Each shard
     has its own directory, epoch and (with replication) its own log and
@@ -49,8 +34,6 @@
     home/epoch vector ({!home_of} metadata); the view is invalidated
     epoch-stamped: in-band [Page_stale] NACKs and home-to-node traffic
     carrying a newer epoch teach the node the shard's new address.
-    Prefetch batches are filtered to the demand page's shard, so a batch
-    always resolves at one home under one epoch.
 
     {2 Fail-stop crashes}
 
@@ -103,8 +86,8 @@ val pid : t -> int
 (** The process id used to tag this instance's wire messages. *)
 
 val origin : t -> int
-(** The node homing shard 0 — the process origin. With sharding off this
-    is the single home of every page. *)
+(** The node homing shard 0 — the process origin. With one shard this is
+    the single home of every page. *)
 
 val cfg : t -> Proto_config.t
 (** The configuration the instance was created with. *)
@@ -115,11 +98,11 @@ val node_count : t -> int
 (** {2 Shard geometry} *)
 
 val shard_count : t -> int
-(** Number of ownership shards: 1 with {!Proto_config.sharding} off. *)
+(** Number of ownership shards: the [n] of {!Proto_config.sharding}. *)
 
 val shard_of : t -> Dex_mem.Page.vpn -> int
-(** The shard owning a page: 0 when sharding is off, [vpn mod n] under
-    [`Hash n], [(vpn / 64) mod n] under [`Range n]. *)
+(** The shard owning a page: [vpn mod n] under [`Hash n],
+    [(vpn / 64) mod n] under [`Range n] (so always 0 with one shard). *)
 
 val home_of : t -> Dex_mem.Page.vpn -> int
 (** The node currently homing a page's shard ([shard_home] of
@@ -146,8 +129,8 @@ val page_directory : t -> Dex_mem.Page.vpn -> Dex_mem.Directory.t
 
 val shard_load : t -> int array
 (** Per-shard count of grants served, a snapshot of the load vector
-    behind [shard.local_grants]/[shard.remote_grants]. All zeros when
-    sharding is off (per-shard accounting is gated on [shard_count > 1]).
+    behind [shard.local_grants]/[shard.remote_grants]. All zeros with one
+    shard (per-shard accounting is gated on [shard_count > 1]).
     Index [s] is shard [s]. *)
 
 val handler : t -> Dex_net.Fabric.env -> bool
@@ -220,7 +203,7 @@ val page_store : t -> node:int -> Dex_mem.Page_store.t
 (** [node]'s store of real page contents (typed accesses only). *)
 
 val directory : t -> Dex_mem.Directory.t
-(** Shard 0's ownership directory — with sharding off, the single origin
+(** Shard 0's ownership directory — with one shard, the single origin
     directory. Use {!shard_directory} for the others. *)
 
 val fault_table : t -> node:int -> [ `Done | `Retry ] Dex_mem.Fault_table.t
@@ -288,8 +271,7 @@ val mark_replicate : t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> uni
     instead of letting each fault the page back in. A victim whose own
     fault on the page is mid NACK-retry {e accepts} the push — the
     retry loop re-validates local permissions, so the push retires the
-    fault without another grant round trip; only a stale epoch or an
-    in-flight prefetch batch covering the page declines
+    fault without another grant round trip; only a stale epoch declines
     ([autopilot.push_declined]). Idempotent per page
     ([autopilot.replicate_marked] counts first marks). *)
 
@@ -318,8 +300,7 @@ val reclaim_node : t -> node:int -> unit
     exclusive pages to their shard home's last-known copy
     ([crash.pages_reclaimed]), drop it from reader sets
     ([crash.readers_scrubbed], the set's last reader re-homes the page
-    too), and reset its page table, page store, prefetch and
-    in-flight-batch state. Wired to {!Dex_net.Fabric.on_crash} at
+    too), and reset its page table and page store. Wired to {!Dex_net.Fabric.on_crash} at
     {!create} time, so it normally runs automatically when a failure is
     declared; exposed for directed tests. Safe to run while grants are in
     flight. Raises if [node] homes any shard (with the HA layer wired, a
@@ -331,18 +312,18 @@ val reclaim_node : t -> node:int -> unit
     Installed by the process layer when {!Proto_config.replication} is on;
     all default to absent, in which case every path below is bit-identical
     to a build without them. All shard-indexed hooks receive the shard
-    number — with sharding off it is always 0. *)
+    number — with one shard it is always 0. *)
 
 val epoch : t -> int
-(** Shard 0's current epoch — with sharding off, {e the} origin epoch.
+(** Shard 0's current epoch — with one shard, {e the} origin epoch.
     Stamped on every outgoing coherence request for the shard (each node
     stamps its own {e view} of the epoch, which may lag until a
     [Page_stale] NACK or an in-band revocation teaches it the new one).
     Use {!shard_epoch} for the others. *)
 
 val set_commit_barrier : t -> (int -> unit) option -> unit
-(** Hook run at a shard's home immediately before a grant reply (single or
-    batched, when it carries at least one grant) leaves that home — the
+(** Hook run at a shard's home immediately before a grant reply leaves
+    that home — the
     "replicate before externalize" fence, passed the shard number. The HA
     layer blocks here until the shard's ack watermark covers its log
     ([`Sync]) or the unacked suffix is within the configured lag
@@ -379,15 +360,15 @@ val promote : t ->
     [page_data] backfills the new home's page store {e except} for pages
     it already held a valid copy of (its own copy is at least as fresh),
     the old home's local tables are reset, and the shard's epoch is
-    bumped. Counted as [ha.promotions] (plus [shard.promotions] when
-    sharding is on). Raises [Invalid_argument] if [new_origin] is the
+    bumped. Counted as [ha.promotions] (plus [shard.promotions] with more
+    than one shard). Raises [Invalid_argument] if [new_origin] is the
     shard's current home or is itself declared dead. Call from the HA
     promotion fiber only, then {!fence_survivors}. *)
 
 val fence_survivors : t -> shard:int -> unit
 (** Broadcast [Epoch_fence] for [shard] from its (already promoted) new
-    home to every other live node: each survivor poisons its in-flight
-    batches of that shard and zaps every local PTE/copy of the shard the
+    home to every other live node: each survivor zaps every local
+    PTE/copy of the shard the
     promoted directory no longer vouches for (under [`Sync] replication
     the keep-list covers everything and nothing is zapped); other shards'
     state is untouched. Survivors deliberately do {e not} adopt the new
@@ -398,13 +379,12 @@ val fence_survivors : t -> shard:int -> unit
 
 val stats : t -> Dex_sim.Stats.t
 (** Protocol counters: [grant.data]/[grant.nodata]/[grant.nack],
-    [revoke.invalidate]/[revoke.downgrade]/[revoke.batch], [prefetch.*],
-    [fault.poisoned]; after a crash the [crash.*] family — [crash.nodes],
+    [revoke.invalidate]/[revoke.downgrade]; after a crash the [crash.*] family — [crash.nodes],
     [crash.pages_reclaimed], [crash.readers_scrubbed],
     [crash.revokes_skipped], [crash.escalations], [crash.grants_refused];
     after a failover the [ha.*] family — [ha.promotions],
     [ha.epoch_fences], [ha.fence_zapped], [ha.stale_epoch_nacks],
-    [ha.stale_revokes], [ha.stalled_faults]; with sharding on the
+    [ha.stale_revokes], [ha.stalled_faults]; with more than one shard the
     [shard.*] family — [shard.homes] (the shard count, set once),
     [shard.local_grants]/[shard.remote_grants] (grants served to
     requesters co-located with / remote from the shard's home) and

@@ -1,7 +1,5 @@
 type revoke_mode = Invalidate | Downgrade
 
-type batch_result = Batch_grant of bytes option | Batch_nack
-
 type Dex_net.Msg.payload +=
   | Page_request of {
       pid : int;
@@ -12,16 +10,6 @@ type Dex_net.Msg.payload +=
   | Page_grant of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
   | Page_nack of { pid : int; vpn : Dex_mem.Page.vpn }
   | Page_stale of { pid : int; epoch : int }
-  | Page_request_batch of {
-      pid : int;
-      vpns : Dex_mem.Page.vpn list;
-      access : Dex_mem.Perm.access;
-      epoch : int;
-    }
-  | Page_grant_batch of {
-      pid : int;
-      results : (Dex_mem.Page.vpn * batch_result) list;
-    }
   | Revoke of {
       pid : int;
       vpn : Dex_mem.Page.vpn;
@@ -30,13 +18,6 @@ type Dex_net.Msg.payload +=
       epoch : int;
     }
   | Revoke_ack of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
-  | Invalidate_batch of {
-      pid : int;
-      vpns : Dex_mem.Page.vpn list;
-      mode : revoke_mode;
-      epoch : int;
-    }
-  | Invalidate_batch_ack of { pid : int }
   | Epoch_fence of {
       pid : int;
       shard : int;  (* which shard's generation turned over *)
@@ -67,9 +48,7 @@ type Dex_net.Msg.payload +=
   | Page_push_ack of { pid : int; accepted : bool }
 
 let kind_page_request = "page_req"
-let kind_page_request_batch = "page_req_batch"
 let kind_revoke = "revoke"
-let kind_invalidate_batch = "revoke_batch"
 let kind_epoch_fence = "epoch_fence"
 let kind_page_sync = "page_sync"
 let kind_page_push = "page_push"

@@ -5,15 +5,6 @@ type revoke_mode =
   | Invalidate  (** drop the copy entirely (a writer is coming) *)
   | Downgrade  (** keep a read-only copy (a reader is coming) *)
 
-(** Per-page outcome inside a {!Page_grant_batch} reply. *)
-type batch_result =
-  | Batch_grant of bytes option
-      (** ownership granted; the payload carries page contents when the
-          requester lacked a valid copy and the page is materialized *)
-  | Batch_nack
-      (** page busy; for prefetched pages the requester simply drops the
-          prediction, for the demand page it retries *)
-
 type Dex_net.Msg.payload +=
   | Page_request of {
       pid : int;
@@ -35,23 +26,6 @@ type Dex_net.Msg.payload +=
       (** origin → node: your epoch is stale — a failover has happened.
           Carries the current epoch; the requester adopts it and retries
           (counted as [ha.stale_epoch_nacks] at the origin). *)
-  | Page_request_batch of {
-      pid : int;
-      vpns : Dex_mem.Page.vpn list;
-      access : Dex_mem.Perm.access;
-      epoch : int;
-    }
-      (** node → origin: one demand fault (head of [vpns]) plus
-          sequential-prefetch candidates, resolved in one round-trip. Each
-          page is granted, locked and traced individually at the origin;
-          busy pages are NACKed individually without failing the batch. *)
-  | Page_grant_batch of {
-      pid : int;
-      results : (Dex_mem.Page.vpn * batch_result) list;
-    }
-      (** origin → node: per-page outcome of a batched request, in request
-          order. Replies carrying page data ride the RDMA path once their
-          size crosses {!Dex_net.Net_config.rdma_threshold}. *)
   | Revoke of {
       pid : int;
       vpn : Dex_mem.Page.vpn;
@@ -62,17 +36,6 @@ type Dex_net.Msg.payload +=
   | Revoke_ack of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
       (** owner → origin: done; [data] ships the page back when the origin
           asked for it ([want_data]) and the page is materialized *)
-  | Invalidate_batch of {
-      pid : int;
-      vpns : Dex_mem.Page.vpn list;
-      mode : revoke_mode;
-      epoch : int;
-    }
-      (** origin → reader: surrender every copy in [vpns] — the batched
-          revocation fan-out for runs of pages; one message per victim
-          node regardless of run length *)
-  | Invalidate_batch_ack of { pid : int }
-      (** reader → origin: every page of the batch surrendered *)
   | Epoch_fence of {
       pid : int;
       shard : int;
@@ -82,9 +45,9 @@ type Dex_net.Msg.payload +=
       (** new home → survivor, during failover: [shard]'s old epoch is
           dead. [keep] lists every (page, strongest access) the promoted
           replica still vouches for on the destination; the survivor zaps
-          every other local PTE/copy {e of that shard} and poisons its
-          in-flight batches (other shards' state, whose homes are alive,
-          is untouched — with sharding off, shard 0 covers everything).
+          every other local PTE/copy {e of that shard} (other shards'
+          state, whose homes are alive, is untouched — with one shard,
+          shard 0 covers everything).
           Under [`Sync] replication the fence zaps nothing; under [`Async]
           the zapped copies are exactly the lost log suffix. *)
   | Epoch_fence_ack of {
@@ -105,9 +68,9 @@ type Dex_net.Msg.payload +=
       (** serving node → requester: the page's authority is not here — it
           was re-homed by the placement autopilot (or fell back to its
           shard home after the re-home target crashed). The requester
-          re-steers its per-page view to [home] and retries; never sent
-          unless {!Coherence.rehome_page} has run (mis-addressed requests
-          otherwise keep their historical [failwith]). *)
+          re-steers its per-page view to [home] and retries. Any request
+          reaching a live node other than the page's home gets this
+          reply. *)
   | Page_sync of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes }
       (** page-content shipment outside the grant path: the staging copy
           travels to a page's new dynamic home at re-home time, and fresh
@@ -125,22 +88,15 @@ type Dex_net.Msg.payload +=
           read copy pushed when the page returns to [Shared], instead of
           waiting for the reader to fault it back in. *)
   | Page_push_ack of { pid : int; accepted : bool }
-      (** reader → home: [accepted = false] declines the push (a local
-          fault or in-flight batch covers the page, or the sender's epoch
-          is stale); the home then leaves the reader out of the Shared
-          set. *)
+      (** reader → home: [accepted = false] declines the push (the
+          sender's epoch is stale); the home then leaves the reader out of
+          the Shared set. *)
 
 val kind_page_request : string
 (** Statistics class of {!Page_request} messages. *)
 
-val kind_page_request_batch : string
-(** Statistics class of {!Page_request_batch} messages. *)
-
 val kind_revoke : string
 (** Statistics class of {!Revoke} messages. *)
-
-val kind_invalidate_batch : string
-(** Statistics class of {!Invalidate_batch} messages. *)
 
 val kind_epoch_fence : string
 (** Statistics class of {!Epoch_fence} messages. *)

@@ -11,14 +11,11 @@ type t = {
   page_msg_size : int;
   coalesce_faults : bool;
   grant_without_data : bool;
-  prefetch_enabled : bool;
-  prefetch_depth : int;
-  batch_revoke : bool;
   on_crash : [ `Abort | `Rehome ];
   replication : [ `Off | `Sync | `Async of int ];
   standby_count : int;
   standbys : int list option;
-  sharding : [ `Off | `Hash of int | `Range of int ];
+  sharding : [ `Hash of int | `Range of int ];
   serial_home_service : bool;
 }
 
@@ -36,12 +33,6 @@ let default =
     page_msg_size = 4096 + 64;
     coalesce_faults = true;
     grant_without_data = true;
-    (* Off by default: the base protocol matches the paper's §III-B/C
-       description exactly; the prefetch fast path is the ablation knob
-       (bench/main.exe ablation) and the opt-in for bulk-scan workloads. *)
-    prefetch_enabled = false;
-    prefetch_depth = 8;
-    batch_revoke = true;
     (* Abort is the honest default: a thread whose node fail-stopped lost
        its register state, so only work the application can re-issue from
        scratch should survive. Rehome is the opt-in for restartable
@@ -59,11 +50,11 @@ let default =
     (* None picks the lowest-numbered non-origin nodes as the replica
        set. *)
     standbys = None;
-    (* Off by default: all pages are homed at the single origin and the
-       protocol is bit-identical to a build without sharding. `Hash n
-       spreads page ownership over n home nodes by vpn modulo; `Range n
-       homes 64-page runs, preserving prefetch locality within a run. *)
-    sharding = `Off;
+    (* One shard by default: all pages are homed at the single origin.
+       `Hash n spreads page ownership over n home nodes by vpn modulo;
+       `Range n homes 64-page runs, keeping a sequential scan on one
+       home. *)
+    sharding = `Hash 1;
     (* Off by default: concurrent home-side handlers overlap freely (the
        historical behaviour). On, each node's protocol handler is one
        service loop — requests queue, and a single overloaded home

@@ -10,8 +10,8 @@ let owned_pages coh ~ranges =
         let first, last = Page.pages_of_range addr ~len in
         for vpn = first to last do
           (* Each page's entry lives wherever it is served right now:
-             its shard's directory (shard 0 holds everything when
-             sharding is off), or the overlay directory of its re-home
+             its shard's directory (shard 0 holds everything with one
+             shard), or the overlay directory of its re-home
              target once the autopilot has moved it. *)
           let dir = Coherence.page_directory coh vpn in
           match Directory.state dir vpn with

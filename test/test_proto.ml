@@ -69,15 +69,6 @@ let chaos_net ~nodes =
   in
   { (default ~nodes ()) with chaos = Some chaos }
 
-(* The coherence fast-path knobs under test: sequential prefetching on
-   (off by default) and batched revocation fan-out. *)
-let fast_cfg =
-  {
-    Proto_config.default with
-    prefetch_enabled = true;
-    batch_revoke = true;
-  }
-
 (* Page ownership spread over 4 home nodes: the SC properties must hold
    unchanged when requests route to per-shard directories. *)
 let shard_cfg = { Proto_config.default with sharding = `Hash 4 }
@@ -477,92 +468,13 @@ let test_contended_pingpong_is_bimodal () =
     (Stats.get (Coherence.stats coh) "fault.retry" > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Coherence fast paths: sequential prefetch + batched revocation.      *)
-
-let test_prefetch_batches_sequential_scan () =
-  let engine, coh, fabric = setup_with_fabric ~cfg:fast_cfg () in
-  run_fiber engine (fun () ->
-      Coherence.access_range coh ~node:1 ~tid:0 ~addr:addr0
-        ~len:(32 * Page.size) ~access:Perm.Read ());
-  let st = Coherence.stats coh in
-  let faults = Stats.get st "fault.read" in
-  check_bool
-    (Printf.sprintf "at most half the faults of a page-at-a-time scan (%d)"
-       faults)
-    true
-    (faults * 2 <= 32);
-  check_bool "prefetches granted" true (Stats.get st "prefetch.granted" > 0);
-  check_int "every prefetched page was then accessed"
-    (Stats.get st "prefetch.granted")
-    (Stats.get st "prefetch.hit");
-  check_int "primed window never overshoots" 0 (Stats.get st "prefetch.waste");
-  (* Multi-page grants are bigger than rdma_threshold: they must ride the
-     RDMA path of the fabric, not the verb path. *)
-  let fst_ = Dex_net.Fabric.stats fabric in
-  check_bool "batch requests sent" true
-    (Stats.get fst_ "sent.page_req_batch" > 0);
-  check_bool "multi-page grants rode RDMA" true
-    (Stats.get fst_ "path.rdma" > 0 && Stats.get fst_ "bytes.rdma" > 0);
-  Coherence.check_invariants coh
-
-let test_prefetch_values_survive_batching () =
-  (* Real bytes written at the origin must arrive through batched grants
-     exactly as through single-page grants. *)
-  let engine, coh = setup ~cfg:fast_cfg () in
-  let ok = ref true in
-  run_fiber engine (fun () ->
-      for i = 0 to 15 do
-        Coherence.store_i64 coh ~node:0 ~tid:0 (addr0 + (i * Page.size))
-          (Int64.of_int (100 + i))
-      done;
-      for i = 0 to 15 do
-        let v =
-          Coherence.load_i64 coh ~node:1 ~tid:1 (addr0 + (i * Page.size))
-        in
-        if v <> Int64.of_int (100 + i) then ok := false
-      done);
-  check_bool "all values correct through batched grants" true !ok;
-  check_bool "prefetching actually kicked in" true
-    (Stats.get (Coherence.stats coh) "prefetch.granted" > 0);
-  Coherence.check_invariants coh
-
-let test_prefetched_page_still_revocable () =
-  (* A page granted by prefetch but never touched must still be revocable:
-     MRSW safety cannot depend on the prefetcher's guess ever being
-     used. *)
-  let engine, coh = setup ~cfg:fast_cfg () in
-  let page i = addr0 + (i * Page.size) in
-  run_fiber engine (fun () ->
-      (* Unprimed ascending faults: the second fault establishes a stream
-         and prefetches ahead of it. *)
-      for i = 0 to 2 do
-        ignore (Coherence.load_i64 coh ~node:1 ~tid:0 (page i))
-      done);
-  let st = Coherence.stats coh in
-  check_bool "pages were prefetched ahead" true
-    (Stats.get st "prefetch.granted" > 0);
-  let vpn4 = Page.page_of_addr (page 4) in
-  check_bool "node 1 holds page 4 without ever touching it" true
-    (Page_table.allows (Coherence.page_table coh ~node:1) vpn4 Perm.Read);
-  (* Another node writes that page: the origin must revoke node 1's
-     never-used copy like any other read replica. *)
-  run_fiber engine (fun () ->
-      Coherence.store_i64 coh ~node:2 ~tid:1 (page 4) 7L);
-  check_bool "prefetched copy revoked" true
-    (Page_table.get (Coherence.page_table coh ~node:1) vpn4 = None);
-  check_bool "revocation counted as prefetch waste" true
-    (Stats.get st "prefetch.waste" >= 1);
-  (match Directory.state (Coherence.directory coh) vpn4 with
-  | Directory.Exclusive 2 -> ()
-  | _ -> Alcotest.fail "node 2 should own page 4 exclusively");
-  Coherence.check_invariants coh
+(* Write sweeps and mis-addressed requests.                            *)
 
 let test_batched_write_scan_revokes_readers () =
-  (* Two nodes read a window, then a third sweeps it with writes: batched
-     write grants must invalidate the readers through one Invalidate_batch
-     per victim node, and leave the sweeper exclusive owner of every
-     page. *)
-  let engine, coh = setup ~cfg:fast_cfg () in
+  (* Two nodes read a window, then a third sweeps it with writes: the
+     write grants must invalidate both readers of every page and leave the
+     sweeper exclusive owner of the whole window. *)
+  let engine, coh = setup () in
   let len = 12 * Page.size in
   run_fiber engine (fun () ->
       Coherence.access_range coh ~node:1 ~tid:0 ~addr:addr0 ~len
@@ -571,10 +483,6 @@ let test_batched_write_scan_revokes_readers () =
         ~access:Perm.Read ();
       Coherence.access_range coh ~node:3 ~tid:0 ~addr:addr0 ~len
         ~access:Perm.Write ());
-  let st = Coherence.stats coh in
-  check_bool "batched revocations used" true (Stats.get st "revoke.batch" >= 1);
-  check_bool "each batch covered several pages" true
-    (Stats.get st "revoke.batch_pages" > Stats.get st "revoke.batch");
   let first = Page.page_of_addr addr0 in
   for vpn = first to first + 11 do
     (match Directory.state (Coherence.directory coh) vpn with
@@ -584,6 +492,30 @@ let test_batched_write_scan_revokes_readers () =
       (Page_table.get (Coherence.page_table coh ~node:1) vpn = None
       && Page_table.get (Coherence.page_table coh ~node:2) vpn = None)
   done;
+  Coherence.check_invariants coh
+
+(* A page request reaching a live node that does not home the page is
+   answered with the page's live home, even when nothing was ever
+   re-homed. *)
+let test_misaddressed_request_redirects () =
+  let engine, coh, fabric = setup_with_fabric () in
+  let vpn = Page.page_of_addr addr0 in
+  let reply = ref None in
+  run_fiber engine (fun () ->
+      reply :=
+        Some
+          (Dex_net.Fabric.call fabric ~src:1 ~dst:2
+             ~kind:Messages.kind_page_request
+             ~size:Proto_config.default.ctl_msg_size
+             (Messages.Page_request
+                { pid = 0; vpn; access = Perm.Read; epoch = 0 })));
+  (match !reply with
+  | Some (Messages.Page_redirect { home; vpn = v; _ }) ->
+      check_int "redirected to the origin" (Coherence.origin coh) home;
+      check_int "for the requested page" vpn v
+  | _ -> Alcotest.fail "expected a Page_redirect reply");
+  check_int "redirect counted" 1
+    (Stats.get (Coherence.stats coh) "autopilot.redirects");
   Coherence.check_invariants coh
 
 let test_revoke_parallel_zero_cost_handlers () =
@@ -1026,14 +958,10 @@ let () =
           Alcotest.test_case "fault tracer" `Quick test_tracer_records_faults;
           Alcotest.test_case "contended ping-pong bimodal" `Quick
             test_contended_pingpong_is_bimodal;
-          Alcotest.test_case "prefetch batches a sequential scan" `Quick
-            test_prefetch_batches_sequential_scan;
-          Alcotest.test_case "values survive batched grants" `Quick
-            test_prefetch_values_survive_batching;
-          Alcotest.test_case "prefetched page still revocable" `Quick
-            test_prefetched_page_still_revocable;
           Alcotest.test_case "batched write scan revokes readers" `Quick
             test_batched_write_scan_revokes_readers;
+          Alcotest.test_case "mis-addressed request is redirected" `Quick
+            test_misaddressed_request_redirects;
           Alcotest.test_case "revoke fan-out with zero-cost handlers" `Quick
             test_revoke_parallel_zero_cost_handlers;
         ]
@@ -1041,20 +969,10 @@ let () =
             [
               prop_sequential_writes_then_read
                 ~name:"random write sequences match a reference memory" ();
-              prop_sequential_writes_then_read ~cfg:fast_cfg
-                ~name:"random write sequences (prefetch + batched revoke)" ();
               prop_single_writer_per_address_monotonic
                 ~name:"per-address single-writer monotonicity" ();
-              prop_single_writer_per_address_monotonic ~cfg:fast_cfg
-                ~name:
-                  "per-address single-writer monotonicity (prefetch + \
-                   batched revoke)" ();
               prop_invariants_under_concurrency
                 ~name:"directory/PTE invariants under random concurrency" ();
-              prop_invariants_under_concurrency ~cfg:fast_cfg
-                ~name:
-                  "directory/PTE invariants under random concurrency \
-                   (prefetch + batched revoke)" ();
               prop_sequential_writes_then_read ~cfg:shard_cfg
                 ~name:"random write sequences (4 sharded homes)" ();
               prop_single_writer_per_address_monotonic ~cfg:shard_cfg
@@ -1077,9 +995,6 @@ let () =
               ~name:"single-writer monotonicity under drop/dup/reorder" ();
             prop_invariants_under_concurrency ~net:(chaos_net ~nodes:4)
               ~name:"invariants under random concurrency + chaos" ();
-            prop_invariants_under_concurrency ~cfg:fast_cfg
-              ~net:(chaos_net ~nodes:4)
-              ~name:"invariants under chaos (prefetch + batched revoke)" ();
             prop_invariants_under_concurrency ~cfg:shard_cfg
               ~net:(chaos_net ~nodes:4)
               ~name:"invariants under chaos (4 sharded homes)" ();

@@ -1,5 +1,5 @@
 (* Tests for the scheduling extensions: placement policies, data-affinity
-   migration, offloading, and safe-point balancing. *)
+   migration, safe-point balancing and the placement autopilot. *)
 
 open Dex_sim
 open Dex_core
@@ -98,38 +98,6 @@ let test_affinity_untracked_counts_origin () =
          let buf = Process.malloc main ~bytes:4096 ~tag:"fresh" in
          let counts = Affinity.owned_pages coh ~ranges:[ (buf, 4096) ] in
          check_bool "origin holds untouched pages" true (counts.(0) >= 1)))
-
-let test_offload_round_trip () =
-  let cl = Dex.cluster ~nodes:3 () in
-  ignore
-    (Dex.run cl (fun proc main ->
-         ignore main;
-         let th =
-           Process.spawn proc (fun th ->
-               Process.migrate th 1;
-               let result =
-                 Offload.run th ~node:2 (fun () ->
-                     check_int "runs at target" 2 (Process.location th);
-                     41 + 1)
-               in
-               check_int "result returned" 42 result;
-               check_int "back home" 1 (Process.location th))
-         in
-         Process.join th))
-
-let test_offload_returns_home_on_exception () =
-  let cl = Dex.cluster ~nodes:2 () in
-  ignore
-    (Dex.run cl (fun proc main ->
-         ignore main;
-         let th =
-           Process.spawn proc (fun th ->
-               (match Offload.run th ~node:1 (fun () -> failwith "boom") with
-               | _ -> Alcotest.fail "expected exception"
-               | exception Failure _ -> ());
-               check_int "back home after failure" 0 (Process.location th))
-         in
-         Process.join th))
 
 let test_balancer_safe_points () =
   let cl = Dex.cluster ~nodes:4 () in
@@ -343,53 +311,6 @@ let test_autopilot_attach_validates_config () =
                   ~config:{ ap_config with Autopilot.max_actions_per_tick = 0 }
                   proc))))
 
-(* ------------------------------------------------------------------ *)
-(* Energy accounting.                                                  *)
-
-let test_energy_busy_accounting () =
-  let cl = Dex.cluster ~nodes:2 () in
-  ignore
-    (Dex.run cl (fun proc main ->
-         ignore main;
-         let threads =
-           List.init 2 (fun _ ->
-               Process.spawn proc (fun th ->
-                   Process.migrate th 1;
-                   Process.compute th ~ns:(Time_ns.ms 5)))
-         in
-         List.iter Process.join threads));
-  let busy1 = Energy.busy_core_seconds cl ~node:1 in
-  (* Two threads x 5ms of CPU. *)
-  check_bool
-    (Printf.sprintf "busy core-seconds ~0.01 (got %.4f)" busy1)
-    true
-    (busy1 > 0.0099 && busy1 < 0.0102);
-  check_bool "origin nearly idle" true
-    (Energy.busy_core_seconds cl ~node:0 < 0.001)
-
-let test_energy_joules_and_cheapest () =
-  let cl = Dex.cluster ~nodes:2 () in
-  ignore
-    (Dex.run cl (fun proc main ->
-         ignore main;
-         let th =
-           Process.spawn proc (fun th -> Process.compute th ~ns:(Time_ns.ms 2))
-         in
-         Process.join th));
-  let profiles = [| Energy.xeon_profile; Energy.efficiency_profile |] in
-  let j = Energy.joules cl ~profiles in
-  (* idle power over ~2+ms on both nodes dominates; must be positive and
-     bounded by (60+8) W x elapsed + small busy term. *)
-  let elapsed_s = Dex_sim.Time_ns.to_s_f (Dex.elapsed cl) in
-  check_bool "positive energy" true (j > 0.0);
-  check_bool "bounded by full-blast power" true
-    (j <= ((60.0 +. 8.0) *. elapsed_s) +. (10.5 *. 0.01) +. 1e-9);
-  check_int "efficiency node is the cheapest" 1
-    (Energy.cheapest_node cl ~profiles);
-  Alcotest.check_raises "profile arity"
-    (Invalid_argument "Energy: one profile per node required") (fun () ->
-      ignore (Energy.joules cl ~profiles:[| Energy.xeon_profile |]))
-
 let () =
   Alcotest.run "dex_sched"
     [
@@ -405,12 +326,6 @@ let () =
             test_affinity_counts_and_best_node;
           Alcotest.test_case "untracked pages belong to origin" `Quick
             test_affinity_untracked_counts_origin;
-        ] );
-      ( "offload",
-        [
-          Alcotest.test_case "round trip" `Quick test_offload_round_trip;
-          Alcotest.test_case "exception safety" `Quick
-            test_offload_returns_home_on_exception;
         ] );
       ( "balancer",
         [
@@ -434,12 +349,5 @@ let () =
             test_autopilot_rehomes_dominant_pingpong;
           Alcotest.test_case "attach validates its config" `Quick
             test_autopilot_attach_validates_config;
-        ] );
-      ( "energy",
-        [
-          Alcotest.test_case "busy accounting" `Quick
-            test_energy_busy_accounting;
-          Alcotest.test_case "joules and cheapest node" `Quick
-            test_energy_joules_and_cheapest;
         ] );
     ]
