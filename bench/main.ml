@@ -3,8 +3,8 @@
    the core data structures.
 
    Usage: main.exe [tiny] [table1] [fig2] [table2] [fig3] [fault] [profile]
-                   [ablation] [delegation] [chaos] [crash] [failover]
-                   [shard] [autopilot] [serve] [baseline] [bechamel]
+                   [ablation] [chaos] [crash] [failover] [shard]
+                   [autopilot] [serve] [baseline] [bechamel]
    With no arguments, every section runs (the order of the paper). *)
 
 open Dex_core
@@ -1037,116 +1037,6 @@ let autopilot_bench () =
       Dex_apps.Bp.run ~nodes:4 ~variant ~config ~params:bp_params ())
 
 (* ------------------------------------------------------------------ *)
-(* Delegation batching ablation: the contended phases of KMN (threads
-   synchronize on a barrier every iteration) and BT (a reduction mutex
-   serializes the update), distilled to their syscall-storm skeletons.
-   Identical per-round compute makes the arrivals cluster inside one
-   dispatch window — the coalescing-friendly pattern the tentpole
-   targets. Origin round-trips = solo delegations + batches + VMA
-   queries (the out-of-band wakeups are one-way sends, reported
-   separately by the digest). *)
-
-let delegation_bench () =
-  section "Delegation batching: contended syscall storms (Sec. III-A)";
-  let nodes = 4 in
-  let threads = 8 * (nodes - 1) in
-  let rounds = if !tiny then 4 else 16 in
-  let run ?window ~batch body =
-    let config = { Core_config.default with batch_delegation = batch } in
-    let config =
-      match window with
-      | None -> config
-      | Some w -> { config with Core_config.delegation_dispatch = w }
-    in
-    let cl = Dex.cluster ~nodes ~config () in
-    let pstats = ref None in
-    let psizes = ref None in
-    ignore
-      (Dex.run cl (fun proc main ->
-           pstats := Some (Process.stats proc);
-           psizes := Some (Process.delegation_batch_sizes proc);
-           body cl proc main));
-    let f = Dex_sim.Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl)) in
-    let roundtrips =
-      f "sent.delegate" + f "sent.delegate_batch" + f "sent.vma"
-    in
-    (Dex.elapsed cl, roundtrips, Option.get !pstats, Option.get !psizes)
-  in
-  (* KMN: every k-means iteration ends in barrier crossings. *)
-  let kmn_phase _cl proc main =
-    let barrier = Sync.Barrier.create proc ~parties:threads () in
-    let workers =
-      List.init threads (fun i ->
-          Process.spawn proc (fun th ->
-              Process.migrate th ((i mod (nodes - 1)) + 1);
-              for _ = 1 to rounds do
-                Process.compute th ~ns:(Time_ns.us 15);
-                Sync.Barrier.await th barrier
-              done))
-    in
-    List.iter Process.join workers;
-    ignore main
-  in
-  (* BT: each time step every thread appends its solution block to the
-     shared checkpoint file (BTIO) — a storm of delegated writes — then
-     funnels its residual through one reduction mutex. *)
-  let bt_phase _cl proc main =
-    let m = Sync.Mutex.create proc () in
-    let barrier = Sync.Barrier.create proc ~parties:threads () in
-    let cell = Process.malloc main ~bytes:8 ~tag:"bt.residual" in
-    let workers =
-      List.init threads (fun i ->
-          Process.spawn proc (fun th ->
-              Process.migrate th ((i mod (nodes - 1)) + 1);
-              let fd = Process.file_open th "btio.out" in
-              for _ = 1 to rounds do
-                Process.compute th ~ns:(Time_ns.us 15);
-                Sync.Barrier.await th barrier;
-                Process.file_write th ~fd ~bytes:4096;
-                Sync.Mutex.lock th m;
-                let v = Process.load th cell in
-                Process.compute th ~ns:(Time_ns.us 2);
-                Process.store th cell (Int64.add v 1L);
-                Sync.Mutex.unlock th m
-              done))
-    in
-    List.iter Process.join workers;
-    ignore main
-  in
-  let phase ?window title body =
-    Format.printf "  %s@." title;
-    Format.printf "  %-16s %10s %12s %9s %13s@." "" "sim time" "origin RTs"
-      "batches" "wake_elided";
-    let t_off, rt_off, p_off, _ = run ~batch:false body in
-    let t_on, rt_on, p_on, sizes_on = run ?window ~batch:true body in
-    let row label t rt p =
-      Format.printf "  %-16s %8.2fms %12d %9d %13d@." label
-        (Time_ns.to_ms_f t) rt
-        (Dex_sim.Stats.get p "delegation.batches")
-        (Dex_sim.Stats.get p "sync.wake_elided")
-    in
-    row "batching OFF" t_off rt_off p_off;
-    row "batching ON" t_on rt_on p_on;
-    Format.printf
-      "  -> coalescing cuts origin round-trips %.1fx on the contended \
-       phase@."
-      (float_of_int rt_off /. float_of_int (max 1 rt_on));
-    Dex_profile.Report.pp_delegation ~batch_sizes:sizes_on
-      Format.std_formatter p_on
-  in
-  phase
-    (Printf.sprintf "KMN contended phase (barrier storm: %d threads, %d \
-                     remote nodes)" threads (nodes - 1))
-    kmn_phase;
-  (* The reduction convoy drains one holder at a time, so waits trickle
-     in staggered; a wider dispatch window (the latency/throughput knob)
-     is needed to coalesce them. *)
-  phase ~window:(Time_ns.us 15)
-    (Printf.sprintf "BT contended phase (checkpoint writes + reduction \
-                     mutex: %d threads, %d remote nodes)" threads (nodes - 1))
-    bt_phase
-
-(* ------------------------------------------------------------------ *)
 (* Serving: the multi-tenant layer under open-loop load. A latency
    ladder climbs to saturation; admission control (shedding) keeps the
    admitted tail bounded past it; weighted fair sharing defangs a noisy
@@ -1356,7 +1246,6 @@ let sections_list =
     ("fault", fault_microbench);
     ("profile", profile_demo);
     ("ablation", ablation);
-    ("delegation", delegation_bench);
     ("chaos", chaos_bench);
     ("crash", crash_bench);
     ("failover", failover_bench);

@@ -142,12 +142,12 @@ let sweep_cmd =
 
 (* The focused contended workload behind `profile` and `chaos`: a cold
    table scan plus a write-hot flag ping-ponging between all nodes. *)
-let demo_workload ?net ?config ~nodes () =
-  let cl = Dex_core.Dex.cluster ~nodes ?net ?config () in
+let demo_workload ?net ~nodes () =
+  let cl = Dex_core.Dex.cluster ~nodes ?net () in
   let events = ref [] in
   let alloc = ref None in
   let module P = Dex_core.Process in
-  let proc =
+  let (_ : P.t) =
     Dex_core.Dex.run cl (fun proc main ->
          alloc := Some (P.allocator proc);
          let trace = Dex_profile.Trace.attach (P.coherence proc) in
@@ -168,35 +168,18 @@ let demo_workload ?net ?config ~nodes () =
          List.iter P.join threads;
          events := Dex_profile.Trace.events trace)
   in
-  (cl, proc, !events, !alloc)
-
-let batch_arg =
-  let doc =
-    "Coalesce delegated syscalls into per-node batches \
-     (Core_config.batch_delegation)."
-  in
-  Arg.(value & flag & info [ "batch-delegation" ] ~doc)
-
-let config_of ~batch =
-  if batch then
-    Some { Dex_core.Core_config.default with batch_delegation = true }
-  else None
+  (cl, !events, !alloc)
 
 let profile_cmd =
-  let run nodes batch =
-    let config = config_of ~batch in
-    let _cl, proc, events, alloc = demo_workload ?config ~nodes () in
+  let run nodes =
+    let _cl, events, alloc = demo_workload ~nodes () in
     Dex_profile.Report.pp_summary ?alloc Format.std_formatter events;
-    Dex_profile.Report.pp_delegation
-      ~batch_sizes:(Dex_core.Process.delegation_batch_sizes proc)
-      Format.std_formatter
-      (Dex_core.Process.stats proc);
     0
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Run a contended demo workload under the page-fault profiler")
-    Term.(const run $ nodes_arg $ batch_arg)
+    Term.(const run $ nodes_arg)
 
 let chaos_cmd =
   let drop_arg =
@@ -239,8 +222,7 @@ let chaos_cmd =
     in
     { (Dex_net.Net_config.default ~nodes ()) with Dex_net.Net_config.chaos = Some chaos }
   in
-  let run nodes drop dup reorder jitter seed sweep batch =
-    let config = config_of ~batch in
+  let run nodes drop dup reorder jitter seed sweep =
     if sweep then begin
       Format.printf "%-8s %10s %8s %8s %12s %9s@." "DROP" "TIME(ms)" "FAULTS"
         "DROPS" "RETRANSMITS" "TIMEOUTS";
@@ -249,7 +231,7 @@ let chaos_cmd =
           let net =
             net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup:(drop /. 2.0)
           in
-          let cl, _, events, _ = demo_workload ~net ?config ~nodes () in
+          let cl, events, _ = demo_workload ~net ~nodes () in
           let get =
             Dex_sim.Stats.get (Dex_net.Fabric.stats (Dex_core.Cluster.fabric cl))
           in
@@ -262,14 +244,10 @@ let chaos_cmd =
     end
     else begin
       let net = net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup in
-      let cl, proc, events, alloc = demo_workload ~net ?config ~nodes () in
+      let cl, events, alloc = demo_workload ~net ~nodes () in
       let fstats = Dex_net.Fabric.stats (Dex_core.Cluster.fabric cl) in
       Dex_profile.Report.pp_summary ?alloc ~net:fstats Format.std_formatter
         events;
-      Dex_profile.Report.pp_delegation
-        ~batch_sizes:(Dex_core.Process.delegation_batch_sizes proc)
-        Format.std_formatter
-        (Dex_core.Process.stats proc);
       Format.printf "sim time: %.2fms@."
         (Dex_sim.Time_ns.to_ms_f (Dex_core.Dex.elapsed cl))
     end;
@@ -282,7 +260,7 @@ let chaos_cmd =
           jitter) and report the chaos counters")
     Term.(
       const run $ nodes_arg $ drop_arg $ dup_arg $ reorder_arg $ jitter_arg
-      $ seed_arg $ sweep_arg $ batch_arg)
+      $ seed_arg $ sweep_arg)
 
 let crash_cmd =
   let crash_node_arg =

@@ -17,8 +17,6 @@ type t = {
   backward_capture : Time_ns.t;
   backward_update : Time_ns.t;
   delegation_dispatch : Time_ns.t;
-  batch_delegation : bool;
-  delegation_batch_max : int;
   futex_op : Time_ns.t;
   vma_op : Time_ns.t;
   spawn_thread : Time_ns.t;
@@ -47,8 +45,6 @@ let default =
     backward_capture = Time_ns.of_us_f 6.6;
     backward_update = Time_ns.of_us_f 18.1;
     delegation_dispatch = Time_ns.of_us_f 2.8;
-    batch_delegation = false;
-    delegation_batch_max = 8;
     futex_op = Time_ns.of_us_f 1.1;
     vma_op = Time_ns.of_us_f 1.8;
     spawn_thread = Time_ns.us 18;

@@ -35,20 +35,8 @@ type t = {
       (** refreshing the original thread's context at the origin *)
   (* Work delegation. *)
   delegation_dispatch : Dex_sim.Time_ns.t;
-      (** waking the paired original thread and switching to it; with
-          {!field-batch_delegation} on, also the window during which a
-          node's outgoing delegations coalesce into one batch *)
-  batch_delegation : bool;
-      (** Off by default. When on, each node accumulates outgoing
-          delegation and VMA-sync requests for up to
-          {!field-delegation_dispatch} (or {!field-delegation_batch_max}
-          entries, whichever comes first) and ships them as a single
-          [Delegate_batch] message; the origin executes the runs in
-          arrival order under one HA fence. Simulated outputs are
-          bit-identical to the unbatched path when disabled. *)
-  delegation_batch_max : int;
-      (** flush a node's dispatch queue early once it holds this many
-          entries (default 8) *)
+      (** origin-side cost of serving one delegated request: waking the
+          paired original thread and switching to it *)
   futex_op : Dex_sim.Time_ns.t;  (** one futex wait/wake operation proper *)
   vma_op : Dex_sim.Time_ns.t;  (** VMA tree manipulation at the origin *)
   spawn_thread : Dex_sim.Time_ns.t;  (** local pthread_create *)

@@ -7,16 +7,6 @@ type node_op =
     }
   | Process_exit
 
-type batch_entry = {
-  b_tid : int;
-  b_req_size : int;
-  b_resp_size : int;
-  b_may_park : bool;
-  b_run : unit -> Dex_net.Msg.payload;
-}
-
-type entry_result = B_done of Dex_net.Msg.payload | B_parked
-
 type Dex_net.Msg.payload +=
   | Migrate of {
       pid : int;
@@ -44,17 +34,8 @@ type Dex_net.Msg.payload +=
   | Vma_info of Dex_mem.Vma.t option
   | Node_op of { pid : int; op : node_op }
   | Node_op_ack
-  | Delegate_batch of { pid : int; entries : batch_entry list }
-  | Ret_batch of entry_result list
-  | Delegate_wakeup of {
-      pid : int;
-      tid : int;
-      result : Dex_net.Msg.payload;
-    }
 
 let kind_migrate = "migrate"
 let kind_delegate = "delegate"
 let kind_vma = "vma"
 let kind_node_op = "node_op"
-let kind_delegate_batch = "delegate_batch"
-let kind_delegate_wakeup = "delegate_wakeup"

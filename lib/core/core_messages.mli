@@ -10,20 +10,6 @@ type node_op =
     }  (** permission downgrade, broadcast eagerly *)
   | Process_exit  (** tear down the remote worker *)
 
-type batch_entry = {
-  b_tid : int;  (** requesting thread, for out-of-band wakeup routing *)
-  b_req_size : int;  (** request-leg wire bytes this entry contributes *)
-  b_resp_size : int;  (** reply-leg wire bytes when the entry completes *)
-  b_may_park : bool;
-      (** the run may block indefinitely (futex wait): the origin answers
-          [B_parked] in the batch reply and delivers the real result later
-          via {!constructor-Delegate_wakeup} *)
-  b_run : unit -> Dex_net.Msg.payload;
-}
-(** One coalesced delegation inside a {!constructor-Delegate_batch}. *)
-
-type entry_result = B_done of Dex_net.Msg.payload | B_parked
-
 type Dex_net.Msg.payload +=
   | Migrate of {
       pid : int;
@@ -59,22 +45,8 @@ type Dex_net.Msg.payload +=
   | Node_op of { pid : int; op : node_op }
       (** origin → remote worker: node-wide operation *)
   | Node_op_ack
-  | Delegate_batch of { pid : int; entries : batch_entry list }
-      (** remote → origin: one node's coalesced delegations, executed in
-          arrival order under a single HA fence *)
-  | Ret_batch of entry_result list
-      (** per-entry results, positionally matching the batch entries *)
-  | Delegate_wakeup of {
-      pid : int;
-      tid : int;
-      result : Dex_net.Msg.payload;
-    }
-      (** origin → remote: out-of-band completion of a [B_parked] entry,
-          sent once its blocking run (futex wait) finally returns *)
 
 val kind_migrate : string
 val kind_delegate : string
 val kind_vma : string
 val kind_node_op : string
-val kind_delegate_batch : string
-val kind_delegate_wakeup : string

@@ -29,34 +29,6 @@ type migration_record = {
   m_breakdown : (string * int) list;
 }
 
-(* One coalesced delegation awaiting its result on the requesting side.
-   Registered in [batch_state.bpending] from enqueue until delivery, so
-   an out-of-band wakeup that overtakes its own batch reply (the
-   reliable transport only orders each transaction, not transactions
-   against sends) still finds its entry. *)
-type batch_pending = {
-  p_tid : int;
-  p_src : int;  (* node the requesting thread was executing on *)
-  p_shard : int;  (* shard whose home the entry is addressed to *)
-  p_wire : M.batch_entry;
-  p_wait : unit Waitq.t;
-  mutable p_state : [ `Queued | `Inflight | `Parked | `Done ];
-  mutable p_result : (Msg.payload, exn) result option;
-}
-
-type dispatch_queue = {
-  mutable q_entries : batch_pending list;  (* newest first *)
-  mutable q_timer : bool;  (* a dispatch-window timer fiber is armed *)
-}
-
-type batch_state = {
-  queues : dispatch_queue array array;
-      (* per (requesting node, destination shard): entries bound for
-         different homes can never share a wire batch *)
-  bpending : (int, batch_pending) Hashtbl.t;  (* tid -> outstanding entry *)
-  batch_sizes : Histogram.t;
-}
-
 type t = {
   cluster : Cluster.t;
   pid : int;
@@ -76,7 +48,6 @@ type t = {
   workers : worker_state array;
   mutable mig_log : migration_record list;  (* newest first *)
   mutable mmap_next : Page.addr;
-  batch : batch_state;  (* delegation batching, per Core_config *)
   mutable safepoint_hook : (thread -> unit) option;
       (* run by threads at compute boundaries (cooperative preemption);
          the placement autopilot's balancer checkpoint hangs here *)
@@ -110,7 +81,6 @@ let coherence t = t.coh
 let allocator t = t.alloc
 let vma_tree t ~node = t.vmas.(node)
 let stats t = t.stats
-let delegation_batch_sizes t = t.batch.batch_sizes
 let tid th = th.tid
 let name th = th.thread_name
 let location th = th.location
@@ -245,188 +215,6 @@ let rec guard th f =
         guard th f)
 
 (* ------------------------------------------------------------------ *)
-(* Delegation batching (§III-A).                                       *)
-
-(* With [Core_config.batch_delegation] on, outgoing delegations and VMA
-   queries coalesce per requesting node: entries queue locally for up to
-   [delegation_dispatch] (or [delegation_batch_max] entries, whichever
-   comes first), then ship as one [Delegate_batch] that the origin runs
-   in arrival order under a single HA fence. Entries whose run may block
-   indefinitely (futex waits) are answered [B_parked] in the batch reply
-   — holding the reply until a parked waiter wakes would deadlock the
-   batch against its own waker — and complete later through an
-   out-of-band [Delegate_wakeup]. Running parked entries after the
-   inline ones is safe even when a wake for the same futex rides earlier
-   in the batch: every sync primitive's wait atomically re-validates the
-   futex word at the origin, and the waker's state change precedes its
-   wake delegation, so a reordered wait observes the new value and
-   returns EAGAIN instead of sleeping through its wake. *)
-
-let batch_deliver t p r =
-  match p.p_state with
-  | `Done -> ()  (* wakeup, batch reply and crash path may all race *)
-  | `Queued | `Inflight | `Parked ->
-      p.p_state <- `Done;
-      p.p_result <- Some r;
-      Hashtbl.remove t.batch.bpending p.p_tid;
-      ignore (Waitq.wake_all p.p_wait ())
-
-let batch_flush t ~node ~shard ~trigger =
-  let q = t.batch.queues.(node).(shard) in
-  match q.q_entries with
-  | [] ->
-      (* A size-triggered flush emptied the queue under an armed timer. *)
-      if trigger = `Timer then Stats.incr t.stats "delegation.flush_empty"
-  | entries ->
-      let pendings = List.rev entries in
-      q.q_entries <- [];
-      Stats.incr t.stats "delegation.batches";
-      Stats.incr t.stats
-        (match trigger with
-        | `Timer -> "delegation.flush_timer"
-        | `Size -> "delegation.flush_size");
-      Histogram.add t.batch.batch_sizes (List.length pendings);
-      List.iter (fun p -> p.p_state <- `Inflight) pendings;
-      let wire = List.map (fun p -> p.p_wire) pendings in
-      let req_size =
-        List.fold_left (fun acc p -> acc + p.p_wire.M.b_req_size) 0 pendings
-      in
-      Engine.spawn (engine t) ~label:"delegate-batch" (fun () ->
-          match
-            (* A failover mid-call re-sends (and re-executes) the whole
-               batch at the shard's promoted home, exactly like a solo
-               delegate; the futex wake ledger absorbs replayed waits,
-               and entries already completed through an early wakeup are
-               skipped by the idempotent delivery below. *)
-            home_rpc t ~shard ~src:node ~stat:"ha.delegations_retried"
-              (fun ~dst ->
-                Fabric.call (fabric t) ~src:node ~dst
-                  ~kind:M.kind_delegate_batch ~size:req_size
-                  (M.Delegate_batch { pid = t.pid; entries = wire }))
-          with
-          | M.Ret_batch results ->
-              List.iter2
-                (fun p r ->
-                  match r with
-                  | M.B_done v -> batch_deliver t p (Ok v)
-                  | M.B_parked -> (
-                      match p.p_state with
-                      | `Inflight -> p.p_state <- `Parked
-                      | `Queued | `Parked | `Done -> ()))
-                pendings results
-          | _ -> failwith "Process: unexpected batch reply"
-          | exception e ->
-              (* The requesting node died under the batch, or the origin
-                 is gone with no promotion path. Fail every entry still
-                 outstanding: the woken threads re-raise inside {!guard},
-                 which applies the crash policy (the solo path gets this
-                 for free from its open RPC). *)
-              List.iter (fun p -> batch_deliver t p (Error e)) pendings)
-
-let enqueue_batched t ~node ~shard ~tid ~req_size ~resp_size ~may_park run =
-  let q = t.batch.queues.(node).(shard) in
-  let p =
-    {
-      p_tid = tid;
-      p_src = node;
-      p_shard = shard;
-      p_wire =
-        {
-          M.b_tid = tid;
-          b_req_size = req_size;
-          b_resp_size = resp_size;
-          b_may_park = may_park;
-          b_run = run;
-        };
-      p_wait = Waitq.create ();
-      p_state = `Queued;
-      p_result = None;
-    }
-  in
-  q.q_entries <- p :: q.q_entries;
-  Hashtbl.replace t.batch.bpending tid p;
-  Stats.incr t.stats "delegation.batched";
-  if List.length q.q_entries >= (cfg t).Core_config.delegation_batch_max then
-    batch_flush t ~node ~shard ~trigger:`Size
-  else if not q.q_timer then begin
-    q.q_timer <- true;
-    Engine.spawn (engine t) ~label:"delegation-dispatch" (fun () ->
-        Engine.delay (engine t) (cfg t).Core_config.delegation_dispatch;
-        q.q_timer <- false;
-        batch_flush t ~node ~shard ~trigger:`Timer)
-  end;
-  (match p.p_result with
-  | None -> Waitq.wait (engine t) p.p_wait
-  | Some _ -> ());
-  match p.p_result with
-  | Some (Ok v) -> v
-  | Some (Error e) -> raise e
-  | None -> assert false (* p_wait only wakes from batch_deliver *)
-
-(* Crash recovery for the three places a batched entry can be caught:
-   the local queue, the in-flight batch, and parked at a home. [homed]
-   lists the shards the dead node was homing (with one shard, [[0]]
-   exactly when the origin died). *)
-let batch_on_node_crash t ~node ~homed =
-  let b = t.batch in
-  let by_tid = List.sort (fun a b -> compare a.p_tid b.p_tid) in
-  (* Entries issued from the dead node: their threads died with it; the
-     flush fiber may never fail them (a parked entry has no open RPC),
-     so fail them here and let the threads unwind through {!guard}. *)
-  let dead =
-    by_tid
-      (Hashtbl.fold
-         (fun _ p acc -> if p.p_src = node then p :: acc else acc)
-         b.bpending [])
-  in
-  List.iter
-    (fun p ->
-      batch_deliver t p
-        (Error
-           (Fabric.Unreachable
-              { src = node; dst = t.origin; kind = M.kind_delegate_batch })))
-    dead;
-  Array.iter (fun q -> q.q_entries <- []) b.queues.(node);
-  if homed <> [] then begin
-    (* Parked entries of the dead node's shards lost their home-side
-       fiber (the futex service died, cancelling every waiter) and their
-       batch already replied — no RPC is open to retry them. Re-delegate
-       each solo: [home_rpc] stalls through the shard's promotion and
-       re-executes the run at the new home, where the replicated wake
-       ledger re-delivers any wake the old home consumed but never
-       managed to report. Parked entries of other shards are untouched:
-       their homes are alive and still hold the park. *)
-    let parked =
-      by_tid
-        (Hashtbl.fold
-           (fun _ p acc ->
-             if p.p_state = `Parked && List.mem p.p_shard homed then p :: acc
-             else acc)
-           b.bpending [])
-    in
-    List.iter
-      (fun p ->
-        Engine.spawn (engine t) ~label:"delegate-reissue" (fun () ->
-            match
-              home_rpc t ~shard:p.p_shard ~src:p.p_src
-                ~stat:"ha.delegations_retried"
-                (fun ~dst ->
-                  Fabric.call (fabric t) ~src:p.p_src ~dst
-                    ~kind:M.kind_delegate ~size:p.p_wire.M.b_req_size
-                    (M.Delegate
-                       {
-                         pid = t.pid;
-                         tid = p.p_tid;
-                         resp_size = p.p_wire.M.b_resp_size;
-                         run = p.p_wire.M.b_run;
-                       }))
-            with
-            | r -> batch_deliver t p (Ok r)
-            | exception e -> batch_deliver t p (Error e)))
-      parked
-  end
-
-(* ------------------------------------------------------------------ *)
 (* VMA checking with on-demand synchronization (§III-D).               *)
 
 let rec vma_check th ~addr ~len ~access ~queried =
@@ -446,19 +234,9 @@ let rec vma_check th ~addr ~len ~access ~queried =
         (* The local view may be missing or stale: ask the origin. *)
         Stats.incr t.stats "vma.sync";
         match
-          if (cfg t).Core_config.batch_delegation then
-            (* VMA queries ride the same per-node dispatch queue as
-               delegations (shard 0: the VMA service stays at the
-               origin); the lookup becomes one batch entry. *)
-            enqueue_batched t ~node ~shard:0 ~tid:th.tid ~req_size:64
-              ~resp_size:64 ~may_park:false (fun () ->
-                Engine.delay (engine t) (cfg t).Core_config.vma_op;
-                M.Vma_info (Vma_tree.find t.vmas.(t.origin) addr))
-          else
-            origin_rpc t ~src:node ~stat:"ha.vma_syncs_retried" (fun ~dst ->
-                Fabric.call (fabric t) ~src:node ~dst ~kind:M.kind_vma
-                  ~size:64
-                  (M.Vma_query { pid = t.pid; addr }))
+          origin_rpc t ~src:node ~stat:"ha.vma_syncs_retried" (fun ~dst ->
+              Fabric.call (fabric t) ~src:node ~dst ~kind:M.kind_vma ~size:64
+                (M.Vma_query { pid = t.pid; addr }))
         with
         | M.Vma_info (Some vma) ->
             install_vma t.vmas.(node) vma;
@@ -476,11 +254,8 @@ let rec vma_check th ~addr ~len ~access ~queried =
    delegations route to the owning shard. Threads local to the home call
    straight into the kernel. [req_size] is the
    request-leg wire size — operations that carry a payload to the home
-   (file writes) must charge for it. [may_park] marks runs that can block
-   indefinitely (futex waits), which the batched path answers out of
-   band. *)
-let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64)
-    ?(may_park = false) th run =
+   (file writes) must charge for it. *)
+let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
   let t = th.proc in
   guard th (fun () ->
       Engine.delay (engine t) (cfg t).Core_config.syscall;
@@ -493,19 +268,15 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64)
            origin. Counted in the coherence table so the whole shard.*
            family reads from one place. *)
         if shard <> 0 then Stats.incr (Coherence.stats t.coh) "shard.cross_ops";
-        if (cfg t).Core_config.batch_delegation then
-          enqueue_batched t ~node:th.location ~shard ~tid:th.tid ~req_size
-            ~resp_size ~may_park run
-        else
-          (* A failover mid-call re-executes [run] at the promoted home
-             (like [`Rehome], the simulator cannot checkpoint a syscall
-             mid-flight); the futex wake ledger makes the stock sync
-             primitives safe against the replay. *)
-          home_rpc t ~shard ~src:th.location ~stat:"ha.delegations_retried"
-            (fun ~dst ->
-              Fabric.call (fabric t) ~src:th.location ~dst
-                ~kind:M.kind_delegate ~size:req_size
-                (M.Delegate { pid = t.pid; tid = th.tid; resp_size; run }))
+        (* A failover mid-call re-executes [run] at the promoted home
+           (like [`Rehome], the simulator cannot checkpoint a syscall
+           mid-flight); the futex wake ledger makes the stock sync
+           primitives safe against the replay. *)
+        home_rpc t ~shard ~src:th.location ~stat:"ha.delegations_retried"
+          (fun ~dst ->
+            Fabric.call (fabric t) ~src:th.location ~dst ~kind:M.kind_delegate
+              ~size:req_size
+              (M.Delegate { pid = t.pid; tid = th.tid; resp_size; run }))
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -669,7 +440,7 @@ let futex_wait th ~addr ~expected =
       end
     end
   in
-  match delegate ~shard ~may_park:true th run with
+  match delegate ~shard th run with
   | M.Ret_bool b -> b
   | _ -> assert false
 
@@ -1208,8 +979,6 @@ let handle_node_crash t ~node =
       | Some (src, dst, resume) when src = node || dst = node -> resume ()
       | _ -> ())
     t.threads;
-  (* Batched delegation casualties: queued/in-flight/parked entries. *)
-  batch_on_node_crash t ~node ~homed;
   (* Tear down the dead node's worker so its loop fiber exits. *)
   (match t.workers.(node) with
   | Ready queue ->
@@ -1242,52 +1011,6 @@ let router t (env : Fabric.env) =
            node's shards can have been mutated — fence those logs. *)
         ha_fence_node t ~node:msg.Msg.dst;
         env.Fabric.respond ~size:resp_size r;
-        true
-    | M.Delegate_batch { pid; entries } when pid = t.pid ->
-        let home = msg.Msg.dst and requester = msg.Msg.src in
-        (* One dispatch (and below, one fence) for the whole batch: the
-           amortization that motivates coalescing in the first place. *)
-        Engine.delay (engine t) (cfg t).Core_config.delegation_dispatch;
-        let results =
-          List.map
-            (fun (e : M.batch_entry) ->
-              if e.M.b_may_park then begin
-                Stats.incr t.stats "delegation.parked";
-                Engine.spawn (engine t) ~label:"delegate-parked" (fun () ->
-                    let r = e.M.b_run () in
-                    (* Replicate-before-externalize applies to the late
-                       completion too: the consumed wake must be durable
-                       on the standbys before the result leaves. *)
-                    ha_fence_node t ~node:home;
-                    Stats.incr t.stats "delegation.wakeups";
-                    try
-                      Fabric.send (fabric t) ~src:home ~dst:requester
-                        ~kind:M.kind_delegate_wakeup ~size:e.M.b_resp_size
-                        (M.Delegate_wakeup
-                           { pid = t.pid; tid = e.M.b_tid; result = r })
-                    with Fabric.Unreachable _ ->
-                      (* Requester died while the waiter was parked; its
-                         thread is unwound by crash recovery. *)
-                      ());
-                M.B_parked
-              end
-              else M.B_done (e.M.b_run ()))
-            entries
-        in
-        ha_fence_node t ~node:home;
-        let resp_size =
-          List.fold_left2
-            (fun acc (e : M.batch_entry) r ->
-              acc
-              + match r with M.B_done _ -> e.M.b_resp_size | M.B_parked -> 64)
-            0 entries results
-        in
-        env.Fabric.respond ~size:resp_size (M.Ret_batch results);
-        true
-    | M.Delegate_wakeup { pid; tid; result } when pid = t.pid ->
-        (match Hashtbl.find_opt t.batch.bpending tid with
-        | Some p -> batch_deliver t p (Ok result)
-        | None -> () (* already completed through the crash path *));
         true
     | M.Vma_query { pid; addr } when pid = t.pid ->
         Engine.delay (engine t) (cfg t).Core_config.vma_op;
@@ -1393,15 +1116,6 @@ let create cluster ?(origin = 0) () =
       workers = Array.make (Cluster.nodes cluster) Absent;
       mig_log = [];
       mmap_next = Layout.mmap_base;
-      batch =
-        {
-          queues =
-            Array.init (Cluster.nodes cluster) (fun _ ->
-                Array.init nshards (fun _ ->
-                    { q_entries = []; q_timer = false }));
-          bpending = Hashtbl.create 32;
-          batch_sizes = Histogram.create ();
-        };
       safepoint_hook = None;
       stopping = false;
       unroute = Fun.id;

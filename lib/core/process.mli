@@ -66,11 +66,6 @@ val vma_tree : t -> node:int -> Dex_mem.Vma_tree.t
 
 val stats : t -> Dex_sim.Stats.t
 
-val delegation_batch_sizes : t -> Dex_sim.Histogram.t
-(** Sizes of the delegation batches this process shipped (one sample per
-    [Delegate_batch] message). Empty unless
-    {!Core_config.batch_delegation} is on. *)
-
 (** {1 Threads} *)
 
 val spawn : t -> ?name:string -> (thread -> unit) -> thread

@@ -69,36 +69,6 @@ let pp_autopilot fmt stats =
       (get "autopilot.replica_pushes")
       (get "autopilot.push_declined")
 
-(* Delegation-batching digest from the process counters: how much of the
-   syscall delegation traffic coalesced, how the flushes triggered, and
-   the batch-size distribution (plain counts, not latencies). Silent
-   unless batching actually shipped a batch. *)
-let pp_delegation ?batch_sizes fmt stats =
-  let get = Dex_sim.Stats.get stats in
-  if get "delegation.batches" > 0 then begin
-    Format.fprintf fmt
-      "delegation: total=%d batched=%d batches=%d parked=%d wakeups=%d | \
-       flush: size=%d timer=%d empty=%d | wake_elided=%d@."
-      (get "delegation") (get "delegation.batched")
-      (get "delegation.batches")
-      (get "delegation.parked")
-      (get "delegation.wakeups")
-      (get "delegation.flush_size")
-      (get "delegation.flush_timer")
-      (get "delegation.flush_empty")
-      (get "sync.wake_elided");
-    match batch_sizes with
-    | Some h when Dex_sim.Histogram.count h > 0 ->
-        Format.fprintf fmt
-          "delegation batch sizes: n=%d mean=%.1f p50=%d p99=%d max=%d@."
-          (Dex_sim.Histogram.count h)
-          (Dex_sim.Histogram.mean h)
-          (Dex_sim.Histogram.percentile h 50.0)
-          (Dex_sim.Histogram.percentile h 99.0)
-          (Dex_sim.Histogram.max_value h)
-    | Some _ | None -> ()
-  end
-
 (* Origin-replication digest: log volume and fence cost from the process
    counters, plus — when a failover actually ran — what the promotion did,
    pulled from the protocol counters ([coh]). Silent when replication was

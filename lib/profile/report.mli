@@ -32,21 +32,6 @@ val pp_autopilot : Format.formatter -> Dex_sim.Stats.t -> unit
     nothing when no autopilot ticked. Included in {!pp_summary}
     automatically when [stats] is passed. *)
 
-val pp_delegation :
-  ?batch_sizes:Dex_sim.Histogram.t ->
-  Format.formatter ->
-  Dex_sim.Stats.t ->
-  unit
-(** Delegation-batching digest from the process's [delegation.*] counters
-    ({!Dex_core.Process.stats}): how many delegations coalesced into how
-    many batches, how many entries parked at the origin and completed out
-    of band, what triggered the flushes, and how many mutex wakes the
-    two-state protocol elided. Pass
-    {!Dex_core.Process.delegation_batch_sizes} as [batch_sizes] to append
-    the batch-size distribution. Prints nothing unless
-    {!Dex_core.Core_config.batch_delegation} shipped at least one
-    batch. *)
-
 val pp_ha : ?coh:Dex_sim.Stats.t -> Format.formatter -> Dex_sim.Stats.t -> unit
 (** Origin-replication digest from the process's [ha.*] counters
     ({!Dex_core.Process.stats}): log entries appended/shipped/acked,

@@ -790,6 +790,32 @@ let request_failure t ~node ~shard ~dst ~steered =
     end
   end
 
+(* Send one [Page_request] for [vpn] from [node], which is not the page's
+   home, and return the reply. The per-page steer (taught by re-home
+   redirects) wins over the shard's home view. [None] when the call
+   failed in a way the fault loop retries ({!request_failure}). *)
+let page_request t ~node ~shard ~vpn ~access =
+  let steer = Hashtbl.find_opt t.page_view.(node) vpn in
+  let dst =
+    match steer with
+    | Some d when d <> node -> d
+    | _ -> t.home_view.(node).(shard)
+  in
+  (* Backstop against a view pointing at ourselves (we just stopped
+     being the page's home): resolve the live authority directly. *)
+  let dst = if dst = node then page_home t vpn else dst in
+  match
+    Fabric.call t.fabric ~src:node ~dst ~kind:Messages.kind_page_request
+      ~size:t.cfg.Proto_config.ctl_msg_size
+      (Messages.Page_request
+         { pid = t.pid; vpn; access; epoch = t.epoch_view.(node).(shard) })
+  with
+  | reply -> Some reply
+  | exception (Fabric.Unreachable _ as e) -> (
+      match request_failure t ~node ~shard ~dst ~steered:(steer = Some dst) with
+      | `Nack -> None
+      | `Reraise -> raise e)
+
 (* One protocol attempt as the fault leader. *)
 let request_once t ~node ~vpn ~access =
   let shard = shard_of t vpn in
@@ -811,30 +837,16 @@ let request_once t ~node ~vpn ~access =
           (Fabric.Unreachable
              { src = node; dst = node; kind = Messages.kind_revoke })
   end
-  else begin
-    let steer = Hashtbl.find_opt t.page_view.(node) vpn in
-    let dst =
-      match steer with
-      | Some d when d <> node -> d
-      | _ -> t.home_view.(node).(shard)
-    in
-    (* Backstop against a view pointing at ourselves (we just stopped
-       being the page's home): resolve the live authority directly. *)
-    let dst = if dst = node then page_home t vpn else dst in
-    match
-      Fabric.call t.fabric ~src:node ~dst
-        ~kind:Messages.kind_page_request ~size:t.cfg.Proto_config.ctl_msg_size
-        (Messages.Page_request
-           { pid = t.pid; vpn; access; epoch = t.epoch_view.(node).(shard) })
-    with
-    | Messages.Page_nack _ -> `Nack
-    | Messages.Page_stale { epoch; _ } ->
+  else
+    match page_request t ~node ~shard ~vpn ~access with
+    | None | Some (Messages.Page_nack _) -> `Nack
+    | Some (Messages.Page_stale { epoch; _ }) ->
         (* Failover happened while we still addressed the old epoch: adopt
            the new one and retry — the view already points at whoever
            answered. *)
         t.epoch_view.(node).(shard) <- epoch;
         `Nack
-    | Messages.Page_redirect { home; _ } ->
+    | Some (Messages.Page_redirect { home; _ }) ->
         (* Stale steer: the page's authority moved. Adopt the answer (or
            drop the per-page overlay when it folds back into the shard
            view) and retry there. *)
@@ -843,18 +855,11 @@ let request_once t ~node ~vpn ~access =
           Hashtbl.remove t.page_view.(node) vpn
         else Hashtbl.replace t.page_view.(node) vpn home;
         `Nack
-    | Messages.Page_grant { data; _ } ->
+    | Some (Messages.Page_grant { data; _ }) ->
         Option.iter (Page_store.install t.stores.(node) vpn) data;
         Page_table.set t.ptables.(node) vpn access;
         `Granted
-    | _ -> failwith "Coherence: unexpected page reply"
-    | exception (Fabric.Unreachable _ as e) -> (
-        match
-          request_failure t ~node ~shard ~dst ~steered:(steer = Some dst)
-        with
-        | `Nack -> `Nack
-        | `Reraise -> raise e)
-  end
+    | Some _ -> failwith "Coherence: unexpected page reply"
 
 let kind_of_access = function
   | Perm.Read -> Fault_event.Read
@@ -892,35 +897,11 @@ let ensure t ~node ~tid ~site ~vpn ~access =
                description of stock Linux — the prepared page is simply
                discarded because the PTE changed under it. *)
             Stats.incr t.stats "fault.duplicate";
-            if node <> page_home t vpn then (
-              let steer = Hashtbl.find_opt t.page_view.(node) vpn in
-              let dst =
-                match steer with
-                | Some d when d <> node -> d
-                | _ -> t.home_view.(node).(shard)
-              in
-              try
-                ignore
-                  (Fabric.call t.fabric ~src:node ~dst
-                     ~kind:Messages.kind_page_request
-                     ~size:t.cfg.Proto_config.ctl_msg_size
-                     (Messages.Page_request
-                        {
-                          pid = t.pid;
-                          vpn;
-                          access;
-                          epoch = t.epoch_view.(node).(shard);
-                        }))
-              with Fabric.Unreachable _ as e -> (
-                (* The duplicate's result is discarded anyway; a timeout
-                   toward the live home is not worth aborting for, and a
-                   dead home just means waiting out the failover. *)
-                match
-                  request_failure t ~node ~shard ~dst
-                    ~steered:(steer = Some dst)
-                with
-                | `Nack -> ()
-                | `Reraise -> raise e))
+            if node <> page_home t vpn then
+              (* The duplicate's result is discarded anyway; a timeout
+                 toward the live home is not worth aborting for, and a
+                 dead home just means waiting out the failover. *)
+              ignore (page_request t ~node ~shard ~vpn ~access)
             else Engine.delay t.engine t.cfg.Proto_config.local_op;
             loop ()
         | Fault_table.Conflict -> loop ()

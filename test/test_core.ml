@@ -461,6 +461,33 @@ let test_file_io_large_read_uses_rdma () =
   check_bool "rdma path used" true
     (Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl)) "path.rdma" >= 1)
 
+(* A remote write carries its payload on the request leg: the delegate
+   message bills 64 bytes of header plus the data, the reply only its
+   64-byte header. *)
+let test_file_write_remote_bills_request () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let get = Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl)) in
+  let wire () = get "bytes.verb" + get "bytes.rdma" + get "bytes.loopback" in
+  ignore
+    (Dex.run cl (fun proc _main ->
+         let th =
+           Process.spawn proc (fun th ->
+               Process.migrate th 1;
+               let fd = Process.file_open th "out.dat" in
+               let req = get "bytes.delegate"
+               and resp = get "bytes.delegate.resp"
+               and total = wire () in
+               Process.file_write th ~fd ~bytes:4096;
+               check_int "request leg carries the payload" (64 + 4096)
+                 (get "bytes.delegate" - req);
+               check_int "reply leg is the header alone" 64
+                 (get "bytes.delegate.resp" - resp);
+               check_int "nothing else crossed the fabric" (64 + 4096 + 64)
+                 (wire () - total);
+               Process.file_close th ~fd)
+         in
+         Process.join th))
+
 let test_file_bad_fd () =
   let cl = Dex.cluster ~nodes:1 () in
   match
@@ -950,105 +977,7 @@ let test_futex_wake_after_crash () =
   Dex_proto.Coherence.check_invariants (Process.coherence proc)
 
 (* ------------------------------------------------------------------ *)
-(* Delegation batching: per-node dispatch queues coalescing delegations
-   into Delegate_batch messages (off by default; these tests turn it on). *)
-
-let batch_cfg ?dispatch ?max () =
-  let c = Core_config.default in
-  {
-    c with
-    Core_config.batch_delegation = true;
-    delegation_dispatch =
-      Option.value dispatch ~default:c.Core_config.delegation_dispatch;
-    delegation_batch_max =
-      Option.value max ~default:c.Core_config.delegation_batch_max;
-  }
-
-(* A huge dispatch window and a batch cap of 2: two remote mallocs must
-   coalesce into ONE size-triggered batch, execute in arrival order at
-   the origin (the bump allocator exposes the order), and the orphaned
-   window timer must later fire on the emptied queue as a no-op. *)
-let test_batch_flush_on_size () =
-  let cl =
-    Dex.cluster ~nodes:2
-      ~config:(batch_cfg ~dispatch:(Time_ns.ms 1) ~max:2 ())
-      ()
-  in
-  let addr_a = ref 0 and addr_b = ref 0 in
-  let proc =
-    Dex.run cl (fun proc main ->
-        let a =
-          Process.spawn proc (fun th ->
-              Process.migrate th 1;
-              addr_a := Process.malloc th ~bytes:64 ~tag:"a")
-        in
-        let b =
-          Process.spawn proc (fun th ->
-              Process.migrate th 1;
-              addr_b := Process.malloc th ~bytes:64 ~tag:"b")
-        in
-        List.iter Process.join [ a; b ];
-        ignore main)
-  in
-  let get = Stats.get (Process.stats proc) in
-  check_int "one batch shipped" 1 (get "delegation.batches");
-  check_int "flushed by the size cap" 1 (get "delegation.flush_size");
-  check_int "both delegations rode it" 2 (get "delegation.batched");
-  check_int "the armed timer fired on an empty queue" 1
-    (get "delegation.flush_empty");
-  (* Thread a migrated (and therefore enqueued) first; in-batch execution
-     is in arrival order, so the bump allocator served a first. *)
-  check_bool "batch entries executed in arrival order" true
-    (!addr_a < !addr_b);
-  check_int "batch messages on the wire" 1
-    (Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl))
-       "sent.delegate_batch")
-
-(* Default (2.8us) window, huge cap: a single remote malloc flushes on
-   the timer, not the size cap. *)
-let test_batch_flush_on_timer () =
-  let cl = Dex.cluster ~nodes:2 ~config:(batch_cfg ~max:64 ()) () in
-  let proc =
-    Dex.run cl (fun proc main ->
-        let th =
-          Process.spawn proc (fun th ->
-              Process.migrate th 1;
-              let a = Process.malloc th ~bytes:64 ~tag:"remote-buf" in
-              Process.store th a 1L)
-        in
-        Process.join th;
-        ignore main)
-  in
-  let get = Stats.get (Process.stats proc) in
-  check_bool "timer-triggered flushes" true (get "delegation.flush_timer" >= 1);
-  check_int "size cap never reached" 0 (get "delegation.flush_size")
-
-(* A batched futex wait parks at the origin: the batch reply carries
-   B_parked promptly (no transaction stays open across the park) and the
-   real result arrives later as an out-of-band Delegate_wakeup. *)
-let test_batch_parked_wait_wakeup () =
-  let cl = Dex.cluster ~nodes:2 ~config:(batch_cfg ()) () in
-  let woken_at = ref 0 in
-  let proc =
-    Dex.run cl (fun proc main ->
-        let w = Process.malloc main ~bytes:8 ~tag:"futexword" in
-        Process.store main w 0L;
-        let sleeper =
-          Process.spawn proc (fun th ->
-              Process.migrate th 1;
-              check_bool "slept and woken" true
-                (Process.futex_wait th ~addr:w ~expected:0L);
-              woken_at := Engine.now (Cluster.engine cl))
-        in
-        Engine.delay (Cluster.engine cl) (Time_ns.ms 1);
-        Process.store main w 1L;
-        ignore (Process.futex_wake main ~addr:w ~count:1);
-        Process.join sleeper)
-  in
-  check_bool "woken after the wake, not before" true (!woken_at >= Time_ns.ms 1);
-  let get = Stats.get (Process.stats proc) in
-  check_int "the wait parked at the origin" 1 (get "delegation.parked");
-  check_int "completion came out of band" 1 (get "delegation.wakeups")
+(* Two-state mutex and delegation under contention.                    *)
 
 (* Two-state mutex: an uncontended remote lock/unlock cycle is pure CAS
    traffic — not a single delegated futex syscall crosses the fabric. *)
@@ -1072,17 +1001,17 @@ let test_mutex_uncontended_elides_wake () =
   check_int "every unlock skipped the wake RPC" 5 (get "sync.wake_elided");
   check_int "no delegated syscalls at all" 0 (get "delegation")
 
-(* qcheck SC: random contended mutex/barrier workloads with batching on
-   must stay sequentially consistent — no lost updates, no critical
-   section overlap, coherence invariants intact. In-batch reordering of
-   parked waits behind inline wakes must never lose a wake.              *)
-let prop_batched_sync_sc =
+(* qcheck SC: random contended mutex workloads — every contended lock
+   and unlock delegates a futex wait or wake to the origin — must stay
+   sequentially consistent: no lost updates, no critical-section overlap,
+   coherence invariants intact.                                         *)
+let prop_delegated_sync_sc =
   QCheck.Test.make
-    ~name:"batched delegation preserves SC for contended mutex counters"
+    ~name:"delegation preserves SC for contended mutex counters"
     ~count:10
     QCheck.(triple (int_range 2 5) (int_range 1 6) small_int)
     (fun (nthreads, rounds, seed) ->
-      let cl = Dex.cluster ~nodes:4 ~seed ~config:(batch_cfg ()) () in
+      let cl = Dex.cluster ~nodes:4 ~seed () in
       let in_cs = ref false in
       let overlaps = ref 0 in
       let final = ref 0L in
@@ -1110,56 +1039,6 @@ let prop_batched_sync_sc =
       in
       Dex_proto.Coherence.check_invariants (Process.coherence proc);
       !overlaps = 0 && !final = Int64.of_int (nthreads * rounds))
-
-(* The chaos workload of [test_chaos_end_to_end], batched: retransmitted
-   and duplicated Delegate_batch messages must still execute each batch
-   exactly once (transport dedup), so the delegated mallocs stay unique
-   and the mutex counter is exact.                                       *)
-let test_chaos_batched_dedup () =
-  let cl =
-    Dex.cluster ~nodes:4 ~net:(chaos_net ~nodes:4) ~config:(batch_cfg ()) ()
-  in
-  let in_cs = ref false in
-  let overlaps = ref 0 in
-  let final = ref 0L in
-  let remote_allocs = ref [] in
-  let proc =
-    Dex.run cl (fun proc main ->
-        let m = Sync.Mutex.create proc () in
-        let counter = Process.malloc main ~bytes:8 ~tag:"shared" in
-        let worker node th =
-          Process.migrate th node;
-          let scratch = Process.malloc th ~bytes:64 ~tag:"scratch" in
-          remote_allocs := scratch :: !remote_allocs;
-          for _ = 1 to 5 do
-            Sync.Mutex.lock th m;
-            if !in_cs then incr overlaps;
-            in_cs := true;
-            let v = Process.load th counter in
-            Process.compute th ~ns:(us 2);
-            Process.store th counter (Int64.add v 1L);
-            in_cs := false;
-            Sync.Mutex.unlock th m
-          done;
-          Process.migrate th (Process.origin proc)
-        in
-        let threads =
-          List.init 4 (fun i -> Process.spawn proc (worker (i mod 4)))
-        in
-        List.iter Process.join threads;
-        final := Process.load main counter)
-  in
-  check_int "no critical-section overlap" 0 !overlaps;
-  Alcotest.(check int64) "no lost updates under chaos" 20L !final;
-  let distinct = List.sort_uniq compare !remote_allocs in
-  check_int "each delegated malloc ran exactly once" 4 (List.length distinct);
-  check_bool "batches actually shipped" true
-    (Stats.get (Process.stats proc) "delegation.batches" > 0);
-  let get = Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl)) in
-  check_bool "faults were injected" true
-    (get "chaos.drops" + get "chaos.dups" > 0);
-  check_bool "reliable layer recovered lost messages" true
-    (get "chaos.retransmits" > 0)
 
 let () =
   Alcotest.run "dex_core"
@@ -1202,6 +1081,9 @@ let () =
           Alcotest.test_case "barrier rounds" `Quick test_barrier_rounds;
           Alcotest.test_case "condvar producer/consumer" `Quick
             test_condvar_producer_consumer;
+          Alcotest.test_case "uncontended mutex elides wake RPC" `Quick
+            test_mutex_uncontended_elides_wake;
+          QCheck_alcotest.to_alcotest prop_delegated_sync_sc;
         ] );
       ( "resources",
         [
@@ -1223,6 +1105,8 @@ let () =
             test_file_io_local_and_remote;
           Alcotest.test_case "large read uses RDMA" `Quick
             test_file_io_large_read_uses_rdma;
+          Alcotest.test_case "remote write bills the request leg" `Quick
+            test_file_write_remote_bills_request;
           Alcotest.test_case "bad fd" `Quick test_file_bad_fd;
         ] );
       ( "sync_extra",
@@ -1248,19 +1132,6 @@ let () =
         [
           Alcotest.test_case "two processes isolated" `Quick
             test_two_processes_isolated;
-        ] );
-      ( "batching",
-        [
-          Alcotest.test_case "flush on size + empty-queue timer no-op" `Quick
-            test_batch_flush_on_size;
-          Alcotest.test_case "flush on timer" `Quick test_batch_flush_on_timer;
-          Alcotest.test_case "parked wait completes out of band" `Quick
-            test_batch_parked_wait_wakeup;
-          Alcotest.test_case "uncontended mutex elides wake RPC" `Quick
-            test_mutex_uncontended_elides_wake;
-          QCheck_alcotest.to_alcotest prop_batched_sync_sc;
-          Alcotest.test_case "chaos: retried batches are deduplicated" `Quick
-            test_chaos_batched_dedup;
         ] );
       ("fuzz", List.map QCheck_alcotest.to_alcotest [ prop_migration_fuzz ]);
       ( "chaos",

@@ -553,48 +553,6 @@ let test_futex_across_failover () =
   check_int "one failover" 1 (pstat proc "ha.failovers");
   check_int "no thread aborted" 0 (pstat proc "crash.threads_aborted")
 
-(* Same scenario with delegation batching on: the wait rides a
-   Delegate_batch, parks at the origin, and is answered B_parked — so
-   when the origin dies there is no open RPC to unwind it. The crash
-   recovery must re-delegate the parked entry solo against the promoted
-   origin, where the replicated futex ledger either re-parks it or
-   re-delivers a wake the old origin consumed but never reported.        *)
-let test_batched_futex_across_failover () =
-  let nodes = 4 in
-  let config = { Core_config.default with Core_config.batch_delegation = true } in
-  let cl =
-    Dex.cluster ~nodes ~config ~net:(crash_net ~nodes ())
-      ~proto:(ha_proto `Sync) ()
-  in
-  let woken = ref false in
-  let proc =
-    Dex.run cl (fun proc main ->
-        let word = Process.memalign main ~align:4096 ~bytes:8 ~tag:"futex" in
-        Process.store main word 0L;
-        let waiter =
-          Process.spawn proc (fun th ->
-              Process.migrate th 2;
-              woken := Process.futex_wait th ~addr:word ~expected:0L)
-        in
-        let waker =
-          Process.spawn proc (fun th ->
-              Process.migrate th 3;
-              Process.compute th ~ns:(us 2500);
-              Cluster.crash_node cl ~node:0;
-              Process.compute th ~ns:(us 1500);
-              Process.store th word 1L;
-              ignore (Process.futex_wake th ~addr:word ~count:1))
-        in
-        Process.migrate main 2;
-        List.iter Process.join [ waiter; waker ])
-  in
-  check_bool "waiter woke after the failover" true !woken;
-  check_int "one failover" 1 (pstat proc "ha.failovers");
-  check_int "no thread aborted" 0 (pstat proc "crash.threads_aborted");
-  check_bool "the wait parked through a batch" true
-    (pstat proc "delegation.parked" >= 1);
-  check_bool "batches shipped" true (pstat proc "delegation.batches" >= 1)
-
 (* ------------------------------------------------------------------ *)
 (* Satellite: qcheck over random minority crash schedules. With k=2 every
    1- or 2-member loss of the {origin, s1, s2} set is survivable under
@@ -779,8 +737,6 @@ let () =
             test_async_failover_completes;
           Alcotest.test_case "futex wait survives failover" `Quick
             test_futex_across_failover;
-          Alcotest.test_case "batched futex wait survives failover" `Quick
-            test_batched_futex_across_failover;
           Alcotest.test_case "k=1: standby loss disables replication" `Quick
             test_standby_loss_disables;
           Alcotest.test_case "explicit replica-set selection" `Quick
