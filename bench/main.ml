@@ -823,7 +823,7 @@ let failover_bench () =
          Printf.sprintf "%.1f" (float_of_int (pget "ha.failover_ns") /. 1000.0)
        else "-")
   in
-  row "replication off" (run ~crash:false `Off);
+  row "replication off" (run ~k:0 ~crash:false `Sync);
   row "sync k=1, healthy" (run ~crash:false `Sync);
   row "sync k=2, healthy" (run ~k:2 ~crash:false `Sync);
   row "sync k=3, healthy" (run ~k:3 ~crash:false `Sync);

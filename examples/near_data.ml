@@ -57,10 +57,16 @@ let () =
          Process.file_close main ~fd;
          let worker =
            Process.spawn proc (fun th ->
-               let node =
-                 Placement.choose Placement.Least_loaded cl
-                   ~rng:(Cluster.rng cl) ~index:0 ~total:1
+               (* The node with the most idle cores (lowest id on ties). *)
+               let idle n =
+                 let pool = Cluster.cores cl ~node:n in
+                 Dex_sim.Resource.Pool.(capacity pool - in_use pool)
                in
+               let node = ref 0 in
+               for n = 1 to Cluster.nodes cl - 1 do
+                 if idle n > idle !node then node := n
+               done;
+               let node = !node in
                let home = Process.location th in
                Process.migrate th node;
                let result =

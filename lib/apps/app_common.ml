@@ -59,14 +59,7 @@ let run_app ~name ~nodes ~variant ?config ?proto ?(threads_per_node = 8)
            with the flag off (the default) nothing is installed and the
            run is bit-identical. *)
         if core.Core_config.autopilot then
-          ignore
-            (Dex_sched.Autopilot.attach
-               ~config:
-                 {
-                   Dex_sched.Autopilot.default with
-                   interval = core.Core_config.autopilot_interval;
-                 }
-               proc);
+          ignore (Dex_sched.Autopilot.attach proc);
         let ctx =
           {
             proc;

@@ -52,10 +52,12 @@ type t = {
       (* run by threads at compute boundaries (cooperative preemption);
          the placement autopilot's balancer checkpoint hangs here *)
   mutable stopping : bool;  (* shutdown has drained the threads *)
-  mutable unroute : unit -> unit;
-      (* unregisters the coherence router at shutdown, so a long-lived
-         cluster serving many short-lived processes doesn't scan every
-         dead process's router on each message *)
+  mutable detach : unit -> unit;
+      (* unregisters the coherence router and the crash subscribers
+         (Coherence's reclaim pass and this process's recovery) at
+         shutdown, so a long-lived cluster serving many short-lived
+         processes neither scans nor retains every dead process on each
+         message and each crash *)
 }
 
 and thread = {
@@ -1039,16 +1041,17 @@ let create cluster ?(origin = 0) () =
   let pid = Cluster.fresh_pid cluster in
   let seed = Rng.int (Cluster.rng cluster) 1_000_000 in
   let stats = Stats.create () in
-  let coh =
-    Coherence.create ~cfg:(Cluster.proto_config cluster) ~seed ~pid
-      (Cluster.fabric cluster) ~origin
-  in
+  let cfg = Cluster.proto_config cluster in
+  let coh = Coherence.create ~cfg ~seed ~pid (Cluster.fabric cluster) ~origin in
   let nshards = Coherence.shard_count coh in
+  (* Zero standbys (and no explicit list) is replication off. *)
   let has =
-    match (Cluster.proto_config cluster).Dex_proto.Proto_config.replication
-    with
-    | `Off -> Array.make nshards None
-    | (`Sync | `Async _) as mode ->
+    let k = cfg.Dex_proto.Proto_config.standby_count in
+    if k < 0 then invalid_arg "Process.create: bad standby count";
+    match cfg.Dex_proto.Proto_config.standbys with
+    | None when k = 0 -> Array.make nshards None
+    | _ ->
+        let mode = cfg.Dex_proto.Proto_config.replication in
         let nodes = Cluster.nodes cluster in
         if nodes < 2 then
           invalid_arg "Process.create: replication needs at least two nodes";
@@ -1056,7 +1059,6 @@ let create cluster ?(origin = 0) () =
           invalid_arg
             "Process.create: replication supports at most 64 shards (the \
              per-shard replication stream id is pid * 64 + shard)";
-        let cfg = Cluster.proto_config cluster in
         (* One independent replica set per shard: each home streams its
            own log, holds its own epoch and promotes on its own. *)
         Array.init nshards (fun shard ->
@@ -1083,8 +1085,7 @@ let create cluster ?(origin = 0) () =
                   l
               | None ->
                   (* The k lowest-numbered non-home nodes. *)
-                  let k = cfg.Dex_proto.Proto_config.standby_count in
-                  if k < 1 || k > nodes - 1 then
+                  if k > nodes - 1 then
                     invalid_arg "Process.create: bad standby count";
                   List.filteri
                     (fun i _ -> i < k)
@@ -1118,7 +1119,7 @@ let create cluster ?(origin = 0) () =
       mmap_next = Layout.mmap_base;
       safepoint_hook = None;
       stopping = false;
-      unroute = Fun.id;
+      detach = Fun.id;
     }
   in
   (* Wire the replication logs into the protocol layer before any state is
@@ -1205,12 +1206,19 @@ let create cluster ?(origin = 0) () =
     ~perm:Perm.rw ~tag:"globals";
   layout_vma ~start:Layout.heap_base ~len:Layout.heap_size ~perm:Perm.rw
     ~tag:"heap";
-  t.unroute <- Cluster.add_removable_router cluster (router t);
+  let unroute = Cluster.add_removable_router cluster (router t) in
   (* Subscriber priorities spell out the recovery order: directory reclaim
      (0, in Coherence.create), standby promotion (10, in Ha.arm), then
      thread/worker recovery here. *)
-  Fabric.on_crash ~priority:20 (Cluster.fabric cluster) (fun node ->
-      handle_node_crash t ~node);
+  let unsubscribe =
+    Fabric.on_crash ~priority:20 (Cluster.fabric cluster) (fun node ->
+        handle_node_crash t ~node)
+  in
+  t.detach <-
+    (fun () ->
+      unroute ();
+      unsubscribe ();
+      Coherence.unsubscribe_crash t.coh);
   t
 
 let spawn t ?name:(thread_name = "worker") f =
@@ -1297,5 +1305,8 @@ let shutdown t =
      replication is armed: a standby still holding this process's log can
      promote on a later origin crash and broadcast epoch fences that the
      coherence handler must ack, so replicated processes keep their router
-     registered (the pre-pruning behaviour). *)
-  if Array.for_all Option.is_none t.has then t.unroute ()
+     and crash subscribers registered (the pre-pruning behaviour). Any
+     other finished process has nothing a later crash could damage (see
+     {!Coherence.unsubscribe_crash} for why it must not stay
+     subscribed). *)
+  if Array.for_all Option.is_none t.has then t.detach ()

@@ -30,11 +30,12 @@ exception Thread_crashed of { pid : int; tid : int }
     returns and {!crashed} reports the loss. *)
 
 val create : Cluster.t -> ?origin:int -> unit -> t
-(** Register a new process; [origin] defaults to node 0. When
-    {!Dex_proto.Proto_config.replication} is not [`Off], this also arms
-    replication towards the configured replica set
-    ({!Dex_proto.Proto_config.standbys}, default: the
-    [standby_count] lowest non-origin nodes) — one instance per shard
+(** Register a new process; [origin] defaults to node 0. When the
+    cluster's proto config names a replica set
+    ({!Dex_proto.Proto_config.standbys}, or else
+    [standby_count] > 0 for the [standby_count] lowest non-origin nodes),
+    this also arms {!Dex_proto.Proto_config.replication} towards it
+    — one instance per shard
     of {!Dex_proto.Proto_config.sharding} (each shard's own home
     node is excluded from its standby list; at most 64 shards per
     process) — see {!ha}. *)

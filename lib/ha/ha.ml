@@ -638,6 +638,9 @@ let arm ~engine ~fabric ~stats ~pid ~mode ~origin ~standbys =
       standbys;
   (* Between directory reclaim (0) and process-level thread recovery (20):
      by the time threads are re-homed or aborted, the promotion fiber is
-     already queued and the fences are released. *)
-  Fabric.on_crash ~priority:10 fabric (fun node -> handle_crash t node);
+     already queued and the fences are released. A replicated process
+     keeps its standby (and this subscription) for its whole lifetime. *)
+  let (_ : unit -> unit) =
+    Fabric.on_crash ~priority:10 fabric (fun node -> handle_crash t node)
+  in
   t

@@ -102,7 +102,8 @@ let on_crash ?(priority = 0) t f =
   t.crash_subs <-
     List.stable_sort
       (fun (p1, s1, _) (p2, s2, _) -> compare (p1, s1) (p2, s2))
-      ((priority, seq, f) :: t.crash_subs)
+      ((priority, seq, f) :: t.crash_subs);
+  fun () -> t.crash_subs <- List.filter (fun (_, s, _) -> s <> seq) t.crash_subs
 
 let declare_dead t ~node =
   check_node t node "declare_dead";

@@ -139,15 +139,17 @@ val declare_dead : t -> node:int -> unit
     fabric's own keepalive backstop one full retry budget after the crash.
     Raises [Invalid_argument] if the node has not actually crashed. *)
 
-val on_crash : ?priority:int -> t -> (int -> unit) -> unit
-(** Subscribe to failure declarations. The callback receives the dead
+val on_crash : ?priority:int -> t -> (int -> unit) -> unit -> unit
+(** Subscribe to failure declarations; returns the unsubscribe closure.
+    The callback receives the dead
     node's id, in a context that must not block (spawn a fiber for any
     recovery work that needs the fabric). Subscribers run in ascending
     [priority] (default [0]); equal priorities run in registration order.
     The ordering is load-bearing — directory reclaim (priority 0) must
     complete before HA promotion (10) and thread re-homing (20), so each
     layer states its place explicitly instead of relying on who happened
-    to register first. *)
+    to register first. A process that exits unsubscribes, so a long-lived
+    fabric neither retains nor runs the recovery of finished processes. *)
 
 val send : t -> src:int -> dst:int -> kind:string -> size:int -> Msg.payload -> unit
 (** One-way message. Blocks the calling fiber only for the local send-side

@@ -154,9 +154,9 @@ let page_traffic events =
            (b.pt_reads + b.pt_writes, a.pt_addr)
            (a.pt_reads + a.pt_writes, b.pt_addr))
 
-let classify ?(min_faults = 8) pt =
+let classify pt =
   let faults = pt.pt_reads + pt.pt_writes in
-  if faults < min_faults then Quiet
+  if faults < 4 then Quiet
   else
     match pt.pt_writers with
     | [] | [ _ ] ->

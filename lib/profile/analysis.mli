@@ -83,9 +83,9 @@ val page_traffic : event list -> page_traffic list
     by total faults descending with page-address tie-break.
     Invalidation events are ignored. *)
 
-val classify : ?min_faults:int -> page_traffic -> page_class
+val classify : page_traffic -> page_class
 (** Deterministic signal classification for the autopilot; pages with
-    fewer than [min_faults] (default 8) faults are [Quiet]. *)
+    fewer than 4 faults are [Quiet]. *)
 
 val mean_latency : event list -> float
 (** Mean fault-handling latency in nanoseconds (invalidations excluded). *)

@@ -52,10 +52,6 @@ type t = {
   rehome_dirs : Directory.t array;
       (* node -> directory of the pages re-homed TO that node; entries
          move here out of the shard directory and back on fallback *)
-  page_view : (Page.vpn, int) Hashtbl.t array;
-      (* per node: where that node steers faults for re-homed pages —
-         the per-page overlay on home_view, taught by the re-home
-         broadcast and corrected in-band by Page_redirect *)
   replicate_hint : (Page.vpn, unit) Hashtbl.t;
       (* pages marked replicate-don't-invalidate by the autopilot *)
   push_subs : (Page.vpn, int list) Hashtbl.t;
@@ -66,6 +62,8 @@ type t = {
          layer's check-and-sleep is only atomic when the word's home can
          read it without simulation events, so futex-word pages pin
          themselves and rehome_page refuses them *)
+  mutable unsubscribe_crash : unit -> unit;
+      (* drops the fail-stop reclaim subscription ({!Fabric.on_crash}) *)
 }
 
 let shard_of t vpn =
@@ -188,18 +186,7 @@ let rehome_fallback t ~node =
         | None, [] -> ());
         Stats.incr t.stats "autopilot.fallbacks")
       victims
-  end;
-  (* Every node's steers towards the dead target are stale now; requests
-     racing this cleanup are corrected in-band (Unreachable / redirect). *)
-  Array.iter
-    (fun view ->
-      let stale =
-        Hashtbl.fold
-          (fun vpn target acc -> if target = node then vpn :: acc else acc)
-          view []
-      in
-      List.iter (Hashtbl.remove view) stale)
-    t.page_view
+  end
 
 (* Re-home metadata repair for a dead node: pages re-homed TO it fall
    back, and it is scrubbed out of every other overlay directory. A no-op
@@ -299,10 +286,10 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
          else None);
       rehomed = Hashtbl.create 16;
       rehome_dirs = Array.init n (fun node -> Directory.create ~origin:node);
-      page_view = Array.init n (fun _ -> Hashtbl.create 16);
       replicate_hint = Hashtbl.create 16;
       push_subs = Hashtbl.create 16;
       pinned = Hashtbl.create 16;
+      unsubscribe_crash = Fun.id;
     }
   in
   if nshards > 1 then Stats.add t.stats "shard.homes" nshards;
@@ -312,11 +299,14 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
      left to the HA layer when one is wired (a resolver is installed) —
      except that the dead node is still scrubbed out of the shards it did
      NOT home; without HA, reclaim_node's refusal is the PR 3 behavior. *)
-  Fabric.on_crash ~priority:0 fabric (fun node ->
-      match t.resolver with
-      | Some _ when shards_homed_at t node <> [] -> partial_scrub t ~node
-      | _ -> reclaim_node t ~node);
+  t.unsubscribe_crash <-
+    Fabric.on_crash ~priority:0 fabric (fun node ->
+        match t.resolver with
+        | Some _ when shards_homed_at t node <> [] -> partial_scrub t ~node
+        | _ -> reclaim_node t ~node);
   t
+
+let unsubscribe_crash t = t.unsubscribe_crash ()
 
 let origin t = t.homes.(0)
 let epoch t = t.epochs.(0)
@@ -752,10 +742,9 @@ let request_failure t ~node ~shard ~dst ~steered =
   else if steered then begin
     (* The re-home target is unreachable. Escalate an undeclared crash —
        exhausting the budget IS the failure detector here too — so the
-       fallback pass runs, the page's authority returns to its shard home
-       and every stale steer (including ours) is dropped; the retry then
-       resolves at the shard home. A live-but-slow target keeps the steer
-       and is simply retried. *)
+       fallback pass runs and the page's authority returns to its shard
+       home; the retry then resolves there. A live-but-slow target keeps
+       the page and is simply retried. *)
     if
       Fabric.crashed t.fabric ~node:dst
       && not (Fabric.crash_detected t.fabric ~node:dst)
@@ -791,11 +780,13 @@ let request_failure t ~node ~shard ~dst ~steered =
   end
 
 (* Send one [Page_request] for [vpn] from [node], which is not the page's
-   home, and return the reply. The per-page steer (taught by re-home
-   redirects) wins over the shard's home view. [None] when the call
-   failed in a way the fault loop retries ({!request_failure}). *)
+   home, and return the reply. A re-homed page is steered straight to its
+   re-home target (the re-home decision costs no messages, so every node
+   learns it at once); other pages go to the shard's home view. [None]
+   when the call failed in a way the fault loop retries
+   ({!request_failure}). *)
 let page_request t ~node ~shard ~vpn ~access =
-  let steer = Hashtbl.find_opt t.page_view.(node) vpn in
+  let steer = Hashtbl.find_opt t.rehomed vpn in
   let dst =
     match steer with
     | Some d when d <> node -> d
@@ -846,14 +837,10 @@ let request_once t ~node ~vpn ~access =
            answered. *)
         t.epoch_view.(node).(shard) <- epoch;
         `Nack
-    | Some (Messages.Page_redirect { home; _ }) ->
-        (* Stale steer: the page's authority moved. Adopt the answer (or
-           drop the per-page overlay when it folds back into the shard
-           view) and retry there. *)
+    | Some (Messages.Page_redirect _) ->
+        (* The page's authority moved while the request was in flight;
+           the retry steers by the current re-home table. *)
         Stats.incr t.stats "autopilot.resteers";
-        if home = t.home_view.(node).(shard) then
-          Hashtbl.remove t.page_view.(node) vpn
-        else Hashtbl.replace t.page_view.(node) vpn home;
         `Nack
     | Some (Messages.Page_grant { data; _ }) ->
         Option.iter (Page_store.install t.stores.(node) vpn) data;
@@ -1064,7 +1051,7 @@ let forget_range t ~first ~last =
 (* Move a page's protocol authority to [node]: its directory entry leaves
    the current serving directory for the target's overlay directory (or
    back into the shard directory when re-homing to the static home), the
-   staging copy ships over, and every node's per-page view is re-steered.
+   staging copy ships over, and the re-home table steers every node there.
    Faults from [node] then resolve locally — the win for ping-ponged pages
    whose dominant faulter is remote from the shard home. The entry move is
    guarded by the page's busy flag, so it serializes against grants like
@@ -1136,16 +1123,11 @@ let rehome_page t ~vpn ~node =
             (match state with
             | Directory.Exclusive owner -> Directory.set_exclusive ndir vpn owner
             | Directory.Shared readers -> Directory.set_shared ndir vpn readers);
+            (* Every node's next fault on the page steers by this table,
+               so it goes straight to the new home; requests already in
+               flight are answered with a redirect. *)
             if node = t.homes.(shard) then Hashtbl.remove t.rehomed vpn
             else Hashtbl.replace t.rehomed vpn node;
-            (* The autopilot broadcasts its decision: every node's next
-               fault on the page goes straight to the new home (stale
-               views left behind are corrected in-band by redirects). *)
-            for peer = 0 to node_count t - 1 do
-              if node = t.homes.(shard) then
-                Hashtbl.remove t.page_view.(peer) vpn
-              else Hashtbl.replace t.page_view.(peer) vpn node
-            done;
             Stats.incr t.stats "autopilot.rehomes";
             `Rehomed
       end

@@ -235,9 +235,9 @@ val rehome_page :
     node already holds: the directory entry migrates from the page's
     current home into [node]'s overlay directory (or back into the shard
     directory when [node] {e is} the static shard home), the staging copy
-    ships along when materialized, and every node's per-page steer table
-    is re-pointed — in-flight requesters racing the move are re-steered
-    in-band with [Page_redirect]. Fresh bytes later externalized from the
+    ships along when materialized, and every node's next request for the
+    page is steered to [node] — in-flight requesters racing the move are
+    answered with [Page_redirect] and retry. Fresh bytes later externalized from the
     dynamic home are mirrored back to the static shard home
     ([autopilot.mirrors]), so if the re-home target crashes the page
     falls back to its shard home with the last-externalized contents and
@@ -306,6 +306,15 @@ val reclaim_node : t -> node:int -> unit
     flight. Raises if [node] homes any shard (with the HA layer wired, a
     home death takes the promotion path instead and only the shards the
     dead node did {e not} home are scrubbed). *)
+
+val unsubscribe_crash : t -> unit
+(** Drop the {!reclaim_node} subscription {!create} installed on the
+    fabric. The process layer calls it when a process without replication
+    exits: a finished process holds no state a later crash could damage,
+    and its reclaim pass would otherwise keep the whole protocol state
+    reachable and treat a later crash of its old origin node as an
+    unrecoverable origin loss, failing whichever live fiber declared the
+    crash. *)
 
 (** {2 Home failover hooks}
 
@@ -391,8 +400,8 @@ val stats : t -> Dex_sim.Stats.t
     [shard.promotions]; once the autopilot acts the [autopilot.*] family
     — [autopilot.rehomes], [autopilot.rehome_busy],
     [autopilot.redirects] (mis-addressed requests answered with
-    [Page_redirect]), [autopilot.resteers] (requester-side steer
-    adoptions), [autopilot.mirrors], [autopilot.fallbacks],
+    [Page_redirect]), [autopilot.resteers] (redirects received and
+    retried by requesters), [autopilot.mirrors], [autopilot.fallbacks],
     [autopilot.replicate_marked], [autopilot.replica_pushes],
     [autopilot.push_declined], plus [autopilot.ticks] and
     [autopilot.colocations] contributed by {!Dex_sched.Autopilot}. *)

@@ -67,8 +67,8 @@ type Dex_net.Msg.payload +=
   | Page_redirect of { pid : int; vpn : Dex_mem.Page.vpn; home : int }
       (** serving node → requester: the page's authority is not here — it
           was re-homed by the placement autopilot (or fell back to its
-          shard home after the re-home target crashed). The requester
-          re-steers its per-page view to [home] and retries. Any request
+          shard home after the re-home target crashed) to [home]. The
+          requester retries, steered by the current re-home table. Any request
           reaching a live node other than the page's home gets this
           reply. *)
   | Page_sync of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes }

@@ -12,7 +12,7 @@ type t = {
   coalesce_faults : bool;
   grant_without_data : bool;
   on_crash : [ `Abort | `Rehome ];
-  replication : [ `Off | `Sync | `Async of int ];
+  replication : [ `Sync | `Async of int ];
   standby_count : int;
   standbys : int list option;
   sharding : [ `Hash of int | `Range of int ];
@@ -38,17 +38,18 @@ let default =
        scratch should survive. Rehome is the opt-in for restartable
        workers. *)
     on_crash = `Abort;
-    (* Off by default: with no standby the protocol is bit-identical to a
-       build without the HA layer. `Sync fences every externalized reply
-       on the replication ack; `Async n tolerates up to n unacked log
-       entries and can lose that suffix on an origin crash. *)
-    replication = `Off;
-    (* One standby keeps the PR 4 single-replica behaviour; raise it to
-       tolerate simultaneous origin+standby crashes (any minority of the
-       origin+k set). *)
-    standby_count = 1;
-    (* None picks the lowest-numbered non-origin nodes as the replica
-       set. *)
+    (* `Sync fences every externalized reply on the replication ack;
+       `Async n tolerates up to n unacked log entries and can lose that
+       suffix on an origin crash. Only consulted once a replica set
+       exists. *)
+    replication = `Sync;
+    (* Zero standbys is replication off: no log, and the protocol is
+       bit-identical to a build without the HA layer. One standby is the
+       single-replica setup; more tolerate simultaneous origin+standby
+       crashes (any minority of the origin+k set). *)
+    standby_count = 0;
+    (* None picks the [standby_count] lowest-numbered non-origin nodes as
+       the replica set. *)
     standbys = None;
     (* One shard by default: all pages are homed at the single origin.
        `Hash n spreads page ownership over n home nodes by vpn modulo;

@@ -40,11 +40,11 @@ type t = {
           application can tolerate running twice (the simulator cannot
           checkpoint register state, so the retried delegate re-executes);
           the default is [`Abort]. *)
-  replication : [ `Off | `Sync | `Async of int ];
-      (** origin replication ({!Dex_ha} when wired by the process layer):
-          [`Off] (default) runs no log and is bit-identical to a build
-          without the HA layer; [`Sync] blocks every reply that leaves the
-          origin until a quorum of standbys has acked the whole
+  replication : [ `Sync | `Async of int ];
+      (** how origin replication ({!Dex_ha} when wired by the process
+          layer) fences, once a replica set exists ([standby_count] > 0 or
+          [standbys] given): [`Sync] (default) blocks every reply that
+          leaves the origin until a quorum of standbys has acked the whole
           replication log (⌈(k+1)/2⌉ of them — a majority of the
           origin+k replica set); [`Async n] only blocks once the log runs
           more than [n] entries past that quorum watermark — an origin
@@ -52,12 +52,15 @@ type t = {
           survivor copies the replica no longer vouches for). *)
   standby_count : int;
       (** size k of the replica set (excluding the origin) when [standbys]
-          is [None]; k = 1 is the single-standby behaviour. Ignored when
-          [replication] is [`Off]. *)
+          is [None]. The default, 0, is replication off: no log runs and
+          the protocol is bit-identical to a build without the HA layer;
+          k = 1 is the single-standby setup. Negative counts are
+          refused. *)
   standbys : int list option;
       (** which nodes receive the replication log; [None] picks the
-          [standby_count] lowest-numbered non-origin nodes. Ignored when
-          [replication] is [`Off]. *)
+          [standby_count] lowest-numbered non-origin nodes. An explicit
+          list arms replication whatever [standby_count] says; it must
+          not be empty. *)
   sharding : [ `Hash of int | `Range of int ];
       (** partition page ownership across {e home nodes}
           ({!Coherence.home_of}): [`Hash n] homes page [vpn] at shard
@@ -67,7 +70,7 @@ type t = {
           at the process origin. Shard [s] lives at node
           [(origin + s) mod node_count], so shard 0 is always the process
           origin (the VMA/allocator/file services stay there). [n] may
-          exceed the node count (homes then wrap); with [replication] on,
+          exceed the node count (homes then wrap); with replication on,
           every shard gets its own replication log, epoch and promotion
           path. *)
   serial_home_service : bool;

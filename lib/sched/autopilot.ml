@@ -5,59 +5,37 @@ module Analysis = Dex_profile.Analysis
 module Page = Dex_mem.Page
 module Stats = Dex_sim.Stats
 
-type config = {
-  interval : Dex_sim.Time_ns.t;
-  window_ticks : int;
-  trace_capacity : int;
-  min_faults : int;
-  colocate_min_faults : int;
-  max_actions_per_tick : int;
-  cooldown_ticks : int;
-  overcommit : int;
-  colocate : bool;
-  rehome : bool;
-  replicate : bool;
-}
-
-let default =
-  {
-    interval = Dex_sim.Time_ns.us 250;
-    window_ticks = 8;
-    trace_capacity = 4096;
-    min_faults = 4;
-    colocate_min_faults = 32;
-    max_actions_per_tick = 4;
-    cooldown_ticks = 8;
-    overcommit = 0;
-    colocate = true;
-    rehome = true;
-    replicate = true;
-  }
+(* Controller constants, explained in the interface. [cooldown_ticks]
+   must stay >= [window_ticks], or stale window contents re-trigger the
+   same action. *)
+let window_ticks = 8
+let trace_capacity = 4096
+let colocate_min_faults = 32
+let max_actions_per_tick = 4
+let cooldown_ticks = 8
 
 type t = {
   proc : Process.t;
   coh : Coherence.t;
   trace : Trace.t;
   balancer : Balancer.t;
-  config : config;
+  interval : Dex_sim.Time_ns.t;
   mutable tick_no : int;
   mutable stopped : bool;
   page_acted : (Page.vpn, int) Hashtbl.t;  (* vpn -> tick of last action *)
   tid_acted : (int, int) Hashtbl.t;  (* tid -> tick of last co-location *)
 }
 
-let balancer t = t.balancer
-let trace t = t.trace
 let ticks t = t.tick_no
 
 let cooling t table key =
   match Hashtbl.find_opt table key with
-  | Some last -> t.tick_no - last < t.config.cooldown_ticks
+  | Some last -> t.tick_no - last < cooldown_ticks
   | None -> false
 
 (* Where every live thread will be once pending migration requests are
    honoured — occupancy must count decisions already made, or successive
-   ticks herd threads exactly like the balancer bug this PR fixes. *)
+   ticks herd threads onto whichever node looked emptiest. *)
 let projected_occupancy t =
   let cluster = Process.cluster t.proc in
   let occ = Array.make (Cluster.nodes cluster) 0 in
@@ -80,9 +58,8 @@ let projected_occupancy t =
    migrations (plus cold re-faults) for nothing, which is how an early
    version of this controller made saturated runs slower. *)
 let colocate_tids t ~occ ~dest ~target tids =
-  let cluster = Process.cluster t.proc in
   let capacity =
-    (Cluster.config cluster).Core_config.cores_per_node + t.config.overcommit
+    (Cluster.config (Process.cluster t.proc)).Core_config.cores_per_node
   in
   (* Stale-window guard: act only on faulters still placed where the
      trace observed them — a thread that migrated since (worker pools
@@ -135,7 +112,7 @@ let tick t =
     let events =
       let eng = Cluster.engine (Process.cluster t.proc) in
       Analysis.window ~now:(Dex_sim.Engine.now eng)
-        ~width:(t.config.window_ticks * t.config.interval)
+        ~width:(window_ticks * t.interval)
         (Trace.events t.trace)
     in
     if events <> [] then begin
@@ -144,7 +121,7 @@ let tick t =
       let actions = ref 0 in
       List.iter
         (fun pt ->
-          if !actions < t.config.max_actions_per_tick then begin
+          if !actions < max_actions_per_tick then begin
             let vpn = Page.page_of_addr pt.Analysis.pt_addr in
             if not (cooling t t.page_acted vpn) then begin
               let faults = pt.Analysis.pt_reads + pt.Analysis.pt_writes in
@@ -159,8 +136,7 @@ let tick t =
                    cold re-faults, so co-location demands more evidence
                    than the cheap levers do. *)
                 let acted_colocate =
-                  t.config.colocate
-                  && faults >= t.config.colocate_min_faults
+                  faults >= colocate_min_faults
                   && colocate_tids t ~occ ~dest ~target:dominant
                        (List.sort_uniq compare
                           (List.filter_map
@@ -172,8 +148,7 @@ let tick t =
                    most of the traffic; on a 50/50 ping-pong it changes
                    nothing except the mirror writes it buys. *)
                 let acted_rehome =
-                  t.config.rehome
-                  && 2 * dominant_share dominant > faults
+                  2 * dominant_share dominant > faults
                   && Coherence.page_home t.coh vpn <> dominant
                   && Coherence.rehome_page t.coh ~vpn ~node:dominant
                      = `Rehomed
@@ -181,9 +156,7 @@ let tick t =
                 acted_colocate || acted_rehome
               in
               let acted =
-                match
-                  Analysis.classify ~min_faults:t.config.min_faults pt
-                with
+                match Analysis.classify pt with
                 | Analysis.Ping_pong { dominant } -> contended dominant
                 | Analysis.False_shared _ -> (
                     (* No alternating owner stream to trust; chase the
@@ -195,8 +168,7 @@ let tick t =
                     (* Pinned (futex-word) pages look read-mostly — their
                        "reads" are the home's delegated wait checks — but
                        pushed copies would be pure churn. *)
-                    t.config.replicate
-                    && not (Coherence.pinned_page t.coh vpn)
+                    (not (Coherence.pinned_page t.coh vpn))
                     && not (Coherence.replicate_marked t.coh vpn)
                     && begin
                          Coherence.mark_replicate t.coh ~first:vpn ~last:vpn;
@@ -214,19 +186,16 @@ let tick t =
     end
   end
 
-let attach ?(config = default) proc =
-  if config.trace_capacity <= 0 then
-    invalid_arg "Autopilot.attach: bad trace capacity";
-  if config.max_actions_per_tick <= 0 then
-    invalid_arg "Autopilot.attach: bad action budget";
+let attach proc =
   let coh = Process.coherence proc in
   let t =
     {
       proc;
       coh;
-      trace = Trace.attach ~capacity:config.trace_capacity coh;
-      balancer = Balancer.create proc ~policy:Placement.Least_loaded;
-      config;
+      trace = Trace.attach ~capacity:trace_capacity coh;
+      balancer = Balancer.create proc;
+      interval =
+        (Cluster.config (Process.cluster proc)).Core_config.autopilot_interval;
       tick_no = 0;
       stopped = false;
       page_acted = Hashtbl.create 16;
@@ -235,7 +204,7 @@ let attach ?(config = default) proc =
   in
   Process.set_safepoint_hook proc
     (Some (fun th -> ignore (Balancer.checkpoint t.balancer th)));
-  Process.set_periodic proc ~interval:config.interval (fun () -> tick t);
+  Process.set_periodic proc ~interval:t.interval (fun () -> tick t);
   t
 
 let stop t =

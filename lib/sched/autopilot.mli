@@ -20,57 +20,25 @@
       ({!Dex_proto.Coherence.mark_replicate}), so a rare write pushes
       fresh copies back instead of leaving every reader to re-fault.
 
-    Actions are budgeted per tick and rate-limited per page/thread
-    (cooldowns), so one noisy window cannot thrash placement. Enable it
-    with {!Dex_core.Core_config.autopilot}; converging Initial-variant
-    applications toward their hand-Optimized twins is the acceptance
-    test ([bench/main.exe autopilot]). *)
-
-type config = {
-  interval : Dex_sim.Time_ns.t;
-      (** tick period (default 250 µs) *)
-  window_ticks : int;
-      (** profiling-window length in ticks — each tick analyzes the
-          trailing [window_ticks × interval] slice of the trace ring
-          (default 8) *)
-  trace_capacity : int;
-      (** fault-trace ring size; bounds profiling memory (default 4096) *)
-  min_faults : int;
-      (** per-page classification floor per window (default 4) *)
-  colocate_min_faults : int;
-      (** extra evidence floor for the co-location lever (default 32):
-          migrating a thread re-faults its whole working set at the new
-          node, so a page must carry real traffic before it justifies
-          moves — re-homing and replication stay on the cheaper
-          [min_faults] floor *)
-  max_actions_per_tick : int;
-      (** pages acted on per tick (default 4) *)
-  cooldown_ticks : int;
-      (** ticks before the same page/thread may be acted on again; keep
-          ≥ [window_ticks] or stale window contents re-trigger (default
-          8) *)
-  overcommit : int;
-      (** threads allowed on a node beyond its core count before
-          co-location stops targeting it (default 0 — migrating into a
-          saturated node stretches the critical path more than locality
-          saves). Co-location is all-or-nothing per page: it fires only
-          when {e every} minority faulter fits on the dominant node, since
-          a partial move leaves the ping-pong intact. *)
-  colocate : bool;
-  rehome : bool;
-  replicate : bool;
-}
-
-val default : config
+    Each tick analyzes the trailing 8 ticks of a 4096-event trace ring.
+    At most 4 pages are acted on per tick, and a page or thread acted on
+    rests for 8 ticks, so one noisy window cannot thrash placement.
+    Co-location needs 32 faults on a page in the window (a migration
+    re-faults the thread's whole working set) and is all-or-nothing: it
+    fires only when {e every} minority faulter fits on the dominant node
+    within its core count, since a partial move leaves the ping-pong
+    intact. Enable it with {!Dex_core.Core_config.autopilot}; converging
+    Initial-variant applications toward their hand-Optimized twins is
+    the acceptance test ([bench/main.exe autopilot]). *)
 
 type t
 
-val attach : ?config:config -> Dex_core.Process.t -> t
+val attach : Dex_core.Process.t -> t
 (** Attach the autopilot to a process: installs the bounded trace, the
     safe-point hook (replacing any previous one) and the periodic tick
-    fiber. Call before spawning worker threads so no safe point is
-    missed. Raises [Invalid_argument] on a non-positive trace capacity
-    or action budget. *)
+    fiber, which fires every
+    {!Dex_core.Core_config.autopilot_interval} of the process's cluster.
+    Call before spawning worker threads so no safe point is missed. *)
 
 val stop : t -> unit
 (** Detach the trace and safe-point hook and disable future ticks (the
@@ -80,10 +48,3 @@ val stop : t -> unit
 val ticks : t -> int
 (** Profiling windows processed so far (also [autopilot.ticks] in
     {!Dex_proto.Coherence.stats}). *)
-
-val balancer : t -> Balancer.t
-(** The autopilot's migration balancer ([Least_loaded]), exposed for
-    tests and for applications that want to post their own requests. *)
-
-val trace : t -> Dex_profile.Trace.t
-(** The attached bounded trace (drained every tick). *)

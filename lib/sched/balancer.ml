@@ -2,43 +2,16 @@ open Dex_core
 
 type t = {
   proc : Process.t;
-  policy : Placement.t;
   requests : (int, int) Hashtbl.t;  (* tid -> target node *)
-  rng : Dex_sim.Rng.t;
 }
 
-let create proc ~policy =
-  {
-    proc;
-    policy;
-    requests = Hashtbl.create 16;
-    rng = Dex_sim.Rng.split (Cluster.rng (Process.cluster proc));
-  }
-
-let policy t = t.policy
+let create proc = { proc; requests = Hashtbl.create 16 }
 
 let request t ~tid ~node =
   let cluster = Process.cluster t.proc in
   if node < 0 || node >= Cluster.nodes cluster then
     invalid_arg "Balancer.request: bad node";
   Hashtbl.replace t.requests tid node
-
-let rebalance t ~tids =
-  let cluster = Process.cluster t.proc in
-  let total = List.length tids in
-  (* Pool occupancy only changes when a thread reaches its safe point and
-     actually migrates, so decisions made earlier in this same pass must
-     be accounted for explicitly — otherwise Least_loaded sends the whole
-     batch to one node (the herd bug). *)
-  let pending = Array.make (Cluster.nodes cluster) 0 in
-  List.iteri
-    (fun index tid ->
-      let node =
-        Placement.choose ~pending t.policy cluster ~rng:t.rng ~index ~total
-      in
-      pending.(node) <- pending.(node) + 1;
-      request t ~tid ~node)
-    tids
 
 let requested t ~tid = Hashtbl.find_opt t.requests tid
 

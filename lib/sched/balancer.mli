@@ -9,16 +9,11 @@
 
 type t
 
-val create : Dex_core.Process.t -> policy:Placement.t -> t
-
-val policy : t -> Placement.t
+val create : Dex_core.Process.t -> t
 
 val request : t -> tid:int -> node:int -> unit
 (** Post a migration request for thread [tid]; overrides any pending
-    one. *)
-
-val rebalance : t -> tids:int list -> unit
-(** Post requests for all [tids] according to the balancer's policy. *)
+    one. Raises [Invalid_argument] on a node outside the cluster. *)
 
 val checkpoint : t -> Dex_core.Process.thread -> bool
 (** Safe point: if a request is pending for the calling thread, migrate

@@ -976,6 +976,51 @@ let test_futex_wake_after_crash () =
     (Stats.get (Process.stats proc) "crash.futex_cancelled");
   Dex_proto.Coherence.check_invariants (Process.coherence proc)
 
+(* A finished process leaves nothing on the fabric's crash-subscriber
+   list: once [Dex.run] returns, its protocol state is garbage. Kept out
+   of line so no stack slot of the caller holds the process. *)
+let[@inline never] run_tiny_process ?origin cl =
+  let proc =
+    Dex.run ?origin cl (fun _ main ->
+        let a = Process.malloc main ~bytes:8 ~tag:"word" in
+        Process.store main a 1L)
+  in
+  let watch = Weak.create 1 in
+  Weak.set watch 0 (Some (Process.coherence proc));
+  watch
+
+let test_finished_process_is_released () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let watch = run_tiny_process cl in
+  Gc.full_major ();
+  check_bool "the finished process's coherence state was freed" false
+    (Weak.check watch 0);
+  ignore (Sys.opaque_identity cl)
+
+(* A finished process must not react to a later crash: node 1 was the
+   origin of a process that already exited, so its death is harmless to
+   the live process homed at node 0. *)
+let test_crash_of_finished_origin_spares_live_process () =
+  let nodes = 3 in
+  let cl = Dex.cluster ~nodes ~net:(crash_net ~nodes ()) () in
+  ignore (run_tiny_process ~origin:1 cl);
+  let final = ref 0L in
+  let proc =
+    Dex.run cl (fun _ main ->
+        let a = Process.memalign main ~align:4096 ~bytes:8 ~tag:"word" in
+        Process.store main a 7L;
+        Process.compute main ~ns:(us 100);
+        Cluster.crash_node cl ~node:1;
+        (* Outlast the keepalive backstop that declares the crash. *)
+        Process.compute main ~ns:(Time_ns.ms 1);
+        final := Process.load main a)
+  in
+  check_bool "node 1 was declared dead" true
+    (Dex_net.Fabric.crash_detected (Cluster.fabric cl) ~node:1);
+  Alcotest.(check int64) "the live process finished intact" 7L !final;
+  check_int "the live process reclaimed the dead node" 1
+    (Stats.get (Dex_proto.Coherence.stats (Process.coherence proc)) "crash.nodes")
+
 (* ------------------------------------------------------------------ *)
 (* Two-state mutex and delegation under contention.                    *)
 
@@ -1148,5 +1193,9 @@ let () =
           Alcotest.test_case "futex cancel (unit)" `Quick test_futex_cancel_unit;
           Alcotest.test_case "futex wake after node crash" `Quick
             test_futex_wake_after_crash;
+          Alcotest.test_case "finished process is released" `Quick
+            test_finished_process_is_released;
+          Alcotest.test_case "crash of a finished origin spares live process"
+            `Quick test_crash_of_finished_origin_spares_live_process;
         ] );
     ]

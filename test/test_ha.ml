@@ -63,7 +63,10 @@ let test_on_crash_priority () =
   let fabric = Fabric.create e (crash_net ~nodes:3 ()) in
   let order = ref [] in
   let sub ?priority tag =
-    Fabric.on_crash ?priority fabric (fun _ -> order := tag :: !order)
+    let (_ : unit -> unit) =
+      Fabric.on_crash ?priority fabric (fun _ -> order := tag :: !order)
+    in
+    ()
   in
   sub ~priority:20 "recovery";
   sub ~priority:0 "reclaim-a";
@@ -515,6 +518,21 @@ let test_standby_selection () =
         (Ha.standbys ha)
   | None -> Alcotest.fail "replication should be armed"
 
+(* Zero standbys is replication off, whatever the mode says; a negative
+   count and an empty explicit list are refused. *)
+let test_zero_standbys_is_off () =
+  let nodes = 3 in
+  let cluster proto = Dex.cluster ~nodes ~net:(crash_net ~nodes ()) ~proto () in
+  let proc = Dex.run (cluster (ha_proto ~k:0 (`Async 4))) (fun _ _ -> ()) in
+  check_bool "nothing armed" true (Process.ha proc = None);
+  check_int "no log entries" 0 (pstat proc "ha.entries");
+  Alcotest.check_raises "negative count refused"
+    (Invalid_argument "Process.create: bad standby count") (fun () ->
+      ignore (Process.create (cluster (ha_proto ~k:(-1) `Sync)) ()));
+  Alcotest.check_raises "empty list refused"
+    (Invalid_argument "Process.create: empty standby list") (fun () ->
+      ignore (Process.create (cluster (ha_proto ~standbys:[] `Sync)) ()))
+
 (* ------------------------------------------------------------------ *)
 (* Futexes across a failover: a waiter parked at the old origin re-parks
    at the promoted one (the wait is in the log) and the post-crash wake
@@ -741,6 +759,8 @@ let () =
             test_standby_loss_disables;
           Alcotest.test_case "explicit replica-set selection" `Quick
             test_standby_selection;
+          Alcotest.test_case "zero standbys is replication off" `Quick
+            test_zero_standbys_is_off;
         ] );
       ( "quorum",
         [

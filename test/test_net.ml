@@ -548,8 +548,11 @@ let test_crash_blackhole_and_detection () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   Fabric.set_handler fabric ~node:2 echo_handler;
   let order = ref [] in
-  Fabric.on_crash fabric (fun node -> order := ("a", node) :: !order);
-  Fabric.on_crash fabric (fun node -> order := ("b", node) :: !order);
+  let sub tag = Fabric.on_crash fabric (fun node -> order := (tag, node) :: !order) in
+  let (_ : unit -> unit) = sub "a" in
+  let unsubscribe_gone = sub "gone" in
+  let (_ : unit -> unit) = sub "b" in
+  unsubscribe_gone ();
   Engine.spawn e (fun () ->
       ignore
         (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 1));
@@ -569,7 +572,7 @@ let test_crash_blackhole_and_detection () =
     (chaos_stat fabric "chaos.crash_drops" > 0);
   check_int "crash counted" 1 (chaos_stat fabric "chaos.node_crashes");
   Alcotest.(check (list (pair string int)))
-    "subscribers ran once, in registration order"
+    "live subscribers ran once, in registration order"
     [ ("a", 1); ("b", 1) ]
     (List.rev !order)
 
@@ -587,8 +590,10 @@ let test_crash_scheduled_and_keepalive () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   Fabric.set_handler fabric ~node:2 echo_handler;
   let declared_at = ref (-1) in
-  Fabric.on_crash fabric (fun node ->
-      if node = 2 then declared_at := Engine.now e);
+  let (_ : unit -> unit) =
+    Fabric.on_crash fabric (fun node ->
+        if node = 2 then declared_at := Engine.now e)
+  in
   Engine.spawn e (fun () ->
       ignore
         (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 7)));

@@ -310,7 +310,7 @@ let test_analysis_tie_determinism () =
 (* Directed classification table: the four classes from synthetic windows. *)
 let test_classify_directed () =
   let mk events = List.hd (Analysis.page_traffic events) in
-  let classify pt = Analysis.classify ~min_faults:4 pt in
+  let classify = Analysis.classify in
   (* Single writer node, two reader nodes, reads >= 2x writes. *)
   let read_mostly =
     mk
@@ -378,7 +378,7 @@ let test_classify_directed () =
              ev ~time:2 0x1000 ~kind:FE.Write ~node:1 ])
    with
   | Analysis.Quiet -> ()
-  | _ -> Alcotest.fail "below min_faults must be Quiet")
+  | _ -> Alcotest.fail "below the fault floor must be Quiet")
 
 let test_window_filters_old_events () =
   let events = [ ev ~time:100 0x1000; ev ~time:200 0x2000; ev ~time:300 0x3000 ] in
