@@ -720,21 +720,12 @@ let crash_bench () =
     (pget "crash.migrations_refused");
   (* The reclaim pass must leave consistent, ghost-free ownership. *)
   Dex_proto.Coherence.check_invariants coh;
-  let ghosts = ref 0 in
-  for shard = 0 to Dex_proto.Coherence.shard_count coh - 1 do
-    Dex_mem.Directory.iter
-      (Dex_proto.Coherence.shard_directory coh ~shard)
-      (fun _ st ->
-        match st with
-        | Dex_mem.Directory.Exclusive n when n = 2 -> incr ghosts
-        | Dex_mem.Directory.Shared set when Dex_mem.Node_set.mem set 2 ->
-            incr ghosts
-        | _ -> ())
-  done;
   Format.printf
     "  -> post-reclaim invariants hold; directory entries still naming the \
      dead node: %d@."
-    !ghosts
+    (Dex_proto.Authority.entries_naming
+       (Dex_proto.Coherence.authority coh)
+       ~node:2)
 
 (* ------------------------------------------------------------------ *)
 (* Failover: origin replication cost (fences, log traffic) and the price

@@ -377,20 +377,10 @@ let crash_cmd =
       (pget "crash.futex_cancelled")
       (pget "crash.migrations_refused");
     Dex_proto.Coherence.check_invariants coh;
-    let ghosts = ref 0 in
-    for shard = 0 to Dex_proto.Coherence.shard_count coh - 1 do
-      Dex_mem.Directory.iter
-        (Dex_proto.Coherence.shard_directory coh ~shard)
-        (fun _ st ->
-          match st with
-          | Dex_mem.Directory.Exclusive n when n = crash_node -> incr ghosts
-          | Dex_mem.Directory.Shared set
-            when Dex_mem.Node_set.mem set crash_node ->
-              incr ghosts
-          | _ -> ())
-    done;
     Format.printf "post-reclaim invariants: ok (ghost directory entries: %d)@."
-      !ghosts;
+      (Dex_proto.Authority.entries_naming
+         (Dex_proto.Coherence.authority coh)
+         ~node:crash_node);
     Format.printf "sim time: %.2fms@."
       (Dex_sim.Time_ns.to_ms_f (Dex_core.Dex.elapsed cl));
     0

@@ -3,6 +3,7 @@ open Dex_mem
 module Fabric = Dex_net.Fabric
 module Msg = Dex_net.Msg
 module Coherence = Dex_proto.Coherence
+module Authority = Dex_proto.Authority
 module M = Core_messages
 module Ha = Dex_ha.Ha
 module Log_entry = Dex_ha.Log_entry
@@ -93,6 +94,7 @@ let migration_log t = List.rev t.mig_log
 let engine t = Cluster.engine t.cluster
 let cfg t = Cluster.config t.cluster
 let fabric t = Cluster.fabric t.cluster
+let authority t = Coherence.authority t.coh
 
 let find_thread t tid =
   match List.find_opt (fun th -> th.tid = tid) t.threads with
@@ -119,9 +121,9 @@ let ha_shard_of_entry t (e : Log_entry.t) =
   | Log_entry.Dir_set { vpn; _ }
   | Log_entry.Dir_forget { vpn }
   | Log_entry.Page_data { vpn; _ } ->
-      Coherence.shard_of t.coh vpn
+      Authority.shard_of (authority t) vpn
   | Log_entry.Futex_wait { addr; _ } | Log_entry.Futex_unpark { addr; _ } ->
-      Coherence.shard_of t.coh (Page.page_of_addr addr)
+      Authority.shard_of (authority t) (Page.page_of_addr addr)
   | Log_entry.Reset _ | Log_entry.Vma_set _ | Log_entry.Vma_remove _
   | Log_entry.Vma_protect _ ->
       0
@@ -138,12 +140,9 @@ let ha_fence_shard t shard =
    replicate-before-externalize barrier. With one shard the only
    delegation target is the origin, which homes the one shard. *)
 let ha_fence_node t ~node =
-  Array.iteri
-    (fun shard ha ->
-      match ha with
-      | Some ha when Coherence.shard_home t.coh ~shard = node -> Ha.fence ha
-      | _ -> ())
-    t.has
+  for shard = 0 to Array.length t.has - 1 do
+    if Authority.home (authority t) ~shard = node then ha_fence_shard t shard
+  done
 
 let ha_fence_all t =
   Array.iter (function Some ha -> Ha.fence ha | None -> ()) t.has
@@ -159,7 +158,7 @@ let ha_resolve t ~shard =
    resolver answers [None] and the exception propagates exactly as
    before. *)
 let rec home_rpc t ~shard ~src ~stat f =
-  let dst = Coherence.shard_home t.coh ~shard in
+  let dst = Authority.home (authority t) ~shard in
   try f ~dst
   with
   | Fabric.Unreachable _ as e
@@ -261,7 +260,7 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
   let t = th.proc in
   guard th (fun () ->
       Engine.delay (engine t) (cfg t).Core_config.syscall;
-      let target = Coherence.shard_home t.coh ~shard in
+      let target = Authority.home (authority t) ~shard in
       if th.location = target then run ()
       else begin
         Stats.incr t.stats "delegation";
@@ -399,7 +398,7 @@ let futex_wait th ~addr ~expected =
   let t = th.proc in
   (* The futex word's shard serves the wait: its home holds the queue
      (and, with replication, its log holds the wake ledger). *)
-  let shard = Coherence.shard_of t.coh (Page.page_of_addr addr) in
+  let shard = Authority.shard_of (authority t) (Page.page_of_addr addr) in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.futex_op;
     let redelivered =
@@ -420,7 +419,7 @@ let futex_wait th ~addr ~expected =
       Coherence.pin_page t.coh ~vpn:(Page.page_of_addr addr);
       let v =
         Coherence.load_i64 t.coh
-          ~node:(Coherence.shard_home t.coh ~shard)
+          ~node:(Authority.home (authority t) ~shard)
           ~tid:th.tid ~site:"futex" addr
       in
       if v <> expected then M.Ret_bool false
@@ -448,7 +447,7 @@ let futex_wait th ~addr ~expected =
 
 let futex_wake th ~addr ~count =
   let t = th.proc in
-  let shard = Coherence.shard_of t.coh (Page.page_of_addr addr) in
+  let shard = Authority.shard_of (authority t) (Page.page_of_addr addr) in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.futex_op;
     let tids = Futex.wake_tids t.futexes.(shard) ~addr ~count in
@@ -470,12 +469,10 @@ let futex_wake th ~addr ~count =
    to the right table: [fd = raw * nshards + shard]. With one shard the
    encoding is the identity, preserving historical fd values. *)
 let file_shard t name =
-  match Coherence.shard_count t.coh with
-  | 1 -> 0
-  | n -> Hashtbl.hash name mod n
+  Hashtbl.hash name mod Authority.shard_count (authority t)
 
-let fd_shard t fd = fd mod Coherence.shard_count t.coh
-let fd_raw t fd = fd / Coherence.shard_count t.coh
+let fd_shard t fd = fd mod Authority.shard_count (authority t)
+let fd_raw t fd = fd / Authority.shard_count (authority t)
 
 let file_open th name =
   let t = th.proc in
@@ -483,7 +480,7 @@ let file_open th name =
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
     let raw = Vfs.open_file t.vfss.(shard) name in
-    M.Ret_int ((raw * Coherence.shard_count t.coh) + shard)
+    M.Ret_int ((raw * Authority.shard_count (authority t)) + shard)
   in
   match delegate ~shard th run with M.Ret_int fd -> fd | _ -> assert false
 
@@ -912,11 +909,7 @@ let handle_node_crash t ~node =
      per-shard promotion fibers (queued at priority 10) run, so the home
      table still points at the casualty. With one shard this is [0]
      iff the origin died. *)
-  let homed =
-    List.filter
-      (fun s -> Coherence.shard_home t.coh ~shard:s = node)
-      (List.init (Coherence.shard_count t.coh) Fun.id)
-  in
+  let homed = Authority.homed_at (authority t) node in
   List.iter
     (fun shard ->
       match t.has.(shard) with
@@ -1043,7 +1036,7 @@ let create cluster ?(origin = 0) () =
   let stats = Stats.create () in
   let cfg = Cluster.proto_config cluster in
   let coh = Coherence.create ~cfg ~seed ~pid (Cluster.fabric cluster) ~origin in
-  let nshards = Coherence.shard_count coh in
+  let nshards = Authority.shard_count (Coherence.authority coh) in
   (* Zero standbys (and no explicit list) is replication off. *)
   let has =
     let k = cfg.Dex_proto.Proto_config.standby_count in
@@ -1062,7 +1055,7 @@ let create cluster ?(origin = 0) () =
         (* One independent replica set per shard: each home streams its
            own log, holds its own epoch and promotes on its own. *)
         Array.init nshards (fun shard ->
-            let home = Coherence.shard_home coh ~shard in
+            let home = Authority.home (Coherence.authority coh) ~shard in
             let standbys =
               match cfg.Dex_proto.Proto_config.standbys with
               | Some l ->
@@ -1134,7 +1127,8 @@ let create cluster ?(origin = 0) () =
               observer cannot see it; ship the fresh bytes ([ha_log]
               routes them to the page's shard). *)
            let store =
-             Coherence.page_store t.coh ~node:(Coherence.home_of t.coh vpn)
+             Coherence.page_store t.coh
+               ~node:(Authority.home_of (authority t) vpn)
            in
            if Page_store.mem store vpn then
              ha_log t
@@ -1146,7 +1140,7 @@ let create cluster ?(origin = 0) () =
         | None -> ()
         | Some ha ->
             Directory.set_observer
-              (Coherence.shard_directory t.coh ~shard)
+              (Authority.directory (authority t) ~shard)
               (Some
                  (fun vpn state ->
                    Ha.append ha
@@ -1177,7 +1171,7 @@ let create cluster ?(origin = 0) () =
                 let store = Coherence.page_store t.coh ~node:new_origin in
                 let pages =
                   Page_store.fold store ~init:[] ~f:(fun vpn data acc ->
-                      if Coherence.shard_of t.coh vpn = shard then
+                      if Authority.shard_of (authority t) vpn = shard then
                         Log_entry.Page_data { vpn; data = Bytes.copy data }
                         :: acc
                       else acc)
@@ -1186,7 +1180,7 @@ let create cluster ?(origin = 0) () =
                   List.map
                     (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
                     (Directory.snapshot
-                       (Coherence.shard_directory t.coh ~shard))
+                       (Authority.directory (authority t) ~shard))
                 in
                 dirs @ pages @ List.rev !vmas);
             Cluster.add_router cluster (Ha.router ha))

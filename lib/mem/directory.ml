@@ -89,16 +89,6 @@ let snapshot t =
   iter t (fun p st -> acc := (p, st) :: !acc);
   List.sort (fun (a, _) (b, _) -> compare a b) !acc
 
-let restore ~origin entries =
-  let t = create ~origin in
-  List.iter
-    (fun (p, st) ->
-      match st with
-      | Exclusive node -> set_exclusive t p node
-      | Shared readers -> set_shared t p readers)
-    entries;
-  t
-
 let check_invariants t =
   iter t (fun p -> function
     | Exclusive node ->

@@ -71,9 +71,6 @@ val snapshot : t -> (Page.vpn * state) list
     snapshots regardless of mutation order. Busy flags are transient
     protocol state and are not captured. *)
 
-val restore : origin:int -> (Page.vpn * state) list -> t
-(** Rebuild a directory from a {!snapshot} — standby bootstrap. *)
-
 val check_invariants : t -> unit
 (** Test hook: exclusive entries carry a valid node; shared entries are
     non-empty. *)

@@ -5,25 +5,16 @@ module Msg = Dex_net.Msg
 
 type outcome = [ `Done | `Retry ]
 
-(* Page ownership is partitioned over [nshards] shards, each rooted at a
-   {e home node}. With one shard (the default) it is homed at the
-   origin and every array below has a single slot. *)
 type t = {
   fabric : Fabric.t;
   engine : Engine.t;
-  nshards : int;
-  homes : int array;  (* shard -> home node; re-pointed by promote *)
-  epochs : int array;  (* shard -> generation; bumped by promote *)
-  home_view : int array array;
-      (* node -> shard -> where that node sends the shard's faults; the
-         replicated read-mostly home metadata *)
-  epoch_view : int array array;
-      (* node -> shard -> the epoch it stamps on them (epoch-stamped
-         invalidation of the replicated view) *)
+  authority : Authority.t;
+      (* which node serves each page, from which directory: per-shard
+         homes, epochs, directories and node views, plus the autopilot's
+         per-page re-homes and the futex layer's pins *)
   shard_grants : int array;  (* shard -> grants served, the load vector *)
   pid : int;
   cfg : Proto_config.t;
-  dirs : Directory.t array;  (* shard -> directory; replaced by promote *)
   ptables : Page_table.t array;
   stores : Page_store.t array;
   ftables : outcome Fault_table.t array;
@@ -46,71 +37,22 @@ type t = {
       (* per-node handler occupancy when [serial_home_service] is on:
          requests at one home queue behind each other instead of
          overlapping (1 "byte" = 1 ns of handler time) *)
-  rehomed : (Page.vpn, int) Hashtbl.t;
-      (* vpn -> the node the autopilot re-homed the page's authority to;
-         absent = the page resolves at its static shard home *)
-  rehome_dirs : Directory.t array;
-      (* node -> directory of the pages re-homed TO that node; entries
-         move here out of the shard directory and back on fallback *)
   replicate_hint : (Page.vpn, unit) Hashtbl.t;
       (* pages marked replicate-don't-invalidate by the autopilot *)
   push_subs : (Page.vpn, int list) Hashtbl.t;
       (* marked page -> readers invalidated by the last write grant, owed
          an unsolicited copy when the page next returns to Shared *)
-  pinned : (Page.vpn, unit) Hashtbl.t;
-      (* pages that must stay at their static shard home: the futex
-         layer's check-and-sleep is only atomic when the word's home can
-         read it without simulation events, so futex-word pages pin
-         themselves and rehome_page refuses them *)
   mutable unsubscribe_crash : unit -> unit;
       (* drops the fail-stop reclaim subscription ({!Fabric.on_crash}) *)
 }
 
-let shard_of t vpn =
-  match t.cfg.Proto_config.sharding with
-  | `Hash n -> vpn mod n
-  | `Range n -> vpn / 64 mod n
-
-let home_of t vpn = t.homes.(shard_of t vpn)
-let shard_count t = t.nshards
-let shard_home t ~shard = t.homes.(shard)
-let shard_epoch t ~shard = t.epochs.(shard)
-let shard_directory t ~shard = t.dirs.(shard)
+let authority t = t.authority
 let shard_load t = Array.copy t.shard_grants
-
-let shards_homed_at t node =
-  let acc = ref [] in
-  for s = t.nshards - 1 downto 0 do
-    if t.homes.(s) = node then acc := s :: !acc
-  done;
-  !acc
-
-(* The node a page's protocol operations resolve at right now: the
-   autopilot's re-home target when one is set, the static shard home
-   otherwise. With no re-homes this IS home_of. *)
-let page_home t vpn =
-  match Hashtbl.find_opt t.rehomed vpn with
-  | Some node -> node
-  | None -> t.homes.(shard_of t vpn)
-
-(* The directory entry authoritative for a page: the re-home target's
-   overlay directory for re-homed pages, the shard directory otherwise. *)
-let page_dir t vpn =
-  match Hashtbl.find_opt t.rehomed vpn with
-  | Some node -> t.rehome_dirs.(node)
-  | None -> t.dirs.(shard_of t vpn)
-
-let page_directory = page_dir
-let rehomed_pages t =
-  Hashtbl.fold (fun vpn node acc -> (vpn, node) :: acc) t.rehomed []
-  |> List.sort compare
-
 let replicate_marked t vpn = Hashtbl.mem t.replicate_hint vpn
-let pinned_page t vpn = Hashtbl.mem t.pinned vpn
 
 (* --- fail-stop reclaim ---------------------------------------------- *)
 
-(* Scrub a dead node out of one shard's ownership metadata. Runs
+(* Scrub a dead node out of one directory served at [home]. Runs
    synchronously from the failure declaration (Fabric.on_crash), possibly
    while grant fibers are blocked mid-fan-out with directory locks held —
    that is safe because every transition those fibers later apply
@@ -142,65 +84,45 @@ let scrub_dir t ~dir ~home ~node =
           end)
     !entries
 
-let scrub_shard t ~shard ~node =
-  scrub_dir t ~dir:t.dirs.(shard) ~home:t.homes.(shard) ~node
-
 (* Undo every autopilot re-home whose target just died: the authority of
    each affected page falls back to its static shard home, with the entry
    rebuilt from the surviving PTEs — a live writer keeps exclusivity, live
    readers keep a Shared set, and a page nobody else holds reverts to
    implicit exclusive-at-home (its staging copy was kept fresh by the
    grant-path mirror, so nothing observed is lost — the same
-   linearizability argument as scrub_dir). Runs synchronously from the
-   failure declaration, before requesters retry. *)
+   linearizability argument as scrub_dir). *)
 let rehome_fallback t ~node =
-  let victims =
-    Hashtbl.fold
-      (fun vpn target acc -> if target = node then vpn :: acc else acc)
-      t.rehomed []
-    |> List.sort compare
-  in
-  if victims <> [] then begin
-    (* The dead target's overlay directory is unreachable hardware now,
-       busy flags included — zombie grant fibers there unwind against the
-       discarded object. *)
-    t.rehome_dirs.(node) <- Directory.create ~origin:node;
-    List.iter
-      (fun vpn ->
-        Hashtbl.remove t.rehomed vpn;
-        let dir = t.dirs.(shard_of t vpn) in
-        let writer = ref None in
-        let readers = ref [] in
-        Array.iteri
-          (fun n pt ->
-            if n <> node && not (Fabric.crash_detected t.fabric ~node:n) then
-              match Page_table.get pt vpn with
-              | Some Perm.Write -> writer := Some n
-              | Some Perm.Read -> readers := n :: !readers
-              | None -> ())
-          t.ptables;
-        (match (!writer, !readers) with
-        | Some w, _ -> Directory.set_exclusive dir vpn w
-        | None, (_ :: _ as rs) ->
-            Directory.set_shared dir vpn (Node_set.of_list rs)
-        | None, [] -> ());
-        Stats.incr t.stats "autopilot.fallbacks")
-      victims
-  end
+  List.iter
+    (fun vpn ->
+      let dir = (Authority.route t.authority vpn).dir in
+      let writer = ref None and readers = ref [] in
+      Array.iteri
+        (fun n pt ->
+          if n <> node && not (Fabric.crash_detected t.fabric ~node:n) then
+            match Page_table.get pt vpn with
+            | Some Perm.Write -> writer := Some n
+            | Some Perm.Read -> readers := n :: !readers
+            | None -> ())
+        t.ptables;
+      (match (!writer, !readers) with
+      | Some w, _ -> Directory.set_exclusive dir vpn w
+      | None, (_ :: _ as rs) ->
+          Directory.set_shared dir vpn (Node_set.of_list rs)
+      | None, [] -> ());
+      Stats.incr t.stats "autopilot.fallbacks")
+    (Authority.fall_back t.authority ~node)
 
-(* Re-home metadata repair for a dead node: pages re-homed TO it fall
-   back, and it is scrubbed out of every other overlay directory. A no-op
-   (no stats, no events) when the autopilot never re-homed anything. *)
-let scrub_rehomes t ~node =
-  rehome_fallback t ~node;
-  Array.iteri
-    (fun target dir ->
-      if target <> node then scrub_dir t ~dir ~home:target ~node)
-    t.rehome_dirs
-
+(* Repair the ownership metadata for a dead node, synchronously from the
+   failure declaration and before requesters retry: scrub it out of every
+   directory served elsewhere, then fall back the pages re-homed to it.
+   A directory homed at the dead node is the HA layer's to rebuild (its
+   promotion fibers run at priority 10); without one, that is fatal. With
+   no re-homes the overlay pass is a no-op: no stats, no events. *)
 let reclaim_node t ~node =
-  (match shards_homed_at t node with
-  | [] -> ()
+  let homed = Authority.homed_at t.authority node in
+  (match homed with
+  | [] -> Stats.incr t.stats "crash.nodes"
+  | _ when t.resolver <> None -> ()
   | 0 :: _ ->
       failwith
         "Coherence: the origin fail-stopped — no recovery possible (the \
@@ -209,65 +131,36 @@ let reclaim_node t ~node =
       failwith
         "Coherence: a home node fail-stopped with no replication armed — \
          its shard's directory died with it");
-  Stats.incr t.stats "crash.nodes";
-  for shard = 0 to t.nshards - 1 do
-    scrub_shard t ~shard ~node
-  done;
-  scrub_rehomes t ~node;
-  (* Wholesale amnesia on the dead node's local state: its page tables and
-     store are unreachable hardware now. Its fault table is deliberately
-     NOT dropped: leader fibers still parked there unwind through the
-     Unreachable path and retire their entries, which is what lets the
-     coalesced followers drain instead of deadlocking the engine. *)
-  t.ptables.(node) <- Page_table.create ();
-  t.stores.(node) <- Page_store.create ()
-
-(* A home node died with HA wired: the homed shards' recovery belongs to
-   their promotion fibers (priority 10), but the dead node must still be
-   scrubbed out of every {e other} shard's directory — those shards keep
-   serving and must not leave pages owned by a ghost. With one shard this
-   is a no-op: the dead origin homes the only shard. *)
-let partial_scrub t ~node =
-  let homed = shards_homed_at t node in
-  for shard = 0 to t.nshards - 1 do
-    if not (List.mem shard homed) then scrub_shard t ~shard ~node
-  done;
-  (* Re-homed pages are NOT replicated (their authority left the shard
-     directory, and the observer with it): pages re-homed to the dead
-     node fall back here even when its homed shards take the promotion
-     path, and pages re-homed elsewhere keep serving through their live
-     overlay directories. *)
-  scrub_rehomes t ~node
+  Authority.iter_dirs t.authority (fun r ->
+      if r.node <> node then scrub_dir t ~dir:r.dir ~home:r.node ~node);
+  rehome_fallback t ~node;
+  if homed = [] then begin
+    (* Wholesale amnesia on the dead node's local state. Its fault table
+       is deliberately NOT dropped: leader fibers still parked there
+       unwind through the Unreachable path and retire their entries, which
+       lets the coalesced followers drain instead of deadlocking. *)
+    t.ptables.(node) <- Page_table.create ();
+    t.stores.(node) <- Page_store.create ()
+  end
 
 let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
     =
   let engine = Fabric.engine fabric in
   let n = Fabric.node_count fabric in
   if origin < 0 || origin >= n then invalid_arg "Coherence.create: bad origin";
-  let nshards =
-    match cfg.Proto_config.sharding with
-    | `Hash s | `Range s ->
-        if s < 1 then invalid_arg "Coherence.create: shard count must be >= 1";
-        s
+  let authority =
+    Authority.create ~sharding:cfg.Proto_config.sharding ~origin ~nodes:n
   in
-  (* Shard s is homed at (origin + s) mod n: shard 0 is always the process
-     origin (the VMA/allocator/file services live there), and shard count
-     may exceed the node count — homes then wrap. *)
-  let homes = Array.init nshards (fun s -> (origin + s) mod n) in
+  let nshards = Authority.shard_count authority in
   let rng = Rng.create ~seed in
   let t =
     {
       fabric;
       engine;
-      nshards;
-      homes;
-      epochs = Array.make nshards 0;
-      home_view = Array.init n (fun _ -> Array.copy homes);
-      epoch_view = Array.init n (fun _ -> Array.make nshards 0);
+      authority;
       shard_grants = Array.make nshards 0;
       pid;
       cfg;
-      dirs = Array.init nshards (fun s -> Directory.create ~origin:homes.(s));
       ptables = Array.init n (fun _ -> Page_table.create ());
       stores = Array.init n (fun _ -> Page_store.create ());
       ftables = Array.init n (fun _ -> Fault_table.create engine ());
@@ -284,39 +177,26 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
              (Array.init n (fun _ ->
                   Resource.Server.create engine ~bytes_per_us:1000.0))
          else None);
-      rehomed = Hashtbl.create 16;
-      rehome_dirs = Array.init n (fun node -> Directory.create ~origin:node);
       replicate_hint = Hashtbl.create 16;
       push_subs = Hashtbl.create 16;
-      pinned = Hashtbl.create 16;
       unsubscribe_crash = Fun.id;
     }
   in
   if nshards > 1 then Stats.add t.stats "shard.homes" nshards;
   (* Subscribe the reclaim pass at create time and at priority 0, before
      any HA promotion (10) or process recovery (20): when a failure is
-     declared, ownership metadata is repaired first. A home-node death is
-     left to the HA layer when one is wired (a resolver is installed) —
-     except that the dead node is still scrubbed out of the shards it did
-     NOT home; without HA, reclaim_node's refusal is the PR 3 behavior. *)
+     declared, ownership metadata is repaired first. *)
   t.unsubscribe_crash <-
-    Fabric.on_crash ~priority:0 fabric (fun node ->
-        match t.resolver with
-        | Some _ when shards_homed_at t node <> [] -> partial_scrub t ~node
-        | _ -> reclaim_node t ~node);
+    Fabric.on_crash ~priority:0 fabric (fun node -> reclaim_node t ~node);
   t
 
 let unsubscribe_crash t = t.unsubscribe_crash ()
 
-let origin t = t.homes.(0)
-let epoch t = t.epochs.(0)
 let pid t = t.pid
 let cfg t = t.cfg
 let node_count t = Array.length t.ptables
 let page_table t ~node = t.ptables.(node)
 let page_store t ~node = t.stores.(node)
-let directory t = t.dirs.(0)
-let fault_table t ~node = t.ftables.(node)
 let stats t = t.stats
 let fault_latencies t = t.fault_latencies
 let set_tracer t tracer = t.tracer <- tracer
@@ -428,7 +308,13 @@ let revoke_rpc t ~shard ~home ~target ~vpn ~mode ~want_data =
       Fabric.call t.fabric ~src ~dst:target ~kind:Messages.kind_revoke
         ~size:t.cfg.Proto_config.ctl_msg_size
         (Messages.Revoke
-           { pid = t.pid; vpn; mode; want_data; epoch = t.epochs.(shard) })
+           {
+             pid = t.pid;
+             vpn;
+             mode;
+             want_data;
+             epoch = Authority.epoch t.authority ~shard;
+           })
     with
     | Messages.Revoke_ack { data; _ } -> data
     | _ -> failwith "Coherence: unexpected revoke reply"
@@ -460,21 +346,24 @@ let revoke_parallel t ~shard ~home targets ~vpn =
 (* Ship a re-homed page's current bytes back to its static shard home,
    keeping the staging copy there fresh: crash fallback rebuilds the entry
    at the shard home, whose store must cover everything any survivor has
-   observed. Called exactly when the dynamic home externalizes data, so
-   home-local traffic on a re-homed page stays message-free. *)
+   observed. Called exactly when the serving home externalizes data (a
+   no-op without data or unless the page is re-homed), so home-local
+   traffic on a re-homed page stays message-free. *)
 let mirror_to_static t ~src ~vpn data =
-  let dst = t.homes.(shard_of t vpn) in
-  if src <> dst && not (Fabric.crash_detected t.fabric ~node:dst) then begin
-    Stats.incr t.stats "autopilot.mirrors";
-    match
-      Fabric.call t.fabric ~src ~dst ~kind:Messages.kind_page_sync
-        ~size:t.cfg.Proto_config.page_msg_size
-        (Messages.Page_sync { pid = t.pid; vpn; data })
-    with
-    | Messages.Page_sync_ack _ -> ()
-    | _ -> failwith "Coherence: unexpected sync reply"
-    | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:dst
-  end
+  let dst = Authority.home_of t.authority vpn in
+  match data with
+  | Some data when src <> dst && not (Fabric.crash_detected t.fabric ~node:dst)
+    -> (
+      Stats.incr t.stats "autopilot.mirrors";
+      match
+        Fabric.call t.fabric ~src ~dst ~kind:Messages.kind_page_sync
+          ~size:t.cfg.Proto_config.page_msg_size
+          (Messages.Page_sync { pid = t.pid; vpn; data })
+      with
+      | Messages.Page_sync_ack _ -> ()
+      | _ -> failwith "Coherence: unexpected sync reply"
+      | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:dst)
+  | _ -> ()
 
 (* Pull fresh page data back to the home from the current exclusive
    owner, downgrading or invalidating its copy.
@@ -494,14 +383,11 @@ let reclaim_from_owner t ~shard ~home ~owner ~vpn ~mode =
     let data =
       revoke_rpc t ~shard ~home ~target:owner ~vpn ~mode:first ~want_data:true
     in
-    Option.iter
-      (fun d ->
-        Page_store.install t.stores.(home) vpn d;
-        (* Re-homed page: refresh the static staging copy before the HA
-           hook snapshots it, so the log never ships stale bytes. *)
-        if home <> t.homes.(shard) then mirror_to_static t ~src:home ~vpn d;
-        origin_store_mutated t vpn)
-      data;
+    Option.iter (Page_store.install t.stores.(home) vpn) data;
+    (* Re-homed page: refresh the static staging copy before the HA hook
+       snapshots it, so the log never ships stale bytes. *)
+    mirror_to_static t ~src:home ~vpn data;
+    if Option.is_some data then origin_store_mutated t vpn;
     if two_phase then begin
       Stats.incr t.stats "ha.two_phase_reclaims";
       commit_fence t ~shard;
@@ -526,7 +412,7 @@ let live_set t nodes =
 (* Per-shard load accounting, live only with more than one shard: grants
    served at the home for requesters co-located with it vs remote ones. *)
 let note_shard_grant t ~shard ~home ~requester =
-  if t.nshards > 1 then begin
+  if Authority.shard_count t.authority > 1 then begin
     t.shard_grants.(shard) <- t.shard_grants.(shard) + 1;
     Stats.incr t.stats
       (if requester = home then "shard.local_grants"
@@ -580,7 +466,7 @@ let push_replicas t ~shard ~home ~dir ~vpn ~requester =
                             pid = t.pid;
                             vpn;
                             data;
-                            epoch = t.epochs.(shard);
+                            epoch = Authority.epoch t.authority ~shard;
                           })
                    with
                    | Messages.Page_push_ack { accepted = ok; _ } ->
@@ -619,7 +505,7 @@ let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
     Stats.incr t.stats "grant.nack";
     `Nack
   end
-  else if page_dir t vpn != dir then begin
+  else if (Authority.route t.authority vpn).dir != dir then begin
     (* The page's authority moved (re-home or fallback) between dispatch
        and lock: this directory no longer speaks for it, and the lock just
        taken may even have auto-created a fresh entry here. Drop the bogus
@@ -679,8 +565,7 @@ let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
         in
         (* Both extras below can block; they run before the ghost re-check
            so a requester dying under them is still caught. *)
-        if home <> t.homes.(shard) then
-          Option.iter (fun d -> mirror_to_static t ~src:home ~vpn d) data;
+        mirror_to_static t ~src:home ~vpn data;
         if access = Perm.Read then
           push_replicas t ~shard ~home ~dir ~vpn ~requester;
         if requester_gone t ~home ~requester then begin
@@ -739,44 +624,31 @@ let backoff t ~node ~attempt =
    long fault, never an abort. *)
 let request_failure t ~node ~shard ~dst ~steered =
   if Fabric.crashed t.fabric ~node then `Reraise
-  else if steered then begin
-    (* The re-home target is unreachable. Escalate an undeclared crash —
-       exhausting the budget IS the failure detector here too — so the
-       fallback pass runs and the page's authority returns to its shard
-       home; the retry then resolves there. A live-but-slow target keeps
-       the page and is simply retried. *)
+  else begin
+    (* An unreachable re-home target is escalated too — exhausting the
+       budget IS the failure detector here as well — so the fallback pass
+       runs and the retry resolves at the page's shard home. A
+       live-but-slow target keeps the page and is simply retried. *)
     if
-      Fabric.crashed t.fabric ~node:dst
+      (steered || t.resolver <> None)
+      && Fabric.crashed t.fabric ~node:dst
       && not (Fabric.crash_detected t.fabric ~node:dst)
     then begin
       Stats.incr t.stats "crash.escalations";
       Fabric.declare_dead t.fabric ~node:dst
     end;
-    Stats.incr t.stats "crash.requester_retries";
-    `Nack
-  end
-  else begin
-    (match t.resolver with
-    | Some _
-      when Fabric.crashed t.fabric ~node:dst
-           && not (Fabric.crash_detected t.fabric ~node:dst) ->
-        Stats.incr t.stats "crash.escalations";
-        Fabric.declare_dead t.fabric ~node:dst
-    | _ -> ());
-    if Fabric.crash_detected t.fabric ~node:dst then
-      match t.resolver with
-      | Some resolve -> (
-          match resolve shard with
-          | Some o ->
-              t.home_view.(node).(shard) <- o;
-              Stats.incr t.stats "ha.stalled_faults";
-              `Nack
-          | None -> `Reraise)
-      | None -> `Reraise
-    else begin
-      Stats.incr t.stats "crash.requester_retries";
-      `Nack
-    end
+    match t.resolver with
+    | _ when steered || not (Fabric.crash_detected t.fabric ~node:dst) ->
+        Stats.incr t.stats "crash.requester_retries";
+        `Nack
+    | None -> `Reraise
+    | Some resolve -> (
+        match resolve shard with
+        | Some o ->
+            (Authority.view t.authority ~node ~shard).home <- o;
+            Stats.incr t.stats "ha.stalled_faults";
+            `Nack
+        | None -> `Reraise)
   end
 
 (* Send one [Page_request] for [vpn] from [node], which is not the page's
@@ -786,35 +658,32 @@ let request_failure t ~node ~shard ~dst ~steered =
    when the call failed in a way the fault loop retries
    ({!request_failure}). *)
 let page_request t ~node ~shard ~vpn ~access =
-  let steer = Hashtbl.find_opt t.rehomed vpn in
-  let dst =
-    match steer with
-    | Some d when d <> node -> d
-    | _ -> t.home_view.(node).(shard)
-  in
+  let route = Authority.route t.authority vpn in
+  let view = Authority.view t.authority ~node ~shard in
+  let steered = Option.is_none route.shard && route.node <> node in
   (* Backstop against a view pointing at ourselves (we just stopped
      being the page's home): resolve the live authority directly. *)
-  let dst = if dst = node then page_home t vpn else dst in
+  let dst = if steered || view.home = node then route.node else view.home in
   match
     Fabric.call t.fabric ~src:node ~dst ~kind:Messages.kind_page_request
       ~size:t.cfg.Proto_config.ctl_msg_size
-      (Messages.Page_request
-         { pid = t.pid; vpn; access; epoch = t.epoch_view.(node).(shard) })
+      (Messages.Page_request { pid = t.pid; vpn; access; epoch = view.epoch })
   with
   | reply -> Some reply
   | exception (Fabric.Unreachable _ as e) -> (
-      match request_failure t ~node ~shard ~dst ~steered:(steer = Some dst) with
+      match request_failure t ~node ~shard ~dst ~steered with
       | `Nack -> None
       | `Reraise -> raise e)
 
 (* One protocol attempt as the fault leader. *)
 let request_once t ~node ~vpn ~access =
-  let shard = shard_of t vpn in
-  if node = page_home t vpn then begin
+  let shard = Authority.shard_of t.authority vpn in
+  if node = (Authority.route t.authority vpn).node then begin
     Engine.delay t.engine t.cfg.Proto_config.local_op;
     match
-      origin_grant t ~shard ~home:node ~dir:(page_dir t vpn) ~requester:node
-        ~vpn ~access
+      origin_grant t ~shard ~home:node
+        ~dir:(Authority.route t.authority vpn).dir ~requester:node ~vpn
+        ~access
     with
     | `Nack -> `Nack
     | `Grant _ ->
@@ -835,11 +704,11 @@ let request_once t ~node ~vpn ~access =
         (* Failover happened while we still addressed the old epoch: adopt
            the new one and retry — the view already points at whoever
            answered. *)
-        t.epoch_view.(node).(shard) <- epoch;
+        (Authority.view t.authority ~node ~shard).epoch <- epoch;
         `Nack
     | Some (Messages.Page_redirect _) ->
         (* The page's authority moved while the request was in flight;
-           the retry steers by the current re-home table. *)
+           the retry steers by the current authority table. *)
         Stats.incr t.stats "autopilot.resteers";
         `Nack
     | Some (Messages.Page_grant { data; _ }) ->
@@ -856,14 +725,15 @@ let kind_of_access = function
 let ensure t ~node ~tid ~site ~vpn ~access =
   let pt = t.ptables.(node) in
   if not (Page_table.allows pt vpn access) then begin
-    let shard = shard_of t vpn in
+    let shard = Authority.shard_of t.authority vpn in
     let t0 = Engine.now t.engine in
     let retries = ref 0 in
     let was_leader = ref false in
     let rec loop () =
       if Page_table.allows pt vpn access then ()
       else if
-        node = page_home t vpn && not (Directory.is_tracked (page_dir t vpn) vpn)
+        let route = Authority.route t.authority vpn in
+        node = route.node && not (Directory.is_tracked route.dir vpn)
       then begin
         (* Cold anonymous page at its home: plain minor fault, the
            protocol is not involved. *)
@@ -884,7 +754,7 @@ let ensure t ~node ~tid ~site ~vpn ~access =
                description of stock Linux — the prepared page is simply
                discarded because the PTE changed under it. *)
             Stats.incr t.stats "fault.duplicate";
-            if node <> page_home t vpn then
+            if node <> (Authority.route t.authority vpn).node then
               (* The duplicate's result is discarded anyway; a timeout
                  toward the live home is not worth aborting for, and a
                  dead home just means waiting out the failover. *)
@@ -960,7 +830,7 @@ let store_i64 t ~node ~tid ?(site = "?") addr v =
   let vpn = Page.page_of_addr addr in
   ensure t ~node ~tid ~site ~vpn ~access:Perm.Write;
   Page_store.write_i64 t.stores.(node) vpn ~offset:(Page.offset_in_page addr) v;
-  if node = home_of t vpn then origin_store_mutated t vpn
+  if node = Authority.home_of t.authority vpn then origin_store_mutated t vpn
 
 (* 32-bit and byte accessors share a page with their 64-bit neighbours;
    the protocol is oblivious to the width. Stored little-endian within the
@@ -992,7 +862,7 @@ let store_i32 t ~node ~tid ?(site = "?") addr v =
   in
   Page_store.write_i64 t.stores.(node) vpn ~offset
     (Int64.logor (Int64.logand cell (Int64.lognot mask)) v64);
-  if node = home_of t vpn then origin_store_mutated t vpn
+  if node = Authority.home_of t.authority vpn then origin_store_mutated t vpn
 
 let load_byte t ~node ~tid ?(site = "?") addr =
   check_node t node "load_byte";
@@ -1005,7 +875,7 @@ let store_byte t ~node ~tid ?(site = "?") addr v =
   let vpn = Page.page_of_addr addr in
   ensure t ~node ~tid ~site ~vpn ~access:Perm.Write;
   Page_store.write_byte t.stores.(node) vpn ~offset:(Page.offset_in_page addr) v;
-  if node = home_of t vpn then origin_store_mutated t vpn
+  if node = Authority.home_of t.authority vpn then origin_store_mutated t vpn
 
 let cas_i64 t ~node ~tid ?(site = "?") addr ~expected ~desired =
   check_node t node "cas_i64";
@@ -1017,7 +887,8 @@ let cas_i64 t ~node ~tid ?(site = "?") addr ~expected ~desired =
   let current = Page_store.read_i64 t.stores.(node) vpn ~offset in
   if current = expected then begin
     Page_store.write_i64 t.stores.(node) vpn ~offset desired;
-    if node = home_of t vpn then origin_store_mutated t vpn;
+    if node = Authority.home_of t.authority vpn then
+      origin_store_mutated t vpn;
     true
   end
   else false
@@ -1029,7 +900,7 @@ let fetch_add_i64 t ~node ~tid ?(site = "?") addr delta =
   let offset = Page.offset_in_page addr in
   let current = Page_store.read_i64 t.stores.(node) vpn ~offset in
   Page_store.write_i64 t.stores.(node) vpn ~offset (Int64.add current delta);
-  if node = home_of t vpn then origin_store_mutated t vpn;
+  if node = Authority.home_of t.authority vpn then origin_store_mutated t vpn;
   current
 
 let zap_range t ~first ~last ~node =
@@ -1042,7 +913,7 @@ let zap_range t ~first ~last ~node =
 
 let forget_range t ~first ~last =
   for vpn = first to last do
-    Directory.forget t.dirs.(shard_of t vpn) vpn
+    Authority.forget t.authority vpn
   done
 
 (* ------------------------------------------------------------------ *)
@@ -1051,24 +922,23 @@ let forget_range t ~first ~last =
 (* Move a page's protocol authority to [node]: its directory entry leaves
    the current serving directory for the target's overlay directory (or
    back into the shard directory when re-homing to the static home), the
-   staging copy ships over, and the re-home table steers every node there.
+   staging copy ships over, and the authority table steers every node there.
    Faults from [node] then resolve locally — the win for ping-ponged pages
    whose dominant faulter is remote from the shard home. The entry move is
    guarded by the page's busy flag, so it serializes against grants like
    any other protocol operation ([`Busy] = try again next tick). *)
 let rehome_page t ~vpn ~node =
   check_node t node "rehome_page";
-  let shard = shard_of t vpn in
+  let a = t.authority in
   if Fabric.crash_detected t.fabric ~node then `Dead_target
   else begin
-    let cur = page_home t vpn in
+    let { Authority.node = cur; dir; _ } = Authority.route a vpn in
     if cur = node then `Noop
-    else if Hashtbl.mem t.pinned vpn && node <> t.homes.(shard) then
+    else if Authority.pinned a vpn && node <> Authority.home_of a vpn then
       (* Pinned pages (futex words) only ever move BACK to their static
          home — the futex check-and-sleep needs home-local reads. *)
       `Noop
     else begin
-      let dir = page_dir t vpn in
       if not (Directory.try_lock dir vpn) then begin
         Stats.incr t.stats "autopilot.rehome_busy";
         `Busy
@@ -1080,25 +950,20 @@ let rehome_page t ~vpn ~node =
            and the exclusive owner's dirty copy is STRICTLY fresher, so
            overwriting its store would serve time-travelled reads and
            lose the owner's updates on the next externalization. *)
-        let target_holds =
-          match state with
-          | Directory.Exclusive owner -> owner = node
-          | Directory.Shared readers -> Node_set.mem readers node
-        in
         let ship () =
-          if target_holds then ()
+          if Directory.has_valid_copy dir vpn node then ()
           else
             match snapshot_if_materialized t.stores.(cur) vpn with
-          | None -> ()
-          | Some data -> (
-              match
-                Fabric.call t.fabric ~src:cur ~dst:node
-                  ~kind:Messages.kind_page_sync
-                  ~size:t.cfg.Proto_config.page_msg_size
-                  (Messages.Page_sync { pid = t.pid; vpn; data })
-              with
-              | Messages.Page_sync_ack _ -> ()
-              | _ -> failwith "Coherence: unexpected sync reply")
+            | None -> ()
+            | Some data -> (
+                match
+                  Fabric.call t.fabric ~src:cur ~dst:node
+                    ~kind:Messages.kind_page_sync
+                    ~size:t.cfg.Proto_config.page_msg_size
+                    (Messages.Page_sync { pid = t.pid; vpn; data })
+                with
+                | Messages.Page_sync_ack _ -> ()
+                | _ -> failwith "Coherence: unexpected sync reply")
         in
         match ship () with
         | exception Fabric.Unreachable _ ->
@@ -1113,21 +978,12 @@ let rehome_page t ~vpn ~node =
         | () ->
             (* Release the busy flag, then move the entry and flip the
                routing state — no simulation event intervenes, so the
-               whole move is atomic in simulated time. *)
+               whole move is atomic in simulated time. Every node's next
+               fault on the page steers by the new route, so it goes
+               straight to the new home; requests already in flight are
+               answered with a redirect. *)
             Directory.unlock dir vpn;
-            Directory.forget dir vpn;
-            let ndir =
-              if node = t.homes.(shard) then t.dirs.(shard)
-              else t.rehome_dirs.(node)
-            in
-            (match state with
-            | Directory.Exclusive owner -> Directory.set_exclusive ndir vpn owner
-            | Directory.Shared readers -> Directory.set_shared ndir vpn readers);
-            (* Every node's next fault on the page steers by this table,
-               so it goes straight to the new home; requests already in
-               flight are answered with a redirect. *)
-            if node = t.homes.(shard) then Hashtbl.remove t.rehomed vpn
-            else Hashtbl.replace t.rehomed vpn node;
+            Authority.move a vpn ~from:dir ~node state;
             Stats.incr t.stats "autopilot.rehomes";
             `Rehomed
       end
@@ -1144,10 +1000,11 @@ let rehome_page t ~vpn ~node =
    entry busy. With no re-homes this is a hash lookup and an insert —
    no simulation events, so a run that never re-homes is unaffected. *)
 let pin_page t ~vpn =
-  if not (Hashtbl.mem t.pinned vpn) then begin
-    Hashtbl.replace t.pinned vpn ();
-    if Hashtbl.mem t.rehomed vpn then begin
-      let home = t.homes.(shard_of t vpn) in
+  let a = t.authority in
+  if not (Authority.pinned a vpn) then begin
+    Authority.pin a vpn;
+    if Option.is_none (Authority.route a vpn).shard then begin
+      let home = Authority.home_of a vpn in
       let attempt = ref 0 in
       let rec pull () =
         match rehome_page t ~vpn ~node:home with
@@ -1200,11 +1057,12 @@ let apply_invalidation t ~node ~vpn ~mode =
    one. Returns [true] when the message is from a dead epoch and must be
    acked without effect — its sender no longer speaks for the pages. *)
 let stale_origin_traffic t ~node ~shard ~src ~epoch =
-  if epoch > t.epoch_view.(node).(shard) then begin
-    t.epoch_view.(node).(shard) <- epoch;
-    t.home_view.(node).(shard) <- src
+  let view = Authority.view t.authority ~node ~shard in
+  if epoch > view.epoch then begin
+    view.epoch <- epoch;
+    view.home <- src
   end;
-  if epoch < t.epoch_view.(node).(shard) then begin
+  if epoch < view.epoch then begin
     Stats.incr t.stats "ha.stale_revokes";
     true
   end
@@ -1214,8 +1072,8 @@ let handler_unguarded t (env : Fabric.env) =
   let msg = env.Fabric.msg in
   match msg.Msg.payload with
   | Messages.Page_request { pid; vpn; access; epoch } when pid = t.pid ->
-      let shard = shard_of t vpn in
-      let home = page_home t vpn in
+      let shard = Authority.shard_of t.authority vpn in
+      let home = (Authority.route t.authority vpn).node in
       if msg.Msg.dst <> home then begin
         (* The requester's steer is stale — the page's authority moved
            (re-home, fallback, or a fresh re-home after a fallback).
@@ -1227,14 +1085,16 @@ let handler_unguarded t (env : Fabric.env) =
       end
       else begin
         home_service t ~node:msg.Msg.dst t.cfg.Proto_config.origin_handler;
-        if epoch <> t.epochs.(shard) then begin
+        let current = Authority.epoch t.authority ~shard in
+        if epoch <> current then begin
           Stats.incr t.stats "ha.stale_epoch_nacks";
           env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-            (Messages.Page_stale { pid = t.pid; epoch = t.epochs.(shard) })
+            (Messages.Page_stale { pid = t.pid; epoch = current })
         end
         else
           match
-            origin_grant t ~shard ~home ~dir:(page_dir t vpn)
+            origin_grant t ~shard ~home
+              ~dir:(Authority.route t.authority vpn).dir
               ~requester:msg.Msg.src ~vpn ~access
           with
           | `Nack ->
@@ -1255,7 +1115,7 @@ let handler_unguarded t (env : Fabric.env) =
       true
   | Messages.Revoke { pid; vpn; mode; want_data; epoch } when pid = t.pid ->
       let node = msg.Msg.dst in
-      let shard = shard_of t vpn in
+      let shard = Authority.shard_of t.authority vpn in
       if stale_origin_traffic t ~node ~shard ~src:msg.Msg.src ~epoch then begin
         env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
           (Messages.Revoke_ack { pid = t.pid; vpn; data = None })
@@ -1289,10 +1149,11 @@ let handler_unguarded t (env : Fabric.env) =
          the dead home and drain through the resolver — a grant from the
          new home is authoritative over anything zapped here. *)
       let entries = ref [] in
-      (* Re-homed pages are vouched for by their live overlay directory,
-         not the promoted replica — the fence must not zap them. *)
+      (* Only pages the shard directory serves: re-homed ones are vouched
+         for by their live overlay directory, not the promoted replica —
+         the fence must not zap them. *)
       Page_table.iter t.ptables.(node) (fun vpn access ->
-          if shard_of t vpn = shard && not (Hashtbl.mem t.rehomed vpn) then
+          if (Authority.route t.authority vpn).shard = Some shard then
             entries := (vpn, access) :: !entries);
       let zapped = ref 0 in
       List.iter
@@ -1338,13 +1199,14 @@ let handler_unguarded t (env : Fabric.env) =
       let node = msg.Msg.dst in
       Engine.delay t.engine t.cfg.Proto_config.local_op;
       Page_store.install t.stores.(node) vpn data;
-      if node = t.homes.(shard_of t vpn) then origin_store_mutated t vpn;
+      if node = Authority.home_of t.authority vpn then
+        origin_store_mutated t vpn;
       env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
         (Messages.Page_sync_ack { pid = t.pid });
       true
   | Messages.Page_push { pid; vpn; data; epoch } when pid = t.pid ->
       let node = msg.Msg.dst in
-      let shard = shard_of t vpn in
+      let shard = Authority.shard_of t.authority vpn in
       (* An in-flight fault is NOT a reason to decline: the pusher
          holds the page's directory lock, so that fault can only be in
          its NACK-retry loop — and the retry re-validates local
@@ -1384,36 +1246,33 @@ let handler t (env : Fabric.env) =
    snapshot restricted to the shard, [page_data] the replicated
    home-store contents for its pages. *)
 let promote t ~shard ~new_origin ~dir_entries ~page_data =
-  let old = t.homes.(shard) in
+  let a = t.authority in
+  let old = Authority.home a ~shard in
   if new_origin = old then invalid_arg "Coherence.promote: origin unchanged";
   if Fabric.crashed t.fabric ~node:new_origin then
     invalid_arg "Coherence.promote: standby is dead";
   let dir = Directory.create ~origin:new_origin in
-  (* A page re-homed to a live overlay directory keeps its authority
-     there; under [`Async] replication the Dir_forget of its move may sit
-     in the lost log suffix, so the replica image can still carry the
-     entry — resurrecting it here would fork the page's authority. *)
-  let dir_entries =
-    List.filter (fun (vpn, _) -> not (Hashtbl.mem t.rehomed vpn)) dir_entries
+  (* Only pages the shard directory serves: a page re-homed to a live
+     overlay directory keeps its authority there. Under [`Async]
+     replication the Dir_forget of its move may sit in the lost log
+     suffix, so the replica image can still carry the entry — resurrecting
+     it here would fork the page's authority. *)
+  let served vpn = Option.is_some (Authority.route a vpn).shard in
+  let dir_entries = List.filter (fun (vpn, _) -> served vpn) dir_entries in
+  (* Whether [state] records a copy at the standby. The record alone is
+     not enough: a grant TO the standby commits before its reply leaves
+     the home, so the entry may describe a copy whose bytes died in
+     flight. Only a valid local PTE proves the bytes arrived. *)
+  let holds vpn state =
+    (match state with
+    | Directory.Exclusive owner -> owner = new_origin
+    | Directory.Shared readers -> Node_set.mem readers new_origin)
+    && Page_table.allows t.ptables.(new_origin) vpn Perm.Read
   in
-  (* Which pages the standby already held a valid copy of, per the
-     replicated image: for those, its local store is at least as fresh as
-     the logged home staging copy and must not be overwritten. *)
   let standby_had = Hashtbl.create 64 in
   List.iter
     (fun (vpn, state) ->
-      let recorded =
-        match state with
-        | Directory.Exclusive owner -> owner = new_origin
-        | Directory.Shared readers -> Node_set.mem readers new_origin
-      in
-      (* The record alone is not enough: a grant TO the standby commits
-         before its reply leaves the home, so the entry may describe a
-         copy whose bytes died in flight. Only a valid local PTE proves
-         the bytes arrived; otherwise the replicated image (logged, by
-         append order, before that grant committed) is the fresh one. *)
-      if recorded && Page_table.allows t.ptables.(new_origin) vpn Perm.Read
-      then Hashtbl.replace standby_had vpn ())
+      if holds vpn state then Hashtbl.replace standby_had vpn ())
     dir_entries;
   List.iter
     (fun (vpn, state) ->
@@ -1435,26 +1294,34 @@ let promote t ~shard ~new_origin ~dir_entries ~page_data =
           in
           Directory.set_shared dir vpn (Node_set.of_list (new_origin :: live)))
     dir_entries;
+  (* Backfill the standby's store with the replicated home staging copy,
+     except where the standby's own copy is at least as fresh: per the
+     replicated entry for pages the shard directory serves, per the live
+     overlay entry for re-homed ones — and a re-home target's store IS the
+     page's staging copy. *)
   List.iter
     (fun (vpn, data) ->
-      if not (Hashtbl.mem standby_had vpn) then
-        Page_store.install t.stores.(new_origin) vpn data)
+      let had =
+        match Authority.route a vpn with
+        | { shard = Some _; _ } -> Hashtbl.mem standby_had vpn
+        | { node; dir = overlay; shard = None } ->
+            node = new_origin || holds vpn (Directory.state overlay vpn)
+      in
+      if not had then Page_store.install t.stores.(new_origin) vpn data)
     page_data;
-  (* The replication observer follows the authoritative directory —
-     installed only now, so the rebuild above is not itself re-logged
-     (the HA layer re-snapshots when it re-arms towards a new standby). *)
-  Directory.set_observer dir (Directory.observer t.dirs.(shard));
-  Directory.set_observer t.dirs.(shard) None;
+  let old_dir = Authority.directory a ~shard in
   (* The dead home's local state is unreachable hardware now. *)
   t.ptables.(old) <- Page_table.create ();
   t.stores.(old) <- Page_store.create ();
-  t.dirs.(shard) <- dir;
-  t.homes.(shard) <- new_origin;
-  t.epochs.(shard) <- t.epochs.(shard) + 1;
-  t.home_view.(new_origin).(shard) <- new_origin;
-  t.epoch_view.(new_origin).(shard) <- t.epochs.(shard);
+  Authority.promote a ~shard ~home:new_origin dir;
+  (* The replication observer follows the authoritative directory —
+     installed only now, so neither the rebuild nor the fold-back is
+     itself re-logged (the HA layer re-snapshots when it re-arms towards a
+     new standby). *)
+  Directory.set_observer dir (Directory.observer old_dir);
+  Directory.set_observer old_dir None;
   Stats.incr t.stats "ha.promotions";
-  if t.nshards > 1 then Stats.incr t.stats "shard.promotions"
+  if Authority.shard_count a > 1 then Stats.incr t.stats "shard.promotions"
 
 (* Second half of the failover: fence every survivor into the shard's new
    epoch. Each one gets the list of (page, strongest access) the promoted
@@ -1464,9 +1331,9 @@ let promote t ~shard ~new_origin ~dir_entries ~page_data =
    unreconciled state. *)
 let fence_survivors t ~shard =
   let n = node_count t in
-  let home = t.homes.(shard) in
+  let home = Authority.home t.authority ~shard in
   let keeps = Array.make n [] in
-  Directory.iter t.dirs.(shard) (fun vpn state ->
+  Directory.iter (Authority.directory t.authority ~shard) (fun vpn state ->
       match state with
       | Directory.Exclusive owner ->
           if owner <> home then
@@ -1492,7 +1359,7 @@ let fence_survivors t ~shard =
                  {
                    pid = t.pid;
                    shard;
-                   epoch = t.epochs.(shard);
+                   epoch = Authority.epoch t.authority ~shard;
                    keep = keeps.(node);
                  })
           with
@@ -1504,17 +1371,17 @@ let fence_survivors t ~shard =
                  image (logged, by append order, before the ownership
                  transition committed). The survivor's retried fault then
                  gets a fresh data grant. *)
+              let dir = Authority.directory t.authority ~shard in
               List.iter
                 (fun vpn ->
                   Stats.incr t.stats "ha.fence_demoted";
-                  match Directory.state t.dirs.(shard) vpn with
+                  match Directory.state dir vpn with
                   | Directory.Exclusive owner when owner = node ->
-                      Directory.forget t.dirs.(shard) vpn
+                      Directory.forget dir vpn
                   | Directory.Shared readers when Node_set.mem readers node ->
                       let rest = Node_set.remove readers node in
-                      if Node_set.is_empty rest then
-                        Directory.forget t.dirs.(shard) vpn
-                      else Directory.set_shared t.dirs.(shard) vpn rest
+                      if Node_set.is_empty rest then Directory.forget dir vpn
+                      else Directory.set_shared dir vpn rest
                   | _ -> ())
                 missing
           | _ -> failwith "Coherence: unexpected fence reply"
@@ -1522,85 +1389,70 @@ let fence_survivors t ~shard =
         :: !jobs
   done;
   fanout t ~label:"epoch-fence" !jobs;
-  Stats.incr t.stats "ha.epoch_fences"
+  Stats.incr t.stats "ha.epoch_fences";
+  (* A page re-homed to the promoted home now names its static home:
+     fold it back into the shard directory, which replicates it. Only
+     after the fence, which must leave it alone: a live home served it
+     throughout, so a copy a survivor lacks is a grant reply in flight,
+     not one that died with the old home. Grants holding an overlay
+     entry are waited out, so the moves are atomic in simulated time. *)
+  let folded () =
+    List.filter_map
+      (fun (vpn, target) ->
+        if target = home && Authority.shard_of t.authority vpn = shard then
+          Some vpn
+        else None)
+      (Authority.rehomed_pages t.authority)
+  in
+  let rec settle attempt =
+    let busy vpn = Directory.locked (Authority.route t.authority vpn).dir vpn in
+    if List.exists busy (folded ()) then begin
+      backoff t ~node:home ~attempt;
+      settle (attempt + 1)
+    end
+  in
+  settle 0;
+  List.iter
+    (fun vpn ->
+      let dir = (Authority.route t.authority vpn).dir in
+      Authority.move t.authority vpn ~from:dir ~node:home
+        (Directory.state dir vpn))
+    (folded ())
 
 (* ------------------------------------------------------------------ *)
 (* Invariant checking (tests).                                         *)
 
 let check_entry_invariants t vpn state =
-  match state with
-  | Directory.Exclusive owner ->
-      Array.iteri
-        (fun node pt ->
-          match Page_table.get pt vpn with
-          | Some Perm.Write when node <> owner ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has Write PTE on page %d owned by %d"
-                   node vpn owner)
-          | Some Perm.Read when node <> owner ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has Read PTE on page %d exclusively \
-                    owned by %d"
-                   node vpn owner)
-          | _ -> ())
-        t.ptables
-  | Directory.Shared readers ->
-      Array.iteri
-        (fun node pt ->
-          match Page_table.get pt vpn with
-          | Some Perm.Write ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has Write PTE on shared page %d" node
-                   vpn)
-          | Some Perm.Read when not (Node_set.mem readers node) ->
-              failwith
-                (Printf.sprintf
-                   "Coherence: node %d has stale Read PTE on page %d" node vpn)
-          | _ -> ())
-        t.ptables
+  Array.iteri
+    (fun node pt ->
+      match (Page_table.get pt vpn, state) with
+      | None, _ -> ()
+      | Some _, Directory.Exclusive owner when owner = node -> ()
+      | Some Perm.Read, Directory.Shared rs when Node_set.mem rs node -> ()
+      | Some access, _ ->
+          failwith
+            (Printf.sprintf
+               "Coherence: node %d has a %s PTE on page %d, recorded as %s"
+               node
+               (match access with Perm.Read -> "Read" | Perm.Write -> "Write")
+               vpn
+               (match state with
+               | Directory.Exclusive owner -> Printf.sprintf "owned by %d" owner
+               | Directory.Shared _ -> "shared")))
+    t.ptables
 
 let check_invariants t =
-  Array.iteri
-    (fun shard dir ->
+  let a = t.authority in
+  List.iter
+    (fun (vpn, target) ->
+      if target = Authority.home_of a vpn then
+        Printf.ksprintf failwith
+          "Coherence: page %d re-homed to its static shard home" vpn)
+    (Authority.rehomed_pages a);
+  Authority.iter_dirs a (fun { dir; _ } ->
       Directory.check_invariants dir;
       Directory.iter dir (fun vpn state ->
-          if shard_of t vpn <> shard then
-            failwith
-              (Printf.sprintf
-                 "Coherence: page %d tracked by shard %d but homed in shard \
-                  %d"
-                 vpn shard (shard_of t vpn));
-          if Hashtbl.mem t.rehomed vpn then
-            failwith
-              (Printf.sprintf
-                 "Coherence: re-homed page %d still tracked by its shard \
-                  directory"
-                 vpn);
+          if (Authority.route a vpn).dir != dir then
+            Printf.ksprintf failwith
+              "Coherence: page %d tracked outside its serving directory" vpn;
           check_entry_invariants t vpn state))
-    t.dirs;
-  (* Re-home overlay state: a re-homed page is tracked at its target (and
-     nowhere else), every overlay entry is accounted for in the re-home
-     table, and overlay entries obey the same PTE discipline. *)
-  Hashtbl.iter
-    (fun vpn target ->
-      if not (Directory.is_tracked t.rehome_dirs.(target) vpn) then
-        failwith
-          (Printf.sprintf
-             "Coherence: page %d re-homed to node %d but not tracked there"
-             vpn target))
-    t.rehomed;
-  Array.iteri
-    (fun target dir ->
-      Directory.check_invariants dir;
-      Directory.iter dir (fun vpn state ->
-          if Hashtbl.find_opt t.rehomed vpn <> Some target then
-            failwith
-              (Printf.sprintf
-                 "Coherence: node %d's overlay directory tracks page %d \
-                  without a re-home record"
-                 target vpn);
-          check_entry_invariants t vpn state))
-    t.rehome_dirs

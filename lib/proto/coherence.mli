@@ -20,20 +20,16 @@
     granted without page data whenever the requester already holds an
     up-to-date copy (read → write upgrades).
 
-    {2 Sharded homes}
+    {2 Page authority}
 
-    Page ownership is partitioned by {!shard_of} over the [n] shards of
-    {!Proto_config.sharding} ([`Hash n] or [`Range n]); the default is one
-    shard. Shard [s] is homed at node
-    [(origin + s) mod node_count] — shard 0 always coincides with the
-    process origin, which keeps the delegated services there. Each shard
-    has its own directory, epoch and (with replication) its own log and
-    promotion path; faults, revocations and fences all resolve at the
-    owning shard's home, so independent shards never serialize on one
-    node. Every node carries a replicated read-mostly view of the
-    home/epoch vector ({!home_of} metadata); the view is invalidated
-    epoch-stamped: in-band [Page_stale] NACKs and home-to-node traffic
-    carrying a newer epoch teach the node the shard's new address.
+    Which node serves a page, and from which directory, is one
+    {!Authority} table ({!authority}): per-shard homes, epochs,
+    directories and node views, plus per-page re-homes and pins. Every
+    protocol operation resolves a page through {!Authority.route}, so the
+    static shard home and an autopilot re-home are never checked apart.
+    Each shard has its own directory, epoch and (with replication) its own
+    log and promotion path; faults, revocations and fences all resolve at
+    the serving home, so independent shards never serialize on one node.
 
     {2 Fail-stop crashes}
 
@@ -41,8 +37,9 @@
     organically, when a revocation exhausts its retry budget and the
     home escalates the resulting [Unreachable]; or via the fabric's
     keepalive backstop), the instance runs {!reclaim_node}: exclusive
-    pages owned by the dead node re-home to their shard home's last-known
-    copy, the dead node is scrubbed from every reader set, and its local
+    pages owned by the dead node re-home to their serving home's
+    last-known copy, the dead node is scrubbed from every reader set,
+    pages re-homed to it fall back to their shard home, and its local
     tables are reset. Grants racing a crash are refused or undone rather
     than handing pages to a ghost, revocations towards a declared-dead
     node are skipped, and every home-side lock and fault-table entry is
@@ -85,47 +82,15 @@ val create :
 val pid : t -> int
 (** The process id used to tag this instance's wire messages. *)
 
-val origin : t -> int
-(** The node homing shard 0 — the process origin. With one shard this is
-    the single home of every page. *)
-
 val cfg : t -> Proto_config.t
 (** The configuration the instance was created with. *)
 
 val node_count : t -> int
 (** Number of nodes on the underlying fabric. *)
 
-(** {2 Shard geometry} *)
-
-val shard_count : t -> int
-(** Number of ownership shards: the [n] of {!Proto_config.sharding}. *)
-
-val shard_of : t -> Dex_mem.Page.vpn -> int
-(** The shard owning a page: [vpn mod n] under [`Hash n],
-    [(vpn / 64) mod n] under [`Range n] (so always 0 with one shard). *)
-
-val home_of : t -> Dex_mem.Page.vpn -> int
-(** The node currently homing a page's shard ([shard_home] of
-    {!shard_of}); re-pointed by {!promote}. *)
-
-val shard_home : t -> shard:int -> int
-(** The node currently homing [shard]. *)
-
-val shard_epoch : t -> shard:int -> int
-(** [shard]'s current epoch: 0 at creation, bumped by every {!promote} of
-    that shard. *)
-
-val shard_directory : t -> shard:int -> Dex_mem.Directory.t
-(** [shard]'s ownership directory (replaced wholesale by {!promote}). *)
-
-val page_home : t -> Dex_mem.Page.vpn -> int
-(** The node currently {e serving} a page: its re-home target when the
-    placement autopilot has moved it ({!rehome_page}), else
-    {!home_of}. *)
-
-val page_directory : t -> Dex_mem.Page.vpn -> Dex_mem.Directory.t
-(** The directory tracking a page right now: the re-home target's overlay
-    directory for re-homed pages, else the page's shard directory. *)
+val authority : t -> Authority.t
+(** The page-authority table. The protocol mutates it (re-homes, pins,
+    promotions, fallbacks); callers should only read it. *)
 
 val shard_load : t -> int array
 (** Per-shard count of grants served, a snapshot of the load vector
@@ -202,22 +167,16 @@ val page_table : t -> node:int -> Dex_mem.Page_table.t
 val page_store : t -> node:int -> Dex_mem.Page_store.t
 (** [node]'s store of real page contents (typed accesses only). *)
 
-val directory : t -> Dex_mem.Directory.t
-(** Shard 0's ownership directory — with one shard, the single origin
-    directory. Use {!shard_directory} for the others. *)
-
-val fault_table : t -> node:int -> [ `Done | `Retry ] Dex_mem.Fault_table.t
-(** [node]'s leader/follower fault-coalescing table. *)
-
 val zap_range :
   t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> node:int -> int
 (** Drop every page-table entry of [node] in the range (VMA shrink);
     returns the number of zapped entries. Page stores are dropped too. *)
 
 val forget_range : t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> unit
-(** Clear directory tracking for an unmapped range, each page in its own
-    shard's directory. Call only after every node's page-table entries in
-    the range have been zapped. *)
+(** Unmap a range from the authority table ({!Authority.forget}): each
+    page's entry goes from the directory serving it, with its re-home and
+    pin. Call only after every node's page-table entries in the range have
+    been zapped. *)
 
 (** {2 Placement autopilot primitives}
 
@@ -248,10 +207,6 @@ val rehome_page :
     [`Dead_target] if [node] is (or is discovered to be) crashed.
     Raises [Invalid_argument] on a bad [node]. *)
 
-val rehomed_pages : t -> (Dex_mem.Page.vpn * int) list
-(** Every page currently re-homed away from its static shard home, with
-    its dynamic home, sorted by page. *)
-
 val pin_page : t -> vpn:Dex_mem.Page.vpn -> unit
 (** Pin a page to its static shard home: {!rehome_page} refuses it from
     now on ([`Noop]), and if the autopilot already moved it, authority is
@@ -278,12 +233,6 @@ val mark_replicate : t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> uni
 val replicate_marked : t -> Dex_mem.Page.vpn -> bool
 (** Whether {!mark_replicate} covers the page. *)
 
-val pinned_page : t -> Dex_mem.Page.vpn -> bool
-(** Whether {!pin_page} holds the page at its static home (futex-word
-    pages). The autopilot also skips these for replication: their reads
-    are the futex layer's delegated home-local checks, so pushed copies
-    would only be churn. *)
-
 val set_tracer : t -> (Fault_event.t -> unit) option -> unit
 (** Install the page-fault profiler hook; leaders emit one event per
     protocol fault, revocations emit [Invalidation] events. *)
@@ -296,16 +245,17 @@ val backoff_delay : t -> node:int -> attempt:int -> Dex_sim.Time_ns.t
     Consumes the node's jitter RNG. Exposed for property tests. *)
 
 val reclaim_node : t -> node:int -> unit
-(** Scrub a dead node out of every shard's ownership metadata: re-home its
-    exclusive pages to their shard home's last-known copy
+(** Scrub a dead node out of every directory served elsewhere: re-home its
+    exclusive pages to the serving home's last-known copy
     ([crash.pages_reclaimed]), drop it from reader sets
     ([crash.readers_scrubbed], the set's last reader re-homes the page
-    too), and reset its page table and page store. Wired to {!Dex_net.Fabric.on_crash} at
-    {!create} time, so it normally runs automatically when a failure is
-    declared; exposed for directed tests. Safe to run while grants are in
-    flight. Raises if [node] homes any shard (with the HA layer wired, a
-    home death takes the promotion path instead and only the shards the
-    dead node did {e not} home are scrubbed). *)
+    too), fall back the pages re-homed to it ([autopilot.fallbacks]), and
+    reset its page table and page store. Wired to
+    {!Dex_net.Fabric.on_crash} at {!create} time, so it normally runs
+    automatically when a failure is declared; exposed for directed tests.
+    Safe to run while grants are in flight. If [node] homes a shard, that
+    shard's recovery is the HA promotion path's (its local tables are
+    left to {!promote}); without the HA layer wired it raises. *)
 
 val unsubscribe_crash : t -> unit
 (** Drop the {!reclaim_node} subscription {!create} installed on the
@@ -322,13 +272,6 @@ val unsubscribe_crash : t -> unit
     all default to absent, in which case every path below is bit-identical
     to a build without them. All shard-indexed hooks receive the shard
     number — with one shard it is always 0. *)
-
-val epoch : t -> int
-(** Shard 0's current epoch — with one shard, {e the} origin epoch.
-    Stamped on every outgoing coherence request for the shard (each node
-    stamps its own {e view} of the epoch, which may lag until a
-    [Page_stale] NACK or an in-band revocation teaches it the new one).
-    Use {!shard_epoch} for the others. *)
 
 val set_commit_barrier : t -> (int -> unit) option -> unit
 (** Hook run at a shard's home immediately before a grant reply leaves
@@ -354,7 +297,7 @@ val set_origin_write_hook : t -> (Dex_mem.Page.vpn -> unit) option -> unit
     back by a reclaim. The HA layer uses it to ship page contents whose
     dirtying never crosses the wire (directory observation alone cannot
     see home-local writes to pages the home already owns); it routes the
-    entry to the page's shard via {!shard_of}. *)
+    entry to the page's shard via {!Authority.shard_of}. *)
 
 val promote : t ->
   shard:int ->
@@ -367,10 +310,11 @@ val promote : t ->
     [new_origin] (entries owned by dead nodes or the old home re-home;
     reader sets are filtered to live nodes and gain the new home),
     [page_data] backfills the new home's page store {e except} for pages
-    it already held a valid copy of (its own copy is at least as fresh),
-    the old home's local tables are reset, and the shard's epoch is
-    bumped. Counted as [ha.promotions] (plus [shard.promotions] with more
-    than one shard). Raises [Invalid_argument] if [new_origin] is the
+    it already holds a valid copy of (its own copy is at least as fresh;
+    a re-homed page is judged by its live overlay entry), the old home's
+    local tables are reset, and the shard's epoch is bumped. Counted as
+    [ha.promotions] (plus [shard.promotions] with more than one shard).
+    Raises [Invalid_argument] if [new_origin] is the
     shard's current home or is itself declared dead. Call from the HA
     promotion fiber only, then {!fence_survivors}. *)
 
@@ -384,7 +328,9 @@ val fence_survivors : t -> shard:int -> unit
     epoch from the fence — they learn it in-band from their first
     [Page_stale] NACK — so the fence never races the resolver. A survivor
     unreachable during the fence is escalated to crashed. Counted as
-    [ha.epoch_fences]. *)
+    [ha.epoch_fences]. Then pages of the shard re-homed to its new home
+    fold back into its directory (their re-home now names the static
+    home), after waiting out any grant holding one. *)
 
 val stats : t -> Dex_sim.Stats.t
 (** Protocol counters: [grant.data]/[grant.nodata]/[grant.nack],
@@ -411,10 +357,10 @@ val fault_latencies : t -> Dex_sim.Histogram.t
     remote. *)
 
 val check_invariants : t -> unit
-(** Directory/page-table consistency, per shard: at most one exclusive
-    owner; a node has a Write PTE iff the shard directory says it is the
-    exclusive owner; Read PTEs only on shared readers or the exclusive
-    owner; every tracked page belongs to the directory's own shard. The
-    re-home overlay is checked too: a re-homed page is tracked exactly
-    once, at its dynamic home's overlay directory, under the same PTE
-    discipline. Call only when the simulation is quiescent. *)
+(** Directory/page-table consistency over every directory the
+    {!Authority} table holds: each entry sits in the directory
+    {!Authority.route} resolves for its page; at most one exclusive owner;
+    a node has a Write PTE iff the entry says it is the exclusive owner;
+    Read PTEs only on shared readers or the exclusive owner; no re-home
+    names its page's static home. Call only when the simulation is
+    quiescent. *)

@@ -63,7 +63,7 @@ type t = {
           not be empty. *)
   sharding : [ `Hash of int | `Range of int ];
       (** partition page ownership across {e home nodes}
-          ({!Coherence.home_of}): [`Hash n] homes page [vpn] at shard
+          ({!Authority.home_of}): [`Hash n] homes page [vpn] at shard
           [vpn mod n] — best static load spread; [`Range n] homes 64-page
           runs ([(vpn / 64) mod n]) — keeps sequential streams on one
           home. The default, [`Hash 1], is one shard: every page is homed

@@ -1,5 +1,6 @@
 open Dex_mem
 module Coherence = Dex_proto.Coherence
+module Authority = Dex_proto.Authority
 
 let owned_pages coh ~ranges =
   let nodes = Coherence.node_count coh in
@@ -9,11 +10,8 @@ let owned_pages coh ~ranges =
       if len > 0 then begin
         let first, last = Page.pages_of_range addr ~len in
         for vpn = first to last do
-          (* Each page's entry lives wherever it is served right now:
-             its shard's directory (shard 0 holds everything with one
-             shard), or the overlay directory of its re-home
-             target once the autopilot has moved it. *)
-          let dir = Coherence.page_directory coh vpn in
+          (* The entry lives wherever the page is served right now. *)
+          let dir = (Authority.route (Coherence.authority coh) vpn).dir in
           match Directory.state dir vpn with
           | Directory.Exclusive owner -> counts.(owner) <- counts.(owner) + 1
           | Directory.Shared readers ->

@@ -1,5 +1,6 @@
 open Dex_core
 module Coherence = Dex_proto.Coherence
+module Authority = Dex_proto.Authority
 module Trace = Dex_profile.Trace
 module Analysis = Dex_profile.Analysis
 module Page = Dex_mem.Page
@@ -149,7 +150,8 @@ let tick t =
                    nothing except the mirror writes it buys. *)
                 let acted_rehome =
                   2 * dominant_share dominant > faults
-                  && Coherence.page_home t.coh vpn <> dominant
+                  && (Authority.route (Coherence.authority t.coh) vpn).node
+                     <> dominant
                   && Coherence.rehome_page t.coh ~vpn ~node:dominant
                      = `Rehomed
                 in
@@ -168,7 +170,7 @@ let tick t =
                     (* Pinned (futex-word) pages look read-mostly — their
                        "reads" are the home's delegated wait checks — but
                        pushed copies would be pure churn. *)
-                    (not (Coherence.pinned_page t.coh vpn))
+                    (not (Authority.pinned (Coherence.authority t.coh) vpn))
                     && not (Coherence.replicate_marked t.coh vpn)
                     && begin
                          Coherence.mark_replicate t.coh ~first:vpn ~last:vpn;

@@ -174,6 +174,28 @@ let test_munmap_broadcast_kills_remote_access () =
   Alcotest.(check int64) "read before unmap fine" 7L !before;
   check_bool "remote reached the post-unmap access" true !reached_after
 
+(* munmap forgets a re-homed page where it is served: its overlay entry
+   and its re-home record go with the mapping. *)
+let test_munmap_forgets_rehomed_page () =
+  let cl = Dex.cluster ~nodes:3 () in
+  let proc =
+    Dex.run cl (fun proc main ->
+        let region = Process.mmap main ~len:4096 ~tag:"scratch" () in
+        Process.store main region 7L;
+        (match
+           Dex_proto.Coherence.rehome_page (Process.coherence proc)
+             ~vpn:(Dex_mem.Page.page_of_addr region) ~node:2
+         with
+        | `Rehomed -> ()
+        | _ -> Alcotest.fail "setup re-home must succeed");
+        Process.munmap main ~addr:region ~len:4096)
+  in
+  let coh = Process.coherence proc in
+  Alcotest.(check (list (pair int int)))
+    "no re-home outlives the mapping" []
+    (Dex_proto.Authority.rehomed_pages (Dex_proto.Coherence.authority coh));
+  Dex_proto.Coherence.check_invariants coh
+
 let test_mprotect_downgrade_broadcast () =
   expect_segfault (fun _proc main ->
       let region = Process.mmap main ~len:4096 ~tag:"data" () in
@@ -872,15 +894,10 @@ let run_crash_workload ~policy =
   let coh = Process.coherence proc in
   Dex_proto.Coherence.check_invariants coh;
   check_bool "node 3 is recorded dead" true (Cluster.node_crashed cl ~node:3);
-  let ghosts = ref 0 in
-  Dex_mem.Directory.iter
-    (Dex_proto.Coherence.directory coh)
-    (fun _ st ->
-      match st with
-      | Dex_mem.Directory.Exclusive 3 -> incr ghosts
-      | Dex_mem.Directory.Shared s when Dex_mem.Node_set.mem s 3 -> incr ghosts
-      | _ -> ());
-  check_int "no directory entry references the dead node" 0 !ghosts;
+  check_int "no directory entry references the dead node" 0
+    (Dex_proto.Authority.entries_naming
+       (Dex_proto.Coherence.authority coh)
+       ~node:3);
   check_bool "reclaim found pages to re-home" true
     (Stats.get (Dex_proto.Coherence.stats coh) "crash.pages_reclaimed" > 0);
   check_int "survivor completed every round" s_rounds !s_progress;
@@ -1108,6 +1125,8 @@ let () =
             test_segfault_write_to_readonly;
           Alcotest.test_case "munmap broadcast" `Quick
             test_munmap_broadcast_kills_remote_access;
+          Alcotest.test_case "munmap forgets a re-homed page" `Quick
+            test_munmap_forgets_rehomed_page;
           Alcotest.test_case "mprotect downgrade" `Quick
             test_mprotect_downgrade_broadcast;
         ] );

@@ -32,6 +32,12 @@ let setup ?nodes ?seed ?cfg ?net () =
   let engine, coh, _ = setup_with_fabric ?nodes ?seed ?cfg ?net () in
   (engine, coh)
 
+(* Page-authority probes: shard 0's directory (the only one with one
+   shard), the node serving a page, and the re-homed pages. *)
+let dir0 coh = Authority.directory (Coherence.authority coh) ~shard:0
+let page_home coh vpn = (Authority.route (Coherence.authority coh) vpn).node
+let rehomed_pages coh = Authority.rehomed_pages (Coherence.authority coh)
+
 (* Accumulated across every property case that ran over a chaos fabric, so
    a final directed test can prove the fault paths were actually
    exercised (not vacuously green because nothing was ever dropped). *)
@@ -87,7 +93,7 @@ let test_remote_read_fetches_data () =
       Coherence.store_i64 coh ~node:0 ~tid:0 addr0 42L;
       seen := Coherence.load_i64 coh ~node:1 ~tid:1 addr0);
   check_i64 "remote read sees origin write" 42L !seen;
-  (match Directory.state (Coherence.directory coh) (Page.page_of_addr addr0) with
+  (match Directory.state (dir0 coh) (Page.page_of_addr addr0) with
   | Directory.Shared readers ->
       check_bool "requester is a reader" true (Node_set.mem readers 1)
   | Directory.Exclusive _ -> Alcotest.fail "expected shared state");
@@ -132,7 +138,7 @@ let test_upgrade_grants_without_data () =
   let st = Coherence.stats coh in
   check_bool "at least one grant without data" true
     (Stats.get st "grant.nodata" >= 1);
-  (match Directory.state (Coherence.directory coh) (Page.page_of_addr addr0) with
+  (match Directory.state (dir0 coh) (Page.page_of_addr addr0) with
   | Directory.Exclusive 1 -> ()
   | _ -> Alcotest.fail "node 1 should own the page exclusively");
   Coherence.check_invariants coh
@@ -201,9 +207,9 @@ let test_nack_and_retry () =
   run_fiber engine (fun () ->
       Coherence.store_i64 coh ~node:0 ~tid:0 addr0 1L);
   (* Hold the directory lock for 100us; the remote fault must retry. *)
-  check_bool "lock taken" true (Directory.try_lock (Coherence.directory coh) vpn);
+  check_bool "lock taken" true (Directory.try_lock (dir0 coh) vpn);
   Engine.schedule engine ~delay:(Time_ns.us 100) (fun () ->
-      Directory.unlock (Coherence.directory coh) vpn);
+      Directory.unlock (dir0 coh) vpn);
   let lat = ref 0 in
   Engine.spawn engine (fun () ->
       let t0 = Engine.now engine in
@@ -485,7 +491,7 @@ let test_batched_write_scan_revokes_readers () =
         ~access:Perm.Write ());
   let first = Page.page_of_addr addr0 in
   for vpn = first to first + 11 do
-    (match Directory.state (Coherence.directory coh) vpn with
+    (match Directory.state (dir0 coh) vpn with
     | Directory.Exclusive 3 -> ()
     | _ -> Alcotest.fail "node 3 should own the whole window");
     check_bool "reader PTEs zapped" true
@@ -511,7 +517,9 @@ let test_misaddressed_request_redirects () =
                 { pid = 0; vpn; access = Perm.Read; epoch = 0 })));
   (match !reply with
   | Some (Messages.Page_redirect { home; vpn = v; _ }) ->
-      check_int "redirected to the origin" (Coherence.origin coh) home;
+      check_int "redirected to the origin"
+        (Authority.home (Coherence.authority coh) ~shard:0)
+        home;
       check_int "for the requested page" vpn v
   | _ -> Alcotest.fail "expected a Page_redirect reply");
   check_int "redirect counted" 1
@@ -595,10 +603,10 @@ let test_unreachable_leaves_no_lock () =
   Engine.run_until_quiescent engine;
   let vpn = Page.page_of_addr addr0 in
   check_bool "page not left locked" false
-    (Directory.locked (Coherence.directory coh) vpn);
+    (Directory.locked (dir0 coh) vpn);
   check_bool "retry-budget exhaustion escalated to a crash declaration" true
     (Stats.get (Coherence.stats coh) "crash.escalations" > 0);
-  (match Directory.state (Coherence.directory coh) vpn with
+  (match Directory.state (dir0 coh) vpn with
   | Directory.Exclusive 2 -> ()
   | _ -> Alcotest.fail "the surviving writer owns the page");
   Coherence.check_invariants coh
@@ -621,7 +629,7 @@ let test_reclaim_rehomes_ownership () =
   run_fiber engine (fun () ->
       Dex_net.Fabric.crash fabric ~node:1;
       Dex_net.Fabric.declare_dead fabric ~node:1);
-  let dir = Coherence.directory coh in
+  let dir = dir0 coh in
   (match Directory.state dir (Page.page_of_addr addr0) with
   | Directory.Exclusive 0 -> ()
   | _ -> Alcotest.fail "dead node's exclusive page re-homed to the origin");
@@ -687,13 +695,7 @@ let prop_invariants_with_crash ~name () =
       Coherence.check_invariants coh;
       check_bool "crash declared" true
         (Dex_net.Fabric.crash_detected fabric ~node:3);
-      let ghost = ref false in
-      Directory.iter (Coherence.directory coh) (fun _ st ->
-          match st with
-          | Directory.Exclusive 3 -> ghost := true
-          | Directory.Shared s when Node_set.mem s 3 -> ghost := true
-          | _ -> ());
-      not !ghost)
+      Authority.entries_naming (Coherence.authority coh) ~node:3 = 0)
 
 (* Runs after the chaos property cases (alcotest executes suites in order):
    the sequential-consistency results above are only meaningful evidence if
@@ -716,14 +718,14 @@ let test_rehome_moves_authority () =
   let vpn = Page.page_of_addr addr0 in
   run_fiber engine (fun () ->
       Coherence.store_i64 coh ~node:0 ~tid:0 addr0 7L;
-      check_int "static home serves the page" 0 (Coherence.page_home coh vpn);
+      check_int "static home serves the page" 0 (page_home coh vpn);
       (match Coherence.rehome_page coh ~vpn ~node:2 with
       | `Rehomed -> ()
       | _ -> Alcotest.fail "re-home to node 2 must succeed");
-      check_int "dynamic home serves the page" 2 (Coherence.page_home coh vpn);
+      check_int "dynamic home serves the page" 2 (page_home coh vpn);
       Alcotest.(check (list (pair int int)))
         "overlay lists the moved page" [ (vpn, 2) ]
-        (Coherence.rehomed_pages coh);
+        (rehomed_pages coh);
       (* SC across the move: a write from one node, reads from all. *)
       Coherence.store_i64 coh ~node:1 ~tid:1 addr0 8L;
       for node = 0 to 3 do
@@ -737,7 +739,7 @@ let test_rehome_moves_authority () =
       | `Rehomed -> ()
       | _ -> Alcotest.fail "re-home back to the static home must succeed");
       Alcotest.(check (list (pair int int)))
-        "overlay cleared on the way back" [] (Coherence.rehomed_pages coh));
+        "overlay cleared on the way back" [] (rehomed_pages coh));
   check_int "both moves counted" 2
     (Stats.get (Coherence.stats coh) "autopilot.rehomes");
   check_bool "out-of-range target rejected" true
@@ -772,15 +774,16 @@ let test_pin_page_reverts_and_holds () =
       | _ -> Alcotest.fail "setup re-home must succeed");
       Coherence.pin_page coh ~vpn;
       check_int "pin pulled authority back to the static home" 0
-        (Coherence.page_home coh vpn);
-      check_bool "page reports pinned" true (Coherence.pinned_page coh vpn);
+        (page_home coh vpn);
+      check_bool "page reports pinned" true
+        (Authority.pinned (Coherence.authority coh) vpn);
       check_int "the pull-back is counted" 1
         (Stats.get (Coherence.stats coh) "autopilot.pin_reverts");
       (match Coherence.rehome_page coh ~vpn ~node:2 with
       | `Noop -> ()
       | _ -> Alcotest.fail "re-homing a pinned page must refuse");
       check_int "refused re-home leaves authority put" 0
-        (Coherence.page_home coh vpn);
+        (page_home coh vpn);
       (* Idempotent: pinning an already-pinned, already-home page moves
          nothing. *)
       Coherence.pin_page coh ~vpn;
@@ -846,11 +849,11 @@ let test_rehomed_home_crash_falls_back () =
       Dex_net.Fabric.crash fabric ~node:1;
       Dex_net.Fabric.declare_dead fabric ~node:1);
   check_int "authority fell back to the static shard home" 0
-    (Coherence.page_home coh vpn);
+    (page_home coh vpn);
   check_bool "fallback counted" true
     (Stats.get (Coherence.stats coh) "autopilot.fallbacks" > 0);
   Alcotest.(check (list (pair int int)))
-    "overlay no longer lists the page" [] (Coherence.rehomed_pages coh);
+    "overlay no longer lists the page" [] (rehomed_pages coh);
   let v = ref 0L in
   run_fiber engine (fun () ->
       v := Coherence.load_i64 coh ~node:2 ~tid:2 addr0);

@@ -182,10 +182,12 @@ let test_autopilot_rehomes_dominant_pingpong () =
          let get = Stats.get (Dex_proto.Coherence.stats coh) in
          rehomes := get "autopilot.rehomes";
          colocations := get "autopilot.colocations";
+         let authority = Dex_proto.Coherence.authority coh in
          home :=
-           Dex_proto.Coherence.page_home coh
-             (Dex_mem.Page.page_of_addr flag);
-         overlay := Dex_proto.Coherence.rehomed_pages coh;
+           (Dex_proto.Authority.route authority
+              (Dex_mem.Page.page_of_addr flag))
+             .node;
+         overlay := Dex_proto.Authority.rehomed_pages authority;
          ticks := Autopilot.ticks ap;
          Dex_proto.Coherence.check_invariants coh;
          Autopilot.stop ap;
