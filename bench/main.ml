@@ -1,10 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (§V) on the simulated rack, plus bechamel microbenchmarks of
-   the core data structures.
+   evaluation (§V) on the simulated rack, plus the ablation, fault and
+   serving studies built on it.
 
    Usage: main.exe [tiny] [table1] [fig2] [table2] [fig3] [fault] [profile]
                    [ablation] [chaos] [crash] [failover] [shard]
-                   [autopilot] [serve] [baseline] [bechamel]
+                   [autopilot] [serve] [baseline]
    With no arguments, every section runs (the order of the paper). *)
 
 open Dex_core
@@ -464,79 +464,6 @@ let baseline_lrc () =
      programmability cost that, per Sec. II, killed classic DSM.@."
     (float_of_int dex_time /. float_of_int (max 1 lrc_time))
     (float_of_int dex_bytes /. float_of_int (max 1 lrc_bytes))
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of core data structures.                   *)
-
-let bechamel_benches () =
-  section "Component microbenchmarks (bechamel, host time per operation)";
-  let open Bechamel in
-  let radix_find =
-    let t = Dex_mem.Radix_tree.create () in
-    for i = 0 to 4095 do
-      Dex_mem.Radix_tree.set t (i * 7) i
-    done;
-    Staged.stage (fun () ->
-        ignore (Dex_mem.Radix_tree.find t 777 : int option))
-  in
-  let radix_set =
-    let t = Dex_mem.Radix_tree.create () in
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        Dex_mem.Radix_tree.set t (!i land 0xFFFFF) !i)
-  in
-  let eventq =
-    let q = Dex_sim.Event_queue.create () in
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        Dex_sim.Event_queue.push q ~time:(!i * 13 mod 10_000) ~seq:!i ignore;
-        if !i land 1 = 0 then ignore (Dex_sim.Event_queue.pop q))
-  in
-  let vma_find =
-    let t = Dex_mem.Vma_tree.create () in
-    for i = 0 to 255 do
-      Dex_mem.Vma_tree.insert t
-        (Dex_mem.Vma.make ~start:(i * 65536) ~len:4096 ~perm:Dex_mem.Perm.rw
-           ~tag:"x")
-    done;
-    Staged.stage (fun () ->
-        ignore (Dex_mem.Vma_tree.find t (128 * 65536) : Dex_mem.Vma.t option))
-  in
-  let directory =
-    let d = Dex_mem.Directory.create ~origin:0 in
-    let i = ref 0 in
-    Staged.stage (fun () ->
-        incr i;
-        let p = !i land 0xFFF in
-        Dex_mem.Directory.set_exclusive d p (!i land 7);
-        ignore (Dex_mem.Directory.state d p))
-  in
-  let tests =
-    Test.make_grouped ~name:"dex"
-      [
-        Test.make ~name:"radix_tree.find" radix_find;
-        Test.make ~name:"radix_tree.set" radix_set;
-        Test.make ~name:"event_queue.push+pop" eventq;
-        Test.make ~name:"vma_tree.find" vma_find;
-        Test.make ~name:"directory.transition" directory;
-      ]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| "run" |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "  %-30s %10.1f ns/op@." name est
-      | Some _ | None -> Format.printf "  %-30s (no estimate)@." name)
-    (List.sort compare rows)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos: the same remote working-set walk at increasing fault rates.   *)
@@ -1244,7 +1171,6 @@ let sections_list =
     ("autopilot", autopilot_bench);
     ("serve", serve_bench);
     ("baseline", baseline_lrc);
-    ("bechamel", bechamel_benches);
   ]
 
 let () =

@@ -52,14 +52,6 @@ let sweep grid ~first ~count =
   done;
   !residual
 
-let reference_residual p ~seed =
-  let grid = host_grid p ~seed in
-  let r = ref 0.0 in
-  for _ = 1 to p.timesteps * p.regions_per_step do
-    r := sweep grid ~first:0 ~count:p.cells
-  done;
-  !r
-
 let body p ctx main =
   let threads = ctx.A.threads in
   let proc = ctx.A.proc in

@@ -26,9 +26,6 @@ val default_params : params
 val conversion : App_common.conversion
 (** Table I: OpenMP, 15 parallel regions. *)
 
-val reference_residual : params -> seed:int -> float
-(** Final residual from the sequential host solver. *)
-
 val run :
   nodes:int ->
   variant:App_common.variant ->

@@ -42,7 +42,7 @@ type t = {
   alloc : Allocator.t;
   vmas : Vma_tree.t array;
   futexes : Futex.t array;  (* per shard: the futex word's home serves it *)
-  vfss : Vfs.t array;  (* per shard: files are homed by name hash *)
+  vfs : Vfs.t;  (* the file table, at the origin with the other services *)
   stats : Stats.t;
   mutable next_tid : int;
   mutable threads : thread list;  (* newest first *)
@@ -251,8 +251,8 @@ let rec vma_check th ~addr ~len ~access ~queried =
 
 (* Run [run] in the context of the paired original thread at [shard]'s
    home node and return its result — shard 0 (the default) is the origin,
-   where the allocator/VMA/default services live; futex and file
-   delegations route to the owning shard. Threads local to the home call
+   where the allocator/VMA/file services live; futex delegations route
+   to the word's shard. Threads local to the home call
    straight into the kernel. [req_size] is the
    request-leg wire size — operations that carry a payload to the home
    (file writes) must charge for it. *)
@@ -264,8 +264,8 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
       if th.location = target then run ()
       else begin
         Stats.incr t.stats "delegation";
-        (* A delegation that pays a remote hop to a non-origin home is a
-           cross-shard operation — the traffic sharding moved off the
+        (* A futex delegation that pays a remote hop to a non-origin home
+           is a cross-shard operation — the traffic sharding moved off the
            origin. Counted in the coherence table so the whole shard.*
            family reads from one place. *)
         if shard <> 0 then Stats.incr (Coherence.stats t.coh) "shard.cross_ops";
@@ -462,80 +462,64 @@ let futex_wake th ~addr ~count =
   match delegate ~shard th run with M.Ret_int n -> n | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
-(* File I/O (delegated to the home node like any stateful service).     *)
-
-(* Files are partitioned by name hash: each shard's home runs its own
-   VFS instance. Descriptors encode the shard so later operations route
-   to the right table: [fd = raw * nshards + shard]. With one shard the
-   encoding is the identity, preserving historical fd values. *)
-let file_shard t name =
-  Hashtbl.hash name mod Authority.shard_count (authority t)
-
-let fd_shard t fd = fd mod Authority.shard_count (authority t)
-let fd_raw t fd = fd / Authority.shard_count (authority t)
+(* File I/O (delegated to the origin like any stateful service).        *)
 
 let file_open th name =
   let t = th.proc in
-  let shard = file_shard t name in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    let raw = Vfs.open_file t.vfss.(shard) name in
-    M.Ret_int ((raw * Authority.shard_count (authority t)) + shard)
+    M.Ret_int (Vfs.open_file t.vfs name)
   in
-  match delegate ~shard th run with M.Ret_int fd -> fd | _ -> assert false
+  match delegate th run with M.Ret_int fd -> fd | _ -> assert false
 
 let file_read th ~fd ~bytes =
   let t = th.proc in
-  let shard = fd_shard t fd in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    let n = Vfs.read t.vfss.(shard) (fd_raw t fd) ~bytes in
-    (* The home pulls the data from the shared storage appliance. *)
+    let n = Vfs.read t.vfs fd ~bytes in
+    (* The origin pulls the data from the shared storage appliance. *)
     if n > 0 then Resource.Server.transfer (Cluster.storage t.cluster) ~bytes:n;
     M.Ret_int n
   in
   (* The payload travels back to the caller as the syscall result: big
      reads ride the RDMA path of the fabric automatically. *)
-  match delegate ~shard ~resp_size:(64 + bytes) th run with
+  match delegate ~resp_size:(64 + bytes) th run with
   | M.Ret_int n -> n
   | _ -> assert false
 
 let file_write th ~fd ~bytes =
   let t = th.proc in
-  let shard = fd_shard t fd in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.write t.vfss.(shard) (fd_raw t fd) ~bytes;
+    Vfs.write t.vfs fd ~bytes;
     Resource.Server.transfer (Cluster.storage t.cluster) ~bytes;
     M.Ret_unit
   in
   (* The payload travels WITH the request: charge the forward leg, the
      mirror image of [file_read]'s response accounting. *)
-  match delegate ~shard ~req_size:(64 + bytes) th run with
+  match delegate ~req_size:(64 + bytes) th run with
   | M.Ret_unit -> ()
   | _ -> assert false
 
 let file_seek th ~fd ~pos =
   let t = th.proc in
-  let shard = fd_shard t fd in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.seek t.vfss.(shard) (fd_raw t fd) ~pos;
+    Vfs.seek t.vfs fd ~pos;
     M.Ret_unit
   in
-  match delegate ~shard th run with M.Ret_unit -> () | _ -> assert false
+  match delegate th run with M.Ret_unit -> () | _ -> assert false
 
 let file_close th ~fd =
   let t = th.proc in
-  let shard = fd_shard t fd in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.close t.vfss.(shard) (fd_raw t fd);
+    Vfs.close t.vfs fd;
     M.Ret_unit
   in
-  match delegate ~shard th run with M.Ret_unit -> () | _ -> assert false
+  match delegate th run with M.Ret_unit -> () | _ -> assert false
 
-let file_size t name = Vfs.size t.vfss.(file_shard t name) name
+let file_size t name = Vfs.size t.vfs name
 
 (* ------------------------------------------------------------------ *)
 (* Node-wide operations through remote workers.                        *)
@@ -1103,7 +1087,7 @@ let create cluster ?(origin = 0) () =
       vmas = Array.init (Cluster.nodes cluster) (fun _ -> Vma_tree.create ());
       futexes =
         Array.init nshards (fun _ -> Futex.create (Cluster.engine cluster));
-      vfss = Array.init nshards (fun _ -> Vfs.create ());
+      vfs = Vfs.create ();
       stats;
       next_tid = 0;
       threads = [];
@@ -1118,22 +1102,24 @@ let create cluster ?(origin = 0) () =
   (* Wire the replication logs into the protocol layer before any state is
      created, so the initial layout below is already logged. *)
   if Array.exists Option.is_some t.has then begin
-    Coherence.set_commit_barrier t.coh (Some (fun shard -> ha_fence_shard t shard));
-    Coherence.set_origin_resolver t.coh (Some (fun shard -> ha_resolve t ~shard));
-    Coherence.set_origin_write_hook t.coh
-      (Some
-         (fun vpn ->
-           (* Home-local dirtying never crosses the wire, so the directory
-              observer cannot see it; ship the fresh bytes ([ha_log]
-              routes them to the page's shard). *)
-           let store =
-             Coherence.page_store t.coh
-               ~node:(Authority.home_of (authority t) vpn)
-           in
-           if Page_store.mem store vpn then
-             ha_log t
-               (Log_entry.Page_data
-                  { vpn; data = Page_store.snapshot store vpn })));
+    Coherence.set_replication t.coh
+      {
+        fence = ha_fence_shard t;
+        resolve = (fun shard -> ha_resolve t ~shard);
+        store_mutated =
+          (fun vpn ->
+            (* Home-local dirtying never crosses the wire, so the directory
+               observer cannot see it; ship the fresh bytes ([ha_log]
+               routes them to the page's shard). *)
+            let store =
+              Coherence.page_store t.coh
+                ~node:(Authority.home_of (authority t) vpn)
+            in
+            if Page_store.mem store vpn then
+              ha_log t
+                (Log_entry.Page_data
+                   { vpn; data = Page_store.snapshot store vpn }));
+      };
     Array.iteri
       (fun shard ha ->
         match ha with

@@ -215,10 +215,9 @@ val futex_wake : thread -> addr:Dex_mem.Page.addr -> count:int -> int
 
 (** {1 File I/O (§III-A work delegation)}
 
-    The file table lives at the origin — or, with more than one shard,
-    files hash by name to a shard and each shard's table lives at its home
-    node (descriptors encode the shard, so every later call routes without a
-    lookup). Remote threads' calls are delegated, and read payloads
+    The file table lives at the origin, with the other delegated
+    services, whatever the shard count. Remote threads' calls are
+    delegated to it, and read payloads
     travel back as the system-call result (large reads ride the fabric's
     RDMA path). Contents are not simulated, only sizes and cursors — data
     transfer is charged against the shared storage appliance. *)

@@ -54,5 +54,3 @@ let seek t fd ~pos =
 let close t fd =
   ignore (lookup t fd "close");
   Hashtbl.remove t.fds fd
-
-let open_fds t = Hashtbl.length t.fds

@@ -29,5 +29,3 @@ val write : t -> fd -> bytes:int -> unit
 val seek : t -> fd -> pos:int -> unit
 
 val close : t -> fd -> unit
-
-val open_fds : t -> int

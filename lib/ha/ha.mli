@@ -133,7 +133,3 @@ val router : t -> Dex_net.Fabric.env -> bool
 (** Standby-side message dispatcher: apply [Repl_append] batches carrying
     the current epoch and ack the watermark; NACK batches from a deposed
     origin's older epoch. Register with the cluster router chain. *)
-
-val handle_crash : t -> int -> unit
-(** The priority-10 crash subscriber (registered by {!arm}; exposed for
-    directed tests). *)

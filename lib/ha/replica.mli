@@ -28,12 +28,6 @@ val vma_tree : t -> Vma_tree.t
 (** The replicated authoritative VMA tree (handed to the promoted origin
     wholesale). *)
 
-val vma_list : t -> Vma.t list
-
-val futex_waiters : t -> ((Page.addr * int) * int) list
-(** Parked [(addr, tid) -> owner node] image, sorted. Informational: the
-    waiters themselves re-park at the promoted origin by retrying. *)
-
 val pending_wakes : t -> (Page.addr * int) list
 (** Wakes consumed at the old origin whose delivery is not known to have
     reached the waiter — the promoted origin re-delivers them. *)

@@ -57,9 +57,6 @@ let tls_alloc t ~tid ~bytes ~tag =
   Hashtbl.replace t.tls_next tid (base + bytes);
   register t base bytes (Printf.sprintf "%s(tls:%d)" tag tid)
 
-let heap_break t = t.heap_next
-let globals_break t = t.globals_next
-
 let object_at t addr =
   match M.find_last_opt (fun base -> base <= addr) t.objects with
   | Some (base, (len, tag)) when addr < base + len -> Some (tag, base, len)

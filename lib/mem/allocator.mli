@@ -25,11 +25,6 @@ val memalign : t -> align:int -> bytes:int -> tag:string -> Page.addr
 val tls_alloc : t -> tid:int -> bytes:int -> tag:string -> Page.addr
 (** Allocate inside thread [tid]'s TLS block. *)
 
-val heap_break : t -> Page.addr
-(** Current top of the heap (exclusive). *)
-
-val globals_break : t -> Page.addr
-
 val object_at : t -> Page.addr -> (string * Page.addr * int) option
 (** [(tag, base, len)] of the object containing the address, if any. *)
 

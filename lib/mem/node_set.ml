@@ -5,10 +5,6 @@ let check n =
 
 let empty = 0
 
-let singleton n =
-  check n;
-  1 lsl n
-
 let add t n =
   check n;
   t lor (1 lsl n)

@@ -3,7 +3,6 @@
 type t = private int
 
 val empty : t
-val singleton : int -> t
 val add : t -> int -> t
 val remove : t -> int -> t
 val mem : t -> int -> bool

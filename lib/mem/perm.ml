@@ -12,10 +12,6 @@ let is_downgrade ~old_perm ~new_perm =
   (old_perm.read && not new_perm.read)
   || (old_perm.write && not new_perm.write)
 
-let pp_access fmt = function
-  | Read -> Format.pp_print_string fmt "R"
-  | Write -> Format.pp_print_string fmt "W"
-
 let pp fmt t =
   Format.fprintf fmt "%c%c" (if t.read then 'r' else '-')
     (if t.write then 'w' else '-')

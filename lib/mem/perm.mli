@@ -15,6 +15,4 @@ val is_downgrade : old_perm:t -> new_perm:t -> bool
     right that [old_perm] granted — such changes must be broadcast eagerly
     by the VMA synchronization protocol. *)
 
-val pp_access : Format.formatter -> access -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -87,9 +87,6 @@ val classify : page_traffic -> page_class
 (** Deterministic signal classification for the autopilot; pages with
     fewer than 4 faults are [Quiet]. *)
 
-val mean_latency : event list -> float
-(** Mean fault-handling latency in nanoseconds (invalidations excluded). *)
-
 type summary = {
   total_faults : int;
   reads : int;

@@ -55,16 +55,3 @@ val pp_serve :
     sojourn latency in µs — capped off by a [fleet] row merging every
     tenant's samples ({!Dex_sim.Histogram.merge}) when there is more than
     one. Prints nothing when no traffic was offered. *)
-
-val pp_shard : Format.formatter -> Dex_sim.Stats.t -> unit
-(** Sharded-home digest from the protocol's [shard.*] counters
-    ({!Dex_proto.Coherence.stats}): shard count, grants served by a
-    requester's own home vs another node's ([local]/[remote] plus the
-    derived locality percentage), syscall delegations routed to a
-    non-origin home ([cross_ops]) and per-shard failover promotions.
-    Prints nothing with one shard — the counters are only
-    maintained with more than one shard. Included in {!pp_summary}
-    automatically when [stats] is passed. *)
-
-val pp_compact : Format.formatter -> Analysis.summary -> unit
-(** One-paragraph digest. *)

@@ -5,6 +5,12 @@ module Msg = Dex_net.Msg
 
 type outcome = [ `Done | `Retry ]
 
+type replication = {
+  fence : int -> unit;
+  resolve : int -> int option;
+  store_mutated : Page.vpn -> unit;
+}
+
 type t = {
   fabric : Fabric.t;
   engine : Engine.t;
@@ -22,17 +28,8 @@ type t = {
   stats : Stats.t;
   fault_latencies : Histogram.t;
   mutable tracer : (Fault_event.t -> unit) option;
-  mutable barrier : (int -> unit) option;
-      (* HA commit fence, by shard: blocks until that shard's replication
-         log is acked far enough for the configured mode; called before
-         any grant reply leaves the shard's home *)
-  mutable resolver : (int -> int option) option;
-      (* HA home re-resolution, by shard: blocks a requester whose home is
-         declared dead until failover completes (the stall-not-abort
-         path); None result means no standby can take over *)
-  mutable on_origin_write : (Page.vpn -> unit) option;
-      (* HA data capture: fired after every mutation of a home's page
-         store, so typed page contents reach the replication log *)
+  mutable replication : replication option;
+      (* the HA layer's hooks, installed once by the process layer *)
   service : Resource.Server.t array option;
       (* per-node handler occupancy when [serial_home_service] is on:
          requests at one home queue behind each other instead of
@@ -49,6 +46,7 @@ type t = {
 let authority t = t.authority
 let shard_load t = Array.copy t.shard_grants
 let replicate_marked t vpn = Hashtbl.mem t.replicate_hint vpn
+let replicated t = Option.is_some t.replication
 
 (* --- fail-stop reclaim ---------------------------------------------- *)
 
@@ -122,7 +120,7 @@ let reclaim_node t ~node =
   let homed = Authority.homed_at t.authority node in
   (match homed with
   | [] -> Stats.incr t.stats "crash.nodes"
-  | _ when t.resolver <> None -> ()
+  | _ when replicated t -> ()
   | 0 :: _ ->
       failwith
         "Coherence: the origin fail-stopped — no recovery possible (the \
@@ -168,9 +166,7 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       stats = Stats.create ();
       fault_latencies = Histogram.create ();
       tracer = None;
-      barrier = None;
-      resolver = None;
-      on_origin_write = None;
+      replication = None;
       service =
         (if cfg.Proto_config.serial_home_service then
            Some
@@ -200,14 +196,12 @@ let page_store t ~node = t.stores.(node)
 let stats t = t.stats
 let fault_latencies t = t.fault_latencies
 let set_tracer t tracer = t.tracer <- tracer
-let set_commit_barrier t f = t.barrier <- f
-let set_origin_resolver t f = t.resolver <- f
-let set_origin_write_hook t f = t.on_origin_write <- f
+let set_replication t r = t.replication <- Some r
 
 let emit t event = match t.tracer with None -> () | Some f -> f event
 
 let commit_fence t ~shard =
-  match t.barrier with None -> () | Some f -> f shard
+  match t.replication with None -> () | Some r -> r.fence shard
 
 (* Handler occupancy at a home node. The default charges a plain delay —
    concurrent handlers overlap freely. With [serial_home_service] the
@@ -220,9 +214,9 @@ let home_service t ~node d =
   | Some servers -> Resource.Server.transfer servers.(node) ~bytes:d
 
 (* Feed a mutation of a home's staging store to the replication log.
-   No-op (one pointer test) unless the HA layer installed the hook. *)
+   No-op (one pointer test) unless the HA layer installed its hooks. *)
 let origin_store_mutated t vpn =
-  match t.on_origin_write with None -> () | Some f -> f vpn
+  match t.replication with None -> () | Some r -> r.store_mutated vpn
 
 (* Only ship real bytes for pages the typed API materialized; the wire
    cost of a full page is charged regardless (see grant sizes). *)
@@ -368,7 +362,7 @@ let mirror_to_static t ~src ~vpn data =
 (* Pull fresh page data back to the home from the current exclusive
    owner, downgrading or invalidating its copy.
 
-   With a commit barrier armed (replication), an invalidating
+   With replication armed, an invalidating
    reclaim goes in two phases: downgrade the owner (it keeps a read copy),
    replicate the pulled-back data, and only then invalidate. Destroying
    the owner's only copy before the standby acked the bytes would open an
@@ -378,7 +372,7 @@ let mirror_to_static t ~src ~vpn data =
 let reclaim_from_owner t ~shard ~home ~owner ~vpn ~mode =
   if owner = home then revoke_local t ~home ~vpn ~mode
   else begin
-    let two_phase = t.barrier <> None && mode = Messages.Invalidate in
+    let two_phase = replicated t && mode = Messages.Invalidate in
     let first = if two_phase then Messages.Downgrade else mode in
     let data =
       revoke_rpc t ~shard ~home ~target:owner ~vpn ~mode:first ~want_data:true
@@ -493,7 +487,10 @@ let push_replicas t ~shard ~home ~dir ~vpn ~requester =
             end
           end)
 
-let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
+(* Decide a request at the page's serving home, against the route resolved
+   when the request was admitted — before the handler delay. *)
+let origin_grant t ~shard ~(route : Authority.route) ~requester ~vpn ~access =
+  let home = route.node and dir = route.dir in
   if requester_gone t ~home ~requester then begin
     (* The requester died between sending the request and being serviced:
        granting would hand a page to a ghost and leave it dangling in the
@@ -506,10 +503,11 @@ let origin_grant t ~shard ~home ~dir ~requester ~vpn ~access =
     `Nack
   end
   else if (Authority.route t.authority vpn).dir != dir then begin
-    (* The page's authority moved (re-home or fallback) between dispatch
-       and lock: this directory no longer speaks for it, and the lock just
-       taken may even have auto-created a fresh entry here. Drop the bogus
-       entry wholesale and NACK — the requester's retry re-steers. *)
+    (* The page's authority moved (re-home, fallback or promotion) between
+       admission and lock: this directory no longer speaks for it, and the
+       lock just taken may even have auto-created a fresh entry here. Drop
+       the bogus entry wholesale and NACK — the requester's retry
+       re-steers to the new home. *)
     Directory.forget dir vpn;
     Stats.incr t.stats "grant.nack";
     `Nack
@@ -617,7 +615,7 @@ let backoff t ~node ~attempt =
    are idempotent, so surfacing the timeout as a NACK and retrying is
    safe — unlike delegated operations, which must never be replayed.
 
-   With an HA resolver installed, a dead home is a different story:
+   With replication armed, a dead home is a different story:
    exhaust-the-budget IS the failure detector (escalate an undeclared
    crash), then stall in the resolver until the standby is promoted,
    adopt the new home address, and retry there — the thread sees a
@@ -630,20 +628,20 @@ let request_failure t ~node ~shard ~dst ~steered =
        runs and the retry resolves at the page's shard home. A
        live-but-slow target keeps the page and is simply retried. *)
     if
-      (steered || t.resolver <> None)
+      (steered || replicated t)
       && Fabric.crashed t.fabric ~node:dst
       && not (Fabric.crash_detected t.fabric ~node:dst)
     then begin
       Stats.incr t.stats "crash.escalations";
       Fabric.declare_dead t.fabric ~node:dst
     end;
-    match t.resolver with
+    match t.replication with
     | _ when steered || not (Fabric.crash_detected t.fabric ~node:dst) ->
         Stats.incr t.stats "crash.requester_retries";
         `Nack
     | None -> `Reraise
-    | Some resolve -> (
-        match resolve shard with
+    | Some r -> (
+        match r.resolve shard with
         | Some o ->
             (Authority.view t.authority ~node ~shard).home <- o;
             Stats.incr t.stats "ha.stalled_faults";
@@ -652,13 +650,12 @@ let request_failure t ~node ~shard ~dst ~steered =
   end
 
 (* Send one [Page_request] for [vpn] from [node], which is not the page's
-   home, and return the reply. A re-homed page is steered straight to its
-   re-home target (the re-home decision costs no messages, so every node
-   learns it at once); other pages go to the shard's home view. [None]
-   when the call failed in a way the fault loop retries
+   home per [route], and return the reply. A re-homed page is steered
+   straight to its re-home target (the re-home decision costs no messages,
+   so every node learns it at once); other pages go to the shard's home
+   view. [None] when the call failed in a way the fault loop retries
    ({!request_failure}). *)
-let page_request t ~node ~shard ~vpn ~access =
-  let route = Authority.route t.authority vpn in
+let page_request t ~node ~shard ~(route : Authority.route) ~vpn ~access =
   let view = Authority.view t.authority ~node ~shard in
   let steered = Option.is_none route.shard && route.node <> node in
   (* Backstop against a view pointing at ourselves (we just stopped
@@ -678,13 +675,10 @@ let page_request t ~node ~shard ~vpn ~access =
 (* One protocol attempt as the fault leader. *)
 let request_once t ~node ~vpn ~access =
   let shard = Authority.shard_of t.authority vpn in
-  if node = (Authority.route t.authority vpn).node then begin
+  let route = Authority.route t.authority vpn in
+  if node = route.node then begin
     Engine.delay t.engine t.cfg.Proto_config.local_op;
-    match
-      origin_grant t ~shard ~home:node
-        ~dir:(Authority.route t.authority vpn).dir ~requester:node ~vpn
-        ~access
-    with
+    match origin_grant t ~shard ~route ~requester:node ~vpn ~access with
     | `Nack -> `Nack
     | `Grant _ ->
         Page_table.set t.ptables.(node) vpn access;
@@ -698,7 +692,7 @@ let request_once t ~node ~vpn ~access =
              { src = node; dst = node; kind = Messages.kind_revoke })
   end
   else
-    match page_request t ~node ~shard ~vpn ~access with
+    match page_request t ~node ~shard ~route ~vpn ~access with
     | None | Some (Messages.Page_nack _) -> `Nack
     | Some (Messages.Page_stale { epoch; _ }) ->
         (* Failover happened while we still addressed the old epoch: adopt
@@ -754,11 +748,12 @@ let ensure t ~node ~tid ~site ~vpn ~access =
                description of stock Linux — the prepared page is simply
                discarded because the PTE changed under it. *)
             Stats.incr t.stats "fault.duplicate";
-            if node <> (Authority.route t.authority vpn).node then
+            let route = Authority.route t.authority vpn in
+            if node <> route.node then
               (* The duplicate's result is discarded anyway; a timeout
                  toward the live home is not worth aborting for, and a
                  dead home just means waiting out the failover. *)
-              ignore (page_request t ~node ~shard ~vpn ~access)
+              ignore (page_request t ~node ~shard ~route ~vpn ~access)
             else Engine.delay t.engine t.cfg.Proto_config.local_op;
             loop ()
         | Fault_table.Conflict -> loop ()
@@ -1073,7 +1068,8 @@ let handler_unguarded t (env : Fabric.env) =
   match msg.Msg.payload with
   | Messages.Page_request { pid; vpn; access; epoch } when pid = t.pid ->
       let shard = Authority.shard_of t.authority vpn in
-      let home = (Authority.route t.authority vpn).node in
+      let route = Authority.route t.authority vpn in
+      let home = route.node in
       if msg.Msg.dst <> home then begin
         (* The requester's steer is stale — the page's authority moved
            (re-home, fallback, or a fresh re-home after a fallback).
@@ -1093,9 +1089,7 @@ let handler_unguarded t (env : Fabric.env) =
         end
         else
           match
-            origin_grant t ~shard ~home
-              ~dir:(Authority.route t.authority vpn).dir
-              ~requester:msg.Msg.src ~vpn ~access
+            origin_grant t ~shard ~route ~requester:msg.Msg.src ~vpn ~access
           with
           | `Nack ->
               env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size

@@ -27,6 +27,11 @@
     directories and node views, plus per-page re-homes and pins. Every
     protocol operation resolves a page through {!Authority.route}, so the
     static shard home and an autopilot re-home are never checked apart.
+    A request resolves its route once: the requester when it sends, the
+    home when it admits the request, before the handler delay. The grant
+    then decides against that route's directory; if the page's authority
+    moved in the meantime (a re-home, fallback or promotion), the grant
+    is NACKed and the retry is served by the new home.
     Each shard has its own directory, epoch and (with replication) its own
     log and promotion path; faults, revocations and fences all resolve at
     the serving home, so independent shards never serialize on one node.
@@ -50,17 +55,17 @@
 
     {2 Home failover (HA)}
 
-    With {!Proto_config.replication} on, the process layer wires this
-    instance to {!Dex_ha} — one armed instance {e per shard}: a
-    {!set_commit_barrier} fence runs before any grant reply leaves a
-    shard's home, every directory mutation streams to that shard's
+    With standbys configured ({!Proto_config.standby_count}), the process
+    layer arms this instance ({!set_replication}) with {!Dex_ha} — one
+    replica set {e per shard}: a {!replication} fence runs before any
+    grant reply leaves a shard's home, every directory mutation streams to that shard's
     standbys through the {!Dex_mem.Directory} observer, and a home death
     is handled by {!promote} + {!fence_survivors} for each shard it homed
     (other shards' directories are scrubbed of the dead node and keep
     serving). Every coherence request carries its shard's epoch; requests
     stamped with a dead epoch are NACKed with [Page_stale]
     ([ha.stale_epoch_nacks]) so survivors adopt the new home, which they
-    located by stalling in the {!set_origin_resolver} hook until the
+    located by stalling in the {!replication} resolver until the
     promotion completed — a failover is a long fault, not an abort. *)
 
 type t
@@ -266,38 +271,39 @@ val unsubscribe_crash : t -> unit
     unrecoverable origin loss, failing whichever live fiber declared the
     crash. *)
 
-(** {2 Home failover hooks}
+(** {2 Home failover hooks} *)
 
-    Installed by the process layer when {!Proto_config.replication} is on;
-    all default to absent, in which case every path below is bit-identical
-    to a build without them. All shard-indexed hooks receive the shard
-    number — with one shard it is always 0. *)
+type replication = {
+  fence : int -> unit;
+      (** Run at a shard's home immediately before a grant reply leaves
+          it — the "replicate before externalize" fence, passed the shard
+          number. The HA layer blocks here until the shard's ack watermark
+          covers its log ([`Sync]) or the unacked suffix is within the
+          configured lag ([`Async n]). Home-local operations never pass
+          through it. *)
+  resolve : int -> int option;
+      (** Consulted when a request towards a shard's home fails with
+          [Unreachable] and the home is (or becomes) declared dead: blocks
+          the faulting fiber until a standby has been promoted for that
+          shard and returns the new home ([Some node], and the fault
+          retries there — counted as [ha.stalled_faults]), or [None] when
+          no standby remains (the [Unreachable] is re-raised). *)
+  store_mutated : Dex_mem.Page.vpn -> unit;
+      (** Fired after every mutation of a {e home's} page store: typed
+          stores/CAS/fetch-add executed at the page's home, and page data
+          pulled back by a reclaim. It ships page contents whose dirtying
+          never crosses the wire (directory observation alone cannot see
+          home-local writes to pages the home already owns). *)
+}
+(** The HA layer's hooks into the protocol. Shard-indexed hooks receive
+    the shard number — with one shard it is always 0. *)
 
-val set_commit_barrier : t -> (int -> unit) option -> unit
-(** Hook run at a shard's home immediately before a grant reply leaves
-    that home — the
-    "replicate before externalize" fence, passed the shard number. The HA
-    layer blocks here until the shard's ack watermark covers its log
-    ([`Sync]) or the unacked suffix is within the configured lag
-    ([`Async n]). Home-local operations never pass through the barrier. *)
-
-val set_origin_resolver : t -> (int -> int option) option -> unit
-(** Hook consulted when a request towards a shard's home fails with
-    [Unreachable] and the home is (or becomes) declared dead: the
-    resolver blocks the faulting fiber until a standby has been promoted
-    for that shard and returns the new home ([Some node], and the fault
-    retries there — counted as [ha.stalled_faults]), or [None] when no
-    standby remains (the [Unreachable] is re-raised, PR-3 behavior).
-    Without a resolver installed, home death keeps its historical
-    [failwith]. *)
-
-val set_origin_write_hook : t -> (Dex_mem.Page.vpn -> unit) option -> unit
-(** Hook fired after every mutation of a {e home's} page store: typed
-    stores/CAS/fetch-add executed at the page's home, and page data pulled
-    back by a reclaim. The HA layer uses it to ship page contents whose
-    dirtying never crosses the wire (directory observation alone cannot
-    see home-local writes to pages the home already owns); it routes the
-    entry to the page's shard via {!Authority.shard_of}. *)
+val set_replication : t -> replication -> unit
+(** Arm replication: the process layer installs the hooks once, when
+    {!Proto_config.replication} has standbys. Unarmed, every path they
+    guard is bit-identical to a build without them, a home death is
+    fatal ({!reclaim_node}), and a reclaim takes one phase instead of
+    two. *)
 
 val promote : t ->
   shard:int ->

@@ -22,8 +22,5 @@ type t = {
   retries : int;  (** NACK-and-retry rounds before success *)
 }
 
-val pp_kind : Format.formatter -> kind -> unit
-(** Prints [R], [W] or [INV]. *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line rendering of a record, for debugging and CSV-ish dumps. *)

@@ -30,7 +30,6 @@ let suspend (t : t) register =
   Effect.perform (Suspend register)
 
 let delay t d = suspend t (fun resume -> schedule t ~delay:d (fun () -> resume ()))
-let yield t = delay t 0
 
 let spawn t ?(label = "fiber") f =
   t.live <- t.live + 1;

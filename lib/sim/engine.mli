@@ -41,10 +41,6 @@ val suspend : t -> (('a -> unit) -> unit) -> 'a
 val delay : t -> Time_ns.t -> unit
 (** [delay t d] blocks the calling fiber for [d] simulated nanoseconds. *)
 
-val yield : t -> unit
-(** [yield t] reschedules the calling fiber behind events already pending at
-    the current instant. *)
-
 val live_fibers : t -> int
 (** [live_fibers t] is the number of fibers that have started and not yet
     finished (blocked fibers count as live). *)

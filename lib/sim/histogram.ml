@@ -58,18 +58,6 @@ let percentile t p =
   in
   a.(rank)
 
-let stddev t =
-  if t.size < 2 then 0.0
-  else begin
-    let m = mean t in
-    let sum = ref 0.0 in
-    for i = 0 to t.size - 1 do
-      let d = float_of_int t.data.(i) -. m in
-      sum := !sum +. (d *. d)
-    done;
-    sqrt (!sum /. float_of_int t.size)
-  end
-
 let merge a b =
   let t = { data = Array.make (max 16 (a.size + b.size)) 0; size = 0 } in
   Array.blit a.data 0 t.data 0 a.size;

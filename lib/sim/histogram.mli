@@ -25,8 +25,6 @@ val percentile : t -> float -> int
 (** [percentile t p] with [p] in [\[0,100\]] (nearest-rank). Raises
     [Invalid_argument] when empty. *)
 
-val stddev : t -> float
-
 val merge : t -> t -> t
 (** [merge a b] is a fresh histogram holding both sample sets ([a]'s
     samples, then [b]'s); the inputs are unchanged and may be empty.

@@ -860,6 +860,38 @@ let test_rehomed_home_crash_falls_back () =
   check_i64 "the externalized write survives the crash" 9L !v;
   Coherence.check_invariants coh
 
+(* A re-home landing inside the home's handler delay (6.0-7.5 us into a
+   remote load with default configs): the request was admitted by the
+   static home, whose directory no longer speaks for the page once the
+   delay ends. The grant must NACK and the retry be served by the new
+   home, rather than node 0 granting out of node 2's overlay directory and
+   recording itself as a reader of a page it no longer serves. *)
+let test_rehome_inside_handler_delay () =
+  let engine, coh = setup ~nodes:4 () in
+  let vpn = Page.page_of_addr addr0 in
+  let st = Coherence.stats coh in
+  run_fiber engine (fun () -> Coherence.store_i64 coh ~node:2 ~tid:2 addr0 7L);
+  let retries = Stats.get st "fault.retry" in
+  let seen = ref 0L in
+  run_fiber engine (fun () ->
+      Engine.spawn engine (fun () ->
+          Engine.delay engine (Time_ns.ns 6_500);
+          match Coherence.rehome_page coh ~vpn ~node:2 with
+          | `Rehomed -> ()
+          | _ -> Alcotest.fail "re-home to node 2 must succeed");
+      seen := Coherence.load_i64 coh ~node:1 ~tid:1 addr0);
+  check_i64 "the load sees the store" 7L !seen;
+  check_int "the grant admitted at node 0 is retried" 1
+    (Stats.get st "fault.retry" - retries);
+  check_int "node 2 serves the page" 2 (page_home coh vpn);
+  (match
+     Directory.state (Authority.route (Coherence.authority coh) vpn).dir vpn
+   with
+  | Directory.Shared rs ->
+      Alcotest.(check (list int)) "readers" [ 1; 2 ] (Node_set.to_list rs)
+  | Directory.Exclusive _ -> Alcotest.fail "the page must be shared");
+  Coherence.check_invariants coh
+
 (* The SC acceptance property for this PR: single-writer monotonicity must
    survive an adversary driving the autopilot's levers mid-run — re-homes
    to random nodes, replicate marks and pins on exactly the hot pages —
@@ -1031,6 +1063,8 @@ let () =
             test_mark_replicate_pushes_copies;
           Alcotest.test_case "re-homed page survives its home crashing" `Quick
             test_rehomed_home_crash_falls_back;
+          Alcotest.test_case "re-home inside the handler delay retries" `Quick
+            test_rehome_inside_handler_delay;
         ]
         @ qsuite
             [
