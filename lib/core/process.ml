@@ -34,10 +34,7 @@ type t = {
   cluster : Cluster.t;
   pid : int;
   mutable origin : int;  (* changes when a standby is promoted *)
-  has : Ha.t option array;
-      (* per-shard replication, per Proto_config.replication: shard s's
-         log roots at its home node; one-element array with one
-         shard *)
+  ha : Ha.t option;  (* origin replication, per Proto_config.replication *)
   coh : Coherence.t;
   alloc : Allocator.t;
   vmas : Vma_tree.t array;
@@ -79,7 +76,7 @@ and thread = {
 let cluster t = t.cluster
 let pid t = t.pid
 let origin t = t.origin
-let ha t = t.has.(0)
+let ha t = t.ha
 let coherence t = t.coh
 let allocator t = t.alloc
 let vma_tree t ~node = t.vmas.(node)
@@ -107,56 +104,20 @@ let install_vma tree vma =
   Vma_tree.insert tree vma
 
 (* ------------------------------------------------------------------ *)
-(* Home replication plumbing — one log per shard. All of these are
-   single pointer tests when replication is off, so the default
-   configuration pays nothing.                                          *)
+(* Origin replication plumbing. All of these are single pointer tests
+   when replication is off, so the default configuration pays nothing. *)
 
-(* Route a log entry to the shard whose home's state it describes:
-   page-granular entries by the page's shard, futex transitions by the
-   futex word's shard, VMA/layout entries to shard 0 (the allocator and
-   VMA services stay at the process origin). With one shard everything is
-   shard 0. *)
-let ha_shard_of_entry t (e : Log_entry.t) =
-  match e with
-  | Log_entry.Dir_set { vpn; _ }
-  | Log_entry.Dir_forget { vpn }
-  | Log_entry.Page_data { vpn; _ } ->
-      Authority.shard_of (authority t) vpn
-  | Log_entry.Futex_wait { addr; _ } | Log_entry.Futex_unpark { addr; _ } ->
-      Authority.shard_of (authority t) (Page.page_of_addr addr)
-  | Log_entry.Reset _ | Log_entry.Vma_set _ | Log_entry.Vma_remove _
-  | Log_entry.Vma_protect _ ->
-      0
-
-let ha_log t e =
-  match t.has.(ha_shard_of_entry t e) with
-  | Some ha -> Ha.append ha e
-  | None -> ()
-
-let ha_fence_shard t shard =
-  match t.has.(shard) with Some ha -> Ha.fence ha | None -> ()
-
-(* Fence every armed shard homed at [node] — the delegation handlers'
-   replicate-before-externalize barrier. With one shard the only
-   delegation target is the origin, which homes the one shard. *)
-let ha_fence_node t ~node =
-  for shard = 0 to Array.length t.has - 1 do
-    if Authority.home (authority t) ~shard = node then ha_fence_shard t shard
-  done
-
-let ha_fence_all t =
-  Array.iter (function Some ha -> Ha.fence ha | None -> ()) t.has
-
-let ha_resolve t ~shard =
-  match t.has.(shard) with Some ha -> Ha.resolve ha | None -> None
+let ha_log t e = match t.ha with Some ha -> Ha.append ha e | None -> ()
+let ha_fence t = match t.ha with Some ha -> Ha.fence ha | None -> ()
+let ha_resolve t = match t.ha with Some ha -> Ha.resolve ha | None -> None
 
 (* Run [f ~dst] against [shard]'s current home; when the {e home}
-   fail-stops under the call, stall until the HA layer promotes a standby
-   for the shard, then retry against the new home. Crashes of the calling
-   node itself are not handled here — they keep unwinding to {!guard},
-   which applies the thread crash policy. Without replication the
-   resolver answers [None] and the exception propagates exactly as
-   before. *)
+   fail-stops under the call, stall until the HA layer promotes a standby,
+   then retry against the new home. Only the origin (shard 0's home) is
+   ever replicated. Crashes of the calling node itself are not handled
+   here — they keep unwinding to {!guard}, which applies the thread crash
+   policy. Without replication the resolver answers [None] and the
+   exception propagates exactly as before. *)
 let rec home_rpc t ~shard ~src ~stat f =
   let dst = Authority.home (authority t) ~shard in
   try f ~dst
@@ -167,7 +128,7 @@ let rec home_rpc t ~shard ~src ~stat f =
          && not (Fabric.crashed (fabric t) ~node:src) -> (
       if not (Fabric.crash_detected (fabric t) ~node:dst) then
         Fabric.declare_dead (fabric t) ~node:dst;
-      match ha_resolve t ~shard with
+      match ha_resolve t with
       | Some o when o <> dst ->
           Stats.incr t.stats stat;
           home_rpc t ~shard ~src ~stat f
@@ -402,7 +363,7 @@ let futex_wait th ~addr ~expected =
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.futex_op;
     let redelivered =
-      match t.has.(shard) with
+      match t.ha with
       | Some ha -> Ha.take_wake ha ~addr ~tid:th.tid
       | None -> false
     in
@@ -604,7 +565,7 @@ let rec broadcast_node_op t op =
         targets;
       Waitq.wait (engine t) join;
       if !src_died then
-        match ha_resolve t ~shard:0 with
+        match ha_resolve t with
         | Some o when o <> src -> broadcast_node_op t op
         | Some _ | None ->
             (* No promotion path: the origin crash is fatal anyway (the
@@ -641,9 +602,8 @@ let munmap th ~addr ~len =
     let first, last = Page.pages_of_range addr ~len in
     ignore (Coherence.zap_range t.coh ~first ~last ~node:t.origin);
     (* Shrinks are broadcast eagerly (§III-D); the shrink must be durable
-       on the standbys before any remote node observes it. The range may
-       span pages of every shard, so every shard's log is fenced. *)
-    ha_fence_all t;
+       on the standbys before any remote node observes it. *)
+    ha_fence t;
     broadcast_node_op t (M.Vma_shrink { start = addr; len });
     Coherence.forget_range t.coh ~first ~last;
     M.Ret_unit
@@ -661,7 +621,7 @@ let mprotect th ~addr ~len ~perm =
     if not (perm.Perm.read && perm.Perm.write) then begin
       let first, last = Page.pages_of_range addr ~len in
       ignore (Coherence.zap_range t.coh ~first ~last ~node:t.origin);
-      ha_fence_all t;
+      ha_fence t;
       broadcast_node_op t (M.Vma_protect { start = addr; len; perm })
     end;
     M.Ret_unit
@@ -890,31 +850,24 @@ let handle_migrate_back t ~node ~tid ~remote_ns resume =
 let handle_node_crash t ~node =
   let origin_died = node = t.origin in
   (* Shards whose home stood on the dead node. Computed here, before the
-     per-shard promotion fibers (queued at priority 10) run, so the home
-     table still points at the casualty. With one shard this is [0]
-     iff the origin died. *)
+     promotion fiber (queued at priority 10) runs, so the home table
+     still points at the casualty. *)
   let homed = Authority.homed_at (authority t) node in
-  List.iter
-    (fun shard ->
-      match t.has.(shard) with
-      | Some ha when Ha.armed ha ->
-          (* The HA layer's own subscriber (priority 10) already queued
-             the promotion fiber; this pass only cleans up local
-             casualties. *)
-          ()
-      | Some _ when shard = 0 ->
-          failwith
-            "Process: origin crash with replication disabled (the whole \
-             replica set was lost first) is unsupported"
-      | None when shard = 0 ->
-          failwith
-            "Process: origin crash is unsupported (the directory and every \
-             delegated service die with it)"
-      | Some _ | None ->
-          failwith
-            "Process: a home node crashed with no live replica for its \
-             shard — its delegated services die with it")
-    homed;
+  (match (homed, t.ha) with
+  | [], _ -> ()
+  | _, Some ha when Ha.armed ha ->
+      (* Only the origin replicates, so the origin died. The HA layer's
+         own subscriber (priority 10) already queued the promotion fiber;
+         this pass only cleans up local casualties. *)
+      ()
+  | 0 :: _, _ ->
+      failwith
+        "Process: origin crash with no live replica is unsupported (the \
+         directory and every delegated service die with it)"
+  | _ ->
+      failwith
+        "Process: a shard home node crashed — its directory and futex \
+         service die with it");
   (* Wake home-side delegate fibers parked in the futex on behalf of
      threads that lived on the dead node — before any re-homing below
      changes thread locations, or the owner tags would lie. A home crash
@@ -986,15 +939,15 @@ let router t (env : Fabric.env) =
         let r = run () in
         (* Replicate-before-externalize: whatever the syscall mutated
            (futex state, VMAs, allocations) must be on the standbys before
-           the reply publishes the effect to another node. Only this
-           node's shards can have been mutated — fence those logs. *)
-        ha_fence_node t ~node:msg.Msg.dst;
+           the reply publishes the effect to another node. Only the
+           origin's state is replicated. *)
+        if msg.Msg.dst = t.origin then ha_fence t;
         env.Fabric.respond ~size:resp_size r;
         true
     | M.Vma_query { pid; addr } when pid = t.pid ->
         Engine.delay (engine t) (cfg t).Core_config.vma_op;
         let r = M.Vma_info (Vma_tree.find t.vmas.(t.origin) addr) in
-        ha_fence_shard t 0;
+        ha_fence t;
         env.Fabric.respond r;
         true
     | M.Node_op { pid; op } when pid = t.pid -> (
@@ -1022,66 +975,50 @@ let create cluster ?(origin = 0) () =
   let coh = Coherence.create ~cfg ~seed ~pid (Cluster.fabric cluster) ~origin in
   let nshards = Authority.shard_count (Coherence.authority coh) in
   (* Zero standbys (and no explicit list) is replication off. *)
-  let has =
+  let ha =
     let k = cfg.Dex_proto.Proto_config.standby_count in
     if k < 0 then invalid_arg "Process.create: bad standby count";
     match cfg.Dex_proto.Proto_config.standbys with
-    | None when k = 0 -> Array.make nshards None
-    | _ ->
-        let mode = cfg.Dex_proto.Proto_config.replication in
+    | None when k = 0 -> None
+    | standbys ->
+        (* Replication protects the origin only: with more shards, a
+           non-origin home's death would still be fatal. *)
+        if nshards > 1 then
+          invalid_arg "Process.create: replication needs one shard";
         let nodes = Cluster.nodes cluster in
         if nodes < 2 then
           invalid_arg "Process.create: replication needs at least two nodes";
-        if nshards > 64 then
-          invalid_arg
-            "Process.create: replication supports at most 64 shards (the \
-             per-shard replication stream id is pid * 64 + shard)";
-        (* One independent replica set per shard: each home streams its
-           own log, holds its own epoch and promotes on its own. *)
-        Array.init nshards (fun shard ->
-            let home = Authority.home (Coherence.authority coh) ~shard in
-            let standbys =
-              match cfg.Dex_proto.Proto_config.standbys with
-              | Some l ->
-                  List.iter
-                    (fun s ->
-                      if s < 0 || s >= nodes || (nshards = 1 && s = origin)
-                      then invalid_arg "Process.create: bad standby node")
-                    l;
-                  if l = [] then
-                    invalid_arg "Process.create: empty standby list";
-                  if List.length (List.sort_uniq compare l) <> List.length l
-                  then invalid_arg "Process.create: duplicate standby node";
-                  (* One list serves every shard; each
-                     shard just skips its own home. *)
-                  let l = List.filter (fun s -> s <> home) l in
-                  if l = [] then
-                    invalid_arg
-                      "Process.create: standby list is empty once a \
-                       shard's own home node is excluded";
-                  l
-              | None ->
-                  (* The k lowest-numbered non-home nodes. *)
-                  if k > nodes - 1 then
-                    invalid_arg "Process.create: bad standby count";
-                  List.filteri
-                    (fun i _ -> i < k)
-                    (List.filter
-                       (fun n -> n <> home)
-                       (List.init nodes (fun n -> n)))
-            in
-            let ha_pid = if nshards = 1 then pid else (pid * 64) + shard in
-            Some
-              (Ha.arm ~engine:(Cluster.engine cluster)
-                 ~fabric:(Cluster.fabric cluster) ~stats ~pid:ha_pid ~mode
-                 ~origin:home ~standbys))
+        let standbys =
+          match standbys with
+          | Some l ->
+              List.iter
+                (fun s ->
+                  if s < 0 || s >= nodes || s = origin then
+                    invalid_arg "Process.create: bad standby node")
+                l;
+              if l = [] then invalid_arg "Process.create: empty standby list";
+              if List.length (List.sort_uniq compare l) <> List.length l then
+                invalid_arg "Process.create: duplicate standby node";
+              l
+          | None ->
+              (* The k lowest-numbered non-origin nodes. *)
+              if k > nodes - 1 then
+                invalid_arg "Process.create: bad standby count";
+              List.filteri
+                (fun i _ -> i < k)
+                (List.filter (fun n -> n <> origin) (List.init nodes Fun.id))
+        in
+        Some
+          (Ha.arm ~engine:(Cluster.engine cluster)
+             ~fabric:(Cluster.fabric cluster) ~stats ~pid
+             ~mode:cfg.Dex_proto.Proto_config.replication ~origin ~standbys)
   in
   let t =
     {
       cluster;
       pid;
       origin;
-      has;
+      ha;
       coh;
       alloc = Allocator.create ();
       vmas = Array.init (Cluster.nodes cluster) (fun _ -> Vma_tree.create ());
@@ -1099,79 +1036,62 @@ let create cluster ?(origin = 0) () =
       detach = Fun.id;
     }
   in
-  (* Wire the replication logs into the protocol layer before any state is
+  (* Wire the replication log into the protocol layer before any state is
      created, so the initial layout below is already logged. *)
-  if Array.exists Option.is_some t.has then begin
-    Coherence.set_replication t.coh
-      {
-        fence = ha_fence_shard t;
-        resolve = (fun shard -> ha_resolve t ~shard);
-        store_mutated =
-          (fun vpn ->
-            (* Home-local dirtying never crosses the wire, so the directory
-               observer cannot see it; ship the fresh bytes ([ha_log]
-               routes them to the page's shard). *)
-            let store =
-              Coherence.page_store t.coh
-                ~node:(Authority.home_of (authority t) vpn)
-            in
-            if Page_store.mem store vpn then
-              ha_log t
-                (Log_entry.Page_data
-                   { vpn; data = Page_store.snapshot store vpn }));
-      };
-    Array.iteri
-      (fun shard ha ->
-        match ha with
-        | None -> ()
-        | Some ha ->
-            Directory.set_observer
-              (Authority.directory (authority t) ~shard)
-              (Some
-                 (fun vpn state ->
-                   Ha.append ha
-                     (match state with
-                     | Some s -> Log_entry.Dir_set { vpn; state = s }
-                     | None -> Log_entry.Dir_forget { vpn })));
-            Ha.set_promote_hook ha (fun ~new_origin replica ->
-                (* Runs in the promotion fiber, after directory reclaim for
-                   the dead home was skipped in favor of this rebuild. *)
-                Coherence.promote t.coh ~shard ~new_origin
-                  ~dir_entries:(Replica.dir_snapshot replica)
-                  ~page_data:(Replica.page_data replica);
-                if shard = 0 then begin
-                  t.origin <- new_origin;
-                  (* The replicated tree IS the authoritative layout now;
-                     the promoted node's lazily synced view is a strict
-                     subset. VMAs live with shard 0, whose home runs the
-                     VMA service. *)
-                  t.vmas.(new_origin) <- Replica.vma_tree replica
-                end;
-                Coherence.fence_survivors t.coh ~shard;
-                (* Bootstrap snapshot seeding the next replication
-                   generation: this shard's slice of the state only. *)
-                let vmas = ref [] in
-                if shard = 0 then
-                  Vma_tree.iter t.vmas.(new_origin) (fun vma ->
-                      vmas := Log_entry.Vma_set vma :: !vmas);
-                let store = Coherence.page_store t.coh ~node:new_origin in
-                let pages =
-                  Page_store.fold store ~init:[] ~f:(fun vpn data acc ->
-                      if Authority.shard_of (authority t) vpn = shard then
-                        Log_entry.Page_data { vpn; data = Bytes.copy data }
-                        :: acc
-                      else acc)
-                in
-                let dirs =
-                  List.map
-                    (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
-                    (Directory.snapshot
-                       (Authority.directory (authority t) ~shard))
-                in
-                dirs @ pages @ List.rev !vmas);
-            Cluster.add_router cluster (Ha.router ha))
-      t.has
-  end;
+  Option.iter
+    (fun ha ->
+      Coherence.set_replication t.coh
+        {
+          fence = (fun () -> Ha.fence ha);
+          resolve = (fun () -> Ha.resolve ha);
+          store_mutated =
+            (fun vpn ->
+              (* Home-local dirtying never crosses the wire, so the
+                 directory observer cannot see it; ship the fresh bytes. *)
+              let store = Coherence.page_store t.coh ~node:t.origin in
+              if Page_store.mem store vpn then
+                Ha.append ha
+                  (Log_entry.Page_data
+                     { vpn; data = Page_store.snapshot store vpn }));
+        };
+      Directory.set_observer
+        (Authority.directory (authority t) ~shard:0)
+        (Some
+           (fun vpn state ->
+             Ha.append ha
+               (match state with
+               | Some s -> Log_entry.Dir_set { vpn; state = s }
+               | None -> Log_entry.Dir_forget { vpn })));
+      Ha.set_promote_hook ha (fun ~new_origin replica ->
+          (* Runs in the promotion fiber, after directory reclaim for the
+             dead origin was skipped in favor of this rebuild. *)
+          Coherence.promote t.coh ~new_origin
+            ~dir_entries:(Replica.dir_snapshot replica)
+            ~page_data:(Replica.page_data replica);
+          t.origin <- new_origin;
+          (* The replicated tree IS the authoritative layout now; the
+             promoted node's lazily synced view is a strict subset. *)
+          t.vmas.(new_origin) <- Replica.vma_tree replica;
+          Coherence.fence_survivors t.coh;
+          (* Bootstrap snapshot seeding the next replication generation. *)
+          let vmas = ref [] in
+          Vma_tree.iter t.vmas.(new_origin) (fun vma ->
+              vmas := Log_entry.Vma_set vma :: !vmas);
+          let pages =
+            Page_store.fold
+              (Coherence.page_store t.coh ~node:new_origin)
+              ~init:[]
+              ~f:(fun vpn data acc ->
+                Log_entry.Page_data { vpn; data = Bytes.copy data } :: acc)
+          in
+          let dirs =
+            List.map
+              (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
+              (Directory.snapshot (Authority.directory (authority t) ~shard:0))
+          in
+          dirs @ pages @ List.rev !vmas);
+      Cluster.add_router cluster (Ha.router ha))
+    t.ha;
   (* Classic static layout at the origin; remote nodes learn VMAs on
      demand. *)
   let tree = t.vmas.(origin) in
@@ -1289,4 +1209,4 @@ let shutdown t =
      other finished process has nothing a later crash could damage (see
      {!Coherence.unsubscribe_crash} for why it must not stay
      subscribed). *)
-  if Array.for_all Option.is_none t.has then t.detach ()
+  if Option.is_none t.ha then t.detach ()

@@ -34,11 +34,11 @@ val create : Cluster.t -> ?origin:int -> unit -> t
     cluster's proto config names a replica set
     ({!Dex_proto.Proto_config.standbys}, or else
     [standby_count] > 0 for the [standby_count] lowest non-origin nodes),
-    this also arms {!Dex_proto.Proto_config.replication} towards it
-    — one instance per shard
-    of {!Dex_proto.Proto_config.sharding} (each shard's own home
-    node is excluded from its standby list; at most 64 shards per
-    process) — see {!ha}. *)
+    this also arms {!Dex_proto.Proto_config.replication} of the origin
+    towards it — see {!ha}. Replication protects the origin only, so
+    raises [Invalid_argument] when a replica set is configured with more
+    than one shard of {!Dex_proto.Proto_config.sharding} (and on a
+    malformed replica set). *)
 
 val cluster : t -> Cluster.t
 
@@ -49,14 +49,13 @@ val origin : t -> int
     origin crash. *)
 
 val ha : t -> Dex_ha.Ha.t option
-(** Shard 0's replication layer, when armed. With replication armed a
-    home-node fail-stop no longer kills the process: the shard's standby
-    replays its replication log, takes over that shard's
-    directory/futex/file services under a new epoch, and surviving
-    threads stall through the failover instead of aborting (threads
-    resident on the dead node itself still abort). Only shard 0's
-    promotion moves the process origin and its VMA/allocator services;
-    other shards fail over independently while the rest keep serving. *)
+(** The origin's replication layer, when armed. With replication armed an
+    origin fail-stop no longer kills the process: a standby replays the
+    replication log, takes over the directory and every delegated
+    service (VMA, allocator, futex, file) under a new epoch and becomes
+    the origin, and surviving threads stall through the failover instead
+    of aborting (threads resident on the dead node itself still
+    abort). *)
 
 val coherence : t -> Dex_proto.Coherence.t
 

@@ -153,36 +153,11 @@ let pp_serve ?(tenants = []) fmt stats =
              h0 rest)
   end
 
-(* Sharded-home digest from the protocol's [shard.*] counters. Locality is
-   local grants over all grants: the fraction of faults served by a node
-   that was also the page's home. Silent with one shard (the counters are
-   only maintained with more than one). *)
-let pp_shard fmt stats =
-  let get = Dex_sim.Stats.get stats in
-  let homes = get "shard.homes" in
-  if homes > 0 then begin
-    let local = get "shard.local_grants" and remote = get "shard.remote_grants" in
-    let total = local + remote in
-    let locality =
-      if total = 0 then 0.0
-      else 100.0 *. float_of_int local /. float_of_int total
-    in
-    Format.fprintf fmt
-      "shard: shards=%d local_grants=%d remote_grants=%d locality=%.1f%% \
-       cross_ops=%d promotions=%d@."
-      homes local remote locality
-      (get "shard.cross_ops")
-      (get "shard.promotions")
-  end
-
-let pp_summary ?alloc ?stats ?net fmt events =
+let pp_summary ?alloc ?net fmt events =
   let s = Analysis.summarize ?alloc events in
   Format.fprintf fmt "== DeX page-fault profile ==@.";
   Format.fprintf fmt "%a@." pp_compact s;
   Option.iter (pp_chaos fmt) net;
-  Option.iter (pp_crash fmt) stats;
-  Option.iter (pp_shard fmt) stats;
-  Option.iter (pp_autopilot fmt) stats;
   pp_ranked fmt "hottest fault sites" s.Analysis.hottest_sites
     (fun fmt k -> Format.pp_print_string fmt k);
   pp_ranked fmt "hottest objects" s.Analysis.hottest_objects (fun fmt k ->

@@ -3,17 +3,14 @@
 
 val pp_summary :
   ?alloc:Dex_mem.Allocator.t ->
-  ?stats:Dex_sim.Stats.t ->
   ?net:Dex_sim.Stats.t ->
   Format.formatter ->
   Dex_proto.Fault_event.t list ->
   unit
 (** Full report: totals, kinds, hottest sites/objects, contended pages and
-    fault-frequency timeline. Pass the protocol's [stats]
-    ({!Dex_proto.Coherence.stats}) to include the crash, shard and
-    autopilot digests when those were active, and the fabric's [net]
-    stats ({!Dex_net.Fabric.stats}) to include a chaos fault-injection
-    digest when chaos was active. *)
+    fault-frequency timeline. Pass the fabric's [net] stats
+    ({!Dex_net.Fabric.stats}) to include a chaos fault-injection digest
+    when chaos was active. *)
 
 val pp_chaos : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Just the chaos digest (faults injected vs retransmission recovery);
@@ -21,16 +18,14 @@ val pp_chaos : Format.formatter -> Dex_sim.Stats.t -> unit
 
 val pp_crash : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Just the crash-recovery digest from the protocol's [crash.*] counters
-    ({!Dex_proto.Coherence.stats}); prints nothing when no node crashed.
-    Included in {!pp_summary} automatically when [stats] is passed. *)
+    ({!Dex_proto.Coherence.stats}); prints nothing when no node crashed. *)
 
 val pp_autopilot : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Placement-autopilot digest from the protocol's [autopilot.*] counters
     ({!Dex_proto.Coherence.stats}): profiling ticks, thread co-locations,
     page re-homes (with the busy/redirect/re-steer/mirror/fallback
     traffic they caused) and replicate-don't-invalidate activity. Prints
-    nothing when no autopilot ticked. Included in {!pp_summary}
-    automatically when [stats] is passed. *)
+    nothing when no autopilot ticked. *)
 
 val pp_ha : ?coh:Dex_sim.Stats.t -> Format.formatter -> Dex_sim.Stats.t -> unit
 (** Origin-replication digest from the process's [ha.*] counters

@@ -11,8 +11,8 @@ type override = { target : int option; pinned : bool }
 type t = {
   sharding : [ `Hash of int | `Range of int ];
   shards : route array;  (* shard -> its home and directory *)
-  epochs : int array;  (* shard -> generation; bumped by promote *)
-  views : view array array;  (* node -> shard -> that node's view *)
+  mutable epoch : int;  (* shard 0's generation; bumped by promote *)
+  views : view array;  (* node -> that node's view of shard 0's home *)
   overlays : route array;  (* node -> directory of the pages re-homed to it *)
   overrides : (Page.vpn, override) Hashtbl.t;
 }
@@ -26,10 +26,8 @@ let create ~sharding ~origin ~nodes =
   {
     sharding;
     shards = Array.init n (fun s -> route_to (home s) (Some s));
-    epochs = Array.make n 0;
-    views =
-      Array.init nodes (fun _ ->
-          Array.init n (fun s -> { home = home s; epoch = 0 }));
+    epoch = 0;
+    views = Array.init nodes (fun _ -> { home = origin; epoch = 0 });
     overlays = Array.init nodes (fun node -> route_to node None);
     overrides = Hashtbl.create 16;
   }
@@ -41,9 +39,9 @@ let shard_of a vpn =
 
 let home a ~shard = a.shards.(shard).node
 let home_of a vpn = a.shards.(shard_of a vpn).node
-let epoch a ~shard = a.epochs.(shard)
+let epoch a = a.epoch
 let directory a ~shard = a.shards.(shard).dir
-let view a ~node ~shard = a.views.(node).(shard)
+let view a ~node = a.views.(node)
 
 let homed_at a node =
   List.filter
@@ -104,12 +102,12 @@ let fall_back a ~node =
     victims;
   victims
 
-let promote a ~shard ~home dir =
-  a.shards.(shard) <- { node = home; dir; shard = Some shard };
-  a.epochs.(shard) <- a.epochs.(shard) + 1;
-  let v = a.views.(home).(shard) in
+let promote a ~home dir =
+  a.shards.(0) <- { node = home; dir; shard = Some 0 };
+  a.epoch <- a.epoch + 1;
+  let v = a.views.(home) in
   v.home <- home;
-  v.epoch <- a.epochs.(shard)
+  v.epoch <- a.epoch
 
 let entries_naming a ~node =
   let n = ref 0 in

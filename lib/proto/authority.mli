@@ -5,9 +5,11 @@
     by {!shard_of} over the shards of {!Proto_config.sharding} (default
     one); shard [s] is homed at node [(origin + s) mod nodes] (shard 0 at
     the process origin, with the delegated services) and has its own
-    directory and epoch. Each node keeps a {!view} of every shard's home
-    and epoch, taught in-band by [Page_stale] NACKs and home-to-node
-    traffic carrying a newer epoch. {e Per-page overrides}: the autopilot
+    directory. Only shard 0's home can move: HA failover replicates the
+    origin alone, and only with one shard. So there is one {!epoch}, and
+    each node keeps one {!view} of shard 0's home and epoch, taught
+    in-band by [Page_stale] NACKs and home-to-node traffic carrying a
+    newer epoch. {e Per-page overrides}: the autopilot
     may re-home a page to another node, whose {e overlay} directory then
     holds its entry, and the futex layer may pin a page to its static
     home. {!route} resolves both layers with one hash probe.
@@ -20,7 +22,7 @@ type t
 
 val create :
   sharding:[ `Hash of int | `Range of int ] -> origin:int -> nodes:int -> t
-(** No overrides, every epoch 0. Raises [Invalid_argument] on a
+(** No overrides, epoch 0. Raises [Invalid_argument] on a
     non-positive shard count. *)
 
 (** {2 Per-shard defaults} *)
@@ -35,8 +37,8 @@ val home : t -> shard:int -> int
 val home_of : t -> Dex_mem.Page.vpn -> int
 (** The page's static home: the home of its shard. *)
 
-val epoch : t -> shard:int -> int
-(** 0 at creation, bumped by every {!promote} of the shard. *)
+val epoch : t -> int
+(** 0 at creation, bumped by every {!promote}. *)
 
 val directory : t -> shard:int -> Dex_mem.Directory.t
 
@@ -44,13 +46,14 @@ val homed_at : t -> int -> int list
 (** The shards homed at a node, ascending. *)
 
 type view = { mutable home : int; mutable epoch : int }
-(** Where a node sends a shard's faults, and the epoch it stamps on them. *)
+(** Where a node sends shard 0's faults, and the epoch it stamps on every
+    request. Pages of other shards go straight to their {!route}. *)
 
-val view : t -> node:int -> shard:int -> view
+val view : t -> node:int -> view
 
-val promote : t -> shard:int -> home:int -> Dex_mem.Directory.t -> unit
-(** HA failover: install [shard]'s rebuilt directory and new home, bump
-    its epoch, and point the home's own view at itself. A page re-homed
+val promote : t -> home:int -> Dex_mem.Directory.t -> unit
+(** HA failover: install shard 0's rebuilt directory and new home, bump
+    the epoch, and point the home's own view at itself. A page re-homed
     to [home] is left for the caller to fold back with {!move}. *)
 
 (** {2 Per-page overrides} *)

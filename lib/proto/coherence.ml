@@ -6,8 +6,8 @@ module Msg = Dex_net.Msg
 type outcome = [ `Done | `Retry ]
 
 type replication = {
-  fence : int -> unit;
-  resolve : int -> int option;
+  fence : unit -> unit;
+  resolve : unit -> int option;
   store_mutated : Page.vpn -> unit;
 }
 
@@ -16,8 +16,8 @@ type t = {
   engine : Engine.t;
   authority : Authority.t;
       (* which node serves each page, from which directory: per-shard
-         homes, epochs, directories and node views, plus the autopilot's
-         per-page re-homes and the futex layer's pins *)
+         homes and directories, the origin's epoch and node views, plus
+         the autopilot's per-page re-homes and the futex layer's pins *)
   shard_grants : int array;  (* shard -> grants served, the load vector *)
   pid : int;
   cfg : Proto_config.t;
@@ -113,9 +113,10 @@ let rehome_fallback t ~node =
 (* Repair the ownership metadata for a dead node, synchronously from the
    failure declaration and before requesters retry: scrub it out of every
    directory served elsewhere, then fall back the pages re-homed to it.
-   A directory homed at the dead node is the HA layer's to rebuild (its
-   promotion fibers run at priority 10); without one, that is fatal. With
-   no re-homes the overlay pass is a no-op: no stats, no events. *)
+   The origin's directory is the HA layer's to rebuild (its promotion
+   fiber runs at priority 10); without HA, the death of any shard home is
+   fatal. With no re-homes the overlay pass is a no-op: no stats, no
+   events. *)
 let reclaim_node t ~node =
   let homed = Authority.homed_at t.authority node in
   (match homed with
@@ -200,8 +201,8 @@ let set_replication t r = t.replication <- Some r
 
 let emit t event = match t.tracer with None -> () | Some f -> f event
 
-let commit_fence t ~shard =
-  match t.replication with None -> () | Some r -> r.fence shard
+let commit_fence t =
+  match t.replication with None -> () | Some r -> r.fence ()
 
 (* Handler occupancy at a home node. The default charges a plain delay —
    concurrent handlers overlap freely. With [serial_home_service] the
@@ -275,7 +276,7 @@ exception Origin_dead
    that victim is the replication standby, it would tear down the exact
    machinery about to run the failover. [src] is the home the RPC was
    issued from, captured before the call: by the time a zombie fiber
-   resumes, the shard's home may already point at the promoted standby. *)
+   resumes, the origin may already be the promoted standby. *)
 let crash_escalate t ~src ~target =
   if Fabric.crashed t.fabric ~node:src then raise Origin_dead;
   Stats.incr t.stats "crash.escalations";
@@ -287,7 +288,7 @@ let crash_escalate t ~src ~target =
    [want_data] and the target had it materialized. Crash-safe: a target
    already declared dead is skipped, one that dies mid-revocation is
    escalated — either way the revocation counts as acked without data. *)
-let revoke_rpc t ~shard ~home ~target ~vpn ~mode ~want_data =
+let revoke_rpc t ~home ~target ~vpn ~mode ~want_data =
   if Fabric.crash_detected t.fabric ~node:target then begin
     Stats.incr t.stats "crash.revokes_skipped";
     None
@@ -307,7 +308,7 @@ let revoke_rpc t ~shard ~home ~target ~vpn ~mode ~want_data =
              vpn;
              mode;
              want_data;
-             epoch = Authority.epoch t.authority ~shard;
+             epoch = Authority.epoch t.authority;
            })
     with
     | Messages.Revoke_ack { data; _ } -> data
@@ -328,12 +329,12 @@ let revoke_local t ~home ~vpn ~mode =
 
 (* Revoke [vpn] from every node in [targets] in parallel, joining before
    returning. Used to invalidate all readers ahead of a write grant. *)
-let revoke_parallel t ~shard ~home targets ~vpn =
+let revoke_parallel t ~home targets ~vpn =
   fanout t ~label:"revoke"
     (List.map
        (fun target () ->
          ignore
-           (revoke_rpc t ~shard ~home ~target ~vpn ~mode:Messages.Invalidate
+           (revoke_rpc t ~home ~target ~vpn ~mode:Messages.Invalidate
               ~want_data:false))
        targets)
 
@@ -369,13 +370,13 @@ let mirror_to_static t ~src ~vpn data =
    un-failover-able window — a home crash in it would roll the page
    back to the last replicated image even in `Sync mode. The page stays
    directory-locked throughout, so no write can sneak into the gap. *)
-let reclaim_from_owner t ~shard ~home ~owner ~vpn ~mode =
+let reclaim_from_owner t ~home ~owner ~vpn ~mode =
   if owner = home then revoke_local t ~home ~vpn ~mode
   else begin
     let two_phase = replicated t && mode = Messages.Invalidate in
     let first = if two_phase then Messages.Downgrade else mode in
     let data =
-      revoke_rpc t ~shard ~home ~target:owner ~vpn ~mode:first ~want_data:true
+      revoke_rpc t ~home ~target:owner ~vpn ~mode:first ~want_data:true
     in
     Option.iter (Page_store.install t.stores.(home) vpn) data;
     (* Re-homed page: refresh the static staging copy before the HA hook
@@ -384,9 +385,9 @@ let reclaim_from_owner t ~shard ~home ~owner ~vpn ~mode =
     if Option.is_some data then origin_store_mutated t vpn;
     if two_phase then begin
       Stats.incr t.stats "ha.two_phase_reclaims";
-      commit_fence t ~shard;
+      commit_fence t;
       ignore
-        (revoke_rpc t ~shard ~home ~target:owner ~vpn ~mode:Messages.Invalidate
+        (revoke_rpc t ~home ~target:owner ~vpn ~mode:Messages.Invalidate
            ~want_data:false)
     end
   end
@@ -429,7 +430,7 @@ let note_push_subs t ~vpn nodes =
    staging copy is fresh at exactly that point. Victims may decline (stale
    epoch); the accepted ones join the Shared set so the next write revokes
    them normally. *)
-let push_replicas t ~shard ~home ~dir ~vpn ~requester =
+let push_replicas t ~home ~dir ~vpn ~requester =
   match Hashtbl.find_opt t.push_subs vpn with
   | None -> ()
   | Some subs -> (
@@ -460,7 +461,7 @@ let push_replicas t ~shard ~home ~dir ~vpn ~requester =
                             pid = t.pid;
                             vpn;
                             data;
-                            epoch = Authority.epoch t.authority ~shard;
+                            epoch = Authority.epoch t.authority;
                           })
                    with
                    | Messages.Page_push_ack { accepted = ok; _ } ->
@@ -489,7 +490,7 @@ let push_replicas t ~shard ~home ~dir ~vpn ~requester =
 
 (* Decide a request at the page's serving home, against the route resolved
    when the request was admitted — before the handler delay. *)
-let origin_grant t ~shard ~(route : Authority.route) ~requester ~vpn ~access =
+let origin_grant t ~(route : Authority.route) ~requester ~vpn ~access =
   let home = route.node and dir = route.dir in
   if requester_gone t ~home ~requester then begin
     (* The requester died between sending the request and being serviced:
@@ -528,8 +529,7 @@ let origin_grant t ~shard ~(route : Authority.route) ~requester ~vpn ~access =
         (match (access, Directory.state dir vpn) with
         | Perm.Read, Directory.Exclusive owner when owner = requester -> ()
         | Perm.Read, Directory.Exclusive owner ->
-            reclaim_from_owner t ~shard ~home ~owner ~vpn
-              ~mode:Messages.Downgrade;
+            reclaim_from_owner t ~home ~owner ~vpn ~mode:Messages.Downgrade;
             (* The home mediated the transfer, so it now holds a valid
                copy alongside the old owner and the requester. *)
             Directory.set_shared dir vpn
@@ -538,8 +538,7 @@ let origin_grant t ~shard ~(route : Authority.route) ~requester ~vpn ~access =
             Directory.add_reader dir vpn requester
         | Perm.Write, Directory.Exclusive owner when owner = requester -> ()
         | Perm.Write, Directory.Exclusive owner ->
-            reclaim_from_owner t ~shard ~home ~owner ~vpn
-              ~mode:Messages.Invalidate;
+            reclaim_from_owner t ~home ~owner ~vpn ~mode:Messages.Invalidate;
             note_push_subs t ~vpn [ owner ];
             Directory.set_exclusive dir vpn requester
         | Perm.Write, Directory.Shared readers ->
@@ -548,7 +547,7 @@ let origin_grant t ~shard ~(route : Authority.route) ~requester ~vpn ~access =
                 (fun n -> n <> requester && n <> home)
                 (Node_set.to_list readers)
             in
-            revoke_parallel t ~shard ~home victims ~vpn;
+            revoke_parallel t ~home victims ~vpn;
             if Node_set.mem readers home && requester <> home then
               revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
             note_push_subs t ~vpn victims;
@@ -565,7 +564,7 @@ let origin_grant t ~shard ~(route : Authority.route) ~requester ~vpn ~access =
            so a requester dying under them is still caught. *)
         mirror_to_static t ~src:home ~vpn data;
         if access = Perm.Read then
-          push_replicas t ~shard ~home ~dir ~vpn ~requester;
+          push_replicas t ~home ~dir ~vpn ~requester;
         if requester_gone t ~home ~requester then begin
           (* The requester's failure was declared while we were blocked in
              the fan-out, i.e. after the reclaim pass already scrubbed the
@@ -585,7 +584,9 @@ let origin_grant t ~shard ~(route : Authority.route) ~requester ~vpn ~access =
         else begin
           Stats.incr t.stats
             (if wire_data then "grant.data" else "grant.nodata");
-          note_shard_grant t ~shard ~home ~requester;
+          note_shard_grant t
+            ~shard:(Authority.shard_of t.authority vpn)
+            ~home ~requester;
           `Grant (data, wire_data)
         end)
 
@@ -620,7 +621,7 @@ let backoff t ~node ~attempt =
    crash), then stall in the resolver until the standby is promoted,
    adopt the new home address, and retry there — the thread sees a
    long fault, never an abort. *)
-let request_failure t ~node ~shard ~dst ~steered =
+let request_failure t ~node ~dst ~steered =
   if Fabric.crashed t.fabric ~node then `Reraise
   else begin
     (* An unreachable re-home target is escalated too — exhausting the
@@ -641,9 +642,9 @@ let request_failure t ~node ~shard ~dst ~steered =
         `Nack
     | None -> `Reraise
     | Some r -> (
-        match r.resolve shard with
+        match r.resolve () with
         | Some o ->
-            (Authority.view t.authority ~node ~shard).home <- o;
+            (Authority.view t.authority ~node).home <- o;
             Stats.incr t.stats "ha.stalled_faults";
             `Nack
         | None -> `Reraise)
@@ -652,15 +653,21 @@ let request_failure t ~node ~shard ~dst ~steered =
 (* Send one [Page_request] for [vpn] from [node], which is not the page's
    home per [route], and return the reply. A re-homed page is steered
    straight to its re-home target (the re-home decision costs no messages,
-   so every node learns it at once); other pages go to the shard's home
-   view. [None] when the call failed in a way the fault loop retries
+   so every node learns it at once), and a page of any other shard than 0
+   straight to its shard home, which never moves; shard 0's pages go to
+   the node's view of the origin, the one home a failover can move.
+   [None] when the call failed in a way the fault loop retries
    ({!request_failure}). *)
-let page_request t ~node ~shard ~(route : Authority.route) ~vpn ~access =
-  let view = Authority.view t.authority ~node ~shard in
+let page_request t ~node ~(route : Authority.route) ~vpn ~access =
+  let view = Authority.view t.authority ~node in
   let steered = Option.is_none route.shard && route.node <> node in
   (* Backstop against a view pointing at ourselves (we just stopped
      being the page's home): resolve the live authority directly. *)
-  let dst = if steered || view.home = node then route.node else view.home in
+  let dst =
+    match route.shard with
+    | Some 0 when view.home <> node -> view.home
+    | _ -> route.node
+  in
   match
     Fabric.call t.fabric ~src:node ~dst ~kind:Messages.kind_page_request
       ~size:t.cfg.Proto_config.ctl_msg_size
@@ -668,17 +675,16 @@ let page_request t ~node ~shard ~(route : Authority.route) ~vpn ~access =
   with
   | reply -> Some reply
   | exception (Fabric.Unreachable _ as e) -> (
-      match request_failure t ~node ~shard ~dst ~steered with
+      match request_failure t ~node ~dst ~steered with
       | `Nack -> None
       | `Reraise -> raise e)
 
 (* One protocol attempt as the fault leader. *)
 let request_once t ~node ~vpn ~access =
-  let shard = Authority.shard_of t.authority vpn in
   let route = Authority.route t.authority vpn in
   if node = route.node then begin
     Engine.delay t.engine t.cfg.Proto_config.local_op;
-    match origin_grant t ~shard ~route ~requester:node ~vpn ~access with
+    match origin_grant t ~route ~requester:node ~vpn ~access with
     | `Nack -> `Nack
     | `Grant _ ->
         Page_table.set t.ptables.(node) vpn access;
@@ -692,13 +698,13 @@ let request_once t ~node ~vpn ~access =
              { src = node; dst = node; kind = Messages.kind_revoke })
   end
   else
-    match page_request t ~node ~shard ~route ~vpn ~access with
+    match page_request t ~node ~route ~vpn ~access with
     | None | Some (Messages.Page_nack _) -> `Nack
     | Some (Messages.Page_stale { epoch; _ }) ->
         (* Failover happened while we still addressed the old epoch: adopt
            the new one and retry — the view already points at whoever
            answered. *)
-        (Authority.view t.authority ~node ~shard).epoch <- epoch;
+        (Authority.view t.authority ~node).epoch <- epoch;
         `Nack
     | Some (Messages.Page_redirect _) ->
         (* The page's authority moved while the request was in flight;
@@ -719,7 +725,6 @@ let kind_of_access = function
 let ensure t ~node ~tid ~site ~vpn ~access =
   let pt = t.ptables.(node) in
   if not (Page_table.allows pt vpn access) then begin
-    let shard = Authority.shard_of t.authority vpn in
     let t0 = Engine.now t.engine in
     let retries = ref 0 in
     let was_leader = ref false in
@@ -753,7 +758,7 @@ let ensure t ~node ~tid ~site ~vpn ~access =
               (* The duplicate's result is discarded anyway; a timeout
                  toward the live home is not worth aborting for, and a
                  dead home just means waiting out the failover. *)
-              ignore (page_request t ~node ~shard ~route ~vpn ~access)
+              ignore (page_request t ~node ~route ~vpn ~access)
             else Engine.delay t.engine t.cfg.Proto_config.local_op;
             loop ()
         | Fault_table.Conflict -> loop ()
@@ -1048,11 +1053,11 @@ let apply_invalidation t ~node ~vpn ~mode =
     }
 
 (* Victim-side epoch bookkeeping for home-to-node traffic: adopt a
-   newer epoch (and the sender as the shard's new home), refuse an older
-   one. Returns [true] when the message is from a dead epoch and must be
-   acked without effect — its sender no longer speaks for the pages. *)
-let stale_origin_traffic t ~node ~shard ~src ~epoch =
-  let view = Authority.view t.authority ~node ~shard in
+   newer epoch (and the sender as the new origin), refuse an older one.
+   Returns [true] when the message is from a dead epoch and must be acked
+   without effect — its sender no longer speaks for the pages. *)
+let stale_origin_traffic t ~node ~src ~epoch =
+  let view = Authority.view t.authority ~node in
   if epoch > view.epoch then begin
     view.epoch <- epoch;
     view.home <- src
@@ -1067,7 +1072,6 @@ let handler_unguarded t (env : Fabric.env) =
   let msg = env.Fabric.msg in
   match msg.Msg.payload with
   | Messages.Page_request { pid; vpn; access; epoch } when pid = t.pid ->
-      let shard = Authority.shard_of t.authority vpn in
       let route = Authority.route t.authority vpn in
       let home = route.node in
       if msg.Msg.dst <> home then begin
@@ -1081,7 +1085,7 @@ let handler_unguarded t (env : Fabric.env) =
       end
       else begin
         home_service t ~node:msg.Msg.dst t.cfg.Proto_config.origin_handler;
-        let current = Authority.epoch t.authority ~shard in
+        let current = Authority.epoch t.authority in
         if epoch <> current then begin
           Stats.incr t.stats "ha.stale_epoch_nacks";
           env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
@@ -1089,7 +1093,7 @@ let handler_unguarded t (env : Fabric.env) =
         end
         else
           match
-            origin_grant t ~shard ~route ~requester:msg.Msg.src ~vpn ~access
+            origin_grant t ~route ~requester:msg.Msg.src ~vpn ~access
           with
           | `Nack ->
               env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
@@ -1098,7 +1102,7 @@ let handler_unguarded t (env : Fabric.env) =
               (* Replicate before externalize: the ownership transition
                  must be on the standby before the requester can observe
                  it. *)
-              commit_fence t ~shard;
+              commit_fence t;
               let size =
                 if wire_data then t.cfg.Proto_config.page_msg_size
                 else t.cfg.Proto_config.ctl_msg_size
@@ -1109,8 +1113,7 @@ let handler_unguarded t (env : Fabric.env) =
       true
   | Messages.Revoke { pid; vpn; mode; want_data; epoch } when pid = t.pid ->
       let node = msg.Msg.dst in
-      let shard = Authority.shard_of t.authority vpn in
-      if stale_origin_traffic t ~node ~shard ~src:msg.Msg.src ~epoch then begin
+      if stale_origin_traffic t ~node ~src:msg.Msg.src ~epoch then begin
         env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
           (Messages.Revoke_ack { pid = t.pid; vpn; data = None })
       end
@@ -1132,22 +1135,22 @@ let handler_unguarded t (env : Fabric.env) =
           (Messages.Revoke_ack { pid = t.pid; vpn; data })
       end;
       true
-  | Messages.Epoch_fence { pid; shard; epoch = _; keep } when pid = t.pid ->
+  | Messages.Epoch_fence { pid; epoch = _; keep } when pid = t.pid ->
       let node = msg.Msg.dst in
       Engine.delay t.engine t.cfg.Proto_config.invalidate_handler;
-      (* Reconcile local copies of the fenced shard against what the
-         promoted replica still vouches for. Under `Sync replication the
+      (* Reconcile local copies against what the promoted replica still
+         vouches for. Under `Sync replication the
          keep list covers every copy and nothing is zapped; under `Async
          the zapped pages are exactly the lost log suffix. Deliberately
          does NOT wait on local fault entries: their leaders are parked on
          the dead home and drain through the resolver — a grant from the
          new home is authoritative over anything zapped here. *)
       let entries = ref [] in
-      (* Only pages the shard directory serves: re-homed ones are vouched
+      (* Only pages the origin directory serves: re-homed ones are vouched
          for by their live overlay directory, not the promoted replica —
          the fence must not zap them. *)
       Page_table.iter t.ptables.(node) (fun vpn access ->
-          if (Authority.route t.authority vpn).shard = Some shard then
+          if Option.is_some (Authority.route t.authority vpn).shard then
             entries := (vpn, access) :: !entries);
       let zapped = ref 0 in
       List.iter
@@ -1200,7 +1203,6 @@ let handler_unguarded t (env : Fabric.env) =
       true
   | Messages.Page_push { pid; vpn; data; epoch } when pid = t.pid ->
       let node = msg.Msg.dst in
-      let shard = Authority.shard_of t.authority vpn in
       (* An in-flight fault is NOT a reason to decline: the pusher
          holds the page's directory lock, so that fault can only be in
          its NACK-retry loop — and the retry re-validates local
@@ -1208,7 +1210,7 @@ let handler_unguarded t (env : Fabric.env) =
          grant round trip. (That is the push's whole payoff when a write
          storm displaces every reader at once.) *)
       let accepted =
-        not (stale_origin_traffic t ~node ~shard ~src:msg.Msg.src ~epoch)
+        not (stale_origin_traffic t ~node ~src:msg.Msg.src ~epoch)
       in
       if accepted then begin
         Engine.delay t.engine t.cfg.Proto_config.pte_update;
@@ -1234,19 +1236,19 @@ let handler t (env : Fabric.env) =
 (* Standby promotion (HA failover).                                    *)
 
 (* Install the replica's ownership image as the new authoritative state of
-   one shard. Runs in that shard's promotion fiber on the standby, after
-   the old home's failure was declared (so crash_detected filters the dead
-   out of the rebuilt membership). [dir_entries] is the replica directory
-   snapshot restricted to the shard, [page_data] the replicated
-   home-store contents for its pages. *)
-let promote t ~shard ~new_origin ~dir_entries ~page_data =
+   the origin's directory. Runs in the promotion fiber on the standby,
+   after the old origin's failure was declared (so crash_detected filters
+   the dead out of the rebuilt membership). [dir_entries] is the replica
+   directory snapshot, [page_data] the replicated origin-store
+   contents. *)
+let promote t ~new_origin ~dir_entries ~page_data =
   let a = t.authority in
-  let old = Authority.home a ~shard in
+  let old = Authority.home a ~shard:0 in
   if new_origin = old then invalid_arg "Coherence.promote: origin unchanged";
   if Fabric.crashed t.fabric ~node:new_origin then
     invalid_arg "Coherence.promote: standby is dead";
   let dir = Directory.create ~origin:new_origin in
-  (* Only pages the shard directory serves: a page re-homed to a live
+  (* Only pages the origin directory serves: a page re-homed to a live
      overlay directory keeps its authority there. Under [`Async]
      replication the Dir_forget of its move may sit in the lost log
      suffix, so the replica image can still carry the entry — resurrecting
@@ -1290,7 +1292,7 @@ let promote t ~shard ~new_origin ~dir_entries ~page_data =
     dir_entries;
   (* Backfill the standby's store with the replicated home staging copy,
      except where the standby's own copy is at least as fresh: per the
-     replicated entry for pages the shard directory serves, per the live
+     replicated entry for pages the origin directory serves, per the live
      overlay entry for re-homed ones — and a re-home target's store IS the
      page's staging copy. *)
   List.iter
@@ -1303,31 +1305,31 @@ let promote t ~shard ~new_origin ~dir_entries ~page_data =
       in
       if not had then Page_store.install t.stores.(new_origin) vpn data)
     page_data;
-  let old_dir = Authority.directory a ~shard in
+  let old_dir = Authority.directory a ~shard:0 in
   (* The dead home's local state is unreachable hardware now. *)
   t.ptables.(old) <- Page_table.create ();
   t.stores.(old) <- Page_store.create ();
-  Authority.promote a ~shard ~home:new_origin dir;
+  Authority.promote a ~home:new_origin dir;
   (* The replication observer follows the authoritative directory —
      installed only now, so neither the rebuild nor the fold-back is
      itself re-logged (the HA layer re-snapshots when it re-arms towards a
      new standby). *)
   Directory.set_observer dir (Directory.observer old_dir);
   Directory.set_observer old_dir None;
-  Stats.incr t.stats "ha.promotions";
-  if Authority.shard_count a > 1 then Stats.incr t.stats "shard.promotions"
+  Stats.incr t.stats "ha.promotions"
 
-(* Second half of the failover: fence every survivor into the shard's new
-   epoch. Each one gets the list of (page, strongest access) the promoted
-   directory still vouches for on it and zaps the rest of the shard. Runs
-   in the promotion fiber, before the resolver releases stalled
-   requesters, so no survivor can fault against the new home with
-   unreconciled state. *)
-let fence_survivors t ~shard =
+(* Second half of the failover: fence every survivor into the new epoch.
+   Each one gets the list of (page, strongest access) the promoted
+   directory still vouches for on it and zaps the rest. Runs in the
+   promotion fiber, before the resolver releases stalled requesters, so
+   no survivor can fault against the new origin with unreconciled
+   state. *)
+let fence_survivors t =
   let n = node_count t in
-  let home = Authority.home t.authority ~shard in
+  let home = Authority.home t.authority ~shard:0 in
+  let dir = Authority.directory t.authority ~shard:0 in
   let keeps = Array.make n [] in
-  Directory.iter (Authority.directory t.authority ~shard) (fun vpn state ->
+  Directory.iter dir (fun vpn state ->
       match state with
       | Directory.Exclusive owner ->
           if owner <> home then
@@ -1352,8 +1354,7 @@ let fence_survivors t ~shard =
               (Messages.Epoch_fence
                  {
                    pid = t.pid;
-                   shard;
-                   epoch = Authority.epoch t.authority ~shard;
+                   epoch = Authority.epoch t.authority;
                    keep = keeps.(node);
                  })
           with
@@ -1365,7 +1366,6 @@ let fence_survivors t ~shard =
                  image (logged, by append order, before the ownership
                  transition committed). The survivor's retried fault then
                  gets a fresh data grant. *)
-              let dir = Authority.directory t.authority ~shard in
               List.iter
                 (fun vpn ->
                   Stats.incr t.stats "ha.fence_demoted";
@@ -1385,17 +1385,14 @@ let fence_survivors t ~shard =
   fanout t ~label:"epoch-fence" !jobs;
   Stats.incr t.stats "ha.epoch_fences";
   (* A page re-homed to the promoted home now names its static home:
-     fold it back into the shard directory, which replicates it. Only
+     fold it back into the origin directory, which replicates it. Only
      after the fence, which must leave it alone: a live home served it
      throughout, so a copy a survivor lacks is a grant reply in flight,
      not one that died with the old home. Grants holding an overlay
      entry are waited out, so the moves are atomic in simulated time. *)
   let folded () =
     List.filter_map
-      (fun (vpn, target) ->
-        if target = home && Authority.shard_of t.authority vpn = shard then
-          Some vpn
-        else None)
+      (fun (vpn, target) -> if target = home then Some vpn else None)
       (Authority.rehomed_pages t.authority)
   in
   let rec settle attempt =

@@ -23,8 +23,9 @@
     {2 Page authority}
 
     Which node serves a page, and from which directory, is one
-    {!Authority} table ({!authority}): per-shard homes, epochs,
-    directories and node views, plus per-page re-homes and pins. Every
+    {!Authority} table ({!authority}): per-shard homes and directories,
+    the origin's epoch and each node's view of it, plus per-page re-homes
+    and pins. Every
     protocol operation resolves a page through {!Authority.route}, so the
     static shard home and an autopilot re-home are never checked apart.
     A request resolves its route once: the requester when it sends, the
@@ -32,8 +33,7 @@
     then decides against that route's directory; if the page's authority
     moved in the meantime (a re-home, fallback or promotion), the grant
     is NACKed and the retry is served by the new home.
-    Each shard has its own directory, epoch and (with replication) its own
-    log and promotion path; faults, revocations and fences all resolve at
+    Each shard has its own directory; faults and revocations resolve at
     the serving home, so independent shards never serialize on one node.
 
     {2 Fail-stop crashes}
@@ -56,16 +56,15 @@
     {2 Home failover (HA)}
 
     With standbys configured ({!Proto_config.standby_count}), the process
-    layer arms this instance ({!set_replication}) with {!Dex_ha} — one
-    replica set {e per shard}: a {!replication} fence runs before any
-    grant reply leaves a shard's home, every directory mutation streams to that shard's
-    standbys through the {!Dex_mem.Directory} observer, and a home death
-    is handled by {!promote} + {!fence_survivors} for each shard it homed
-    (other shards' directories are scrubbed of the dead node and keep
-    serving). Every coherence request carries its shard's epoch; requests
-    stamped with a dead epoch are NACKed with [Page_stale]
-    ([ha.stale_epoch_nacks]) so survivors adopt the new home, which they
-    located by stalling in the {!replication} resolver until the
+    layer arms this instance ({!set_replication}) with {!Dex_ha}, which
+    replicates the origin. Replication needs one shard: only the origin
+    can fail over. A {!replication} fence runs before any grant reply
+    leaves the origin, every directory mutation streams to the standbys
+    through the {!Dex_mem.Directory} observer, and an origin death is
+    handled by {!promote} + {!fence_survivors}. Every coherence request
+    carries the origin's epoch; requests stamped with a dead epoch are
+    NACKed with [Page_stale] ([ha.stale_epoch_nacks]) so survivors adopt
+    the new origin, which they located by stalling in the {!replication} resolver until the
     promotion completed — a failover is a long fault, not an abort. *)
 
 type t
@@ -258,9 +257,10 @@ val reclaim_node : t -> node:int -> unit
     reset its page table and page store. Wired to
     {!Dex_net.Fabric.on_crash} at {!create} time, so it normally runs
     automatically when a failure is declared; exposed for directed tests.
-    Safe to run while grants are in flight. If [node] homes a shard, that
-    shard's recovery is the HA promotion path's (its local tables are
-    left to {!promote}); without the HA layer wired it raises. *)
+    Safe to run while grants are in flight. If [node] is the origin, its
+    recovery is the HA promotion path's (its local tables are left to
+    {!promote}); without the HA layer wired, the death of any shard home
+    raises. *)
 
 val unsubscribe_crash : t -> unit
 (** Drop the {!reclaim_node} subscription {!create} installed on the
@@ -274,20 +274,19 @@ val unsubscribe_crash : t -> unit
 (** {2 Home failover hooks} *)
 
 type replication = {
-  fence : int -> unit;
-      (** Run at a shard's home immediately before a grant reply leaves
-          it — the "replicate before externalize" fence, passed the shard
-          number. The HA layer blocks here until the shard's ack watermark
-          covers its log ([`Sync]) or the unacked suffix is within the
-          configured lag ([`Async n]). Home-local operations never pass
-          through it. *)
-  resolve : int -> int option;
-      (** Consulted when a request towards a shard's home fails with
-          [Unreachable] and the home is (or becomes) declared dead: blocks
-          the faulting fiber until a standby has been promoted for that
-          shard and returns the new home ([Some node], and the fault
-          retries there — counted as [ha.stalled_faults]), or [None] when
-          no standby remains (the [Unreachable] is re-raised). *)
+  fence : unit -> unit;
+      (** Run at the origin immediately before a grant reply leaves it —
+          the "replicate before externalize" fence. The HA layer blocks
+          here until the ack watermark covers its log ([`Sync]) or the
+          unacked suffix is within the configured lag ([`Async n]).
+          Home-local operations never pass through it. *)
+  resolve : unit -> int option;
+      (** Consulted when a request towards the origin fails with
+          [Unreachable] and the origin is (or becomes) declared dead:
+          blocks the faulting fiber until a standby has been promoted and
+          returns the new origin ([Some node], and the fault retries
+          there — counted as [ha.stalled_faults]), or [None] when no
+          standby remains (the [Unreachable] is re-raised). *)
   store_mutated : Dex_mem.Page.vpn -> unit;
       (** Fired after every mutation of a {e home's} page store: typed
           stores/CAS/fetch-add executed at the page's home, and page data
@@ -295,8 +294,7 @@ type replication = {
           never crosses the wire (directory observation alone cannot see
           home-local writes to pages the home already owns). *)
 }
-(** The HA layer's hooks into the protocol. Shard-indexed hooks receive
-    the shard number — with one shard it is always 0. *)
+(** The HA layer's hooks into the protocol. *)
 
 val set_replication : t -> replication -> unit
 (** Arm replication: the process layer installs the hooks once, when
@@ -306,37 +304,35 @@ val set_replication : t -> replication -> unit
     two. *)
 
 val promote : t ->
-  shard:int ->
   new_origin:int ->
   dir_entries:(Dex_mem.Page.vpn * Dex_mem.Directory.state) list ->
   page_data:(Dex_mem.Page.vpn * bytes) list ->
   unit
-(** Install the replica as [shard]'s new directory and make [new_origin]
-    its home: the directory is rebuilt from [dir_entries] re-homed onto
-    [new_origin] (entries owned by dead nodes or the old home re-home;
+(** Install the replica as the origin's new directory and make
+    [new_origin] the origin: the directory is rebuilt from [dir_entries]
+    re-homed onto [new_origin] (entries owned by dead nodes or the old home re-home;
     reader sets are filtered to live nodes and gain the new home),
     [page_data] backfills the new home's page store {e except} for pages
     it already holds a valid copy of (its own copy is at least as fresh;
     a re-homed page is judged by its live overlay entry), the old home's
-    local tables are reset, and the shard's epoch is bumped. Counted as
-    [ha.promotions] (plus [shard.promotions] with more than one shard).
-    Raises [Invalid_argument] if [new_origin] is the
-    shard's current home or is itself declared dead. Call from the HA
+    local tables are reset, and the epoch is bumped. Counted as
+    [ha.promotions]. Raises [Invalid_argument] if [new_origin] is the
+    current origin or is itself declared dead. Call from the HA
     promotion fiber only, then {!fence_survivors}. *)
 
-val fence_survivors : t -> shard:int -> unit
-(** Broadcast [Epoch_fence] for [shard] from its (already promoted) new
-    home to every other live node: each survivor zaps every local
-    PTE/copy of the shard the
-    promoted directory no longer vouches for (under [`Sync] replication
-    the keep-list covers everything and nothing is zapped); other shards'
-    state is untouched. Survivors deliberately do {e not} adopt the new
-    epoch from the fence — they learn it in-band from their first
-    [Page_stale] NACK — so the fence never races the resolver. A survivor
-    unreachable during the fence is escalated to crashed. Counted as
-    [ha.epoch_fences]. Then pages of the shard re-homed to its new home
-    fold back into its directory (their re-home now names the static
-    home), after waiting out any grant holding one. *)
+val fence_survivors : t -> unit
+(** Broadcast [Epoch_fence] from the (already promoted) new origin to
+    every other live node: each survivor zaps every local PTE/copy of a
+    page the origin directory serves that the promoted directory no
+    longer vouches for (under [`Sync] replication the keep-list covers
+    everything and nothing is zapped); re-homed pages are untouched.
+    Survivors deliberately do {e not} adopt the new epoch from the fence
+    — they learn it in-band from their first [Page_stale] NACK — so the
+    fence never races the resolver. A survivor unreachable during the
+    fence is escalated to crashed. Counted as [ha.epoch_fences]. Then
+    pages re-homed to the new origin fold back into its directory (their
+    re-home now names the static home), after waiting out any grant
+    holding one. *)
 
 val stats : t -> Dex_sim.Stats.t
 (** Protocol counters: [grant.data]/[grant.nodata]/[grant.nack],
@@ -348,8 +344,8 @@ val stats : t -> Dex_sim.Stats.t
     [ha.stale_revokes], [ha.stalled_faults]; with more than one shard the
     [shard.*] family — [shard.homes] (the shard count, set once),
     [shard.local_grants]/[shard.remote_grants] (grants served to
-    requesters co-located with / remote from the shard's home) and
-    [shard.promotions]; once the autopilot acts the [autopilot.*] family
+    requesters co-located with / remote from the shard's home); once the
+    autopilot acts the [autopilot.*] family
     — [autopilot.rehomes], [autopilot.rehome_busy],
     [autopilot.redirects] (mis-addressed requests answered with
     [Page_redirect]), [autopilot.resteers] (redirects received and

@@ -20,7 +20,6 @@ type Dex_net.Msg.payload +=
   | Revoke_ack of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
   | Epoch_fence of {
       pid : int;
-      shard : int;  (* which shard's generation turned over *)
       epoch : int;
       keep : (Dex_mem.Page.vpn * Dex_mem.Perm.access) list;
     }

@@ -38,16 +38,14 @@ type Dex_net.Msg.payload +=
           asked for it ([want_data]) and the page is materialized *)
   | Epoch_fence of {
       pid : int;
-      shard : int;
       epoch : int;
       keep : (Dex_mem.Page.vpn * Dex_mem.Perm.access) list;
     }
-      (** new home → survivor, during failover: [shard]'s old epoch is
-          dead. [keep] lists every (page, strongest access) the promoted
-          replica still vouches for on the destination; the survivor zaps
-          every other local PTE/copy {e of that shard} (other shards'
-          state, whose homes are alive, is untouched — with one shard,
-          shard 0 covers everything).
+      (** new origin → survivor, during failover: the old epoch is dead.
+          [keep] lists every (page, strongest access) the promoted replica
+          still vouches for on the destination; the survivor zaps every
+          other local PTE/copy of a page the origin directory serves
+          (re-homed pages, whose homes are alive, are untouched).
           Under [`Sync] replication the fence zaps nothing; under [`Async]
           the zapped copies are exactly the lost log suffix. *)
   | Epoch_fence_ack of {

@@ -57,10 +57,11 @@ type t = {
           k = 1 is the single-standby setup. Negative counts are
           refused. *)
   standbys : int list option;
-      (** which nodes receive the replication log; [None] picks the
-          [standby_count] lowest-numbered non-origin nodes. An explicit
-          list arms replication whatever [standby_count] says; it must
-          not be empty. *)
+      (** which nodes receive the origin's replication log; [None] picks
+          the [standby_count] lowest-numbered non-origin nodes. An
+          explicit list arms replication whatever [standby_count] says; it
+          must not be empty. Any replica set needs one shard
+          ([sharding]). *)
   sharding : [ `Hash of int | `Range of int ];
       (** partition page ownership across {e home nodes}
           ({!Authority.home_of}): [`Hash n] homes page [vpn] at shard
@@ -70,9 +71,8 @@ type t = {
           at the process origin. Shard [s] lives at node
           [(origin + s) mod node_count], so shard 0 is always the process
           origin (the VMA/allocator/file services stay there). [n] may
-          exceed the node count (homes then wrap); with replication on,
-          every shard gets its own replication log, epoch and promotion
-          path. *)
+          exceed the node count (homes then wrap). Replication protects
+          the origin only, so it needs one shard. *)
   serial_home_service : bool;
       (** model each node's protocol handler as a single service loop:
           page requests at one home then queue behind each other

