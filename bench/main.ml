@@ -688,7 +688,7 @@ let failover_bench () =
       {
         Dex_proto.Proto_config.default with
         Dex_proto.Proto_config.replication = mode;
-        standby_count = k;
+        standbys = List.init k (fun i -> i + 1);
         on_crash = `Rehome;
       }
     in
@@ -957,7 +957,7 @@ let autopilot_bench () =
 (* ------------------------------------------------------------------ *)
 (* Serving: the multi-tenant layer under open-loop load. A latency
    ladder climbs to saturation; admission control (shedding) keeps the
-   admitted tail bounded past it; weighted fair sharing defangs a noisy
+   admitted tail bounded past it; equal fair sharing defangs a noisy
    neighbour; and the fault rows compare per-tenant digests
    answer-for-answer against no-fault baselines.                        *)
 
@@ -1035,8 +1035,9 @@ let serve_bench () =
          cruise.r_tenants)
     Format.std_formatter cruise.r_stats;
   (* Noisy neighbour: one tenant floods the ingress gate with outsized
-     requests; the victims' tail only survives under weighted fair
-     sharing with the per-tenant cap. *)
+     requests; the victims' tail only survives under equal fair sharing
+     with the per-tenant cap. The printed label keeps its pinned
+     wording. *)
   let nn fair =
     let hog =
       {

@@ -61,6 +61,19 @@ let proto_of_shards shards =
         Dex_proto.Proto_config.sharding = `Range shards;
       }
 
+(* A config built from user input is validated before it runs: a value
+   its [validate] refuses is a usage error (exit 2), not an internal one. *)
+let check cmd validate cfg =
+  match validate cfg with
+  | () -> ()
+  | exception Invalid_argument msg ->
+      Format.eprintf "dex_run %s: %s@." cmd msg;
+      exit 2
+
+(* The rack a command without its own fabric config runs on. *)
+let check_nodes cmd nodes =
+  check cmd Dex_net.Net_config.validate (Dex_net.Net_config.default ~nodes ())
+
 let lookup name =
   match Dex_apps.Apps.find name with
   | entry -> entry
@@ -93,6 +106,7 @@ let autopilot_arg =
 let run_cmd =
   let run app nodes variant shards autopilot =
     let entry = lookup app in
+    check_nodes "run" nodes;
     let proto = proto_of_shards shards in
     let config =
       if autopilot then
@@ -172,6 +186,7 @@ let demo_workload ?net ~nodes () =
 
 let profile_cmd =
   let run nodes =
+    check_nodes "profile" nodes;
     let _cl, events, alloc = demo_workload ~nodes () in
     Dex_profile.Report.pp_summary ?alloc Format.std_formatter events;
     0
@@ -220,17 +235,28 @@ let chaos_cmd =
         delay_jitter_ns = jitter;
       }
     in
-    { (Dex_net.Net_config.default ~nodes ()) with Dex_net.Net_config.chaos = Some chaos }
+    let net =
+      {
+        (Dex_net.Net_config.default ~nodes ()) with
+        Dex_net.Net_config.chaos = Some chaos;
+      }
+    in
+    check "chaos" Dex_net.Net_config.validate net;
+    net
   in
   let run nodes drop dup reorder jitter seed sweep =
     if sweep then begin
+      let nets =
+        List.map
+          (fun drop ->
+            let dup = drop /. 2.0 in
+            (drop, net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup))
+          [ 0.0; 0.01; 0.05; 0.10; 0.20 ]
+      in
       Format.printf "%-8s %10s %8s %8s %12s %9s@." "DROP" "TIME(ms)" "FAULTS"
         "DROPS" "RETRANSMITS" "TIMEOUTS";
       List.iter
-        (fun drop ->
-          let net =
-            net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup:(drop /. 2.0)
-          in
+        (fun (drop, net) ->
           let cl, events, _ = demo_workload ~net ~nodes () in
           let get =
             Dex_sim.Stats.get (Dex_net.Fabric.stats (Dex_core.Cluster.fabric cl))
@@ -240,7 +266,7 @@ let chaos_cmd =
             (Dex_sim.Time_ns.to_ms_f (Dex_core.Dex.elapsed cl))
             (List.length events) (get "chaos.drops") (get "chaos.retransmits")
             (get "chaos.timeouts"))
-        [ 0.0; 0.01; 0.05; 0.10; 0.20 ]
+        nets
     end
     else begin
       let net = net_of ~nodes ~seed ~reorder ~jitter ~drop ~dup in
@@ -315,6 +341,7 @@ let crash_cmd =
         Dex_net.Net_config.chaos = Some chaos;
       }
     in
+    check "crash" Dex_net.Net_config.validate net;
     let proto =
       { Dex_proto.Proto_config.default with Dex_proto.Proto_config.on_crash }
     in
@@ -468,7 +495,8 @@ let failover_cmd =
       {
         Dex_proto.Proto_config.default with
         Dex_proto.Proto_config.replication;
-        standby_count = standbys;
+        (* Nodes 1..k: the origin is node 0. *)
+        standbys = List.init standbys (fun i -> i + 1);
         on_crash = `Rehome;
       }
     in
@@ -589,7 +617,7 @@ let serve_cmd =
   in
   let fifo_arg =
     let doc =
-      "Use one FIFO ingress gate instead of weighted per-tenant fair \
+      "Use one FIFO ingress gate instead of equal per-tenant fair \
        sharing (exposes noisy neighbours)."
     in
     Arg.(value & flag & info [ "fifo" ] ~doc)
@@ -659,6 +687,7 @@ let serve_cmd =
         ha;
       }
     in
+    check "serve" SC.validate cfg;
     let nodes = S.required_nodes cfg in
     (* Crashes need the reliable (chaos) transport for failure detection;
        --chaos additionally injects faults on the wire. *)
@@ -691,6 +720,7 @@ let serve_cmd =
           }
       else None
     in
+    Option.iter (check "serve" Dex_net.Net_config.validate) net;
     let events =
       if crash_at_us = 0 then None
       else

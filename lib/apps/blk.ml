@@ -35,8 +35,6 @@ let reference_sum p ~seed =
       Hashtbl.add opts_cache (seed, p.options) sum;
       sum
 
-let reference_checksum p ~seed = A.checksum_of_float (reference_sum p ~seed)
-
 let body p ctx main =
   let threads = ctx.A.threads in
   let price_sum = reference_sum p ~seed:ctx.A.seed in

@@ -25,14 +25,6 @@ val conversion : App_common.conversion
 val reference_sum : params -> seed:int -> float
 (** Sum of all option prices from the host reference implementation. *)
 
-val reference_checksum : params -> seed:int -> int64
-(** The checksum a correct run returns ({!reference_sum} through
-    {!App_common.checksum_of_float}). *)
-
-val body : params -> App_common.ctx -> Dex_core.Process.thread -> int64
-(** The application body, for callers that build their own process on a
-    shared cluster (the serving layer); returns the run's checksum. *)
-
 val run :
   nodes:int ->
   variant:App_common.variant ->

@@ -102,8 +102,6 @@ let checksum_centers centers =
     (fun acc c -> Int64.add acc (A.checksum_of_float c))
     0L centers
 
-let reference_checksum p ~seed = checksum_centers (reference_centers p ~seed)
-
 let body p ctx main =
   let pts = host_points p ~seed:ctx.A.seed in
   let threads = ctx.A.threads in

@@ -29,14 +29,6 @@ val conversion : App_common.conversion
 val reference_centers : params -> seed:int -> float array
 (** Ground truth: the centers a sequential host implementation computes. *)
 
-val reference_checksum : params -> seed:int -> int64
-(** The checksum a correct run returns — {!reference_centers} folded the
-    same way {!body} folds its converged centers. *)
-
-val body : params -> App_common.ctx -> Dex_core.Process.thread -> int64
-(** The application body, for callers that build their own process on a
-    shared cluster (the serving layer); returns the run's checksum. *)
-
 val run :
   nodes:int ->
   variant:App_common.variant ->

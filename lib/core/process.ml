@@ -974,40 +974,15 @@ let create cluster ?(origin = 0) () =
   let cfg = Cluster.proto_config cluster in
   let coh = Coherence.create ~cfg ~seed ~pid (Cluster.fabric cluster) ~origin in
   let nshards = Authority.shard_count (Coherence.authority coh) in
-  (* Zero standbys (and no explicit list) is replication off. *)
+  (* An empty replica set is replication off. *)
   let ha =
-    let k = cfg.Dex_proto.Proto_config.standby_count in
-    if k < 0 then invalid_arg "Process.create: bad standby count";
     match cfg.Dex_proto.Proto_config.standbys with
-    | None when k = 0 -> None
+    | [] -> None
     | standbys ->
         (* Replication protects the origin only: with more shards, a
            non-origin home's death would still be fatal. *)
         if nshards > 1 then
           invalid_arg "Process.create: replication needs one shard";
-        let nodes = Cluster.nodes cluster in
-        if nodes < 2 then
-          invalid_arg "Process.create: replication needs at least two nodes";
-        let standbys =
-          match standbys with
-          | Some l ->
-              List.iter
-                (fun s ->
-                  if s < 0 || s >= nodes || s = origin then
-                    invalid_arg "Process.create: bad standby node")
-                l;
-              if l = [] then invalid_arg "Process.create: empty standby list";
-              if List.length (List.sort_uniq compare l) <> List.length l then
-                invalid_arg "Process.create: duplicate standby node";
-              l
-          | None ->
-              (* The k lowest-numbered non-origin nodes. *)
-              if k > nodes - 1 then
-                invalid_arg "Process.create: bad standby count";
-              List.filteri
-                (fun i _ -> i < k)
-                (List.filter (fun n -> n <> origin) (List.init nodes Fun.id))
-        in
         Some
           (Ha.arm ~engine:(Cluster.engine cluster)
              ~fabric:(Cluster.fabric cluster) ~stats ~pid

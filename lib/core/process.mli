@@ -31,14 +31,13 @@ exception Thread_crashed of { pid : int; tid : int }
 
 val create : Cluster.t -> ?origin:int -> unit -> t
 (** Register a new process; [origin] defaults to node 0. When the
-    cluster's proto config names a replica set
-    ({!Dex_proto.Proto_config.standbys}, or else
-    [standby_count] > 0 for the [standby_count] lowest non-origin nodes),
-    this also arms {!Dex_proto.Proto_config.replication} of the origin
-    towards it — see {!ha}. Replication protects the origin only, so
-    raises [Invalid_argument] when a replica set is configured with more
-    than one shard of {!Dex_proto.Proto_config.sharding} (and on a
-    malformed replica set). *)
+    cluster's proto config names a non-empty replica set
+    ({!Dex_proto.Proto_config.standbys}), this also arms
+    {!Dex_proto.Proto_config.replication} of the origin towards it — see
+    {!ha}. Replication protects the origin only, so raises
+    [Invalid_argument] when a replica set is configured with more than
+    one shard of {!Dex_proto.Proto_config.sharding} (and, from
+    {!Dex_ha.Ha.arm}, on a malformed replica set). *)
 
 val cluster : t -> Cluster.t
 

@@ -151,31 +151,15 @@ let create engine cfg =
         | Some c -> c.Net_config.chaos_seed
         | None -> 0)
   in
-  let links =
-    Array.init (n * n) (fun _ ->
-        Resource.Server.create engine
-          ~bytes_per_us:cfg.Net_config.link_bandwidth_bytes_per_us)
-  in
-  (* Scheduled bandwidth changes are engine events, planted up front so the
-     fault schedule is part of the deterministic event stream. *)
-  (match cfg.Net_config.chaos with
-  | None -> ()
-  | Some c ->
-      List.iter
-        (fun d ->
-          Engine.at engine ~time:d.Net_config.d_at (fun () ->
-              Resource.Server.set_rate
-                links.((d.Net_config.d_src * n) + d.Net_config.d_dst)
-                ~bytes_per_us:
-                  (cfg.Net_config.link_bandwidth_bytes_per_us
-                  *. d.Net_config.d_factor)))
-        c.Net_config.degrades);
   let t =
     {
       engine;
       cfg;
       handlers = Array.make n None;
-      links;
+      links =
+        Array.init (n * n) (fun _ ->
+            Resource.Server.create engine
+              ~bytes_per_us:cfg.Net_config.link_bandwidth_bytes_per_us);
       send_pools =
         Array.init (n * n) (fun _ ->
             Resource.Pool.create engine ~capacity:cfg.Net_config.send_pool_slots);
@@ -200,7 +184,8 @@ let create engine cfg =
       crash_sub_seq = 0;
     }
   in
-  (* Scheduled fail-stop crashes, planted like the degrades above. *)
+  (* Scheduled fail-stop crashes are engine events, planted up front so the
+     fault schedule is part of the deterministic event stream. *)
   (match cfg.Net_config.chaos with
   | None -> ()
   | Some c ->

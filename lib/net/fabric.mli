@@ -28,10 +28,9 @@
     When {!Net_config.chaos} is set, the fabric injects faults at the
     receive boundary — messages may be dropped, duplicated, delayed by
     extra jitter, reordered (held back so later traffic overtakes them),
-    discarded inside a scheduled partition window, or slowed by a scheduled
-    bandwidth degrade. Send-side resource accounting is unchanged: a
-    dropped message still consumed its buffers and link time, like a frame
-    discarded by the far switch.
+    or discarded inside a scheduled partition window. Send-side resource
+    accounting is unchanged: a dropped message still consumed its buffers
+    and link time, like a frame discarded by the far switch.
 
     Chaos also activates an end-to-end reliable delivery layer for {!send}
     and {!call}: requests carry fabric-global sequence numbers, the sender
@@ -96,7 +95,7 @@ type handler = t -> env -> unit
 val create : Dex_sim.Engine.t -> Net_config.t -> t
 (** [create engine cfg] builds the fabric: per-pair links and send pools,
     per-node receive pools and RDMA sinks. Validates [cfg] and, in chaos
-    mode, plants the partition/degrade schedule into the event queue. *)
+    mode, plants the crash schedule into the event queue. *)
 
 val engine : t -> Dex_sim.Engine.t
 (** The engine this fabric schedules on. *)

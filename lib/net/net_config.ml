@@ -5,13 +5,6 @@ type partition = {
   p_until : Dex_sim.Time_ns.t;
 }
 
-type degrade = {
-  d_src : int;
-  d_dst : int;
-  d_at : Dex_sim.Time_ns.t;
-  d_factor : float;
-}
-
 type crash = { crash_node : int; crash_at : Dex_sim.Time_ns.t }
 
 type chaos = {
@@ -21,7 +14,6 @@ type chaos = {
   reorder_prob : float;
   delay_jitter_ns : Dex_sim.Time_ns.t;
   partitions : partition list;
-  degrades : degrade list;
   crashes : crash list;
   rto : Dex_sim.Time_ns.t;
   rto_cap : Dex_sim.Time_ns.t;
@@ -36,7 +28,6 @@ let chaos_default =
     reorder_prob = 0.0;
     delay_jitter_ns = 0;
     partitions = [];
-    degrades = [];
     crashes = [];
     (* The base RTO must comfortably exceed a healthy round trip including
        handler work: origin-side revocation fan-outs legitimately take
@@ -104,14 +95,6 @@ let validate_chaos nodes c =
       if p.p_from < 0 || p.p_until < p.p_from then
         invalid_arg "Net_config: partition window must be well-ordered")
     c.partitions;
-  List.iter
-    (fun d ->
-      if d.d_src < 0 || d.d_src >= nodes || d.d_dst < 0 || d.d_dst >= nodes
-      then invalid_arg "Net_config: degrade endpoint out of range";
-      if d.d_at < 0 then invalid_arg "Net_config: degrade time must be >= 0";
-      if d.d_factor <= 0.0 then
-        invalid_arg "Net_config: degrade factor must be positive")
-    c.degrades;
   List.iter
     (fun cr ->
       if cr.crash_node < 0 || cr.crash_node >= nodes then

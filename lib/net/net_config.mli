@@ -17,17 +17,6 @@ type partition = {
 (** A transient bidirectional partition: every message between [p_a] and
     [p_b] whose delivery falls inside [[p_from, p_until)] is discarded. *)
 
-type degrade = {
-  d_src : int;  (** source endpoint of the directed link *)
-  d_dst : int;  (** destination endpoint of the directed link *)
-  d_at : Dex_sim.Time_ns.t;  (** when the rate change takes effect *)
-  d_factor : float;
-      (** multiplier applied to the link's {e calibrated} bandwidth, e.g.
-          [0.1] throttles to 10%; a later entry with [1.0] restores it *)
-}
-(** A scheduled bandwidth change on one directed link. Transfers already
-    admitted to the link drain at the old rate (store-and-forward). *)
-
 type crash = {
   crash_node : int;  (** the node that dies *)
   crash_at : Dex_sim.Time_ns.t;  (** when it stops responding *)
@@ -51,7 +40,6 @@ type chaos = {
   delay_jitter_ns : Dex_sim.Time_ns.t;
       (** extra uniformly-distributed delivery delay in [[0, jitter]] *)
   partitions : partition list;  (** scheduled transient partitions *)
-  degrades : degrade list;  (** scheduled bandwidth changes *)
   crashes : crash list;  (** scheduled fail-stop node crashes *)
   rto : Dex_sim.Time_ns.t;
       (** base retransmission timeout of the reliable request layer *)
@@ -69,7 +57,7 @@ type chaos = {
     see {!Fabric}. *)
 
 val chaos_default : chaos
-(** All fault probabilities zero, no partitions, degrades or crashes, and
+(** All fault probabilities zero, no partitions or crashes, and
     calibrated retransmission parameters (200 µs base RTO, 2 ms cap, 30
     retransmits). Start from this and override the faults you want to
     inject. *)
@@ -101,4 +89,4 @@ val default : ?nodes:int -> unit -> t
 val validate : t -> unit
 (** Raises [Invalid_argument] on non-sensical parameters, including
     out-of-range chaos probabilities, ill-ordered partition windows and
-    out-of-range partition/degrade endpoints. *)
+    out-of-range partition endpoints and crash nodes. *)

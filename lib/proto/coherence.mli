@@ -55,7 +55,7 @@
 
     {2 Home failover (HA)}
 
-    With standbys configured ({!Proto_config.standby_count}), the process
+    With a replica set configured ({!Proto_config.standbys}), the process
     layer arms this instance ({!set_replication}) with {!Dex_ha}, which
     replicates the origin. Replication needs one shard: only the origin
     can fail over. A {!replication} fence runs before any grant reply
@@ -298,7 +298,7 @@ type replication = {
 
 val set_replication : t -> replication -> unit
 (** Arm replication: the process layer installs the hooks once, when
-    {!Proto_config.replication} has standbys. Unarmed, every path they
+    {!Proto_config.standbys} is non-empty. Unarmed, every path they
     guard is bit-identical to a build without them, a home death is
     fatal ({!reclaim_node}), and a reclaim takes one phase instead of
     two. *)

@@ -13,8 +13,7 @@ type t = {
   grant_without_data : bool;
   on_crash : [ `Abort | `Rehome ];
   replication : [ `Sync | `Async of int ];
-  standby_count : int;
-  standbys : int list option;
+  standbys : int list;
   sharding : [ `Hash of int | `Range of int ];
   serial_home_service : bool;
 }
@@ -43,14 +42,11 @@ let default =
        suffix on an origin crash. Only consulted once a replica set
        exists. *)
     replication = `Sync;
-    (* Zero standbys is replication off: no log, and the protocol is
+    (* No standbys is replication off: no log, and the protocol is
        bit-identical to a build without the HA layer. One standby is the
        single-replica setup; more tolerate simultaneous origin+standby
        crashes (any minority of the origin+k set). *)
-    standby_count = 0;
-    (* None picks the [standby_count] lowest-numbered non-origin nodes as
-       the replica set. *)
-    standbys = None;
+    standbys = [];
     (* One shard by default: all pages are homed at the single origin.
        `Hash n spreads page ownership over n home nodes by vpn modulo;
        `Range n homes 64-page runs, keeping a sequential scan on one

@@ -42,26 +42,21 @@ type t = {
           the default is [`Abort]. *)
   replication : [ `Sync | `Async of int ];
       (** how origin replication ({!Dex_ha} when wired by the process
-          layer) fences, once a replica set exists ([standby_count] > 0 or
-          [standbys] given): [`Sync] (default) blocks every reply that
-          leaves the origin until a quorum of standbys has acked the whole
-          replication log (⌈(k+1)/2⌉ of them — a majority of the
-          origin+k replica set); [`Async n] only blocks once the log runs
-          more than [n] entries past that quorum watermark — an origin
-          crash can then lose up to that suffix (the failover fence zaps
-          survivor copies the replica no longer vouches for). *)
-  standby_count : int;
-      (** size k of the replica set (excluding the origin) when [standbys]
-          is [None]. The default, 0, is replication off: no log runs and
-          the protocol is bit-identical to a build without the HA layer;
-          k = 1 is the single-standby setup. Negative counts are
-          refused. *)
-  standbys : int list option;
-      (** which nodes receive the origin's replication log; [None] picks
-          the [standby_count] lowest-numbered non-origin nodes. An
-          explicit list arms replication whatever [standby_count] says; it
-          must not be empty. Any replica set needs one shard
-          ([sharding]). *)
+          layer) fences, once a replica set exists ([standbys] non-empty):
+          [`Sync] (default) blocks every reply that leaves the origin
+          until a quorum of standbys has acked the whole replication log
+          (⌈(k+1)/2⌉ of them — a majority of the origin+k replica set);
+          [`Async n] only blocks once the log runs more than [n] entries
+          past that quorum watermark — an origin crash can then lose up to
+          that suffix (the failover fence zaps survivor copies the replica
+          no longer vouches for). *)
+  standbys : int list;
+      (** the replica set: the k nodes (excluding the origin) that receive
+          the origin's replication log. The default, [[]], is replication
+          off: no log runs and the protocol is bit-identical to a build
+          without the HA layer; one node is the single-standby setup. The
+          nodes must be distinct, in range and not the origin, and a
+          replica set needs one shard ([sharding]). *)
   sharding : [ `Hash of int | `Range of int ];
       (** partition page ownership across {e home nodes}
           ({!Authority.home_of}): [`Hash n] homes page [vpn] at shard

@@ -1,7 +1,6 @@
 open Dex_sim
 
 type entry = {
-  weight : float;
   server : Resource.Server.t;
   mutable active : int;  (* transfers in flight through this tenant *)
 }
@@ -29,33 +28,26 @@ let create engine ~bytes_per_us ~cap =
     recomputes = 0;
   }
 
-let share t ~weight ~backlogged_weight =
-  t.total *. Float.min t.cap (weight /. backlogged_weight)
-
 let recompute t =
   t.recomputes <- t.recomputes + 1;
-  let backlogged_weight =
-    Hashtbl.fold
-      (fun _ e acc -> if e.active > 0 then acc +. e.weight else acc)
-      t.entries 0.0
-  in
-  if backlogged_weight > 0.0 then
+  if t.nbacklogged > 0 then begin
+    let bytes_per_us =
+      t.total *. Float.min t.cap (1.0 /. float_of_int t.nbacklogged)
+    in
     Hashtbl.iter
       (fun _ e ->
-        if e.active > 0 then
-          Resource.Server.set_rate e.server
-            ~bytes_per_us:(share t ~weight:e.weight ~backlogged_weight))
+        if e.active > 0 then Resource.Server.set_rate e.server ~bytes_per_us)
       t.entries
+  end
 
-let register t ~key ~weight =
-  if weight <= 0.0 then invalid_arg "Fairshare.register: weight must be > 0";
+let register t ~key =
   if Hashtbl.mem t.entries key then
     invalid_arg "Fairshare.register: duplicate key";
   (* Rated as if alone at the gate; re-rated on first contention. *)
   let server =
     Resource.Server.create t.engine ~bytes_per_us:(t.total *. t.cap)
   in
-  Hashtbl.replace t.entries key { weight; server; active = 0 }
+  Hashtbl.replace t.entries key { server; active = 0 }
 
 let find t key =
   match Hashtbl.find_opt t.entries key with

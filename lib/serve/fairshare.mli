@@ -1,14 +1,14 @@
-(** Weighted fair sharing of a service capacity, with a noisy-neighbour
+(** Equal fair sharing of a service capacity, with a noisy-neighbour
     cap — built on {!Dex_sim.Resource.Server} rate control.
 
     One gate models one node's ingress/home service capacity, shared by
     every tenant homed there. Each registered tenant owns a private FIFO
     {!Dex_sim.Resource.Server}; whenever the set of backlogged tenants
     changes, every backlogged tenant's server is re-rated
-    ({!Dex_sim.Resource.Server.set_rate}) to its weighted share of the
-    gate's total capacity:
+    ({!Dex_sim.Resource.Server.set_rate}) to an equal share of the gate's
+    total capacity:
 
-    {v rate(i) = total * min(cap, w_i / sum of backlogged weights) v}
+    {v rate = total * min(cap, 1 / number of backlogged tenants) v}
 
     Idle tenants' shares are redistributed to the backlogged ones, but
     never beyond the cap: even a tenant alone at the gate gets at most
@@ -24,9 +24,8 @@ val create : Dex_sim.Engine.t -> bytes_per_us:float -> cap:float -> t
 (** [cap] in (0, 1]: maximum fraction of the capacity any single tenant
     can be rated at. Raises [Invalid_argument] out of range. *)
 
-val register : t -> key:int -> weight:float -> unit
-(** Add tenant [key] with [weight] > 0. Raises on duplicates or bad
-    weights. *)
+val register : t -> key:int -> unit
+(** Add tenant [key]. Raises [Invalid_argument] on duplicates. *)
 
 val transfer : t -> key:int -> bytes:int -> unit
 (** Charge [bytes] of service to tenant [key]'s share, blocking the

@@ -4,7 +4,6 @@ module A = Dex_apps.App_common
 
 type request = {
   rq_arrival : Time_ns.t;
-  rq_workload : Serve_config.workload;  (* resolved: never [Mix] *)
   rq_seed : int;
   rq_expected : int64;
   mutable rq_got : int64 option;
@@ -14,7 +13,7 @@ type tenant_state = {
   rank : int;
   tcfg : Serve_config.tenant;
   arrivals : Arrivals.t;
-  wl_rng : Rng.t;
+  seed_rng : Rng.t;
   base : int;  (* first node of the tenant's static placement block *)
   pending : request Queue.t;
   sojourn : Histogram.t;
@@ -54,40 +53,26 @@ type tenant_result = {
 }
 
 type result = {
-  r_config : Serve_config.t;
   r_nodes : int;
   r_tenants : tenant_result list;
   r_stats : Stats.t;
   r_sim_time : Time_ns.t;
 }
 
-let tenant_width cfg ten =
-  ten.Serve_config.t_nodes + if cfg.Serve_config.ha then 1 else 0
+(* Every request is a [Serve_config.tiny_ep] run on [request_nodes] nodes
+   x [threads_per_node] threads; no tenant is rated above [nn_cap] of a
+   fair gate. *)
+let request_nodes = 2
+let threads_per_node = 2
+let nn_cap = 0.5
+
+(* A tenant's placement block: its request nodes, plus its thread-free
+   service origin with [ha]. *)
+let tenant_width cfg = request_nodes + if cfg.Serve_config.ha then 1 else 0
 
 let required_nodes cfg =
-  List.fold_left
-    (fun acc ten -> acc + tenant_width cfg ten)
-    (if cfg.Serve_config.ha then 1 else 0)
-    cfg.Serve_config.tenants
-
-(* Resolve a [Mix] to one concrete workload with the tenant's own stream. *)
-let rec pick_workload rng = function
-  | Serve_config.Mix l -> pick_workload rng (List.nth l (Rng.int rng (List.length l)))
-  | w -> w
-
-let expected_checksum wl ~seed =
-  match wl with
-  | Serve_config.Ep p -> Dex_apps.Ep.reference_checksum p ~seed
-  | Serve_config.Blk p -> Dex_apps.Blk.reference_checksum p ~seed
-  | Serve_config.Kmn p -> Dex_apps.Kmn.reference_checksum p ~seed
-  | Serve_config.Mix _ -> assert false
-
-let body_of wl =
-  match wl with
-  | Serve_config.Ep p -> Dex_apps.Ep.body p
-  | Serve_config.Blk p -> Dex_apps.Blk.body p
-  | Serve_config.Kmn p -> Dex_apps.Kmn.body p
-  | Serve_config.Mix _ -> assert false
+  (List.length cfg.Serve_config.tenants * tenant_width cfg)
+  + if cfg.Serve_config.ha then 1 else 0
 
 (* Map the tenant's preferred block onto live nodes: healthy preferences
    stay put, dead ones are substituted by the cyclically-next live node not
@@ -126,7 +111,7 @@ let place t ten =
       let origin = pick (ten.base mod n) in
       let offset = if t.cfg.ha then 1 else 0 in
       let workers =
-        Array.init ten.tcfg.t_nodes (fun v ->
+        Array.init request_nodes (fun v ->
             if (not t.cfg.ha) && v = 0 then origin
             else pick ((ten.base + offset + v) mod n))
       in
@@ -213,31 +198,30 @@ and start_run t ten req =
                     A.proc;
                     cl = t.cl;
                     variant = A.Optimized;
-                    nodes = ten.tcfg.t_nodes;
-                    threads = ten.tcfg.t_nodes * ten.tcfg.t_threads_per_node;
+                    nodes = request_nodes;
+                    threads = request_nodes * threads_per_node;
                     seed = req.rq_seed;
                     nodemap;
                   }
                 in
-                req.rq_got <- Some (body_of req.rq_workload ctx th))
+                req.rq_got <-
+                  Some (Dex_apps.Ep.body Serve_config.tiny_ep ctx th))
           in
           ())
 
 let on_arrival t ten =
   ten.offered <- ten.offered + 1;
   Stats.incr t.stats "serve.offered";
-  (* Both draws happen for every arrival, admitted or not, so a tenant's
+  (* The draw happens for every arrival, admitted or not, so a tenant's
      request stream is a pure function of the master seed. *)
-  let workload = pick_workload ten.wl_rng ten.tcfg.t_workload in
-  let seed = Rng.int ten.wl_rng (1 lsl 30) in
+  let seed = Rng.int ten.seed_rng (1 lsl 30) in
   let admit () =
     ten.admitted <- ten.admitted + 1;
     Stats.incr t.stats "serve.admitted";
     {
       rq_arrival = Engine.now t.eng;
-      rq_workload = workload;
       rq_seed = seed;
-      rq_expected = expected_checksum workload ~seed;
+      rq_expected = Dex_apps.Ep.reference_checksum Serve_config.tiny_ep ~seed;
       rq_got = None;
     }
   in
@@ -270,16 +254,14 @@ let default_proto ~nodes cfg =
     {
       Dex_proto.Proto_config.default with
       replication = `Sync;
-      standbys = Some [ nodes - 1 ];
+      standbys = [ nodes - 1 ];
       on_crash = `Rehome;
     }
   else Dex_proto.Proto_config.default
 
-let run ?nodes ?net ?proto ?(events = []) cfg =
+let run ?net ?proto ?(events = []) cfg =
   Serve_config.validate cfg;
-  let nodes = match nodes with Some n -> n | None -> required_nodes cfg in
-  if cfg.ha && nodes < 3 then
-    invalid_arg "Serve.run: ha needs at least origin + worker + standby";
+  let nodes = required_nodes cfg in
   let proto = match proto with Some p -> p | None -> default_proto ~nodes cfg in
   let cl = Dex.cluster ?net ~proto ~nodes ~seed:cfg.seed () in
   let eng = Cluster.engine cl in
@@ -287,30 +269,28 @@ let run ?nodes ?net ?proto ?(events = []) cfg =
   let gate =
     if cfg.fair then begin
       let f =
-        Fairshare.create eng ~bytes_per_us:cfg.gate_bytes_per_us ~cap:cfg.nn_cap
+        Fairshare.create eng ~bytes_per_us:cfg.gate_bytes_per_us ~cap:nn_cap
       in
-      List.iteri
-        (fun i ten -> Fairshare.register f ~key:i ~weight:ten.Serve_config.t_weight)
-        cfg.tenants;
+      List.iteri (fun i _ -> Fairshare.register f ~key:i) cfg.tenants;
       Fair f
     end
     else Fifo (Resource.Server.create eng ~bytes_per_us:cfg.gate_bytes_per_us)
   in
   (* Per-tenant streams split off in configuration order: tenant [i]'s
-     arrivals and workload draws are fixed by (master seed, i) alone. *)
+     arrivals and request seeds are fixed by (master seed, i) alone. *)
   let master = Rng.create ~seed:cfg.seed in
   let tenants =
     Array.of_list
       (List.mapi
          (fun i ten ->
            let arr_rng = Rng.split master in
-           let wl_rng = Rng.split master in
+           let seed_rng = Rng.split master in
            {
              rank = i;
              tcfg = ten;
              arrivals = Arrivals.create ~rng:arr_rng ten.Serve_config.t_arrival;
-             wl_rng;
-             base = 0 (* patched below *);
+             seed_rng;
+             base = i * tenant_width cfg;
              pending = Queue.create ();
              sojourn = Histogram.create ();
              inflight = 0;
@@ -325,15 +305,6 @@ let run ?nodes ?net ?proto ?(events = []) cfg =
            })
          cfg.tenants)
   in
-  let base = ref 0 in
-  let tenants =
-    Array.map
-      (fun ten ->
-        let b = !base in
-        base := b + tenant_width cfg ten.tcfg;
-        { ten with base = b })
-      tenants
-  in
   let t = { cl; eng; cfg; stats; gate; tenants } in
   Array.iter (fun ten -> generator t ten) tenants;
   List.iter (fun (time, f) -> Engine.at eng ~time (fun () -> f cl)) events;
@@ -342,7 +313,6 @@ let run ?nodes ?net ?proto ?(events = []) cfg =
   | Fair f -> Stats.add stats "serve.gate_recomputes" (Fairshare.recomputes f)
   | Fifo _ -> ());
   {
-    r_config = cfg;
     r_nodes = nodes;
     r_tenants =
       Array.to_list

@@ -7,25 +7,27 @@
     tenant, the run drives:
 
     - an {e arrival generator} fiber ({!Arrivals}) on the tenant's own
-      split RNG stream, drawing each request's workload and seed at
-      arrival time — so the set of request checksums a tenant can produce
-      is fixed by the master seed alone, independent of every other
-      tenant and of event timing;
+      split RNG stream, drawing each request's seed at arrival time — so
+      the set of request checksums a tenant can produce is fixed by the
+      master seed alone, independent of every other tenant and of event
+      timing;
     - an {e admission controller}: at most [t_max_inflight] requests run
       concurrently, at most [t_max_pending] wait ([0] = unbounded; the
       overflow is {e rejected}); with shedding on, a queued request whose
       wait exceeds [shed_after] is {e shed} at dispatch instead of served;
     - an {e ingress gate} charge of [t_req_bytes] per dispatch through
-      either the weighted {!Fairshare} gate ([fair]) or one shared FIFO
+      either the equal-share {!Fairshare} gate ([fair]) or one shared FIFO
       server — the lever behind the noisy-neighbour experiments;
     - {e placement}: requests prefer the tenant's static node block, and
       substitute live nodes ({!Dex_net.Fabric.live_nodes}) for any that
       fail-stopped, so admission steers around dead nodes.
 
-    Every completed run's checksum is validated against the host-side
-    reference for its (workload, seed); mismatches count as
-    [serve.corrupted] and per-tenant digests let a caller compare two
-    runs (say, crash vs no-crash) tenant by tenant. With [ha] set, a
+    Every request is a {!Serve_config.tiny_ep} run on 2 nodes x 2
+    threads; a fair gate rates no tenant above half its capacity. Every
+    completed run's checksum is validated against the host-side
+    reference for its seed; mismatches count as [serve.corrupted] and
+    per-tenant digests let a caller compare two runs (say, crash vs
+    no-crash) tenant by tenant. With [ha] set, a
     request whose main thread is lost to a fail-stop before producing an
     answer (caught standing on its origin mid-failover) is re-issued
     rather than surfaced as a corruption — requests are deterministic, so
@@ -53,7 +55,6 @@ type tenant_result = {
 }
 
 type result = {
-  r_config : Serve_config.t;
   r_nodes : int;
   r_tenants : tenant_result list;  (** in configuration order *)
   r_stats : Dex_sim.Stats.t;  (** fleet-wide [serve.*] counters *)
@@ -62,22 +63,20 @@ type result = {
 }
 
 val required_nodes : Serve_config.t -> int
-(** Nodes needed for non-overlapping tenant placements: the sum of
-    [t_nodes] — plus one service-origin node per tenant and one shared
-    standby node when [ha] is set. *)
+(** Nodes of the cluster a run builds: two per tenant, in disjoint
+    placement blocks — plus one service-origin node per tenant and one
+    shared standby node when [ha] is set. *)
 
 val run :
-  ?nodes:int ->
   ?net:Dex_net.Net_config.t ->
   ?proto:Dex_proto.Proto_config.t ->
   ?events:(Dex_sim.Time_ns.t * (Dex_core.Cluster.t -> unit)) list ->
   Serve_config.t ->
   result
-(** Build the cluster, run the arrival window plus drain, and report.
+(** Build the cluster of {!required_nodes} nodes, run the arrival window
+    plus drain, and report.
 
-    [nodes] defaults to {!required_nodes} (disjoint placements — the
-    isolation configuration); passing fewer overlaps placements
-    (contention configuration). [proto] defaults to
+    [proto] defaults to
     {!Dex_proto.Proto_config.default}, except with [ha] set it defaults
     to synchronous replication onto the reserved standby node with the
     [`Rehome] crash policy. [events] are scheduled actions — e.g.

@@ -5,11 +5,10 @@
     keep coming whether or not earlier ones finished) whose requests are
     small application runs. The knobs below cover the four serving
     concerns: traffic shape (arrival processes), overload behaviour
-    (admission control and shedding), fair sharing (weighted shares of the
+    (admission control and shedding), fair sharing (equal shares of the
     per-node ingress service capacity, with a noisy-neighbour cap) and
-    blast-radius isolation (per-tenant node placements). *)
-
-open Dex_apps
+    blast-radius isolation (per-tenant node placements). Every request is
+    the same small EP run ({!tiny_ep}) on 2 nodes x 2 threads. *)
 
 type arrival =
   | Poisson of float  (** arrival rate, requests per simulated millisecond *)
@@ -23,26 +22,14 @@ type arrival =
           alternate between a calm and a burst rate, with exponentially
           distributed dwell times. *)
 
-type workload =
-  | Ep of Ep.params  (** compute-bound kernel with a final DSM reduction *)
-  | Blk of Blk.params  (** option pricing: streaming reads, page writes *)
-  | Kmn of Kmn.params  (** iterative clustering: barriers every round *)
-  | Mix of workload list
-      (** per-request uniform draw from the list (from the tenant's own
-          RNG stream, so the sequence is reproducible per tenant) *)
-
 type tenant = {
   t_name : string;
   t_arrival : arrival;
-  t_workload : workload;
-  t_weight : float;  (** fair-share weight at the ingress gates *)
   t_max_inflight : int;  (** per-tenant concurrency cap (>= 1) *)
   t_max_pending : int;  (** pending-queue bound; [0] = unbounded *)
   t_req_bytes : int;
       (** ingress bytes each request charges through its origin node's
           service gate before the application body runs *)
-  t_nodes : int;  (** nodes each request's process spans (>= 1) *)
-  t_threads_per_node : int;
 }
 
 type t = {
@@ -61,11 +48,9 @@ type t = {
   shed_after : Dex_sim.Time_ns.t;
       (** queueing-delay bound enforced by the shedder *)
   fair : bool;
-      (** weighted fair sharing at the ingress gates; off = one FIFO
-          gate per node, first come first served *)
-  nn_cap : float;
-      (** noisy-neighbour cap: no tenant's share of a gate ever exceeds
-          this fraction of its capacity, idle or not; in (0, 1] *)
+      (** equal fair sharing at the ingress gates, no tenant rated above
+          half a gate; off = one FIFO gate per node, first come first
+          served *)
   gate_bytes_per_us : float;
       (** ingress service capacity of each node's gate *)
   ha : bool;
@@ -75,19 +60,17 @@ type t = {
 }
 
 val default_tenant : tenant
-(** 2 req/ms Poisson, a tiny EP workload, weight 1, inflight cap 4,
-    pending bound 64, 8 KB ingress, 2 nodes x 2 threads. *)
+(** 2 req/ms Poisson, inflight cap 4, pending bound 64, 8 KB ingress. *)
 
-val tiny_ep : Ep.params
-val tiny_blk : Blk.params
-val tiny_kmn : Kmn.params
-(** Request-scale parameter presets: each completes in a few hundred
-    microseconds of simulated time on two nodes. *)
+val tiny_ep : Dex_apps.Ep.params
+(** The request-scale EP parameters every request runs: a request
+    completes in a few hundred microseconds of simulated time on two
+    nodes. *)
 
 val default : t
 (** 8 uniform tenants at moderate load on seed 42: 6 ms window, shedding
-    on (2 ms bound), fair sharing on with a 50% noisy-neighbour cap. *)
+    on (2 ms bound), fair sharing on. *)
 
 val validate : t -> unit
 (** Raises [Invalid_argument] on nonsense (no tenants, non-positive
-    rates/weights/caps, out-of-range [nn_cap], ...). *)
+    rates, caps or durations, duplicate tenant names, ...). *)

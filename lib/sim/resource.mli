@@ -43,8 +43,8 @@ module Server : sig
   val set_rate : t -> bytes_per_us:float -> unit
   (** Change the service rate from now on. Transfers already admitted keep
       the service time computed at admission (store-and-forward: committed
-      frames drain at the old rate). Used by the chaos fabric to degrade a
-      link's bandwidth mid-run. *)
+      frames drain at the old rate). Used by the serving layer's fair
+      gates to re-rate a tenant's share. *)
 
   val rate : t -> float
   (** Current service rate in bytes per simulated microsecond. *)

@@ -40,12 +40,12 @@ let crash_net ?(max_retransmits = 4) ~nodes () =
   in
   { (Net_config.default ~nodes ()) with Net_config.chaos = Some chaos }
 
+(* The origin (node 0) replicates to [standbys], by default nodes 1..k. *)
 let ha_proto ?(k = 1) ?standbys mode =
   {
     Dex_proto.Proto_config.default with
     replication = mode;
-    standby_count = k;
-    standbys;
+    standbys = Option.value standbys ~default:(List.init k (fun i -> i + 1));
     on_crash = `Rehome;
   }
 
@@ -529,20 +529,14 @@ let test_standby_selection () =
         (Ha.standbys ha)
   | None -> Alcotest.fail "replication should be armed"
 
-(* Zero standbys is replication off, whatever the mode says; a negative
-   count and an empty explicit list are refused. *)
+(* Zero standbys is replication off, whatever the mode says; a replica
+   set with two shards is refused. *)
 let test_zero_standbys_is_off () =
   let nodes = 3 in
   let cluster proto = Dex.cluster ~nodes ~net:(crash_net ~nodes ()) ~proto () in
   let proc = Dex.run (cluster (ha_proto ~k:0 (`Async 4))) (fun _ _ -> ()) in
   check_bool "nothing armed" true (Process.ha proc = None);
   check_int "no log entries" 0 (pstat proc "ha.entries");
-  Alcotest.check_raises "negative count refused"
-    (Invalid_argument "Process.create: bad standby count") (fun () ->
-      ignore (Process.create (cluster (ha_proto ~k:(-1) `Sync)) ()));
-  Alcotest.check_raises "empty list refused"
-    (Invalid_argument "Process.create: empty standby list") (fun () ->
-      ignore (Process.create (cluster (ha_proto ~standbys:[] `Sync)) ()));
   Alcotest.check_raises "replication with two shards is refused"
     (Invalid_argument "Process.create: replication needs one shard")
     (fun () ->

@@ -295,7 +295,7 @@ let test_sink_accounting () =
 (* --- chaos mode -------------------------------------------------------- *)
 
 let chaos_cfg ?(nodes = 2) ?(seed = 7) ?(drop = 0.0) ?(dup = 0.0)
-    ?(reorder = 0.0) ?(jitter = 0) ?(partitions = []) ?(degrades = [])
+    ?(reorder = 0.0) ?(jitter = 0) ?(partitions = [])
     ?(crashes = []) ?rto ?max_retransmits () =
   let c =
     {
@@ -306,7 +306,6 @@ let chaos_cfg ?(nodes = 2) ?(seed = 7) ?(drop = 0.0) ?(dup = 0.0)
       reorder_prob = reorder;
       delay_jitter_ns = jitter;
       partitions;
-      degrades;
       crashes;
     }
   in
@@ -443,30 +442,6 @@ let test_chaos_reordering () =
   check_bool "later traffic overtook a held-back message" true
     (log <> List.init 10 (fun i -> i + 1))
 
-let test_chaos_degrade_slows_link () =
-  let run cfg =
-    let e = Engine.create () in
-    let fabric = Fabric.create e cfg in
-    let arrived = ref 0 in
-    Fabric.set_handler fabric ~node:1 (fun _ _ -> arrived := Engine.now e);
-    Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~kind:"bulk" ~size:1_000_000
-          (Msg.Ping 0));
-    Engine.run e;
-    !arrived
-  in
-  let healthy = run (small_cfg ()) in
-  let degraded =
-    run
-      (chaos_cfg ~rto:(Time_ns.ms 50)
-         ~degrades:
-           [ { Net_config.d_src = 0; d_dst = 1; d_at = 0; d_factor = 0.1 } ]
-         ())
-  in
-  let ratio = float_of_int degraded /. float_of_int healthy in
-  check_bool "10x bandwidth cut slows the transfer accordingly" true
-    (ratio > 5.0 && ratio < 12.0)
-
 let test_chaos_config_validation () =
   let bad f =
     let c = f Net_config.chaos_default in
@@ -494,18 +469,6 @@ let test_chaos_config_validation () =
         c with
         Net_config.partitions =
           [ { Net_config.p_a = 0; p_b = 1; p_from = 10; p_until = 5 } ];
-      });
-  bad (fun c ->
-      {
-        c with
-        Net_config.degrades =
-          [ { Net_config.d_src = 0; d_dst = 9; d_at = 0; d_factor = 0.5 } ];
-      });
-  bad (fun c ->
-      {
-        c with
-        Net_config.degrades =
-          [ { Net_config.d_src = 0; d_dst = 1; d_at = 0; d_factor = 0.0 } ];
       })
 
 (* Satellite regression: the reliable layer's dedup and pending tables must
@@ -652,8 +615,6 @@ let () =
           Alcotest.test_case "permanent partition raises" `Quick
             test_chaos_unreachable;
           Alcotest.test_case "reordering" `Quick test_chaos_reordering;
-          Alcotest.test_case "bandwidth degrade" `Quick
-            test_chaos_degrade_slows_link;
           Alcotest.test_case "chaos config validation" `Quick
             test_chaos_config_validation;
           Alcotest.test_case "tables pruned after quiescence" `Quick

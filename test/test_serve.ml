@@ -1,6 +1,6 @@
 (* Tests for the multi-tenant serving layer: admission-control accounting,
    graceful degradation under overload, per-tenant arrival independence,
-   weighted fair sharing, and cross-tenant fault isolation under a
+   equal fair sharing, and cross-tenant fault isolation under a
    mid-serve node crash. *)
 
 open Dex_sim
@@ -75,33 +75,6 @@ let test_accounting () =
     (Stats.get r.r_stats "serve.completed");
   check_bool "drained past the arrival window" true
     (r.r_sim_time >= Time_ns.ms 2)
-
-(* A mixed-workload tenant completes every request with the right answer. *)
-let test_mixed_workloads () =
-  let cfg = small_cfg ~n:1 () in
-  let cfg =
-    {
-      cfg with
-      Serve_config.tenants =
-        List.map
-          (fun ten ->
-            {
-              ten with
-              Serve_config.t_workload =
-                Mix
-                  [
-                    Ep Serve_config.tiny_ep;
-                    Blk Serve_config.tiny_blk;
-                    Kmn Serve_config.tiny_kmn;
-                  ];
-            })
-          cfg.Serve_config.tenants;
-    }
-  in
-  let r = Serve.run cfg in
-  let tr = List.hd r.r_tenants in
-  check_bool "completed some" true (tr.tr_completed > 0);
-  check_int "no corruption" 0 tr.tr_corrupted
 
 (* Graceful degradation: driven far past capacity, the bounded queue stays
    bounded, the overflow is rejected, stale requests are shed, and the
@@ -195,30 +168,34 @@ let test_arrivals () =
   check_bool "gaps are positive" true
     (List.for_all (fun g -> g >= 1) (gaps mmpp 7 4096))
 
-(* Weighted shares with a noisy-neighbour cap, observed mid-simulation. *)
+(* Equal shares with a noisy-neighbour cap, observed mid-simulation. *)
 let test_fairshare () =
   let eng = Engine.create () in
   let f = Fairshare.create eng ~bytes_per_us:1000.0 ~cap:0.6 in
-  Fairshare.register f ~key:0 ~weight:3.0;
-  Fairshare.register f ~key:1 ~weight:1.0;
-  let observed = ref [] in
+  Fairshare.register f ~key:0;
+  Fairshare.register f ~key:1;
+  let observe () =
+    (Fairshare.rate f ~key:0, Fairshare.rate f ~key:1, Fairshare.backlogged f)
+  in
+  let both = ref None and lone = ref None in
   Engine.spawn eng (fun () -> Fairshare.transfer f ~key:0 ~bytes:400_000);
-  Engine.spawn eng (fun () -> Fairshare.transfer f ~key:1 ~bytes:400_000);
+  (* At its 500 B/us share, tenant 1's transfer drains after 40 us. *)
+  Engine.spawn eng (fun () -> Fairshare.transfer f ~key:1 ~bytes:20_000);
   Engine.spawn eng (fun () ->
       Engine.delay eng (us 10);
-      observed :=
-        [
-          (Fairshare.rate f ~key:0, Fairshare.rate f ~key:1, Fairshare.backlogged f);
-        ]);
+      both := Some (observe ());
+      Engine.delay eng (us 90);
+      lone := Some (observe ()));
   Engine.run_until_quiescent eng;
-  (match !observed with
-  | [ (r0, r1, backlogged) ] ->
-      check_int "both backlogged" 2 backlogged;
-      (* 3:1 weights over 1000 B/us, but the 3-weight tenant is capped at
-         60%: 600 vs 250. *)
-      check_bool "heavy tenant capped" true (abs_float (r0 -. 600.0) < 1e-6);
-      check_bool "light tenant at its share" true
-        (abs_float (r1 -. 250.0) < 1e-6)
+  (match (!both, !lone) with
+  | Some (r0, r1, n2), Some (r0', _, n1) ->
+      check_int "both backlogged" 2 n2;
+      (* Two tenants over 1000 B/us: 500 each, under the 60% cap. *)
+      check_bool "tenant 0 at half" true (abs_float (r0 -. 500.0) < 1e-6);
+      check_bool "tenant 1 at half" true (abs_float (r1 -. 500.0) < 1e-6);
+      check_int "one backlogged" 1 n1;
+      (* Alone at the gate, tenant 0 is still capped at 60%. *)
+      check_bool "lone tenant capped" true (abs_float (r0' -. 600.0) < 1e-6)
   | _ -> Alcotest.fail "observer did not run");
   check_int "gate idle at the end" 0 (Fairshare.backlogged f);
   check_bool "shares were recomputed" true (Fairshare.recomputes f >= 4)
@@ -229,10 +206,10 @@ let test_fairshare_validation () =
     (Invalid_argument "Fairshare.create: cap must be in (0, 1]") (fun () ->
       ignore (Fairshare.create eng ~bytes_per_us:100.0 ~cap:1.5));
   let f = Fairshare.create eng ~bytes_per_us:100.0 ~cap:1.0 in
-  Fairshare.register f ~key:0 ~weight:1.0;
+  Fairshare.register f ~key:0;
   Alcotest.check_raises "duplicate key"
     (Invalid_argument "Fairshare.register: duplicate key") (fun () ->
-      Fairshare.register f ~key:0 ~weight:1.0)
+      Fairshare.register f ~key:0)
 
 (* Cross-tenant fault isolation: crash one tenant's worker node mid-serve
    (Rehome policy, disjoint placements) and every OTHER tenant's completed
@@ -314,7 +291,6 @@ let () =
       ( "admission",
         [
           Alcotest.test_case "accounting balances" `Quick test_accounting;
-          Alcotest.test_case "mixed workloads" `Quick test_mixed_workloads;
           Alcotest.test_case "overload sheds gracefully" `Quick
             test_overload_sheds;
         ] );
@@ -327,7 +303,7 @@ let () =
         ] );
       ( "fairshare",
         [
-          Alcotest.test_case "weighted shares with cap" `Quick test_fairshare;
+          Alcotest.test_case "equal shares with cap" `Quick test_fairshare;
           Alcotest.test_case "validation" `Quick test_fairshare_validation;
         ] );
       ( "isolation",
