@@ -123,4 +123,14 @@ let nfs_read ctx ~bytes =
     Resource.Server.transfer (Cluster.storage ctx.cl) ~bytes
   end
 
+let memo f =
+  let slot = ref None in
+  fun key ->
+    match !slot with
+    | Some (k, v) when k = key -> v
+    | _ ->
+        let v = f key in
+        slot := Some (key, v);
+        v
+
 let checksum_of_float x = Int64.of_float (Float.round (x *. 1000.0))

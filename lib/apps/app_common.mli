@@ -113,5 +113,14 @@ val nfs_read : ctx -> bytes:int -> unit
     while the cluster's storage appliance serves it (shared across all
     nodes — contention is real). *)
 
+val memo : ('k -> 'v) -> 'k -> 'v
+(** [memo f] is [f] with a one-slot cache: it remembers the last key
+    (compared with structural equality) and its value, and recomputes
+    when called with any other key. Each application builds its
+    {e oracle} through one — the inputs and every result that does not
+    depend on the node count or variant — so a sweep over layouts of the
+    same [(params, seed)] computes them once, and the process retains at
+    most one per application. *)
+
 val checksum_of_float : float -> int64
 (** Stable checksum for floating-point results (rounded to 1e-3). *)

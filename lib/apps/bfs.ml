@@ -22,23 +22,8 @@ let conversion =
     optimized_removed = 13;
   }
 
-let graph_cache : (int * int * int, Workloads.graph) Hashtbl.t =
-  Hashtbl.create 4
-
-let host_graph p ~seed =
-  let key = (seed, p.scale, p.edge_factor) in
-  match Hashtbl.find_opt graph_cache key with
-  | Some g -> g
-  | None ->
-      let vertices = 1 lsl p.scale in
-      let g =
-        Workloads.rmat ~seed ~vertices ~edges:(vertices * p.edge_factor)
-      in
-      Hashtbl.add graph_cache key g;
-      g
-
 (* Host level-synchronous BFS from vertex 0; returns levels and the
-   per-level frontiers. *)
+   per-level frontiers, each in discovery order. *)
 let host_bfs (g : Workloads.graph) max_iters =
   let levels = Array.make g.Workloads.vertices (-1) in
   levels.(0) <- 0;
@@ -56,25 +41,43 @@ let host_bfs (g : Workloads.graph) max_iters =
             end
           done)
         frontier;
-      expand (List.rev !next) (depth + 1) (frontier :: acc)
+      expand (List.rev !next) (depth + 1) (Array.of_list frontier :: acc)
     end
   in
   let frontiers = expand [ 0 ] 0 [] in
   (levels, frontiers)
 
-let reference_level_sum p ~seed =
-  let levels, _ = host_bfs (host_graph p ~seed) p.max_iters in
-  Array.fold_left (fun acc l -> if l > 0 then acc + l else acc) 0 levels
+type oracle = {
+  graph : Workloads.graph;
+  levels : int array;
+  frontiers : int array list;
+  level_sum : int;
+}
 
-let dedup_sorted l =
-  match List.sort_uniq compare l with x -> x
+let oracle =
+  let build (p, seed) =
+    let vertices = 1 lsl p.scale in
+    let graph =
+      Workloads.rmat ~seed ~vertices ~edges:(vertices * p.edge_factor)
+    in
+    let levels, frontiers = host_bfs graph p.max_iters in
+    let level_sum =
+      Array.fold_left (fun acc l -> if l > 0 then acc + l else acc) 0 levels
+    in
+    { graph; levels; frontiers; level_sum }
+  in
+  let memo = A.memo build in
+  fun p ~seed -> memo (p, seed)
+
+let reference_level_sum p ~seed = (oracle p ~seed).level_sum
+
+let dedup_sorted l = List.sort_uniq compare l
 
 let body p ctx main =
-  let g = host_graph p ~seed:ctx.A.seed in
+  let { graph = g; levels; frontiers; level_sum } = oracle p ~seed:ctx.A.seed in
   let vertices = g.Workloads.vertices in
   let threads = ctx.A.threads in
   let proc = ctx.A.proc in
-  let levels, frontiers = host_bfs g p.max_iters in
   (* Simulated layout: CSR arrays (read-mostly), the level array, the
      frontier counter, and per-node inboxes for the Optimized variant. *)
   let offsets_addr =
@@ -104,14 +107,54 @@ let body p ctx main =
   let barrier = Sync.Barrier.create proc ~parties:threads () in
   let vert_part i = A.partition ~total:vertices ~parts:threads ~index:i in
   let owner_of v = A.node_of ctx (v * threads / vertices) in
-  (* Per-level, per-thread work description, derived from the real BFS:
-     which frontier vertices are mine, how many edges I scan, and which
-     vertices I discover. *)
-  let plan_for i =
-    let first, count = vert_part i in
+  (* The thread whose [vert_part] holds [v]. *)
+  let thread_of =
+    let base = vertices / threads and rem = vertices mod threads in
+    let big = rem * (base + 1) in
+    fun v -> if v < big then v / (base + 1) else rem + ((v - big) / base)
+  in
+  (* Each frontier split by owning thread, keeping frontier order. *)
+  let buckets =
     List.map
       (fun frontier ->
-        let mine = List.filter (fun v -> v >= first && v < first + count) frontier in
+        let by_thread = Array.make threads [] in
+        for k = Array.length frontier - 1 downto 0 do
+          let v = frontier.(k) in
+          let t = thread_of v in
+          by_thread.(t) <- v :: by_thread.(t)
+        done;
+        by_thread)
+      frontiers
+  in
+  let level_pages = Bytes.make ((vertices + 511) / 512) '\000' in
+  (* The first [sample_pages] level-array pages, ascending, that the
+     neighbours of [mine] live on. *)
+  let level_checks mine =
+    List.iter
+      (fun v ->
+        for e = g.Workloads.offsets.(v) to g.Workloads.offsets.(v + 1) - 1 do
+          Bytes.unsafe_set level_pages (g.Workloads.targets.(e) / 512) '\001'
+        done)
+      mine;
+    let pages = ref [] and taken = ref 0 in
+    for page = 0 to Bytes.length level_pages - 1 do
+      if Bytes.unsafe_get level_pages page <> '\000' then begin
+        if !taken < p.sample_pages then begin
+          pages := page :: !pages;
+          incr taken
+        end;
+        Bytes.unsafe_set level_pages page '\000'
+      end
+    done;
+    List.rev !pages
+  in
+  (* Per-level, per-thread work description, derived from the real BFS:
+     which frontier vertices are mine, how many edges I scan, which
+     vertices I discover and, in Initial, which level pages I check. *)
+  let plan_for i =
+    List.map
+      (fun by_thread ->
+        let mine = by_thread.(i) in
         let edges = ref 0 in
         let discovered = ref [] in
         List.iter
@@ -123,8 +166,13 @@ let body p ctx main =
               if levels.(u) = levels.(v) + 1 then discovered := u :: !discovered
             done)
           mine;
-        (mine, !edges, dedup_sorted !discovered))
-      frontiers
+        let checked =
+          match ctx.A.variant with
+          | A.Baseline | A.Initial -> level_checks mine
+          | A.Optimized -> []
+        in
+        (mine, !edges, dedup_sorted !discovered, checked))
+      buckets
   in
   A.parallel_region ctx (fun i th ->
       let first, count = vert_part i in
@@ -140,7 +188,7 @@ let body p ctx main =
             ~len:((elast - efirst) * 8)
       end;
       List.iter
-        (fun (mine, edges, discovered) ->
+        (fun (mine, edges, discovered, checked) ->
           if mine <> [] then begin
             Process.compute th
               ~ns:(int_of_float (float_of_int edges *. p.ns_per_edge))
@@ -152,25 +200,12 @@ let body p ctx main =
                  the discoveries (both modelled by up to [sample_pages]
                  distinct pages), plus a global frontier counter update
                  per burst. *)
-              let read_pages =
-                dedup_sorted
-                  (List.concat_map
-                     (fun v ->
-                       let acc = ref [] in
-                       for e = g.Workloads.offsets.(v)
-                           to g.Workloads.offsets.(v + 1) - 1 do
-                         acc := (g.Workloads.targets.(e) / 512) :: !acc
-                       done;
-                       !acc)
-                     mine)
-              in
-              List.iteri
-                (fun k page ->
-                  if k < p.sample_pages then
-                    Process.read th ~site:"bfs.level_check"
-                      (levels_addr + (page * 4096))
-                      ~len:8)
-                read_pages;
+              List.iter
+                (fun page ->
+                  Process.read th ~site:"bfs.level_check"
+                    (levels_addr + (page * 4096))
+                    ~len:8)
+                checked;
               let pages =
                 dedup_sorted (List.map (fun u -> u / 512) discovered)
               in
@@ -233,7 +268,7 @@ let body p ctx main =
           | A.Baseline | A.Initial -> ());
           Sync.Barrier.await th barrier)
         plan);
-  Int64.of_int (reference_level_sum p ~seed:ctx.A.seed)
+  Int64.of_int level_sum
 
 let run ~nodes ~variant ?config ?proto ?(params = default_params) ?(seed = 31) () =
   A.run_app ~name:"BFS" ~nodes ~variant ?config ?proto ~seed (body params)

@@ -30,8 +30,21 @@ val default_params : params
 val conversion : App_common.conversion
 (** Table I: pthread; includes replacing libNUMA allocation calls. *)
 
+type oracle = {
+  graph : Workloads.graph;
+  levels : int array;  (** BFS level of each vertex from vertex 0; -1 if unreached *)
+  frontiers : int array list;  (** each level's vertices in discovery order *)
+  level_sum : int;  (** see {!reference_level_sum} *)
+}
+
+val oracle : params -> seed:int -> oracle
+(** The run-independent host work of one [(params, seed)]: the graph and
+    its BFS, memoized in one slot ({!App_common.memo}). *)
+
 val reference_level_sum : params -> seed:int -> int
-(** Sum of BFS levels of reachable vertices (host reference). *)
+(** Sum of BFS levels of reachable vertices (host reference). A run
+    returns it: runs that agree on it show determinism, not that the
+    simulated level array holds the right values. *)
 
 val run :
   nodes:int ->

@@ -20,20 +20,22 @@ let conversion =
     optimized_removed = 3;
   }
 
-let opts_cache : (int * int, float) Hashtbl.t = Hashtbl.create 4
+type oracle = { reference_sum : float }
 
-let reference_sum p ~seed =
-  match Hashtbl.find_opt opts_cache (seed, p.options) with
-  | Some s -> s
-  | None ->
-      let opts = Workloads.options ~seed ~n:p.options in
-      let sum =
+let oracle =
+  let build (p, seed) =
+    let opts = Workloads.options ~seed ~n:p.options in
+    {
+      reference_sum =
         Array.fold_left
           (fun acc o -> acc +. Workloads.black_scholes_call o)
-          0.0 opts
-      in
-      Hashtbl.add opts_cache (seed, p.options) sum;
-      sum
+          0.0 opts;
+    }
+  in
+  let memo = A.memo build in
+  fun p ~seed -> memo (p, seed)
+
+let reference_sum p ~seed = (oracle p ~seed).reference_sum
 
 let body p ctx main =
   let threads = ctx.A.threads in

@@ -22,8 +22,19 @@ val default_params : params
 
 val conversion : App_common.conversion
 
+type oracle = {
+  reference_sum : float;  (** sum of all option prices, priced on the host *)
+}
+
+val oracle : params -> seed:int -> oracle
+(** The run-independent host work of one [(params, seed)], memoized in
+    one slot ({!App_common.memo}). *)
+
 val reference_sum : params -> seed:int -> float
-(** Sum of all option prices from the host reference implementation. *)
+(** Sum of all option prices from the host reference implementation. A
+    run returns it (rounded by {!App_common.checksum_of_float}): it is a
+    host reference, so runs that agree on it show determinism, not that
+    the simulated price slices hold the right values. *)
 
 val run :
   nodes:int ->

@@ -33,16 +33,17 @@ let conversion =
     optimized_removed = 12;
   }
 
-let beliefs_cache : (int * int, float array) Hashtbl.t = Hashtbl.create 4
+type oracle = { beliefs : float array }
 
-let host_beliefs p ~seed =
-  match Hashtbl.find_opt beliefs_cache (seed, p.vertices) with
-  | Some b -> Array.copy b
-  | None ->
-      let rng = Dex_sim.Rng.create ~seed in
-      let b = Array.init p.vertices (fun _ -> Dex_sim.Rng.float rng 1.0) in
-      Hashtbl.add beliefs_cache (seed, p.vertices) b;
-      Array.copy b
+let oracle =
+  let build (p, seed) =
+    let rng = Dex_sim.Rng.create ~seed in
+    { beliefs = Array.init p.vertices (fun _ -> Dex_sim.Rng.float rng 1.0) }
+  in
+  let memo = A.memo build in
+  fun p ~seed -> memo (p, seed)
+
+let host_beliefs p ~seed = Array.copy (oracle p ~seed).beliefs
 
 (* One damped propagation sweep over a ring-structured factor graph. *)
 let relax beliefs ~first ~count =

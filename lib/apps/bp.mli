@@ -36,8 +36,17 @@ val default_params : params
 
 val conversion : App_common.conversion
 
+type oracle = { beliefs : float array  (** initial beliefs *) }
+
+val oracle : params -> seed:int -> oracle
+(** The run-independent host work of one [(params, seed)], memoized in
+    one slot ({!App_common.memo}). *)
+
 val reference_sum : params -> seed:int -> float
-(** Belief sum after the host reference relaxation. *)
+(** Belief sum after the host reference relaxation. A run returns it
+    (rounded by {!App_common.checksum_of_float}): it is a host reference,
+    so runs that agree on it show determinism, not that the simulated
+    vertex slabs hold the right values. *)
 
 val run :
   nodes:int ->

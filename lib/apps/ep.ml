@@ -36,13 +36,6 @@ let tally_batch ~seed ~index ~batch tallies =
 
 let batches p = (p.pairs + p.batch - 1) / p.batch
 
-let reference_tallies p ~seed =
-  let tallies = Array.make annuli 0 in
-  for b = 0 to batches p - 1 do
-    tally_batch ~seed ~index:b ~batch:p.batch tallies
-  done;
-  tallies
-
 let checksum tallies =
   let acc = ref 0L in
   Array.iteri
@@ -50,9 +43,35 @@ let checksum tallies =
     tallies;
   !acc
 
-let reference_checksum p ~seed = checksum (reference_tallies p ~seed)
+type oracle = {
+  batch_tallies : int array array;
+  reference : int array;
+  reference_checksum : int64;
+}
+
+let oracle =
+  let build (p, seed) =
+    let batch_tallies =
+      Array.init (batches p) (fun index ->
+          let tallies = Array.make annuli 0 in
+          tally_batch ~seed ~index ~batch:p.batch tallies;
+          tallies)
+    in
+    let reference = Array.make annuli 0 in
+    Array.iter
+      (Array.iteri (fun a n -> reference.(a) <- reference.(a) + n))
+      batch_tallies;
+    { batch_tallies; reference; reference_checksum = checksum reference }
+  in
+  let memo = A.memo build in
+  fun p ~seed -> memo (p, seed)
+
+let reference_tallies p ~seed = Array.copy (oracle p ~seed).reference
+
+let reference_checksum p ~seed = (oracle p ~seed).reference_checksum
 
 let body p ctx main =
+  let o = oracle p ~seed:ctx.A.seed in
   let threads = ctx.A.threads in
   let nbatches = batches p in
   (* Read-only solver parameters and the shared work-claim counter: packed
@@ -82,7 +101,9 @@ let body p ctx main =
         (* Loop ranges and constants are consulted for every batch. *)
         Process.read th ~site:"ep.params_read" params_addr ~len:128;
         Process.compute th ~ns:batch_ns;
-        tally_batch ~seed:ctx.A.seed ~index ~batch:p.batch mine
+        Array.iteri
+          (fun a n -> mine.(a) <- mine.(a) + n)
+          o.batch_tallies.(index)
       in
       (match ctx.A.variant with
       | A.Baseline | A.Initial ->

@@ -22,12 +22,28 @@ val default_params : params
 val conversion : App_common.conversion
 (** OpenMP, one parallel region: 2 lines for the initial port. *)
 
+type oracle = {
+  batch_tallies : int array array;
+      (** annulus counts of each work batch; a batch's pairs depend only
+          on (seed, batch index), never on which thread draws them *)
+  reference : int array;  (** their sum: the sequential ground truth *)
+  reference_checksum : int64;  (** {!reference} folded as a run folds *)
+}
+(** The run-independent host work of one [(params, seed)]. Shared between
+    runs: read it, never mutate it. *)
+
+val oracle : params -> seed:int -> oracle
+(** Memoized in one slot ({!App_common.memo}). *)
+
 val reference_tallies : params -> seed:int -> int array
 (** Ground truth annulus counts from a sequential host run. *)
 
 val reference_checksum : params -> seed:int -> int64
 (** The checksum a correct run returns — {!reference_tallies} folded the
-    same way {!body} folds its final tallies. *)
+    same way {!body} folds its final tallies. The checksum passes through
+    simulated memory: each worker adds its batches' tallies into shared
+    words with [fetch_add] and the main thread loads the totals, so a lost
+    or doubled batch changes it. *)
 
 val body : params -> App_common.ctx -> Dex_core.Process.thread -> int64
 (** The application body, for callers that build their own process on a

@@ -29,37 +29,34 @@ let conversion =
     optimized_removed = 6;
   }
 
-(* The corpus is expensive to build; memoize per (seed, params) together
-   with the sorted positions of all key matches. *)
-let corpus_cache : (int * int * int, int array) Hashtbl.t = Hashtbl.create 4
+(* The corpus is expensive to build; the oracle keeps only the sorted
+   positions of all key matches. *)
+type oracle = { positions : int array }
 
-let match_positions p ~seed =
-  let key = (seed, p.text_bytes, p.key_interval) in
-  match Hashtbl.find_opt corpus_cache key with
-  | Some positions -> positions
-  | None ->
-      let text =
-        Workloads.text_corpus ~key_interval:p.key_interval ~seed
-          ~bytes:p.text_bytes ~keys ()
-      in
-      let positions = ref [] in
-      List.iter
-        (fun k ->
-          let kl = String.length k in
-          let first = k.[0] in
-          for i = 0 to Bytes.length text - kl do
-            if
-              Bytes.get text i = first
-              && Bytes.sub_string text i kl = k
-            then positions := i :: !positions
-          done)
-        keys;
-      let arr = Array.of_list !positions in
-      Array.sort compare arr;
-      Hashtbl.add corpus_cache key arr;
-      arr
+let oracle =
+  let build (p, seed) =
+    let text =
+      Workloads.text_corpus ~key_interval:p.key_interval ~seed
+        ~bytes:p.text_bytes ~keys ()
+    in
+    let positions = ref [] in
+    List.iter
+      (fun k ->
+        let kl = String.length k in
+        let first = k.[0] in
+        for i = 0 to Bytes.length text - kl do
+          if Bytes.get text i = first && Bytes.sub_string text i kl = k then
+            positions := i :: !positions
+        done)
+      keys;
+    let arr = Array.of_list !positions in
+    Array.sort compare arr;
+    { positions = arr }
+  in
+  let memo = A.memo build in
+  fun p ~seed -> memo (p, seed)
 
-let expected_matches p ~seed = Array.length (match_positions p ~seed)
+let expected_matches p ~seed = Array.length (oracle p ~seed).positions
 
 let lower_bound positions bound =
   let n = Array.length positions in
@@ -158,5 +155,5 @@ let body p positions ctx main =
   Process.load main total_addr
 
 let run ~nodes ~variant ?config ?proto ?(params = default_params) ?(seed = 11) () =
-  let positions = match_positions params ~seed in
+  let positions = (oracle params ~seed).positions in
   A.run_app ~name:"GRP" ~nodes ~variant ?config ?proto ~seed (body params positions)

@@ -30,8 +30,19 @@ val conversion : App_common.conversion
 (** Table I row: pthread; 2 lines added to convert (one forward + one
     backward migration call). *)
 
+type oracle = {
+  positions : int array;  (** ascending offsets of every key occurrence *)
+}
+
+val oracle : params -> seed:int -> oracle
+(** The run-independent host work of one [(params, seed)]: the corpus is
+    built and scanned once, memoized in one slot ({!App_common.memo}). *)
+
 val expected_matches : params -> seed:int -> int
-(** Ground truth from the reference scanner (memoized). *)
+(** Ground truth from the reference scanner. A run's checksum passes
+    through simulated memory: workers [fetch_add] their counts into a
+    shared word that the main thread loads, so a lost update changes
+    it. *)
 
 val run :
   nodes:int ->

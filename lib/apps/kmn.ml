@@ -29,16 +29,14 @@ let conversion =
     optimized_removed = 11;
   }
 
-let points_cache : (int * int, float array) Hashtbl.t = Hashtbl.create 4
+type oracle = { cloud : float array }
 
-let host_points p ~seed =
-  let key = (seed, p.points) in
-  match Hashtbl.find_opt points_cache key with
-  | Some pts -> pts
-  | None ->
-      let pts = Workloads.points_3d ~seed ~n:p.points ~clusters:p.clusters in
-      Hashtbl.add points_cache key pts;
-      pts
+let oracle =
+  let build (p, seed) =
+    { cloud = Workloads.points_3d ~seed ~n:p.points ~clusters:p.clusters }
+  in
+  let memo = A.memo build in
+  fun p ~seed -> memo (p, seed)
 
 (* One assignment sweep over [first, first+count) against [centers]:
    accumulates into [sums]/[counts], returns how many points changed
@@ -84,7 +82,7 @@ let initial_centers p pts =
       pts.((c * (p.points / p.clusters) * 3) + (j mod 3)))
 
 let reference_centers p ~seed =
-  let pts = host_points p ~seed in
+  let pts = (oracle p ~seed).cloud in
   let membership = Array.make p.points (-1) in
   let centers = ref (initial_centers p pts) in
   for _ = 1 to p.iterations do
@@ -103,7 +101,7 @@ let checksum_centers centers =
     0L centers
 
 let body p ctx main =
-  let pts = host_points p ~seed:ctx.A.seed in
+  let pts = (oracle p ~seed:ctx.A.seed).cloud in
   let threads = ctx.A.threads in
   let proc = ctx.A.proc in
   (* Simulated layout. *)

@@ -26,8 +26,21 @@ val default_params : params
 
 val conversion : App_common.conversion
 
+type oracle = {
+  cloud : float array;
+      (** the input points, {!Workloads.points_3d} of [points] and
+          [clusters] *)
+}
+
+val oracle : params -> seed:int -> oracle
+(** The run-independent host work of one [(params, seed)], memoized in
+    one slot ({!App_common.memo}) keyed on the whole [params]. *)
+
 val reference_centers : params -> seed:int -> float array
-(** Ground truth: the centers a sequential host implementation computes. *)
+(** Ground truth: the centers a sequential host implementation computes.
+    A run's checksum folds the centers its threads compute on the host,
+    not values read back from simulated memory, so runs that agree on it
+    show determinism only. *)
 
 val run :
   nodes:int ->

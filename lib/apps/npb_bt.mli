@@ -26,6 +26,19 @@ val default_params : params
 val conversion : App_common.conversion
 (** Table I: OpenMP, 15 parallel regions. *)
 
+type oracle = {
+  reference_checksum : int64;
+      (** residual of the last of [timesteps * regions_per_step] host
+          sweeps over the whole grid *)
+}
+
+val oracle : params -> seed:int -> oracle
+(** The run-independent host work of one [(params, seed)], memoized in
+    one slot ({!App_common.memo}). Only the checksum is kept, not the
+    grid. A run returns {!oracle}'s checksum: it is a host reference, so
+    runs that agree on it show determinism, not that the simulated slabs
+    carried the right values. *)
+
 val run :
   nodes:int ->
   variant:App_common.variant ->

@@ -19,8 +19,19 @@ val default_params : params
 val conversion : App_common.conversion
 (** Table I: OpenMP, 7 parallel regions. *)
 
+type oracle = {
+  reference_checksum : float;  (** grid sum after the host transform *)
+}
+
+val oracle : params -> seed:int -> oracle
+(** The run-independent host work of one [(params, seed)], memoized in
+    one slot ({!App_common.memo}). *)
+
 val reference_checksum : params -> seed:int -> float
-(** Grid checksum after the host reference transform. *)
+(** Grid checksum after the host reference transform. A run returns it
+    (rounded by {!App_common.checksum_of_float}): it is a host reference,
+    so runs that agree on it show determinism, not that the simulated
+    transpose moved the right values. *)
 
 val run :
   nodes:int ->

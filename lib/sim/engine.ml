@@ -24,12 +24,15 @@ let at t ~time f =
 
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
+  | Delay : Time_ns.t -> unit Effect.t
 
 let suspend (t : t) register =
   ignore t;
   Effect.perform (Suspend register)
 
-let delay t d = suspend t (fun resume -> schedule t ~delay:d (fun () -> resume ()))
+let delay t d =
+  ignore t;
+  Effect.perform (Delay d)
 
 let spawn t ?(label = "fiber") f =
   t.live <- t.live + 1;
@@ -51,6 +54,18 @@ let spawn t ?(label = "fiber") f =
                           invalid_arg "Engine: fiber resumed twice";
                         resumed := true;
                         schedule t ~delay:0 (fun () -> continue k v)))
+            | Delay d ->
+                Some
+                  (fun (k : (a, _) continuation) ->
+                    (* One timer event. A resume is always bounced through
+                       a zero-delay event, which runs after every event
+                       already queued for this instant; when none is
+                       queued, the bounce would be popped next anyway, so
+                       continuing directly keeps the order. *)
+                    schedule t ~delay:d (fun () ->
+                        if Event_queue.min_time t.queue <> t.now then
+                          continue k ()
+                        else schedule t ~delay:0 (fun () -> continue k ())))
             | _ -> None);
       }
   in
@@ -63,16 +78,14 @@ let run ?until t =
     match until with None -> fun _ -> false | Some u -> fun time -> time > u
   in
   let rec loop () =
-    match Event_queue.peek_time t.queue with
-    | None -> ()
-    | Some time when stop time -> ()
-    | Some _ -> (
-        match Event_queue.pop t.queue with
-        | None -> ()
-        | Some (time, thunk) ->
-            t.now <- max t.now time;
-            thunk ();
-            loop ())
+    if not (Event_queue.is_empty t.queue || stop (Event_queue.min_time t.queue))
+    then
+      match Event_queue.pop t.queue with
+      | None -> ()
+      | Some (time, thunk) ->
+          t.now <- max t.now time;
+          thunk ();
+          loop ()
   in
   loop ()
 

@@ -39,7 +39,11 @@ val suspend : t -> (('a -> unit) -> unit) -> 'a
     within a fiber. *)
 
 val delay : t -> Time_ns.t -> unit
-(** [delay t d] blocks the calling fiber for [d] simulated nanoseconds. *)
+(** [delay t d] blocks the calling fiber for [d] simulated nanoseconds.
+    It costs one event: the fiber resumes in the timer event itself unless
+    another event is queued for that instant, in which case it takes the
+    same zero-delay bounce as a {!suspend} resume, so event order is the
+    same as if it were written with {!suspend}. *)
 
 val live_fibers : t -> int
 (** [live_fibers t] is the number of fibers that have started and not yet

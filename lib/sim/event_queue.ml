@@ -66,4 +66,4 @@ let pop t =
     Some (root.time, root.thunk)
   end
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(0).time
+let min_time t = if t.size = 0 then max_int else t.heap.(0).time

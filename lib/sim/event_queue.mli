@@ -20,6 +20,6 @@ val push : t -> time:Time_ns.t -> seq:int -> (unit -> unit) -> unit
 val pop : t -> (Time_ns.t * (unit -> unit)) option
 (** [pop q] removes and returns the earliest event, or [None] if empty. *)
 
-val peek_time : t -> Time_ns.t option
-(** [peek_time q] is the firing time of the earliest event without removing
-    it. *)
+val min_time : t -> Time_ns.t
+(** [min_time q] is the firing time of the earliest event without
+    removing it, or [max_int] if [q] is empty. *)

@@ -1,28 +1,37 @@
-type t = { mutable state : int64 }
+(* The state lives in an 8-byte buffer rather than a mutable [int64]
+   field: reading and writing it through [Bytes.get/set_int64_ne] stays
+   unboxed, so a draw allocates nothing. *)
+type t = Bytes.t
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create ~seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create ~seed = of_state (mix (Int64.of_int seed))
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let copy = Bytes.copy
 
-let split t = { state = next_int64 t }
+let[@inline] next_int64 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden in
+  Bytes.set_int64_ne t 0 s;
+  mix s
+
+let split t = of_state (next_int64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let r = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2) in
   r mod bound
 
-let float t bound =
+let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 

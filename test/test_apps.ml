@@ -96,6 +96,19 @@ let prop_partition_covers =
            (fun (ok, expect) (off, len) -> (ok && off = expect, off + len))
            (true, 0) pieces))
 
+(* The one-slot memo recomputes for a new key and, once that key has
+   evicted the first, recomputes the first again rather than returning
+   the evicting value. *)
+let test_memo_evicts () =
+  let calls = ref 0 in
+  let f = A.memo (fun (a, b) -> incr calls; (a * 10) + b) in
+  check_int "first" 12 (f (1, 2));
+  check_int "hit" 12 (f (1, 2));
+  check_int "one call" 1 !calls;
+  check_int "other key" 34 (f (3, 4));
+  check_int "first again" 12 (f (1, 2));
+  check_int "each miss computes" 3 !calls
+
 let test_variant_names () =
   Alcotest.(check string) "baseline" "baseline" (A.variant_name A.Baseline);
   Alcotest.(check string) "initial" "initial" (A.variant_name A.Initial);
@@ -106,7 +119,10 @@ let test_variant_names () =
 
 (* Each application must produce the same checksum in every variant and at
    every node count — the DSM, migration and synchronization machinery may
-   not change program results. *)
+   not change program results. Only GRP's and EP's checksums pass through
+   simulated memory (workers [fetch_add] into shared words the main thread
+   loads back); KMN, BT, FT, BLK, BFS and BP return host references, so for
+   them agreement shows determinism only. *)
 let checksums_agree name (runs : (unit -> A.result) list) =
   match List.map (fun f -> (f ()).A.checksum) runs with
   | [] -> ()
@@ -141,6 +157,20 @@ let test_kmn () =
   checksums_agree "KMN"
     [ run 1 A.Baseline; run 2 A.Initial; run 2 A.Optimized; run 4 A.Optimized ]
 
+(* The input cloud depends on [clusters]: a run with another cluster count
+   must not leave its points behind for the next. *)
+let test_kmn_oracle_keyed_on_clusters () =
+  let points clusters =
+    Workloads.points_3d ~seed:13 ~n:kmn_small.points ~clusters
+  in
+  let kmn4 = { kmn_small with clusters = 4 } in
+  ignore (Kmn.run ~nodes:1 ~variant:A.Baseline ~params:kmn4 ());
+  Alcotest.(check (array (float 0.0)))
+    "4-cluster points" (points 4) (Kmn.oracle kmn4 ~seed:13).cloud;
+  Alcotest.(check (array (float 0.0)))
+    "8-cluster points after a 4-cluster run" (points 8)
+    (Kmn.oracle kmn_small ~seed:13).cloud
+
 let ep_small = { Ep.pairs = 1 lsl 16; batch = 1 lsl 12; ns_per_pair = 25.0 }
 
 let test_ep () =
@@ -148,7 +178,14 @@ let test_ep () =
   checksums_agree "EP" [ run 1 A.Baseline; run 2 A.Initial; run 3 A.Optimized ];
   (* The distributed tallies must match the sequential reference. *)
   let tallies = Ep.reference_tallies ep_small ~seed:17 in
-  check_bool "EP tallies populated" true (Array.exists (fun n -> n > 0) tallies)
+  check_bool "EP tallies populated" true (Array.exists (fun n -> n > 0) tallies);
+  let expected = Ep.reference_checksum ep_small ~seed:17 in
+  List.iter
+    (fun variant ->
+      Alcotest.(check int64)
+        ("EP " ^ A.variant_name variant ^ " matches the reference")
+        expected (run 2 variant ()).A.checksum)
+    [ A.Initial; A.Optimized ]
 
 let bt_small =
   { Npb_bt.timesteps = 2; regions_per_step = 2; cells = 20_000;
@@ -182,7 +219,16 @@ let test_bfs () =
   let run nodes variant () = Bfs.run ~nodes ~variant ~params:bfs_small () in
   checksums_agree "BFS" [ run 1 A.Baseline; run 2 A.Initial; run 2 A.Optimized ];
   check_bool "BFS reaches vertices" true
-    (Bfs.reference_level_sum bfs_small ~seed:31 > 0)
+    (Bfs.reference_level_sum bfs_small ~seed:31 > 0);
+  (* Simulated behaviour pinned: the host-side plans (frontier split by
+     thread, level pages checked) must drive the same accesses. *)
+  List.iter
+    (fun (variant, time, faults) ->
+      let r = run 2 variant () in
+      Alcotest.(check (pair int int))
+        ("BFS " ^ A.variant_name variant ^ " (sim_time, faults)")
+        (time, faults) (r.A.sim_time, r.A.faults))
+    [ (A.Initial, 2_172_575, 81); (A.Optimized, 2_126_174, 82) ]
 
 let bp_small =
   {
@@ -237,12 +283,17 @@ let () =
             test_black_scholes_sanity;
         ] );
       ( "harness",
-        [ Alcotest.test_case "variant names" `Quick test_variant_names ]
+        [
+          Alcotest.test_case "variant names" `Quick test_variant_names;
+          Alcotest.test_case "memo evicts" `Quick test_memo_evicts;
+        ]
         @ qsuite [ prop_partition_covers ] );
       ( "applications",
         [
           Alcotest.test_case "GRP correctness" `Quick test_grp;
           Alcotest.test_case "KMN correctness" `Quick test_kmn;
+          Alcotest.test_case "KMN oracle keyed on clusters" `Quick
+            test_kmn_oracle_keyed_on_clusters;
           Alcotest.test_case "EP correctness" `Quick test_ep;
           Alcotest.test_case "BT correctness" `Quick test_bt;
           Alcotest.test_case "FT correctness" `Quick test_ft;

@@ -32,9 +32,9 @@ let test_eventq_order () =
 
 let test_eventq_peek () =
   let q = Event_queue.create () in
-  Alcotest.(check (option int)) "empty" None (Event_queue.peek_time q);
+  check_int "empty" max_int (Event_queue.min_time q);
   Event_queue.push q ~time:42 ~seq:0 ignore;
-  Alcotest.(check (option int)) "peek" (Some 42) (Event_queue.peek_time q);
+  check_int "peek" 42 (Event_queue.min_time q);
   check_int "length" 1 (Event_queue.length q)
 
 let prop_eventq_sorted =
@@ -130,6 +130,24 @@ let test_engine_run_until () =
   Engine.run e;
   Alcotest.(check (list int)) "rest runs" [ 1; 10 ] (List.rev !fired)
 
+(* A delay is one timer event, but an event queued for the same instant
+   after the timer must still run before the fiber resumes, as it did when
+   every resume bounced through a zero-delay event. *)
+let test_engine_delay_keeps_order () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.spawn e (fun () ->
+      Engine.delay e 10;
+      log := ("resumed", Engine.now e) :: !log);
+  Engine.spawn e (fun () ->
+      Engine.schedule e ~delay:10 (fun () ->
+          log := ("same instant", Engine.now e) :: !log));
+  Engine.run_until_quiescent e;
+  Alcotest.(check (list (pair string int)))
+    "queued event first"
+    [ ("same instant", 10); ("resumed", 10) ]
+    (List.rev !log)
+
 let test_engine_determinism () =
   let run_once () =
     let e = Engine.create () in
@@ -182,6 +200,37 @@ let test_rng_determinism () =
   for _ = 1 to 100 do
     Alcotest.(check int64) "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
   done
+
+(* SplitMix64 output pinned: a change to the generator's representation
+   must not change a single draw. *)
+let test_rng_golden () =
+  let draws f =
+    let rng = Rng.create ~seed:42 in
+    List.init 16 (fun _ -> f rng)
+  in
+  Alcotest.(check (list int64))
+    "next_int64"
+    [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+      885919558081284366L; -353919125003956057L; 4337243929683858115L;
+      5152897204343404489L; 2820384354626331986L; -4414613273027670835L;
+      4497339579670313847L; -4345211542386587372L; -2098947937136382188L;
+      -1845073873574444724L; 1482940387686048950L; 700186318760072552L;
+      -2693559979281954569L ]
+    (draws Rng.next_int64);
+  Alcotest.(check (list (float 0.0)))
+    "float"
+    [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+      0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+      0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3; 0x1.8578493c50ec1p-1;
+      0x1.f34e1428846dcp-3; 0x1.87656a3f8c3d9p-1; 0x1.c5be13f199e4dp-1;
+      0x1.ccc9f62cda7b8p-1; 0x1.494766cf71b6p-4; 0x1.36f1f7e8c90ap-5;
+      0x1.b53d1af09b619p-1 ]
+    (draws (fun rng -> Rng.float rng 1.0));
+  Alcotest.(check (list int))
+    "int"
+    [ 570; 797; 285; 91; 889; 528; 122; 996; 195; 461; 61; 357; 723; 237;
+      138; 261 ]
+    (draws (fun rng -> Rng.int rng 1000))
 
 let test_rng_split_independent () =
   let a = Rng.create ~seed:42 in
@@ -404,6 +453,8 @@ let () =
           Alcotest.test_case "double resume rejected" `Quick
             test_engine_double_resume_rejected;
           Alcotest.test_case "run ~until" `Quick test_engine_run_until;
+          Alcotest.test_case "delay keeps same-instant order" `Quick
+            test_engine_delay_keeps_order;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
         ] );
       ( "waitq",
@@ -414,6 +465,7 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "determinism" `Quick test_rng_determinism;
+          Alcotest.test_case "golden draws" `Quick test_rng_golden;
           Alcotest.test_case "split independence" `Quick
             test_rng_split_independent;
           Alcotest.test_case "float bounds" `Quick test_rng_float_bounds;
