@@ -1075,7 +1075,7 @@ let serve_bench () =
   let fifo = nn false and fair = nn true in
   Format.printf
     "  noisy neighbour: victim p99 %.1fus behind a FIFO gate, %.1fus under \
-     weighted fair sharing@."
+     fair sharing@."
     (pct fifo 99.0) (pct fair 99.0);
   (* Fault rows. Equal digests mean the same requests produced the same
      answers — checked tenant by tenant against the no-fault baseline. *)

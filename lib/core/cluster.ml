@@ -1,5 +1,10 @@
 open Dex_sim
 
+type registration = {
+  route : Dex_net.Fabric.env -> bool;
+  on_crash : int -> unit;
+}
+
 type t = {
   engine : Engine.t;
   fabric : Dex_net.Fabric.t;
@@ -9,8 +14,7 @@ type t = {
   membw : Membw.t array;
   storage : Resource.Server.t;
   rng : Rng.t;
-  mutable routers : (int * (Dex_net.Fabric.env -> bool)) list;
-  mutable next_router_id : int;
+  mutable procs : registration list;  (* in registration order *)
   mutable next_pid : int;
 }
 
@@ -42,8 +46,7 @@ let create ?(config = Core_config.default) ?net
         Resource.Server.create engine
           ~bytes_per_us:config.Core_config.storage_bytes_per_us;
       rng = Rng.create ~seed;
-      routers = [];
-      next_router_id = 0;
+      procs = [];
       next_pid = 1;
     }
   in
@@ -54,10 +57,12 @@ let create ?(config = Core_config.default) ?net
               failwith
                 (Format.asprintf "Cluster: unrouted message %a" Dex_net.Msg.pp
                    env.Dex_net.Fabric.msg)
-          | (_, r) :: rest -> if r env then () else route rest
+          | p :: rest -> if p.route env then () else route rest
         in
-        route t.routers)
+        route t.procs)
   done;
+  Dex_net.Fabric.set_crash_handler fabric (fun node ->
+      List.iter (fun p -> p.on_crash node) t.procs);
   t
 
 let engine t = t.engine
@@ -75,15 +80,10 @@ let fresh_pid t =
   t.next_pid <- pid + 1;
   pid
 
-let add_removable_router t r =
-  let id = t.next_router_id in
-  t.next_router_id <- id + 1;
-  t.routers <- t.routers @ [ (id, r) ];
-  fun () -> t.routers <- List.filter (fun (i, _) -> i <> id) t.routers
-
-let add_router t r =
-  let (_ : unit -> unit) = add_removable_router t r in
-  ()
+let add_process t ~route ~on_crash =
+  let reg = { route; on_crash } in
+  t.procs <- t.procs @ [ reg ];
+  fun () -> t.procs <- List.filter (fun p -> p != reg) t.procs
 
 let crash_node t ~node =
   if node < 0 || node >= nodes t then

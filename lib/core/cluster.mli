@@ -1,9 +1,11 @@
 (** A simulated rack of nodes running DeX.
 
     Owns the discrete-event engine, the InfiniBand fabric, and per-node
-    hardware resources (core pools, memory-bandwidth channels). Processes
-    register message routers; the cluster installs one fabric handler per
-    node that fans incoming messages out to them. *)
+    hardware resources (core pools, memory-bandwidth channels). Each
+    process registers once ({!add_process}); the cluster installs one
+    fabric handler per node that fans incoming messages out to the
+    registered processes, and one fabric crash handler that runs their
+    crash recovery. *)
 
 type t
 
@@ -37,17 +39,21 @@ val rng : t -> Dex_sim.Rng.t
 
 val fresh_pid : t -> int
 
-val add_router : t -> (Dex_net.Fabric.env -> bool) -> unit
-(** Register a message consumer; routers are tried in registration order
-    and the first returning [true] wins. An unrouted message is an
-    error. *)
-
-val add_removable_router :
-  t -> (Dex_net.Fabric.env -> bool) -> unit -> unit
-(** Like {!add_router} but returns an unregister thunk (idempotent).
-    A long-lived cluster that hosts many short-lived processes (the
-    serving layer) prunes exited processes' routers with this, keeping
-    message dispatch from scanning every consumer that ever lived. *)
+val add_process :
+  t ->
+  route:(Dex_net.Fabric.env -> bool) ->
+  on_crash:(int -> unit) ->
+  unit ->
+  unit
+(** Register a process: [route] is its message router, [on_crash] its
+    recovery for a node whose failure the fabric declares. Routers are
+    tried in registration order and the first returning [true] wins; an
+    unrouted message is an error. A declaration runs every registered
+    [on_crash] in registration order, each in a context that must not
+    block. Returns the removal thunk (idempotent): a long-lived cluster
+    that hosts many short-lived processes (the serving layer) removes
+    exited processes with it, so neither message dispatch nor crash
+    handling scans every process that ever lived. *)
 
 val crash_node : t -> node:int -> unit
 (** Fail-stop [node] at the current simulation time: it stops servicing

@@ -51,11 +51,10 @@ type t = {
          the placement autopilot's balancer checkpoint hangs here *)
   mutable stopping : bool;  (* shutdown has drained the threads *)
   mutable detach : unit -> unit;
-      (* unregisters the coherence router and the crash subscribers
-         (Coherence's reclaim pass and this process's recovery) at
-         shutdown, so a long-lived cluster serving many short-lived
-         processes neither scans nor retains every dead process on each
-         message and each crash *)
+      (* removes this process's cluster registration (router and crash
+         handler) at shutdown, so a long-lived cluster serving many
+         short-lived processes neither scans nor retains every dead
+         process on each message and each crash *)
 }
 
 and thread = {
@@ -126,8 +125,7 @@ let rec home_rpc t ~shard ~src ~stat f =
     when dst <> src
          && Fabric.crashed (fabric t) ~node:dst
          && not (Fabric.crashed (fabric t) ~node:src) -> (
-      if not (Fabric.crash_detected (fabric t) ~node:dst) then
-        Fabric.declare_dead (fabric t) ~node:dst;
+      Fabric.declare_dead (fabric t) ~node:dst;
       match ha_resolve t with
       | Some o when o <> dst ->
           Stats.incr t.stats stat;
@@ -161,8 +159,7 @@ let rec guard th f =
     (* Exhausting the retry budget IS failure detection: make sure the
        recovery (reclaim, thread policy, worker teardown) has run before
        deciding this thread's fate. *)
-    if not (Fabric.crash_detected (fabric t) ~node) then
-      Fabric.declare_dead (fabric t) ~node;
+    Fabric.declare_dead (fabric t) ~node;
     match on_crash_policy t with
     | `Abort ->
         th.crashed <- true;
@@ -552,13 +549,11 @@ let rec broadcast_node_op t op =
                   (* A dead node holds no state worth shrinking: count the
                      broadcast as acknowledged (the crash hook reclaims
                      everything it had anyway). *)
-                  if not (Fabric.crash_detected (fabric t) ~node) then
-                    Fabric.declare_dead (fabric t) ~node
+                  Fabric.declare_dead (fabric t) ~node
               | exception Fabric.Unreachable _
                 when Fabric.crashed (fabric t) ~node:src ->
                   src_died := true;
-                  if not (Fabric.crash_detected (fabric t) ~node:src) then
-                    Fabric.declare_dead (fabric t) ~node:src
+                  Fabric.declare_dead (fabric t) ~node:src
               | _ -> failwith "Process: unexpected node-op reply");
               decr pending;
               if !pending = 0 then ignore (Waitq.wake_one join ())))
@@ -667,8 +662,7 @@ let rec migrate th target =
         with Fabric.Unreachable _ when Fabric.crashed (fabric t) ~node:target ->
           (* The destination died under the migration message; stay put.
              (Source-side crashes propagate to [guard] instead.) *)
-          if not (Fabric.crash_detected (fabric t) ~node:target) then
-            Fabric.declare_dead (fabric t) ~node:target;
+          Fabric.declare_dead (fabric t) ~node:target;
           Stats.incr t.stats "crash.migrations_refused")
 
 and migrate_send th target =
@@ -844,21 +838,21 @@ let handle_migrate_back t ~node ~tid ~remote_ns resume =
 (* ------------------------------------------------------------------ *)
 (* Fail-stop crash recovery.                                           *)
 
-(* Runs from {!Dex_net.Fabric.on_crash} when a node is declared dead —
-   {e after} {!Coherence.reclaim_node}, which subscribed first, so the
-   ownership metadata is already clean when threads are re-homed. *)
+(* The last step of {!on_node_crash}: {!Coherence.reclaim_node} has run,
+   so the ownership metadata is already clean when threads are
+   re-homed. *)
 let handle_node_crash t ~node =
   let origin_died = node = t.origin in
   (* Shards whose home stood on the dead node. Computed here, before the
-     promotion fiber (queued at priority 10) runs, so the home table
-     still points at the casualty. *)
+     promotion fiber (queued by {!Ha.handle_crash}) runs, so the home
+     table still points at the casualty. *)
   let homed = Authority.homed_at (authority t) node in
   (match (homed, t.ha) with
   | [], _ -> ()
   | _, Some ha when Ha.armed ha ->
-      (* Only the origin replicates, so the origin died. The HA layer's
-         own subscriber (priority 10) already queued the promotion fiber;
-         this pass only cleans up local casualties. *)
+      (* Only the origin replicates, so the origin died.
+         {!Ha.handle_crash} already queued the promotion fiber; this pass
+         only cleans up local casualties. *)
       ()
   | 0 :: _, _ ->
       failwith
@@ -920,11 +914,22 @@ let handle_node_crash t ~node =
   | Absent -> ());
   t.workers.(node) <- Absent
 
+(* The process's recovery sequence for a declared node failure, run
+   synchronously from the declaration: repair the ownership metadata,
+   queue the standby promotion if the origin died, then apply the thread
+   crash policy and tear down the dead node's worker. *)
+let on_node_crash t node =
+  Coherence.reclaim_node t.coh ~node;
+  Option.iter (fun ha -> Ha.handle_crash ha ~node) t.ha;
+  handle_node_crash t ~node
+
 (* ------------------------------------------------------------------ *)
 (* Message routing.                                                    *)
 
 let router t (env : Fabric.env) =
   if Coherence.handler t.coh env then true
+  else if (match t.ha with Some ha -> Ha.router ha env | None -> false) then
+    true
   else
     let msg = env.Fabric.msg in
     match msg.Msg.payload with
@@ -1064,8 +1069,7 @@ let create cluster ?(origin = 0) () =
               (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
               (Directory.snapshot (Authority.directory (authority t) ~shard:0))
           in
-          dirs @ pages @ List.rev !vmas);
-      Cluster.add_router cluster (Ha.router ha))
+          dirs @ pages @ List.rev !vmas))
     t.ha;
   (* Classic static layout at the origin; remote nodes learn VMAs on
      demand. *)
@@ -1081,19 +1085,8 @@ let create cluster ?(origin = 0) () =
     ~perm:Perm.rw ~tag:"globals";
   layout_vma ~start:Layout.heap_base ~len:Layout.heap_size ~perm:Perm.rw
     ~tag:"heap";
-  let unroute = Cluster.add_removable_router cluster (router t) in
-  (* Subscriber priorities spell out the recovery order: directory reclaim
-     (0, in Coherence.create), standby promotion (10, in Ha.arm), then
-     thread/worker recovery here. *)
-  let unsubscribe =
-    Fabric.on_crash ~priority:20 (Cluster.fabric cluster) (fun node ->
-        handle_node_crash t ~node)
-  in
   t.detach <-
-    (fun () ->
-      unroute ();
-      unsubscribe ();
-      Coherence.unsubscribe_crash t.coh);
+    Cluster.add_process cluster ~route:(router t) ~on_crash:(on_node_crash t);
   t
 
 let spawn t ?name:(thread_name = "worker") f =
@@ -1179,9 +1172,10 @@ let shutdown t =
      coherence message addressed to this pid can arrive anymore — unless
      replication is armed: a standby still holding this process's log can
      promote on a later origin crash and broadcast epoch fences that the
-     coherence handler must ack, so replicated processes keep their router
-     and crash subscribers registered (the pre-pruning behaviour). Any
-     other finished process has nothing a later crash could damage (see
-     {!Coherence.unsubscribe_crash} for why it must not stay
-     subscribed). *)
+     coherence handler must ack, so replicated processes stay registered.
+     Any other finished process has nothing a later crash could damage,
+     and must not stay registered: its directory reclaim would keep the
+     whole protocol state reachable and treat a later crash of its old
+     origin node as an unrecoverable origin loss, failing whichever live
+     fiber declared the crash. *)
   if Option.is_none t.ha then t.detach ()

@@ -30,7 +30,10 @@ exception Thread_crashed of { pid : int; tid : int }
     returns and {!crashed} reports the loss. *)
 
 val create : Cluster.t -> ?origin:int -> unit -> t
-(** Register a new process; [origin] defaults to node 0. When the
+(** Register a new process on [cluster] — one {!Cluster.add_process}
+    registration carrying its message router and its crash recovery
+    (directory reclaim, then standby promotion, then thread recovery);
+    [origin] defaults to node 0. When the
     cluster's proto config names a non-empty replica set
     ({!Dex_proto.Proto_config.standbys}), this also arms
     {!Dex_proto.Proto_config.replication} of the origin towards it — see
@@ -263,5 +266,6 @@ val live_threads : t -> (int * int) list
 
 val shutdown : t -> unit
 (** Join every spawned thread, then broadcast process exit to all remote
-    workers and wait for their teardown. Must be called from a fiber
+    workers and wait for their teardown. An unreplicated process then
+    removes its cluster registration. Must be called from a fiber
     (normally the main thread; {!Dex.run} does it automatically). *)

@@ -191,8 +191,9 @@ and ship t s =
     | exception Fabric.Unreachable _ ->
         s.sb_shipping <- false;
         if Fabric.crashed t.fabric ~node:s.sb_node then begin
-          (* The standby died. Declaring the failure runs our own crash
-             subscriber, which prunes it from the replica set. *)
+          (* The standby died. Declaring the failure runs the process's
+             crash handler, whose {!handle_crash} prunes it from the
+             replica set. *)
           if not (Fabric.crash_detected t.fabric ~node:s.sb_node) then
             Fabric.declare_dead t.fabric ~node:s.sb_node
           else prune t s
@@ -291,8 +292,9 @@ let rec resolve t =
          && not (Fabric.crash_detected t.fabric ~node:t.origin) ->
       (* The origin is dead but nobody has declared it yet — the caller's
          exhausted retry budget IS the failure detection. Declaring runs
-         our own crash subscriber synchronously, so the next pass finds
-         the promotion in flight instead of a dead end. *)
+         the process's crash handler, and with it {!handle_crash},
+         synchronously, so the next pass finds the promotion in flight
+         instead of a dead end. *)
       Fabric.declare_dead t.fabric ~node:t.origin;
       resolve t
   | Active | Disabled ->
@@ -508,7 +510,7 @@ let rec promote_attempt t hook =
              serving and every retried fault is back under replication. *)
           ignore (Waitq.wake_all t.resolve_q ())
 
-let handle_crash t node =
+let handle_crash t ~node =
   match t.state with
   | Disabled -> ()
   | Active when node = t.origin -> (
@@ -636,11 +638,4 @@ let arm ~engine ~fabric ~stats ~pid ~mode ~origin ~standbys =
           sb_prev = None;
         })
       standbys;
-  (* Between directory reclaim (0) and process-level thread recovery (20):
-     by the time threads are re-homed or aborted, the promotion fiber is
-     already queued and the fences are released. A replicated process
-     keeps its standby (and this subscription) for its whole lifetime. *)
-  let (_ : unit -> unit) =
-    Fabric.on_crash ~priority:10 fabric (fun node -> handle_crash t node)
-  in
   t

@@ -25,18 +25,19 @@
        and stall outright below that ([ha.quorum_stalls]) — [`Sync]
        refuses to externalize writes a minority crash could lose. With no
        standby left, replication disables ([ha.disabled]).}
-    {- {b Failover.} When the fabric declares the origin dead, the crash
-       subscriber (priority 10 — after directory reclaim at 0, before
-       thread re-homing at 20) spawns the promotion fiber. It {e elects}
-       the reachable standby with the highest applied watermark (newest
-       generation first, lowest node id breaking exact ties), replays the
-       retained log against a fresh replica and checks the result is
-       bit-identical to the incrementally built one, hands the replica to
-       the process layer's promotion hook ({!Dex_proto.Coherence.promote}
-       + epoch fencing), re-arms a fresh log generation towards the
-       surviving standbys plus newly recruited ones ([ha.recruits]), and
-       finally releases every requester blocked in {!resolve}. Survivor
-       threads experience a stalled fault, not an abort.}
+    {- {b Failover.} When the fabric declares the origin dead,
+       {!handle_crash} (run by the process's crash handler after directory
+       reclaim, before thread re-homing) spawns the promotion fiber. It
+       {e elects} the reachable standby with the highest applied watermark
+       (newest generation first, lowest node id breaking exact ties),
+       replays the retained log against a fresh replica and checks the
+       result is bit-identical to the incrementally built one, hands the
+       replica to the process layer's promotion hook
+       ({!Dex_proto.Coherence.promote} + epoch fencing), re-arms a fresh
+       log generation towards the surviving standbys plus newly recruited
+       ones ([ha.recruits]), and finally releases every requester blocked
+       in {!resolve}. Survivor threads experience a stalled fault, not an
+       abort.}
     {- {b Re-arm race.} A standby whose current-generation bootstrap
        snapshot has not fully applied is {e never} promotable on that
        image; it retains its previous generation's fully seeded image
@@ -64,9 +65,9 @@ val arm :
   t
 (** Arm replication from [origin] to the replica set [standbys] (k =
     [List.length standbys]; must be non-empty, distinct, in range and
-    exclude the origin). Registers the failover crash subscriber at
-    priority 10. [stats] receives the [ha.*] counters (typically the
-    owning process's table). *)
+    exclude the origin). Subscribes to nothing: the owner routes failure
+    declarations to {!handle_crash} and messages to {!router}. [stats]
+    receives the [ha.*] counters (typically the owning process's table). *)
 
 val origin : t -> int
 (** Current origin (changes at promotion). *)
@@ -129,7 +130,17 @@ val take_wake : t -> addr:Dex_mem.Page.addr -> tid:int -> bool
 (** Consume a replicated pending wake for a retried futex wait at the
     promoted origin ([ha.wakes_redelivered]). *)
 
+val handle_crash : t -> node:int -> unit
+(** React to the declared failure of [node], without blocking: the
+    origin's death spawns the promotion fiber (or disables replication
+    when no promotion hook is installed), a standby's death prunes it from
+    the replica set. The owning process runs it after directory reclaim
+    and before its own thread recovery, so by the time threads are
+    re-homed or aborted the promotion fiber is queued and the fences are
+    released. *)
+
 val router : t -> Dex_net.Fabric.env -> bool
 (** Standby-side message dispatcher: apply [Repl_append] batches carrying
     the current epoch and ack the watermark; NACK batches from a deposed
-    origin's older epoch. Register with the cluster router chain. *)
+    origin's older epoch. The owning process tries it from its own
+    router. *)

@@ -54,11 +54,8 @@ type t = {
          sends; [busy] records a {!Rel_busy} since the last retransmit. *)
   mutable rel_pruned : int;  (* every seq below this is gone from rel_seen *)
   dead : bool array;  (* fail-stop ground truth, per node *)
-  detected : bool array;  (* has the failure been declared to subscribers *)
-  mutable crash_subs : (int * int * (int -> unit)) list;
-      (* (priority, registration seq, callback), kept sorted: lower
-         priority runs first, registration order breaks ties *)
-  mutable crash_sub_seq : int;
+  detected : bool array;  (* has the failure been declared *)
+  mutable crash_handler : int -> unit;
 }
 
 and env = { msg : Msg.t; respond : ?size:int -> Msg.payload -> unit }
@@ -80,8 +77,8 @@ let check_node t node name =
    like a SIGKILLed process whose NIC keeps the frames but whose kernel
    never services them. The transport itself stays silent about the death;
    peers find out the honest way, by exhausting their retransmission
-   budget ([Unreachable]), and then {e declare} the crash so recovery
-   layers (directory reclaim, thread re-homing) can subscribe. A
+   budget ([Unreachable]), and then {e declare} the crash, which runs the
+   one crash handler (the cluster's, which recovers each process). A
    connection-level keepalive backstop declares the crash after one full
    retry budget even if no traffic happened to be in flight. *)
 
@@ -96,14 +93,7 @@ let crash_detected t ~node =
 let live_nodes t =
   List.filter (fun n -> not t.dead.(n)) (List.init (Array.length t.dead) Fun.id)
 
-let on_crash ?(priority = 0) t f =
-  let seq = t.crash_sub_seq in
-  t.crash_sub_seq <- seq + 1;
-  t.crash_subs <-
-    List.stable_sort
-      (fun (p1, s1, _) (p2, s2, _) -> compare (p1, s1) (p2, s2))
-      ((priority, seq, f) :: t.crash_subs);
-  fun () -> t.crash_subs <- List.filter (fun (_, s, _) -> s <> seq) t.crash_subs
+let set_crash_handler t f = t.crash_handler <- f
 
 let declare_dead t ~node =
   check_node t node "declare_dead";
@@ -111,7 +101,7 @@ let declare_dead t ~node =
     invalid_arg "Fabric.declare_dead: node is not crashed";
   if not t.detected.(node) then begin
     t.detected.(node) <- true;
-    List.iter (fun (_, _, f) -> f node) t.crash_subs
+    t.crash_handler node
   end
 
 (* The undithered sum of the sender's whole retransmission schedule: after
@@ -180,8 +170,7 @@ let create engine cfg =
       rel_pruned = 0;
       dead = Array.make n false;
       detected = Array.make n false;
-      crash_subs = [];
-      crash_sub_seq = 0;
+      crash_handler = ignore;
     }
   in
   (* Scheduled fail-stop crashes are engine events, planted up front so the

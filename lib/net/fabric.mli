@@ -62,9 +62,10 @@
     exhausting their retransmission budget and seeing {!Unreachable} — but
     once the failure is {e declared} ({!declare_dead}, or automatically by
     a keepalive backstop one full retry budget after the crash), the
-    [on_crash] subscribers run so recovery layers (directory reclaim,
-    thread re-homing) can react, and further transactions towards the dead
-    node fail fast instead of burning their retry budget.
+    crash handler ({!set_crash_handler}) runs so recovery (directory
+    reclaim, thread re-homing) can react, and further transactions
+    towards the dead node fail fast instead of burning their retry
+    budget.
 
     With [chaos = None] every code path, RNG draw and engine event is
     identical to a build without chaos support: healthy runs are
@@ -123,8 +124,8 @@ val crashed : t -> node:int -> bool
 (** Ground truth: has [node] fail-stopped? *)
 
 val crash_detected : t -> node:int -> bool
-(** Has the failure of [node] been declared to the {!on_crash}
-    subscribers? Always implies [crashed]. *)
+(** Has the failure of [node] been declared ({!declare_dead})? Always
+    implies [crashed]. *)
 
 val live_nodes : t -> int list
 (** Ascending ids of every node that has not fail-stopped — the candidate
@@ -132,23 +133,18 @@ val live_nodes : t -> int list
     dead nodes with this). All nodes when chaos is off. *)
 
 val declare_dead : t -> node:int -> unit
-(** Declare a crashed node's failure: runs every {!on_crash} subscriber
-    (in priority order), exactly once per node. Called by recovery
+(** Declare a crashed node's failure: runs the crash handler exactly
+    once per node; a no-op once the node is detected. Called by recovery
     layers when {!Unreachable} convinces them the peer is gone, and by the
     fabric's own keepalive backstop one full retry budget after the crash.
     Raises [Invalid_argument] if the node has not actually crashed. *)
 
-val on_crash : ?priority:int -> t -> (int -> unit) -> unit -> unit
-(** Subscribe to failure declarations; returns the unsubscribe closure.
-    The callback receives the dead
-    node's id, in a context that must not block (spawn a fiber for any
-    recovery work that needs the fabric). Subscribers run in ascending
-    [priority] (default [0]); equal priorities run in registration order.
-    The ordering is load-bearing — directory reclaim (priority 0) must
-    complete before HA promotion (10) and thread re-homing (20), so each
-    layer states its place explicitly instead of relying on who happened
-    to register first. A process that exits unsubscribes, so a long-lived
-    fabric neither retains nor runs the recovery of finished processes. *)
+val set_crash_handler : t -> (int -> unit) -> unit
+(** Install the failure-declaration handler. Replaces any previous one;
+    the default ignores declarations. It receives the dead node's id, in a
+    context that must not block (spawn a fiber for any recovery work that
+    needs the fabric). [Dex_core.Cluster] installs one that runs each
+    live process's recovery sequence in turn. *)
 
 val send : t -> src:int -> dst:int -> kind:string -> size:int -> Msg.payload -> unit
 (** One-way message. Blocks the calling fiber only for the local send-side

@@ -39,8 +39,6 @@ type t = {
   push_subs : (Page.vpn, int list) Hashtbl.t;
       (* marked page -> readers invalidated by the last write grant, owed
          an unsolicited copy when the page next returns to Shared *)
-  mutable unsubscribe_crash : unit -> unit;
-      (* drops the fail-stop reclaim subscription ({!Fabric.on_crash}) *)
 }
 
 let authority t = t.authority
@@ -51,12 +49,12 @@ let replicated t = Option.is_some t.replication
 (* --- fail-stop reclaim ---------------------------------------------- *)
 
 (* Scrub a dead node out of one directory served at [home]. Runs
-   synchronously from the failure declaration (Fabric.on_crash), possibly
-   while grant fibers are blocked mid-fan-out with directory locks held —
-   that is safe because every transition those fibers later apply
-   re-checks the requester's liveness and filters dead nodes out of the
-   membership it installs, so the scrub can never be undone by an
-   in-flight grant. *)
+   synchronously from the failure declaration (the process's crash
+   handler), possibly while grant fibers are blocked mid-fan-out with
+   directory locks held — that is safe because every transition those
+   fibers later apply re-checks the requester's liveness and filters dead
+   nodes out of the membership it installs, so the scrub can never be
+   undone by an in-flight grant. *)
 let scrub_dir t ~dir ~home ~node =
   (* Snapshot first: the scrub mutates the directory while iterating. *)
   let entries = ref [] in
@@ -113,9 +111,9 @@ let rehome_fallback t ~node =
 (* Repair the ownership metadata for a dead node, synchronously from the
    failure declaration and before requesters retry: scrub it out of every
    directory served elsewhere, then fall back the pages re-homed to it.
-   The origin's directory is the HA layer's to rebuild (its promotion
-   fiber runs at priority 10); without HA, the death of any shard home is
-   fatal. With no re-homes the overlay pass is a no-op: no stats, no
+   The origin's directory is the HA layer's to rebuild (the process's
+   crash handler queues its promotion fiber next); without HA, the death
+   of any shard home is fatal. With no re-homes the overlay pass is a no-op: no stats, no
    events. *)
 let reclaim_node t ~node =
   let homed = Authority.homed_at t.authority node in
@@ -176,18 +174,10 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
          else None);
       replicate_hint = Hashtbl.create 16;
       push_subs = Hashtbl.create 16;
-      unsubscribe_crash = Fun.id;
     }
   in
   if nshards > 1 then Stats.add t.stats "shard.homes" nshards;
-  (* Subscribe the reclaim pass at create time and at priority 0, before
-     any HA promotion (10) or process recovery (20): when a failure is
-     declared, ownership metadata is repaired first. *)
-  t.unsubscribe_crash <-
-    Fabric.on_crash ~priority:0 fabric (fun node -> reclaim_node t ~node);
   t
-
-let unsubscribe_crash t = t.unsubscribe_crash ()
 
 let pid t = t.pid
 let cfg t = t.cfg
@@ -280,8 +270,7 @@ exception Origin_dead
 let crash_escalate t ~src ~target =
   if Fabric.crashed t.fabric ~node:src then raise Origin_dead;
   Stats.incr t.stats "crash.escalations";
-  if not (Fabric.crashed t.fabric ~node:target) then
-    Fabric.crash t.fabric ~node:target;
+  Fabric.crash t.fabric ~node:target;
   Fabric.declare_dead t.fabric ~node:target
 
 (* Ask [target] to surrender its copy of [vpn]; returns the page data if
@@ -971,8 +960,7 @@ let rehome_page t ~vpn ~node =
             (* The target died undetected: the shipment exhausting its
                budget is the failure detector, same as a revoke. *)
             Stats.incr t.stats "crash.escalations";
-            if not (Fabric.crashed t.fabric ~node) then
-              Fabric.crash t.fabric ~node;
+            Fabric.crash t.fabric ~node;
             Fabric.declare_dead t.fabric ~node;
             `Dead_target
         | () ->

@@ -80,7 +80,8 @@ val create :
   t
 (** One protocol instance per distributed process; [pid] disambiguates the
     wire messages of multiple processes sharing a fabric (default 0). The
-    caller must route fabric messages to {!handler}. Raises
+    caller must route fabric messages to {!handler} and failure
+    declarations to {!reclaim_node}. Raises
     [Invalid_argument] on a bad [origin] or a non-positive shard count. *)
 
 val pid : t -> int
@@ -254,22 +255,13 @@ val reclaim_node : t -> node:int -> unit
     ([crash.pages_reclaimed]), drop it from reader sets
     ([crash.readers_scrubbed], the set's last reader re-homes the page
     too), fall back the pages re-homed to it ([autopilot.fallbacks]), and
-    reset its page table and page store. Wired to
-    {!Dex_net.Fabric.on_crash} at {!create} time, so it normally runs
-    automatically when a failure is declared; exposed for directed tests.
+    reset its page table and page store. The first step of a process's
+    crash recovery: [Dex_core.Process] runs it when a failure is declared,
+    before HA promotion and thread recovery; exposed for directed tests.
     Safe to run while grants are in flight. If [node] is the origin, its
     recovery is the HA promotion path's (its local tables are left to
     {!promote}); without the HA layer wired, the death of any shard home
     raises. *)
-
-val unsubscribe_crash : t -> unit
-(** Drop the {!reclaim_node} subscription {!create} installed on the
-    fabric. The process layer calls it when a process without replication
-    exits: a finished process holds no state a later crash could damage,
-    and its reclaim pass would otherwise keep the whole protocol state
-    reachable and treat a later crash of its old origin node as an
-    unrecoverable origin loss, failing whichever live fiber declared the
-    crash. *)
 
 (** {2 Home failover hooks} *)
 

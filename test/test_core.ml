@@ -993,9 +993,9 @@ let test_futex_wake_after_crash () =
     (Stats.get (Process.stats proc) "crash.futex_cancelled");
   Dex_proto.Coherence.check_invariants (Process.coherence proc)
 
-(* A finished process leaves nothing on the fabric's crash-subscriber
-   list: once [Dex.run] returns, its protocol state is garbage. Kept out
-   of line so no stack slot of the caller holds the process. *)
+(* A finished process leaves no registration on its cluster: once
+   [Dex.run] returns, its protocol state is garbage. Kept out of line so
+   no stack slot of the caller holds the process. *)
 let[@inline never] run_tiny_process ?origin cl =
   let proc =
     Dex.run ?origin cl (fun _ main ->
@@ -1037,6 +1037,52 @@ let test_crash_of_finished_origin_spares_live_process () =
   Alcotest.(check int64) "the live process finished intact" 7L !final;
   check_int "the live process reclaimed the dead node" 1
     (Stats.get (Dex_proto.Coherence.stats (Process.coherence proc)) "crash.nodes")
+
+(* An origin crash with no live replica is refused loudly, end to end.
+   [standbys] are crashed first (and declared by the keepalive backstop),
+   then the origin. A thread's visit to node 2 leaves a worker there, and
+   the main thread stands on the origin, so the first to notice the crash
+   is shutdown's exit broadcast to that worker: its retry budget runs out,
+   it declares the origin dead, and the process's recovery sequence
+   raises in that "node-op" fiber. Returns the refusal's message. *)
+let origin_crash_refusal ~standbys =
+  let nodes = 3 in
+  let proto = { Dex_proto.Proto_config.default with standbys } in
+  let cl = Dex.cluster ~nodes ~net:(crash_net ~nodes ()) ~proto () in
+  match
+    Dex.run cl (fun proc main ->
+        let a = Process.malloc main ~bytes:8 ~tag:"word" in
+        Process.join
+          (Process.spawn proc (fun th ->
+               Process.migrate th 2;
+               Process.store th a 1L;
+               Process.migrate th (Process.origin proc)));
+        List.iter (fun node -> Cluster.crash_node cl ~node) standbys;
+        Process.compute main ~ns:(Time_ns.ms 1);
+        Cluster.crash_node cl ~node:0)
+  with
+  | _ -> Alcotest.fail "an unsurvivable origin crash was not refused"
+  | exception Engine.Fiber_failure ("node-op", Failure msg) -> msg
+
+let check_prefix what ~prefix msg =
+  check_bool
+    (Printf.sprintf "%s (got %S)" what msg)
+    true
+    (String.starts_with ~prefix msg)
+
+(* Without replication, the directory reclaim refuses first. *)
+let test_origin_crash_unreplicated_refused () =
+  check_prefix "Coherence refuses the origin's loss"
+    ~prefix:"Coherence: the origin fail-stopped"
+    (origin_crash_refusal ~standbys:[])
+
+(* With replication disabled by the loss of its only standby, the
+   reclaim leaves the origin to HA, HA has nothing to promote, and the
+   process's thread recovery refuses. *)
+let test_origin_crash_after_standby_loss_refused () =
+  check_prefix "Process refuses the origin's loss"
+    ~prefix:"Process: origin crash with no live replica"
+    (origin_crash_refusal ~standbys:[ 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* Two-state mutex and delegation under contention.                    *)
@@ -1216,5 +1262,9 @@ let () =
             test_finished_process_is_released;
           Alcotest.test_case "crash of a finished origin spares live process"
             `Quick test_crash_of_finished_origin_spares_live_process;
+          Alcotest.test_case "unreplicated origin crash is refused" `Quick
+            test_origin_crash_unreplicated_refused;
+          Alcotest.test_case "origin crash after standby loss is refused"
+            `Quick test_origin_crash_after_standby_loss_refused;
         ] );
     ]

@@ -1,7 +1,6 @@
-(* Tests for origin replication: crash-subscriber ordering, replication
-   log replay determinism, quorum-fence behaviour over a replica set, and
-   standby failover under live workloads — including simultaneous and
-   back-to-back crashes. *)
+(* Tests for origin replication: replication log replay determinism,
+   quorum-fence behaviour over a replica set, and standby failover under
+   live workloads — including simultaneous and back-to-back crashes. *)
 
 open Dex_sim
 open Dex_core
@@ -51,38 +50,6 @@ let ha_proto ?(k = 1) ?standbys mode =
 
 let pstat proc name = Stats.get (Process.stats proc) name
 let cstat proc name = Stats.get (Dex_proto.Coherence.stats (Process.coherence proc)) name
-
-(* ------------------------------------------------------------------ *)
-(* Satellite: crash subscribers run in ascending priority order, with
-   registration order breaking ties. HA promotion (10) must sit between
-   directory reclaim (0) and process thread recovery (20) — a regression
-   here would let threads be re-homed against a dead directory.          *)
-
-let test_on_crash_priority () =
-  let e = Engine.create () in
-  let fabric = Fabric.create e (crash_net ~nodes:3 ()) in
-  let order = ref [] in
-  let sub ?priority tag =
-    let (_ : unit -> unit) =
-      Fabric.on_crash ?priority fabric (fun _ -> order := tag :: !order)
-    in
-    ()
-  in
-  sub ~priority:20 "recovery";
-  sub ~priority:0 "reclaim-a";
-  sub ~priority:10 "promote";
-  sub "default-a";
-  (* no priority = 0, after reclaim-a *)
-  sub ~priority:0 "reclaim-b";
-  Fabric.crash fabric ~node:2;
-  Fabric.declare_dead fabric ~node:2;
-  Alcotest.(check (list string))
-    "ascending priority, registration order within a tier"
-    [ "reclaim-a"; "default-a"; "reclaim-b"; "promote"; "recovery" ]
-    (List.rev !order);
-  (* Exactly once per node. *)
-  Fabric.declare_dead fabric ~node:2;
-  check_int "declaration is idempotent" 5 (List.length !order)
 
 (* ------------------------------------------------------------------ *)
 (* Satellite: replay determinism. Drive a real directory through random
@@ -714,11 +681,6 @@ let prop_rehome_failover_sc =
 let () =
   Alcotest.run "dex_ha"
     [
-      ( "ordering",
-        [
-          Alcotest.test_case "on_crash priority order" `Quick
-            test_on_crash_priority;
-        ] );
       ( "replica",
         List.map QCheck_alcotest.to_alcotest [ prop_replay_determinism ]
         @ [

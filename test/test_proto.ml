@@ -10,8 +10,9 @@ let check_bool = Alcotest.(check bool)
 let check_i64 = Alcotest.(check int64)
 
 (* One protocol instance over a fresh n-node fabric, message routing
-   installed on every node. [net] overrides the fabric configuration (used
-   by the chaos suite); its node count must match [nodes]. *)
+   installed on every node and failure declarations routed to the
+   directory reclaim. [net] overrides the fabric configuration (used by
+   the chaos suite); its node count must match [nodes]. *)
 let setup_with_fabric ?(nodes = 4) ?seed ?cfg ?net () =
   let engine = Engine.create () in
   let net_cfg =
@@ -26,6 +27,8 @@ let setup_with_fabric ?(nodes = 4) ?seed ?cfg ?net () =
         if not (Coherence.handler coh env) then
           failwith "test_proto: unrouted message")
   done;
+  Dex_net.Fabric.set_crash_handler fabric (fun node ->
+      Coherence.reclaim_node coh ~node);
   (engine, coh, fabric)
 
 let setup ?nodes ?seed ?cfg ?net () =
