@@ -43,8 +43,6 @@ let oracle =
   let memo = A.memo build in
   fun p ~seed -> memo (p, seed)
 
-let host_beliefs p ~seed = Array.copy (oracle p ~seed).beliefs
-
 (* One damped propagation sweep over a ring-structured factor graph. *)
 let relax beliefs ~first ~count =
   let n = Array.length beliefs in
@@ -54,7 +52,7 @@ let relax beliefs ~first ~count =
   done
 
 let reference_sum p ~seed =
-  let b = host_beliefs p ~seed in
+  let b = Array.copy (oracle p ~seed).beliefs in
   for _ = 1 to p.iterations do
     relax b ~first:0 ~count:p.vertices
   done;
@@ -63,7 +61,6 @@ let reference_sum p ~seed =
 let body p ctx main =
   let threads = ctx.A.threads in
   let proc = ctx.A.proc in
-  let beliefs = host_beliefs p ~seed:ctx.A.seed in
   let aligned = ctx.A.variant = A.Optimized in
   let slab_stride i =
     let _, count = A.partition ~total:p.vertices ~parts:threads ~index:i in
@@ -129,7 +126,7 @@ let body p ctx main =
       (1.0 -. (float_of_int p.llc_bytes /. float_of_int workset))
   in
   A.parallel_region ctx (fun i th ->
-      let first, count = A.partition ~total:p.vertices ~parts:threads ~index:i in
+      let _, count = A.partition ~total:p.vertices ~parts:threads ~index:i in
       if count > 0 then begin
         let my_slab = slab_addr i in
         let slab_bytes = count * p.bytes_per_vertex in
@@ -175,7 +172,6 @@ let body p ctx main =
             | A.Optimized -> ());
             pos := !pos + n
           done;
-          relax beliefs ~first ~count;
           Process.write th ~site:"bp.sweep_write" my_slab ~len:slab_bytes;
           (* With the globals protocol, worker convergence flows through
              the master's aggregate and only the master touches the

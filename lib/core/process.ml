@@ -146,15 +146,17 @@ let on_crash_policy t = (Coherence.cfg t.coh).Dex_proto.Proto_config.on_crash
    re-homes to the origin and retries [f] there, per
    {!Dex_proto.Proto_config.on_crash}. [f] must therefore re-read
    [th.location] on every attempt — every caller in this file does,
-   because the location is read inside the closure. Re-homed delegates
+   because [f] is passed the thread, not its location. Re-homed delegates
    re-execute their body from scratch (the simulator cannot checkpoint
    register state mid-syscall); [`Rehome] is only sound for workloads
-   that tolerate that, which is why [`Abort] is the default. *)
-let rec guard th f =
+   that tolerate that, which is why [`Abort] is the default. [guard th f
+   a b c] runs [f th a b c]: the memory API passes a top-level [f] and
+   its arguments, so a fault-free access builds no closure. *)
+let rec guard th f a b c =
   let t = th.proc in
   if th.crashed then raise (Thread_crashed { pid = t.pid; tid = th.tid });
   let node = th.location in
-  try f ()
+  try f th a b c
   with Fabric.Unreachable _ when Fabric.crashed (fabric t) ~node -> (
     (* Exhausting the retry budget IS failure detection: make sure the
        recovery (reclaim, thread policy, worker teardown) has run before
@@ -171,38 +173,44 @@ let rec guard th f =
           th.location <- t.origin;
           Stats.incr t.stats "crash.threads_rehomed"
         end;
-        guard th f)
+        guard th f a b c)
+
+(* [guard] for a closure. *)
+let run_thunk _th f () () = f ()
+let guard_thunk th f = guard th run_thunk f () ()
 
 (* ------------------------------------------------------------------ *)
 (* VMA checking with on-demand synchronization (§III-D).               *)
 
 let rec vma_check th ~addr ~len ~access ~queried =
-  let t = th.proc in
-  let node = th.location in
-  let fail () = raise (Segfault { node; addr }) in
-  let local = Vma_tree.find t.vmas.(node) addr in
-  match local with
+  match Vma_tree.find th.proc.vmas.(th.location) addr with
   | Some vma when Perm.allows vma.Vma.perm access ->
       let e = Vma.end_ vma in
       if addr + len > e then
         vma_check th ~addr:e ~len:(addr + len - e) ~access ~queried:false
-  | _ ->
-      if node = t.origin then fail ()
-      else if queried then fail ()
-      else begin
-        (* The local view may be missing or stale: ask the origin. *)
-        Stats.incr t.stats "vma.sync";
-        match
-          origin_rpc t ~src:node ~stat:"ha.vma_syncs_retried" (fun ~dst ->
-              Fabric.call (fabric t) ~src:node ~dst ~kind:M.kind_vma ~size:64
-                (M.Vma_query { pid = t.pid; addr }))
-        with
-        | M.Vma_info (Some vma) ->
-            install_vma t.vmas.(node) vma;
-            vma_check th ~addr ~len ~access ~queried:true
-        | M.Vma_info None -> fail ()
-        | _ -> failwith "Process: unexpected VMA reply"
-      end
+  | _ -> vma_miss th ~addr ~len ~access ~queried
+
+(* The slow path: no local VMA allows the access. *)
+and vma_miss th ~addr ~len ~access ~queried =
+  let t = th.proc in
+  let node = th.location in
+  let fail () = raise (Segfault { node; addr }) in
+  if node = t.origin then fail ()
+  else if queried then fail ()
+  else begin
+    (* The local view may be missing or stale: ask the origin. *)
+    Stats.incr t.stats "vma.sync";
+    match
+      origin_rpc t ~src:node ~stat:"ha.vma_syncs_retried" (fun ~dst ->
+          Fabric.call (fabric t) ~src:node ~dst ~kind:M.kind_vma ~size:64
+            (M.Vma_query { pid = t.pid; addr }))
+    with
+    | M.Vma_info (Some vma) ->
+        install_vma t.vmas.(node) vma;
+        vma_check th ~addr ~len ~access ~queried:true
+    | M.Vma_info None -> fail ()
+    | _ -> failwith "Process: unexpected VMA reply"
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Work delegation (§III-A).                                           *)
@@ -216,7 +224,7 @@ let rec vma_check th ~addr ~len ~access ~queried =
    (file writes) must charge for it. *)
 let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
   let t = th.proc in
-  guard th (fun () ->
+  guard_thunk th (fun () ->
       Engine.delay (engine t) (cfg t).Core_config.syscall;
       let target = Authority.home (authority t) ~shard in
       if th.location = target then run ()
@@ -260,67 +268,77 @@ let memalign th ~align ~bytes ~tag =
   | M.Ret_int addr -> addr
   | _ -> assert false
 
-let read_range th ?(site = "?") addr ~len =
-  if len <= 0 then invalid_arg "Process.read_range: len must be positive";
-  guard th (fun () ->
-      vma_check th ~addr ~len ~access:Perm.Read ~queried:false;
-      Coherence.access_range th.proc.coh ~node:th.location ~tid:th.tid ~site
-        ~addr ~len ~access:Perm.Read ())
+(* Each access is a top-level function of the thread, the optional
+   [site] (forwarded to {!Coherence} as is), the address and one operand,
+   run under {!guard}. *)
+let coh th = th.proc.coh
 
-let write_range th ?(site = "?") addr ~len =
+let read_at th site addr len =
+  vma_check th ~addr ~len ~access:Perm.Read ~queried:false;
+  Coherence.access_range (coh th) ~node:th.location ~tid:th.tid ?site ~addr
+    ~len ~access:Perm.Read ()
+
+let write_at th site addr len =
+  vma_check th ~addr ~len ~access:Perm.Write ~queried:false;
+  Coherence.access_range (coh th) ~node:th.location ~tid:th.tid ?site ~addr
+    ~len ~access:Perm.Write ()
+
+let read_range th ?site addr ~len =
+  if len <= 0 then invalid_arg "Process.read_range: len must be positive";
+  guard th read_at site addr len
+
+let write_range th ?site addr ~len =
   if len <= 0 then invalid_arg "Process.write_range: len must be positive";
-  guard th (fun () ->
-      vma_check th ~addr ~len ~access:Perm.Write ~queried:false;
-      Coherence.access_range th.proc.coh ~node:th.location ~tid:th.tid ~site
-        ~addr ~len ~access:Perm.Write ())
+  guard th write_at site addr len
 
 let read = read_range
 let write = write_range
 
-let load th ?(site = "?") addr =
-  guard th (fun () ->
-      vma_check th ~addr ~len:8 ~access:Perm.Read ~queried:false;
-      Coherence.load_i64 th.proc.coh ~node:th.location ~tid:th.tid ~site addr)
+let load_at th site addr () =
+  vma_check th ~addr ~len:8 ~access:Perm.Read ~queried:false;
+  Coherence.load_i64 (coh th) ~node:th.location ~tid:th.tid ?site addr
 
-let store th ?(site = "?") addr v =
-  guard th (fun () ->
-      vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
-      Coherence.store_i64 th.proc.coh ~node:th.location ~tid:th.tid ~site addr
-        v)
+let store_at th site addr v =
+  vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
+  Coherence.store_i64 (coh th) ~node:th.location ~tid:th.tid ?site addr v
 
-let load32 th ?(site = "?") addr =
-  guard th (fun () ->
-      vma_check th ~addr ~len:4 ~access:Perm.Read ~queried:false;
-      Coherence.load_i32 th.proc.coh ~node:th.location ~tid:th.tid ~site addr)
+let load32_at th site addr () =
+  vma_check th ~addr ~len:4 ~access:Perm.Read ~queried:false;
+  Coherence.load_i32 (coh th) ~node:th.location ~tid:th.tid ?site addr
 
-let store32 th ?(site = "?") addr v =
-  guard th (fun () ->
-      vma_check th ~addr ~len:4 ~access:Perm.Write ~queried:false;
-      Coherence.store_i32 th.proc.coh ~node:th.location ~tid:th.tid ~site addr
-        v)
+let store32_at th site addr v =
+  vma_check th ~addr ~len:4 ~access:Perm.Write ~queried:false;
+  Coherence.store_i32 (coh th) ~node:th.location ~tid:th.tid ?site addr v
 
-let load_byte th ?(site = "?") addr =
-  guard th (fun () ->
-      vma_check th ~addr ~len:1 ~access:Perm.Read ~queried:false;
-      Coherence.load_byte th.proc.coh ~node:th.location ~tid:th.tid ~site addr)
+let load_byte_at th site addr () =
+  vma_check th ~addr ~len:1 ~access:Perm.Read ~queried:false;
+  Coherence.load_byte (coh th) ~node:th.location ~tid:th.tid ?site addr
 
-let store_byte th ?(site = "?") addr v =
-  guard th (fun () ->
-      vma_check th ~addr ~len:1 ~access:Perm.Write ~queried:false;
-      Coherence.store_byte th.proc.coh ~node:th.location ~tid:th.tid ~site
-        addr v)
+let store_byte_at th site addr v =
+  vma_check th ~addr ~len:1 ~access:Perm.Write ~queried:false;
+  Coherence.store_byte (coh th) ~node:th.location ~tid:th.tid ?site addr v
 
-let cas th ?(site = "?") addr ~expected ~desired =
-  guard th (fun () ->
-      vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
-      Coherence.cas_i64 th.proc.coh ~node:th.location ~tid:th.tid ~site addr
-        ~expected ~desired)
+let cas_at th site addr (expected, desired) =
+  vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
+  Coherence.cas_i64 (coh th) ~node:th.location ~tid:th.tid ?site addr
+    ~expected ~desired
 
-let fetch_add th ?(site = "?") addr delta =
-  guard th (fun () ->
-      vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
-      Coherence.fetch_add_i64 th.proc.coh ~node:th.location ~tid:th.tid ~site
-        addr delta)
+let fetch_add_at th site addr delta =
+  vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
+  Coherence.fetch_add_i64 (coh th) ~node:th.location ~tid:th.tid ?site addr
+    delta
+
+let load th ?site addr = guard th load_at site addr ()
+let store th ?site addr v = guard th store_at site addr v
+let load32 th ?site addr = guard th load32_at site addr ()
+let store32 th ?site addr v = guard th store32_at site addr v
+let load_byte th ?site addr = guard th load_byte_at site addr ()
+let store_byte th ?site addr v = guard th store_byte_at site addr v
+
+let cas th ?site addr ~expected ~desired =
+  guard th cas_at site addr (expected, desired)
+
+let fetch_add th ?site addr delta = guard th fetch_add_at site addr delta
 
 (* ------------------------------------------------------------------ *)
 (* Compute.                                                            *)
@@ -657,7 +675,7 @@ let rec migrate th target =
     (* Known-dead destination: refuse, the thread stays where it is. *)
     Stats.incr t.stats "crash.migrations_refused"
   else
-    guard th (fun () ->
+    guard_thunk th (fun () ->
         try migrate_send th target
         with Fabric.Unreachable _ when Fabric.crashed (fabric t) ~node:target ->
           (* The destination died under the migration message; stay put.

@@ -37,7 +37,7 @@ let snapshot t p = Bytes.copy (page t p)
 let install t p b =
   if Bytes.length b <> Page.size then
     invalid_arg "Page_store.install: wrong page size";
-  Radix_tree.set t p (Bytes.copy b)
+  Radix_tree.set t p b
 
 let drop t p = Radix_tree.remove t p
 

@@ -20,10 +20,15 @@ val read_byte : t -> Page.vpn -> offset:int -> int
 val write_byte : t -> Page.vpn -> offset:int -> int -> unit
 
 val snapshot : t -> Page.vpn -> bytes
-(** A copy of the page contents (for shipping over the network). *)
+(** A copy of the page contents (for shipping over the network). It is the
+    one copy a page transfer makes, like the copy out of the RDMA sink
+    into the destination page. *)
 
 val install : t -> Page.vpn -> bytes -> unit
-(** Overwrite the page with received contents. *)
+(** Make [bytes] the page's contents. The store adopts the buffer rather
+    than copying it, so the caller must not keep it, nor hand it to
+    another store: install a {!snapshot} (or a [Bytes.copy]) per
+    destination. *)
 
 val drop : t -> Page.vpn -> unit
 (** Discard the local copy (invalidation). *)

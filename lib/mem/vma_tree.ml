@@ -1,13 +1,24 @@
 module M = Map.Make (Int)
 
-type t = { mutable map : Vma.t M.t }
+type t = {
+  mutable map : Vma.t M.t;
+  mutable last : Vma.t option;
+      (* The last VMA [find] returned, as the very option it returned, so a
+         repeat hit allocates nothing. Every change to [map] clears it. *)
+}
 
-let create () = { map = M.empty }
+let create () = { map = M.empty; last = None }
 
 let find t addr =
-  match M.find_last_opt (fun start -> start <= addr) t.map with
-  | Some (_, vma) when Vma.contains vma addr -> Some vma
-  | _ -> None
+  match t.last with
+  | Some vma as hit when Vma.contains vma addr -> hit
+  | _ -> (
+      match M.find_last_opt (fun start -> start <= addr) t.map with
+      | Some (_, vma) when Vma.contains vma addr ->
+          let hit = Some vma in
+          t.last <- hit;
+          hit
+      | _ -> None)
 
 let overlapping t ~start ~len =
   (* Candidates: the VMA starting at or before [start] plus every VMA
@@ -28,6 +39,7 @@ let overlapping t ~start ~len =
 let insert t vma =
   if overlapping t ~start:vma.Vma.start ~len:vma.Vma.len <> [] then
     invalid_arg "Vma_tree.insert: overlapping VMA";
+  t.last <- None;
   t.map <- M.add vma.Vma.start vma t.map
 
 let check_aligned_range start len name =
@@ -54,6 +66,7 @@ let split vma ~start ~len =
 
 let remove_range t ~start ~len =
   check_aligned_range start len "remove_range";
+  t.last <- None;
   let victims = overlapping t ~start ~len in
   let removed =
     List.map
@@ -69,6 +82,7 @@ let remove_range t ~start ~len =
 
 let protect_range t ~start ~len ~perm =
   check_aligned_range start len "protect_range";
+  t.last <- None;
   let victims = overlapping t ~start ~len in
   List.map
     (fun vma ->

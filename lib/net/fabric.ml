@@ -31,6 +31,17 @@ type rel_remote =
 
 exception Unreachable of { src : int; dst : int; kind : string }
 
+(* A message counter and a byte counter, bumped per message. *)
+type traffic = { msgs : Stats.counter; bytes : Stats.counter }
+
+(* What a message kind's traffic is labelled with, built once per kind
+   instead of once per message. *)
+type per_kind = {
+  sent : traffic;  (* "sent.<kind>" and "bytes.<kind>" *)
+  resp : string;  (* "<kind>.resp", the kind of a reply *)
+  handler : string;  (* "handler:<kind>", the label of a handler fiber *)
+}
+
 type t = {
   engine : Engine.t;
   cfg : Net_config.t;
@@ -40,6 +51,10 @@ type t = {
   recv_pools : Resource.Pool.t array;  (* per node *)
   sinks : Rdma_sink.t array;  (* per node *)
   stats : Stats.t;
+  kinds : (string, per_kind) Hashtbl.t;
+  loopback : traffic;  (* "path.loopback", "bytes.loopback" *)
+  rdma : traffic;  (* "path.rdma", "bytes.rdma" *)
+  verb : traffic;  (* "path.verb", "bytes.verb" *)
   chaos : Net_config.chaos option;
   inject_rng : Rng.t;  (* drop/dup/reorder/jitter draws, delivery order *)
   rto_rng : Rng.t;  (* retransmission-timeout jitter *)
@@ -131,8 +146,19 @@ let crash t ~node =
             if not t.detected.(node) then declare_dead t ~node)
       end)
 
+let traffic stats ~msgs ~bytes =
+  { msgs = Stats.counter stats msgs; bytes = Stats.counter stats bytes }
+
+let count tr ~size =
+  Stats.bump tr.msgs 1;
+  Stats.bump tr.bytes size
+
 let create engine cfg =
   Net_config.validate cfg;
+  let stats = Stats.create () in
+  let path name =
+    traffic stats ~msgs:("path." ^ name) ~bytes:("bytes." ^ name)
+  in
   let n = cfg.Net_config.nodes in
   let chaos_rng =
     Rng.create
@@ -160,7 +186,11 @@ let create engine cfg =
         Array.init n (fun _ ->
             Rdma_sink.create engine ~slots:cfg.Net_config.sink_slots
               ~copy_ns_per_byte:cfg.Net_config.copy_ns_per_byte);
-      stats = Stats.create ();
+      stats;
+      kinds = Hashtbl.create 16;
+      loopback = path "loopback";
+      rdma = path "rdma";
+      verb = path "verb";
       chaos = cfg.Net_config.chaos;
       inject_rng = Rng.split chaos_rng;
       rto_rng = Rng.split chaos_rng;
@@ -189,6 +219,21 @@ let set_handler t ~node handler =
   check_node t node "set_handler";
   t.handlers.(node) <- Some handler
 
+let per_kind t kind =
+  match Hashtbl.find t.kinds kind with
+  | n -> n
+  | exception Not_found ->
+      let n =
+        {
+          sent =
+            traffic t.stats ~msgs:("sent." ^ kind) ~bytes:("bytes." ^ kind);
+          resp = kind ^ ".resp";
+          handler = "handler:" ^ kind;
+        }
+      in
+      Hashtbl.add t.kinds kind n;
+      n
+
 let no_respond ?size:_ _payload =
   invalid_arg "Fabric: respond called on a one-way message"
 
@@ -198,7 +243,7 @@ let dispatch t (msg : Msg.t) respond =
       invalid_arg
         (Printf.sprintf "Fabric: no handler installed on node %d" msg.dst)
   | Some handler ->
-      Engine.spawn t.engine ~label:("handler:" ^ msg.kind) (fun () ->
+      Engine.spawn t.engine ~label:(per_kind t msg.kind).handler (fun () ->
           handler t { msg; respond })
 
 (* --- fault injection ---------------------------------------------------
@@ -250,37 +295,41 @@ let chaos_deliver t c (msg : Msg.t) deliver =
     end
   end
 
+(* Fail-stop guard at the receive boundary: a dead source's in-flight
+   traffic and a dead destination's arrivals are both discarded — frames
+   addressed to a SIGKILLed process land in a NIC nobody services. The
+   check runs at the delivery instant (inside any chaos-injected delay),
+   so copies already jittered into the future still see the node's latest
+   state when they land. *)
+let arrive t (msg : Msg.t) deliver =
+  if t.dead.(msg.Msg.src) || t.dead.(msg.Msg.dst) then
+    Stats.incr t.stats "chaos.crash_drops"
+  else deliver ()
+
+(* A message off the wire: through fault injection, if any, to [arrive]. *)
+let receive t msg deliver =
+  match t.chaos with
+  | None -> arrive t msg deliver
+  | Some c -> chaos_deliver t c msg (fun () -> arrive t msg deliver)
+
 (* Transport [msg] and invoke [deliver] at the destination. Runs in the
-   calling fiber up to the send-side costs, then asynchronously. *)
+   calling fiber up to the send-side costs, then as a chain of timed
+   engine callbacks ({!Engine.after}), one per step at which a transfer
+   fiber would block: the same events in the same order, without a fiber.
+   The chain starts from a zero-delay event, where a spawned fiber's first
+   step would run. An exception in a step still surfaces as
+   [Engine.Fiber_failure], labelled as the transfer fiber was. *)
 let transmit t (msg : Msg.t) deliver =
-  (* Fail-stop guard at the receive boundary: a dead source's in-flight
-     traffic and a dead destination's arrivals are both discarded — frames
-     addressed to a SIGKILLed process land in a NIC nobody services. The
-     check runs at the delivery instant (inside any chaos-injected delay),
-     so copies already jittered into the future still see the node's latest
-     state when they land. *)
-  let deliver () =
-    if t.dead.(msg.Msg.src) || t.dead.(msg.Msg.dst) then
-      Stats.incr t.stats "chaos.crash_drops"
-    else deliver ()
-  in
-  Stats.incr t.stats ("sent." ^ msg.kind);
-  Stats.add t.stats ("bytes." ^ msg.kind) msg.size;
+  count (per_kind t msg.kind).sent ~size:msg.size;
   if msg.src = msg.dst then begin
     (* Loopback legitimately bypasses both buffer pools: a self-addressed
        message never touches the NIC, so no DMA-ready buffer is pinned on
        either side. *)
-    Stats.incr t.stats "path.loopback";
-    Stats.add t.stats "bytes.loopback" msg.size;
+    count t.loopback ~size:msg.size;
     Engine.schedule t.engine ~delay:t.cfg.Net_config.loopback_latency
-      (fun () -> deliver ())
+      (fun () -> arrive t msg deliver)
   end
   else begin
-    let deliver =
-      match t.chaos with
-      | None -> deliver
-      | Some c -> fun () -> chaos_deliver t c msg deliver
-    in
     if msg.size >= t.cfg.Net_config.rdma_threshold then begin
       (* RDMA path: reserve a sink slot at the destination, RDMA-write, copy
          out. The caller is blocked through slot reservation and setup, which
@@ -288,37 +337,50 @@ let transmit t (msg : Msg.t) deliver =
          receive resource (§III-E): one-sided writes land in pre-registered
          sink memory, never consuming a receive work request, so the verb
          recv pool is deliberately untouched on this path. *)
-      Stats.incr t.stats "path.rdma";
-      Stats.add t.stats "bytes.rdma" msg.size;
+      count t.rdma ~size:msg.size;
       let sink = t.sinks.(msg.dst) in
       Rdma_sink.acquire sink;
       Engine.delay t.engine t.cfg.Net_config.rdma_setup;
       let link = t.links.((msg.src * node_count t) + msg.dst) in
-      Engine.spawn t.engine ~label:"rdma-transfer" (fun () ->
-          Resource.Server.transfer link ~bytes:msg.size;
-          Engine.delay t.engine t.cfg.Net_config.link_latency;
-          Rdma_sink.copy_out_and_release sink ~bytes:msg.size;
-          deliver ())
+      let fail e = raise (Engine.Fiber_failure ("rdma-transfer", e)) in
+      Engine.schedule t.engine ~delay:0 (fun () ->
+          let wire =
+            try Resource.Server.reserve link ~bytes:msg.size with e -> fail e
+          in
+          Engine.after t.engine wire (fun () ->
+              Engine.after t.engine t.cfg.Net_config.link_latency (fun () ->
+                  Engine.after t.engine (Rdma_sink.copy_ns sink ~bytes:msg.size)
+                    (fun () ->
+                      try
+                        Rdma_sink.release sink;
+                        receive t msg deliver
+                      with e -> fail e))))
     end
     else begin
       (* VERB path: grab a DMA-ready send buffer, post, serialize on the
          link; the buffer is reclaimed once the send completes. *)
-      Stats.incr t.stats "path.verb";
-      Stats.add t.stats "bytes.verb" msg.size;
+      count t.verb ~size:msg.size;
       let pool = t.send_pools.((msg.src * node_count t) + msg.dst) in
       Resource.Pool.acquire pool;
       Engine.delay t.engine t.cfg.Net_config.verb_overhead;
       let link = t.links.((msg.src * node_count t) + msg.dst) in
-      Engine.spawn t.engine ~label:"verb-transfer" (fun () ->
-          Resource.Server.transfer link ~bytes:msg.size;
-          Resource.Pool.release pool;
-          Engine.delay t.engine t.cfg.Net_config.link_latency;
-          (* Receive-pool slot: consumed for the delivery event, recycled
-             immediately after (receive work request re-posted). *)
-          let recv = t.recv_pools.(msg.dst) in
-          Resource.Pool.acquire recv;
-          Resource.Pool.release recv;
-          deliver ())
+      let fail e = raise (Engine.Fiber_failure ("verb-transfer", e)) in
+      Engine.schedule t.engine ~delay:0 (fun () ->
+          let wire =
+            try Resource.Server.reserve link ~bytes:msg.size with e -> fail e
+          in
+          Engine.after t.engine wire (fun () ->
+              Resource.Pool.release pool;
+              Engine.after t.engine t.cfg.Net_config.link_latency (fun () ->
+                  try
+                    (* Receive-pool slot: consumed for the delivery event,
+                       recycled immediately after (receive work request
+                       re-posted), so it never blocks. *)
+                    let recv = t.recv_pools.(msg.dst) in
+                    Resource.Pool.acquire recv;
+                    Resource.Pool.release recv;
+                    receive t msg deliver
+                  with e -> fail e)))
     end
   end
 
@@ -447,7 +509,7 @@ let rel_send_reply t ~(req : Msg.t) ~seq ~size reply =
       Msg.src = req.Msg.dst;
       dst = req.Msg.src;
       size;
-      kind = req.Msg.kind ^ ".resp";
+      kind = (per_kind t req.Msg.kind).resp;
       payload = Rel_reply { seq; inner = reply };
     }
   in
@@ -623,7 +685,13 @@ let call t ~src ~dst ~kind ~size payload =
         if !responded then invalid_arg "Fabric: respond called twice";
         responded := true;
         let rmsg =
-          { Msg.src = dst; dst = src; size; kind = kind ^ ".resp"; payload = reply }
+          {
+            Msg.src = dst;
+            dst = src;
+            size;
+            kind = (per_kind t kind).resp;
+            payload = reply;
+          }
         in
         transmit t rmsg (fun () ->
             match !waiter with

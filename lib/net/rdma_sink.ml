@@ -17,9 +17,11 @@ let in_use t = Dex_sim.Resource.Pool.in_use t.pool
 let exhaustion_waits t = Dex_sim.Resource.Pool.waits t.pool
 let acquire t = Dex_sim.Resource.Pool.acquire t.pool
 
+let copy_ns t ~bytes =
+  int_of_float (Float.round (float_of_int bytes *. t.copy_ns_per_byte))
+
+let release t = Dex_sim.Resource.Pool.release t.pool
+
 let copy_out_and_release t ~bytes =
-  let cost =
-    int_of_float (Float.round (float_of_int bytes *. t.copy_ns_per_byte))
-  in
-  Dex_sim.Engine.delay t.engine cost;
-  Dex_sim.Resource.Pool.release t.pool
+  Dex_sim.Engine.delay t.engine (copy_ns t ~bytes);
+  release t

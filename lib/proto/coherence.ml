@@ -332,7 +332,9 @@ let revoke_parallel t ~home targets ~vpn =
    at the shard home, whose store must cover everything any survivor has
    observed. Called exactly when the serving home externalizes data (a
    no-op without data or unless the page is re-homed), so home-local
-   traffic on a re-homed page stays message-free. *)
+   traffic on a re-homed page stays message-free. Every caller also hands
+   [data] to another store (the grant reply, the home's own store), so the
+   shipment carries its own copy. *)
 let mirror_to_static t ~src ~vpn data =
   let dst = Authority.home_of t.authority vpn in
   match data with
@@ -342,7 +344,7 @@ let mirror_to_static t ~src ~vpn data =
       match
         Fabric.call t.fabric ~src ~dst ~kind:Messages.kind_page_sync
           ~size:t.cfg.Proto_config.page_msg_size
-          (Messages.Page_sync { pid = t.pid; vpn; data })
+          (Messages.Page_sync { pid = t.pid; vpn; data = Bytes.copy data })
       with
       | Messages.Page_sync_ack _ -> ()
       | _ -> failwith "Coherence: unexpected sync reply"
@@ -436,11 +438,17 @@ let push_replicas t ~home ~dir ~vpn ~requester =
               subs
           in
           if targets <> [] then begin
-            let data = snapshot_if_materialized t.stores.(home) vpn in
+            (* One snapshot per target, all taken now: each target
+               installs its own buffer. *)
+            let shipments =
+              List.map
+                (fun n -> (n, snapshot_if_materialized t.stores.(home) vpn))
+                targets
+            in
             let accepted = ref [] in
             fanout t ~label:"push"
               (List.map
-                 (fun target () ->
+                 (fun (target, data) () ->
                    match
                      Fabric.call t.fabric ~src:home ~dst:target
                        ~kind:Messages.kind_page_push
@@ -461,7 +469,7 @@ let push_replicas t ~home ~dir ~vpn ~requester =
                        (* Best-effort: a push is only a hint, never worth
                           an escalation. *)
                        Stats.incr t.stats "autopilot.push_declined")
-                 targets);
+                 shipments);
             let live =
               List.filter
                 (fun n -> not (Fabric.crash_detected t.fabric ~node:n))
@@ -1291,7 +1299,9 @@ let promote t ~new_origin ~dir_entries ~page_data =
         | { node; dir = overlay; shard = None } ->
             node = new_origin || holds vpn (Directory.state overlay vpn)
       in
-      if not had then Page_store.install t.stores.(new_origin) vpn data)
+      (* The replica keeps its image (other standbys may share it). *)
+      if not had then
+        Page_store.install t.stores.(new_origin) vpn (Bytes.copy data))
     page_data;
   let old_dir = Authority.directory a ~shard:0 in
   (* The dead home's local state is unreachable hardware now. *)

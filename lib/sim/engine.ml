@@ -3,12 +3,15 @@ type t = {
   mutable now : Time_ns.t;
   mutable seq : int;
   mutable live : int;
+  mutable horizon : Time_ns.t;
+      (* The latest instant the current [run] may pop; -1 outside [run]. *)
 }
 
 exception Deadlock
 exception Fiber_failure of string * exn
 
-let create () = { queue = Event_queue.create (); now = 0; seq = 0; live = 0 }
+let create () =
+  { queue = Event_queue.create (); now = 0; seq = 0; live = 0; horizon = -1 }
 
 let now t = t.now
 
@@ -22,6 +25,15 @@ let at t ~time f =
   t.seq <- t.seq + 1;
   Event_queue.push t.queue ~time ~seq:t.seq f
 
+(* One timer event. A resume is always bounced through a zero-delay event,
+   which runs after every event already queued for this instant; when none
+   is queued, the bounce would be popped next anyway, so running [f]
+   directly keeps the order. *)
+let after t d f =
+  schedule t ~delay:d (fun () ->
+      if Event_queue.min_time t.queue <> t.now then f ()
+      else schedule t ~delay:0 f)
+
 type _ Effect.t +=
   | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
   | Delay : Time_ns.t -> unit Effect.t
@@ -30,9 +42,17 @@ let suspend (t : t) register =
   ignore t;
   Effect.perform (Suspend register)
 
+(* A wake-up strictly before every queued event and within the current
+   [run]'s horizon is the timer [after] would pop next, and it would resume
+   the fiber directly: advancing the clock in place is the same
+   execution. *)
 let delay t d =
-  ignore t;
-  Effect.perform (Delay d)
+  if
+    0 <= d
+    && d < Event_queue.min_time t.queue - t.now
+    && d <= t.horizon - t.now
+  then t.now <- t.now + d
+  else Effect.perform (Delay d)
 
 let spawn t ?(label = "fiber") f =
   t.live <- t.live + 1;
@@ -57,15 +77,7 @@ let spawn t ?(label = "fiber") f =
             | Delay d ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    (* One timer event. A resume is always bounced through
-                       a zero-delay event, which runs after every event
-                       already queued for this instant; when none is
-                       queued, the bounce would be popped next anyway, so
-                       continuing directly keeps the order. *)
-                    schedule t ~delay:d (fun () ->
-                        if Event_queue.min_time t.queue <> t.now then
-                          continue k ()
-                        else schedule t ~delay:0 (fun () -> continue k ())))
+                    after t d (fun () -> continue k ()))
             | _ -> None);
       }
   in
@@ -74,20 +86,21 @@ let spawn t ?(label = "fiber") f =
 let live_fibers t = t.live
 
 let run ?until t =
-  let stop =
-    match until with None -> fun _ -> false | Some u -> fun time -> time > u
-  in
+  let horizon = match until with None -> max_int | Some u -> u in
+  let outer = t.horizon in
+  t.horizon <- horizon;
   let rec loop () =
-    if not (Event_queue.is_empty t.queue || stop (Event_queue.min_time t.queue))
-    then
-      match Event_queue.pop t.queue with
-      | None -> ()
-      | Some (time, thunk) ->
-          t.now <- max t.now time;
-          thunk ();
-          loop ()
+    let q = t.queue in
+    if not (Event_queue.is_empty q || Event_queue.min_time q > horizon)
+    then begin
+      let time = Event_queue.min_time q in
+      let thunk = Event_queue.take q in
+      t.now <- max t.now time;
+      thunk ();
+      loop ()
+    end
   in
-  loop ()
+  Fun.protect ~finally:(fun () -> t.horizon <- outer) loop
 
 let run_until_quiescent t =
   run t;

@@ -26,6 +26,14 @@ val schedule : t -> delay:Time_ns.t -> (unit -> unit) -> unit
 val at : t -> time:Time_ns.t -> (unit -> unit) -> unit
 (** [at t ~time f] runs [f] at absolute [time] (clamped to [now t]). *)
 
+val after : t -> Time_ns.t -> (unit -> unit) -> unit
+(** [after t d f] runs [f] [d] nanoseconds from now, ordered exactly as a
+    fiber calling [delay t d] would resume: in the timer event itself
+    unless another event is queued for that instant, in which case [f]
+    takes the same zero-delay bounce as a {!suspend} resume. It is the
+    callback form of {!delay}, for a chain of timed steps that needs no
+    fiber. [d] must be non-negative. *)
+
 val spawn : t -> ?label:string -> (unit -> unit) -> unit
 (** [spawn t f] starts a new fiber executing [f] at the current time. An
     exception escaping [f] aborts the whole simulation with the fiber's
@@ -39,11 +47,13 @@ val suspend : t -> (('a -> unit) -> unit) -> 'a
     within a fiber. *)
 
 val delay : t -> Time_ns.t -> unit
-(** [delay t d] blocks the calling fiber for [d] simulated nanoseconds.
-    It costs one event: the fiber resumes in the timer event itself unless
-    another event is queued for that instant, in which case it takes the
-    same zero-delay bounce as a {!suspend} resume, so event order is the
-    same as if it were written with {!suspend}. *)
+(** [delay t d] blocks the calling fiber for [d] simulated nanoseconds,
+    resuming it as {!after} would run a callback, so event order is the
+    same as if it were written with {!suspend}. When the wake-up time is
+    strictly earlier than every queued event and not past the bound of the
+    enclosing {!run}, that timer would be the next event popped and would
+    resume the fiber directly; [delay] then advances the clock in place
+    and returns, with no effect, event or allocation. *)
 
 val live_fibers : t -> int
 (** [live_fibers t] is the number of fibers that have started and not yet

@@ -1,69 +1,97 @@
-type entry = { time : Time_ns.t; seq : int; thunk : unit -> unit }
+(* A binary min-heap over three parallel arrays, so an event costs no
+   allocation of its own: slot [i] holds the [i]-th heap entry's time,
+   sequence number and thunk. *)
+type t = {
+  mutable times : Time_ns.t array;
+  mutable seqs : int array;
+  mutable thunks : (unit -> unit) array;
+  mutable size : int;
+}
 
-type t = { mutable heap : entry array; mutable size : int }
-
-let dummy = { time = 0; seq = 0; thunk = ignore }
-
-let create () = { heap = Array.make 64 dummy; size = 0 }
+let create () =
+  {
+    times = Array.make 64 0;
+    seqs = Array.make 64 0;
+    thunks = Array.make 64 ignore;
+    size = 0;
+  }
 
 let is_empty t = t.size = 0
 let length t = t.size
 
-let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
 let grow t =
-  let heap = Array.make (2 * Array.length t.heap) dummy in
-  Array.blit t.heap 0 heap 0 t.size;
-  t.heap <- heap
+  let n = 2 * Array.length t.times in
+  let extend a fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 t.size;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.thunks <- extend t.thunks ignore
+
+let set t i time seq thunk =
+  t.times.(i) <- time;
+  t.seqs.(i) <- seq;
+  t.thunks.(i) <- thunk
+
+let move t ~src ~dst = set t dst t.times.(src) t.seqs.(src) t.thunks.(src)
+
+(* Whether the key (time, seq) fires before the entry in slot [i]. *)
+let key_before t time seq i =
+  let ti = t.times.(i) in
+  time < ti || (time = ti && seq < t.seqs.(i))
+
+(* Whether the entry in slot [i] fires before the key (time, seq). *)
+let slot_before t i time seq =
+  let ti = t.times.(i) in
+  ti < time || (ti = time && t.seqs.(i) < seq)
+
+(* Sift an entry up from the hole at slot [i]. Top-level rather than a
+   closure over the entry, so a push allocates nothing. *)
+let rec sift_up t i time seq thunk =
+  if i = 0 then set t 0 time seq thunk
+  else
+    let parent = (i - 1) / 2 in
+    if key_before t time seq parent then begin
+      move t ~src:parent ~dst:i;
+      sift_up t parent time seq thunk
+    end
+    else set t i time seq thunk
+
+(* Sift an entry down from the hole at slot [i] within the first [n]
+   slots. *)
+let rec sift_down t n i time seq thunk =
+  let l = (2 * i) + 1 in
+  if l >= n then set t i time seq thunk
+  else
+    let r = l + 1 in
+    let c = if r < n && slot_before t r t.times.(l) t.seqs.(l) then r else l in
+    if slot_before t c time seq then begin
+      move t ~src:c ~dst:i;
+      sift_down t n c time seq thunk
+    end
+    else set t i time seq thunk
 
 let push t ~time ~seq thunk =
-  if t.size = Array.length t.heap then grow t;
-  let e = { time; seq; thunk } in
-  (* Sift the new entry up from the last leaf. *)
-  let rec up i =
-    if i = 0 then t.heap.(0) <- e
-    else
-      let parent = (i - 1) / 2 in
-      if before e t.heap.(parent) then begin
-        t.heap.(i) <- t.heap.(parent);
-        up parent
-      end
-      else t.heap.(i) <- e
-  in
-  up t.size;
+  if t.size = Array.length t.times then grow t;
+  sift_up t t.size time seq thunk;
   t.size <- t.size + 1
+
+let min_time t = if t.size = 0 then max_int else t.times.(0)
+
+let take t =
+  if t.size = 0 then invalid_arg "Event_queue.take: empty queue";
+  let thunk = t.thunks.(0) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then
+    sift_down t last 0 t.times.(last) t.seqs.(last) t.thunks.(last);
+  t.thunks.(last) <- ignore;
+  thunk
 
 let pop t =
   if t.size = 0 then None
-  else begin
-    let root = t.heap.(0) in
-    t.size <- t.size - 1;
-    let last = t.heap.(t.size) in
-    t.heap.(t.size) <- dummy;
-    if t.size > 0 then begin
-      (* Sift [last] down from the root. *)
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let smallest =
-          if l < t.size && before t.heap.(l) last then l else i
-        in
-        let smallest =
-          if
-            r < t.size
-            && before t.heap.(r)
-                 (if smallest = i then last else t.heap.(smallest))
-          then r
-          else smallest
-        in
-        if smallest = i then t.heap.(i) <- last
-        else begin
-          t.heap.(i) <- t.heap.(smallest);
-          down smallest
-        end
-      in
-      down 0
-    end;
-    Some (root.time, root.thunk)
-  end
-
-let min_time t = if t.size = 0 then max_int else t.heap.(0).time
+  else
+    let time = t.times.(0) in
+    Some (time, take t)

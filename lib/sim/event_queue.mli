@@ -20,6 +20,11 @@ val push : t -> time:Time_ns.t -> seq:int -> (unit -> unit) -> unit
 val pop : t -> (Time_ns.t * (unit -> unit)) option
 (** [pop q] removes and returns the earliest event, or [None] if empty. *)
 
+val take : t -> (unit -> unit)
+(** [take q] removes the earliest event and returns its thunk, allocating
+    nothing; the event's time is [min_time q] just before the call.
+    Raises [Invalid_argument] if [q] is empty. *)
+
 val min_time : t -> Time_ns.t
 (** [min_time q] is the firing time of the earliest event without
     removing it, or [max_int] if [q] is empty. *)

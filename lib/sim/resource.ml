@@ -81,13 +81,15 @@ module Server = struct
 
   let rate t = 1_000.0 /. t.ns_per_byte
 
-  let transfer t ~bytes =
-    if bytes < 0 then invalid_arg "Server.transfer: negative size";
+  let reserve t ~bytes =
+    if bytes < 0 then invalid_arg "Server.reserve: negative size";
     let now = Engine.now t.engine in
     let start = max now t.busy_until in
     let service = int_of_float (Float.round (float_of_int bytes *. t.ns_per_byte)) in
     t.busy_until <- start + service;
-    Engine.delay t.engine (t.busy_until - now)
+    t.busy_until - now
+
+  let transfer t ~bytes = Engine.delay t.engine (reserve t ~bytes)
 
   let busy_until t = t.busy_until
 end

@@ -49,6 +49,11 @@ module Server : sig
   val rate : t -> float
   (** Current service rate in bytes per simulated microsecond. *)
 
+  val reserve : t -> bytes:int -> Time_ns.t
+  (** [reserve t ~bytes] admits a request behind all earlier ones and
+      returns how long from now until the server has serviced it, without
+      blocking: the callback form of {!transfer}. *)
+
   val transfer : t -> bytes:int -> unit
   (** [transfer t ~bytes] blocks the calling fiber until the server has
       serviced this request behind all earlier ones. *)

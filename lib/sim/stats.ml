@@ -1,24 +1,38 @@
-type t = (string, int ref) Hashtbl.t
+(* A cell outlives [reset], which only zeroes it and marks it unused, so
+   a {!counter} handle held by a hot path never goes stale. *)
+type counter = { mutable n : int; mutable used : bool }
+type t = (string, counter) Hashtbl.t
 
 let create () = Hashtbl.create 32
 
-let cell t name =
-  match Hashtbl.find_opt t name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add t name r;
-      r
+let counter t name =
+  match Hashtbl.find t name with
+  | c -> c
+  | exception Not_found ->
+      let c = { n = 0; used = false } in
+      Hashtbl.add t name c;
+      c
 
-let add t name n = cell t name := !(cell t name) + n
+let bump c n =
+  c.n <- c.n + n;
+  c.used <- true
+
+let add t name n = bump (counter t name) n
 let incr t name = add t name 1
-let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
+
+let get t name =
+  match Hashtbl.find t name with c -> c.n | exception Not_found -> 0
 
 let to_list t =
-  Hashtbl.fold (fun k v acc -> (k, !v) :: acc) t []
+  Hashtbl.fold (fun k c acc -> if c.used then (k, c.n) :: acc else acc) t []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let reset t = Hashtbl.reset t
+let reset t =
+  Hashtbl.iter
+    (fun _ c ->
+      c.n <- 0;
+      c.used <- false)
+    t
 
 let pp fmt t =
   List.iter (fun (k, v) -> Format.fprintf fmt "%s=%d@ " k v) (to_list t)

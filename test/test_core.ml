@@ -125,6 +125,32 @@ let test_remote_sees_origin_data_and_vma_sync () =
   check_bool "on-demand VMA sync happened" true
     (Stats.get (Process.stats proc) "vma.sync" >= 1)
 
+(* A fault-free access allocates nothing but [load]'s boxed result: no
+   guard closure, no VMA lookup closure or option, no radix-tree closure,
+   and a [compute] that nothing can interleave with advances the clock in
+   place instead of queueing a timer. *)
+let test_fault_free_access_allocation () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let n = 10_000 in
+  let words = ref nan in
+  ignore
+    (Dex.run cl (fun _proc main ->
+         let cell = Process.malloc main ~bytes:8 ~tag:"cell" in
+         (* Fault the page in and warm the VMA cache first. *)
+         Process.store main cell 1L;
+         ignore (Process.load main cell);
+         Process.compute main ~ns:100;
+         let w0 = Gc.minor_words () in
+         for _ = 1 to n do
+           Process.store main cell 7L;
+           ignore (Process.load main cell);
+           Process.compute main ~ns:100
+         done;
+         words := (Gc.minor_words () -. w0) /. float_of_int n));
+  check_bool
+    (Printf.sprintf "%.1f words per store + load + compute (at most 3)" !words)
+    true (!words <= 3.0)
+
 let expect_segfault f =
   let cl = Dex.cluster ~nodes:2 () in
   match Dex.run cl f with
@@ -1175,6 +1201,8 @@ let () =
             test_munmap_forgets_rehomed_page;
           Alcotest.test_case "mprotect downgrade" `Quick
             test_mprotect_downgrade_broadcast;
+          Alcotest.test_case "fault-free access allocation" `Quick
+            test_fault_free_access_allocation;
         ] );
       ( "delegation",
         [

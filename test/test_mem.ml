@@ -87,6 +87,29 @@ let test_radix_update () =
   let v = Radix_tree.update t 5 ~default:(fun () -> 0) (fun x -> x + 1) in
   check_int "update existing" 2 v
 
+(* Lookups remember the last leaf they went through; hopping between
+   leaves, and to keys with no leaf at all, must never answer from the
+   wrong one. *)
+let test_radix_leaf_hops () =
+  let t = Radix_tree.create () in
+  let find k = Radix_tree.find t k in
+  let check name expected k =
+    Alcotest.(check (option int)) name expected (find k)
+  in
+  Radix_tree.set t 5 1;
+  check "first leaf" (Some 1) 5;
+  check "neighbouring leaf absent" None 517;
+  check "far key absent" None (5 + (512 * 512));
+  check "back to the first leaf" (Some 1) 5;
+  Radix_tree.set t 517 2;
+  check "second leaf" (Some 2) 517;
+  check "same slot, first leaf" (Some 1) 5;
+  Radix_tree.remove t 517;
+  check "removed" None 517;
+  Radix_tree.remove t (5 + (512 * 512));
+  check "removing an absent key keeps the rest" (Some 1) 5;
+  check_int "length" 1 (Radix_tree.length t)
+
 let prop_radix_model =
   QCheck.Test.make ~name:"radix tree behaves like a hashtable" ~count:200
     QCheck.(list (pair (int_bound 10_000) (option (int_bound 100))))
@@ -126,6 +149,31 @@ let test_vma_tree_find () =
   check_bool "gap is unmapped" true (Vma_tree.find t (50 * page) = None);
   check_bool "before first" true (Vma_tree.find t 0 = None);
   check_bool "end exclusive" true (Vma_tree.find t (15 * page) = None)
+
+(* [find] keeps its last hit; each change to the tree must drop it so the
+   next lookup sees the new layout. *)
+let test_vma_tree_find_after_change () =
+  let t = Vma_tree.create () in
+  let at p =
+    Option.map (fun v -> (v.Vma.tag, v.Vma.start / page, v.Vma.perm = Perm.rw))
+      (Vma_tree.find t (p * page))
+  in
+  let check name expected p =
+    Alcotest.(check (option (triple string int bool))) name expected (at p)
+  in
+  Vma_tree.insert t (vma 10 5 Perm.rw "a");
+  check "a found" (Some ("a", 10, true)) 12;
+  Vma_tree.insert t (vma 20 5 Perm.rw "b");
+  check "new VMA after insert" (Some ("b", 20, true)) 21;
+  check "a still found" (Some ("a", 10, true)) 12;
+  ignore (Vma_tree.protect_range t ~start:(12 * page) ~len:page ~perm:Perm.ro);
+  check "protected middle" (Some ("a", 12, false)) 12;
+  check "left fragment" (Some ("a", 10, true)) 11;
+  ignore (Vma_tree.remove_range t ~start:(10 * page) ~len:(2 * page));
+  check "removed range" None 11;
+  check "protected part survives" (Some ("a", 12, false)) 12;
+  ignore (Vma_tree.remove_range t ~start:(12 * page) ~len:page);
+  check "removed after a hit" None 12
 
 let test_vma_tree_overlap_rejected () =
   let t = Vma_tree.create () in
@@ -503,6 +551,7 @@ let () =
           Alcotest.test_case "sparse keys" `Quick test_radix_sparse_keys;
           Alcotest.test_case "sorted iteration" `Quick test_radix_iter_sorted;
           Alcotest.test_case "update" `Quick test_radix_update;
+          Alcotest.test_case "leaf hops" `Quick test_radix_leaf_hops;
         ]
         @ qsuite [ prop_radix_model ] );
       ( "vma_tree",
@@ -514,6 +563,8 @@ let () =
           Alcotest.test_case "remove spanning" `Quick
             test_vma_tree_remove_spanning;
           Alcotest.test_case "protect splits" `Quick test_vma_tree_protect;
+          Alcotest.test_case "find after change" `Quick
+            test_vma_tree_find_after_change;
         ]
         @ qsuite [ prop_vma_tree_invariant ] );
       ( "page_table",

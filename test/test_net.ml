@@ -157,6 +157,29 @@ let test_per_path_accounting () =
   check_int "no recv-pool waits" 0 (Fabric.recv_pool_waits fabric);
   check_int "no sink waits" 0 (Fabric.sink_waits fabric)
 
+(* The fabric keeps a handle on each counter it bumps per message; a
+   reset of its counter table must not leave those handles counting into
+   counters nobody reads. *)
+let test_counters_survive_reset () =
+  let e = Engine.create () in
+  let fabric = Fabric.create e (small_cfg ()) in
+  Fabric.set_handler fabric ~node:1 (fun _ _ -> ());
+  let send size =
+    Engine.spawn e (fun () ->
+        Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size (Msg.Ping 0));
+    Engine.run_until_quiescent e
+  in
+  send 64;
+  let st = Fabric.stats fabric in
+  Stats.reset st;
+  Alcotest.(check (list (pair string int))) "reset empties the table" []
+    (Stats.to_list st);
+  send 32;
+  Alcotest.(check (list (pair string int)))
+    "counted after the reset"
+    [ ("bytes.ctl", 32); ("bytes.verb", 32); ("path.verb", 1); ("sent.ctl", 1) ]
+    (Stats.to_list st)
+
 let test_send_pool_backpressure () =
   let e = Engine.create () in
   let fabric = Fabric.create e (small_cfg ~send_pool_slots:1 ()) in
@@ -593,6 +616,8 @@ let () =
             test_zero_size_messages;
           Alcotest.test_case "per-path accounting" `Quick
             test_per_path_accounting;
+          Alcotest.test_case "counters survive a stats reset" `Quick
+            test_counters_survive_reset;
         ] );
       ( "chaos",
         [

@@ -899,6 +899,96 @@ let test_rehome_inside_handler_delay () =
    autopilot's levers mid-run — re-homes to random nodes, replicate marks
    and pins on exactly the hot pages — on a chaotic fabric with sharded
    homes underneath. *)
+(* ------------------------------------------------------------------ *)
+(* Page-buffer ownership. [Page_store.install] adopts the buffer it is
+   given, so a path that hands one page image to two places must copy.
+   Writing straight into one side's store must leave the other side's
+   bytes alone. *)
+
+let raw_word coh ~node vpn =
+  Page_store.read_i64 (Coherence.page_store coh ~node) vpn ~offset:0
+
+let check_unshared name coh vpn ~writer ~other =
+  let before = raw_word coh ~node:other vpn in
+  Page_store.write_i64 (Coherence.page_store coh ~node:writer) vpn ~offset:0
+    (Int64.add (raw_word coh ~node:writer vpn) 1000L);
+  check_i64 name before (raw_word coh ~node:other vpn)
+
+let expect_rehome coh ~vpn ~node =
+  match Coherence.rehome_page coh ~vpn ~node with
+  | `Rehomed -> ()
+  | _ -> Alcotest.fail "setup re-home must succeed"
+
+(* A read grant with data from a re-homed page's serving home (node 2)
+   also mirrors the image back to the static home (node 0). *)
+let test_grant_data_not_shared () =
+  let engine, coh = setup ~nodes:4 () in
+  let vpn = Page.page_of_addr addr0 in
+  let mirrors () = Stats.get (Coherence.stats coh) "autopilot.mirrors" in
+  run_fiber engine (fun () ->
+      Coherence.store_i64 coh ~node:0 ~tid:0 addr0 7L;
+      expect_rehome coh ~vpn ~node:2;
+      let m0 = mirrors () in
+      check_i64 "read through the serving home" 7L
+        (Coherence.load_i64 coh ~node:1 ~tid:1 addr0);
+      check_bool "the grant was mirrored" true (mirrors () > m0));
+  check_unshared "requester vs serving home" coh vpn ~writer:1 ~other:2;
+  check_unshared "requester vs static home" coh vpn ~writer:1 ~other:0;
+  check_unshared "serving home vs static home" coh vpn ~writer:2 ~other:0
+
+(* The serving home's own read reclaims the page from its exclusive owner
+   (node 1), installs the pulled-back image and mirrors it to the static
+   home; the grant to itself carries no data, so nothing re-mirrors. *)
+let test_reclaim_data_not_shared () =
+  let engine, coh = setup ~nodes:4 () in
+  let vpn = Page.page_of_addr addr0 in
+  let mirrors () = Stats.get (Coherence.stats coh) "autopilot.mirrors" in
+  run_fiber engine (fun () ->
+      Coherence.store_i64 coh ~node:0 ~tid:0 addr0 7L;
+      expect_rehome coh ~vpn ~node:2;
+      Coherence.store_i64 coh ~node:1 ~tid:1 addr0 8L;
+      let m0 = mirrors () in
+      check_i64 "the home reads the owner's write" 8L
+        (Coherence.load_i64 coh ~node:2 ~tid:2 addr0);
+      check_bool "the reclaim was mirrored" true (mirrors () > m0));
+  check_unshared "serving home vs static home" coh vpn ~writer:2 ~other:0;
+  check_unshared "static home vs serving home" coh vpn ~writer:0 ~other:2;
+  check_unshared "owner vs serving home" coh vpn ~writer:1 ~other:2
+
+(* One read grant of a replicate-marked page pushes copies to the two
+   displaced readers (nodes 2 and 3). *)
+let test_pushed_copies_not_shared () =
+  let engine, coh = setup ~nodes:4 () in
+  let vpn = Page.page_of_addr addr0 in
+  run_fiber engine (fun () ->
+      Coherence.store_i64 coh ~node:0 ~tid:0 addr0 1L;
+      for node = 1 to 3 do
+        ignore (Coherence.load_i64 coh ~node ~tid:node addr0)
+      done;
+      Coherence.mark_replicate coh ~first:vpn ~last:vpn;
+      Coherence.store_i64 coh ~node:0 ~tid:0 addr0 2L;
+      ignore (Coherence.load_i64 coh ~node:1 ~tid:1 addr0));
+  check_int "both readers got a push" 2
+    (Stats.get (Coherence.stats coh) "autopilot.replica_pushes");
+  check_unshared "pushed copies" coh vpn ~writer:2 ~other:3;
+  check_unshared "pushed copy vs home" coh vpn ~writer:2 ~other:0;
+  check_unshared "pushed copy vs requester" coh vpn ~writer:3 ~other:1
+
+(* Promotion backfills the new origin from the replica's image, which the
+   replica keeps (and every other standby shares): the promoted store
+   must hold its own copy. *)
+let test_promoted_image_not_shared () =
+  let engine, coh = setup ~nodes:3 () in
+  let vpn = Page.page_of_addr addr0 in
+  let image = Bytes.make Page.size '\000' in
+  Bytes.set_int64_le image 0 5L;
+  run_fiber engine (fun () ->
+      Coherence.promote coh ~new_origin:1 ~dir_entries:[]
+        ~page_data:[ (vpn, image) ]);
+  check_i64 "the promoted store holds the image" 5L (raw_word coh ~node:1 vpn);
+  Page_store.write_i64 (Coherence.page_store coh ~node:1) vpn ~offset:0 6L;
+  check_i64 "the replica's image is untouched" 5L (Bytes.get_int64_le image 0)
+
 let prop_monotonic_under_autopilot_actions ~name () =
   QCheck.Test.make ~name ~count:15
     QCheck.(pair small_int (int_range 1 4))
@@ -1046,6 +1136,17 @@ let () =
                 ~name:"invariants + ghost-free directory under mid-run crash"
                 ();
             ] );
+      ( "buffers",
+        [
+          Alcotest.test_case "grant data is not shared" `Quick
+            test_grant_data_not_shared;
+          Alcotest.test_case "reclaimed data is not shared" `Quick
+            test_reclaim_data_not_shared;
+          Alcotest.test_case "pushed copies are not shared" `Quick
+            test_pushed_copies_not_shared;
+          Alcotest.test_case "promoted image is not shared" `Quick
+            test_promoted_image_not_shared;
+        ] );
       ( "autopilot",
         [
           Alcotest.test_case "re-home moves serving authority" `Quick

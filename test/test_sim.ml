@@ -148,6 +148,97 @@ let test_engine_delay_keeps_order () =
     [ ("same instant", 10); ("resumed", 10) ]
     (List.rev !log)
 
+(* A delay that nothing can interleave with advances the clock in place,
+   but never past the bound of the enclosing [run ~until]: the second
+   delay must park the fiber until the next [run]. *)
+let test_engine_inline_delay_respects_until () =
+  let e = Engine.create () in
+  let log = ref [] in
+  Engine.spawn e (fun () ->
+      Engine.delay e 3;
+      log := Engine.now e :: !log;
+      Engine.delay e 10;
+      log := Engine.now e :: !log);
+  Engine.run ~until:5 e;
+  Alcotest.(check (list int))
+    "stops after the first delay" [ 3 ] (List.rev !log);
+  check_int "clock at the first wake-up" 3 (Engine.now e);
+  Engine.run e;
+  Alcotest.(check (list int))
+    "resumes on the next run" [ 3; 13 ] (List.rev !log)
+
+(* A fiber whose delays end before every queued event resumes before
+   that event; a delay ending on the event's instant lets it go first. *)
+let test_engine_short_delay_runs_first () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := (s, Engine.now e) :: !log in
+  Engine.schedule e ~delay:10 (note "event");
+  Engine.spawn e (fun () ->
+      Engine.delay e 4;
+      note "resumed" ();
+      Engine.delay e 5;
+      note "resumed" ();
+      Engine.delay e 1;
+      note "resumed" ());
+  Engine.run_until_quiescent e;
+  Alcotest.(check (list (pair string int)))
+    "order"
+    [ ("resumed", 4); ("resumed", 9); ("event", 10); ("resumed", 10) ]
+    (List.rev !log)
+
+(* [after] is the callback form of [delay]: two actors sleeping through
+   the same schedule, with wake-ups that collide with each other and with
+   queued events, log the same trace as fibers calling [delay], and as
+   fibers that sleep the long way round, a timer resuming a [suspend]
+   (every resume bounces through a zero-delay event). *)
+let test_engine_after_matches_delay () =
+  let trace style =
+    let e = Engine.create () in
+    let log = Buffer.create 256 in
+    let note s =
+      Buffer.add_string log (Printf.sprintf "%s@%d;" s (Engine.now e))
+    in
+    List.iteri
+      (fun i at ->
+        Engine.schedule e ~delay:at (fun () -> note (Printf.sprintf "e%d" i)))
+      [ 0; 3; 5; 5; 8; 12; 15 ];
+    let sleep d k =
+      match style with
+      | `Delay ->
+          Engine.delay e d;
+          k ()
+      | `Suspend ->
+          Engine.suspend e (fun resume -> Engine.schedule e ~delay:d resume);
+          k ()
+      | `After -> Engine.after e d k
+    in
+    let rec chain name i = function
+      | [] -> ()
+      | d :: ds ->
+          sleep d (fun () ->
+              note (Printf.sprintf "%s%d" name i);
+              (* An event queued behind the actor's next wake-up. *)
+              (match ds with
+              | d' :: _ ->
+                  Engine.schedule e ~delay:d' (fun () -> note (name ^ "!"))
+              | [] -> ());
+              chain name (i + 1) ds)
+    in
+    let start name ds =
+      match style with
+      | `Delay | `Suspend -> Engine.spawn e (fun () -> chain name 0 ds)
+      | `After -> Engine.schedule e ~delay:0 (fun () -> chain name 0 ds)
+    in
+    start "a" [ 3; 0; 2; 3; 4; 1; 2 ];
+    start "b" [ 5; 3; 0; 4; 3; 0 ];
+    Engine.run_until_quiescent e;
+    Buffer.contents log
+  in
+  let reference = trace `Suspend in
+  Alcotest.(check string) "delay" reference (trace `Delay);
+  Alcotest.(check string) "after" reference (trace `After)
+
 let test_engine_determinism () =
   let run_once () =
     let e = Engine.create () in
@@ -456,6 +547,12 @@ let () =
           Alcotest.test_case "delay keeps same-instant order" `Quick
             test_engine_delay_keeps_order;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
+          Alcotest.test_case "inline delay respects run ~until" `Quick
+            test_engine_inline_delay_respects_until;
+          Alcotest.test_case "short delay runs before queued event" `Quick
+            test_engine_short_delay_runs_first;
+          Alcotest.test_case "after matches delay" `Quick
+            test_engine_after_matches_delay;
         ] );
       ( "waitq",
         [
