@@ -70,8 +70,7 @@ let reference_tallies p ~seed = Array.copy (oracle p ~seed).reference
 
 let reference_checksum p ~seed = (oracle p ~seed).reference_checksum
 
-let body p ctx main =
-  let o = oracle p ~seed:ctx.A.seed in
+let body p o ctx main =
   let threads = ctx.A.threads in
   let nbatches = batches p in
   (* Read-only solver parameters and the shared work-claim counter: packed
@@ -141,4 +140,5 @@ let body p ctx main =
   checksum final
 
 let run ~nodes ~variant ?config ?proto ?(params = default_params) ?(seed = 17) () =
-  A.run_app ~name:"EP" ~nodes ~variant ?config ?proto ~seed (body params)
+  A.run_app ~name:"EP" ~nodes ~variant ?config ?proto ~seed (fun ctx main ->
+      body params (oracle params ~seed:ctx.A.seed) ctx main)

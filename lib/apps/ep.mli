@@ -45,10 +45,15 @@ val reference_checksum : params -> seed:int -> int64
     words with [fetch_add] and the main thread loads the totals, so a lost
     or doubled batch changes it. *)
 
-val body : params -> App_common.ctx -> Dex_core.Process.thread -> int64
-(** The application body, for callers that build their own process on a
-    shared cluster (the serving layer); returns the run's checksum.
-    {!run} wraps it in a fresh single-process rack. *)
+val body :
+  params -> oracle -> App_common.ctx -> Dex_core.Process.thread -> int64
+(** [body p o ctx main] is the application body, for callers that build
+    their own process on a shared cluster (the serving layer); [o] must be
+    [oracle p ~seed:ctx.seed]. Returns the run's checksum. Taking the
+    oracle lets such a caller build it once per request and keep it,
+    instead of looking it up in the one-slot memo, which another request's
+    lookup may have evicted. {!run} wraps the body in a fresh
+    single-process rack and takes the oracle from the memo. *)
 
 val run :
   nodes:int ->

@@ -15,7 +15,7 @@ type 'o t = {
 type 'o role = Leader | Follower of 'o | Conflict
 
 let create engine () =
-  { engine; table = Hashtbl.create 64; coalesced = 0 }
+  { engine; table = Hashtbl.create 16; coalesced = 0 }
 
 let enter t ~vpn ~access =
   match Hashtbl.find_opt t.table vpn with

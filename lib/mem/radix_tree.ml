@@ -1,14 +1,24 @@
-(* Four levels of 9 bits: keys in [0, 2^36). *)
+(* Keys in [0, 2^36), split into a prefix ([key lsr bits]) and a slot in
+   the prefix's 512-slot leaf. Only leaves exist: a hash table maps each
+   prefix that ever held a key to its leaf. *)
 
 let bits = 9
 let fanout = 1 lsl bits
-let levels = 4
-let max_key = (1 lsl (bits * levels)) - 1
+let max_key = (1 lsl 36) - 1
 
-type 'a node = Interior of 'a node option array | Leaf of 'a option array
+(* Prefixes of far-apart regions (text, heap, mmap, TLS, stacks) share
+   their low bits; a multiplicative hash spreads them over the buckets.
+   Prefixes are below 2^27, so the product's bits from 30 up depend on
+   every bit of the prefix. *)
+module Leaves = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash p = (p * 0x2545_F491_4F6C_DD1D) lsr 30
+end)
 
 type 'a t = {
-  root : 'a node;
+  leaves : 'a option array Leaves.t;
   mutable length : int;
   mutable last_prefix : int;
   mutable last_leaf : 'a option array;
@@ -17,69 +27,49 @@ type 'a t = {
          cached one stays the tree's. *)
 }
 
-let new_interior () = Interior (Array.make fanout None)
-let new_leaf () = Leaf (Array.make fanout None)
-
 let create () =
-  { root = new_interior (); length = 0; last_prefix = -1; last_leaf = [||] }
+  { leaves = Leaves.create 1; length = 0; last_prefix = -1; last_leaf = [||] }
 
 let check_key key name =
   if key < 0 || key > max_key then
     invalid_arg (Printf.sprintf "Radix_tree.%s: key %d out of range" name key)
 
-let slot key level = (key lsr (bits * level)) land (fanout - 1)
+let slot key = key land (fanout - 1)
 
-(* The leaf holding [key], or [[||]] when there is none. Top-level rather
-   than a closure over [key]: a lookup allocates nothing. *)
-let rec leaf_in node key level =
-  match node with
-  | Leaf cells -> cells
-  | Interior children -> (
-      match children.(slot key level) with
-      | None -> [||]
-      | Some child -> leaf_in child key (level - 1))
-
-(* The leaf holding [key], creating the path to it. *)
-let rec leaf_create node key level =
-  match node with
-  | Leaf cells -> cells
-  | Interior children ->
-      let s = slot key level in
-      let child =
-        match children.(s) with
-        | Some c -> c
-        | None ->
-            let c = if level = 1 then new_leaf () else new_interior () in
-            children.(s) <- Some c;
-            c
-      in
-      leaf_create child key (level - 1)
-
-let cache t key cells =
-  if Array.length cells > 0 then begin
-    t.last_prefix <- key lsr bits;
-    t.last_leaf <- cells
-  end;
-  cells
-
+(* The leaf holding [key], or [[||]] when there is none. [Leaves.find]
+   raises the preallocated [Not_found], so a miss allocates nothing. *)
 let leaf t key =
-  if key lsr bits = t.last_prefix then t.last_leaf
-  else cache t key (leaf_in t.root key (levels - 1))
+  let prefix = key lsr bits in
+  if prefix = t.last_prefix then t.last_leaf
+  else
+    match Leaves.find t.leaves prefix with
+    | cells ->
+        t.last_prefix <- prefix;
+        t.last_leaf <- cells;
+        cells
+    | exception Not_found -> [||]
 
 let find t key =
   check_key key "find";
   let cells = leaf t key in
-  if Array.length cells = 0 then None else cells.(slot key 0)
+  if Array.length cells = 0 then None else cells.(slot key)
 
 let mem t key = Option.is_some (find t key)
 
 let set t key v =
   check_key key "set";
   let cells =
-    if key lsr bits = t.last_prefix then t.last_leaf
-    else cache t key (leaf_create t.root key (levels - 1))
+    match leaf t key with
+    | [||] ->
+        let prefix = key lsr bits in
+        let cells = Array.make fanout None in
+        Leaves.add t.leaves prefix cells;
+        t.last_prefix <- prefix;
+        t.last_leaf <- cells;
+        cells
+    | cells -> cells
   in
-  let s = slot key 0 in
+  let s = slot key in
   if Option.is_none cells.(s) then t.length <- t.length + 1;
   cells.(s) <- Some v
 
@@ -87,7 +77,7 @@ let remove t key =
   check_key key "remove";
   let cells = leaf t key in
   if Array.length cells > 0 then begin
-    let s = slot key 0 in
+    let s = slot key in
     if Option.is_some cells.(s) then t.length <- t.length - 1;
     cells.(s) <- None
   end
@@ -99,23 +89,17 @@ let update t key ~default f =
 
 let length t = t.length
 
+(* Sorting the prefixes per call is fine: only crash reclaim, range zaps,
+   snapshots and invariant checks iterate. *)
 let iter t f =
-  let rec go node level prefix =
-    match node with
-    | Leaf cells ->
-        for s = 0 to fanout - 1 do
-          match cells.(s) with
-          | None -> ()
-          | Some v -> f ((prefix lsl bits) lor s) v
-        done
-    | Interior children ->
-        for s = 0 to fanout - 1 do
-          match children.(s) with
-          | None -> ()
-          | Some child -> go child (level - 1) ((prefix lsl bits) lor s)
-        done
-  in
-  go t.root (levels - 1) 0
+  Leaves.fold (fun prefix cells acc -> (prefix, cells) :: acc) t.leaves []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  |> List.iter (fun (prefix, cells) ->
+         for s = 0 to fanout - 1 do
+           match cells.(s) with
+           | None -> ()
+           | Some v -> f ((prefix lsl bits) lor s) v
+         done)
 
 let fold t ~init ~f =
   let acc = ref init in

@@ -1,10 +1,16 @@
-(** Radix tree keyed by virtual page number.
+(** Page-number table: the per-process radix tree DeX keeps in the kernel
+    to index page ownership by virtual page number (§III-B).
 
-    Mirrors the per-process radix tree DeX uses in the kernel to index page
-    ownership information by virtual page address: four levels of 512-way
-    fan-out cover a 36-bit page-number space (48-bit addresses / 4 KB
-    pages). Lookup and update are O(4); densely clustered keys share
-    interior nodes. *)
+    The kernel tree is what the model describes; no simulated cost depends
+    on how the host stores it. On the host, a table holds only leaves: a
+    hash table maps each 512-page prefix ([key lsr 9], one 2 MB region)
+    that ever held a key to its 512-slot leaf. An empty table holds no
+    leaf, a table whose keys lie in one 2 MB region holds exactly one, and
+    so a table costs in proportion to the regions it maps, as a kernel
+    radix tree grows nodes only as keys arrive. Keys span a 36-bit
+    page-number space (48-bit addresses / 4 KB pages). {!find} and {!mem}
+    allocate nothing, on a hit or a miss; the last leaf looked up is
+    remembered, so runs of nearby keys skip the hash. *)
 
 type 'a t
 

@@ -5,7 +5,7 @@ module A = Dex_apps.App_common
 type request = {
   rq_arrival : Time_ns.t;
   rq_seed : int;
-  rq_expected : int64;
+  rq_oracle : Dex_apps.Ep.oracle;  (* built once, at admission *)
   mutable rq_got : int64 option;
 }
 
@@ -81,41 +81,49 @@ let required_nodes cfg =
 let place t ten =
   let n = Cluster.nodes t.cl in
   let alive node = not (Cluster.node_crashed t.cl ~node) in
-  match Dex_net.Fabric.live_nodes (Cluster.fabric t.cl) with
-  | [] -> None
-  | live ->
-      let live_arr = Array.of_list live in
-      let nlive = Array.length live_arr in
-      let used = Hashtbl.create 8 in
-      let pick preferred =
-        if alive preferred then begin
-          Hashtbl.replace used preferred ();
-          preferred
-        end
-        else begin
-          let start = ref 0 in
-          Array.iteri (fun i x -> if x < preferred then start := i + 1) live_arr;
-          let rec go k =
-            if k = nlive then live_arr.(!start mod nlive)
-            else
-              let cand = live_arr.((!start + k) mod nlive) in
-              if Hashtbl.mem used cand then go (k + 1)
-              else begin
-                Hashtbl.replace used cand ();
-                cand
-              end
-          in
-          go 0
-        end
-      in
-      let origin = pick (ten.base mod n) in
-      let offset = if t.cfg.ha then 1 else 0 in
-      let workers =
-        Array.init request_nodes (fun v ->
-            if (not t.cfg.ha) && v = 0 then origin
-            else pick ((ten.base + offset + v) mod n))
-      in
-      Some (origin, fun v -> workers.(v))
+  let offset = if t.cfg.ha then 1 else 0 in
+  (* Without [ha], worker 0's preference is the origin's. *)
+  let preferred v = (ten.base + offset + v) mod n in
+  let rec all_alive v =
+    v = request_nodes || (alive (preferred v) && all_alive (v + 1))
+  in
+  if alive (ten.base mod n) && all_alive 0 then Some (ten.base mod n, preferred)
+  else
+    match Dex_net.Fabric.live_nodes (Cluster.fabric t.cl) with
+    | [] -> None
+    | live ->
+        let live_arr = Array.of_list live in
+        let nlive = Array.length live_arr in
+        let used = Hashtbl.create 8 in
+        let pick preferred =
+          if alive preferred then begin
+            Hashtbl.replace used preferred ();
+            preferred
+          end
+          else begin
+            let start = ref 0 in
+            Array.iteri
+              (fun i x -> if x < preferred then start := i + 1)
+              live_arr;
+            let rec go k =
+              if k = nlive then live_arr.(!start mod nlive)
+              else
+                let cand = live_arr.((!start + k) mod nlive) in
+                if Hashtbl.mem used cand then go (k + 1)
+                else begin
+                  Hashtbl.replace used cand ();
+                  cand
+                end
+            in
+            go 0
+          end
+        in
+        let origin = pick (ten.base mod n) in
+        let workers =
+          Array.init request_nodes (fun v ->
+              if (not t.cfg.ha) && v = 0 then origin else pick (preferred v))
+        in
+        Some (origin, fun v -> workers.(v))
 
 let complete t ten req =
   ten.completed <- ten.completed + 1;
@@ -126,7 +134,7 @@ let complete t ten req =
       (* Order-insensitive digest: comparable across runs that admitted
          the same requests, whatever the interleaving. *)
       ten.digest <- Int64.add ten.digest cs;
-      if not (Int64.equal cs req.rq_expected) then begin
+      if not (Int64.equal cs req.rq_oracle.reference_checksum) then begin
         ten.corrupted <- ten.corrupted + 1;
         Stats.incr t.stats "serve.corrupted"
       end
@@ -205,7 +213,9 @@ and start_run t ten req =
                   }
                 in
                 req.rq_got <-
-                  Some (Dex_apps.Ep.body Serve_config.tiny_ep ctx th))
+                  Some
+                    (Dex_apps.Ep.body Serve_config.tiny_ep req.rq_oracle ctx
+                       th))
           in
           ())
 
@@ -221,7 +231,7 @@ let on_arrival t ten =
     {
       rq_arrival = Engine.now t.eng;
       rq_seed = seed;
-      rq_expected = Dex_apps.Ep.reference_checksum Serve_config.tiny_ep ~seed;
+      rq_oracle = Dex_apps.Ep.oracle Serve_config.tiny_ep ~seed;
       rq_got = None;
     }
   in

@@ -187,6 +187,36 @@ let test_ep () =
         expected (run 2 variant ()).A.checksum)
     [ A.Initial; A.Optimized ]
 
+(* [Ep.body] runs against the oracle it is given, even after another
+   seed's lookup has evicted that oracle from the memo. *)
+let test_ep_body_oracle () =
+  let seed = 5 in
+  let o = Ep.oracle ep_small ~seed in
+  let expected = Ep.reference_checksum ep_small ~seed in
+  List.iter
+    (fun (nodes, variant) ->
+      ignore (Ep.oracle ep_small ~seed:(seed + 1));
+      let cl = Dex_core.Dex.cluster ~nodes () in
+      let got = ref 0L in
+      ignore
+        (Dex_core.Dex.run cl (fun proc main ->
+             let ctx =
+               {
+                 A.proc;
+                 cl;
+                 variant;
+                 nodes;
+                 threads = 2 * nodes;
+                 seed;
+                 nodemap = Fun.id;
+               }
+             in
+             got := Ep.body ep_small o ctx main));
+      Alcotest.(check int64)
+        (Printf.sprintf "EP body, %d node(s), %s" nodes (A.variant_name variant))
+        expected !got)
+    [ (1, A.Initial); (1, A.Optimized); (2, A.Initial); (2, A.Optimized) ]
+
 let bt_small =
   { Npb_bt.timesteps = 2; regions_per_step = 2; cells = 20_000;
     ns_per_cell = 10.0; update_chunk = 1024 }
@@ -295,6 +325,8 @@ let () =
           Alcotest.test_case "KMN oracle keyed on clusters" `Quick
             test_kmn_oracle_keyed_on_clusters;
           Alcotest.test_case "EP correctness" `Quick test_ep;
+          Alcotest.test_case "EP body takes its oracle" `Quick
+            test_ep_body_oracle;
           Alcotest.test_case "BT correctness" `Quick test_bt;
           Alcotest.test_case "FT correctness" `Quick test_ft;
           Alcotest.test_case "BLK correctness" `Quick test_blk;

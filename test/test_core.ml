@@ -151,6 +151,34 @@ let test_fault_free_access_allocation () =
     (Printf.sprintf "%.1f words per store + load + compute (at most 3)" !words)
     true (!words <= 3.0)
 
+(* Bytes allocated so far, both heaps. OCaml 5.1's [Gc.allocated_bytes]
+   counts each minor-heap word as one byte; [Gc.minor_words] is exact. *)
+let allocated_bytes () =
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words () +. major -. promoted) *. float_of_int (Sys.word_size / 8)
+
+(* A process pays for the nodes and pages it uses, not for the rack: on
+   8 nodes, creating a process and shutting it down allocates at most
+   24 KB (about 112 KB when every page-number table began with a 4 KB
+   root array). The first round warms what a cluster builds once. *)
+let test_process_allocation_budget () =
+  let cl = Dex.cluster ~nodes:8 () in
+  let create_and_shut_down () =
+    let a0 = allocated_bytes () in
+    let proc = Process.create cl () in
+    Engine.spawn (Cluster.engine cl) ~label:"shutdown" (fun () ->
+        Process.shutdown proc);
+    Cluster.run cl;
+    allocated_bytes () -. a0
+  in
+  ignore (create_and_shut_down ());
+  let bytes = create_and_shut_down () in
+  check_bool
+    (Printf.sprintf "%.0f bytes per Process.create + shutdown (at most 24 KB)"
+       bytes)
+    true
+    (bytes <= 24. *. 1024.)
+
 let expect_segfault f =
   let cl = Dex.cluster ~nodes:2 () in
   match Dex.run cl f with
@@ -1203,6 +1231,11 @@ let () =
             test_mprotect_downgrade_broadcast;
           Alcotest.test_case "fault-free access allocation" `Quick
             test_fault_free_access_allocation;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "process create + shutdown allocation" `Quick
+            test_process_allocation_budget;
         ] );
       ( "delegation",
         [

@@ -110,6 +110,54 @@ let test_radix_leaf_hops () =
   check "removing an absent key keeps the rest" (Some 1) 5;
   check_int "length" 1 (Radix_tree.length t)
 
+(* Keys of far-apart regions land in leaves of their own; iteration must
+   still visit them in increasing key order, whatever the insertion order. *)
+let test_radix_far_keys () =
+  let t = Radix_tree.create () in
+  let max_key = (1 lsl 36) - 1 in
+  let vpn addr = Page.page_of_addr addr in
+  let keys =
+    [
+      vpn Layout.stack_base;
+      vpn Layout.heap_base;
+      max_key;
+      vpn Layout.text_base;
+      vpn Layout.tls_base;
+      vpn Layout.mmap_base;
+      vpn Layout.heap_base + 1;
+    ]
+  in
+  List.iter (fun k -> Radix_tree.set t k (k * 3)) keys;
+  List.iter
+    (fun k ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "key %d" k)
+        (Some (k * 3)) (Radix_tree.find t k))
+    keys;
+  let sorted = List.sort Int.compare keys in
+  let visited = ref [] in
+  Radix_tree.iter t (fun k v ->
+      check_int "iter value" (k * 3) v;
+      visited := k :: !visited);
+  Alcotest.(check (list int)) "iter ascending" sorted (List.rev !visited);
+  Alcotest.(check (list int))
+    "fold ascending" sorted
+    (List.rev (Radix_tree.fold t ~init:[] ~f:(fun k _ acc -> k :: acc)))
+
+let test_radix_length () =
+  let t = Radix_tree.create () in
+  let far = (1 lsl 36) - 1 in
+  Radix_tree.set t 7 'a';
+  Radix_tree.set t far 'b';
+  check_int "set" 2 (Radix_tree.length t);
+  Radix_tree.set t 7 'c';
+  check_int "re-set" 2 (Radix_tree.length t);
+  Radix_tree.remove t far;
+  check_int "remove" 1 (Radix_tree.length t);
+  Radix_tree.set t far 'd';
+  check_int "re-set after remove" 2 (Radix_tree.length t);
+  Alcotest.(check (option char)) "re-set value" (Some 'd') (Radix_tree.find t far)
+
 let prop_radix_model =
   QCheck.Test.make ~name:"radix tree behaves like a hashtable" ~count:200
     QCheck.(list (pair (int_bound 10_000) (option (int_bound 100))))
@@ -536,6 +584,47 @@ let test_radix_fold_ordered () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets *)
+
+(* Words allocated so far, both heaps: [Gc.minor_words] alone misses
+   blocks too large for the minor heap, such as a 512-slot array. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let test_radix_create_budget () =
+  let w0 = allocated_words () in
+  let t = Sys.opaque_identity (Radix_tree.create ()) in
+  let words = allocated_words () -. w0 in
+  check_bool
+    (Printf.sprintf "%.0f words per create (under 64)" words)
+    true (words < 64.);
+  check_int "empty" 0 (Radix_tree.length t)
+
+(* Hits alternate between two leaves, so every lookup passes the last-leaf
+   cache and reaches the leaf table; misses look up a region with no leaf. *)
+let test_radix_find_budget () =
+  let t = Radix_tree.create () in
+  let a = Page.page_of_addr Layout.heap_base
+  and b = Page.page_of_addr Layout.stack_base
+  and absent = Page.page_of_addr Layout.mmap_base in
+  Radix_tree.set t a 1;
+  Radix_tree.set t b 2;
+  let words_for key =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      ignore (Sys.opaque_identity (Radix_tree.find t a));
+      ignore (Sys.opaque_identity (Radix_tree.find t key))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let hit = words_for b and miss = words_for absent in
+  check_bool (Printf.sprintf "%.0f words for 2000 hits" hit) true (hit = 0.);
+  check_bool
+    (Printf.sprintf "%.0f words for 1000 hits + 1000 misses" miss)
+    true (miss = 0.)
+
 let () =
   Alcotest.run "dex_mem"
     [
@@ -552,6 +641,8 @@ let () =
           Alcotest.test_case "sorted iteration" `Quick test_radix_iter_sorted;
           Alcotest.test_case "update" `Quick test_radix_update;
           Alcotest.test_case "leaf hops" `Quick test_radix_leaf_hops;
+          Alcotest.test_case "far keys" `Quick test_radix_far_keys;
+          Alcotest.test_case "length" `Quick test_radix_length;
         ]
         @ qsuite [ prop_radix_model ] );
       ( "vma_tree",
@@ -609,6 +700,11 @@ let () =
             test_allocator_tls_per_thread;
           Alcotest.test_case "stack layout" `Quick test_layout_stacks_disjoint;
           Alcotest.test_case "exhaustion" `Quick test_allocator_exhaustion;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "radix create" `Quick test_radix_create_budget;
+          Alcotest.test_case "radix find" `Quick test_radix_find_budget;
         ] );
       ( "misc",
         [

@@ -142,6 +142,18 @@ let test_run_deterministic () =
       check_bool "digest" true (Int64.equal x.tr_digest y.tr_digest))
     a.r_tenants b.r_tenants
 
+(* Each request runs against the EP oracle built at its admission, and its
+   checksum still flows through simulated memory. Pinned digests: a lost
+   or doubled batch, or a request checked against another request's
+   oracle, moves them. Four tenants at a high rate interleave admissions. *)
+let test_digests_pinned () =
+  let r = Serve.run (small_cfg ~n:4 ~rate:3.5 ()) in
+  List.iter2
+    (fun (tr : Serve.tenant_result) expected ->
+      check_int (tr.tr_name ^ " checksums match") 0 tr.tr_corrupted;
+      Alcotest.(check int64) (tr.tr_name ^ " digest") expected tr.tr_digest)
+    r.r_tenants [ 6489L; 5268L; 7813L; 10484L ]
+
 (* Arrival processes: deterministic under the seed, and with sane means. *)
 let test_arrivals () =
   let gaps spec seed n =
@@ -299,6 +311,7 @@ let () =
           Alcotest.test_case "tenant streams independent" `Quick
             test_tenant_streams_independent;
           Alcotest.test_case "runs deterministic" `Quick test_run_deterministic;
+          Alcotest.test_case "digests pinned" `Quick test_digests_pinned;
           Alcotest.test_case "arrival processes" `Quick test_arrivals;
         ] );
       ( "fairshare",
