@@ -558,9 +558,7 @@ let failover_cmd =
                (List.map string_of_int (Dex_ha.Ha.standbys ha)))
       | None -> ());
     let coh = P.coherence proc in
-    Dex_profile.Report.pp_ha
-      ~coh:(Dex_proto.Coherence.stats coh)
-      Format.std_formatter (P.stats proc);
+    Dex_profile.Report.pp_ha Format.std_formatter (P.stats proc);
     let pget = Dex_sim.Stats.get (P.stats proc) in
     Format.printf "recovery: threads_aborted=%d threads_rehomed=%d \
                    delegations_retried=%d@."

@@ -74,8 +74,7 @@ let run_app ~name ~nodes ~variant ?config ?proto ?(threads_per_node = 8)
         ctx_out := Some ctx;
         checksum := body ctx main)
   in
-  let stats = Dex_proto.Coherence.stats (Process.coherence proc) in
-  let pstats = Process.stats proc in
+  let stats = Process.stats proc in
   {
     app = name;
     variant;
@@ -86,7 +85,7 @@ let run_app ~name ~nodes ~variant ?config ?proto ?(threads_per_node = 8)
     faults = Stats.get stats "fault.read" + Stats.get stats "fault.write";
     retries = Stats.get stats "fault.retry";
     coalesced = Stats.get stats "fault.coalesced";
-    migrations = Stats.get pstats "migration.forward";
+    migrations = Stats.get stats "migration.forward";
     stats;
   }
 

@@ -32,9 +32,9 @@ type result = {
   coalesced : int;  (** follower faults absorbed *)
   migrations : int;  (** forward migrations *)
   stats : Dex_sim.Stats.t;
-      (** the run's full protocol counters ({!Dex_proto.Coherence.stats}),
-          for digests beyond the summary fields (e.g.
-          {!Dex_profile.Report.pp_autopilot}) *)
+      (** the process's one counter table ({!Dex_core.Process.stats}:
+          protocol, process-layer and replication counters), for digests
+          beyond the summary fields (e.g. {!Dex_profile.Report.pp_autopilot}) *)
 }
 
 val pp_result : Format.formatter -> result -> unit

@@ -12,13 +12,7 @@ module Replica = Dex_ha.Replica
 exception Segfault of { node : int; addr : Page.addr }
 exception Thread_crashed of { pid : int; tid : int }
 
-type worker_queue = {
-  ops : (M.node_op * (unit -> unit)) Queue.t;
-  signal : unit Waitq.t;
-  mutable dead : bool;  (* the worker's node fail-stopped *)
-}
-
-type worker_state = Absent | Creating of unit Waitq.t | Ready of worker_queue
+type worker_state = Absent | Creating of unit Waitq.t | Ready
 
 type migration_record = {
   m_tid : int;
@@ -33,14 +27,11 @@ type migration_record = {
 type t = {
   cluster : Cluster.t;
   pid : int;
-  mutable origin : int;  (* changes when a standby is promoted *)
-  ha : Ha.t option;  (* origin replication, per Proto_config.replication *)
   coh : Coherence.t;
   alloc : Allocator.t;
   vmas : Vma_tree.t array;
   futexes : Futex.t array;  (* per shard: the futex word's home serves it *)
   vfs : Vfs.t;  (* the file table, at the origin with the other services *)
-  stats : Stats.t;
   mutable next_tid : int;
   mutable threads : thread list;  (* newest first *)
   workers : worker_state array;
@@ -74,12 +65,12 @@ and thread = {
 
 let cluster t = t.cluster
 let pid t = t.pid
-let origin t = t.origin
-let ha t = t.ha
+let origin t = Authority.home (Coherence.authority t.coh) ~shard:0
+let ha t = Coherence.ha t.coh
 let coherence t = t.coh
 let allocator t = t.alloc
 let vma_tree t ~node = t.vmas.(node)
-let stats t = t.stats
+let stats t = Coherence.stats t.coh
 let tid th = th.tid
 let name th = th.thread_name
 let location th = th.location
@@ -106,9 +97,9 @@ let install_vma tree vma =
 (* Origin replication plumbing. All of these are single pointer tests
    when replication is off, so the default configuration pays nothing. *)
 
-let ha_log t e = match t.ha with Some ha -> Ha.append ha e | None -> ()
-let ha_fence t = match t.ha with Some ha -> Ha.fence ha | None -> ()
-let ha_resolve t = match t.ha with Some ha -> Ha.resolve ha | None -> None
+let ha_log t e = match ha t with Some ha -> Ha.append ha e | None -> ()
+let ha_fence t = match ha t with Some ha -> Ha.fence ha | None -> ()
+let ha_resolve t = match ha t with Some ha -> Ha.resolve ha | None -> None
 
 (* Run [f ~dst] against [shard]'s current home; when the {e home}
    fail-stops under the call, stall until the HA layer promotes a standby,
@@ -128,7 +119,7 @@ let rec home_rpc t ~shard ~src ~stat f =
       Fabric.declare_dead (fabric t) ~node:dst;
       match ha_resolve t with
       | Some o when o <> dst ->
-          Stats.incr t.stats stat;
+          Stats.incr (stats t) stat;
           home_rpc t ~shard ~src ~stat f
       | Some _ | None -> raise e)
 
@@ -170,8 +161,8 @@ let rec guard th f a b c =
         (* The crash hook normally re-homed us already (it is
            location-based); cover the window where it has not. *)
         if th.location = node then begin
-          th.location <- t.origin;
-          Stats.incr t.stats "crash.threads_rehomed"
+          th.location <- origin t;
+          Stats.incr (stats t) "crash.threads_rehomed"
         end;
         guard th f a b c)
 
@@ -195,11 +186,11 @@ and vma_miss th ~addr ~len ~access ~queried =
   let t = th.proc in
   let node = th.location in
   let fail () = raise (Segfault { node; addr }) in
-  if node = t.origin then fail ()
+  if node = origin t then fail ()
   else if queried then fail ()
   else begin
     (* The local view may be missing or stale: ask the origin. *)
-    Stats.incr t.stats "vma.sync";
+    Stats.incr (stats t) "vma.sync";
     match
       origin_rpc t ~src:node ~stat:"ha.vma_syncs_retried" (fun ~dst ->
           Fabric.call (fabric t) ~src:node ~dst ~kind:M.kind_vma ~size:64
@@ -229,12 +220,11 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
       let target = Authority.home (authority t) ~shard in
       if th.location = target then run ()
       else begin
-        Stats.incr t.stats "delegation";
+        Stats.incr (stats t) "delegation";
         (* A futex delegation that pays a remote hop to a non-origin home
            is a cross-shard operation — the traffic sharding moved off the
-           origin. Counted in the coherence table so the whole shard.*
-           family reads from one place. *)
-        if shard <> 0 then Stats.incr (Coherence.stats t.coh) "shard.cross_ops";
+           origin. *)
+        if shard <> 0 then Stats.incr (stats t) "shard.cross_ops";
         (* A failover mid-call re-executes [run] at the promoted home
            (like [`Rehome], the simulator cannot checkpoint a syscall
            mid-flight); the futex wake ledger makes the stock sync
@@ -378,7 +368,7 @@ let futex_wait th ~addr ~expected =
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.futex_op;
     let redelivered =
-      match t.ha with
+      match ha t with
       | Some ha -> Ha.take_wake ha ~addr ~tid:th.tid
       | None -> false
     in
@@ -500,35 +490,21 @@ let file_size t name = Vfs.size t.vfs name
 (* ------------------------------------------------------------------ *)
 (* Node-wide operations through remote workers.                        *)
 
-let worker_loop t node queue () =
-  let rec go () =
-    if queue.dead then () (* node fail-stopped: the worker dies with it *)
-    else
-      match Queue.take_opt queue.ops with
-      | None ->
-          Waitq.wait (engine t) queue.signal;
-          go ()
-      | Some (op, ack) -> (
-        match op with
-        | M.Process_exit ->
-            t.workers.(node) <- Absent;
-            ack ()
-        | M.Vma_shrink { start; len } ->
-            Engine.delay (engine t) (cfg t).Core_config.vma_op;
-            ignore (Vma_tree.remove_range t.vmas.(node) ~start ~len);
-            let first, last = Page.pages_of_range start ~len in
-            ignore (Coherence.zap_range t.coh ~first ~last ~node);
-            ack ();
-            go ()
-        | M.Vma_protect { start; len; perm } ->
-            Engine.delay (engine t) (cfg t).Core_config.vma_op;
-            ignore (Vma_tree.protect_range t.vmas.(node) ~start ~len ~perm);
-            let first, last = Page.pages_of_range start ~len in
-            ignore (Coherence.zap_range t.coh ~first ~last ~node);
-            ack ();
-            go ())
-  in
-  go ()
+(* Apply a node-wide operation at [node]'s remote worker. Runs in the
+   fabric handler fiber that delivered it. *)
+let apply_node_op t ~node op =
+  match op with
+  | M.Process_exit -> t.workers.(node) <- Absent
+  | M.Vma_shrink { start; len } ->
+      Engine.delay (engine t) (cfg t).Core_config.vma_op;
+      ignore (Vma_tree.remove_range t.vmas.(node) ~start ~len);
+      let first, last = Page.pages_of_range start ~len in
+      ignore (Coherence.zap_range t.coh ~first ~last ~node)
+  | M.Vma_protect { start; len; perm } ->
+      Engine.delay (engine t) (cfg t).Core_config.vma_op;
+      ignore (Vma_tree.protect_range t.vmas.(node) ~start ~len ~perm);
+      let first, last = Page.pages_of_range start ~len in
+      ignore (Coherence.zap_range t.coh ~first ~last ~node)
 
 (* Broadcast a node-wide operation to every live remote worker and join
    all acknowledgements. Must run at the origin. If the origin fail-stops
@@ -536,7 +512,7 @@ let worker_loop t node queue () =
    rebroadcast from the survivor — the per-node operations are idempotent,
    so the partial first round is harmless. *)
 let rec broadcast_node_op t op =
-  let src = t.origin in
+  let src = origin t in
   let targets = ref [] in
   Array.iteri
     (fun node state ->
@@ -544,7 +520,7 @@ let rec broadcast_node_op t op =
          (the promoted node keeps the worker it had as a remote); it gets
          the op over loopback like any other. *)
       match state with
-      | Ready _ -> targets := node :: !targets
+      | Ready -> targets := node :: !targets
       | Creating _ | Absent -> ())
     t.workers;
   match !targets with
@@ -600,7 +576,7 @@ let mmap th ?(perm = Perm.rw) ~len ~tag () =
     (* Guard page between mappings. *)
     t.mmap_next <- addr + len + Page.size;
     let vma = Vma.make ~start:addr ~len ~perm ~tag in
-    Vma_tree.insert t.vmas.(t.origin) vma;
+    Vma_tree.insert t.vmas.(origin t) vma;
     ha_log t (Log_entry.Vma_set vma);
     M.Ret_int addr
   in
@@ -610,10 +586,10 @@ let munmap th ~addr ~len =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.vma_op;
-    ignore (Vma_tree.remove_range t.vmas.(t.origin) ~start:addr ~len);
+    ignore (Vma_tree.remove_range t.vmas.(origin t) ~start:addr ~len);
     ha_log t (Log_entry.Vma_remove { start = addr; len });
     let first, last = Page.pages_of_range addr ~len in
-    ignore (Coherence.zap_range t.coh ~first ~last ~node:t.origin);
+    ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
     (* Shrinks are broadcast eagerly (§III-D); the shrink must be durable
        on the standbys before any remote node observes it. *)
     ha_fence t;
@@ -627,13 +603,13 @@ let mprotect th ~addr ~len ~perm =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.vma_op;
-    ignore (Vma_tree.protect_range t.vmas.(t.origin) ~start:addr ~len ~perm);
+    ignore (Vma_tree.protect_range t.vmas.(origin t) ~start:addr ~len ~perm);
     ha_log t (Log_entry.Vma_protect { start = addr; len; perm });
     (* Downgrades must reach every node before the call returns;
        permissive changes propagate lazily via on-demand sync. *)
     if not (perm.Perm.read && perm.Perm.write) then begin
       let first, last = Page.pages_of_range addr ~len in
-      ignore (Coherence.zap_range t.coh ~first ~last ~node:t.origin);
+      ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
       ha_fence t;
       broadcast_node_op t (M.Vma_protect { start = addr; len; perm })
     end;
@@ -673,7 +649,7 @@ let rec migrate th target =
   if target = th.location then ()
   else if Fabric.crash_detected (fabric t) ~node:target then
     (* Known-dead destination: refuse, the thread stays where it is. *)
-    Stats.incr t.stats "crash.migrations_refused"
+    Stats.incr (stats t) "crash.migrations_refused"
   else
     guard_thunk th (fun () ->
         try migrate_send th target
@@ -681,7 +657,7 @@ let rec migrate th target =
           (* The destination died under the migration message; stay put.
              (Source-side crashes propagate to [guard] instead.) *)
           Fabric.declare_dead (fabric t) ~node:target;
-          Stats.incr t.stats "crash.migrations_refused")
+          Stats.incr (stats t) "crash.migrations_refused")
 
 and migrate_send th target =
   let t = th.proc in
@@ -692,10 +668,10 @@ and migrate_send th target =
   else begin
     Engine.delay eng c.Core_config.syscall;
     let src = th.location in
-    if target = t.origin then begin
+    if target = origin t then begin
       (* Backward migration: collect the remote context and refresh the
          original thread with it. *)
-      Stats.incr t.stats "migration.backward";
+      Stats.incr (stats t) "migration.backward";
       let t0 = Engine.now eng in
       Engine.delay eng c.Core_config.backward_capture;
       let remote_ns = Engine.now eng - t0 in
@@ -709,7 +685,7 @@ and migrate_send th target =
     end
     else begin
       (* Forward migration. *)
-      Stats.incr t.stats "migration.forward";
+      Stats.incr (stats t) "migration.forward";
       let first = t.workers.(target) = Absent in
       let t0 = Engine.now eng in
       Engine.delay eng
@@ -724,7 +700,7 @@ and migrate_send th target =
          it was rebuilding the thread): the migration failed, the thread
          never left. *)
       if th.location <> target && Fabric.crashed (fabric t) ~node:target then
-        Stats.incr t.stats "crash.migrations_refused"
+        Stats.incr (stats t) "crash.migrations_refused"
     end
   end
 
@@ -759,7 +735,8 @@ let handle_migrate t ~node ~tid ~origin_ns resume =
      this fiber is mid-rebuild. Check the ground truth at every point that
      would publish state (worker slot, thread location) — the teardown or
      the cancellation has already reset whatever we were building, and a
-     worker spawned after the decision would outlive every exit broadcast. *)
+     worker published after the decision would outlive every exit
+     broadcast. *)
   let gone () =
     Fabric.crashed (fabric t) ~node || not (migration_current th ~node)
   in
@@ -776,14 +753,7 @@ let handle_migrate t ~node ~tid ~origin_ns resume =
           None
         end
         else begin
-          let queue =
-            { ops = Queue.create (); signal = Waitq.create (); dead = false }
-          in
-          Engine.spawn eng
-            ~label:
-              (Printf.sprintf "remote-worker:pid%d:node%d" t.pid node)
-            (worker_loop t node queue);
-          t.workers.(node) <- Ready queue;
+          t.workers.(node) <- Ready;
           ignore (Waitq.wake_all creation_q ());
           (* The first remote thread is forked as part of building the
              worker, with a still-cold address space: cheaper than a full
@@ -799,7 +769,7 @@ let handle_migrate t ~node ~tid ~origin_ns resume =
           charge "thread creation" c.Core_config.thread_create;
           Some false
         end
-    | Ready _ ->
+    | Ready ->
         charge "thread creation" c.Core_config.thread_create;
         if gone () then None else Some false
   in
@@ -838,11 +808,11 @@ let handle_migrate_back t ~node ~tid ~remote_ns resume =
   Engine.delay eng c.Core_config.backward_update;
   if not (migration_current th ~node) then resume ()
   else begin
-  th.location <- t.origin;
+  th.location <- origin t;
   t.mig_log <-
     {
       m_tid = tid;
-      m_target = t.origin;
+      m_target = origin t;
       m_direction = `Backward;
       m_first_to_node = false;
       m_origin_ns = Engine.now eng - t0;
@@ -860,12 +830,12 @@ let handle_migrate_back t ~node ~tid ~remote_ns resume =
    so the ownership metadata is already clean when threads are
    re-homed. *)
 let handle_node_crash t ~node =
-  let origin_died = node = t.origin in
+  let origin_died = node = origin t in
   (* Shards whose home stood on the dead node. Computed here, before the
      promotion fiber (queued by {!Ha.handle_crash}) runs, so the home
      table still points at the casualty. *)
   let homed = Authority.homed_at (authority t) node in
-  (match (homed, t.ha) with
+  (match (homed, ha t) with
   | [], _ -> ()
   | _, Some ha when Ha.armed ha ->
       (* Only the origin replicates, so the origin died.
@@ -896,7 +866,7 @@ let handle_node_crash t ~node =
         else Futex.cancel futex ~owned_by:(fun owner -> owner = node))
     t.futexes;
   let cancelled = !cancelled in
-  if cancelled > 0 then Stats.add t.stats "crash.futex_cancelled" cancelled;
+  if cancelled > 0 then Stats.add (stats t) "crash.futex_cancelled" cancelled;
   (* Apply the crash policy to every thread caught on the dead node.
      Threads standing on the dead origin are beyond re-homing — their
      register state died with the node that also held the directory — so
@@ -907,10 +877,10 @@ let handle_node_crash t ~node =
         match (if origin_died then `Abort else on_crash_policy t) with
         | `Abort ->
             th.crashed <- true;
-            Stats.incr t.stats "crash.threads_aborted"
+            Stats.incr (stats t) "crash.threads_aborted"
         | `Rehome ->
-            th.location <- t.origin;
-            Stats.incr t.stats "crash.threads_rehomed")
+            th.location <- origin t;
+            Stats.incr (stats t) "crash.threads_rehomed")
     t.threads;
   (* Wake threads parked on an in-flight migration that touched the dead
      node: the context message may have been black-holed (or the rebuild
@@ -923,13 +893,11 @@ let handle_node_crash t ~node =
       | Some (src, dst, resume) when src = node || dst = node -> resume ()
       | _ -> ())
     t.threads;
-  (* Tear down the dead node's worker so its loop fiber exits. *)
+  (* The dead node's worker dies with it; a migration building it wakes
+     and finds the node gone. *)
   (match t.workers.(node) with
-  | Ready queue ->
-      queue.dead <- true;
-      ignore (Waitq.wake_all queue.signal ())
   | Creating q -> ignore (Waitq.wake_all q ())
-  | Absent -> ());
+  | Ready | Absent -> ());
   t.workers.(node) <- Absent
 
 (* The process's recovery sequence for a declared node failure, run
@@ -938,7 +906,7 @@ let handle_node_crash t ~node =
    crash policy and tear down the dead node's worker. *)
 let on_node_crash t node =
   Coherence.reclaim_node t.coh ~node;
-  Option.iter (fun ha -> Ha.handle_crash ha ~node) t.ha;
+  Option.iter (fun ha -> Ha.handle_crash ha ~node) (ha t);
   handle_node_crash t ~node
 
 (* ------------------------------------------------------------------ *)
@@ -946,7 +914,7 @@ let on_node_crash t node =
 
 let router t (env : Fabric.env) =
   if Coherence.handler t.coh env then true
-  else if (match t.ha with Some ha -> Ha.router ha env | None -> false) then
+  else if (match ha t with Some ha -> Ha.router ha env | None -> false) then
     true
   else
     let msg = env.Fabric.msg in
@@ -964,25 +932,21 @@ let router t (env : Fabric.env) =
            (futex state, VMAs, allocations) must be on the standbys before
            the reply publishes the effect to another node. Only the
            origin's state is replicated. *)
-        if msg.Msg.dst = t.origin then ha_fence t;
+        if msg.Msg.dst = origin t then ha_fence t;
         env.Fabric.respond ~size:resp_size r;
         true
     | M.Vma_query { pid; addr } when pid = t.pid ->
         Engine.delay (engine t) (cfg t).Core_config.vma_op;
-        let r = M.Vma_info (Vma_tree.find t.vmas.(t.origin) addr) in
+        let r = M.Vma_info (Vma_tree.find t.vmas.(origin t) addr) in
         ha_fence t;
         env.Fabric.respond r;
         true
-    | M.Node_op { pid; op } when pid = t.pid -> (
-        match t.workers.(msg.Msg.dst) with
-        | Ready queue ->
-            Queue.add (op, fun () -> env.Fabric.respond M.Node_op_ack) queue.ops;
-            ignore (Waitq.wake_one queue.signal ());
-            true
-        | Absent | Creating _ ->
-            (* No worker: the node holds no state for this process. *)
-            env.Fabric.respond M.Node_op_ack;
-            true)
+    | M.Node_op { pid; op } when pid = t.pid ->
+        let node = msg.Msg.dst in
+        (* Without a worker the node holds no state for this process. *)
+        if t.workers.(node) = Ready then apply_node_op t ~node op;
+        env.Fabric.respond M.Node_op_ack;
+        true
     | _ -> false
 
 (* ------------------------------------------------------------------ *)
@@ -993,37 +957,19 @@ let create cluster ?(origin = 0) () =
     invalid_arg "Process.create: bad origin";
   let pid = Cluster.fresh_pid cluster in
   let seed = Rng.int (Cluster.rng cluster) 1_000_000 in
-  let stats = Stats.create () in
   let cfg = Cluster.proto_config cluster in
   let coh = Coherence.create ~cfg ~seed ~pid (Cluster.fabric cluster) ~origin in
   let nshards = Authority.shard_count (Coherence.authority coh) in
-  (* An empty replica set is replication off. *)
-  let ha =
-    match cfg.Dex_proto.Proto_config.standbys with
-    | [] -> None
-    | standbys ->
-        (* Replication protects the origin only: with more shards, a
-           non-origin home's death would still be fatal. *)
-        if nshards > 1 then
-          invalid_arg "Process.create: replication needs one shard";
-        Some
-          (Ha.arm ~engine:(Cluster.engine cluster)
-             ~fabric:(Cluster.fabric cluster) ~stats ~pid
-             ~mode:cfg.Dex_proto.Proto_config.replication ~origin ~standbys)
-  in
   let t =
     {
       cluster;
       pid;
-      origin;
-      ha;
       coh;
       alloc = Allocator.create ();
       vmas = Array.init (Cluster.nodes cluster) (fun _ -> Vma_tree.create ());
       futexes =
         Array.init nshards (fun _ -> Futex.create (Cluster.engine cluster));
       vfs = Vfs.create ();
-      stats;
       next_tid = 0;
       threads = [];
       workers = Array.make (Cluster.nodes cluster) Absent;
@@ -1034,39 +980,14 @@ let create cluster ?(origin = 0) () =
       detach = Fun.id;
     }
   in
-  (* Wire the replication log into the protocol layer before any state is
-     created, so the initial layout below is already logged. *)
   Option.iter
     (fun ha ->
-      Coherence.set_replication t.coh
-        {
-          fence = (fun () -> Ha.fence ha);
-          resolve = (fun () -> Ha.resolve ha);
-          store_mutated =
-            (fun vpn ->
-              (* Home-local dirtying never crosses the wire, so the
-                 directory observer cannot see it; ship the fresh bytes. *)
-              let store = Coherence.page_store t.coh ~node:t.origin in
-              if Page_store.mem store vpn then
-                Ha.append ha
-                  (Log_entry.Page_data
-                     { vpn; data = Page_store.snapshot store vpn }));
-        };
-      Directory.set_observer
-        (Authority.directory (authority t) ~shard:0)
-        (Some
-           (fun vpn state ->
-             Ha.append ha
-               (match state with
-               | Some s -> Log_entry.Dir_set { vpn; state = s }
-               | None -> Log_entry.Dir_forget { vpn })));
       Ha.set_promote_hook ha (fun ~new_origin replica ->
           (* Runs in the promotion fiber, after directory reclaim for the
              dead origin was skipped in favor of this rebuild. *)
           Coherence.promote t.coh ~new_origin
             ~dir_entries:(Replica.dir_snapshot replica)
             ~page_data:(Replica.page_data replica);
-          t.origin <- new_origin;
           (* The replicated tree IS the authoritative layout now; the
              promoted node's lazily synced view is a strict subset. *)
           t.vmas.(new_origin) <- Replica.vma_tree replica;
@@ -1088,7 +1009,7 @@ let create cluster ?(origin = 0) () =
               (Directory.snapshot (Authority.directory (authority t) ~shard:0))
           in
           dirs @ pages @ List.rev !vmas))
-    t.ha;
+    (ha t);
   (* Classic static layout at the origin; remote nodes learn VMAs on
      demand. *)
   let tree = t.vmas.(origin) in
@@ -1115,7 +1036,7 @@ let spawn t ?name:(thread_name = "worker") f =
       proc = t;
       tid;
       thread_name = Printf.sprintf "%s:%d" thread_name tid;
-      location = t.origin;
+      location = origin t;
       finished = false;
       crashed = false;
       mig_park = None;
@@ -1126,7 +1047,7 @@ let spawn t ?name:(thread_name = "worker") f =
   (* Thread-private VMAs live in the origin's authoritative tree. *)
   let private_vma ~start ~len ~tag =
     let vma = Vma.make ~start ~len ~perm:Perm.rw ~tag in
-    Vma_tree.insert t.vmas.(t.origin) vma;
+    Vma_tree.insert t.vmas.(origin t) vma;
     ha_log t (Log_entry.Vma_set vma)
   in
   private_vma ~start:(Layout.stack_for ~tid) ~len:Layout.stack_size
@@ -1196,4 +1117,4 @@ let shutdown t =
      whole protocol state reachable and treat a later crash of its old
      origin node as an unrecoverable origin loss, failing whichever live
      fiber declared the crash. *)
-  if Option.is_none t.ha then t.detach ()
+  if Option.is_none (ha t) then t.detach ()

@@ -11,7 +11,15 @@
     Wherever a thread runs, it sees one consistent address space: memory
     accesses go through the memory consistency protocol, and stateful
     kernel services (futex, VMA manipulation) are transparently delegated
-    to the paired original thread at the origin. *)
+    to the paired original thread at the origin. Node-wide operations
+    (VMA shrinks and downgrades, process exit) are broadcast from the
+    origin and applied at each remote worker by the fabric handler that
+    delivers them.
+
+    The process keeps only process state (threads, VMAs, futexes, files,
+    remote workers). Its protocol instance ({!coherence}) owns the rest:
+    the origin (shard 0's home in the {!Dex_proto.Authority} table), the
+    origin's replication ({!ha}) and the one counter table ({!stats}). *)
 
 type t
 
@@ -35,23 +43,27 @@ val create : Cluster.t -> ?origin:int -> unit -> t
     (directory reclaim, then standby promotion, then thread recovery);
     [origin] defaults to node 0. When the
     cluster's proto config names a non-empty replica set
-    ({!Dex_proto.Proto_config.standbys}), this also arms
+    ({!Dex_proto.Proto_config.standbys}), the protocol instance arms
     {!Dex_proto.Proto_config.replication} of the origin towards it — see
-    {!ha}. Replication protects the origin only, so raises
-    [Invalid_argument] when a replica set is configured with more than
-    one shard of {!Dex_proto.Proto_config.sharding} (and, from
-    {!Dex_ha.Ha.arm}, on a malformed replica set). *)
+    {!ha} — and this installs the promotion hook that rebuilds the
+    origin's VMA tree. Replication protects the origin only, so
+    {!Dex_proto.Coherence.create} raises [Invalid_argument] when a replica
+    set is configured with more than one shard of
+    {!Dex_proto.Proto_config.sharding} (and, from {!Dex_ha.Ha.arm}, on a
+    malformed replica set). *)
 
 val cluster : t -> Cluster.t
 
 val pid : t -> int
 
 val origin : t -> int
-(** The current origin node. Changes when a standby is promoted after an
-    origin crash. *)
+(** The current origin node: shard 0's home in the protocol's
+    {!Dex_proto.Authority} table. Changes when a standby is promoted after
+    an origin crash. *)
 
 val ha : t -> Dex_ha.Ha.t option
-(** The origin's replication layer, when armed. With replication armed an
+(** The origin's replication layer, when armed
+    ({!Dex_proto.Coherence.ha}). With replication armed an
     origin fail-stop no longer kills the process: a standby replays the
     replication log, takes over the directory and every delegated
     service (VMA, allocator, futex, file) under a new epoch and becomes
@@ -67,6 +79,11 @@ val vma_tree : t -> node:int -> Dex_mem.Vma_tree.t
 (** Per-node VMA view; the origin's is authoritative. *)
 
 val stats : t -> Dex_sim.Stats.t
+(** The process's one counter table, {!Dex_proto.Coherence.stats}: the
+    protocol's counters beside the process layer's ([migration.*],
+    [delegation], [vma.sync], [crash.threads_*], [crash.futex_cancelled],
+    [crash.migrations_refused], [shard.cross_ops], the [ha.*_retried]
+    counts) and the replication log's [ha.*]. *)
 
 (** {1 Threads} *)
 

@@ -32,8 +32,8 @@
        (newest generation first, lowest node id breaking exact ties),
        replays the retained log against a fresh replica and checks the
        result is bit-identical to the incrementally built one, hands the
-       replica to the process layer's promotion hook
-       ({!Dex_proto.Coherence.promote} + epoch fencing), re-arms a fresh
+       replica to the process layer's promotion hook (the protocol's
+       [Coherence.promote] + epoch fencing), re-arms a fresh
        log generation towards the surviving standbys plus newly recruited
        ones ([ha.recruits]), and finally releases every requester blocked
        in {!resolve}. Survivor threads experience a stalled fault, not an
@@ -67,7 +67,8 @@ val arm :
     [List.length standbys]; must be non-empty, distinct, in range and
     exclude the origin). Subscribes to nothing: the owner routes failure
     declarations to {!handle_crash} and messages to {!router}. [stats]
-    receives the [ha.*] counters (typically the owning process's table). *)
+    receives the [ha.*] counters (the arming protocol instance's table,
+    which is also its process's). *)
 
 val origin : t -> int
 (** Current origin (changes at promotion). *)
@@ -101,7 +102,7 @@ val last_election : t -> (int * (int * int * int) list) option
 val set_promote_hook :
   t -> (new_origin:int -> Replica.t -> Log_entry.t list) -> unit
 (** Install the promotion callback. It must install the replica as the
-    live origin state (directory, page data, VMA tree, process origin) and
+    live origin state (directory, page data, VMA tree) and
     return the bootstrap snapshot entries used to seed the next
     replication generation. Runs in the promotion fiber and may block on
     the fabric (epoch fencing). *)

@@ -425,12 +425,11 @@ let prune_grace (c : Net_config.chaos) =
    request: the sender has settled all of them and will never retransmit
    those seqs again. This is the backstop that also collects acked one-way
    entries and cached replies whose explicit ack got lost. *)
-let rel_prune t ~low =
+let rel_prune t c ~low =
   if low > t.rel_pruned then begin
     let lo = t.rel_pruned and hi = low - 1 in
     t.rel_pruned <- low;
-    let delay = match t.chaos with Some c -> prune_grace c | None -> 0 in
-    Engine.schedule t.engine ~delay (fun () ->
+    Engine.schedule t.engine ~delay:(prune_grace c) (fun () ->
         for s = lo to hi do
           Hashtbl.remove t.rel_seen s
         done)
@@ -483,7 +482,7 @@ let rel_send_busy t ~(req : Msg.t) ~seq =
    past it. Removal is deferred by the prune grace for the same reason as
    in [rel_prune]; a lost ack is harmless, the watermark reaps the entry
    eventually. *)
-let rel_ack_reply t ~(req : Msg.t) ~seq =
+let rel_ack_reply t c ~(req : Msg.t) ~seq =
   let amsg =
     {
       Msg.src = req.Msg.src;
@@ -496,14 +495,11 @@ let rel_ack_reply t ~(req : Msg.t) ~seq =
   transmit t amsg (fun () ->
       match Hashtbl.find_opt t.rel_seen seq with
       | Some (Rel_replied _) ->
-          let delay =
-            match t.chaos with Some c -> prune_grace c | None -> 0
-          in
-          Engine.schedule t.engine ~delay (fun () ->
+          Engine.schedule t.engine ~delay:(prune_grace c) (fun () ->
               Hashtbl.remove t.rel_seen seq)
       | _ -> ())
 
-let rel_send_reply t ~(req : Msg.t) ~seq ~size reply =
+let rel_send_reply t c ~(req : Msg.t) ~seq ~size reply =
   let rmsg =
     {
       Msg.src = req.Msg.dst;
@@ -519,7 +515,7 @@ let rel_send_reply t ~(req : Msg.t) ~seq ~size reply =
           box := Some (Some reply);
           Hashtbl.remove t.rel_pending seq;
           Engine.spawn t.engine ~label:"rel-reply-ack" (fun () ->
-              rel_ack_reply t ~req ~seq);
+              rel_ack_reply t c ~req ~seq);
           (match !wake with
           | Some w ->
               wake := None;
@@ -529,8 +525,8 @@ let rel_send_reply t ~(req : Msg.t) ~seq ~size reply =
 
 (* Receive a (possibly retransmitted, possibly duplicated) request. Runs in
    the delivery context, so anything that can block goes to a fresh fiber. *)
-let rel_dispatch t (msg : Msg.t) ~seq ~low ~oneway ~inner =
-  rel_prune t ~low;
+let rel_dispatch t c (msg : Msg.t) ~seq ~low ~oneway ~inner =
+  rel_prune t c ~low;
   match Hashtbl.find_opt t.rel_seen seq with
   | Some Rel_in_progress ->
       (* The handler is still running; its eventual reply covers this copy
@@ -548,7 +544,7 @@ let rel_dispatch t (msg : Msg.t) ~seq ~low ~oneway ~inner =
       Stats.incr t.stats "chaos.dup_requests";
       Stats.incr t.stats "chaos.replayed_replies";
       Engine.spawn t.engine ~label:"rel-replay" (fun () ->
-          rel_send_reply t ~req:msg ~seq ~size reply)
+          rel_send_reply t c ~req:msg ~seq ~size reply)
   | None ->
       let inner_msg = { msg with Msg.payload = inner } in
       if oneway then begin
@@ -569,7 +565,7 @@ let rel_dispatch t (msg : Msg.t) ~seq ~low ~oneway ~inner =
           (* Cache before sending: from here on, retransmissions replay the
              cached reply instead of re-running the handler. *)
           Hashtbl.replace t.rel_seen seq (Rel_replied (size, reply));
-          rel_send_reply t ~req:msg ~seq ~size reply
+          rel_send_reply t c ~req:msg ~seq ~size reply
         in
         dispatch t inner_msg respond
       end
@@ -611,7 +607,7 @@ let rel_transact t c ~src ~dst ~kind ~size ~oneway payload =
       { Msg.src; dst; size; kind; payload = Rel_req { seq; low; oneway; inner = payload } }
     in
     transmit t msg (fun () ->
-        rel_dispatch t msg ~seq ~low ~oneway ~inner:payload);
+        rel_dispatch t c msg ~seq ~low ~oneway ~inner:payload);
     (* The outcome may already be in the box: transmit blocks this fiber
        through the send-side costs, during which an earlier copy's reply
        can arrive. *)

@@ -69,11 +69,10 @@ let pp_autopilot fmt stats =
       (get "autopilot.replica_pushes")
       (get "autopilot.push_declined")
 
-(* Origin-replication digest: log volume and fence cost from the process
-   counters, plus — when a failover actually ran — what the promotion did,
-   pulled from the protocol counters ([coh]). Silent when replication was
-   off. *)
-let pp_ha ?coh fmt stats =
+(* Origin-replication digest: log volume and fence cost, plus — when a
+   failover actually ran — what the promotion did. Silent when
+   replication was off. *)
+let pp_ha fmt stats =
   let get = Dex_sim.Stats.get stats in
   if get "ha.entries" > 0 || get "ha.failovers" > 0 then begin
     Format.fprintf fmt
@@ -81,9 +80,6 @@ let pp_ha ?coh fmt stats =
        fence_waits=%d@."
       (get "ha.entries") (get "ha.entries_shipped") (get "ha.entries_acked")
       (get "ha.compacted") (get "ha.ship_batches") (get "ha.fence_waits");
-    let cget name =
-      match coh with None -> 0 | Some s -> Dex_sim.Stats.get s name
-    in
     if get "ha.failovers" > 0 then
       Format.fprintf fmt
         "ha failover: count=%d replayed=%d detect_to_serve=%.1fus \
@@ -91,9 +87,9 @@ let pp_ha ?coh fmt stats =
          wakes_redelivered=%d@."
         (get "ha.failovers") (get "ha.replay_entries")
         (float_of_int (get "ha.failover_ns") /. 1000.0)
-        (cget "ha.stalled_faults")
-        (cget "ha.stale_epoch_nacks")
-        (cget "ha.fence_zapped") (cget "ha.fence_demoted")
+        (get "ha.stalled_faults")
+        (get "ha.stale_epoch_nacks")
+        (get "ha.fence_zapped") (get "ha.fence_demoted")
         (get "ha.wakes_redelivered");
     if
       get "ha.standby_lost" > 0

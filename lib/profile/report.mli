@@ -27,16 +27,15 @@ val pp_autopilot : Format.formatter -> Dex_sim.Stats.t -> unit
     traffic they caused) and replicate-don't-invalidate activity. Prints
     nothing when no autopilot ticked. *)
 
-val pp_ha : ?coh:Dex_sim.Stats.t -> Format.formatter -> Dex_sim.Stats.t -> unit
-(** Origin-replication digest from the process's [ha.*] counters
-    ({!Dex_core.Process.stats}): log entries appended/shipped/acked,
-    same-page compactions, fence waits — and, when a standby was actually
-    promoted, a failover line with the replayed-entry count, the
-    detection-to-serving latency, and how the survivors were repaired
-    (stalled faults, stale-epoch NACKs, fence zaps/demotions, redelivered
-    futex wakes; those come from [coh], the protocol stats
-    {!Dex_proto.Coherence.stats}). Prints nothing when replication was
-    off. *)
+val pp_ha : Format.formatter -> Dex_sim.Stats.t -> unit
+(** Origin-replication digest from the process's [ha.*] counters (its one
+    table, {!Dex_proto.Coherence.stats}): log entries
+    appended/shipped/acked, same-page compactions, fence waits — and, when
+    a standby was actually promoted, a failover line with the
+    replayed-entry count, the detection-to-serving latency, and how the
+    survivors were repaired (stalled faults, stale-epoch NACKs, fence
+    zaps/demotions, redelivered futex wakes). Prints nothing when
+    replication was off. *)
 
 val pp_serve :
   ?tenants:(string * Dex_sim.Histogram.t) list ->

@@ -2,14 +2,10 @@ open Dex_sim
 open Dex_mem
 module Fabric = Dex_net.Fabric
 module Msg = Dex_net.Msg
+module Ha = Dex_ha.Ha
+module Log_entry = Dex_ha.Log_entry
 
 type outcome = [ `Done | `Retry ]
-
-type replication = {
-  fence : unit -> unit;
-  resolve : unit -> int option;
-  store_mutated : Page.vpn -> unit;
-}
 
 type t = {
   fabric : Fabric.t;
@@ -28,8 +24,7 @@ type t = {
   stats : Stats.t;
   fault_latencies : Histogram.t;
   mutable tracer : (Fault_event.t -> unit) option;
-  mutable replication : replication option;
-      (* the HA layer's hooks, installed once by the process layer *)
+  ha : Ha.t option;  (* origin replication, armed when a replica set exists *)
   service : Resource.Server.t array option;
       (* per-node handler occupancy when [serial_home_service] is on:
          requests at one home queue behind each other instead of
@@ -44,7 +39,7 @@ type t = {
 let authority t = t.authority
 let shard_load t = Array.copy t.shard_grants
 let replicate_marked t vpn = Hashtbl.mem t.replicate_hint vpn
-let replicated t = Option.is_some t.replication
+let replicated t = Option.is_some t.ha
 
 (* --- fail-stop reclaim ---------------------------------------------- *)
 
@@ -150,6 +145,20 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
   in
   let nshards = Authority.shard_count authority in
   let rng = Rng.create ~seed in
+  let stats = Stats.create () in
+  (* An empty replica set is replication off. *)
+  let ha =
+    match cfg.Proto_config.standbys with
+    | [] -> None
+    | standbys ->
+        (* Replication protects the origin only: with more shards, a
+           non-origin home's death would still be fatal. *)
+        if nshards > 1 then
+          invalid_arg "Coherence.create: replication needs one shard";
+        Some
+          (Ha.arm ~engine ~fabric ~stats ~pid
+             ~mode:cfg.Proto_config.replication ~origin ~standbys)
+  in
   let t =
     {
       fabric;
@@ -162,10 +171,10 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       stores = Array.init n (fun _ -> Page_store.create ());
       ftables = Array.init n (fun _ -> Fault_table.create engine ());
       rngs = Array.init n (fun _ -> Rng.split rng);
-      stats = Stats.create ();
+      stats;
       fault_latencies = Histogram.create ();
       tracer = None;
-      replication = None;
+      ha;
       service =
         (if cfg.Proto_config.serial_home_service then
            Some
@@ -177,6 +186,19 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
     }
   in
   if nshards > 1 then Stats.add t.stats "shard.homes" nshards;
+  (* Every mutation of the origin directory streams to the standbys.
+     Promotion moves the observer to the rebuilt directory. *)
+  Option.iter
+    (fun ha ->
+      Directory.set_observer
+        (Authority.directory authority ~shard:0)
+        (Some
+           (fun vpn state ->
+             Ha.append ha
+               (match state with
+               | Some s -> Log_entry.Dir_set { vpn; state = s }
+               | None -> Log_entry.Dir_forget { vpn }))))
+    ha;
   t
 
 let pid t = t.pid
@@ -185,14 +207,13 @@ let node_count t = Array.length t.ptables
 let page_table t ~node = t.ptables.(node)
 let page_store t ~node = t.stores.(node)
 let stats t = t.stats
+let ha t = t.ha
 let fault_latencies t = t.fault_latencies
 let set_tracer t tracer = t.tracer <- tracer
-let set_replication t r = t.replication <- Some r
 
 let emit t event = match t.tracer with None -> () | Some f -> f event
 
-let commit_fence t =
-  match t.replication with None -> () | Some r -> r.fence ()
+let commit_fence t = match t.ha with None -> () | Some ha -> Ha.fence ha
 
 (* Handler occupancy at a home node. The default charges a plain delay —
    concurrent handlers overlap freely. With [serial_home_service] the
@@ -204,16 +225,24 @@ let home_service t ~node d =
   | None -> Engine.delay t.engine d
   | Some servers -> Resource.Server.transfer servers.(node) ~bytes:d
 
-(* Feed a mutation of a home's staging store to the replication log.
-   No-op (one pointer test) unless the HA layer installed its hooks. *)
-let origin_store_mutated t vpn =
-  match t.replication with None -> () | Some r -> r.store_mutated vpn
-
 (* Only ship real bytes for pages the typed API materialized; the wire
    cost of a full page is charged regardless (see grant sizes). *)
 let snapshot_if_materialized store vpn =
   if Page_store.mem store vpn then Some (Page_store.snapshot store vpn)
   else None
+
+(* Feed a mutation of a home's staging store to the replication log:
+   home-local dirtying never crosses the wire, so the directory observer
+   cannot see it; ship the origin's fresh bytes. No-op (one pointer test)
+   unless replication is armed. *)
+let origin_store_mutated t vpn =
+  match t.ha with
+  | None -> ()
+  | Some ha -> (
+      let store = t.stores.(Authority.home t.authority ~shard:0) in
+      match snapshot_if_materialized store vpn with
+      | Some data -> Ha.append ha (Log_entry.Page_data { vpn; data })
+      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Home side: ownership decisions.                                     *)
@@ -633,13 +662,13 @@ let request_failure t ~node ~dst ~steered =
       Stats.incr t.stats "crash.escalations";
       Fabric.declare_dead t.fabric ~node:dst
     end;
-    match t.replication with
+    match t.ha with
     | _ when steered || not (Fabric.crash_detected t.fabric ~node:dst) ->
         Stats.incr t.stats "crash.requester_retries";
         `Nack
     | None -> `Reraise
-    | Some r -> (
-        match r.resolve () with
+    | Some ha -> (
+        match Ha.resolve ha with
         | Some o ->
             (Authority.view t.authority ~node).home <- o;
             Stats.incr t.stats "ha.stalled_faults";

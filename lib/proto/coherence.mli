@@ -55,17 +55,23 @@
 
     {2 Home failover (HA)}
 
-    With a replica set configured ({!Proto_config.standbys}), the process
-    layer arms this instance ({!set_replication}) with {!Dex_ha}, which
-    replicates the origin. Replication needs one shard: only the origin
-    can fail over. A {!replication} fence runs before any grant reply
-    leaves the origin, every directory mutation streams to the standbys
-    through the {!Dex_mem.Directory} observer, and an origin death is
-    handled by {!promote} + {!fence_survivors}. Every coherence request
-    carries the origin's epoch; requests stamped with a dead epoch are
-    NACKed with [Page_stale] ([ha.stale_epoch_nacks]) so survivors adopt
-    the new origin, which they located by stalling in the {!replication} resolver until the
-    promotion completed — a failover is a long fault, not an abort. *)
+    With a replica set configured ({!Proto_config.standbys}), {!create}
+    arms {!Dex_ha.Ha} towards it ({!ha}), which replicates the origin.
+    Replication needs one shard: only the origin can fail over. A
+    {!Dex_ha.Ha.fence} runs before any grant reply leaves the origin (the
+    "replicate before externalize" fence; home-local operations never
+    pass through it), every directory mutation streams to the standbys
+    through the {!Dex_mem.Directory} observer, every mutation of the
+    origin's page store (home-local typed writes, data pulled back by a
+    reclaim) is logged as page data, and an origin death is handled by
+    {!promote} + {!fence_survivors}. Every coherence request carries the
+    origin's epoch; requests stamped with a dead epoch are NACKed with
+    [Page_stale] ([ha.stale_epoch_nacks]) so survivors adopt the new
+    origin, which they located by stalling in {!Dex_ha.Ha.resolve} until
+    the promotion completed ([ha.stalled_faults]) — a failover is a long
+    fault, not an abort. Unarmed, every path replication guards is one
+    pointer test, a home death is fatal ({!reclaim_node}), and a reclaim
+    takes one phase instead of two. *)
 
 type t
 (** One coherence-protocol instance (per-shard directories + per-node
@@ -81,8 +87,12 @@ val create :
 (** One protocol instance per distributed process; [pid] disambiguates the
     wire messages of multiple processes sharing a fabric (default 0). The
     caller must route fabric messages to {!handler} and failure
-    declarations to {!reclaim_node}. Raises
-    [Invalid_argument] on a bad [origin] or a non-positive shard count. *)
+    declarations to {!reclaim_node} (and, when {!ha} is armed, to
+    {!Dex_ha.Ha.router} and {!Dex_ha.Ha.handle_crash}). When
+    [cfg.standbys] is non-empty, arms replication of the origin towards
+    it. Raises [Invalid_argument] on a bad [origin], a non-positive shard
+    count, a replica set with more than one shard, or (from
+    {!Dex_ha.Ha.arm}) a malformed replica set. *)
 
 val pid : t -> int
 (** The process id used to tag this instance's wire messages. *)
@@ -263,37 +273,12 @@ val reclaim_node : t -> node:int -> unit
     {!promote}); without the HA layer wired, the death of any shard home
     raises. *)
 
-(** {2 Home failover hooks} *)
+(** {2 Home failover} *)
 
-type replication = {
-  fence : unit -> unit;
-      (** Run at the origin immediately before a grant reply leaves it —
-          the "replicate before externalize" fence. The HA layer blocks
-          here until the ack watermark covers its log ([`Sync]) or the
-          unacked suffix is within the configured lag ([`Async n]).
-          Home-local operations never pass through it. *)
-  resolve : unit -> int option;
-      (** Consulted when a request towards the origin fails with
-          [Unreachable] and the origin is (or becomes) declared dead:
-          blocks the faulting fiber until a standby has been promoted and
-          returns the new origin ([Some node], and the fault retries
-          there — counted as [ha.stalled_faults]), or [None] when no
-          standby remains (the [Unreachable] is re-raised). *)
-  store_mutated : Dex_mem.Page.vpn -> unit;
-      (** Fired after every mutation of a {e home's} page store: typed
-          stores/CAS/fetch-add executed at the page's home, and page data
-          pulled back by a reclaim. It ships page contents whose dirtying
-          never crosses the wire (directory observation alone cannot see
-          home-local writes to pages the home already owns). *)
-}
-(** The HA layer's hooks into the protocol. *)
-
-val set_replication : t -> replication -> unit
-(** Arm replication: the process layer installs the hooks once, when
-    {!Proto_config.standbys} is non-empty. Unarmed, every path they
-    guard is bit-identical to a build without them, a home death is
-    fatal ({!reclaim_node}), and a reclaim takes one phase instead of
-    two. *)
+val ha : t -> Dex_ha.Ha.t option
+(** The origin's replication, armed by {!create} when
+    {!Proto_config.standbys} is non-empty; its [ha.*] counters go to
+    {!stats}. *)
 
 val promote : t ->
   new_origin:int ->
@@ -327,7 +312,11 @@ val fence_survivors : t -> unit
     holding one. *)
 
 val stats : t -> Dex_sim.Stats.t
-(** Protocol counters: [grant.data]/[grant.nodata]/[grant.nack],
+(** The process's one counter table ([Dex_core.Process.stats] returns
+    it): the process layer's migration, delegation, VMA-sync and
+    thread-recovery counts, the replication log's [ha.*] counts from
+    {!Dex_ha.Ha}, and the protocol counters:
+    [grant.data]/[grant.nodata]/[grant.nack],
     [revoke.invalidate]/[revoke.downgrade]; after a crash the [crash.*] family — [crash.nodes],
     [crash.pages_reclaimed], [crash.readers_scrubbed],
     [crash.revokes_skipped], [crash.escalations], [crash.grants_refused];

@@ -41,8 +41,9 @@ type t = {
           checkpoint register state, so the retried delegate re-executes);
           the default is [`Abort]. *)
   replication : [ `Sync | `Async of int ];
-      (** how origin replication ({!Dex_ha} when wired by the process
-          layer) fences, once a replica set exists ([standbys] non-empty):
+      (** how origin replication ({!Dex_ha.Ha}, armed by
+          {!Coherence.create}) fences, once a replica set exists
+          ([standbys] non-empty):
           [`Sync] (default) blocks every reply that leaves the origin
           until a quorum of standbys has acked the whole replication log
           (⌈(k+1)/2⌉ of them — a majority of the origin+k replica set);

@@ -92,6 +92,19 @@ let test_migration_latencies () =
         (not (List.mem_assoc "remote worker" f2.Process.m_breakdown))
   | log -> Alcotest.failf "unexpected migration log length %d" (List.length log)
 
+(* A remote worker is state, not a fiber: once a thread that visited
+   node 1 is joined, no fiber is left behind for the worker. *)
+let test_remote_worker_leaves_no_fiber () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let eng = Cluster.engine cl in
+  let before = ref 0 and after = ref 0 in
+  ignore
+    (Dex.run cl (fun proc _main ->
+         before := Engine.live_fibers eng;
+         Process.join (Process.spawn proc (fun th -> Process.migrate th 1));
+         after := Engine.live_fibers eng));
+  check_int "live fibers after the visit" !before !after
+
 let test_migrate_validation () =
   let cl = Dex.cluster ~nodes:2 () in
   ignore
@@ -227,6 +240,52 @@ let test_munmap_broadcast_kills_remote_access () =
   | exception Engine.Fiber_failure (_, Process.Segfault _) -> ());
   Alcotest.(check int64) "read before unmap fine" 7L !before;
   check_bool "remote reached the post-unmap access" true !reached_after
+
+(* Two munmaps from two threads at once: both shrinks are in flight at
+   node 1 together, and each is applied by the handler that delivered it. *)
+let test_concurrent_munmaps_at_one_node () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let len = 4 * 4096 in
+  let regions = ref [] in
+  let holds proc node r =
+    Option.is_some (Dex_mem.Vma_tree.find (Process.vma_tree proc ~node) r)
+  in
+  let ptes proc node r =
+    let pt =
+      Dex_proto.Coherence.page_table (Process.coherence proc) ~node
+    in
+    let first, last = Dex_mem.Page.pages_of_range r ~len in
+    List.length
+      (List.filter
+         (fun vpn -> Option.is_some (Dex_mem.Page_table.get pt vpn))
+         (List.init (last - first + 1) (fun i -> first + i)))
+  in
+  let proc =
+    Dex.run cl (fun proc main ->
+        let rs =
+          List.map (fun tag -> Process.mmap main ~len ~tag ()) [ "a"; "b" ]
+        in
+        regions := rs;
+        Process.join
+          (Process.spawn proc (fun th ->
+               Process.migrate th 1;
+               List.iter (fun r -> Process.write th r ~len) rs));
+        List.iter
+          (fun r ->
+            check_bool "node 1 holds the VMA" true (holds proc 1 r);
+            check_int "node 1 holds every page" 4 (ptes proc 1 r))
+          rs;
+        List.iter Process.join
+          (List.map
+             (fun r -> Process.spawn proc (fun th -> Process.munmap th ~addr:r ~len))
+             rs))
+  in
+  List.iter
+    (fun r ->
+      check_bool "no VMA left at node 1" false (holds proc 1 r);
+      check_int "no PTE left at node 1" 0 (ptes proc 1 r))
+    !regions;
+  Dex_proto.Coherence.check_invariants (Process.coherence proc)
 
 (* munmap forgets a re-homed page where it is served: its overlay entry
    and its re-home record go with the mapping. *)
@@ -1212,6 +1271,8 @@ let () =
           Alcotest.test_case "Table II latencies" `Quick
             test_migration_latencies;
           Alcotest.test_case "validation" `Quick test_migrate_validation;
+          Alcotest.test_case "remote worker leaves no fiber" `Quick
+            test_remote_worker_leaves_no_fiber;
         ] );
       ( "memory",
         [
@@ -1225,6 +1286,8 @@ let () =
             test_segfault_write_to_readonly;
           Alcotest.test_case "munmap broadcast" `Quick
             test_munmap_broadcast_kills_remote_access;
+          Alcotest.test_case "concurrent munmaps at one node" `Quick
+            test_concurrent_munmaps_at_one_node;
           Alcotest.test_case "munmap forgets a re-homed page" `Quick
             test_munmap_forgets_rehomed_page;
           Alcotest.test_case "mprotect downgrade" `Quick

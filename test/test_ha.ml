@@ -291,7 +291,33 @@ let test_sync_failover_no_lost_writes () =
   check_bool "replication re-armed towards a fresh recruit" true
     (match Process.ha proc with
     | Some ha -> Ha.active ha && Ha.standbys ha = [ 2 ]
-    | None -> false)
+    | None -> false);
+  (* One owner per piece of process state: the protocol instance holds
+     the replication, the origin and the only counter table. *)
+  check_bool "the process's table is the protocol's" true
+    (Process.stats proc == Dex_proto.Coherence.stats (Process.coherence proc));
+  (match Process.ha proc with
+  | Some ha -> check_int "Process.origin is Ha.origin" (Ha.origin ha) (Process.origin proc)
+  | None -> Alcotest.fail "replication should be armed");
+  let digest =
+    Format.asprintf "%a" Dex_profile.Report.pp_ha (Process.stats proc)
+  in
+  let has line =
+    List.exists
+      (fun l -> String.starts_with ~prefix:line l)
+      (String.split_on_char '\n' digest)
+  in
+  check_bool "pp_ha prints the log line" true
+    (has (Printf.sprintf "ha: entries=%d " (pstat proc "ha.entries")));
+  check_bool "pp_ha prints the failover line, survivor repair included" true
+    (has
+       (Printf.sprintf
+          "ha failover: count=1 replayed=%d detect_to_serve=%.1fus \
+           stalled_faults=%d stale_nacks=%d "
+          (pstat proc "ha.replay_entries")
+          (float_of_int (pstat proc "ha.failover_ns") /. 1000.0)
+          (cstat proc "ha.stalled_faults")
+          (cstat proc "ha.stale_epoch_nacks")))
 
 let test_async_failover_completes () =
   let proc, final, expect =
@@ -505,7 +531,7 @@ let test_zero_standbys_is_off () =
   check_bool "nothing armed" true (Process.ha proc = None);
   check_int "no log entries" 0 (pstat proc "ha.entries");
   Alcotest.check_raises "replication with two shards is refused"
-    (Invalid_argument "Process.create: replication needs one shard")
+    (Invalid_argument "Coherence.create: replication needs one shard")
     (fun () ->
       ignore
         (Process.create
