@@ -1,4 +1,5 @@
 open Dex_sim
+module Pids = Map.Make (Int)
 
 type registration = {
   route : Dex_net.Fabric.env -> bool;
@@ -14,7 +15,9 @@ type t = {
   membw : Membw.t array;
   storage : Resource.Server.t;
   rng : Rng.t;
-  mutable procs : registration list;  (* in registration order *)
+  mutable procs : registration Pids.t;
+      (* by pid; pid order is registration order, since pids are handed
+         out in increasing order and registered before the next is *)
   mutable next_pid : int;
 }
 
@@ -46,23 +49,22 @@ let create ?(config = Core_config.default) ?net
         Resource.Server.create engine
           ~bytes_per_us:config.Core_config.storage_bytes_per_us;
       rng = Rng.create ~seed;
-      procs = [];
+      procs = Pids.empty;
       next_pid = 1;
     }
   in
   for node = 0 to nodes - 1 do
     Dex_net.Fabric.set_handler fabric ~node (fun _ env ->
-        let rec route = function
-          | [] ->
-              failwith
-                (Format.asprintf "Cluster: unrouted message %a" Dex_net.Msg.pp
-                   env.Dex_net.Fabric.msg)
-          | p :: rest -> if p.route env then () else route rest
-        in
-        route t.procs)
+        let msg = env.Dex_net.Fabric.msg in
+        match Pids.find_opt msg.Dex_net.Msg.pid t.procs with
+        | Some p when p.route env -> ()
+        | Some _ | None ->
+            failwith
+              (Format.asprintf "Cluster: unrouted message %a" Dex_net.Msg.pp
+                 msg))
   done;
   Dex_net.Fabric.set_crash_handler fabric (fun node ->
-      List.iter (fun p -> p.on_crash node) t.procs);
+      Pids.iter (fun _ p -> p.on_crash node) t.procs);
   t
 
 let engine t = t.engine
@@ -80,10 +82,12 @@ let fresh_pid t =
   t.next_pid <- pid + 1;
   pid
 
-let add_process t ~route ~on_crash =
-  let reg = { route; on_crash } in
-  t.procs <- t.procs @ [ reg ];
-  fun () -> t.procs <- List.filter (fun p -> p != reg) t.procs
+let add_process t ~pid ~route ~on_crash =
+  if Pids.mem pid t.procs then
+    invalid_arg
+      (Printf.sprintf "Cluster.add_process: pid %d is registered" pid);
+  t.procs <- Pids.add pid { route; on_crash } t.procs;
+  fun () -> t.procs <- Pids.remove pid t.procs
 
 let crash_node t ~node =
   if node < 0 || node >= nodes t then

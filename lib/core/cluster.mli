@@ -2,10 +2,10 @@
 
     Owns the discrete-event engine, the InfiniBand fabric, and per-node
     hardware resources (core pools, memory-bandwidth channels). Each
-    process registers once ({!add_process}); the cluster installs one
-    fabric handler per node that fans incoming messages out to the
-    registered processes, and one fabric crash handler that runs their
-    crash recovery. *)
+    process registers once ({!add_process}) under its pid; the cluster
+    installs one fabric handler per node that hands each incoming message
+    to the process its envelope names ({!Dex_net.Msg.t.pid}), and one
+    fabric crash handler that runs every process's crash recovery. *)
 
 type t
 
@@ -38,22 +38,30 @@ val storage : t -> Dex_sim.Resource.Server.t
 val rng : t -> Dex_sim.Rng.t
 
 val fresh_pid : t -> int
+(** A pid no process of this cluster has had: 1, 2, 3, … *)
 
 val add_process :
   t ->
+  pid:int ->
   route:(Dex_net.Fabric.env -> bool) ->
   on_crash:(int -> unit) ->
   unit ->
   unit
-(** Register a process: [route] is its message router, [on_crash] its
-    recovery for a node whose failure the fabric declares. Routers are
-    tried in registration order and the first returning [true] wins; an
-    unrouted message is an error. A declaration runs every registered
-    [on_crash] in registration order, each in a context that must not
-    block. Returns the removal thunk (idempotent): a long-lived cluster
-    that hosts many short-lived processes (the serving layer) removes
-    exited processes with it, so neither message dispatch nor crash
-    handling scans every process that ever lived. *)
+(** Register process [pid]: [route] is its message router, [on_crash] its
+    recovery for a node whose failure the fabric declares. A message
+    goes to the router of the pid in its envelope and nowhere else; a
+    message whose pid is not registered, or whose router returns
+    [false], fails the handler fiber with ["Cluster: unrouted message"]
+    and the message's header ({!Dex_net.Msg.pp}, which names the pid). A
+    declaration runs every registered [on_crash] in pid order, each in a
+    context that must not block. Pid order is registration order: a
+    process registers the pid {!fresh_pid} gave it before any later
+    process can exist. Raises [Invalid_argument] if [pid] is already
+    registered. Returns the removal thunk (idempotent): a long-lived
+    cluster that hosts many short-lived processes (the serving layer)
+    removes exited processes with it, so crash handling does not visit
+    every process that ever lived, and a message for an exited process
+    is refused. *)
 
 val crash_node : t -> node:int -> unit
 (** Fail-stop [node] at the current simulation time: it stops servicing

@@ -1,4 +1,7 @@
-(** Wire messages of the migration / delegation / VMA-sync machinery. *)
+(** Wire messages of the migration / delegation / VMA-sync machinery.
+
+    The envelope's {!Dex_net.Msg.t.pid} names the process; the payloads
+    carry only what their receiver reads. *)
 
 type node_op =
   | Vma_shrink of { start : Dex_mem.Page.addr; len : int }
@@ -12,38 +15,30 @@ type node_op =
 
 type Dex_net.Msg.payload +=
   | Migrate of {
-      pid : int;
       tid : int;
-      first_to_node : bool;
-          (** whether the sender believes this is the process's first
-              migration to the destination (remote worker must be built) *)
       origin_ns : int;
           (** origin-side cost already incurred, for the migration log *)
       resume : unit -> unit;
           (** continuation restarting the thread at the destination *)
     }
+      (** → destination: rebuild thread [tid] there (building the remote
+          worker first if the node has none) *)
   | Migrate_back of {
-      pid : int;
       tid : int;
-      remote_ns : int;
+      remote_ns : int;  (** remote-side capture cost, for the log *)
       resume : unit -> unit;
-    }
-  | Delegate of {
-      pid : int;
-      tid : int;
-      resp_size : int;
-      run : unit -> Dex_net.Msg.payload;
-    }
-      (** remote → origin: run a stateful kernel operation in the context
-          of the paired original thread and reply with its result *)
-  | Ret_unit
-  | Ret_bool of bool
-  | Ret_int of int
-  | Vma_query of { pid : int; addr : Dex_mem.Page.addr }
+    }  (** remote → origin: refresh the original thread [tid] *)
+  | Delegate of { resp_size : int; run : unit -> unit }
+      (** remote → home: run a stateful kernel operation in the context of
+          the paired original thread, then reply [Delegate_done] with
+          [resp_size] wire bytes. [run] stores the operation's result in
+          the caller's own cell, so the result is an OCaml value and never
+          a wire type. *)
+  | Delegate_done
+  | Vma_query of { addr : Dex_mem.Page.addr }
       (** remote → origin: on-demand VMA lookup *)
   | Vma_info of Dex_mem.Vma.t option
-  | Node_op of { pid : int; op : node_op }
-      (** origin → remote worker: node-wide operation *)
+  | Node_op of node_op  (** origin → remote worker: node-wide operation *)
   | Node_op_ack
 
 val kind_migrate : string

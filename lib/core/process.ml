@@ -193,8 +193,8 @@ and vma_miss th ~addr ~len ~access ~queried =
     Stats.incr (stats t) "vma.sync";
     match
       origin_rpc t ~src:node ~stat:"ha.vma_syncs_retried" (fun ~dst ->
-          Fabric.call (fabric t) ~src:node ~dst ~kind:M.kind_vma ~size:64
-            (M.Vma_query { pid = t.pid; addr }))
+          Fabric.call (fabric t) ~src:node ~dst ~pid:t.pid ~kind:M.kind_vma
+            ~size:64 (M.Vma_query { addr }))
     with
     | M.Vma_info (Some vma) ->
         install_vma t.vmas.(node) vma;
@@ -209,10 +209,10 @@ and vma_miss th ~addr ~len ~access ~queried =
 (* Run [run] in the context of the paired original thread at [shard]'s
    home node and return its result — shard 0 (the default) is the origin,
    where the allocator/VMA/file services live; futex delegations route
-   to the word's shard. Threads local to the home call
-   straight into the kernel. [req_size] is the
-   request-leg wire size — operations that carry a payload to the home
-   (file writes) must charge for it. *)
+   to the word's shard. Threads local to the home call straight into the
+   kernel. [req_size] is the request-leg wire size — operations that
+   carry a payload to the home (file writes) must charge for it. The
+   result comes back as an OCaml value, never as a wire type. *)
 let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
   let t = th.proc in
   guard_thunk th (fun () ->
@@ -231,9 +231,19 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
            primitives safe against the replay. *)
         home_rpc t ~shard ~src:th.location ~stat:"ha.delegations_retried"
           (fun ~dst ->
-            Fabric.call (fabric t) ~src:th.location ~dst ~kind:M.kind_delegate
-              ~size:req_size
-              (M.Delegate { pid = t.pid; tid = th.tid; resp_size; run }))
+            (* A fresh cell per attempt: a zombie execution at a dead home
+               can only fill its own, never its retry's. The fabric runs a
+               handler at most once per call, so a chaos replay of the
+               reply finds the cell that one execution filled. *)
+            let result = ref None in
+            match
+              Fabric.call (fabric t) ~src:th.location ~dst ~pid:t.pid
+                ~kind:M.kind_delegate ~size:req_size
+                (M.Delegate
+                   { resp_size; run = (fun () -> result := Some (run ())) })
+            with
+            | M.Delegate_done -> Option.get !result
+            | _ -> failwith "Process: unexpected delegate reply")
       end)
 
 (* ------------------------------------------------------------------ *)
@@ -244,19 +254,11 @@ let alloc_static t ?align ~bytes ~tag () =
 
 let malloc th ~bytes ~tag =
   let t = th.proc in
-  match delegate th (fun () -> M.Ret_int (Allocator.malloc t.alloc ~bytes ~tag))
-  with
-  | M.Ret_int addr -> addr
-  | _ -> assert false
+  delegate th (fun () -> Allocator.malloc t.alloc ~bytes ~tag)
 
 let memalign th ~align ~bytes ~tag =
   let t = th.proc in
-  match
-    delegate th (fun () ->
-        M.Ret_int (Allocator.memalign t.alloc ~align ~bytes ~tag))
-  with
-  | M.Ret_int addr -> addr
-  | _ -> assert false
+  delegate th (fun () -> Allocator.memalign t.alloc ~align ~bytes ~tag)
 
 (* Each access is a top-level function of the thread, the optional
    [site] (forwarded to {!Coherence} as is), the address and one operand,
@@ -375,7 +377,7 @@ let futex_wait th ~addr ~expected =
     if redelivered then
       (* The old home consumed a wake for this thread but died before
          the verdict reached it; the replicated ledger re-delivers. *)
-      M.Ret_bool true
+      true
     else begin
       (* Atomic check-and-sleep: the value read below and the enqueue
          happen in the same engine event, so no wakeup can slip in
@@ -388,14 +390,14 @@ let futex_wait th ~addr ~expected =
           ~node:(Authority.home (authority t) ~shard)
           ~tid:th.tid ~site:"futex" addr
       in
-      if v <> expected then M.Ret_bool false
+      if v <> expected then false
       else begin
         ha_log t
           (Log_entry.Futex_wait { addr; tid = th.tid; owner = th.location });
         match
           Futex.wait ~owner:th.location ~tid:th.tid t.futexes.(shard) ~addr
         with
-        | `Woken -> M.Ret_bool true
+        | `Woken -> true
         | `Crashed ->
             (* The waiter's node died while it was parked: report a
                spurious wake. Sync primitives re-check their state in a
@@ -403,13 +405,11 @@ let futex_wait th ~addr ~expected =
                anyway. *)
             ha_log t
               (Log_entry.Futex_unpark { addr; tid = th.tid; woken = false });
-            M.Ret_bool false
+            false
       end
     end
   in
-  match delegate ~shard th run with
-  | M.Ret_bool b -> b
-  | _ -> assert false
+  delegate ~shard th run
 
 let futex_wake th ~addr ~count =
   let t = th.proc in
@@ -423,9 +423,9 @@ let futex_wake th ~addr ~count =
     List.iter
       (fun tid -> ha_log t (Log_entry.Futex_unpark { addr; tid; woken = true }))
       tids;
-    M.Ret_int (List.length tids)
+    List.length tids
   in
-  match delegate ~shard th run with M.Ret_int n -> n | _ -> assert false
+  delegate ~shard th run
 
 (* ------------------------------------------------------------------ *)
 (* File I/O (delegated to the origin like any stateful service).        *)
@@ -434,9 +434,9 @@ let file_open th name =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    M.Ret_int (Vfs.open_file t.vfs name)
+    Vfs.open_file t.vfs name
   in
-  match delegate th run with M.Ret_int fd -> fd | _ -> assert false
+  delegate th run
 
 let file_read th ~fd ~bytes =
   let t = th.proc in
@@ -445,45 +445,38 @@ let file_read th ~fd ~bytes =
     let n = Vfs.read t.vfs fd ~bytes in
     (* The origin pulls the data from the shared storage appliance. *)
     if n > 0 then Resource.Server.transfer (Cluster.storage t.cluster) ~bytes:n;
-    M.Ret_int n
+    n
   in
   (* The payload travels back to the caller as the syscall result: big
      reads ride the RDMA path of the fabric automatically. *)
-  match delegate ~resp_size:(64 + bytes) th run with
-  | M.Ret_int n -> n
-  | _ -> assert false
+  delegate ~resp_size:(64 + bytes) th run
 
 let file_write th ~fd ~bytes =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
     Vfs.write t.vfs fd ~bytes;
-    Resource.Server.transfer (Cluster.storage t.cluster) ~bytes;
-    M.Ret_unit
+    Resource.Server.transfer (Cluster.storage t.cluster) ~bytes
   in
   (* The payload travels WITH the request: charge the forward leg, the
      mirror image of [file_read]'s response accounting. *)
-  match delegate ~req_size:(64 + bytes) th run with
-  | M.Ret_unit -> ()
-  | _ -> assert false
+  delegate ~req_size:(64 + bytes) th run
 
 let file_seek th ~fd ~pos =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.seek t.vfs fd ~pos;
-    M.Ret_unit
+    Vfs.seek t.vfs fd ~pos
   in
-  match delegate th run with M.Ret_unit -> () | _ -> assert false
+  delegate th run
 
 let file_close th ~fd =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.close t.vfs fd;
-    M.Ret_unit
+    Vfs.close t.vfs fd
   in
-  match delegate th run with M.Ret_unit -> () | _ -> assert false
+  delegate th run
 
 let file_size t name = Vfs.size t.vfs name
 
@@ -533,9 +526,8 @@ let rec broadcast_node_op t op =
         (fun node ->
           Engine.spawn (engine t) ~label:"node-op" (fun () ->
               (match
-                 Fabric.call (fabric t) ~src ~dst:node ~kind:M.kind_node_op
-                   ~size:96
-                   (M.Node_op { pid = t.pid; op })
+                 Fabric.call (fabric t) ~src ~dst:node ~pid:t.pid
+                   ~kind:M.kind_node_op ~size:96 (M.Node_op op)
                with
               | M.Node_op_ack -> ()
               | exception Fabric.Unreachable _
@@ -578,9 +570,9 @@ let mmap th ?(perm = Perm.rw) ~len ~tag () =
     let vma = Vma.make ~start:addr ~len ~perm ~tag in
     Vma_tree.insert t.vmas.(origin t) vma;
     ha_log t (Log_entry.Vma_set vma);
-    M.Ret_int addr
+    addr
   in
-  match delegate th run with M.Ret_int a -> a | _ -> assert false
+  delegate th run
 
 let munmap th ~addr ~len =
   let t = th.proc in
@@ -594,10 +586,9 @@ let munmap th ~addr ~len =
        on the standbys before any remote node observes it. *)
     ha_fence t;
     broadcast_node_op t (M.Vma_shrink { start = addr; len });
-    Coherence.forget_range t.coh ~first ~last;
-    M.Ret_unit
+    Coherence.forget_range t.coh ~first ~last
   in
-  match delegate th run with M.Ret_unit -> () | _ -> assert false
+  delegate th run
 
 let mprotect th ~addr ~len ~perm =
   let t = th.proc in
@@ -612,10 +603,9 @@ let mprotect th ~addr ~len ~perm =
       ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
       ha_fence t;
       broadcast_node_op t (M.Vma_protect { start = addr; len; perm })
-    end;
-    M.Ret_unit
+    end
   in
-  match delegate th run with M.Ret_unit -> () | _ -> assert false
+  delegate th run
 
 (* ------------------------------------------------------------------ *)
 (* Migration (§III-A).                                                 *)
@@ -638,7 +628,7 @@ let send_and_park th ~src ~dst build =
     end
   in
   th.mig_park <- Some (src, dst, resume);
-  Fabric.send (fabric t) ~src ~dst ~kind:M.kind_migrate
+  Fabric.send (fabric t) ~src ~dst ~pid:t.pid ~kind:M.kind_migrate
     ~size:(cfg t).Core_config.context_size (build resume);
   if not !arrived then Engine.suspend eng (fun r -> waiter := Some r)
 
@@ -676,7 +666,7 @@ and migrate_send th target =
       Engine.delay eng c.Core_config.backward_capture;
       let remote_ns = Engine.now eng - t0 in
       send_and_park th ~src ~dst:target (fun resume ->
-          M.Migrate_back { pid = t.pid; tid = th.tid; remote_ns; resume });
+          M.Migrate_back { tid = th.tid; remote_ns; resume });
       (* Woken by crash recovery rather than the origin handler: the
          source node (and the context captured on it) died mid-flight.
          Surface it as the fabric would so {!guard} applies the policy. *)
@@ -693,9 +683,7 @@ and migrate_send th target =
         + if first then c.Core_config.first_session_setup else 0);
       let origin_ns = Engine.now eng - t0 in
       send_and_park th ~src ~dst:target (fun resume ->
-          M.Migrate
-            { pid = t.pid; tid = th.tid; first_to_node = first; origin_ns;
-              resume });
+          M.Migrate { tid = th.tid; origin_ns; resume });
       (* The destination died while the context was in flight (or while
          it was rebuilding the thread): the migration failed, the thread
          never left. *)
@@ -827,29 +815,15 @@ let handle_migrate_back t ~node ~tid ~remote_ns resume =
 (* Fail-stop crash recovery.                                           *)
 
 (* The last step of {!on_node_crash}: {!Coherence.reclaim_node} has run,
-   so the ownership metadata is already clean when threads are
-   re-homed. *)
+   so the ownership metadata is already clean when threads are re-homed,
+   and a home loss nothing can recover was refused there: a dead home
+   reaching this point is the origin, and HA has its failover in hand. *)
 let handle_node_crash t ~node =
   let origin_died = node = origin t in
   (* Shards whose home stood on the dead node. Computed here, before the
      promotion fiber (queued by {!Ha.handle_crash}) runs, so the home
      table still points at the casualty. *)
   let homed = Authority.homed_at (authority t) node in
-  (match (homed, ha t) with
-  | [], _ -> ()
-  | _, Some ha when Ha.armed ha ->
-      (* Only the origin replicates, so the origin died.
-         {!Ha.handle_crash} already queued the promotion fiber; this pass
-         only cleans up local casualties. *)
-      ()
-  | 0 :: _, _ ->
-      failwith
-        "Process: origin crash with no live replica is unsupported (the \
-         directory and every delegated service die with it)"
-  | _ ->
-      failwith
-        "Process: a shard home node crashed — its directory and futex \
-         service die with it");
   (* Wake home-side delegate fibers parked in the futex on behalf of
      threads that lived on the dead node — before any re-homing below
      changes thread locations, or the owner tags would lie. A home crash
@@ -919,29 +893,29 @@ let router t (env : Fabric.env) =
   else
     let msg = env.Fabric.msg in
     match msg.Msg.payload with
-    | M.Migrate { pid; tid; origin_ns; resume; _ } when pid = t.pid ->
+    | M.Migrate { tid; origin_ns; resume } ->
         handle_migrate t ~node:msg.Msg.dst ~tid ~origin_ns resume;
         true
-    | M.Migrate_back { pid; tid; remote_ns; resume } when pid = t.pid ->
+    | M.Migrate_back { tid; remote_ns; resume } ->
         handle_migrate_back t ~node:msg.Msg.dst ~tid ~remote_ns resume;
         true
-    | M.Delegate { pid; resp_size; run; _ } when pid = t.pid ->
+    | M.Delegate { resp_size; run } ->
         Engine.delay (engine t) (cfg t).Core_config.delegation_dispatch;
-        let r = run () in
+        run ();
         (* Replicate-before-externalize: whatever the syscall mutated
            (futex state, VMAs, allocations) must be on the standbys before
            the reply publishes the effect to another node. Only the
            origin's state is replicated. *)
         if msg.Msg.dst = origin t then ha_fence t;
-        env.Fabric.respond ~size:resp_size r;
+        env.Fabric.respond ~size:resp_size M.Delegate_done;
         true
-    | M.Vma_query { pid; addr } when pid = t.pid ->
+    | M.Vma_query { addr } ->
         Engine.delay (engine t) (cfg t).Core_config.vma_op;
         let r = M.Vma_info (Vma_tree.find t.vmas.(origin t) addr) in
         ha_fence t;
         env.Fabric.respond r;
         true
-    | M.Node_op { pid; op } when pid = t.pid ->
+    | M.Node_op op ->
         let node = msg.Msg.dst in
         (* Without a worker the node holds no state for this process. *)
         if t.workers.(node) = Ready then apply_node_op t ~node op;
@@ -1025,7 +999,8 @@ let create cluster ?(origin = 0) () =
   layout_vma ~start:Layout.heap_base ~len:Layout.heap_size ~perm:Perm.rw
     ~tag:"heap";
   t.detach <-
-    Cluster.add_process cluster ~route:(router t) ~on_crash:(on_node_crash t);
+    Cluster.add_process cluster ~pid ~route:(router t)
+      ~on_crash:(on_node_crash t);
   t
 
 let spawn t ?name:(thread_name = "worker") f =

@@ -38,9 +38,11 @@ exception Thread_crashed of { pid : int; tid : int }
     returns and {!crashed} reports the loss. *)
 
 val create : Cluster.t -> ?origin:int -> unit -> t
-(** Register a new process on [cluster] — one {!Cluster.add_process}
-    registration carrying its message router and its crash recovery
-    (directory reclaim, then standby promotion, then thread recovery);
+(** Register a new process on [cluster] under a {!Cluster.fresh_pid} —
+    one {!Cluster.add_process} registration carrying its message router
+    (which receives only messages whose envelope names that pid) and its
+    crash recovery (directory reclaim, then standby promotion, then thread
+    recovery);
     [origin] defaults to node 0. When the
     cluster's proto config names a non-empty replica set
     ({!Dex_proto.Proto_config.standbys}), the protocol instance arms

@@ -170,12 +170,12 @@ and ship t s =
     Stats.incr t.stats "ha.ship_batches";
     Stats.add t.stats "ha.entries_shipped" n;
     match
-      Fabric.call t.fabric ~src:t.origin ~dst:s.sb_node
+      Fabric.call t.fabric ~src:t.origin ~dst:s.sb_node ~pid:t.pid
         ~kind:Ha_messages.kind_repl ~size
         (Ha_messages.Repl_append
-           { pid = t.pid; epoch = t.epoch; first_seq; entries = batch })
+           { epoch = t.epoch; first_seq; entries = batch })
     with
-    | Ha_messages.Repl_ack { pid = _; watermark } ->
+    | Ha_messages.Repl_ack { watermark } ->
         if watermark > s.sb_acked then begin
           Stats.add t.stats "ha.entries_acked" (watermark - s.sb_acked);
           s.sb_acked <- watermark
@@ -312,6 +312,23 @@ let take_wake t ~addr ~tid =
 (* ------------------------------------------------------------------ *)
 (* Failover.                                                            *)
 
+(* A standby record at the start of generation [epoch] rooted at
+   [origin]: nothing shipped, acked or applied yet. [prev] is the fully
+   seeded image of an earlier generation it carries over, if any. *)
+let fresh_standby ~epoch ~origin ?prev node =
+  {
+    sb_node = node;
+    sb_shipped = 0;
+    sb_acked = 0;
+    sb_shipping = false;
+    sb_live = true;
+    sb_epoch = epoch;
+    sb_replica = Replica.create ~origin;
+    sb_applied_rev = [];
+    sb_applied = 0;
+    sb_prev = prev;
+  }
+
 (* Start a fresh generation: keep the surviving standbys (their previous
    images ride along until the new snapshot seeds them), recruit fresh
    nodes up to k, and reset the log. The caller appends the bootstrap
@@ -344,20 +361,7 @@ let rearm t =
         }
     else s.sb_prev
   in
-  let fresh ?prev node =
-    {
-      sb_node = node;
-      sb_shipped = 0;
-      sb_acked = 0;
-      sb_shipping = false;
-      sb_live = true;
-      sb_epoch = t.epoch;
-      sb_replica = Replica.create ~origin:t.origin;
-      sb_applied_rev = [];
-      sb_applied = 0;
-      sb_prev = prev;
-    }
-  in
+  let fresh = fresh_standby ~epoch:t.epoch ~origin:t.origin in
   let kept = List.map (fun s -> fresh ?prev:(carry s) s.sb_node) survivors in
   let taken = t.origin :: List.map (fun s -> s.sb_node) survivors in
   let nodes = Fabric.node_count t.fabric in
@@ -516,8 +520,8 @@ let handle_crash t ~node =
   | Active when node = t.origin -> (
       match t.promote_hook with
       | None ->
-          (* Nobody wired a promotion path; stay out of the way (the
-             process layer will refuse the crash loudly). *)
+          (* Nobody wired a promotion path (a process always does):
+             stay out of the way. *)
           disable t
       | Some hook ->
           t.state <- Promoting;
@@ -545,8 +549,7 @@ let handle_crash t ~node =
 
 let router t (env : Fabric.env) =
   match env.Fabric.msg.Msg.payload with
-  | Ha_messages.Repl_append { pid; epoch; first_seq; entries } when pid = t.pid
-    -> (
+  | Ha_messages.Repl_append { epoch; first_seq; entries } -> (
       let dst = env.Fabric.msg.Msg.dst in
       match List.find_opt (fun s -> s.sb_node = dst) t.standbys with
       | Some s when epoch >= s.sb_epoch ->
@@ -564,7 +567,7 @@ let router t (env : Fabric.env) =
           (* Fully seeded: the retained previous image is obsolete. *)
           if s.sb_applied >= t.snapshot_seq then s.sb_prev <- None;
           env.Fabric.respond
-            (Ha_messages.Repl_ack { pid = t.pid; watermark = s.sb_applied });
+            (Ha_messages.Repl_ack { watermark = s.sb_applied });
           true
       | Some s ->
           (* Per-origin-epoch guard: a deposed (zombie) origin must not
@@ -572,7 +575,7 @@ let router t (env : Fabric.env) =
              promoted history the moment the election ran. *)
           Stats.incr t.stats "ha.zombie_nacks";
           env.Fabric.respond
-            (Ha_messages.Repl_nack { pid = t.pid; epoch = s.sb_epoch });
+            (Ha_messages.Repl_nack { epoch = s.sb_epoch });
           true
       | None ->
           (* Addressed to a node that is not (or no longer) in the replica
@@ -580,7 +583,7 @@ let router t (env : Fabric.env) =
              node. *)
           Stats.incr t.stats "ha.zombie_nacks";
           env.Fabric.respond
-            (Ha_messages.Repl_nack { pid = t.pid; epoch = t.epoch });
+            (Ha_messages.Repl_nack { epoch = t.epoch });
           true)
   | _ -> false
 
@@ -622,20 +625,5 @@ let arm ~engine ~fabric ~stats ~pid ~mode ~origin ~standbys =
       last_election = None;
     }
   in
-  t.standbys <-
-    List.map
-      (fun node ->
-        {
-          sb_node = node;
-          sb_shipped = 0;
-          sb_acked = 0;
-          sb_shipping = false;
-          sb_live = true;
-          sb_epoch = 0;
-          sb_replica = Replica.create ~origin;
-          sb_applied_rev = [];
-          sb_applied = 0;
-          sb_prev = None;
-        })
-      standbys;
+  t.standbys <- List.map (fresh_standby ~epoch:0 ~origin) standbys;
   t

@@ -65,8 +65,9 @@ val arm :
   t
 (** Arm replication from [origin] to the replica set [standbys] (k =
     [List.length standbys]; must be non-empty, distinct, in range and
-    exclude the origin). Subscribes to nothing: the owner routes failure
-    declarations to {!handle_crash} and messages to {!router}. [stats]
+    exclude the origin). Its batches go to process [pid]. Subscribes to
+    nothing: the owner routes failure declarations to {!handle_crash} and
+    messages to {!router}. [stats]
     receives the [ha.*] counters (the arming protocol instance's table,
     which is also its process's). *)
 
@@ -144,4 +145,5 @@ val router : t -> Dex_net.Fabric.env -> bool
 (** Standby-side message dispatcher: apply [Repl_append] batches carrying
     the current epoch and ack the watermark; NACK batches from a deposed
     origin's older epoch. The owning process tries it from its own
-    router. *)
+    router, for messages whose envelope carries its pid ([pid] of
+    {!arm}, which the shipper stamps on every batch). *)

@@ -55,6 +55,18 @@ let add_reader t p node =
   | Exclusive _ ->
       invalid_arg "Directory.add_reader: page exclusively owned elsewhere"
 
+let drop_node t p node =
+  match state t p with
+  | Exclusive owner when owner = node ->
+      set_exclusive t p t.origin;
+      `Owner
+  | Shared readers when Node_set.mem readers node ->
+      let rest = Node_set.remove readers node in
+      if Node_set.is_empty rest then set_exclusive t p t.origin
+      else set_shared t p rest;
+      `Reader
+  | Exclusive _ | Shared _ -> `Absent
+
 let has_valid_copy t p node =
   match state t p with
   | Exclusive owner -> owner = node

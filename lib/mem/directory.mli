@@ -44,6 +44,14 @@ val add_reader : t -> Page.vpn -> int -> unit
 (** Raises [Invalid_argument] if the page is exclusively owned by another
     node; callers must downgrade first. *)
 
+val drop_node : t -> Page.vpn -> int -> [ `Owner | `Reader | `Absent ]
+(** Take [node] out of the page's entry, for a node that can no longer
+    hold it: an exclusive owner falls back to {!origin}, a reader leaves
+    the reader set, and a set left empty falls back to {!origin} too.
+    Returns which role [node] held ([`Absent]: none, entry untouched).
+    The observer sees the one resulting {!set_exclusive} or
+    {!set_shared}. *)
+
 val has_valid_copy : t -> Page.vpn -> int -> bool
 (** Whether [node] holds an up-to-date copy — used for the
     grant-ownership-without-data optimization. *)

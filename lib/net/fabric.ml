@@ -441,6 +441,7 @@ let rel_send_ack t ~(req : Msg.t) ~seq =
     {
       Msg.src = req.Msg.dst;
       dst = req.Msg.src;
+      pid = req.Msg.pid;
       size = 0;
       kind = req.Msg.kind ^ ".ack";
       payload = Rel_ack { seq };
@@ -467,6 +468,7 @@ let rel_send_busy t ~(req : Msg.t) ~seq =
     {
       Msg.src = req.Msg.dst;
       dst = req.Msg.src;
+      pid = req.Msg.pid;
       size = 0;
       kind = req.Msg.kind ^ ".busy";
       payload = Rel_busy { seq };
@@ -487,6 +489,7 @@ let rel_ack_reply t c ~(req : Msg.t) ~seq =
     {
       Msg.src = req.Msg.src;
       dst = req.Msg.dst;
+      pid = req.Msg.pid;
       size = 0;
       kind = req.Msg.kind ^ ".ack";
       payload = Rel_ack { seq };
@@ -504,6 +507,7 @@ let rel_send_reply t c ~(req : Msg.t) ~seq ~size reply =
     {
       Msg.src = req.Msg.dst;
       dst = req.Msg.src;
+      pid = req.Msg.pid;
       size;
       kind = (per_kind t req.Msg.kind).resp;
       payload = Rel_reply { seq; inner = reply };
@@ -578,7 +582,7 @@ let rel_dispatch t c (msg : Msg.t) ~seq ~low ~oneway ~inner =
 let rel_watermark t =
   Hashtbl.fold (fun s _ acc -> min s acc) t.rel_pending t.rel_seq
 
-let rel_transact t c ~src ~dst ~kind ~size ~oneway payload =
+let rel_transact t c ~src ~dst ~pid ~kind ~size ~oneway payload =
   let seq = fresh_seq t in
   let box = ref None in
   let wake = ref None in
@@ -604,7 +608,14 @@ let rel_transact t c ~src ~dst ~kind ~size ~oneway payload =
     if attempt > 0 then Stats.incr t.stats "chaos.retransmits";
     let low = rel_watermark t in
     let msg =
-      { Msg.src; dst; size; kind; payload = Rel_req { seq; low; oneway; inner = payload } }
+      {
+        Msg.src;
+        dst;
+        pid;
+        size;
+        kind;
+        payload = Rel_req { seq; low; oneway; inner = payload };
+      }
     in
     transmit t msg (fun () ->
         rel_dispatch t c msg ~seq ~low ~oneway ~inner:payload);
@@ -647,30 +658,32 @@ let rel_transact t c ~src ~dst ~kind ~size ~oneway payload =
    zero-payload ack) still occupies buffer slots and pays per-message
    overheads, it just adds no serialization time. Only negative sizes are
    programming errors. *)
-let send t ~src ~dst ~kind ~size payload =
+let send t ~src ~dst ~pid ~kind ~size payload =
   check_node t src "send";
   check_node t dst "send";
   if size < 0 then invalid_arg "Fabric.send: negative size";
   match t.chaos with
   | Some c when src <> dst ->
-      ignore (rel_transact t c ~src ~dst ~kind ~size ~oneway:true payload)
+      ignore (rel_transact t c ~src ~dst ~pid ~kind ~size ~oneway:true payload)
   | _ ->
       (* Pristine RC transport (and loopback, which is lossless even under
          chaos): fire and forget. *)
-      let msg = { Msg.src; dst; size; kind; payload } in
+      let msg = { Msg.src; dst; pid; size; kind; payload } in
       transmit t msg (fun () -> dispatch t msg no_respond)
 
-let call t ~src ~dst ~kind ~size payload =
+let call t ~src ~dst ~pid ~kind ~size payload =
   check_node t src "call";
   check_node t dst "call";
   if size < 0 then invalid_arg "Fabric.call: negative size";
   match t.chaos with
   | Some c when src <> dst -> (
-      match rel_transact t c ~src ~dst ~kind ~size ~oneway:false payload with
+      match
+        rel_transact t c ~src ~dst ~pid ~kind ~size ~oneway:false payload
+      with
       | Some reply -> reply
       | None -> assert false (* a call resolves with a reply, never an ack *))
   | _ -> (
-      let msg = { Msg.src; dst; size; kind; payload } in
+      let msg = { Msg.src; dst; pid; size; kind; payload } in
       (* The reply may not be delivered before we suspend: response delivery
          is always a separate engine event, and the check/suspend below runs
          atomically within the calling fiber's current event. *)
@@ -684,6 +697,7 @@ let call t ~src ~dst ~kind ~size payload =
           {
             Msg.src = dst;
             dst = src;
+            pid;
             size;
             kind = (per_kind t kind).resp;
             payload = reply;

@@ -146,17 +146,34 @@ val set_crash_handler : t -> (int -> unit) -> unit
     needs the fabric). [Dex_core.Cluster] installs one that runs each
     live process's recovery sequence in turn. *)
 
-val send : t -> src:int -> dst:int -> kind:string -> size:int -> Msg.payload -> unit
-(** One-way message. Blocks the calling fiber only for the local send-side
-    costs (buffer-pool acquisition and posting); transport and delivery
-    proceed asynchronously. In chaos mode, blocks until the destination has
+val send :
+  t ->
+  src:int ->
+  dst:int ->
+  pid:int ->
+  kind:string ->
+  size:int ->
+  Msg.payload ->
+  unit
+(** One-way message to process [pid] at [dst] ({!Msg.t.pid}). Blocks the
+    calling fiber only for the local send-side costs (buffer-pool
+    acquisition and posting); transport and delivery proceed
+    asynchronously. In chaos mode, blocks until the destination has
     acknowledged delivery (retransmitting as needed) and may raise
     {!Unreachable}. *)
 
 val call :
-  t -> src:int -> dst:int -> kind:string -> size:int -> Msg.payload -> Msg.payload
-(** RPC: send a request and block the calling fiber until the handler at
-    [dst] responds. In chaos mode the request is retransmitted until a
+  t ->
+  src:int ->
+  dst:int ->
+  pid:int ->
+  kind:string ->
+  size:int ->
+  Msg.payload ->
+  Msg.payload
+(** RPC: send a request to process [pid] at [dst] and block the calling
+    fiber until the handler there responds; the reply carries the same
+    [pid]. In chaos mode the request is retransmitted until a
     reply arrives; the handler still runs at most once, with cached-reply
     replay covering retransmissions. May raise {!Unreachable}. *)
 

@@ -43,37 +43,28 @@ let replicated t = Option.is_some t.ha
 
 (* --- fail-stop reclaim ---------------------------------------------- *)
 
-(* Scrub a dead node out of one directory served at [home]. Runs
-   synchronously from the failure declaration (the process's crash
+(* Scrub a dead node out of one directory. Ownership re-homes to the
+   directory's home, whose last-known (staging) copy it then serves.
+   Whatever the dead node wrote since its grant was observed by nobody —
+   any reader would have pulled the data back through the home first — so
+   dropping those writes is linearizable: it is as if they never executed.
+   Runs synchronously from the failure declaration (the process's crash
    handler), possibly while grant fibers are blocked mid-fan-out with
    directory locks held — that is safe because every transition those
    fibers later apply re-checks the requester's liveness and filters dead
    nodes out of the membership it installs, so the scrub can never be
    undone by an in-flight grant. *)
-let scrub_dir t ~dir ~home ~node =
+let scrub_dir t ~dir ~node =
   (* Snapshot first: the scrub mutates the directory while iterating. *)
-  let entries = ref [] in
-  Directory.iter dir (fun vpn state -> entries := (vpn, state) :: !entries);
+  let vpns = ref [] in
+  Directory.iter dir (fun vpn _ -> vpns := vpn :: !vpns);
   List.iter
-    (fun (vpn, state) ->
-      match state with
-      | Directory.Exclusive owner when owner = node ->
-          (* Ownership re-homes to the home's last-known (staging) copy.
-             Whatever the dead node wrote since its grant was observed by
-             nobody — any reader would have pulled the data back through
-             the home first — so dropping those writes is linearizable:
-             it is as if they never executed. *)
-          Directory.set_exclusive dir vpn home;
-          Stats.incr t.stats "crash.pages_reclaimed"
-      | Directory.Exclusive _ -> ()
-      | Directory.Shared readers ->
-          if Node_set.mem readers node then begin
-            let rest = Node_set.remove readers node in
-            if Node_set.is_empty rest then Directory.set_exclusive dir vpn home
-            else Directory.set_shared dir vpn rest;
-            Stats.incr t.stats "crash.readers_scrubbed"
-          end)
-    !entries
+    (fun vpn ->
+      match Directory.drop_node dir vpn node with
+      | `Owner -> Stats.incr t.stats "crash.pages_reclaimed"
+      | `Reader -> Stats.incr t.stats "crash.readers_scrubbed"
+      | `Absent -> ())
+    !vpns
 
 (* Undo every autopilot re-home whose target just died: the authority of
    each affected page falls back to its static shard home, with the entry
@@ -107,14 +98,15 @@ let rehome_fallback t ~node =
    failure declaration and before requesters retry: scrub it out of every
    directory served elsewhere, then fall back the pages re-homed to it.
    The origin's directory is the HA layer's to rebuild (the process's
-   crash handler queues its promotion fiber next); without HA, the death
-   of any shard home is fatal. With no re-homes the overlay pass is a no-op: no stats, no
-   events. *)
+   crash handler queues its promotion fiber next); unless replication is
+   armed, the death of any shard home is fatal — this is the one place
+   that refuses it. With no re-homes the overlay pass is a no-op: no
+   stats, no events. *)
 let reclaim_node t ~node =
   let homed = Authority.homed_at t.authority node in
   (match homed with
   | [] -> Stats.incr t.stats "crash.nodes"
-  | _ when replicated t -> ()
+  | _ when (match t.ha with Some ha -> Ha.armed ha | None -> false) -> ()
   | 0 :: _ ->
       failwith
         "Coherence: the origin fail-stopped — no recovery possible (the \
@@ -124,7 +116,7 @@ let reclaim_node t ~node =
         "Coherence: a home node fail-stopped with no replication armed — \
          its shard's directory died with it");
   Authority.iter_dirs t.authority (fun r ->
-      if r.node <> node then scrub_dir t ~dir:r.dir ~home:r.node ~node);
+      if r.node <> node then scrub_dir t ~dir:r.dir ~node);
   rehome_fallback t ~node;
   if homed = [] then begin
     (* Wholesale amnesia on the dead node's local state. Its fault table
@@ -318,18 +310,12 @@ let revoke_rpc t ~home ~target ~vpn ~mode ~want_data =
       | Messages.Downgrade -> "revoke.downgrade");
     let src = home in
     match
-      Fabric.call t.fabric ~src ~dst:target ~kind:Messages.kind_revoke
-        ~size:t.cfg.Proto_config.ctl_msg_size
+      Fabric.call t.fabric ~src ~dst:target ~pid:t.pid
+        ~kind:Messages.kind_revoke ~size:t.cfg.Proto_config.ctl_msg_size
         (Messages.Revoke
-           {
-             pid = t.pid;
-             vpn;
-             mode;
-             want_data;
-             epoch = Authority.epoch t.authority;
-           })
+           { vpn; mode; want_data; epoch = Authority.epoch t.authority })
     with
-    | Messages.Revoke_ack { data; _ } -> data
+    | Messages.Revoke_ack { data } -> data
     | _ -> failwith "Coherence: unexpected revoke reply"
     | exception Fabric.Unreachable _ ->
         crash_escalate t ~src ~target;
@@ -371,11 +357,11 @@ let mirror_to_static t ~src ~vpn data =
     -> (
       Stats.incr t.stats "autopilot.mirrors";
       match
-        Fabric.call t.fabric ~src ~dst ~kind:Messages.kind_page_sync
-          ~size:t.cfg.Proto_config.page_msg_size
-          (Messages.Page_sync { pid = t.pid; vpn; data = Bytes.copy data })
+        Fabric.call t.fabric ~src ~dst ~pid:t.pid
+          ~kind:Messages.kind_page_sync ~size:t.cfg.Proto_config.page_msg_size
+          (Messages.Page_sync { vpn; data = Bytes.copy data })
       with
-      | Messages.Page_sync_ack _ -> ()
+      | Messages.Page_sync_ack -> ()
       | _ -> failwith "Coherence: unexpected sync reply"
       | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:dst)
   | _ -> ()
@@ -479,18 +465,13 @@ let push_replicas t ~home ~dir ~vpn ~requester =
               (List.map
                  (fun (target, data) () ->
                    match
-                     Fabric.call t.fabric ~src:home ~dst:target
+                     Fabric.call t.fabric ~src:home ~dst:target ~pid:t.pid
                        ~kind:Messages.kind_page_push
                        ~size:t.cfg.Proto_config.page_msg_size
                        (Messages.Page_push
-                          {
-                            pid = t.pid;
-                            vpn;
-                            data;
-                            epoch = Authority.epoch t.authority;
-                          })
+                          { vpn; data; epoch = Authority.epoch t.authority })
                    with
-                   | Messages.Page_push_ack { accepted = ok; _ } ->
+                   | Messages.Page_push_ack { accepted = ok } ->
                        if ok then accepted := target :: !accepted
                        else Stats.incr t.stats "autopilot.push_declined"
                    | _ -> failwith "Coherence: unexpected push reply"
@@ -597,14 +578,7 @@ let origin_grant t ~(route : Authority.route) ~requester ~vpn ~access =
              directory; the transition just applied may have reintroduced
              the ghost. Undo it: ownership falls back to the home. *)
           Stats.incr t.stats "crash.grants_refused";
-          (match Directory.state dir vpn with
-          | Directory.Exclusive owner when owner = requester ->
-              Directory.set_exclusive dir vpn home
-          | Directory.Shared readers when Node_set.mem readers requester ->
-              let rest = Node_set.remove readers requester in
-              if Node_set.is_empty rest then Directory.set_exclusive dir vpn home
-              else Directory.set_shared dir vpn rest
-          | _ -> ());
+          ignore (Directory.drop_node dir vpn requester);
           `Nack
         end
         else begin
@@ -695,9 +669,9 @@ let page_request t ~node ~(route : Authority.route) ~vpn ~access =
     | _ -> route.node
   in
   match
-    Fabric.call t.fabric ~src:node ~dst ~kind:Messages.kind_page_request
-      ~size:t.cfg.Proto_config.ctl_msg_size
-      (Messages.Page_request { pid = t.pid; vpn; access; epoch = view.epoch })
+    Fabric.call t.fabric ~src:node ~dst ~pid:t.pid
+      ~kind:Messages.kind_page_request ~size:t.cfg.Proto_config.ctl_msg_size
+      (Messages.Page_request { vpn; access; epoch = view.epoch })
   with
   | reply -> Some reply
   | exception (Fabric.Unreachable _ as e) -> (
@@ -725,8 +699,8 @@ let request_once t ~node ~vpn ~access =
   end
   else
     match page_request t ~node ~route ~vpn ~access with
-    | None | Some (Messages.Page_nack _) -> `Nack
-    | Some (Messages.Page_stale { epoch; _ }) ->
+    | None | Some Messages.Page_nack -> `Nack
+    | Some (Messages.Page_stale { epoch }) ->
         (* Failover happened while we still addressed the old epoch: adopt
            the new one and retry — the view already points at whoever
            answered. *)
@@ -737,7 +711,7 @@ let request_once t ~node ~vpn ~access =
            the retry steers by the current authority table. *)
         Stats.incr t.stats "autopilot.resteers";
         `Nack
-    | Some (Messages.Page_grant { data; _ }) ->
+    | Some (Messages.Page_grant { data }) ->
         Option.iter (Page_store.install t.stores.(node) vpn) data;
         Page_table.set t.ptables.(node) vpn access;
         `Granted
@@ -983,12 +957,12 @@ let rehome_page t ~vpn ~node =
             | None -> ()
             | Some data -> (
                 match
-                  Fabric.call t.fabric ~src:cur ~dst:node
+                  Fabric.call t.fabric ~src:cur ~dst:node ~pid:t.pid
                     ~kind:Messages.kind_page_sync
                     ~size:t.cfg.Proto_config.page_msg_size
-                    (Messages.Page_sync { pid = t.pid; vpn; data })
+                    (Messages.Page_sync { vpn; data })
                 with
-                | Messages.Page_sync_ack _ -> ()
+                | Messages.Page_sync_ack -> ()
                 | _ -> failwith "Coherence: unexpected sync reply")
         in
         match ship () with
@@ -1096,7 +1070,7 @@ let stale_origin_traffic t ~node ~src ~epoch =
 let handler_unguarded t (env : Fabric.env) =
   let msg = env.Fabric.msg in
   match msg.Msg.payload with
-  | Messages.Page_request { pid; vpn; access; epoch } when pid = t.pid ->
+  | Messages.Page_request { vpn; access; epoch } ->
       let route = Authority.route t.authority vpn in
       let home = route.node in
       if msg.Msg.dst <> home then begin
@@ -1106,7 +1080,7 @@ let handler_unguarded t (env : Fabric.env) =
         home_service t ~node:msg.Msg.dst t.cfg.Proto_config.local_op;
         Stats.incr t.stats "autopilot.redirects";
         env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-          (Messages.Page_redirect { pid = t.pid; vpn; home })
+          (Messages.Page_redirect { vpn; home })
       end
       else begin
         home_service t ~node:msg.Msg.dst t.cfg.Proto_config.origin_handler;
@@ -1114,7 +1088,7 @@ let handler_unguarded t (env : Fabric.env) =
         if epoch <> current then begin
           Stats.incr t.stats "ha.stale_epoch_nacks";
           env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-            (Messages.Page_stale { pid = t.pid; epoch = current })
+            (Messages.Page_stale { epoch = current })
         end
         else
           match
@@ -1122,7 +1096,7 @@ let handler_unguarded t (env : Fabric.env) =
           with
           | `Nack ->
               env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-                (Messages.Page_nack { pid = t.pid; vpn })
+                Messages.Page_nack
           | `Grant (data, wire_data) ->
               (* Replicate before externalize: the ownership transition
                  must be on the standby before the requester can observe
@@ -1132,15 +1106,14 @@ let handler_unguarded t (env : Fabric.env) =
                 if wire_data then t.cfg.Proto_config.page_msg_size
                 else t.cfg.Proto_config.ctl_msg_size
               in
-              env.Fabric.respond ~size
-                (Messages.Page_grant { pid = t.pid; vpn; data })
+              env.Fabric.respond ~size (Messages.Page_grant { data })
       end;
       true
-  | Messages.Revoke { pid; vpn; mode; want_data; epoch } when pid = t.pid ->
+  | Messages.Revoke { vpn; mode; want_data; epoch } ->
       let node = msg.Msg.dst in
       if stale_origin_traffic t ~node ~src:msg.Msg.src ~epoch then begin
         env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-          (Messages.Revoke_ack { pid = t.pid; vpn; data = None })
+          (Messages.Revoke_ack { data = None })
       end
       else begin
         (* A fault in flight on this page must complete before the
@@ -1156,11 +1129,10 @@ let handler_unguarded t (env : Fabric.env) =
           if want_data then t.cfg.Proto_config.page_msg_size
           else t.cfg.Proto_config.ctl_msg_size
         in
-        env.Fabric.respond ~size
-          (Messages.Revoke_ack { pid = t.pid; vpn; data })
+        env.Fabric.respond ~size (Messages.Revoke_ack { data })
       end;
       true
-  | Messages.Epoch_fence { pid; epoch = _; keep } when pid = t.pid ->
+  | Messages.Epoch_fence { keep } ->
       let node = msg.Msg.dst in
       Engine.delay t.engine t.cfg.Proto_config.invalidate_handler;
       (* Reconcile local copies against what the promoted replica still
@@ -1212,9 +1184,9 @@ let handler_unguarded t (env : Fabric.env) =
          home/epoch in-band, through the resolver and the first
          Page_stale NACK of its next fault. *)
       env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-        (Messages.Epoch_fence_ack { pid = t.pid; zapped = !zapped; missing });
+        (Messages.Epoch_fence_ack { missing });
       true
-  | Messages.Page_sync { pid; vpn; data } when pid = t.pid ->
+  | Messages.Page_sync { vpn; data } ->
       (* Page-content shipment outside the grant path: install into the
          destination's store; at the static shard home this refreshes the
          staging copy and feeds the HA log. *)
@@ -1224,9 +1196,9 @@ let handler_unguarded t (env : Fabric.env) =
       if node = Authority.home_of t.authority vpn then
         origin_store_mutated t vpn;
       env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-        (Messages.Page_sync_ack { pid = t.pid });
+        Messages.Page_sync_ack;
       true
-  | Messages.Page_push { pid; vpn; data; epoch } when pid = t.pid ->
+  | Messages.Page_push { vpn; data; epoch } ->
       let node = msg.Msg.dst in
       (* An in-flight fault is NOT a reason to decline: the pusher
          holds the page's directory lock, so that fault can only be in
@@ -1243,7 +1215,7 @@ let handler_unguarded t (env : Fabric.env) =
         Page_table.set t.ptables.(node) vpn Perm.Read
       end;
       env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-        (Messages.Page_push_ack { pid = t.pid; accepted });
+        (Messages.Page_push_ack { accepted });
       true
   | _ -> false
 
@@ -1373,19 +1345,14 @@ let fence_survivors t =
       jobs :=
         (fun () ->
           match
-            Fabric.call t.fabric ~src ~dst:node
+            Fabric.call t.fabric ~src ~dst:node ~pid:t.pid
               ~kind:Messages.kind_epoch_fence
               ~size:
                 (t.cfg.Proto_config.ctl_msg_size
                 + (8 * List.length keeps.(node)))
-              (Messages.Epoch_fence
-                 {
-                   pid = t.pid;
-                   epoch = Authority.epoch t.authority;
-                   keep = keeps.(node);
-                 })
+              (Messages.Epoch_fence { keep = keeps.(node) })
           with
-          | Messages.Epoch_fence_ack { missing; _ } ->
+          | Messages.Epoch_fence_ack { missing } ->
               (* The survivor holds none of these despite the replicated
                  directory vouching for them: the grant reply died with
                  the old home. Demote the entries — the page re-homes to

@@ -84,9 +84,10 @@ val create :
   Dex_net.Fabric.t ->
   origin:int ->
   t
-(** One protocol instance per distributed process; [pid] disambiguates the
-    wire messages of multiple processes sharing a fabric (default 0). The
-    caller must route fabric messages to {!handler} and failure
+(** One protocol instance per distributed process; its messages carry
+    [pid] in their envelope ({!Dex_net.Msg.t.pid}, default 0), which is
+    how processes sharing a fabric keep them apart. The caller must route
+    fabric messages for [pid] to {!handler} and failure
     declarations to {!reclaim_node} (and, when {!ha} is armed, to
     {!Dex_ha.Ha.router} and {!Dex_ha.Ha.handle_crash}). When
     [cfg.standbys] is non-empty, arms replication of the origin towards
@@ -95,7 +96,7 @@ val create :
     {!Dex_ha.Ha.arm}) a malformed replica set. *)
 
 val pid : t -> int
-(** The process id used to tag this instance's wire messages. *)
+(** The process id this instance's messages are addressed to. *)
 
 val cfg : t -> Proto_config.t
 (** The configuration the instance was created with. *)
@@ -114,9 +115,10 @@ val shard_load : t -> int array
     Index [s] is shard [s]. *)
 
 val handler : t -> Dex_net.Fabric.env -> bool
-(** Process a protocol message addressed to this process; returns [false]
-    if the payload belongs to another subsystem. Must be called from the
-    fabric handler of the destination node. *)
+(** Process a protocol message; returns [false] if the payload belongs to
+    another subsystem. The caller has already routed the message to this
+    instance's process by its envelope pid, so no arm checks it. Must be
+    called from the fabric handler of the destination node. *)
 
 val access_range :
   t ->
@@ -268,10 +270,12 @@ val reclaim_node : t -> node:int -> unit
     reset its page table and page store. The first step of a process's
     crash recovery: [Dex_core.Process] runs it when a failure is declared,
     before HA promotion and thread recovery; exposed for directed tests.
-    Safe to run while grants are in flight. If [node] is the origin, its
-    recovery is the HA promotion path's (its local tables are left to
-    {!promote}); without the HA layer wired, the death of any shard home
-    raises. *)
+    Safe to run while grants are in flight. If [node] is the origin and
+    replication is armed ({!Dex_ha.Ha.armed}), its recovery is the HA
+    promotion path's (its local tables are left to {!promote}). Otherwise
+    the death of any shard home raises [Failure] — without replication,
+    and also once replication disabled itself: this is the one place that
+    refuses an unrecoverable home loss. *)
 
 (** {2 Home failover} *)
 

@@ -4,13 +4,16 @@ module Fabric = Dex_net.Fabric
 module Msg = Dex_net.Msg
 
 type Msg.payload +=
-  | Lrc_fetch of { pid : int; vpn : Page.vpn }
-  | Lrc_page of { pid : int; data : bytes option }
-  | Lrc_diff of { pid : int; vpn : Page.vpn; words : (int * int64) array }
-  | Lrc_diff_ack of { pid : int }
-  | Lrc_acquire of { pid : int; lock : int }
-  | Lrc_grant of { pid : int; notices : Page.vpn list }
-  | Lrc_release of { pid : int; lock : int }
+  | Lrc_fetch of { vpn : Page.vpn }
+  | Lrc_page of { data : bytes option }
+  | Lrc_diff of { vpn : Page.vpn; words : (int * int64) array }
+  | Lrc_diff_ack
+  | Lrc_acquire of { lock : int }
+  | Lrc_grant of { notices : Page.vpn list }
+  | Lrc_release of { lock : int }
+
+(* The baseline runs without a cluster: its messages go to pid 0. *)
+let pid = 0
 
 type lock_state = {
   mutable held_by : int option;
@@ -21,7 +24,6 @@ type t = {
   fabric : Fabric.t;
   engine : Engine.t;
   origin : int;  (* lock manager *)
-  pid : int;
   cfg : Proto_config.t;
   nodes : int;
   caches : Page_store.t array;  (* per-node cached pages *)
@@ -36,13 +38,12 @@ type t = {
   stats : Stats.t;
 }
 
-let create ?(cfg = Proto_config.default) ?(pid = 0) fabric ~origin =
+let create ?(cfg = Proto_config.default) fabric ~origin =
   let nodes = Fabric.node_count fabric in
   {
     fabric;
     engine = Fabric.engine fabric;
     origin;
-    pid;
     cfg;
     nodes;
     caches = Array.init nodes (fun _ -> Page_store.create ());
@@ -74,11 +75,10 @@ let lock_state t lock =
 let fetch_page t ~node vpn =
   Stats.incr t.stats "lrc.fetch";
   match
-    Fabric.call t.fabric ~src:node ~dst:(home_of t vpn) ~kind:"lrc_fetch"
-      ~size:t.cfg.Proto_config.ctl_msg_size
-      (Lrc_fetch { pid = t.pid; vpn })
+    Fabric.call t.fabric ~src:node ~dst:(home_of t vpn) ~pid ~kind:"lrc_fetch"
+      ~size:t.cfg.Proto_config.ctl_msg_size (Lrc_fetch { vpn })
   with
-  | Lrc_page { data; _ } ->
+  | Lrc_page { data } ->
       Option.iter (Page_store.install t.caches.(node) vpn) data;
       Hashtbl.replace t.cached.(node) vpn t.last_sync.(node)
   | _ -> failwith "Lrc: unexpected fetch reply"
@@ -132,22 +132,22 @@ let flush_diffs t ~node =
       (* 12 bytes per modified word on the wire — the LRC bandwidth win. *)
       Stats.add t.stats "lrc.diff_bytes" (Array.length arr * 12);
       match
-        Fabric.call t.fabric ~src:node ~dst:(home_of t vpn) ~kind:"lrc_diff"
+        Fabric.call t.fabric ~src:node ~dst:(home_of t vpn) ~pid
+          ~kind:"lrc_diff"
           ~size:(t.cfg.Proto_config.ctl_msg_size + (Array.length arr * 12))
-          (Lrc_diff { pid = t.pid; vpn; words = arr })
+          (Lrc_diff { vpn; words = arr })
       with
-      | Lrc_diff_ack _ -> ()
+      | Lrc_diff_ack -> ()
       | _ -> failwith "Lrc: unexpected diff reply")
     pages
 
 let acquire t ~node ~tid:_ ~lock =
   Engine.delay t.engine t.cfg.Proto_config.local_op;
   match
-    Fabric.call t.fabric ~src:node ~dst:t.origin ~kind:"lrc_acquire"
-      ~size:t.cfg.Proto_config.ctl_msg_size
-      (Lrc_acquire { pid = t.pid; lock })
+    Fabric.call t.fabric ~src:node ~dst:t.origin ~pid ~kind:"lrc_acquire"
+      ~size:t.cfg.Proto_config.ctl_msg_size (Lrc_acquire { lock })
   with
-  | Lrc_grant { notices; _ } ->
+  | Lrc_grant { notices } ->
       (* Invalidate every cached page written elsewhere since our last
          synchronization. *)
       List.iter
@@ -163,9 +163,8 @@ let acquire t ~node ~tid:_ ~lock =
 let release t ~node ~tid:_ ~lock =
   Engine.delay t.engine t.cfg.Proto_config.local_op;
   flush_diffs t ~node;
-  Fabric.send t.fabric ~src:node ~dst:t.origin ~kind:"lrc_release"
-    ~size:t.cfg.Proto_config.ctl_msg_size
-    (Lrc_release { pid = t.pid; lock })
+  Fabric.send t.fabric ~src:node ~dst:t.origin ~pid ~kind:"lrc_release"
+    ~size:t.cfg.Proto_config.ctl_msg_size (Lrc_release { lock })
 
 (* ------------------------------------------------------------------ *)
 (* Home / manager handlers.                                            *)
@@ -173,7 +172,7 @@ let release t ~node ~tid:_ ~lock =
 let handler t (env : Fabric.env) =
   let msg = env.Fabric.msg in
   match msg.Msg.payload with
-  | Lrc_fetch { pid; vpn } when pid = t.pid ->
+  | Lrc_fetch { vpn } ->
       Engine.delay t.engine t.cfg.Proto_config.origin_handler;
       let data =
         if Page_store.mem t.home_store vpn then
@@ -181,9 +180,9 @@ let handler t (env : Fabric.env) =
         else None
       in
       env.Fabric.respond ~size:t.cfg.Proto_config.page_msg_size
-        (Lrc_page { pid = t.pid; data });
+        (Lrc_page { data });
       true
-  | Lrc_diff { pid; vpn; words } when pid = t.pid ->
+  | Lrc_diff { vpn; words } ->
       Engine.delay t.engine t.cfg.Proto_config.origin_handler;
       Array.iter
         (fun (offset, v) -> Page_store.write_i64 t.home_store vpn ~offset v)
@@ -193,9 +192,9 @@ let handler t (env : Fabric.env) =
          single-structure implementation we update it directly. *)
       t.interval <- t.interval + 1;
       Hashtbl.replace t.page_interval vpn t.interval;
-      env.Fabric.respond (Lrc_diff_ack { pid = t.pid });
+      env.Fabric.respond Lrc_diff_ack;
       true
-  | Lrc_acquire { pid; lock } when pid = t.pid ->
+  | Lrc_acquire { lock } ->
       Engine.delay t.engine t.cfg.Proto_config.origin_handler;
       let l = lock_state t lock in
       let requester = msg.Msg.src in
@@ -213,9 +212,9 @@ let handler t (env : Fabric.env) =
       t.last_sync.(requester) <- t.interval;
       env.Fabric.respond
         ~size:(t.cfg.Proto_config.ctl_msg_size + (8 * List.length notices))
-        (Lrc_grant { pid = t.pid; notices });
+        (Lrc_grant { notices });
       true
-  | Lrc_release { pid; lock } when pid = t.pid ->
+  | Lrc_release { lock } ->
       Engine.delay t.engine t.cfg.Proto_config.origin_handler;
       let l = lock_state t lock in
       if not (Waitq.wake_one l.waiters ()) then l.held_by <- None;

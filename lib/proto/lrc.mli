@@ -26,14 +26,14 @@
 type t
 (** One LRC instance: lock manager at the origin, homes spread by VPN. *)
 
-val create :
-  ?cfg:Proto_config.t -> ?pid:int -> Dex_net.Fabric.t -> origin:int -> t
+val create : ?cfg:Proto_config.t -> Dex_net.Fabric.t -> origin:int -> t
 (** The origin doubles as the lock manager; page homes are spread over all
-    nodes round-robin by page number. *)
+    nodes round-robin by page number. The instance owns its fabric: its
+    messages go to pid 0 ({!Dex_net.Msg.t.pid}). *)
 
 val handler : t -> Dex_net.Fabric.env -> bool
-(** Process an LRC message addressed to this instance; returns [false] if
-    the payload belongs to another subsystem. *)
+(** Process an LRC message; returns [false] if the payload belongs to
+    another subsystem. *)
 
 val home_of : t -> Dex_mem.Page.vpn -> int
 (** The statically assigned home node of a page. *)

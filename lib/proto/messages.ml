@@ -2,49 +2,34 @@ type revoke_mode = Invalidate | Downgrade
 
 type Dex_net.Msg.payload +=
   | Page_request of {
-      pid : int;
       vpn : Dex_mem.Page.vpn;
       access : Dex_mem.Perm.access;
       epoch : int;
     }
-  | Page_grant of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
-  | Page_nack of { pid : int; vpn : Dex_mem.Page.vpn }
-  | Page_stale of { pid : int; epoch : int }
+  | Page_grant of { data : bytes option }
+  | Page_nack
+  | Page_stale of { epoch : int }
   | Revoke of {
-      pid : int;
       vpn : Dex_mem.Page.vpn;
       mode : revoke_mode;
       want_data : bool;
       epoch : int;
     }
-  | Revoke_ack of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes option }
-  | Epoch_fence of {
-      pid : int;
-      epoch : int;
-      keep : (Dex_mem.Page.vpn * Dex_mem.Perm.access) list;
-    }
-  | Epoch_fence_ack of {
-      pid : int;
-      zapped : int;
-      missing : Dex_mem.Page.vpn list;
-    }
-  | Page_redirect of { pid : int; vpn : Dex_mem.Page.vpn; home : int }
+  | Revoke_ack of { data : bytes option }
+  | Epoch_fence of { keep : (Dex_mem.Page.vpn * Dex_mem.Perm.access) list }
+  | Epoch_fence_ack of { missing : Dex_mem.Page.vpn list }
+  | Page_redirect of { vpn : Dex_mem.Page.vpn; home : int }
       (* the page's authority moved (autopilot re-home or fallback);
          retry at [home] *)
-  | Page_sync of { pid : int; vpn : Dex_mem.Page.vpn; data : bytes }
+  | Page_sync of { vpn : Dex_mem.Page.vpn; data : bytes }
       (* ship a re-homed page's bytes: staging copy to the new home at
          re-home time, and mirrored back to the static shard home on
          every externalizing grant *)
-  | Page_sync_ack of { pid : int }
-  | Page_push of {
-      pid : int;
-      vpn : Dex_mem.Page.vpn;
-      data : bytes option;
-      epoch : int;
-    }
+  | Page_sync_ack
+  | Page_push of { vpn : Dex_mem.Page.vpn; data : bytes option; epoch : int }
       (* unsolicited read copy for a replicate-marked page; the victim
          may decline *)
-  | Page_push_ack of { pid : int; accepted : bool }
+  | Page_push_ack of { accepted : bool }
 
 let kind_page_request = "page_req"
 let kind_revoke = "revoke"

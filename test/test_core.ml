@@ -812,6 +812,36 @@ let test_two_processes_isolated () =
     (fun proc -> Dex_proto.Coherence.check_invariants (Process.coherence proc))
     procs
 
+(* The cluster routes on the envelope's pid alone. Once a finished
+   process has detached, a message addressed to its pid is refused at the
+   cluster, naming that pid — even a page request the live process on the
+   same nodes would have granted. *)
+let test_detached_pid_refused () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let finished =
+    Dex.run cl (fun _ main -> ignore (Process.malloc main ~bytes:8 ~tag:"x"))
+  in
+  let live = Process.create cl () in
+  let pid = Process.pid finished in
+  check_bool "the live process has another pid" true (Process.pid live <> pid);
+  let size = Dex_proto.Proto_config.default.ctl_msg_size in
+  Engine.spawn (Cluster.engine cl) ~label:"stray" (fun () ->
+      ignore
+        (Dex_net.Fabric.call (Cluster.fabric cl) ~src:1 ~dst:0 ~pid
+           ~kind:Dex_proto.Messages.kind_page_request ~size
+           (Dex_proto.Messages.Page_request
+              { vpn = 0; access = Dex_mem.Perm.Read; epoch = 0 })));
+  match Cluster.run cl with
+  | () -> Alcotest.fail "a message for a detached process was delivered"
+  | exception Engine.Fiber_failure (label, Failure msg) ->
+      Alcotest.(check string) "refused by the node's handler"
+        ("handler:" ^ Dex_proto.Messages.kind_page_request)
+        label;
+      Alcotest.(check string) "the refusal names the pid"
+        (Printf.sprintf "Cluster: unrouted message [%s pid %d 1->0 %dB]"
+           Dex_proto.Messages.kind_page_request pid size)
+        msg
+
 (* ------------------------------------------------------------------ *)
 (* Migration fuzzing: random hop/compute/store programs vs a model.    *)
 
@@ -1189,12 +1219,12 @@ let test_origin_crash_unreplicated_refused () =
     ~prefix:"Coherence: the origin fail-stopped"
     (origin_crash_refusal ~standbys:[])
 
-(* With replication disabled by the loss of its only standby, the
-   reclaim leaves the origin to HA, HA has nothing to promote, and the
-   process's thread recovery refuses. *)
+(* With replication disabled by the loss of its only standby, nothing
+   is armed to promote, so the directory reclaim refuses, as it does
+   without replication. *)
 let test_origin_crash_after_standby_loss_refused () =
-  check_prefix "Process refuses the origin's loss"
-    ~prefix:"Process: origin crash with no live replica"
+  check_prefix "Coherence refuses the origin's loss"
+    ~prefix:"Coherence: the origin fail-stopped"
     (origin_crash_refusal ~standbys:[ 1 ])
 
 (* ------------------------------------------------------------------ *)
@@ -1366,6 +1396,8 @@ let () =
         [
           Alcotest.test_case "two processes isolated" `Quick
             test_two_processes_isolated;
+          Alcotest.test_case "message for a detached pid refused" `Quick
+            test_detached_pid_refused;
         ] );
       ("fuzz", List.map QCheck_alcotest.to_alcotest [ prop_migration_fuzz ]);
       ( "chaos",

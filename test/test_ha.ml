@@ -130,10 +130,11 @@ let test_zombie_epoch_nack () =
           {
             Msg.src = 0;
             dst = 1;
+            pid = 7;
             size = 64;
             kind = Ha_messages.kind_repl;
             payload =
-              Ha_messages.Repl_append { pid = 7; epoch; first_seq; entries };
+              Ha_messages.Repl_append { epoch; first_seq; entries };
           };
         respond = (fun ?size:_ p -> reply := Some p);
       }
@@ -160,11 +161,12 @@ let test_zombie_epoch_nack () =
         {
           Msg.src = 0;
           dst = 0;
+          pid = 7;
           size = 64;
           kind = Ha_messages.kind_repl;
           payload =
             Ha_messages.Repl_append
-              { pid = 7; epoch = 3; first_seq = 0; entries = [ entry 9 ] };
+              { epoch = 3; first_seq = 0; entries = [ entry 9 ] };
         };
       respond = (fun ?size:_ _ -> ());
     }
@@ -576,6 +578,51 @@ let test_futex_across_failover () =
   check_int "one failover" 1 (pstat proc "ha.failovers");
   check_int "no thread aborted" 0 (pstat proc "crash.threads_aborted")
 
+(* A delegated call outlives its home. A thread on a surviving node is
+   parked in a delegated FUTEX_WAIT when the origin fails: the attempt
+   stranded there is cancelled by the crash with a [false] verdict, which
+   fills only that attempt's result cell. The call is re-sent to the
+   promoted origin, parks again, and returns that retry's verdict: [true],
+   from the later FUTEX_WAKE itself rather than the wake ledger. *)
+let test_delegation_retried_across_failover () =
+  let nodes = 4 in
+  let cl =
+    Dex.cluster ~nodes ~net:(crash_net ~nodes ()) ~proto:(ha_proto `Sync) ()
+  in
+  let verdict = ref None in
+  let proc =
+    Dex.run cl (fun proc main ->
+        let word = Process.memalign main ~align:4096 ~bytes:8 ~tag:"futex" in
+        Process.store main word 0L;
+        let waiter =
+          Process.spawn proc (fun th ->
+              Process.migrate th 2;
+              verdict := Some (Process.futex_wait th ~addr:word ~expected:0L))
+        in
+        let waker =
+          Process.spawn proc (fun th ->
+              Process.migrate th 3;
+              Process.compute th ~ns:(us 2500);
+              Cluster.crash_node cl ~node:0;
+              (* Long enough for the waiter's call to give up on the dead
+                 origin and park again at the promoted one. *)
+              Process.compute th ~ns:(us 3000);
+              Process.store th word 1L;
+              ignore (Process.futex_wake th ~addr:word ~count:1))
+        in
+        Process.migrate main 2;
+        List.iter Process.join [ waiter; waker ])
+  in
+  check_int "one failover" 1 (pstat proc "ha.failovers");
+  check_bool "the stranded wait was cancelled" true
+    (pstat proc "crash.futex_cancelled" >= 1);
+  check_bool "the delegated wait was re-sent" true
+    (pstat proc "ha.delegations_retried" >= 1);
+  check_int "no wake redelivered from the ledger" 0
+    (pstat proc "ha.wakes_redelivered");
+  check_bool "the retry's verdict is returned" true (!verdict = Some true);
+  check_int "no thread aborted" 0 (pstat proc "crash.threads_aborted")
+
 (* ------------------------------------------------------------------ *)
 (* Satellite: qcheck over random minority crash schedules. With k=2 every
    1- or 2-member loss of the {origin, s1, s2} set is survivable under
@@ -723,6 +770,8 @@ let () =
             test_async_failover_completes;
           Alcotest.test_case "futex wait survives failover" `Quick
             test_futex_across_failover;
+          Alcotest.test_case "delegated wait re-sent to the promoted origin"
+            `Quick test_delegation_retried_across_failover;
           Alcotest.test_case "k=1: standby loss disables replication" `Quick
             test_standby_loss_disables;
           Alcotest.test_case "explicit replica-set selection" `Quick

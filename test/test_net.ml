@@ -31,7 +31,7 @@ let test_rpc_roundtrip () =
   let elapsed = ref 0 in
   Engine.spawn e (fun () ->
       let t0 = Engine.now e in
-      (match Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 7)
+      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 7)
        with
       | Msg.Pong n -> result := n
       | _ -> Alcotest.fail "bad reply");
@@ -51,7 +51,7 @@ let test_rpc_concurrent_interleaved () =
   for i = 1 to 10 do
     Engine.spawn e (fun () ->
         match
-          Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping i)
+          Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping i)
         with
         | Msg.Pong n -> replies := n :: !replies
         | _ -> Alcotest.fail "bad reply")
@@ -68,7 +68,7 @@ let test_loopback () =
   let elapsed = ref 0 in
   Engine.spawn e (fun () ->
       let t0 = Engine.now e in
-      ignore (Fabric.call fabric ~src:0 ~dst:0 ~kind:"ping" ~size:64 (Msg.Ping 1));
+      ignore (Fabric.call fabric ~src:0 ~dst:0 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1));
       elapsed := Engine.now e - t0);
   Engine.run_until_quiescent e;
   check_bool "loopback much faster than network" true (!elapsed < Time_ns.us 1);
@@ -80,8 +80,8 @@ let test_path_selection () =
   let received = ref 0 in
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr received);
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:64 (Msg.Ping 0);
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"page" ~size:4096 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0);
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Msg.Ping 0));
   Engine.run_until_quiescent e;
   let st = Fabric.stats fabric in
   check_int "both delivered" 2 !received;
@@ -99,7 +99,7 @@ let test_rdma_slower_than_verb_for_page () =
   let arrival = ref 0 in
   Fabric.set_handler fabric ~node:1 (fun _ _ -> arrival := Engine.now e);
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"page" ~size:4096 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Msg.Ping 0));
   Engine.run_until_quiescent e;
   check_bool "page transfer ~10us" true
     (!arrival > Time_ns.us 8 && !arrival < Time_ns.us 14)
@@ -115,12 +115,12 @@ let test_zero_size_messages () =
         env.Fabric.respond ~size:0 (Msg.Pong 9));
   let got = ref (-1) in
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"ack" ~size:0 (Msg.Ping 0);
-      (match Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:0 (Msg.Ping 9)
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ack" ~size:0 (Msg.Ping 0);
+      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:0 (Msg.Ping 9)
        with
       | Msg.Pong n -> got := n
       | _ -> Alcotest.fail "bad reply");
-      match Fabric.send fabric ~src:0 ~dst:1 ~kind:"bad" ~size:(-1) (Msg.Ping 0)
+      match Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"bad" ~size:(-1) (Msg.Ping 0)
       with
       | () -> Alcotest.fail "negative size must be rejected"
       | exception Invalid_argument _ -> ());
@@ -141,9 +141,9 @@ let test_per_path_accounting () =
   Fabric.set_handler fabric ~node:0 (fun _ _ -> ());
   Fabric.set_handler fabric ~node:1 (fun _ _ -> ());
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:64 (Msg.Ping 0);
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"page" ~size:8192 (Msg.Ping 0);
-      Fabric.send fabric ~src:0 ~dst:0 ~kind:"self" ~size:64 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0);
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:8192 (Msg.Ping 0);
+      Fabric.send fabric ~src:0 ~dst:0 ~pid:0 ~kind:"self" ~size:64 (Msg.Ping 0));
   Engine.run_until_quiescent e;
   let st = Fabric.stats fabric in
   check_int "one verb message" 1 (Stats.get st "path.verb");
@@ -166,7 +166,7 @@ let test_counters_survive_reset () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> ());
   let send size =
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size (Msg.Ping 0));
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size (Msg.Ping 0));
     Engine.run_until_quiescent e
   in
   send 64;
@@ -187,7 +187,7 @@ let test_send_pool_backpressure () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr received);
   for _ = 1 to 8 do
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:1024 (Msg.Ping 0))
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:1024 (Msg.Ping 0))
   done;
   Engine.run_until_quiescent e;
   check_int "all delivered despite exhaustion" 8 !received;
@@ -200,7 +200,7 @@ let test_sink_backpressure () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr received);
   for _ = 1 to 4 do
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~kind:"page" ~size:4096 (Msg.Ping 0))
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Msg.Ping 0))
   done;
   Engine.run_until_quiescent e;
   check_int "all delivered despite sink pressure" 4 !received;
@@ -216,7 +216,7 @@ let test_link_fifo_ordering () =
       | _ -> ());
   Engine.spawn e (fun () ->
       for i = 1 to 5 do
-        Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:64 (Msg.Ping i)
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping i)
       done);
   Engine.run_until_quiescent e;
   Alcotest.(check (list int)) "in-order delivery" [ 1; 2; 3; 4; 5 ]
@@ -226,7 +226,7 @@ let test_no_handler_error () =
   let e = Engine.create () in
   let fabric = Fabric.create e (small_cfg ()) in
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:64 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0));
   (match Engine.run_until_quiescent e with
   | () -> Alcotest.fail "expected failure"
   | exception Engine.Fiber_failure (_, Invalid_argument _) -> ()
@@ -236,7 +236,7 @@ let test_bad_node_rejected () =
   let e = Engine.create () in
   let fabric = Fabric.create e (small_cfg ()) in
   Engine.spawn e (fun () ->
-      match Fabric.send fabric ~src:0 ~dst:5 ~kind:"x" ~size:1 (Msg.Ping 0) with
+      match Fabric.send fabric ~src:0 ~dst:5 ~pid:0 ~kind:"x" ~size:1 (Msg.Ping 0) with
       | () -> Alcotest.fail "expected rejection"
       | exception Invalid_argument _ -> ());
   Engine.run_until_quiescent e
@@ -250,7 +250,7 @@ let test_respond_twice_rejected () =
       | () -> Alcotest.fail "second respond should raise"
       | exception Invalid_argument _ -> ());
   Engine.spawn e (fun () ->
-      ignore (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 1)));
+      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1)));
   Engine.run_until_quiescent e
 
 let test_respond_on_oneway_rejected () =
@@ -263,7 +263,7 @@ let test_respond_on_oneway_rejected () =
       | exception Invalid_argument _ -> ());
       checked := true);
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:64 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0));
   Engine.run_until_quiescent e;
   check_bool "handler ran" true !checked
 
@@ -276,7 +276,7 @@ let test_bandwidth_contention () =
     Fabric.set_handler fabric ~node:1 (fun _ _ -> ());
     for _ = 1 to n do
       Engine.spawn e (fun () ->
-          Fabric.send fabric ~src:0 ~dst:1 ~kind:"bulk" ~size:1_000_000
+          Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"bulk" ~size:1_000_000
             (Msg.Ping 0))
     done;
     Engine.run_until_quiescent e;
@@ -353,7 +353,7 @@ let test_chaos_off_is_pristine () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   check_bool "reliable layer off" false (Fabric.reliable fabric);
   Engine.spawn e (fun () ->
-      ignore (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 1)));
+      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1)));
   Engine.run_until_quiescent e;
   check_int "no chaos counters" 0
     (chaos_stat fabric "chaos.drops" + chaos_stat fabric "chaos.retransmits")
@@ -367,7 +367,7 @@ let test_chaos_rpc_survives_drops () =
   let got = ref [] in
   Engine.spawn e (fun () ->
       for i = 1 to 25 do
-        match Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping i) with
+        match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping i) with
         | Msg.Pong n -> got := n :: !got
         | _ -> Alcotest.fail "bad reply"
       done);
@@ -389,7 +389,7 @@ let test_chaos_exactly_once_under_dup () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr delivered);
   Engine.spawn e (fun () ->
       for _ = 1 to 30 do
-        Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:64 (Msg.Ping 0)
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0)
       done);
   Engine.run_until_quiescent e;
   check_int "each logical send dispatched exactly once" 30 !delivered;
@@ -410,7 +410,7 @@ let test_chaos_partition_heals () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   let done_at = ref 0 in
   Engine.spawn e (fun () ->
-      (match Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 9) with
+      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 9) with
       | Msg.Pong 9 -> ()
       | _ -> Alcotest.fail "bad reply");
       done_at := Engine.now e);
@@ -433,7 +433,7 @@ let test_chaos_unreachable () =
   in
   Fabric.set_handler fabric ~node:1 echo_handler;
   Engine.spawn e (fun () ->
-      ignore (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 0)));
+      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 0)));
   (match Engine.run_until_quiescent e with
   | () -> Alcotest.fail "expected Unreachable"
   | exception Engine.Fiber_failure (_, Fabric.Unreachable { src = 0; dst = 1; _ })
@@ -452,7 +452,7 @@ let test_chaos_reordering () =
       | _ -> ());
   for i = 1 to 10 do
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~kind:"ctl" ~size:64 (Msg.Ping i))
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping i))
   done;
   Engine.run_until_quiescent e;
   let log = List.rev !log in
@@ -507,7 +507,7 @@ let test_chaos_tables_pruned () =
   for i = 1 to 50 do
     Engine.spawn e (fun () ->
         ignore
-          (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping i)))
+          (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping i)))
   done;
   Engine.run_until_quiescent e;
   (* A dropped reply-ack can leave its entry stranded; the next message's
@@ -515,7 +515,7 @@ let test_chaos_tables_pruned () =
      round trip drains the tail of the chaotic burst. *)
   Engine.spawn e (fun () ->
       ignore
-        (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 0)));
+        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 0)));
   Engine.run_until_quiescent e;
   let seen, pending = Fabric.rel_table_sizes fabric in
   check_int "no pending transactions" 0 pending;
@@ -537,13 +537,13 @@ let test_crash_blackhole_and_detection () =
   Fabric.set_crash_handler fabric (fun node -> declared := node :: !declared);
   Engine.spawn e (fun () ->
       ignore
-        (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 1));
+        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1));
       Fabric.crash fabric ~node:1;
       check_bool "dead immediately" true (Fabric.crashed fabric ~node:1);
       check_bool "not yet detected" false (Fabric.crash_detected fabric ~node:1);
       (* Talking to the dead node exhausts the retry budget. *)
       match
-        Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 2)
+        Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 2)
       with
       | _ -> Alcotest.fail "expected Unreachable"
       | exception Fabric.Unreachable { dst = 1; _ } ->
@@ -574,7 +574,7 @@ let test_crash_scheduled_and_keepalive () =
       if node = 2 then declared_at := Engine.now e);
   Engine.spawn e (fun () ->
       ignore
-        (Fabric.call fabric ~src:0 ~dst:1 ~kind:"ping" ~size:64 (Msg.Ping 7)));
+        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 7)));
   Engine.run_until_quiescent e;
   check_bool "dead at the scheduled time" true (Fabric.crashed fabric ~node:2);
   check_bool "keepalive declared the silent death" true

@@ -513,11 +513,10 @@ let test_misaddressed_request_redirects () =
   run_fiber engine (fun () ->
       reply :=
         Some
-          (Dex_net.Fabric.call fabric ~src:1 ~dst:2
+          (Dex_net.Fabric.call fabric ~src:1 ~dst:2 ~pid:0
              ~kind:Messages.kind_page_request
              ~size:Proto_config.default.ctl_msg_size
-             (Messages.Page_request
-                { pid = 0; vpn; access = Perm.Read; epoch = 0 })));
+             (Messages.Page_request { vpn; access = Perm.Read; epoch = 0 })));
   (match !reply with
   | Some (Messages.Page_redirect { home; vpn = v; _ }) ->
       check_int "redirected to the origin"
