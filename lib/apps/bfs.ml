@@ -71,7 +71,7 @@ let oracle =
 
 let reference_level_sum p ~seed = (oracle p ~seed).level_sum
 
-let dedup_sorted l = List.sort_uniq compare l
+let dedup_sorted (l : int list) = List.sort_uniq Int.compare l
 
 let body p ctx main =
   let { graph = g; levels; frontiers; level_sum } = oracle p ~seed:ctx.A.seed in

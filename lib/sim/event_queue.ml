@@ -95,3 +95,7 @@ let pop t =
   else
     let time = t.times.(0) in
     Some (time, take t)
+
+let min_seq t =
+  if t.size = 0 then invalid_arg "Event_queue.min_seq: empty queue";
+  t.seqs.(0)

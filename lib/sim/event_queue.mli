@@ -25,6 +25,10 @@ val take : t -> (unit -> unit)
     nothing; the event's time is [min_time q] just before the call.
     Raises [Invalid_argument] if [q] is empty. *)
 
+val min_seq : t -> int
+(** [min_seq q] is the sequence number of the earliest event. Raises
+    [Invalid_argument] if [q] is empty. *)
+
 val min_time : t -> Time_ns.t
 (** [min_time q] is the firing time of the earliest event without
     removing it, or [max_int] if [q] is empty. *)

@@ -42,12 +42,46 @@ let max_value t =
   done;
   !m
 
-let sorted t = Array.sub t.data 0 t.size |> fun a -> Array.sort compare a; a
+(* Rearrange [a.(lo..hi)] around the pivot [a.(mid)] with Hoare's scheme:
+   on return [a.(lo..j) <= pivot <= a.(i..hi)] with [j < i]. *)
+let partition (a : int array) lo hi =
+  let pivot = a.(lo + ((hi - lo) / 2)) in
+  let i = ref lo and j = ref hi in
+  while !i <= !j do
+    while a.(!i) < pivot do incr i done;
+    while a.(!j) > pivot do decr j done;
+    if !i <= !j then begin
+      let x = a.(!i) in
+      a.(!i) <- a.(!j);
+      a.(!j) <- x;
+      incr i;
+      decr j
+    end
+  done;
+  (!i, !j)
+
+(* The [rank]-th smallest element of [a] (0-based), rearranging [a]:
+   quickselect, in expected linear time. After [fuel] rounds (a bad run of
+   pivots) it sorts what is left. *)
+let select (a : int array) rank =
+  let rec go lo hi fuel =
+    if lo >= hi then a.(rank)
+    else if fuel = 0 then begin
+      let rest = Array.sub a lo (hi - lo + 1) in
+      Array.sort Int.compare rest;
+      rest.(rank - lo)
+    end
+    else
+      let i, j = partition a lo hi in
+      if rank <= j then go lo j (fuel - 1)
+      else if rank >= i then go i hi (fuel - 1)
+      else a.(rank)
+  in
+  go 0 (Array.length a - 1) 64
 
 let percentile t p =
   check_nonempty t "percentile";
   if p < 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: out of range";
-  let a = sorted t in
   (* Classic nearest-rank definition: smallest value with at least p% of the
      samples at or below it. The epsilon absorbs binary-fraction noise at
      exact rank boundaries — e.g. 99.9/100*1000 evaluates to 999.0000...01,
@@ -56,7 +90,7 @@ let percentile t p =
     max 0
       (int_of_float (ceil ((p /. 100.0 *. float_of_int t.size) -. 1e-9)) - 1)
   in
-  a.(rank)
+  select (Array.sub t.data 0 t.size) rank
 
 let merge a b =
   let t = { data = Array.make (max 16 (a.size + b.size)) 0; size = 0 } in

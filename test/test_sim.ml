@@ -254,6 +254,278 @@ let test_engine_determinism () =
   in
   Alcotest.(check string) "identical traces" (run_once ()) (run_once ())
 
+(* A run entered with the clock already past its bound pops nothing, not
+   even the events due at the current instant. *)
+let test_engine_until_in_the_past () =
+  let e = Engine.create () in
+  let log = ref [] in
+  let note s () = log := s :: !log in
+  Engine.schedule e ~delay:10 (note "timer");
+  Engine.run e;
+  Engine.schedule e ~delay:0 (note "zero delay");
+  Engine.spawn e (note "fiber");
+  Engine.at e ~time:3 (note "at the past");
+  Engine.after e 0 (note "after 0");
+  Engine.run ~until:5 e;
+  Alcotest.(check (list string)) "nothing ran" [ "timer" ] (List.rev !log);
+  check_int "clock unchanged" 10 (Engine.now e);
+  Engine.run e;
+  Alcotest.(check (list string))
+    "queued order"
+    [ "timer"; "zero delay"; "fiber"; "at the past"; "after 0" ]
+    (List.rev !log)
+
+(* A reference engine that keeps every event in one (time, seq)-sorted
+   list and takes no shortcut: a timer always bounces through a zero-delay
+   event, a resume is a zero-delay event, and a delay is a timer resuming
+   a suspended fiber. *)
+module Ref_engine = struct
+  type t = {
+    mutable now : int;
+    mutable seq : int;
+    mutable events : (int * int * (unit -> unit)) list;
+    mutable live : int;
+  }
+
+  type _ Effect.t += Park : (('a -> unit) -> unit) -> 'a Effect.t
+
+  let create () = { now = 0; seq = 0; events = []; live = 0 }
+  let now t = t.now
+  let live_fibers t = t.live
+
+  let at t ~time f =
+    t.seq <- t.seq + 1;
+    let time = max time t.now and seq = t.seq in
+    let rec insert = function
+      | (time', seq', _) :: _ as l when (time, seq) < (time', seq') ->
+          (time, seq, f) :: l
+      | ev :: l -> ev :: insert l
+      | [] -> [ (time, seq, f) ]
+    in
+    t.events <- insert t.events
+
+  let schedule t ~delay f = at t ~time:(t.now + delay) f
+  let after t d f = schedule t ~delay:d (fun () -> schedule t ~delay:0 f)
+  let suspend (_ : t) register = Effect.perform (Park register)
+  let delay t d = suspend t (fun resume -> schedule t ~delay:d resume)
+
+  let spawn t f =
+    t.live <- t.live + 1;
+    schedule t ~delay:0 (fun () ->
+        Effect.Deep.match_with f ()
+          {
+            retc = (fun () -> t.live <- t.live - 1);
+            exnc = raise;
+            effc =
+              (fun (type a) (eff : a Effect.t) ->
+                match eff with
+                | Park register ->
+                    Some
+                      (fun (k : (a, unit) Effect.Deep.continuation) ->
+                        register (fun v ->
+                            schedule t ~delay:0 (fun () ->
+                                Effect.Deep.continue k v)))
+                | _ -> None);
+          })
+
+  let run ?(until = max_int) t =
+    let rec loop () =
+      match t.events with
+      | (time, _, f) :: rest when time <= until ->
+          t.events <- rest;
+          t.now <- max t.now time;
+          f ();
+          loop ()
+      | _ -> ()
+    in
+    loop ()
+end
+
+module type ENGINE = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> int
+  val schedule : t -> delay:int -> (unit -> unit) -> unit
+  val at : t -> time:int -> (unit -> unit) -> unit
+  val after : t -> int -> (unit -> unit) -> unit
+  val delay : t -> int -> unit
+  val spawn : t -> (unit -> unit) -> unit
+  val suspend : t -> ((int -> unit) -> unit) -> int
+  val run : ?until:int -> t -> unit
+  val live_fibers : t -> int
+end
+
+module Real_engine : ENGINE = struct
+  include Engine
+
+  let spawn t f = Engine.spawn t f
+end
+
+(* A random engine program. Every step logs its id and the clock when it
+   runs; [Delay] and [Park] act only in a fiber. *)
+type step =
+  | Note of int
+  | Schedule of int * int * step list  (* id, delay, callback *)
+  | At of int * int * step list  (* id, offset from now (may be < 0) *)
+  | After of int * int * step list
+  | Spawn of int * step list
+  | Delay of int * int
+  | Park of int * int  (* id, slot: suspend, leaving the resume there *)
+  | Wake of int * int  (* id, slot: resume the fiber parked there *)
+
+(* Program steps run once up front; then each stage runs the engine (up to
+   its bound, if any) and its steps from outside, and a last [run] ends. *)
+type program = { start : step list; stages : (int option * step list) list }
+
+let rec pp_step = function
+  | Note i -> Printf.sprintf "note%d" i
+  | Schedule (i, d, b) -> Printf.sprintf "schedule%d(+%d)%s" i d (pp_steps b)
+  | At (i, o, b) -> Printf.sprintf "at%d(now%+d)%s" i o (pp_steps b)
+  | After (i, d, b) -> Printf.sprintf "after%d(+%d)%s" i d (pp_steps b)
+  | Spawn (i, b) -> Printf.sprintf "spawn%d%s" i (pp_steps b)
+  | Delay (i, d) -> Printf.sprintf "delay%d(%d)" i d
+  | Park (i, s) -> Printf.sprintf "park%d[%d]" i s
+  | Wake (i, s) -> Printf.sprintf "wake%d[%d]" i s
+
+and pp_steps b = "[" ^ String.concat "; " (List.map pp_step b) ^ "]"
+
+let pp_program p =
+  pp_steps p.start
+  ^ String.concat ""
+      (List.map
+         (fun (u, b) ->
+           Printf.sprintf " run%s %s"
+             (match u with Some u -> Printf.sprintf "~until:%d" u | None -> "")
+             (pp_steps b))
+         p.stages)
+
+let trace (module E : ENGINE) p =
+  let e = E.create () in
+  let log = Buffer.create 256 in
+  let note id = Buffer.add_string log (Printf.sprintf "%d@%d;" id (E.now e)) in
+  let slots = Array.make 3 None in
+  let rec steps in_fiber b = List.iter (step in_fiber) b
+  and step in_fiber = function
+    | Note id -> note id
+    | Schedule (id, d, b) ->
+        E.schedule e ~delay:d (fun () ->
+            note id;
+            steps false b)
+    | At (id, o, b) ->
+        E.at e ~time:(E.now e + o) (fun () ->
+            note id;
+            steps false b)
+    | After (id, d, b) ->
+        E.after e d (fun () ->
+            note id;
+            steps false b)
+    | Spawn (id, b) ->
+        E.spawn e (fun () ->
+            note id;
+            steps true b)
+    | Delay (id, d) ->
+        if in_fiber then begin
+          E.delay e d;
+          note id
+        end
+    | Park (id, s) ->
+        if in_fiber && slots.(s) = None then begin
+          let waker = E.suspend e (fun resume -> slots.(s) <- Some resume) in
+          note id;
+          note waker
+        end
+    | Wake (id, s) -> (
+        note id;
+        match slots.(s) with
+        | Some resume ->
+            slots.(s) <- None;
+            resume id
+        | None -> ())
+  in
+  steps false p.start;
+  List.iter
+    (fun (until, b) ->
+      E.run ?until e;
+      Buffer.add_string log (Printf.sprintf "|run@%d|" (E.now e));
+      steps false b)
+    p.stages;
+  E.run e;
+  Printf.sprintf "%s end@%d live=%d" (Buffer.contents log) (E.now e)
+    (E.live_fibers e)
+
+let gen_program =
+  let open QCheck.Gen in
+  let d = frequency [ (3, return 0); (4, int_range 1 4) ] in
+  let rec steps depth =
+    list_size (int_bound (if depth = 0 then 5 else 3)) (step depth)
+  and step depth =
+    let leaves =
+      [
+        (2, return (Note 0));
+        (3, map (fun d -> Delay (0, d)) d);
+        (1, map (fun s -> Park (0, s)) (int_bound 2));
+        (2, map (fun s -> Wake (0, s)) (int_bound 2));
+      ]
+    in
+    if depth >= 3 then frequency leaves
+    else
+      let body = steps (depth + 1) in
+      frequency
+        (leaves
+        @ [
+            (2, map2 (fun d b -> Schedule (0, d, b)) d body);
+            (1, map2 (fun o b -> At (0, o, b)) (int_range (-2) 4) body);
+            (2, map2 (fun d b -> After (0, d, b)) d body);
+            (2, map (fun b -> Spawn (0, b)) body);
+          ])
+  in
+  let stage =
+    pair (opt ~ratio:0.7 (int_bound 12)) (steps 1)
+  in
+  map2 (fun start stages -> { start; stages }) (steps 0)
+    (list_size (int_bound 3) stage)
+
+(* Number the steps in program order, so every step logs a distinct id. *)
+let number p =
+  let next = ref 0 in
+  let id () =
+    incr next;
+    !next
+  in
+  let rec steps b = List.map step b
+  and step = function
+    | Note _ -> Note (id ())
+    | Schedule (_, d, b) ->
+        let i = id () in
+        Schedule (i, d, steps b)
+    | At (_, o, b) ->
+        let i = id () in
+        At (i, o, steps b)
+    | After (_, d, b) ->
+        let i = id () in
+        After (i, d, steps b)
+    | Spawn (_, b) ->
+        let i = id () in
+        Spawn (i, steps b)
+    | Delay (_, d) -> Delay (id (), d)
+    | Park (_, s) -> Park (id (), s)
+    | Wake (_, s) -> Wake (id (), s)
+  in
+  let start = steps p.start in
+  { start; stages = List.map (fun (u, b) -> (u, steps b)) p.stages }
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine order matches a sorted-list reference"
+    ~count:500
+    (QCheck.make ~print:pp_program QCheck.Gen.(map number gen_program))
+    (fun p ->
+      let expected = trace (module Ref_engine : ENGINE) p in
+      let got = trace (module Real_engine) p in
+      if expected <> got then
+        QCheck.Test.fail_reportf "reference: %s\nengine:    %s" expected got
+      else true)
+
 (* ------------------------------------------------------------------ *)
 (* Waitq *)
 
@@ -436,6 +708,30 @@ let test_histogram_p999 () =
     (Invalid_argument "Histogram.percentile: empty") (fun () ->
       ignore (Histogram.percentile (Histogram.create ()) 99.9))
 
+(* [percentile] is the nearest-rank element of the sorted samples, for
+   duplicates, negatives and the tail ranks of few samples. *)
+let prop_histogram_percentile_sorted =
+  QCheck.Test.make ~name:"percentile is the nearest-rank sorted sample"
+    ~count:500
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 300) (int_range (-50) 200))
+        (oneof
+           [
+             oneofl [ 0.0; 0.1; 1.0; 50.0; 90.0; 99.0; 99.9; 99.99; 100.0 ];
+             float_range 0.0 100.0;
+           ]))
+    (fun (l, p) ->
+      let h = Histogram.create () in
+      List.iter (Histogram.add h) l;
+      let a = Array.of_list l in
+      Array.sort compare a;
+      let n = Array.length a in
+      let rank =
+        max 0 (int_of_float (ceil ((p /. 100.0 *. float_of_int n) -. 1e-9)) - 1)
+      in
+      Histogram.percentile h p = a.(rank))
+
 let prop_histogram_mean_bounded =
   QCheck.Test.make ~name:"histogram mean within [min,max]" ~count:200
     QCheck.(list_of_size Gen.(1 -- 50) (int_bound 100_000))
@@ -519,6 +815,75 @@ let test_server_idle_no_wait () =
   Engine.run_until_quiescent e;
   check_int "no stale backlog" (Time_ns.us 105) !t1
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets *)
+
+(* Words allocated so far, both heaps: [Gc.minor_words] alone misses
+   blocks too large for the minor heap, such as a grown array. The call
+   itself allocates a few words; an exact zero is read with
+   [Gc.minor_words] once the arrays have grown. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* A timer is the caller's closure in the heap, nothing more, once the
+   heap has grown to hold the timers. *)
+let test_after_budget () =
+  let e = Engine.create () in
+  let f = Sys.opaque_identity (fun () -> ()) in
+  let arm () =
+    for i = 1 to 1_000 do
+      Engine.after e i f
+    done
+  in
+  arm ();
+  Engine.run e;
+  let w0 = Gc.minor_words () in
+  arm ();
+  let words = Gc.minor_words () -. w0 in
+  Engine.run e;
+  check_bool (Printf.sprintf "%.0f words for 1000 timers" words) true
+    (words = 0.)
+
+(* A zero-delay event goes into the runnable ring, which allocates only
+   when it grows: refilled to the same depth, it allocates nothing. *)
+let test_zero_delay_budget () =
+  let e = Engine.create () in
+  let f = Sys.opaque_identity (fun () -> ()) in
+  let fill () =
+    for _ = 1 to 1_000 do
+      Engine.schedule e ~delay:0 f
+    done
+  in
+  fill ();
+  Engine.run e;
+  let w0 = Gc.minor_words () in
+  fill ();
+  let words = Gc.minor_words () -. w0 in
+  Engine.run e;
+  check_bool (Printf.sprintf "%.0f words for 1000 zero-delay events" words)
+    true (words = 0.)
+
+(* A fiber that starts and finishes: its body closure, its start event and
+   the runtime's fiber stack and continuation, under the engine's one
+   handler. *)
+let test_spawn_budget () =
+  let e = Engine.create () in
+  let f = Sys.opaque_identity (fun () -> ()) in
+  let round () =
+    for _ = 1 to 1_000 do
+      Engine.spawn e f
+    done;
+    Engine.run e
+  in
+  round ();
+  let w0 = allocated_words () in
+  round ();
+  let words = (allocated_words () -. w0) /. 1_000. in
+  check_bool
+    (Printf.sprintf "%.2f words per spawn + run (at most 17)" words)
+    true (words <= 17.)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -553,7 +918,10 @@ let () =
             test_engine_short_delay_runs_first;
           Alcotest.test_case "after matches delay" `Quick
             test_engine_after_matches_delay;
-        ] );
+          Alcotest.test_case "run ~until in the past runs nothing" `Quick
+            test_engine_until_in_the_past;
+        ]
+        @ qsuite [ prop_engine_matches_reference ] );
       ( "waitq",
         [
           Alcotest.test_case "FIFO wake order" `Quick test_waitq_fifo;
@@ -579,7 +947,9 @@ let () =
           Alcotest.test_case "merge" `Quick test_histogram_merge;
           Alcotest.test_case "p999 edge cases" `Quick test_histogram_p999;
         ]
-        @ qsuite [ prop_histogram_mean_bounded ] );
+        @ qsuite
+            [ prop_histogram_mean_bounded; prop_histogram_percentile_sorted ]
+      );
       ("stats", [ Alcotest.test_case "counters" `Quick test_stats_counters ]);
       ( "resource",
         [
@@ -590,5 +960,12 @@ let () =
           Alcotest.test_case "server serializes" `Quick test_server_serializes;
           Alcotest.test_case "server idle no wait" `Quick
             test_server_idle_no_wait;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "after allocation" `Quick test_after_budget;
+          Alcotest.test_case "zero-delay schedule allocation" `Quick
+            test_zero_delay_budget;
+          Alcotest.test_case "spawn allocation" `Quick test_spawn_budget;
         ] );
     ]
