@@ -551,12 +551,9 @@ let failover_cmd =
            | `Async _ -> "bounded by the async lag"));
     Format.printf "  origin now: node %d@." (P.origin proc);
     if standbys > 1 then
-      (match P.ha proc with
-      | Some ha ->
-          Format.printf "  replica set now: %s@."
-            (String.concat " "
-               (List.map string_of_int (Dex_ha.Ha.standbys ha)))
-      | None -> ());
+      Format.printf "  replica set now: %s@."
+        (String.concat " "
+           (List.map string_of_int (Dex_ha.Ha.standbys (P.ha proc))));
     let coh = P.coherence proc in
     Dex_profile.Report.pp_ha Format.std_formatter (P.stats proc);
     let pget = Dex_sim.Stats.get (P.stats proc) in

@@ -94,12 +94,7 @@ let install_vma tree vma =
   Vma_tree.insert tree vma
 
 (* ------------------------------------------------------------------ *)
-(* Origin replication plumbing. All of these are single pointer tests
-   when replication is off, so the default configuration pays nothing. *)
-
-let ha_log t e = match ha t with Some ha -> Ha.append ha e | None -> ()
-let ha_fence t = match ha t with Some ha -> Ha.fence ha | None -> ()
-let ha_resolve t = match ha t with Some ha -> Ha.resolve ha | None -> None
+(* Calls to a home that may fail over.                                 *)
 
 (* Run [f ~dst] against [shard]'s current home; when the {e home}
    fail-stops under the call, stall until the HA layer promotes a standby,
@@ -107,7 +102,7 @@ let ha_resolve t = match ha t with Some ha -> Ha.resolve ha | None -> None
    ever replicated. Crashes of the calling node itself are not handled
    here — they keep unwinding to {!guard}, which applies the thread crash
    policy. Without replication the resolver answers [None] and the
-   exception propagates exactly as before. *)
+   exception propagates. *)
 let rec home_rpc t ~shard ~src ~stat f =
   let dst = Authority.home (authority t) ~shard in
   try f ~dst
@@ -117,7 +112,7 @@ let rec home_rpc t ~shard ~src ~stat f =
          && Fabric.crashed (fabric t) ~node:dst
          && not (Fabric.crashed (fabric t) ~node:src) -> (
       Fabric.declare_dead (fabric t) ~node:dst;
-      match ha_resolve t with
+      match Ha.resolve (ha t) with
       | Some o when o <> dst ->
           Stats.incr (stats t) stat;
           home_rpc t ~shard ~src ~stat f
@@ -369,12 +364,7 @@ let futex_wait th ~addr ~expected =
   let shard = Authority.shard_of (authority t) (Page.page_of_addr addr) in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.futex_op;
-    let redelivered =
-      match ha t with
-      | Some ha -> Ha.take_wake ha ~addr ~tid:th.tid
-      | None -> false
-    in
-    if redelivered then
+    if Ha.take_wake (ha t) ~addr ~tid:th.tid then
       (* The old home consumed a wake for this thread but died before
          the verdict reached it; the replicated ledger re-delivers. *)
       true
@@ -392,7 +382,7 @@ let futex_wait th ~addr ~expected =
       in
       if v <> expected then false
       else begin
-        ha_log t
+        Ha.append (ha t)
           (Log_entry.Futex_wait { addr; tid = th.tid; owner = th.location });
         match
           Futex.wait ~owner:th.location ~tid:th.tid t.futexes.(shard) ~addr
@@ -403,7 +393,7 @@ let futex_wait th ~addr ~expected =
                spurious wake. Sync primitives re-check their state in a
                loop, and the caller's own fiber unwinds through {!guard}
                anyway. *)
-            ha_log t
+            Ha.append (ha t)
               (Log_entry.Futex_unpark { addr; tid = th.tid; woken = false });
             false
       end
@@ -421,7 +411,8 @@ let futex_wake th ~addr ~count =
        waker's) reply leaves the home — the fence in the router makes
        the ledger entry durable first under [`Sync]. *)
     List.iter
-      (fun tid -> ha_log t (Log_entry.Futex_unpark { addr; tid; woken = true }))
+      (fun tid ->
+        Ha.append (ha t) (Log_entry.Futex_unpark { addr; tid; woken = true }))
       tids;
     List.length tids
   in
@@ -546,7 +537,7 @@ let rec broadcast_node_op t op =
         targets;
       Waitq.wait (engine t) join;
       if !src_died then
-        match ha_resolve t with
+        match Ha.resolve (ha t) with
         | Some o when o <> src -> broadcast_node_op t op
         | Some _ | None ->
             (* No promotion path: the origin crash is fatal anyway (the
@@ -569,7 +560,7 @@ let mmap th ?(perm = Perm.rw) ~len ~tag () =
     t.mmap_next <- addr + len + Page.size;
     let vma = Vma.make ~start:addr ~len ~perm ~tag in
     Vma_tree.insert t.vmas.(origin t) vma;
-    ha_log t (Log_entry.Vma_set vma);
+    Ha.append (ha t) (Log_entry.Vma_set vma);
     addr
   in
   delegate th run
@@ -579,12 +570,12 @@ let munmap th ~addr ~len =
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.vma_op;
     ignore (Vma_tree.remove_range t.vmas.(origin t) ~start:addr ~len);
-    ha_log t (Log_entry.Vma_remove { start = addr; len });
+    Ha.append (ha t) (Log_entry.Vma_remove { start = addr; len });
     let first, last = Page.pages_of_range addr ~len in
     ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
     (* Shrinks are broadcast eagerly (§III-D); the shrink must be durable
        on the standbys before any remote node observes it. *)
-    ha_fence t;
+    Ha.fence (ha t);
     broadcast_node_op t (M.Vma_shrink { start = addr; len });
     Coherence.forget_range t.coh ~first ~last
   in
@@ -595,13 +586,13 @@ let mprotect th ~addr ~len ~perm =
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.vma_op;
     ignore (Vma_tree.protect_range t.vmas.(origin t) ~start:addr ~len ~perm);
-    ha_log t (Log_entry.Vma_protect { start = addr; len; perm });
+    Ha.append (ha t) (Log_entry.Vma_protect { start = addr; len; perm });
     (* Downgrades must reach every node before the call returns;
        permissive changes propagate lazily via on-demand sync. *)
     if not (perm.Perm.read && perm.Perm.write) then begin
       let first, last = Page.pages_of_range addr ~len in
       ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
-      ha_fence t;
+      Ha.fence (ha t);
       broadcast_node_op t (M.Vma_protect { start = addr; len; perm })
     end
   in
@@ -880,7 +871,7 @@ let handle_node_crash t ~node =
    crash policy and tear down the dead node's worker. *)
 let on_node_crash t node =
   Coherence.reclaim_node t.coh ~node;
-  Option.iter (fun ha -> Ha.handle_crash ha ~node) (ha t);
+  Ha.handle_crash (ha t) ~node;
   handle_node_crash t ~node
 
 (* ------------------------------------------------------------------ *)
@@ -888,8 +879,7 @@ let on_node_crash t node =
 
 let router t (env : Fabric.env) =
   if Coherence.handler t.coh env then true
-  else if (match ha t with Some ha -> Ha.router ha env | None -> false) then
-    true
+  else if Ha.router (ha t) env then true
   else
     let msg = env.Fabric.msg in
     match msg.Msg.payload with
@@ -906,13 +896,13 @@ let router t (env : Fabric.env) =
            (futex state, VMAs, allocations) must be on the standbys before
            the reply publishes the effect to another node. Only the
            origin's state is replicated. *)
-        if msg.Msg.dst = origin t then ha_fence t;
+        if msg.Msg.dst = origin t then Ha.fence (ha t);
         env.Fabric.respond ~size:resp_size M.Delegate_done;
         true
     | M.Vma_query { addr } ->
         Engine.delay (engine t) (cfg t).Core_config.vma_op;
         let r = M.Vma_info (Vma_tree.find t.vmas.(origin t) addr) in
-        ha_fence t;
+        Ha.fence (ha t);
         env.Fabric.respond r;
         true
     | M.Node_op op ->
@@ -954,43 +944,40 @@ let create cluster ?(origin = 0) () =
       detach = Fun.id;
     }
   in
-  Option.iter
-    (fun ha ->
-      Ha.set_promote_hook ha (fun ~new_origin replica ->
-          (* Runs in the promotion fiber, after directory reclaim for the
-             dead origin was skipped in favor of this rebuild. *)
-          Coherence.promote t.coh ~new_origin
-            ~dir_entries:(Replica.dir_snapshot replica)
-            ~page_data:(Replica.page_data replica);
-          (* The replicated tree IS the authoritative layout now; the
-             promoted node's lazily synced view is a strict subset. *)
-          t.vmas.(new_origin) <- Replica.vma_tree replica;
-          Coherence.fence_survivors t.coh;
-          (* Bootstrap snapshot seeding the next replication generation. *)
-          let vmas = ref [] in
-          Vma_tree.iter t.vmas.(new_origin) (fun vma ->
-              vmas := Log_entry.Vma_set vma :: !vmas);
-          let pages =
-            Page_store.fold
-              (Coherence.page_store t.coh ~node:new_origin)
-              ~init:[]
-              ~f:(fun vpn data acc ->
-                Log_entry.Page_data { vpn; data = Bytes.copy data } :: acc)
-          in
-          let dirs =
-            List.map
-              (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
-              (Directory.snapshot (Authority.directory (authority t) ~shard:0))
-          in
-          dirs @ pages @ List.rev !vmas))
-    (ha t);
+  Ha.set_promote_hook (ha t) (fun ~new_origin replica ->
+      (* Runs in the promotion fiber, after directory reclaim for the
+         dead origin was skipped in favor of this rebuild. *)
+      Coherence.promote t.coh ~new_origin
+        ~dir_entries:(Replica.dir_snapshot replica)
+        ~page_data:(Replica.page_data replica);
+      (* The replicated tree IS the authoritative layout now; the
+         promoted node's lazily synced view is a strict subset. *)
+      t.vmas.(new_origin) <- Replica.vma_tree replica;
+      Coherence.fence_survivors t.coh;
+      (* Bootstrap snapshot seeding the next replication generation. *)
+      let vmas = ref [] in
+      Vma_tree.iter t.vmas.(new_origin) (fun vma ->
+          vmas := Log_entry.Vma_set vma :: !vmas);
+      let pages =
+        Page_store.fold
+          (Coherence.page_store t.coh ~node:new_origin)
+          ~init:[]
+          ~f:(fun vpn data acc ->
+            Log_entry.Page_data { vpn; data = Bytes.copy data } :: acc)
+      in
+      let dirs =
+        List.map
+          (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
+          (Directory.snapshot (Authority.directory (authority t) ~shard:0))
+      in
+      dirs @ pages @ List.rev !vmas);
   (* Classic static layout at the origin; remote nodes learn VMAs on
      demand. *)
   let tree = t.vmas.(origin) in
   let layout_vma ~start ~len ~perm ~tag =
     let vma = Vma.make ~start ~len ~perm ~tag in
     Vma_tree.insert tree vma;
-    ha_log t (Log_entry.Vma_set vma)
+    Ha.append (ha t) (Log_entry.Vma_set vma)
   in
   layout_vma ~start:Layout.text_base ~len:Layout.text_size ~perm:Perm.ro
     ~tag:"text";
@@ -1023,7 +1010,7 @@ let spawn t ?name:(thread_name = "worker") f =
   let private_vma ~start ~len ~tag =
     let vma = Vma.make ~start ~len ~perm:Perm.rw ~tag in
     Vma_tree.insert t.vmas.(origin t) vma;
-    ha_log t (Log_entry.Vma_set vma)
+    Ha.append (ha t) (Log_entry.Vma_set vma)
   in
   private_vma ~start:(Layout.stack_for ~tid) ~len:Layout.stack_size
     ~tag:(Printf.sprintf "stack:%d" tid);
@@ -1084,7 +1071,7 @@ let shutdown t =
      (in chaos mode a send only returns once acked, and duplicate copies
      are filtered at the fabric's dedup layer before routing), so no
      coherence message addressed to this pid can arrive anymore — unless
-     replication is armed: a standby still holding this process's log can
+     a replica set was configured: a standby still holding this process's log can
      promote on a later origin crash and broadcast epoch fences that the
      coherence handler must ack, so replicated processes stay registered.
      Any other finished process has nothing a later crash could damage,
@@ -1092,4 +1079,4 @@ let shutdown t =
      whole protocol state reachable and treat a later crash of its old
      origin node as an unrecoverable origin loss, failing whichever live
      fiber declared the crash. *)
-  if Option.is_none (ha t) then t.detach ()
+  if not (Ha.configured (ha t)) then t.detach ()

@@ -43,14 +43,14 @@ val create : Cluster.t -> ?origin:int -> unit -> t
     (which receives only messages whose envelope names that pid) and its
     crash recovery (directory reclaim, then standby promotion, then thread
     recovery);
-    [origin] defaults to node 0. When the
-    cluster's proto config names a non-empty replica set
-    ({!Dex_proto.Proto_config.standbys}), the protocol instance arms
-    {!Dex_proto.Proto_config.replication} of the origin towards it — see
-    {!ha} — and this installs the promotion hook that rebuilds the
-    origin's VMA tree. Replication protects the origin only, so
-    {!Dex_proto.Coherence.create} raises [Invalid_argument] when a replica
-    set is configured with more than one shard of
+    [origin] defaults to node 0. The protocol instance arms
+    {!Dex_proto.Proto_config.replication} of the origin towards the
+    cluster's replica set ({!Dex_proto.Proto_config.standbys}, empty by
+    default: replication off) — see {!ha} — and this installs the
+    promotion hook that rebuilds the origin's VMA tree. Replication
+    protects the origin only, so {!Dex_proto.Coherence.create} raises
+    [Invalid_argument] when a replica set is configured with more than
+    one shard of
     {!Dex_proto.Proto_config.sharding} (and, from {!Dex_ha.Ha.arm}, on a
     malformed replica set). *)
 
@@ -63,9 +63,9 @@ val origin : t -> int
     {!Dex_proto.Authority} table. Changes when a standby is promoted after
     an origin crash. *)
 
-val ha : t -> Dex_ha.Ha.t option
-(** The origin's replication layer, when armed
-    ({!Dex_proto.Coherence.ha}). With replication armed an
+val ha : t -> Dex_ha.Ha.t
+(** The origin's replication layer ({!Dex_proto.Coherence.ha}), disabled
+    from the start with no standbys. With replication armed an
     origin fail-stop no longer kills the process: a standby replays the
     replication log, takes over the directory and every delegated
     service (VMA, allocator, futex, file) under a new epoch and becomes
@@ -285,6 +285,7 @@ val live_threads : t -> (int * int) list
 
 val shutdown : t -> unit
 (** Join every spawned thread, then broadcast process exit to all remote
-    workers and wait for their teardown. An unreplicated process then
-    removes its cluster registration. Must be called from a fiber
+    workers and wait for their teardown. A process configured without
+    standbys ({!Dex_ha.Ha.configured}) then removes its cluster
+    registration. Must be called from a fiber
     (normally the main thread; {!Dex.run} does it automatically). *)

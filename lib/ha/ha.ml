@@ -42,7 +42,7 @@ type t = {
   fabric : Fabric.t;
   stats : Stats.t;
   pid : int;
-  mode : [ `Sync | `Async of int ];
+  max_lag : int;  (* entries a fence lets the log run past the quorum *)
   k : int;  (* configured standby count; set_size = k + 1 *)
   mutable origin : int;
   mutable gen_origin : int;  (* origin the current generation is rooted at *)
@@ -71,7 +71,7 @@ type t = {
 let origin t = t.origin
 let live t = List.filter (fun s -> s.sb_live) t.standbys
 let standbys t = List.map (fun s -> s.sb_node) (live t)
-let mode t = t.mode
+let configured t = t.k > 0
 let active t = t.state = Active
 let armed t = match t.state with Active | Promoting -> true | Disabled -> false
 let set_promote_hook t f = t.promote_hook <- Some f
@@ -105,17 +105,9 @@ let quorum_watermark t =
     | [] -> -1
     | _ -> List.nth acks (min (required_acks t) (List.length acks) - 1)
 
-let lag t =
-  let w = quorum_watermark t in
-  if w < 0 then t.next_seq else t.next_seq - w
-
 let lag_ok t =
   let w = quorum_watermark t in
-  w >= 0
-  &&
-  match t.mode with
-  | `Sync -> w >= t.next_seq
-  | `Async lag -> t.next_seq - w <= lag
+  w >= 0 && t.next_seq - w <= t.max_lag
 
 let disable t =
   if t.state <> Disabled then begin
@@ -588,7 +580,6 @@ let router t (env : Fabric.env) =
   | _ -> false
 
 let arm ~engine ~fabric ~stats ~pid ~mode ~origin ~standbys =
-  if standbys = [] then invalid_arg "Ha.arm: empty replica set";
   let nodes = Fabric.node_count fabric in
   List.iter
     (fun s ->
@@ -604,12 +595,13 @@ let arm ~engine ~fabric ~stats ~pid ~mode ~origin ~standbys =
       fabric;
       stats;
       pid;
-      mode;
+      max_lag = (match mode with `Sync -> 0 | `Async lag -> lag);
       k = List.length standbys;
       origin;
       gen_origin = origin;
       standbys = [];
-      state = Active;
+      (* An empty replica set is replication off from the start. *)
+      state = (if standbys = [] then Disabled else Active);
       epoch = 0;
       log = [||];
       next_seq = 0;

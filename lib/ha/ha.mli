@@ -64,12 +64,15 @@ val arm :
   standbys:int list ->
   t
 (** Arm replication from [origin] to the replica set [standbys] (k =
-    [List.length standbys]; must be non-empty, distinct, in range and
-    exclude the origin). Its batches go to process [pid]. Subscribes to
-    nothing: the owner routes failure declarations to {!handle_crash} and
-    messages to {!router}. [stats]
-    receives the [ha.*] counters (the arming protocol instance's table,
-    which is also its process's). *)
+    [List.length standbys]; distinct, in range and excluding the origin).
+    An empty set is replication off: the instance starts disabled, with
+    no counter bumped and no fiber spawned, and every entry point answers
+    as it does once a replica set is lost. [mode] becomes the fence's lag
+    bound: [`Sync] is [`Async 0]. Its batches go to process [pid].
+    Subscribes to nothing: the owner routes failure declarations to
+    {!handle_crash} and messages to {!router}. [stats] receives the
+    [ha.*] counters (the arming protocol instance's table, which is also
+    its process's). *)
 
 val origin : t -> int
 (** Current origin (changes at promotion). *)
@@ -78,7 +81,9 @@ val standbys : t -> int list
 (** Current live standbys (shrinks on standby loss, refreshed when
     replication re-arms after a failover). *)
 
-val mode : t -> [ `Sync | `Async of int ]
+val configured : t -> bool
+(** A replica set was configured (k > 0), whether or not it is still
+    alive: {!armed} turns false once the set is lost, this never does. *)
 
 val active : t -> bool
 (** Replication is streaming (not disabled, no failover in progress). *)
@@ -86,14 +91,6 @@ val active : t -> bool
 val armed : t -> bool
 (** An origin crash right now would be survivable: replication is active,
     or a promotion is already in flight. *)
-
-val lag : t -> int
-(** Entry count the log runs ahead of the quorum watermark (the whole log
-    when the quorum is lost). *)
-
-val quorate : t -> bool
-(** Do the origin and live standbys still form a majority of the original
-    replica set? When [false], [`Sync] fences stall. *)
 
 val last_election : t -> (int * (int * int * int) list) option
 (** Outcome of the most recent election: winner node id ([-1] when no
@@ -125,8 +122,8 @@ val fence : t -> unit
 val resolve : t -> int option
 (** Where is the origin? Blocks while a promotion is in flight, then
     returns the (new) origin, or [None] if the origin is dead and no
-    promotion can happen. Wired as the coherence layer's origin
-    resolver. *)
+    promotion can happen (with an empty replica set, none ever can).
+    Wired as the coherence layer's origin resolver. *)
 
 val take_wake : t -> addr:Dex_mem.Page.addr -> tid:int -> bool
 (** Consume a replicated pending wake for a retried futex wait at the

@@ -24,7 +24,7 @@ type t = {
   stats : Stats.t;
   fault_latencies : Histogram.t;
   mutable tracer : (Fault_event.t -> unit) option;
-  ha : Ha.t option;  (* origin replication, armed when a replica set exists *)
+  ha : Ha.t;  (* origin replication; disabled from the start with no standbys *)
   service : Resource.Server.t array option;
       (* per-node handler occupancy when [serial_home_service] is on:
          requests at one home queue behind each other instead of
@@ -39,7 +39,6 @@ type t = {
 let authority t = t.authority
 let shard_load t = Array.copy t.shard_grants
 let replicate_marked t vpn = Hashtbl.mem t.replicate_hint vpn
-let replicated t = Option.is_some t.ha
 
 (* --- fail-stop reclaim ---------------------------------------------- *)
 
@@ -106,7 +105,7 @@ let reclaim_node t ~node =
   let homed = Authority.homed_at t.authority node in
   (match homed with
   | [] -> Stats.incr t.stats "crash.nodes"
-  | _ when (match t.ha with Some ha -> Ha.armed ha | None -> false) -> ()
+  | _ when Ha.armed t.ha -> ()
   | 0 :: _ ->
       failwith
         "Coherence: the origin fail-stopped — no recovery possible (the \
@@ -138,18 +137,15 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
   let nshards = Authority.shard_count authority in
   let rng = Rng.create ~seed in
   let stats = Stats.create () in
-  (* An empty replica set is replication off. *)
+  let standbys = cfg.Proto_config.standbys in
+  (* Replication protects the origin only: with more shards, a non-origin
+     home's death would still be fatal. An empty replica set arms a
+     disabled instance: replication off. *)
+  if standbys <> [] && nshards > 1 then
+    invalid_arg "Coherence.create: replication needs one shard";
   let ha =
-    match cfg.Proto_config.standbys with
-    | [] -> None
-    | standbys ->
-        (* Replication protects the origin only: with more shards, a
-           non-origin home's death would still be fatal. *)
-        if nshards > 1 then
-          invalid_arg "Coherence.create: replication needs one shard";
-        Some
-          (Ha.arm ~engine ~fabric ~stats ~pid
-             ~mode:cfg.Proto_config.replication ~origin ~standbys)
+    Ha.arm ~engine ~fabric ~stats ~pid ~mode:cfg.Proto_config.replication
+      ~origin ~standbys
   in
   let t =
     {
@@ -179,18 +175,17 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
   in
   if nshards > 1 then Stats.add t.stats "shard.homes" nshards;
   (* Every mutation of the origin directory streams to the standbys.
-     Promotion moves the observer to the rebuilt directory. *)
-  Option.iter
-    (fun ha ->
-      Directory.set_observer
-        (Authority.directory authority ~shard:0)
-        (Some
-           (fun vpn state ->
-             Ha.append ha
-               (match state with
-               | Some s -> Log_entry.Dir_set { vpn; state = s }
-               | None -> Log_entry.Dir_forget { vpn }))))
-    ha;
+     Promotion moves the observer to the rebuilt directory. Without
+     standbys there is none, so no mutation builds a log entry. *)
+  if Ha.configured ha then
+    Directory.set_observer
+      (Authority.directory authority ~shard:0)
+      (Some
+         (fun vpn state ->
+           Ha.append ha
+             (match state with
+             | Some s -> Log_entry.Dir_set { vpn; state = s }
+             | None -> Log_entry.Dir_forget { vpn })));
   t
 
 let pid t = t.pid
@@ -205,7 +200,7 @@ let set_tracer t tracer = t.tracer <- tracer
 
 let emit t event = match t.tracer with None -> () | Some f -> f event
 
-let commit_fence t = match t.ha with None -> () | Some ha -> Ha.fence ha
+let commit_fence t = Ha.fence t.ha
 
 (* Handler occupancy at a home node. The default charges a plain delay —
    concurrent handlers overlap freely. With [serial_home_service] the
@@ -225,16 +220,14 @@ let snapshot_if_materialized store vpn =
 
 (* Feed a mutation of a home's staging store to the replication log:
    home-local dirtying never crosses the wire, so the directory observer
-   cannot see it; ship the origin's fresh bytes. No-op (one pointer test)
-   unless replication is armed. *)
+   cannot see it; ship the origin's fresh bytes. No-op (one state test,
+   no snapshot) unless replication is armed. *)
 let origin_store_mutated t vpn =
-  match t.ha with
-  | None -> ()
-  | Some ha -> (
-      let store = t.stores.(Authority.home t.authority ~shard:0) in
-      match snapshot_if_materialized store vpn with
-      | Some data -> Ha.append ha (Log_entry.Page_data { vpn; data })
-      | None -> ())
+  if Ha.armed t.ha then
+    let store = t.stores.(Authority.home t.authority ~shard:0) in
+    match snapshot_if_materialized store vpn with
+    | Some data -> Ha.append t.ha (Log_entry.Page_data { vpn; data })
+    | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Home side: ownership decisions.                                     *)
@@ -369,7 +362,7 @@ let mirror_to_static t ~src ~vpn data =
 (* Pull fresh page data back to the home from the current exclusive
    owner, downgrading or invalidating its copy.
 
-   With replication armed, an invalidating
+   With a replica set configured (even one since lost), an invalidating
    reclaim goes in two phases: downgrade the owner (it keeps a read copy),
    replicate the pulled-back data, and only then invalidate. Destroying
    the owner's only copy before the standby acked the bytes would open an
@@ -379,7 +372,7 @@ let mirror_to_static t ~src ~vpn data =
 let reclaim_from_owner t ~home ~owner ~vpn ~mode =
   if owner = home then revoke_local t ~home ~vpn ~mode
   else begin
-    let two_phase = replicated t && mode = Messages.Invalidate in
+    let two_phase = Ha.configured t.ha && mode = Messages.Invalidate in
     let first = if two_phase then Messages.Downgrade else mode in
     let data =
       revoke_rpc t ~home ~target:owner ~vpn ~mode:first ~want_data:true
@@ -616,7 +609,7 @@ let backoff t ~node ~attempt =
    are idempotent, so surfacing the timeout as a NACK and retrying is
    safe — unlike delegated operations, which must never be replayed.
 
-   With replication armed, a dead home is a different story:
+   With a replica set configured, a dead home is a different story:
    exhaust-the-budget IS the failure detector (escalate an undeclared
    crash), then stall in the resolver until the standby is promoted,
    adopt the new home address, and retry there — the thread sees a
@@ -629,25 +622,24 @@ let request_failure t ~node ~dst ~steered =
        runs and the retry resolves at the page's shard home. A
        live-but-slow target keeps the page and is simply retried. *)
     if
-      (steered || replicated t)
+      (steered || Ha.configured t.ha)
       && Fabric.crashed t.fabric ~node:dst
       && not (Fabric.crash_detected t.fabric ~node:dst)
     then begin
       Stats.incr t.stats "crash.escalations";
       Fabric.declare_dead t.fabric ~node:dst
     end;
-    match t.ha with
-    | _ when steered || not (Fabric.crash_detected t.fabric ~node:dst) ->
-        Stats.incr t.stats "crash.requester_retries";
-        `Nack
-    | None -> `Reraise
-    | Some ha -> (
-        match Ha.resolve ha with
-        | Some o ->
-            (Authority.view t.authority ~node).home <- o;
-            Stats.incr t.stats "ha.stalled_faults";
-            `Nack
-        | None -> `Reraise)
+    if steered || not (Fabric.crash_detected t.fabric ~node:dst) then begin
+      Stats.incr t.stats "crash.requester_retries";
+      `Nack
+    end
+    else
+      match Ha.resolve t.ha with
+      | Some o ->
+          (Authority.view t.authority ~node).home <- o;
+          Stats.incr t.stats "ha.stalled_faults";
+          `Nack
+      | None -> `Reraise
   end
 
 (* Send one [Page_request] for [vpn] from [node], which is not the page's
@@ -968,12 +960,25 @@ let rehome_page t ~vpn ~node =
         match ship () with
         | exception Fabric.Unreachable _ ->
             Directory.unlock dir vpn;
-            (* The target died undetected: the shipment exhausting its
-               budget is the failure detector, same as a revoke. *)
-            Stats.incr t.stats "crash.escalations";
-            Fabric.crash t.fabric ~node;
-            Fabric.declare_dead t.fabric ~node;
-            `Dead_target
+            if Fabric.crashed t.fabric ~node:cur then begin
+              (* The shipping home died under the call (as in
+                 [crash_escalate], the source is checked first): declaring
+                 it falls its re-homes back to their static homes, and the
+                 caller retries against that route. *)
+              if not (Fabric.crash_detected t.fabric ~node:cur) then begin
+                Stats.incr t.stats "crash.escalations";
+                Fabric.declare_dead t.fabric ~node:cur
+              end;
+              `Busy
+            end
+            else begin
+              (* The target died undetected: the shipment exhausting its
+                 budget is the failure detector, same as a revoke. *)
+              Stats.incr t.stats "crash.escalations";
+              Fabric.crash t.fabric ~node;
+              Fabric.declare_dead t.fabric ~node;
+              `Dead_target
+            end
         | () ->
             (* Release the busy flag, then move the entry and flip the
                routing state — no simulation event intervenes, so the

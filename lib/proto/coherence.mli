@@ -49,15 +49,16 @@
     than handing pages to a ghost, revocations towards a declared-dead
     node are skipped, and every home-side lock and fault-table entry is
     released on the [Unreachable] exception path, so {!check_invariants}
-    holds after every reclaim. Without the HA layer, crashing a {e home}
+    holds after every reclaim. Without a replica set, crashing a {e home}
     node is unsupported: its shard's directory dies with it (and for the
     origin, the delegated services too).
 
     {2 Home failover (HA)}
 
-    With a replica set configured ({!Proto_config.standbys}), {!create}
-    arms {!Dex_ha.Ha} towards it ({!ha}), which replicates the origin.
-    Replication needs one shard: only the origin can fail over. A
+    {!create} arms one {!Dex_ha.Ha} ({!ha}) towards the replica set
+    {!Proto_config.standbys}, which replicates the origin; an empty set
+    arms it disabled, which is replication off. A replica set needs one
+    shard: only the origin can fail over. A
     {!Dex_ha.Ha.fence} runs before any grant reply leaves the origin (the
     "replicate before externalize" fence; home-local operations never
     pass through it), every directory mutation streams to the standbys
@@ -69,9 +70,10 @@
     [Page_stale] ([ha.stale_epoch_nacks]) so survivors adopt the new
     origin, which they located by stalling in {!Dex_ha.Ha.resolve} until
     the promotion completed ([ha.stalled_faults]) — a failover is a long
-    fault, not an abort. Unarmed, every path replication guards is one
-    pointer test, a home death is fatal ({!reclaim_node}), and a reclaim
-    takes one phase instead of two. *)
+    fault, not an abort. With no standbys, every path replication guards
+    is one state test, a home death is fatal ({!reclaim_node}), and a
+    reclaim takes one phase instead of two; so it does once a configured
+    set is lost, except that reclaims stay two-phase. *)
 
 type t
 (** One coherence-protocol instance (per-shard directories + per-node
@@ -87,13 +89,13 @@ val create :
 (** One protocol instance per distributed process; its messages carry
     [pid] in their envelope ({!Dex_net.Msg.t.pid}, default 0), which is
     how processes sharing a fabric keep them apart. The caller must route
-    fabric messages for [pid] to {!handler} and failure
-    declarations to {!reclaim_node} (and, when {!ha} is armed, to
-    {!Dex_ha.Ha.router} and {!Dex_ha.Ha.handle_crash}). When
-    [cfg.standbys] is non-empty, arms replication of the origin towards
-    it. Raises [Invalid_argument] on a bad [origin], a non-positive shard
-    count, a replica set with more than one shard, or (from
-    {!Dex_ha.Ha.arm}) a malformed replica set. *)
+    fabric messages for [pid] to {!handler} and then {!Dex_ha.Ha.router}
+    of {!ha}, and failure declarations to {!reclaim_node} and then
+    {!Dex_ha.Ha.handle_crash}. Arms replication of the origin towards
+    [cfg.standbys] (disabled when it is empty). Raises [Invalid_argument]
+    on a bad [origin], a non-positive shard count, a non-empty replica
+    set with more than one shard, or (from {!Dex_ha.Ha.arm}) a malformed
+    replica set. *)
 
 val pid : t -> int
 (** The process id this instance's messages are addressed to. *)
@@ -220,7 +222,9 @@ val rehome_page :
     live PTE holders re-registered ([autopilot.fallbacks]) — re-homed
     entries are deliberately {e not} replicated by the HA layer.
     [`Busy] if the page's directory entry is locked by an in-flight
-    grant (retry later), [`Noop] if already served at [node],
+    grant, or if its current home dies while shipping the copy (that
+    home is declared dead, so the page falls back to its static home
+    first): retry later. [`Noop] if already served at [node],
     [`Dead_target] if [node] is (or is discovered to be) crashed.
     Raises [Invalid_argument] on a bad [node]. *)
 
@@ -279,9 +283,10 @@ val reclaim_node : t -> node:int -> unit
 
 (** {2 Home failover} *)
 
-val ha : t -> Dex_ha.Ha.t option
-(** The origin's replication, armed by {!create} when
-    {!Proto_config.standbys} is non-empty; its [ha.*] counters go to
+val ha : t -> Dex_ha.Ha.t
+(** The origin's replication, armed by {!create} towards
+    {!Proto_config.standbys}: disabled from the start when that is empty
+    ({!Dex_ha.Ha.configured} is false). Its [ha.*] counters go to
     {!stats}. *)
 
 val promote : t ->

@@ -37,15 +37,15 @@ let default =
        scratch should survive. Rehome is the opt-in for restartable
        workers. *)
     on_crash = `Abort;
-    (* `Sync fences every externalized reply on the replication ack;
-       `Async n tolerates up to n unacked log entries and can lose that
-       suffix on an origin crash. Only consulted once a replica set
-       exists. *)
+    (* `Sync fences every externalized reply on the replication ack (it
+       is `Async 0); `Async n tolerates up to n unacked log entries and
+       can lose that suffix on an origin crash. Only consulted once a
+       replica set exists. *)
     replication = `Sync;
-    (* No standbys is replication off: no log, and the protocol is
-       bit-identical to a build without the HA layer. One standby is the
-       single-replica setup; more tolerate simultaneous origin+standby
-       crashes (any minority of the origin+k set). *)
+    (* An empty replica set is replication off: the protocol arms a
+       disabled instance, no log runs, output unchanged. One standby is
+       the single-replica setup; more tolerate simultaneous
+       origin+standby crashes (any minority of the origin+k set). *)
     standbys = [];
     (* One shard by default: all pages are homed at the single origin.
        `Hash n spreads page ownership over n home nodes by vpn modulo;

@@ -48,14 +48,14 @@ type t = {
           until a quorum of standbys has acked the whole replication log
           (⌈(k+1)/2⌉ of them — a majority of the origin+k replica set);
           [`Async n] only blocks once the log runs more than [n] entries
-          past that quorum watermark — an origin crash can then lose up to
-          that suffix (the failover fence zaps survivor copies the replica
-          no longer vouches for). *)
+          past that quorum watermark ([`Sync] is [`Async 0]) — an origin
+          crash can then lose up to that suffix (the failover fence zaps
+          survivor copies the replica no longer vouches for). *)
   standbys : int list;
       (** the replica set: the k nodes (excluding the origin) that receive
           the origin's replication log. The default, [[]], is replication
-          off: no log runs and the protocol is bit-identical to a build
-          without the HA layer; one node is the single-standby setup. The
+          off: an empty replica set, so no log runs and the output is
+          unchanged; one node is the single-standby setup. The
           nodes must be distinct, in range and not the origin, and a
           replica set needs one shard ([sharding]). *)
   sharding : [ `Hash of int | `Range of int ];

@@ -251,29 +251,28 @@ let crash_at ~at_us node cl _proc main =
 (* The winner recorded by the last election must dominate every candidate
    under the (generation, watermark, lowest-node) order.                 *)
 let check_election_winner proc =
-  match Process.ha proc with
-  | None -> Alcotest.fail "replication should be armed"
-  | Some ha -> (
-      match Ha.last_election ha with
-      | None -> Alcotest.fail "a failover must record its election"
-      | Some (winner, candidates) ->
-          check_bool "election had candidates" true (candidates <> []);
-          let best =
-            List.fold_left
-              (fun acc (node, ep, w) ->
-                match acc with
-                | None -> Some (node, ep, w)
-                | Some (n', ep', w') ->
-                    if (ep, w, -node) > (ep', w', -n') then Some (node, ep, w)
-                    else acc)
-              None candidates
-          in
-          (match best with
-          | Some (node, _, _) ->
-              check_int "winner has the highest watermark" node winner
-          | None -> ());
-          check_int "the winner is the serving origin" winner
-            (Process.origin proc))
+  let ha = Process.ha proc in
+  check_bool "a replica set was configured" true (Ha.configured ha);
+  match Ha.last_election ha with
+  | None -> Alcotest.fail "a failover must record its election"
+  | Some (winner, candidates) ->
+      check_bool "election had candidates" true (candidates <> []);
+      let best =
+        List.fold_left
+          (fun acc (node, ep, w) ->
+            match acc with
+            | None -> Some (node, ep, w)
+            | Some (n', ep', w') ->
+                if (ep, w, -node) > (ep', w', -n') then Some (node, ep, w)
+                else acc)
+          None candidates
+      in
+      (match best with
+      | Some (node, _, _) ->
+          check_int "winner has the highest watermark" node winner
+      | None -> ());
+      check_int "the winner is the serving origin" winner
+        (Process.origin proc)
 
 let test_sync_failover_no_lost_writes () =
   let proc, final, expect =
@@ -291,16 +290,15 @@ let test_sync_failover_no_lost_writes () =
   check_bool "stale-epoch NACKs re-steered survivors" true
     (cstat proc "ha.stale_epoch_nacks" > 0);
   check_bool "replication re-armed towards a fresh recruit" true
-    (match Process.ha proc with
-    | Some ha -> Ha.active ha && Ha.standbys ha = [ 2 ]
-    | None -> false);
+    (let ha = Process.ha proc in
+     Ha.active ha && Ha.standbys ha = [ 2 ]);
   (* One owner per piece of process state: the protocol instance holds
      the replication, the origin and the only counter table. *)
   check_bool "the process's table is the protocol's" true
     (Process.stats proc == Dex_proto.Coherence.stats (Process.coherence proc));
-  (match Process.ha proc with
-  | Some ha -> check_int "Process.origin is Ha.origin" (Ha.origin ha) (Process.origin proc)
-  | None -> Alcotest.fail "replication should be armed");
+  check_int "Process.origin is Ha.origin"
+    (Ha.origin (Process.ha proc))
+    (Process.origin proc);
   let digest =
     Format.asprintf "%a" Dex_profile.Report.pp_ha (Process.stats proc)
   in
@@ -416,9 +414,8 @@ let test_standby_loss_degrades_not_stalls () =
   check_int "no stall: origin+survivor is still a majority" 0
     (pstat proc "ha.quorum_stalls");
   check_bool "replication still armed on the survivor" true
-    (match Process.ha proc with
-    | Some ha -> Ha.active ha && Ha.standbys ha = [ 2 ]
-    | None -> false)
+    (let ha = Process.ha proc in
+     Ha.active ha && Ha.standbys ha = [ 2 ])
 
 (* k=3 losing standbys one by one: two losses break the quorum — `Sync
    writers stall rather than externalize unreplicated writes — and the
@@ -475,9 +472,8 @@ let test_quorum_lost_stalls_then_disables () =
     (pstat proc "ha.disabled");
   check_int "no failover happened" 0 (pstat proc "ha.failovers");
   check_bool "disarmed" true
-    (match Process.ha proc with
-    | Some ha -> (not (Ha.armed ha)) && Ha.standbys ha = []
-    | None -> false)
+    (let ha = Process.ha proc in
+     (not (Ha.armed ha)) && Ha.standbys ha = [])
 
 (* k=1 standby loss still degenerates to the PR 4 behaviour: the set is
    empty, replication disables, the run is unaffected.                   *)
@@ -506,8 +502,7 @@ let test_standby_loss_disables () =
   check_int "standby loss recorded" 1 (pstat proc "ha.standby_lost");
   check_int "replication disabled" 1 (pstat proc "ha.disabled");
   check_int "no failover happened" 0 (pstat proc "ha.failovers");
-  check_bool "disarmed" true
-    (match Process.ha proc with Some ha -> not (Ha.armed ha) | None -> false)
+  check_bool "disarmed" true (not (Ha.armed (Process.ha proc)))
 
 (* Explicit replica-set selection is honoured, in the given order. *)
 let test_standby_selection () =
@@ -518,20 +513,56 @@ let test_standby_selection () =
       ()
   in
   let proc = Dex.run cl (fun _proc _main -> ()) in
-  match Process.ha proc with
-  | Some ha ->
-      Alcotest.(check (list int)) "configured replica set" [ 3; 1 ]
-        (Ha.standbys ha)
-  | None -> Alcotest.fail "replication should be armed"
+  Alcotest.(check (list int)) "configured replica set" [ 3; 1 ]
+    (Ha.standbys (Process.ha proc))
 
-(* Zero standbys is replication off, whatever the mode says; a replica
-   set with two shards is refused. *)
+(* Zero standbys is replication off, whatever the mode says: an mmap +
+   munmap, remote grants and a barrier (futex wait and wake) go through
+   every replication hook (log, fence, wake ledger, two-phase reclaim)
+   and leave no trace: no [ha.*] counter, no replication traffic. A
+   replica set with two shards is refused. *)
 let test_zero_standbys_is_off () =
   let nodes = 3 in
   let cluster proto = Dex.cluster ~nodes ~net:(crash_net ~nodes ()) ~proto () in
-  let proc = Dex.run (cluster (ha_proto ~k:0 (`Async 4))) (fun _ _ -> ()) in
-  check_bool "nothing armed" true (Process.ha proc = None);
-  check_int "no log entries" 0 (pstat proc "ha.entries");
+  let cl = cluster (ha_proto ~k:0 (`Async 4)) in
+  let proc =
+    Dex.run cl (fun proc main ->
+        let scratch = Process.mmap main ~len:(3 * 4096) ~tag:"scratch" () in
+        Process.store main scratch 1L;
+        let x = Process.memalign main ~align:4096 ~bytes:8 ~tag:"x" in
+        let barrier = Sync.Barrier.create proc ~parties:3 () in
+        let threads =
+          List.map
+            (fun node ->
+              Process.spawn proc (fun th ->
+                  Process.migrate th node;
+                  for _ = 1 to 5 do
+                    ignore (Process.fetch_add th x 1L);
+                    ignore (Process.load th scratch)
+                  done;
+                  Sync.Barrier.await th barrier))
+            [ 1; 2 ]
+        in
+        Sync.Barrier.await main barrier;
+        List.iter Process.join threads;
+        Alcotest.(check int64) "every increment landed" 10L
+          (Process.load main x);
+        Process.munmap main ~addr:scratch ~len:(3 * 4096))
+  in
+  Dex_proto.Coherence.check_invariants (Process.coherence proc);
+  check_bool "the run took remote grants" true
+    (pstat proc "delegation" > 0 && pstat proc "revoke.invalidate" > 0);
+  Alcotest.(check (list string)) "no ha.* counter" []
+    (List.filter_map
+       (fun (name, _) ->
+         if String.starts_with ~prefix:"ha." name then Some name else None)
+       (Stats.to_list (Process.stats proc)));
+  check_int "no replication traffic" 0
+    (Stats.get (Fabric.stats (Cluster.fabric cl)) ("sent." ^ Ha_messages.kind_repl));
+  let ha = Process.ha proc in
+  Alcotest.(check (list int)) "empty replica set" [] (Ha.standbys ha);
+  check_bool "not armed" false (Ha.armed ha);
+  check_bool "not configured" false (Ha.configured ha);
   Alcotest.check_raises "replication with two shards is refused"
     (Invalid_argument "Coherence.create: replication needs one shard")
     (fun () ->
@@ -539,6 +570,26 @@ let test_zero_standbys_is_off () =
         (Process.create
            (cluster { (ha_proto `Sync) with sharding = `Hash 2 })
            ()))
+
+(* [`Sync] is lag 0: [`Async 0] runs the k = 1 failover workload to the
+   same instant, counters and final count. *)
+let test_async_zero_is_sync () =
+  let run mode =
+    let proc, final, expect =
+      run_failover_workload ~mode ~rounds:30 ~crash:(crash_at ~at_us:1200 0) ()
+    in
+    ( Engine.now (Cluster.engine (Process.cluster proc)),
+      Stats.to_list (Process.stats proc),
+      final,
+      expect )
+  in
+  let t_sync, stats_sync, final_sync, expect = run `Sync in
+  let t_async, stats_async, final_async, _ = run (`Async 0) in
+  check_int "same sim_time" t_sync t_async;
+  Alcotest.(check (list (pair string int))) "same counters" stats_sync
+    stats_async;
+  Alcotest.(check int64) "same final count" final_sync final_async;
+  Alcotest.(check int64) "no lost write" (Int64.of_int expect) final_sync
 
 (* ------------------------------------------------------------------ *)
 (* Futexes across a failover: a waiter parked at the old origin re-parks
@@ -737,6 +788,53 @@ let test_rehome_failover ~target () =
     (if target = 1 then 0 else 1)
     (List.length (Dex_proto.Authority.rehomed_pages authority))
 
+(* Regression: a re-home whose {e shipping} home dies mid-shipment. The
+   page was re-homed 0 -> 2; re-homing it 2 -> 3 ships the staging copy
+   from node 2, which fail-stops 3 us into the call. The exhausted call
+   must be pinned on the dead source, never on the live target (which,
+   via [pin_page], is the static home and may be the origin): the source
+   is declared, its re-homes fall back to the static home, and the move
+   reports [`Busy] so the caller retries against the fallen-back route. *)
+let test_rehome_source_dies () =
+  let nodes = 4 in
+  let cl =
+    Dex.cluster ~nodes ~net:(crash_net ~nodes ())
+      ~proto:{ Dex_proto.Proto_config.default with on_crash = `Rehome }
+      ()
+  in
+  let vpn = ref (-1) in
+  let verdict = ref `Noop in
+  let proc =
+    Dex.run cl (fun proc main ->
+        let x = Process.memalign main ~align:4096 ~bytes:8 ~tag:"x" in
+        Process.store main x 7L;
+        let coh = Process.coherence proc in
+        vpn := Dex_mem.Page.page_of_addr x;
+        (match Dex_proto.Coherence.rehome_page coh ~vpn:!vpn ~node:2 with
+        | `Rehomed -> ()
+        | _ -> Alcotest.fail "setup re-home must succeed");
+        let engine = Cluster.engine cl in
+        Engine.spawn engine (fun () ->
+            Engine.delay engine (us 3);
+            Cluster.crash_node cl ~node:2);
+        verdict := Dex_proto.Coherence.rehome_page coh ~vpn:!vpn ~node:3;
+        Alcotest.(check int64) "the page kept its bytes" 7L
+          (Process.load main x))
+  in
+  let coh = Process.coherence proc in
+  let authority = Dex_proto.Coherence.authority coh in
+  check_bool "a dead source is retried, not blamed on the target" true
+    (!verdict = `Busy);
+  check_bool "the source was declared dead" true
+    (Fabric.crash_detected (Cluster.fabric cl) ~node:2);
+  check_bool "the target stays live" false (Cluster.node_crashed cl ~node:3);
+  check_bool "the target was not declared dead" false
+    (Fabric.crash_detected (Cluster.fabric cl) ~node:3);
+  check_int "the page routes to its static home"
+    (Dex_proto.Authority.home_of authority !vpn)
+    (Dex_proto.Authority.route authority !vpn).node;
+  Dex_proto.Coherence.check_invariants coh
+
 (* The same product at any crash instant: the fold-back races grants in
    flight at the target, which the epoch fence must not mistake for
    replies lost with the old home. *)
@@ -778,6 +876,8 @@ let () =
             test_standby_selection;
           Alcotest.test_case "zero standbys is replication off" `Quick
             test_zero_standbys_is_off;
+          Alcotest.test_case "`Async 0 runs like `Sync" `Quick
+            test_async_zero_is_sync;
         ] );
       ( "quorum",
         [
@@ -798,6 +898,8 @@ let () =
             (test_rehome_failover ~target:1);
           Alcotest.test_case "re-homed to a bystander: keeps serving" `Quick
             (test_rehome_failover ~target:2);
+          Alcotest.test_case "re-home source dies mid-shipment" `Quick
+            test_rehome_source_dies;
           QCheck_alcotest.to_alcotest prop_rehome_failover_sc;
         ] );
       ( "fuzz",
