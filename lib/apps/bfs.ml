@@ -71,7 +71,17 @@ let oracle =
 
 let reference_level_sum p ~seed = (oracle p ~seed).level_sum
 
-let dedup_sorted (l : int list) = List.sort_uniq Int.compare l
+(* One thread's share of one BFS level. *)
+type step = {
+  active : bool;  (* some frontier vertex is the thread's own *)
+  edges : int;  (* edges it scans *)
+  found : int;  (* distinct vertices it discovers *)
+  checked : int list;  (* level pages it reads (Initial), ascending *)
+  written : int list;  (* level pages it stores, ascending *)
+  inboxes : (int * int) list;
+      (* (node, discoveries) per inbox it fills, in visiting order
+         (Optimized); its own node's entry stands for [written] *)
+}
 
 let body p ctx main =
   let { graph = g; levels; frontiers; level_sum } = oracle p ~seed:ctx.A.seed in
@@ -126,52 +136,88 @@ let body p ctx main =
         by_thread)
       frontiers
   in
-  let level_pages = Bytes.make ((vertices + 511) / 512) '\000' in
-  (* The first [sample_pages] level-array pages, ascending, that the
-     neighbours of [mine] live on. *)
-  let level_checks mine =
-    List.iter
-      (fun v ->
-        for e = g.Workloads.offsets.(v) to g.Workloads.offsets.(v + 1) - 1 do
-          Bytes.unsafe_set level_pages (g.Workloads.targets.(e) / 512) '\001'
-        done)
-      mine;
+  (* Scratch shared by every thread's planning, which never yields: two
+     bitmaps of level-array pages, cleared as they are read, and a stamp
+     per vertex, so a vertex counts once per (thread, level) with no
+     sort. *)
+  let checked_pages = Bytes.make ((vertices + 511) / 512) '\000' in
+  let written_pages = Bytes.make ((vertices + 511) / 512) '\000' in
+  (* The first [limit] pages marked in [bitmap], ascending; clears every
+     mark. *)
+  let take_pages bitmap limit =
     let pages = ref [] and taken = ref 0 in
-    for page = 0 to Bytes.length level_pages - 1 do
-      if Bytes.unsafe_get level_pages page <> '\000' then begin
-        if !taken < p.sample_pages then begin
+    for page = 0 to Bytes.length bitmap - 1 do
+      if Bytes.unsafe_get bitmap page <> '\000' then begin
+        if !taken < limit then begin
           pages := page :: !pages;
           incr taken
         end;
-        Bytes.unsafe_set level_pages page '\000'
+        Bytes.unsafe_set bitmap page '\000'
       end
     done;
     List.rev !pages
   in
+  let stamp = Array.make vertices (-1) and stamp_now = ref (-1) in
+  let per_node = Array.make ctx.A.nodes 0 in
+  let checks =
+    match ctx.A.variant with
+    | A.Baseline | A.Initial -> true
+    | A.Optimized -> false
+  in
   (* Per-level, per-thread work description, derived from the real BFS:
-     which frontier vertices are mine, how many edges I scan, which
-     vertices I discover and, in Initial, which level pages I check. *)
+     whether any frontier vertex is mine, how many edges I scan, how many
+     vertices I discover, which level pages I check (Initial: those my
+     neighbours live on) and which I write. *)
   let plan_for i =
+    let me = A.node_of ctx i in
     List.map
       (fun by_thread ->
         let mine = by_thread.(i) in
-        let edges = ref 0 in
-        let discovered = ref [] in
+        incr stamp_now;
+        let now = !stamp_now in
+        let edges = ref 0 and found = ref 0 in
         List.iter
           (fun v ->
-            for e = g.Workloads.offsets.(v) to g.Workloads.offsets.(v + 1) - 1
-            do
-              incr edges;
+            let first = g.Workloads.offsets.(v) in
+            let last = g.Workloads.offsets.(v + 1) - 1 in
+            let next = levels.(v) + 1 in
+            edges := !edges + (last - first + 1);
+            for e = first to last do
               let u = g.Workloads.targets.(e) in
-              if levels.(u) = levels.(v) + 1 then discovered := u :: !discovered
+              if checks then Bytes.unsafe_set checked_pages (u / 512) '\001';
+              if levels.(u) = next && stamp.(u) <> now then begin
+                stamp.(u) <- now;
+                incr found;
+                if checks then Bytes.unsafe_set written_pages (u / 512) '\001'
+                else
+                  let o = owner_of u in
+                  per_node.(o) <- per_node.(o) + 1;
+                  if o = me then Bytes.unsafe_set written_pages (u / 512) '\001'
+              end
             done)
           mine;
-        let checked =
-          match ctx.A.variant with
-          | A.Baseline | A.Initial -> level_checks mine
-          | A.Optimized -> []
-        in
-        (mine, !edges, dedup_sorted !discovered, checked))
+        let active = mine <> [] and edges = !edges and found = !found in
+        match ctx.A.variant with
+        | A.Baseline | A.Initial ->
+            let checked = take_pages checked_pages p.sample_pages in
+            let written = take_pages written_pages p.sample_pages in
+            { active; edges; found; checked; written; inboxes = [] }
+        | A.Optimized ->
+            (* The inboxes in the order the per-level table always visited
+               them: a [Hashtbl] keyed by node, filled in ascending node
+               order. *)
+            let by_node = Hashtbl.create 8 in
+            Array.iteri
+              (fun o n ->
+                if n > 0 then begin
+                  Hashtbl.replace by_node o n;
+                  per_node.(o) <- 0
+                end)
+              per_node;
+            let inboxes = Hashtbl.fold (fun o n l -> (o, n) :: l) by_node [] in
+            let written = take_pages written_pages max_int in
+            { active; edges; found; checked = []; written;
+              inboxes = List.rev inboxes })
       buckets
   in
   A.parallel_region ctx (fun i th ->
@@ -188,10 +234,10 @@ let body p ctx main =
             ~len:((elast - efirst) * 8)
       end;
       List.iter
-        (fun (mine, edges, discovered, checked) ->
-          if mine <> [] then begin
+        (fun step ->
+          if step.active then begin
             Process.compute th
-              ~ns:(int_of_float (float_of_int edges *. p.ns_per_edge))
+              ~ns:(int_of_float (float_of_int step.edges *. p.ns_per_edge))
           end;
           (match ctx.A.variant with
           | A.Baseline | A.Initial ->
@@ -205,58 +251,36 @@ let body p ctx main =
                   Process.read th ~site:"bfs.level_check"
                     (levels_addr + (page * 4096))
                     ~len:8)
-                checked;
-              let pages =
-                dedup_sorted (List.map (fun u -> u / 512) discovered)
-              in
+                step.checked;
               List.iteri
                 (fun k page ->
-                  if k < p.sample_pages then
-                    Process.store th ~site:"bfs.level_write"
-                      (levels_addr + (page * 4096))
-                      (Int64.of_int k))
-                pages;
-              if discovered <> [] then
-                ignore
-                  (Process.fetch_add th ~site:"bfs.frontier_count" counter_addr
-                     (Int64.of_int (List.length discovered)))
+                  Process.store th ~site:"bfs.level_write"
+                    (levels_addr + (page * 4096))
+                    (Int64.of_int k))
+                step.written
           | A.Optimized ->
               (* Polymer-style: stage remote discoveries into per-node
                  inboxes; update only our own partition's level pages. *)
-              let by_node = Hashtbl.create 8 in
+              let me = A.node_of ctx i in
               List.iter
-                (fun u ->
-                  let o = owner_of u in
-                  Hashtbl.replace by_node o
-                    (1 + Option.value (Hashtbl.find_opt by_node o) ~default:0))
-                discovered;
-              Hashtbl.iter
-                (fun o n ->
-                  if o = A.node_of ctx i then begin
+                (fun (o, n) ->
+                  if o = me then
                     (* Our own vertices: write the level pages directly. *)
-                    let own =
-                      dedup_sorted
-                        (List.filter_map
-                           (fun u ->
-                             if owner_of u = o then Some (u / 512) else None)
-                           discovered)
-                    in
                     List.iter
                       (fun page ->
                         Process.store th ~site:"bfs.level_write"
                           (levels_addr + (page * 4096))
                           1L)
-                      own
-                  end
+                      step.written
                   else
                     Process.write th ~site:"bfs.inbox_write"
                       (inbox_addr + (o * 16 * 4096))
                       ~len:(max 8 (n * 8)))
-                by_node;
-              if discovered <> [] then
-                ignore
-                  (Process.fetch_add th ~site:"bfs.frontier_count" counter_addr
-                     (Int64.of_int (List.length discovered))));
+                step.inboxes);
+          if step.found > 0 then
+            ignore
+              (Process.fetch_add th ~site:"bfs.frontier_count" counter_addr
+                 (Int64.of_int step.found));
           Sync.Barrier.await th barrier;
           (match ctx.A.variant with
           | A.Optimized ->

@@ -944,33 +944,35 @@ let create cluster ?(origin = 0) () =
       detach = Fun.id;
     }
   in
-  Ha.set_promote_hook (ha t) (fun ~new_origin replica ->
-      (* Runs in the promotion fiber, after directory reclaim for the
-         dead origin was skipped in favor of this rebuild. *)
-      Coherence.promote t.coh ~new_origin
-        ~dir_entries:(Replica.dir_snapshot replica)
-        ~page_data:(Replica.page_data replica);
-      (* The replicated tree IS the authoritative layout now; the
-         promoted node's lazily synced view is a strict subset. *)
-      t.vmas.(new_origin) <- Replica.vma_tree replica;
-      Coherence.fence_survivors t.coh;
-      (* Bootstrap snapshot seeding the next replication generation. *)
-      let vmas = ref [] in
-      Vma_tree.iter t.vmas.(new_origin) (fun vma ->
-          vmas := Log_entry.Vma_set vma :: !vmas);
-      let pages =
-        Page_store.fold
-          (Coherence.page_store t.coh ~node:new_origin)
-          ~init:[]
-          ~f:(fun vpn data acc ->
-            Log_entry.Page_data { vpn; data = Bytes.copy data } :: acc)
-      in
-      let dirs =
-        List.map
-          (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
-          (Directory.snapshot (Authority.directory (authority t) ~shard:0))
-      in
-      dirs @ pages @ List.rev !vmas);
+  (* Without a replica set nothing can promote, so no hook is built. *)
+  if Ha.configured (ha t) then
+    Ha.set_promote_hook (ha t) (fun ~new_origin replica ->
+        (* Runs in the promotion fiber, after directory reclaim for the
+           dead origin was skipped in favor of this rebuild. *)
+        Coherence.promote t.coh ~new_origin
+          ~dir_entries:(Replica.dir_snapshot replica)
+          ~page_data:(Replica.page_data replica);
+        (* The replicated tree IS the authoritative layout now; the
+           promoted node's lazily synced view is a strict subset. *)
+        t.vmas.(new_origin) <- Replica.vma_tree replica;
+        Coherence.fence_survivors t.coh;
+        (* Bootstrap snapshot seeding the next replication generation. *)
+        let vmas = ref [] in
+        Vma_tree.iter t.vmas.(new_origin) (fun vma ->
+            vmas := Log_entry.Vma_set vma :: !vmas);
+        let pages =
+          Page_store.fold
+            (Coherence.page_store t.coh ~node:new_origin)
+            ~init:[]
+            ~f:(fun vpn data acc ->
+              Log_entry.Page_data { vpn; data = Bytes.copy data } :: acc)
+        in
+        let dirs =
+          List.map
+            (fun (vpn, state) -> Log_entry.Dir_set { vpn; state })
+            (Directory.snapshot (Authority.directory (authority t) ~shard:0))
+        in
+        dirs @ pages @ List.rev !vmas);
   (* Classic static layout at the origin; remote nodes learn VMAs on
      demand. *)
   let tree = t.vmas.(origin) in

@@ -37,7 +37,9 @@ type standby = {
   mutable sb_prev : prev_image option;
 }
 
-type t = {
+(* A configured replica set (k > 0) and the replication state around it.
+   It outlives the set's loss: a lost set is [Disabled]. *)
+type set = {
   engine : Engine.t;
   fabric : Fabric.t;
   stats : Stats.t;
@@ -68,14 +70,7 @@ type t = {
   mutable last_election : (int * (int * int * int) list) option;
 }
 
-let origin t = t.origin
 let live t = List.filter (fun s -> s.sb_live) t.standbys
-let standbys t = List.map (fun s -> s.sb_node) (live t)
-let configured t = t.k > 0
-let active t = t.state = Active
-let armed t = match t.state with Active | Promoting -> true | Disabled -> false
-let set_promote_hook t f = t.promote_hook <- Some f
-let last_election t = t.last_election
 
 (* Quorum arithmetic. The replica set is {origin} ∪ k standbys; an
    externalization fence demands acks from ⌈(k+1)/2⌉ standbys — a majority
@@ -579,43 +574,94 @@ let router t (env : Fabric.env) =
           true)
   | _ -> false
 
+(* An empty replica set builds none of the replication state: the
+   instance is its origin, where {!resolve} looks, and every entry point
+   answers as it does for a lost set. *)
+type t = Unreplicated of { fabric : Fabric.t; origin : int } | Replicated of set
+
 let arm ~engine ~fabric ~stats ~pid ~mode ~origin ~standbys =
-  let nodes = Fabric.node_count fabric in
-  List.iter
-    (fun s ->
-      if s = origin then invalid_arg "Ha.arm: standby equals origin";
-      if s < 0 || s >= nodes then invalid_arg "Ha.arm: bad standby node")
-    standbys;
-  if
-    List.length (List.sort_uniq compare standbys) <> List.length standbys
-  then invalid_arg "Ha.arm: duplicate standby";
-  let t =
-    {
-      engine;
-      fabric;
-      stats;
-      pid;
-      max_lag = (match mode with `Sync -> 0 | `Async lag -> lag);
-      k = List.length standbys;
-      origin;
-      gen_origin = origin;
-      standbys = [];
-      (* An empty replica set is replication off from the start. *)
-      state = (if standbys = [] then Disabled else Active);
-      epoch = 0;
-      log = [||];
-      next_seq = 0;
-      snapshot_seq = 0;
-      deferred_rev = [];
-      fence_q = Waitq.create ();
-      resolve_q = Waitq.create ();
-      promoted = None;
-      promote_hook = None;
-      detect_ns = 0;
-      electing = None;
-      reelect = false;
-      last_election = None;
-    }
-  in
-  t.standbys <- List.map (fresh_standby ~epoch:0 ~origin) standbys;
-  t
+  if standbys = [] then Unreplicated { fabric; origin }
+  else begin
+    let nodes = Fabric.node_count fabric in
+    List.iter
+      (fun s ->
+        if s = origin then invalid_arg "Ha.arm: standby equals origin";
+        if s < 0 || s >= nodes then invalid_arg "Ha.arm: bad standby node")
+      standbys;
+    if
+      List.length (List.sort_uniq compare standbys) <> List.length standbys
+    then invalid_arg "Ha.arm: duplicate standby";
+    Replicated
+      {
+        engine;
+        fabric;
+        stats;
+        pid;
+        max_lag = (match mode with `Sync -> 0 | `Async lag -> lag);
+        k = List.length standbys;
+        origin;
+        gen_origin = origin;
+        standbys = List.map (fresh_standby ~epoch:0 ~origin) standbys;
+        state = Active;
+        epoch = 0;
+        log = [||];
+        next_seq = 0;
+        snapshot_seq = 0;
+        deferred_rev = [];
+        fence_q = Waitq.create ();
+        resolve_q = Waitq.create ();
+        promoted = None;
+        promote_hook = None;
+        detect_ns = 0;
+        electing = None;
+        reelect = false;
+        last_election = None;
+      }
+  end
+
+let origin = function
+  | Unreplicated { origin; _ } -> origin
+  | Replicated t -> t.origin
+
+let standbys = function
+  | Unreplicated _ -> []
+  | Replicated t -> List.map (fun s -> s.sb_node) (live t)
+
+let configured = function Unreplicated _ -> false | Replicated _ -> true
+let active = function Unreplicated _ -> false | Replicated t -> t.state = Active
+
+let armed = function
+  | Unreplicated _ -> false
+  | Replicated t -> (
+      match t.state with Active | Promoting -> true | Disabled -> false)
+
+let last_election = function
+  | Unreplicated _ -> None
+  | Replicated t -> t.last_election
+
+let set_promote_hook t f =
+  match t with
+  | Unreplicated _ -> ()
+  | Replicated t -> t.promote_hook <- Some f
+
+let append t e = match t with Unreplicated _ -> () | Replicated t -> append t e
+let fence = function Unreplicated _ -> () | Replicated t -> fence t
+
+let resolve = function
+  | Unreplicated { fabric; origin } ->
+      if Fabric.crashed fabric ~node:origin then None else Some origin
+  | Replicated t -> resolve t
+
+let take_wake t ~addr ~tid =
+  match t with
+  | Unreplicated _ -> false
+  | Replicated t -> take_wake t ~addr ~tid
+
+let handle_crash t ~node =
+  match t with
+  | Unreplicated _ -> ()
+  | Replicated t -> handle_crash t ~node
+
+(* No shipper ever stamps an unreplicated instance's pid on a batch. *)
+let router t env =
+  match t with Unreplicated _ -> false | Replicated t -> router t env

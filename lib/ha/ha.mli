@@ -65,9 +65,10 @@ val arm :
   t
 (** Arm replication from [origin] to the replica set [standbys] (k =
     [List.length standbys]; distinct, in range and excluding the origin).
-    An empty set is replication off: the instance starts disabled, with
-    no counter bumped and no fiber spawned, and every entry point answers
-    as it does once a replica set is lost. [mode] becomes the fence's lag
+    An empty set is replication off: the instance holds only its origin,
+    with no log, wait queue or standby built, no counter bumped and no
+    fiber spawned, and every entry point answers as it does once a
+    replica set is lost. [mode] becomes the fence's lag
     bound: [`Sync] is [`Async 0]. Its batches go to process [pid].
     Subscribes to nothing: the owner routes failure declarations to
     {!handle_crash} and messages to {!router}. [stats] receives the
@@ -103,7 +104,8 @@ val set_promote_hook :
     live origin state (directory, page data, VMA tree) and
     return the bootstrap snapshot entries used to seed the next
     replication generation. Runs in the promotion fiber and may block on
-    the fabric (epoch fencing). *)
+    the fabric (epoch fencing). A no-op without a replica set, where no
+    promotion can happen: install it only when {!configured}. *)
 
 val append : t -> Log_entry.t -> unit
 (** Append one entry to the replication log. No-op when disabled; queued

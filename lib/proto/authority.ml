@@ -52,18 +52,22 @@ let iter_dirs a f =
   Array.iter f a.shards;
   Array.iter f a.overlays
 
+let no_override = { target = None; pinned = false }
+
+(* No run of the paper's workloads re-homes or pins a page: while none is,
+   every lookup answers without hashing. *)
 let override a vpn =
-  try Hashtbl.find a.overrides vpn
-  with Not_found -> { target = None; pinned = false }
+  if Hashtbl.length a.overrides = 0 then no_override
+  else try Hashtbl.find a.overrides vpn with Not_found -> no_override
 
 let set_override a vpn o =
   if o.target = None && not o.pinned then Hashtbl.remove a.overrides vpn
   else Hashtbl.replace a.overrides vpn o
 
 let route a vpn =
-  match Hashtbl.find_opt a.overrides vpn with
-  | Some { target = Some node; _ } -> a.overlays.(node)
-  | _ -> a.shards.(shard_of a vpn)
+  match (override a vpn).target with
+  | Some node -> a.overlays.(node)
+  | None -> a.shards.(shard_of a vpn)
 
 let pinned a vpn = (override a vpn).pinned
 let pin a vpn = set_override a vpn { (override a vpn) with pinned = true }

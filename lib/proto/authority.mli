@@ -12,7 +12,8 @@
     newer epoch. {e Per-page overrides}: the autopilot
     may re-home a page to another node, whose {e overlay} directory then
     holds its entry, and the futex layer may pin a page to its static
-    home. {!route} resolves both layers with one hash probe.
+    home. {!route} resolves both layers with at most one hash probe, and
+    none while no page has an override.
 
     Invariants ({!Coherence.check_invariants}): every entry sits in the
     directory {!route} resolves for its page, and no re-home names its

@@ -139,8 +139,8 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
   let stats = Stats.create () in
   let standbys = cfg.Proto_config.standbys in
   (* Replication protects the origin only: with more shards, a non-origin
-     home's death would still be fatal. An empty replica set arms a
-     disabled instance: replication off. *)
+     home's death would still be fatal. An empty replica set arms an
+     instance with no replication state: replication off. *)
   if standbys <> [] && nshards > 1 then
     invalid_arg "Coherence.create: replication needs one shard";
   let ha =

@@ -42,8 +42,9 @@ let default =
        can lose that suffix on an origin crash. Only consulted once a
        replica set exists. *)
     replication = `Sync;
-    (* An empty replica set is replication off: the protocol arms a
-       disabled instance, no log runs, output unchanged. One standby is
+    (* An empty replica set is replication off: the protocol arms an
+       instance that builds no replication state, no log runs, output
+       unchanged. One standby is
        the single-replica setup; more tolerate simultaneous
        origin+standby crashes (any minority of the origin+k set). *)
     standbys = [];

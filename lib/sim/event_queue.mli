@@ -2,7 +2,12 @@
 
     Events are ordered by (time, sequence number): two events scheduled for
     the same instant fire in insertion order, which keeps whole-simulation
-    runs deterministic. *)
+    runs deterministic.
+
+    A binary heap of integer keys: each entry is a time, a sequence number
+    and the slot of a pool that holds its thunk from {!push} to {!take}.
+    A sift moves only integers, and once the arrays have grown to the
+    pending count, a push and a take allocate nothing. *)
 
 type t
 

@@ -260,6 +260,63 @@ let test_bfs () =
         (time, faults) (r.A.sim_time, r.A.faults))
     [ (A.Initial, 2_172_575, 81); (A.Optimized, 2_126_174, 82) ]
 
+(* BFS at 4 nodes on a graph of 8 level pages, with Initial's sample cap
+   below that: which pages a thread samples, and the order Optimized
+   visits its inboxes in, both show in the run's counters. *)
+let bfs_pinned = { bfs_small with Bfs.scale = 12; sample_pages = 4 }
+
+let test_bfs_4_nodes () =
+  List.iter
+    (fun (variant, time, faults, stats) ->
+      let r = Bfs.run ~nodes:4 ~variant ~params:bfs_pinned () in
+      let name = "BFS 4 nodes " ^ A.variant_name variant in
+      Alcotest.(check (pair int int))
+        (name ^ " (sim_time, faults)")
+        (time, faults) (r.A.sim_time, r.A.faults);
+      Alcotest.(check (list (pair string int)))
+        (name ^ " counters") stats
+        (Dex_sim.Stats.to_list r.A.stats))
+    [
+      ( A.Initial,
+        5_217_557,
+        441,
+        [
+          ("delegation", 240);
+          ("fault.coalesced", 1200);
+          ("fault.minor", 65);
+          ("fault.read", 265);
+          ("fault.retry", 124);
+          ("fault.write", 176);
+          ("grant.data", 232);
+          ("grant.nack", 124);
+          ("grant.nodata", 151);
+          ("migration.backward", 24);
+          ("migration.forward", 24);
+          ("revoke.downgrade", 79);
+          ("revoke.invalidate", 173);
+          ("vma.sync", 6);
+        ] );
+      ( A.Optimized,
+        5_964_187,
+        434,
+        [
+          ("delegation", 240);
+          ("fault.coalesced", 1489);
+          ("fault.minor", 190);
+          ("fault.read", 254);
+          ("fault.retry", 117);
+          ("fault.write", 180);
+          ("grant.data", 242);
+          ("grant.nack", 117);
+          ("grant.nodata", 139);
+          ("migration.backward", 24);
+          ("migration.forward", 24);
+          ("revoke.downgrade", 64);
+          ("revoke.invalidate", 141);
+          ("vma.sync", 6);
+        ] );
+    ]
+
 let bp_small =
   {
     Bp.vertices = 4_096;
@@ -331,6 +388,7 @@ let () =
           Alcotest.test_case "FT correctness" `Quick test_ft;
           Alcotest.test_case "BLK correctness" `Quick test_blk;
           Alcotest.test_case "BFS correctness" `Quick test_bfs;
+          Alcotest.test_case "BFS plans at 4 nodes" `Quick test_bfs_4_nodes;
           Alcotest.test_case "BP correctness" `Quick test_bp;
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "determinism" `Quick test_results_deterministic;

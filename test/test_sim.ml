@@ -54,6 +54,98 @@ let prop_eventq_sorted =
       List.sort compare popped = popped
       && List.length popped = List.length entries)
 
+(* A random interleaving of pushes and takes against a sorted-list
+   reference. Four pushes per take carry the queue past 300 pending
+   entries, so it grows from 64 slots to 512 and reuses slots freed by
+   takes along the way; times in [0, 30] make many ties, which the
+   sequence numbers (distinct, not in push order) break. *)
+type eventq_op = Push of int * int | Take
+
+let gen_eventq_ops =
+  let open QCheck.Gen in
+  list_size (int_range 700 900)
+    (frequency
+       [
+         (4, map2 (fun time key -> Push (time, key)) (int_bound 30)
+               (int_bound 1_000_000));
+         (1, return Take);
+       ])
+
+let pp_eventq_op = function
+  | Push (time, key) -> Printf.sprintf "push %d/%d" time key
+  | Take -> "take"
+
+let prop_eventq_model =
+  QCheck.Test.make ~name:"event queue matches a sorted-list reference"
+    ~count:100
+    (QCheck.make ~print:QCheck.Print.(list pp_eventq_op) gen_eventq_ops)
+    (fun ops ->
+      let q = Event_queue.create () in
+      (* The reference: (time, seq, id), sorted. *)
+      let model = ref [] and fired = ref (-1) and peak = ref 0 in
+      let check_step i =
+        let fail what = QCheck.Test.fail_reportf "step %d: %s" i what in
+        if Event_queue.length q <> List.length !model then fail "length";
+        match !model with
+        | [] -> if Event_queue.min_time q <> max_int then fail "min_time"
+        | (time, seq, _) :: _ ->
+            if Event_queue.min_time q <> time then fail "min_time";
+            if Event_queue.min_seq q <> seq then fail "min_seq"
+      in
+      List.iteri
+        (fun i op ->
+          (match op with
+          | Push (time, key) ->
+              let seq = (key * 1024) + i in
+              Event_queue.push q ~time ~seq (fun () -> fired := i);
+              model := List.merge compare !model [ (time, seq, i) ];
+              peak := max !peak (List.length !model)
+          | Take -> (
+              match !model with
+              | [] -> ()
+              | (_, _, id) :: rest ->
+                  (Event_queue.take q) ();
+                  if !fired <> id then
+                    QCheck.Test.fail_reportf "step %d: took %d, expected %d"
+                      i !fired id;
+                  model := rest));
+          check_step i)
+        ops;
+      (* Drain: the rest come out in reference order too. *)
+      List.iter
+        (fun (_, _, id) ->
+          (Event_queue.take q) ();
+          if !fired <> id then
+            QCheck.Test.fail_reportf "drain: took %d, expected %d" !fired id)
+        !model;
+      Event_queue.is_empty q && !peak >= 300)
+
+(* [take] hands its thunk over: the queue keeps no reference to it, so a
+   taken closure is garbage once its caller drops it. *)
+let test_eventq_releases_taken () =
+  let q = Event_queue.create () in
+  let w = Weak.create 3 in
+  let[@inline never] push_fresh k =
+    let r = ref k in
+    let f = Sys.opaque_identity (fun () -> incr r) in
+    Weak.set w k (Some f);
+    Event_queue.push q ~time:k ~seq:k f
+  in
+  List.iter push_fresh [ 0; 1; 2 ];
+  (* One entry stays pending behind them, so each take sifts the last
+     entry into the hole it leaves. *)
+  Event_queue.push q ~time:10 ~seq:10 ignore;
+  for _ = 1 to 3 do
+    (Sys.opaque_identity (Event_queue.take q)) ()
+  done;
+  Gc.full_major ();
+  List.iter
+    (fun k ->
+      check_bool (Printf.sprintf "taken thunk %d collected" k) true
+        (Weak.get w k = None))
+    [ 0; 1; 2 ];
+  check_int "one pending" 1 (Event_queue.length q)
+
 (* ------------------------------------------------------------------ *)
 (* Engine *)
 
@@ -884,6 +976,28 @@ let test_spawn_budget () =
     (Printf.sprintf "%.2f words per spawn + run (at most 17)" words)
     true (words <= 17.)
 
+(* A push and a take move integers and one pool entry: on a queue that
+   has grown to hold them, they allocate nothing. *)
+let test_eventq_budget () =
+  let q = Event_queue.create () in
+  let f = Sys.opaque_identity (fun () -> ()) in
+  for i = 1 to 200 do
+    Event_queue.push q ~time:(i * 7 mod 101) ~seq:i f
+  done;
+  let pairs base =
+    for i = 1 to 1_000 do
+      Event_queue.push q ~time:((base + i) * 13 mod 101) ~seq:(base + i) f;
+      let (_ : unit -> unit) = Sys.opaque_identity (Event_queue.take q) in
+      ()
+    done
+  in
+  pairs 1_000;
+  let w0 = Gc.minor_words () in
+  pairs 2_000;
+  let words = Gc.minor_words () -. w0 in
+  check_bool (Printf.sprintf "%.0f words for 1000 push + take pairs" words)
+    true (words = 0.)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -893,8 +1007,10 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_eventq_order;
           Alcotest.test_case "peek/length" `Quick test_eventq_peek;
+          Alcotest.test_case "taken thunk released" `Quick
+            test_eventq_releases_taken;
         ]
-        @ qsuite [ prop_eventq_sorted ] );
+        @ qsuite [ prop_eventq_sorted; prop_eventq_model ] );
       ( "engine",
         [
           Alcotest.test_case "delay advances time" `Quick
@@ -967,5 +1083,7 @@ let () =
           Alcotest.test_case "zero-delay schedule allocation" `Quick
             test_zero_delay_budget;
           Alcotest.test_case "spawn allocation" `Quick test_spawn_budget;
+          Alcotest.test_case "event queue push + take allocation" `Quick
+            test_eventq_budget;
         ] );
     ]
