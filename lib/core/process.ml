@@ -964,8 +964,7 @@ let create cluster ?(origin = 0) () =
           Page_store.fold
             (Coherence.page_store t.coh ~node:new_origin)
             ~init:[]
-            ~f:(fun vpn data acc ->
-              Log_entry.Page_data { vpn; data = Bytes.copy data } :: acc)
+            ~f:(fun vpn data acc -> Log_entry.Page_data { vpn; data } :: acc)
         in
         let dirs =
           List.map

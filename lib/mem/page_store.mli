@@ -3,7 +3,16 @@
     Pages that applications access through the typed DSM interface carry
     real bytes, so tests can verify that the consistency protocol actually
     delivers the values written elsewhere. Pages are materialized lazily as
-    zero-filled 4 KB buffers (like anonymous-mapping zero pages). *)
+    zero-filled 4 KB buffers (like anonymous-mapping zero pages).
+
+    Page images are shared until written. Only this module's writers
+    ({!write_i64}, {!write_byte}) mutate a page buffer; every other holder
+    of one (a message, the HA log, a replica, a {!fold} callback) treats its
+    bytes as read-only. Each resident page records whether its buffer may
+    be shared: {!snapshot}, {!install} and {!fold} mark it so, and the
+    first write to a shared buffer copies it, after which the page is
+    private again. Reads never copy. So a page transfer makes at most one
+    copy, made by the first write after it. *)
 
 type t
 
@@ -20,15 +29,25 @@ val read_byte : t -> Page.vpn -> offset:int -> int
 val write_byte : t -> Page.vpn -> offset:int -> int -> unit
 
 val snapshot : t -> Page.vpn -> bytes
-(** A copy of the page contents (for shipping over the network). It is the
-    one copy a page transfer makes, like the copy out of the RDMA sink
-    into the destination page. *)
+(** The page's image, for shipping over the network: the store's own
+    buffer, not a copy, now marked shared, so the store's next write to the
+    page copies first. The caller must not write to it. *)
 
 val install : t -> Page.vpn -> bytes -> unit
-(** Make [bytes] the page's contents. The store adopts the buffer rather
-    than copying it, so the caller must not keep it, nor hand it to
-    another store: install a {!snapshot} (or a [Bytes.copy]) per
-    destination. *)
+(** Make [bytes] the page's contents, shared: the store keeps the buffer
+    without copying it and copies before its first write, so one image may
+    be installed in any number of stores and still be held elsewhere. *)
+
+val adopt : t -> Page.vpn -> bytes -> unit
+(** {!install} a buffer no other holder can see (one {!take} handed over
+    as private): the page is private, so its next write needs no copy. The
+    caller must not keep the buffer nor hand it anywhere else. *)
+
+val take : t -> Page.vpn -> (bytes * bool) option
+(** [take t p] removes page [p], as {!drop} does, but hands its buffer over
+    instead of discarding it: [Some (b, owned)], where [owned] says [b] was
+    private, so a receiver may {!adopt} it (otherwise it must {!install}
+    it). [None] if [p] is not resident. *)
 
 val drop : t -> Page.vpn -> unit
 (** Discard the local copy (invalidation). *)
@@ -40,5 +59,6 @@ val mem : t -> Page.vpn -> bool
 (** Whether the page is resident (has ever been written or installed). *)
 
 val fold : t -> init:'a -> f:(Page.vpn -> bytes -> 'a -> 'a) -> 'a
-(** Fold over resident pages. The bytes are the live buffers — copy before
-    stashing them anywhere (standby bootstrap snapshots do). *)
+(** Fold over resident pages, in increasing page order. Each page's buffer
+    is handed out as by {!snapshot} (marked shared, not copied), so [f] may
+    keep it, read-only (standby bootstrap snapshots do). *)

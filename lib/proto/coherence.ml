@@ -7,6 +7,36 @@ module Log_entry = Dex_ha.Log_entry
 
 type outcome = [ `Done | `Retry ]
 
+(* Handles on the counters the fault, grant and revoke paths bump once per
+   fault or message, so those bumps skip the name lookup. *)
+type counters = {
+  fault_minor : Stats.counter;
+  fault_coalesced : Stats.counter;
+  fault_retry : Stats.counter;
+  fault_read : Stats.counter;
+  fault_write : Stats.counter;
+  grant_nack : Stats.counter;
+  grant_data : Stats.counter;
+  grant_nodata : Stats.counter;
+  revoke_invalidate : Stats.counter;
+  revoke_downgrade : Stats.counter;
+}
+
+let counters stats =
+  let c = Stats.counter stats in
+  {
+    fault_minor = c "fault.minor";
+    fault_coalesced = c "fault.coalesced";
+    fault_retry = c "fault.retry";
+    fault_read = c "fault.read";
+    fault_write = c "fault.write";
+    grant_nack = c "grant.nack";
+    grant_data = c "grant.data";
+    grant_nodata = c "grant.nodata";
+    revoke_invalidate = c "revoke.invalidate";
+    revoke_downgrade = c "revoke.downgrade";
+  }
+
 type t = {
   fabric : Fabric.t;
   engine : Engine.t;
@@ -22,6 +52,7 @@ type t = {
   ftables : outcome Fault_table.t array;
   rngs : Rng.t array;  (* per-node backoff jitter *)
   stats : Stats.t;
+  counters : counters;  (* handles into [stats] *)
   fault_latencies : Histogram.t;
   mutable tracer : (Fault_event.t -> unit) option;
   ha : Ha.t;  (* origin replication; disabled from the start with no standbys *)
@@ -160,6 +191,7 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       ftables = Array.init n (fun _ -> Fault_table.create engine ());
       rngs = Array.init n (fun _ -> Rng.split rng);
       stats;
+      counters = counters stats;
       fault_latencies = Histogram.create ();
       tracer = None;
       ha;
@@ -197,8 +229,6 @@ let stats t = t.stats
 let ha t = t.ha
 let fault_latencies t = t.fault_latencies
 let set_tracer t tracer = t.tracer <- tracer
-
-let emit t event = match t.tracer with None -> () | Some f -> f event
 
 let commit_fence t = Ha.fence t.ha
 
@@ -288,19 +318,22 @@ let crash_escalate t ~src ~target =
   Fabric.declare_dead t.fabric ~node:target
 
 (* Ask [target] to surrender its copy of [vpn]; returns the page data if
-   [want_data] and the target had it materialized. Crash-safe: a target
-   already declared dead is skipped, one that dies mid-revocation is
-   escalated — either way the revocation counts as acked without data. *)
+   [want_data] and the target had it materialized, with whether the target
+   handed its buffer over private ({!Messages.Revoke_ack}). Crash-safe: a
+   target already declared dead is skipped, one that dies mid-revocation
+   is escalated — either way the revocation counts as acked without
+   data. *)
 let revoke_rpc t ~home ~target ~vpn ~mode ~want_data =
   if Fabric.crash_detected t.fabric ~node:target then begin
     Stats.incr t.stats "crash.revokes_skipped";
     None
   end
   else begin
-    Stats.incr t.stats
+    Stats.bump
       (match mode with
-      | Messages.Invalidate -> "revoke.invalidate"
-      | Messages.Downgrade -> "revoke.downgrade");
+      | Messages.Invalidate -> t.counters.revoke_invalidate
+      | Messages.Downgrade -> t.counters.revoke_downgrade)
+      1;
     let src = home in
     match
       Fabric.call t.fabric ~src ~dst:target ~pid:t.pid
@@ -308,7 +341,8 @@ let revoke_rpc t ~home ~target ~vpn ~mode ~want_data =
         (Messages.Revoke
            { vpn; mode; want_data; epoch = Authority.epoch t.authority })
     with
-    | Messages.Revoke_ack { data } -> data
+    | Messages.Revoke_ack { data = Some data; owned } -> Some (data, owned)
+    | Messages.Revoke_ack { data = None; _ } -> None
     | _ -> failwith "Coherence: unexpected revoke reply"
     | exception Fabric.Unreachable _ ->
         crash_escalate t ~src ~target;
@@ -338,26 +372,26 @@ let revoke_parallel t ~home targets ~vpn =
 (* Ship a re-homed page's current bytes back to its static shard home,
    keeping the staging copy there fresh: crash fallback rebuilds the entry
    at the shard home, whose store must cover everything any survivor has
-   observed. Called exactly when the serving home externalizes data (a
-   no-op without data or unless the page is re-homed), so home-local
-   traffic on a re-homed page stays message-free. Every caller also hands
-   [data] to another store (the grant reply, the home's own store), so the
-   shipment carries its own copy. *)
-let mirror_to_static t ~src ~vpn data =
+   observed. Called exactly when the serving home [src] externalizes data
+   ([shipped]; a no-op otherwise or unless the page is re-homed), so
+   home-local traffic on a re-homed page stays message-free. The shipment
+   is a snapshot of [src]'s store, which holds the data just externalized:
+   both stores then share one buffer, even one [src] had adopted private. *)
+let mirror_to_static t ~src ~vpn ~shipped =
   let dst = Authority.home_of t.authority vpn in
-  match data with
-  | Some data when src <> dst && not (Fabric.crash_detected t.fabric ~node:dst)
-    -> (
-      Stats.incr t.stats "autopilot.mirrors";
-      match
-        Fabric.call t.fabric ~src ~dst ~pid:t.pid
-          ~kind:Messages.kind_page_sync ~size:t.cfg.Proto_config.page_msg_size
-          (Messages.Page_sync { vpn; data = Bytes.copy data })
-      with
-      | Messages.Page_sync_ack -> ()
-      | _ -> failwith "Coherence: unexpected sync reply"
-      | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:dst)
-  | _ -> ()
+  if shipped && src <> dst && not (Fabric.crash_detected t.fabric ~node:dst)
+  then begin
+    Stats.incr t.stats "autopilot.mirrors";
+    let data = Page_store.snapshot t.stores.(src) vpn in
+    match
+      Fabric.call t.fabric ~src ~dst ~pid:t.pid ~kind:Messages.kind_page_sync
+        ~size:t.cfg.Proto_config.page_msg_size
+        (Messages.Page_sync { vpn; data })
+    with
+    | Messages.Page_sync_ack -> ()
+    | _ -> failwith "Coherence: unexpected sync reply"
+    | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:dst
+  end
 
 (* Pull fresh page data back to the home from the current exclusive
    owner, downgrading or invalidating its copy.
@@ -377,11 +411,15 @@ let reclaim_from_owner t ~home ~owner ~vpn ~mode =
     let data =
       revoke_rpc t ~home ~target:owner ~vpn ~mode:first ~want_data:true
     in
-    Option.iter (Page_store.install t.stores.(home) vpn) data;
+    (match data with
+    | Some (data, true) -> Page_store.adopt t.stores.(home) vpn data
+    | Some (data, false) -> Page_store.install t.stores.(home) vpn data
+    | None -> ());
+    let shipped = Option.is_some data in
     (* Re-homed page: refresh the static staging copy before the HA hook
        snapshots it, so the log never ships stale bytes. *)
-    mirror_to_static t ~src:home ~vpn data;
-    if Option.is_some data then origin_store_mutated t vpn;
+    mirror_to_static t ~src:home ~vpn ~shipped;
+    if shipped then origin_store_mutated t vpn;
     if two_phase then begin
       Stats.incr t.stats "ha.two_phase_reclaims";
       commit_fence t;
@@ -446,17 +484,12 @@ let push_replicas t ~home ~dir ~vpn ~requester =
               subs
           in
           if targets <> [] then begin
-            (* One snapshot per target, all taken now: each target
-               installs its own buffer. *)
-            let shipments =
-              List.map
-                (fun n -> (n, snapshot_if_materialized t.stores.(home) vpn))
-                targets
-            in
+            (* One image, taken now, shared by every target. *)
+            let data = snapshot_if_materialized t.stores.(home) vpn in
             let accepted = ref [] in
             fanout t ~label:"push"
               (List.map
-                 (fun (target, data) () ->
+                 (fun target () ->
                    match
                      Fabric.call t.fabric ~src:home ~dst:target ~pid:t.pid
                        ~kind:Messages.kind_page_push
@@ -472,7 +505,7 @@ let push_replicas t ~home ~dir ~vpn ~requester =
                        (* Best-effort: a push is only a hint, never worth
                           an escalation. *)
                        Stats.incr t.stats "autopilot.push_declined")
-                 shipments);
+                 targets);
             let live =
               List.filter
                 (fun n -> not (Fabric.crash_detected t.fabric ~node:n))
@@ -500,7 +533,7 @@ let origin_grant t ~(route : Authority.route) ~requester ~vpn ~access =
     `Nack
   end
   else if not (Directory.try_lock dir vpn) then begin
-    Stats.incr t.stats "grant.nack";
+    Stats.bump t.counters.grant_nack 1;
     `Nack
   end
   else if (Authority.route t.authority vpn).dir != dir then begin
@@ -510,7 +543,7 @@ let origin_grant t ~(route : Authority.route) ~requester ~vpn ~access =
        the bogus entry wholesale and NACK — the requester's retry
        re-steers to the new home. *)
     Directory.forget dir vpn;
-    Stats.incr t.stats "grant.nack";
+    Stats.bump t.counters.grant_nack 1;
     `Nack
   end
   else
@@ -562,7 +595,7 @@ let origin_grant t ~(route : Authority.route) ~requester ~vpn ~access =
         in
         (* Both extras below can block; they run before the ghost re-check
            so a requester dying under them is still caught. *)
-        mirror_to_static t ~src:home ~vpn data;
+        mirror_to_static t ~src:home ~vpn ~shipped:(Option.is_some data);
         if access = Perm.Read then
           push_replicas t ~home ~dir ~vpn ~requester;
         if requester_gone t ~home ~requester then begin
@@ -575,8 +608,10 @@ let origin_grant t ~(route : Authority.route) ~requester ~vpn ~access =
           `Nack
         end
         else begin
-          Stats.incr t.stats
-            (if wire_data then "grant.data" else "grant.nodata");
+          Stats.bump
+            (if wire_data then t.counters.grant_data
+             else t.counters.grant_nodata)
+            1;
           note_shard_grant t
             ~shard:(Authority.shard_of t.authority vpn)
             ~home ~requester;
@@ -730,13 +765,13 @@ let ensure t ~node ~tid ~site ~vpn ~access =
            protocol is not involved. *)
         Engine.delay t.engine t.cfg.Proto_config.local_op;
         Page_table.set pt vpn access;
-        Stats.incr t.stats "fault.minor"
+        Stats.bump t.counters.fault_minor 1
       end
       else begin
         Engine.delay t.engine t.cfg.Proto_config.fault_entry;
         match Fault_table.enter t.ftables.(node) ~vpn ~access with
         | Fault_table.Follower _ when t.cfg.Proto_config.coalesce_faults ->
-            Stats.incr t.stats "fault.coalesced";
+            Stats.bump t.counters.fault_coalesced 1;
             Engine.delay t.engine t.cfg.Proto_config.follower_resume;
             loop ()
         | Fault_table.Follower _ ->
@@ -761,7 +796,7 @@ let ensure t ~node ~tid ~site ~vpn ~access =
                 Engine.delay t.engine t.cfg.Proto_config.pte_update;
                 ignore (Fault_table.finish t.ftables.(node) ~vpn `Done)
             | `Nack ->
-                Stats.incr t.stats "fault.retry";
+                Stats.bump t.counters.fault_retry 1;
                 incr retries;
                 ignore (Fault_table.finish t.ftables.(node) ~vpn `Retry);
                 backoff t ~node ~attempt:!retries;
@@ -778,22 +813,27 @@ let ensure t ~node ~tid ~site ~vpn ~access =
     loop ();
     if !was_leader then begin
       let latency = Engine.now t.engine - t0 in
-      Stats.incr t.stats
+      Stats.bump
         (match access with
-        | Perm.Read -> "fault.read"
-        | Perm.Write -> "fault.write");
+        | Perm.Read -> t.counters.fault_read
+        | Perm.Write -> t.counters.fault_write)
+        1;
       Histogram.add t.fault_latencies latency;
-      emit t
-        {
-          Fault_event.time = t0;
-          node;
-          tid;
-          kind = kind_of_access access;
-          site;
-          addr = Page.base_of_page vpn;
-          latency;
-          retries = !retries;
-        }
+      (* The event record is built only for an installed tracer. *)
+      match t.tracer with
+      | None -> ()
+      | Some f ->
+          f
+            {
+              Fault_event.time = t0;
+              node;
+              tid;
+              kind = kind_of_access access;
+              site;
+              addr = Page.base_of_page vpn;
+              latency;
+              retries = !retries;
+            }
     end
   end
 
@@ -1044,17 +1084,20 @@ let apply_invalidation t ~node ~vpn ~mode =
       Page_table.invalidate t.ptables.(node) vpn;
       Page_store.drop t.stores.(node) vpn
   | Messages.Downgrade -> Page_table.downgrade t.ptables.(node) vpn);
-  emit t
-    {
-      Fault_event.time = Engine.now t.engine;
-      node;
-      tid = -1;
-      kind = Fault_event.Invalidation;
-      site = "";
-      addr = Page.base_of_page vpn;
-      latency = 0;
-      retries = 0;
-    }
+  match t.tracer with
+  | None -> ()
+  | Some f ->
+      f
+        {
+          Fault_event.time = Engine.now t.engine;
+          node;
+          tid = -1;
+          kind = Fault_event.Invalidation;
+          site = "";
+          addr = Page.base_of_page vpn;
+          latency = 0;
+          retries = 0;
+        }
 
 (* Victim-side epoch bookkeeping for home-to-node traffic: adopt a
    newer epoch (and the sender as the new origin), refuse an older one.
@@ -1118,23 +1161,35 @@ let handler_unguarded t (env : Fabric.env) =
       let node = msg.Msg.dst in
       if stale_origin_traffic t ~node ~src:msg.Msg.src ~epoch then begin
         env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-          (Messages.Revoke_ack { data = None })
+          (Messages.Revoke_ack { data = None; owned = false })
       end
       else begin
         (* A fault in flight on this page must complete before the
            revocation applies, or PTE updates would interleave. *)
         Fault_table.await_idle t.ftables.(node) ~vpn;
         Engine.delay t.engine t.cfg.Proto_config.invalidate_handler;
-        let data =
-          if want_data then snapshot_if_materialized t.stores.(node) vpn
-          else None
+        let store = t.stores.(node) in
+        let reply =
+          match mode with
+          | _ when not want_data ->
+              Messages.Revoke_ack { data = None; owned = false }
+          | Messages.Downgrade ->
+              Messages.Revoke_ack
+                { data = snapshot_if_materialized store vpn; owned = false }
+          | Messages.Invalidate -> (
+              (* The copy is dropped below anyway: hand its buffer over
+                 instead of an image of it, private if it was. *)
+              match Page_store.take store vpn with
+              | Some (data, owned) ->
+                  Messages.Revoke_ack { data = Some data; owned }
+              | None -> Messages.Revoke_ack { data = None; owned = false })
         in
         apply_invalidation t ~node ~vpn ~mode;
         let size =
           if want_data then t.cfg.Proto_config.page_msg_size
           else t.cfg.Proto_config.ctl_msg_size
         in
-        env.Fabric.respond ~size (Messages.Revoke_ack { data })
+        env.Fabric.respond ~size reply
       end;
       true
   | Messages.Epoch_fence { keep } ->
@@ -1305,9 +1360,9 @@ let promote t ~new_origin ~dir_entries ~page_data =
         | { node; dir = overlay; shard = None } ->
             node = new_origin || holds vpn (Directory.state overlay vpn)
       in
-      (* The replica keeps its image (other standbys may share it). *)
-      if not had then
-        Page_store.install t.stores.(new_origin) vpn (Bytes.copy data))
+      (* The replica keeps its image (other standbys may share it), so
+         the store shares it too. *)
+      if not had then Page_store.install t.stores.(new_origin) vpn data)
     page_data;
   let old_dir = Authority.directory a ~shard:0 in
   (* The dead home's local state is unreachable hardware now. *)

@@ -15,7 +15,7 @@ type Dex_net.Msg.payload +=
       want_data : bool;
       epoch : int;
     }
-  | Revoke_ack of { data : bytes option }
+  | Revoke_ack of { data : bytes option; owned : bool }
   | Epoch_fence of { keep : (Dex_mem.Page.vpn * Dex_mem.Perm.access) list }
   | Epoch_fence_ack of { missing : Dex_mem.Page.vpn list }
   | Page_redirect of { vpn : Dex_mem.Page.vpn; home : int }

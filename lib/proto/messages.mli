@@ -3,7 +3,12 @@
     No payload names its process: the envelope's {!Dex_net.Msg.t.pid}
     does. The requester, owner or survivor a message concerns is its
     source or destination node, and a reply names no page: the caller
-    knows which page it asked about. *)
+    knows which page it asked about.
+
+    A [data] field is a page image shared with its sender (see
+    {!Dex_mem.Page_store}): no one writes to it, and a receiver installs it
+    without copying. Only an invalidating {!Revoke_ack} can hand over an
+    image no one else holds ([owned]). *)
 
 (** How an owner must surrender a page. *)
 type revoke_mode =
@@ -23,7 +28,9 @@ type Dex_net.Msg.payload +=
   | Page_grant of { data : bytes option }
       (** origin → node: ownership of the requested page granted; [data]
           carries page contents when the requester lacked a valid copy and
-          the page is materialized *)
+          the page is materialized. It is the home's staging image, which
+          the home keeps: a write grant's requester copies it on its first
+          write, so the staging copy keeps the pre-grant bytes. *)
   | Page_nack  (** origin → node: page busy, back off and retry *)
   | Page_stale of { epoch : int }
       (** origin → node: your epoch is stale — a failover has happened.
@@ -35,10 +42,13 @@ type Dex_net.Msg.payload +=
       want_data : bool;
       epoch : int;
     }  (** origin → owner: surrender ownership *)
-  | Revoke_ack of { data : bytes option }
+  | Revoke_ack of { data : bytes option; owned : bool }
       (** owner → origin: the page is surrendered; [data] ships it back
           when the origin asked for it ([want_data]) and the page is
-          materialized *)
+          materialized. A downgrade ships a shared image of the copy the
+          owner keeps. An invalidation hands over the owner's own buffer,
+          which it drops: [owned] when that buffer was private, so the
+          origin adopts it and its next write needs no copy. *)
   | Epoch_fence of { keep : (Dex_mem.Page.vpn * Dex_mem.Perm.access) list }
       (** new origin → survivor, during failover: the old epoch is dead
           (the survivor learns the new epoch in-band, from its next
@@ -71,12 +81,14 @@ type Dex_net.Msg.payload +=
           travels to a page's new dynamic home at re-home time, and fresh
           bytes are mirrored back to the static shard home whenever an
           externalizing grant leaves the dynamic home — what keeps the
-          crash-fallback copy coherent. *)
+          crash-fallback copy coherent. [data] is the sender's image,
+          which the sender keeps. *)
   | Page_sync_ack
   | Page_push of { vpn : Dex_mem.Page.vpn; data : bytes option; epoch : int }
       (** home → former reader, for replicate-marked pages: an unsolicited
           read copy pushed when the page returns to [Shared], instead of
-          waiting for the reader to fault it back in. *)
+          waiting for the reader to fault it back in. Every target gets
+          the same image, shared with the home's staging copy. *)
   | Page_push_ack of { accepted : bool }
       (** reader → home: [accepted = false] declines the push (the
           sender's epoch is stale); the home then leaves the reader out of

@@ -174,6 +174,45 @@ let test_zombie_epoch_nack () =
   check_bool "non-member batch handled" true (Ha.router ha env_out);
   check_int "non-member batch nacked" 2 (Stats.get stats "ha.zombie_nacks")
 
+(* A logged page image shares its buffer with the origin's store, so the
+   origin's later store to the page must leave the logged bytes alone:
+   the standby keeps every [Page_data] image it is sent, and each must
+   still read the value stored when it was logged. *)
+let test_logged_image_unchanged () =
+  let e = Engine.create () in
+  let fabric = Fabric.create e (Net_config.default ~nodes:2 ()) in
+  let coh =
+    Dex_proto.Coherence.create ~cfg:(ha_proto `Sync) fabric ~origin:0
+  in
+  let logged = ref [] in
+  for node = 0 to 1 do
+    Fabric.set_handler fabric ~node (fun _ env ->
+        (match env.Fabric.msg.Msg.payload with
+        | Ha_messages.Repl_append { entries; _ } ->
+            List.iter
+              (function
+                | Log_entry.Page_data { data; _ } -> logged := data :: !logged
+                | _ -> ())
+              entries
+        | _ -> ());
+        if
+          not
+            (Dex_proto.Coherence.handler coh env
+            || Ha.router (Dex_proto.Coherence.ha coh) env)
+        then failwith "test_ha: unrouted message")
+  done;
+  let addr = Dex_mem.Layout.heap_base in
+  Engine.spawn e (fun () ->
+      for v = 1 to 3 do
+        Dex_proto.Coherence.store_i64 coh ~node:0 ~tid:0 addr (Int64.of_int v);
+        Engine.delay e (us 50)
+      done);
+  Engine.run_until_quiescent e;
+  Alcotest.(check (list int64))
+    "each logged image holds the value stored when it was logged"
+    [ 1L; 2L; 3L ]
+    (List.rev_map (fun data -> Bytes.get_int64_le data 0) !logged)
+
 (* ------------------------------------------------------------------ *)
 (* Failover workload: writers hammer a shared counter from fixed nodes
    while [crash] injects failures mid-run. With `Sync replication the run
@@ -859,6 +898,8 @@ let () =
               test_replica_wake_ledger;
             Alcotest.test_case "zombie origin batches are NACKed" `Quick
               test_zombie_epoch_nack;
+            Alcotest.test_case "logged page image unchanged by later stores"
+              `Quick test_logged_image_unchanged;
           ] );
       ( "failover",
         [

@@ -432,6 +432,110 @@ let test_page_store_bounds () =
     (Invalid_argument "Page_store.read_i64: misaligned offset") (fun () ->
       ignore (Page_store.read_i64 ps 0 ~offset:4))
 
+(* Sharing rules against a model in which every snapshot is a deep copy.
+   Random snapshot/take/install/write/read/fold/drop over three stores and
+   two pages; images taken out park in three slots (messages, log
+   entries), and an owned one is adopted, which consumes it. After every
+   step each parked image must still hold the bytes it was taken with,
+   and each store must hold exactly the model's pages. *)
+let prop_page_store_sharing =
+  let i64_offsets = [| 0; 8; Page.size - 8 |]
+  and byte_offsets = [| 0; 1; 7; Page.size - 1 |] in
+  QCheck.Test.make ~name:"shared images read like deep copies" ~count:300
+    QCheck.(
+      list_of_size
+        Gen.(int_range 10 60)
+        (triple (int_bound 8) (int_bound 17) (int_bound 1023)))
+    (fun ops ->
+      let stores = Array.init 3 (fun _ -> Page_store.create ()) in
+      let model = Array.init 3 (fun _ -> Hashtbl.create 2) in
+      (* slot -> (the parked buffer, its model bytes, owned) *)
+      let slots = Array.make 3 None in
+      let model_page s p =
+        match Hashtbl.find_opt model.(s) p with
+        | Some b -> b
+        | None ->
+            let b = Bytes.make Page.size '\000' in
+            Hashtbl.replace model.(s) p b;
+            b
+      in
+      let ok = ref true in
+      let expect c = if not c then ok := false in
+      List.iter
+        (fun (kind, where, v) ->
+          let s = where / 6 and p = where / 3 mod 2 and slot = where mod 3 in
+          let ps = stores.(s) in
+          (match kind with
+          | 0 ->
+              let b = Page_store.snapshot ps p in
+              slots.(slot) <- Some (b, Bytes.copy (model_page s p), false)
+          | 1 -> (
+              match Page_store.take ps p with
+              | Some (b, owned) ->
+                  expect (Hashtbl.mem model.(s) p);
+                  slots.(slot) <- Some (b, Bytes.copy (model_page s p), owned);
+                  Hashtbl.remove model.(s) p
+              | None -> expect (not (Hashtbl.mem model.(s) p)))
+          | 2 -> (
+              match slots.(slot) with
+              | None -> ()
+              | Some (b, m, owned) ->
+                  if owned then begin
+                    Page_store.adopt ps p b;
+                    slots.(slot) <- None
+                  end
+                  else Page_store.install ps p b;
+                  Hashtbl.replace model.(s) p (Bytes.copy m))
+          | 3 ->
+              let offset = i64_offsets.(v mod Array.length i64_offsets) in
+              let x = Int64.of_int (v * 7919) in
+              Page_store.write_i64 ps p ~offset x;
+              Bytes.set_int64_le (model_page s p) offset x
+          | 4 ->
+              let offset = byte_offsets.(v mod Array.length byte_offsets) in
+              Page_store.write_byte ps p ~offset v;
+              Bytes.set (model_page s p) offset (Char.chr (v land 0xff))
+          | 5 ->
+              let offset = i64_offsets.(v mod Array.length i64_offsets) in
+              expect
+                (Page_store.read_i64 ps p ~offset
+                = Bytes.get_int64_le (model_page s p) offset)
+          | 6 ->
+              let offset = byte_offsets.(v mod Array.length byte_offsets) in
+              expect
+                (Page_store.read_byte ps p ~offset
+                = Char.code (Bytes.get (model_page s p) offset))
+          | 7 -> (
+              let images =
+                Page_store.fold ps ~init:[] ~f:(fun q b acc -> (q, b) :: acc)
+              in
+              match List.assoc_opt p images with
+              | Some b ->
+                  slots.(slot) <- Some (b, Bytes.copy (model_page s p), false)
+              | None -> expect (not (Hashtbl.mem model.(s) p)))
+          | _ ->
+              Page_store.drop ps p;
+              Hashtbl.remove model.(s) p);
+          Array.iter
+            (function
+              | Some (b, m, _) -> expect (Bytes.equal b m) | None -> ())
+            slots;
+          Array.iteri
+            (fun s ps ->
+              expect (Page_store.materialized ps = Hashtbl.length model.(s));
+              Hashtbl.iter
+                (fun p m ->
+                  expect (Page_store.mem ps p);
+                  expect
+                    (Page_store.read_i64 ps p ~offset:0
+                     = Bytes.get_int64_le m 0
+                    && Page_store.read_byte ps p ~offset:(Page.size - 1)
+                       = Char.code (Bytes.get m (Page.size - 1))))
+                model.(s))
+            stores)
+        ops;
+      !ok)
+
 (* ------------------------------------------------------------------ *)
 (* Fault table *)
 
@@ -677,7 +781,8 @@ let () =
           Alcotest.test_case "read/write" `Quick test_page_store_rw;
           Alcotest.test_case "snapshot/install" `Quick test_page_store_ship;
           Alcotest.test_case "bounds" `Quick test_page_store_bounds;
-        ] );
+        ]
+        @ qsuite [ prop_page_store_sharing ] );
       ( "fault_table",
         [
           Alcotest.test_case "leader/follower coalescing" `Quick

@@ -988,6 +988,110 @@ let test_promoted_image_not_shared () =
   Page_store.write_i64 (Coherence.page_store coh ~node:1) vpn ~offset:0 6L;
   check_i64 "the replica's image is untouched" 5L (Bytes.get_int64_le image 0)
 
+(* The serving home (node 2) of a re-homed page reclaims it for its own
+   write from the exclusive owner (node 1), which hands its private buffer
+   over; the reclaim mirrors that buffer to the static home (node 0), so
+   both homes must hold it shared. A write on either side unshares the
+   pair, so each side's write is checked on a run of its own. *)
+let test_moved_and_mirrored_buffer_shared () =
+  let mirrored () =
+    let engine, coh = setup ~nodes:4 () in
+    let vpn = Page.page_of_addr addr0 in
+    let count name = Stats.get (Coherence.stats coh) name in
+    run_fiber engine (fun () ->
+        Coherence.store_i64 coh ~node:0 ~tid:0 addr0 7L;
+        expect_rehome coh ~vpn ~node:2;
+        Coherence.store_i64 coh ~node:1 ~tid:1 addr0 8L;
+        let m0 = count "autopilot.mirrors"
+        and i0 = count "revoke.invalidate" in
+        Coherence.access_range coh ~node:2 ~tid:2 ~addr:addr0 ~len:8
+          ~access:Perm.Write ();
+        check_bool "the owner's copy was revoked" true
+          (count "revoke.invalidate" > i0);
+        check_bool "the reclaim was mirrored" true
+          (count "autopilot.mirrors" > m0));
+    check_i64 "the serving home holds the owner's write" 8L
+      (raw_word coh ~node:2 vpn);
+    (coh, vpn)
+  in
+  let coh, vpn = mirrored () in
+  check_unshared "serving home vs static home" coh vpn ~writer:2 ~other:0;
+  let coh, vpn = mirrored () in
+  check_unshared "static home vs serving home" coh vpn ~writer:0 ~other:2
+
+(* Direct major-heap words allocated so far: a 4 KB page buffer is too
+   large for the minor heap, so each one shows here. *)
+let major_words () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let major_words_of f =
+  let w0 = major_words () in
+  f ();
+  major_words () -. w0
+
+(* Grants and revokes move page images without copying them: a read grant
+   that downgrades the owner allocates no page buffer; an invalidating
+   revoke hands the owner's buffer to the home, which keeps it private, so
+   the home's write after it copies nothing; and a write to a shared image
+   copies it exactly once. Every page and node is touched first, so the
+   measured steps grow no table. *)
+let test_page_buffer_budget () =
+  let engine, coh = setup ~nodes:3 () in
+  let vpn = Page.page_of_addr addr0 in
+  let store node = Coherence.page_store coh ~node in
+  let page_buffer =
+    major_words_of (fun () ->
+        ignore (Sys.opaque_identity (Bytes.create Page.size)))
+  in
+  run_fiber engine (fun () ->
+      for round = 1 to 2 do
+        List.iter
+          (fun node ->
+            Coherence.store_i64 coh ~node ~tid:node addr0
+              (Int64.of_int round);
+            ignore
+              (Coherence.load_i64 coh ~node:((node + 1) mod 3) ~tid:0 addr0))
+          [ 0; 1; 2 ]
+      done;
+      Coherence.store_i64 coh ~node:1 ~tid:1 addr0 10L;
+      let read =
+        major_words_of (fun () ->
+            check_i64 "the reader sees the owner's write" 10L
+              (Coherence.load_i64 coh ~node:2 ~tid:2 addr0))
+      in
+      check_bool
+        (Printf.sprintf "read grant + downgrade: %.0f major words" read)
+        true (read < page_buffer);
+      let twice =
+        major_words_of (fun () ->
+            Page_store.write_i64 (store 2) vpn ~offset:8 1L;
+            Page_store.write_i64 (store 2) vpn ~offset:16 2L)
+      in
+      check_bool
+        (Printf.sprintf "two writes after sharing: %.0f major words" twice)
+        true (twice = page_buffer);
+      (* Node 1 writes again; its image is shared with the home and node
+         2, so its write copies, and the home's write fault takes the
+         owner's buffer back. *)
+      Coherence.store_i64 coh ~node:1 ~tid:1 addr0 11L;
+      let owners = Page_store.snapshot (store 1) vpn in
+      Coherence.access_range coh ~node:0 ~tid:0 ~addr:addr0 ~len:8
+        ~access:Perm.Write ();
+      check_bool "the home holds the owner's former buffer" true
+        (Page_store.snapshot (store 0) vpn == owners);
+      Coherence.store_i64 coh ~node:1 ~tid:1 addr0 12L;
+      let home_write =
+        major_words_of (fun () ->
+            Coherence.store_i64 coh ~node:0 ~tid:0 addr0 13L)
+      in
+      check_bool
+        (Printf.sprintf "invalidating revoke + home write: %.0f major words"
+           home_write)
+        true (home_write < page_buffer));
+  check_i64 "the home's write landed" 13L (raw_word coh ~node:0 vpn);
+  Coherence.check_invariants coh
+
 let prop_monotonic_under_autopilot_actions ~name () =
   QCheck.Test.make ~name ~count:15
     QCheck.(pair small_int (int_range 1 4))
@@ -1145,6 +1249,10 @@ let () =
             test_pushed_copies_not_shared;
           Alcotest.test_case "promoted image is not shared" `Quick
             test_promoted_image_not_shared;
+          Alcotest.test_case "moved and mirrored buffer is shared" `Quick
+            test_moved_and_mirrored_buffer_shared;
+          Alcotest.test_case "page-buffer budget" `Quick
+            test_page_buffer_budget;
         ] );
       ( "autopilot",
         [
