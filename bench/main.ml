@@ -502,8 +502,7 @@ let chaos_bench () =
            let th =
              Process.spawn proc (fun th ->
                  Process.migrate th 1;
-                 Process.read_range th ~site:"chaos.scan" buf
-                   ~len:(pages * 4096);
+                 Process.read th ~site:"chaos.scan" buf ~len:(pages * 4096);
                  for p = 0 to pages - 1 do
                    Process.store th ~site:"chaos.mark" (buf + (p * 4096)) 1L
                  done;
@@ -598,7 +597,7 @@ let crash_bench () =
             Process.spawn proc ~name:(Printf.sprintf "n%d" node) (fun th ->
                 Process.migrate th node;
                 for r = 1 to rounds do
-                  Process.write_range th ~site:"crash.own" buf ~len:size;
+                  Process.write th ~site:"crash.own" buf ~len:size;
                   op th r;
                   Process.compute th ~ns:think;
                   counter := r

@@ -368,7 +368,7 @@ let crash_cmd =
                   P.spawn proc ~name:(Printf.sprintf "n%d" node) (fun th ->
                       P.migrate th node;
                       for r = 1 to rounds do
-                        P.write_range th ~site:"window" windows.(node)
+                        P.write th ~site:"window" windows.(node)
                           ~len:(4 * 4096);
                         P.store th ~site:"flag" flag (Int64.of_int r);
                         P.compute th ~ns:(Dex_sim.Time_ns.us 100);

@@ -1,15 +1,14 @@
 open Dex_sim
 
-(* One parked thread. [w_live] goes false when the waiter is cancelled
-   (its home node crashed); the entry then lingers in the queue as a
-   tombstone that [wake]/[waiters] skip — Waitq has no removal API, and a
+(* One parked thread, waiting for its verdict. A cancelled waiter (its
+   home node crashed) gets [`Crashed] and lingers in the queue as a
+   tombstone, an entry whose verdict is in, that [wake]/[waiters] skip: a
    ghost that silently swallowed wakes or inflated the waiter count would
    wedge every surviving thread parked behind it. *)
 type waiter = {
   w_owner : int;
   w_tid : int;
-  mutable w_live : bool;
-  w_resume : [ `Woken | `Crashed ] -> unit;
+  verdict : [ `Woken | `Crashed ] Ivar.t;
 }
 
 type t = { engine : Engine.t; queues : (int, waiter Queue.t) Hashtbl.t }
@@ -25,11 +24,9 @@ let queue t addr =
       q
 
 let wait ?(owner = -1) ?(tid = -1) t ~addr =
-  let q = queue t addr in
-  Engine.suspend t.engine (fun resume ->
-      Queue.push
-        { w_owner = owner; w_tid = tid; w_live = true; w_resume = resume }
-        q)
+  let verdict = Ivar.create () in
+  Queue.push { w_owner = owner; w_tid = tid; verdict } (queue t addr);
+  Ivar.read t.engine verdict
 
 let wake_tids t ~addr ~count =
   let q = queue t addr in
@@ -38,10 +35,10 @@ let wake_tids t ~addr ~count =
     else
       match Queue.take_opt q with
       | None -> List.rev tids
-      | Some w when not w.w_live -> go woken tids (* tombstone, costs nothing *)
+      | Some w when Ivar.is_full w.verdict ->
+          go woken tids (* tombstone, costs nothing *)
       | Some w ->
-          w.w_live <- false;
-          w.w_resume `Woken;
+          Ivar.fill w.verdict `Woken;
           go (woken + 1) (w.w_tid :: tids)
   in
   go 0 []
@@ -51,21 +48,20 @@ let wake t ~addr ~count = List.length (wake_tids t ~addr ~count)
 let waiters t ~addr =
   match Hashtbl.find_opt t.queues addr with
   | None -> 0
-  | Some q -> Queue.fold (fun n w -> if w.w_live then n + 1 else n) 0 q
+  | Some q ->
+      Queue.fold (fun n w -> if Ivar.is_full w.verdict then n else n + 1) 0 q
 
 let cancel t ~owned_by =
-  ignore t.engine;
   let cancelled = ref 0 in
   Hashtbl.iter
     (fun _addr q ->
       Queue.iter
         (fun w ->
-          if w.w_live && owned_by w.w_owner then begin
+          if (not (Ivar.is_full w.verdict)) && owned_by w.w_owner then begin
             (* Tombstone in place; the queue entry drains on a later wake
                or stays inert — either way it is invisible from now on. *)
-            w.w_live <- false;
             incr cancelled;
-            w.w_resume `Crashed
+            Ivar.fill w.verdict `Crashed
           end)
         q)
     t.queues;

@@ -12,7 +12,7 @@ module Replica = Dex_ha.Replica
 exception Segfault of { node : int; addr : Page.addr }
 exception Thread_crashed of { pid : int; tid : int }
 
-type worker_state = Absent | Creating of unit Waitq.t | Ready
+type worker_state = Absent | Creating of unit Ivar.t | Ready
 
 type migration_record = {
   m_tid : int;
@@ -53,14 +53,13 @@ and thread = {
   tid : int;
   thread_name : string;
   mutable location : int;
-  mutable finished : bool;
   mutable crashed : bool;  (* lost to a fail-stop node crash (`Abort) *)
   (* In-flight migration park: [(src, dst, resume)] while the thread is
      suspended waiting for the destination to rebuild it. Crash recovery
      resumes the park when either endpoint dies — the context message may
      have been black-holed, in which case nobody else ever would. *)
   mutable mig_park : (int * int * (unit -> unit)) option;
-  done_q : unit Waitq.t;
+  finished : unit Ivar.t;  (* full once the thread's body has returned *)
 }
 
 let cluster t = t.cluster
@@ -270,16 +269,13 @@ let write_at th site addr len =
   Coherence.access_range (coh th) ~node:th.location ~tid:th.tid ?site ~addr
     ~len ~access:Perm.Write ()
 
-let read_range th ?site addr ~len =
-  if len <= 0 then invalid_arg "Process.read_range: len must be positive";
+let read th ?site addr ~len =
+  if len <= 0 then invalid_arg "Process.read: len must be positive";
   guard th read_at site addr len
 
-let write_range th ?site addr ~len =
-  if len <= 0 then invalid_arg "Process.write_range: len must be positive";
+let write th ?site addr ~len =
+  if len <= 0 then invalid_arg "Process.write: len must be positive";
   guard th write_at site addr len
-
-let read = read_range
-let write = write_range
 
 let load_at th site addr () =
   vma_check th ~addr ~len:8 ~access:Perm.Read ~queried:false;
@@ -335,7 +331,7 @@ let fetch_add th ?site addr delta = guard th fetch_add_at site addr delta
    migrate it. *)
 let safepoint th =
   match th.proc.safepoint_hook with
-  | Some f when not (th.finished || th.crashed) -> f th
+  | Some f when not (Ivar.is_full th.finished || th.crashed) -> f th
   | _ -> ()
 
 let compute th ~ns =
@@ -608,20 +604,12 @@ let mprotect th ~addr ~len ~perm =
    the handler and the crash hook may fire. *)
 let send_and_park th ~src ~dst build =
   let t = th.proc in
-  let eng = engine t in
-  let arrived = ref false in
-  let waiter = ref None in
-  let resume () =
-    if not !arrived then begin
-      arrived := true;
-      th.mig_park <- None;
-      match !waiter with Some r -> r () | None -> ()
-    end
-  in
+  let arrived = Ivar.create () in
+  let resume () = if Ivar.try_fill arrived () then th.mig_park <- None in
   th.mig_park <- Some (src, dst, resume);
   Fabric.send (fabric t) ~src ~dst ~pid:t.pid ~kind:M.kind_migrate
     ~size:(cfg t).Core_config.context_size (build resume);
-  if not !arrived then Engine.suspend eng (fun r -> waiter := Some r)
+  Ivar.read (engine t) arrived
 
 let rec migrate th target =
   let t = th.proc in
@@ -722,27 +710,29 @@ let handle_migrate t ~node ~tid ~origin_ns resume =
   let built_worker =
     match t.workers.(node) with
     | Absent ->
-        let creation_q = Waitq.create () in
-        t.workers.(node) <- Creating creation_q;
+        (* Filled by whichever ends the build first: this fiber, or the
+           crash handler when the node dies under it. *)
+        let built = Ivar.create () in
+        t.workers.(node) <- Creating built;
         charge "remote worker" c.Core_config.remote_worker_create;
         charge "address space" c.Core_config.address_space_init;
         if gone () then begin
           t.workers.(node) <- Absent;
-          ignore (Waitq.wake_all creation_q ());
+          ignore (Ivar.try_fill built ());
           None
         end
         else begin
           t.workers.(node) <- Ready;
-          ignore (Waitq.wake_all creation_q ());
+          ignore (Ivar.try_fill built ());
           (* The first remote thread is forked as part of building the
              worker, with a still-cold address space: cheaper than a full
              fork from the warm worker. *)
           charge "thread creation" c.Core_config.thread_create_first;
           Some true
         end
-    | Creating q ->
+    | Creating built ->
         (* Another migration is already building the worker; wait. *)
-        Waitq.wait eng q;
+        Ivar.read eng built;
         if gone () then None
         else begin
           charge "thread creation" c.Core_config.thread_create;
@@ -838,7 +828,7 @@ let handle_node_crash t ~node =
      they abort under either policy. *)
   List.iter
     (fun th ->
-      if (not th.finished) && th.location = node then
+      if (not (Ivar.is_full th.finished)) && th.location = node then
         match (if origin_died then `Abort else on_crash_policy t) with
         | `Abort ->
             th.crashed <- true;
@@ -861,7 +851,7 @@ let handle_node_crash t ~node =
   (* The dead node's worker dies with it; a migration building it wakes
      and finds the node gone. *)
   (match t.workers.(node) with
-  | Creating q -> ignore (Waitq.wake_all q ())
+  | Creating built -> ignore (Ivar.try_fill built ())
   | Ready | Absent -> ());
   t.workers.(node) <- Absent
 
@@ -1000,10 +990,9 @@ let spawn t ?name:(thread_name = "worker") f =
       tid;
       thread_name = Printf.sprintf "%s:%d" thread_name tid;
       location = origin t;
-      finished = false;
       crashed = false;
       mig_park = None;
-      done_q = Waitq.create ();
+      finished = Ivar.create ();
     }
   in
   t.threads <- th :: t.threads;
@@ -1026,12 +1015,10 @@ let spawn t ?name:(thread_name = "worker") f =
           (* The thread body called the fabric directly (no API guard);
              its node died under it. *)
           th.crashed <- true);
-      th.finished <- true;
-      ignore (Waitq.wake_all th.done_q ()));
+      Ivar.fill th.finished ());
   th
 
-let join th =
-  if not th.finished then Waitq.wait (engine th.proc) th.done_q
+let join th = Ivar.read (engine th.proc) th.finished
 
 let set_safepoint_hook t hook = t.safepoint_hook <- hook
 
@@ -1050,14 +1037,17 @@ let set_periodic t ~interval f =
 let live_threads t =
   List.filter_map
     (fun th ->
-      if th.finished || th.crashed then None else Some (th.tid, th.location))
+      if Ivar.is_full th.finished || th.crashed then None
+      else Some (th.tid, th.location))
     t.threads
   |> List.sort compare
 
 let shutdown t =
   (* Join every thread, including ones spawned while we were joining. *)
   let rec drain () =
-    match List.find_opt (fun th -> not th.finished) t.threads with
+    match
+      List.find_opt (fun th -> not (Ivar.is_full th.finished)) t.threads
+    with
     | Some th ->
         join th;
         drain ()

@@ -168,18 +168,12 @@ val mprotect :
 (** Change permissions. Downgrades are broadcast eagerly; upgrades are
     lazy. *)
 
-val read_range : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
+val read : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
 (** Bulk read: fault in every page of the range with read access. Page
     contents are not materialized, only ownership and timing. *)
 
-val write_range : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
-(** Bulk write: acquire exclusive ownership of every page of the range. *)
-
-val read : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
-(** Alias for {!read_range}. *)
-
 val write : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
-(** Alias for {!write_range}. *)
+(** Bulk write: acquire exclusive ownership of every page of the range. *)
 
 val load : thread -> ?site:string -> Dex_mem.Page.addr -> int64
 (** Typed DSM read of an 8-byte cell. *)

@@ -1,21 +1,20 @@
 open Dex_sim
 
-type 'o entry = {
+type entry = {
   access : Perm.access;
-  followers : 'o Waitq.t;
+  followers : unit Waitq.t;
   conflicters : unit Waitq.t;
 }
 
-type 'o t = {
+type t = {
   engine : Engine.t;
-  table : (Page.vpn, 'o entry) Hashtbl.t;
+  table : (Page.vpn, entry) Hashtbl.t;
   mutable coalesced : int;
 }
 
-type 'o role = Leader | Follower of 'o | Conflict
+type role = Leader | Follower | Conflict
 
-let create engine () =
-  { engine; table = Hashtbl.create 16; coalesced = 0 }
+let create engine = { engine; table = Hashtbl.create 16; coalesced = 0 }
 
 let enter t ~vpn ~access =
   match Hashtbl.find_opt t.table vpn with
@@ -25,17 +24,18 @@ let enter t ~vpn ~access =
       Leader
   | Some entry when entry.access = access ->
       t.coalesced <- t.coalesced + 1;
-      Follower (Waitq.wait t.engine entry.followers)
+      Waitq.wait t.engine entry.followers;
+      Follower
   | Some entry ->
       Waitq.wait t.engine entry.conflicters;
       Conflict
 
-let finish t ~vpn outcome =
+let finish t ~vpn =
   match Hashtbl.find_opt t.table vpn with
   | None -> invalid_arg "Fault_table.finish: no ongoing fault"
   | Some entry ->
       Hashtbl.remove t.table vpn;
-      let n = Waitq.wake_all entry.followers outcome in
+      let n = Waitq.wake_all entry.followers () in
       ignore (Waitq.wake_all entry.conflicters ());
       n
 

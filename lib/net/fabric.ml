@@ -29,6 +29,16 @@ type rel_remote =
   | Rel_acked  (* one-way message: delivery committed and acked *)
   | Rel_replied of int * Msg.payload  (* reply size + payload, for replay *)
 
+(* Sender-side state of a transaction in flight. *)
+type rel_pending = {
+  outcome : Msg.payload option Ivar.t;
+      (* [Some reply] for a call, [None] for an acked one-way send *)
+  mutable wake : [ `Done | `Timeout ] Ivar.t;
+      (* the current attempt's: the outcome and the attempt's RTO timer
+         race to fill it *)
+  mutable busy : bool;  (* a {!Rel_busy} arrived since the last transmit *)
+}
+
 exception Unreachable of { src : int; dst : int; kind : string }
 
 (* A message counter and a byte counter, bumped per message. *)
@@ -48,7 +58,6 @@ type t = {
   handlers : handler option array;
   links : Resource.Server.t array;  (* directed, src * nodes + dst *)
   send_pools : Resource.Pool.t array;  (* directed, per connection *)
-  recv_pools : Resource.Pool.t array;  (* per node *)
   sinks : Rdma_sink.t array;  (* per node *)
   stats : Stats.t;
   kinds : (string, per_kind) Hashtbl.t;
@@ -60,13 +69,8 @@ type t = {
   rto_rng : Rng.t;  (* retransmission-timeout jitter *)
   mutable rel_seq : int;  (* next request sequence number, fabric-global *)
   rel_seen : (int, rel_remote) Hashtbl.t;
-  rel_pending :
-    ( int,
-      Msg.payload option option ref * (unit -> unit) option ref * bool ref )
-    Hashtbl.t;
-      (* seq -> (result box, waker, busy). The box holds [Some (Some
-         reply)] for completed calls and [Some None] for acked one-way
-         sends; [busy] records a {!Rel_busy} since the last retransmit. *)
+  rel_pending : (int, rel_pending) Hashtbl.t;
+      (* seq -> its transaction, until the transaction settles *)
   mutable rel_pruned : int;  (* every seq below this is gone from rel_seen *)
   dead : bool array;  (* fail-stop ground truth, per node *)
   detected : bool array;  (* has the failure been declared *)
@@ -179,9 +183,6 @@ let create engine cfg =
       send_pools =
         Array.init (n * n) (fun _ ->
             Resource.Pool.create engine ~capacity:cfg.Net_config.send_pool_slots);
-      recv_pools =
-        Array.init n (fun _ ->
-            Resource.Pool.create engine ~capacity:cfg.Net_config.recv_pool_slots);
       sinks =
         Array.init n (fun _ ->
             Rdma_sink.create engine ~slots:cfg.Net_config.sink_slots
@@ -322,9 +323,9 @@ let receive t msg deliver =
 let transmit t (msg : Msg.t) deliver =
   count (per_kind t msg.kind).sent ~size:msg.size;
   if msg.src = msg.dst then begin
-    (* Loopback legitimately bypasses both buffer pools: a self-addressed
-       message never touches the NIC, so no DMA-ready buffer is pinned on
-       either side. *)
+    (* Loopback legitimately bypasses the send pool and the sink: a
+       self-addressed message never touches the NIC, so no DMA-ready buffer
+       is pinned on either side. *)
     count t.loopback ~size:msg.size;
     Engine.schedule t.engine ~delay:t.cfg.Net_config.loopback_latency
       (fun () -> arrive t msg deliver)
@@ -335,8 +336,7 @@ let transmit t (msg : Msg.t) deliver =
          out. The caller is blocked through slot reservation and setup, which
          is where RDMA backpressure bites. The sink slot IS the RDMA-side
          receive resource (§III-E): one-sided writes land in pre-registered
-         sink memory, never consuming a receive work request, so the verb
-         recv pool is deliberately untouched on this path. *)
+         sink memory, never consuming a receive work request. *)
       count t.rdma ~size:msg.size;
       let sink = t.sinks.(msg.dst) in
       Rdma_sink.acquire sink;
@@ -358,7 +358,9 @@ let transmit t (msg : Msg.t) deliver =
     end
     else begin
       (* VERB path: grab a DMA-ready send buffer, post, serialize on the
-         link; the buffer is reclaimed once the send completes. *)
+         link; the buffer is reclaimed once the send completes. The receive
+         work request the delivery consumes is re-posted at once, so the
+         receive side never blocks and is not modelled. *)
       count t.verb ~size:msg.size;
       let pool = t.send_pools.((msg.src * node_count t) + msg.dst) in
       Resource.Pool.acquire pool;
@@ -372,15 +374,7 @@ let transmit t (msg : Msg.t) deliver =
           Engine.after t.engine wire (fun () ->
               Resource.Pool.release pool;
               Engine.after t.engine t.cfg.Net_config.link_latency (fun () ->
-                  try
-                    (* Receive-pool slot: consumed for the delivery event,
-                       recycled immediately after (receive work request
-                       re-posted), so it never blocks. *)
-                    let recv = t.recv_pools.(msg.dst) in
-                    Resource.Pool.acquire recv;
-                    Resource.Pool.release recv;
-                    receive t msg deliver
-                  with e -> fail e)))
+                  try receive t msg deliver with e -> fail e)))
     end
   end
 
@@ -435,49 +429,38 @@ let rel_prune t c ~low =
         done)
   end
 
+(* The message travelling back from [req]'s destination to its sender. *)
+let answer (req : Msg.t) ~size ~kind payload =
+  { Msg.src = req.dst; dst = req.src; pid = req.pid; size; kind; payload }
+
+(* A reply or an ack settles its transaction: the outcome is in, the seq
+   is no longer pending, and the current attempt wakes unless its timer
+   already has. A seq is pending exactly until it settles or gives up. *)
+let rel_settle t seq p outcome =
+  Ivar.fill p.outcome outcome;
+  Hashtbl.remove t.rel_pending seq;
+  ignore (Ivar.try_fill p.wake `Done)
+
 (* Acks are pure completion events: zero payload bytes on the wire. *)
 let rel_send_ack t ~(req : Msg.t) ~seq =
-  let amsg =
-    {
-      Msg.src = req.Msg.dst;
-      dst = req.Msg.src;
-      pid = req.Msg.pid;
-      size = 0;
-      kind = req.Msg.kind ^ ".ack";
-      payload = Rel_ack { seq };
-    }
-  in
-  transmit t amsg (fun () ->
+  transmit t
+    (answer req ~size:0 ~kind:(req.Msg.kind ^ ".ack") (Rel_ack { seq }))
+    (fun () ->
       match Hashtbl.find_opt t.rel_pending seq with
-      | Some (box, wake, _) when !box = None ->
-          box := Some None;
-          Hashtbl.remove t.rel_pending seq;
-          (match !wake with
-          | Some w ->
-              wake := None;
-              w ()
-          | None -> ())
-      | _ -> Stats.incr t.stats "chaos.dup_acks")
+      | Some p -> rel_settle t seq p None
+      | None -> Stats.incr t.stats "chaos.dup_acks")
 
 (* Keepalive for a call whose handler is still running at the receiver:
    zero payload, does not complete the transaction, only refills the
    sender's retransmit budget (consumed by [rel_transact] at its next
    timeout). *)
 let rel_send_busy t ~(req : Msg.t) ~seq =
-  let bmsg =
-    {
-      Msg.src = req.Msg.dst;
-      dst = req.Msg.src;
-      pid = req.Msg.pid;
-      size = 0;
-      kind = req.Msg.kind ^ ".busy";
-      payload = Rel_busy { seq };
-    }
-  in
-  transmit t bmsg (fun () ->
+  transmit t
+    (answer req ~size:0 ~kind:(req.Msg.kind ^ ".busy") (Rel_busy { seq }))
+    (fun () ->
       match Hashtbl.find_opt t.rel_pending seq with
-      | Some (box, _, busy) when !box = None -> busy := true
-      | _ -> ())
+      | Some p -> p.busy <- true
+      | None -> ())
 
 (* Requester -> replier ack of a delivered reply, so the replier can drop
    the cached copy promptly instead of waiting for the watermark to crawl
@@ -502,30 +485,19 @@ let rel_ack_reply t c ~(req : Msg.t) ~seq =
               Hashtbl.remove t.rel_seen seq)
       | _ -> ())
 
+(* A delivered reply starts its ack to the replier before it wakes the
+   sender. *)
 let rel_send_reply t c ~(req : Msg.t) ~seq ~size reply =
-  let rmsg =
-    {
-      Msg.src = req.Msg.dst;
-      dst = req.Msg.src;
-      pid = req.Msg.pid;
-      size;
-      kind = (per_kind t req.Msg.kind).resp;
-      payload = Rel_reply { seq; inner = reply };
-    }
-  in
-  transmit t rmsg (fun () ->
+  transmit t
+    (answer req ~size ~kind:(per_kind t req.Msg.kind).resp
+       (Rel_reply { seq; inner = reply }))
+    (fun () ->
       match Hashtbl.find_opt t.rel_pending seq with
-      | Some (box, wake, _) when !box = None ->
-          box := Some (Some reply);
-          Hashtbl.remove t.rel_pending seq;
+      | Some p ->
           Engine.spawn t.engine ~label:"rel-reply-ack" (fun () ->
               rel_ack_reply t c ~req ~seq);
-          (match !wake with
-          | Some w ->
-              wake := None;
-              w ()
-          | None -> ())
-      | _ -> Stats.incr t.stats "chaos.dup_replies")
+          rel_settle t seq p (Some reply)
+      | None -> Stats.incr t.stats "chaos.dup_replies")
 
 (* Receive a (possibly retransmitted, possibly duplicated) request. Runs in
    the delivery context, so anything that can block goes to a fresh fiber. *)
@@ -574,20 +546,18 @@ let rel_dispatch t c (msg : Msg.t) ~seq ~low ~oneway ~inner =
         dispatch t inner_msg respond
       end
 
-(* Send [payload] reliably and block until the far side acks (one-way) or
-   replies (call). Returns [None] for acked one-way sends. *)
 (* The sender-side watermark: every seq below the smallest still-pending
    one has settled and will never be retransmitted again, so the receiver
    may reap its dedup state for them (after the prune grace). *)
 let rel_watermark t =
   Hashtbl.fold (fun s _ acc -> min s acc) t.rel_pending t.rel_seq
 
+(* Send [payload] reliably and block until the far side acks (one-way) or
+   replies (call). Returns [None] for acked one-way sends. *)
 let rel_transact t c ~src ~dst ~pid ~kind ~size ~oneway payload =
   let seq = fresh_seq t in
-  let box = ref None in
-  let wake = ref None in
-  let busy = ref false in
-  Hashtbl.replace t.rel_pending seq (box, wake, busy);
+  let p = { outcome = Ivar.create (); wake = Ivar.create (); busy = false } in
+  Hashtbl.replace t.rel_pending seq p;
   let rec go attempt =
     if t.dead.(src) then begin
       (* The sending node died mid-transaction. Its fiber must unwind
@@ -619,38 +589,29 @@ let rel_transact t c ~src ~dst ~pid ~kind ~size ~oneway payload =
     in
     transmit t msg (fun () ->
         rel_dispatch t c msg ~seq ~low ~oneway ~inner:payload);
-    (* The outcome may already be in the box: transmit blocks this fiber
-       through the send-side costs, during which an earlier copy's reply
-       can arrive. *)
-    match !box with
-    | Some r -> r
-    | None -> (
-        let outcome =
-          Engine.suspend t.engine (fun resume ->
-              let armed = ref true in
-              let fire tag () =
-                if !armed then begin
-                  armed := false;
-                  resume tag
-                end
-              in
-              wake := Some (fire `Done);
-              Engine.schedule t.engine ~delay:(rel_rto t c ~attempt)
-                (fire `Timeout))
-        in
-        match outcome with
-        | `Done -> ( match !box with Some r -> r | None -> assert false)
-        | `Timeout when !busy ->
-            (* The receiver vouched for the call since our last transmit:
-               the handler is alive, just slow. Refill the budget (the RTO
-               stays at its current backoff — no point hammering a peer
-               that already has the request). *)
-            busy := false;
-            Stats.incr t.stats "chaos.busy_waits";
-            go attempt
-        | `Timeout ->
-            Stats.incr t.stats "chaos.timeouts";
-            go (attempt + 1))
+    (* The outcome may already be in: transmit blocks this fiber through
+       the send-side costs, during which an earlier copy's reply can
+       arrive. *)
+    if Ivar.is_full p.outcome then Ivar.read t.engine p.outcome
+    else begin
+      let wake = Ivar.create () in
+      p.wake <- wake;
+      Engine.schedule t.engine ~delay:(rel_rto t c ~attempt) (fun () ->
+          ignore (Ivar.try_fill wake `Timeout));
+      match Ivar.read t.engine wake with
+      | `Done -> Ivar.read t.engine p.outcome
+      | `Timeout when p.busy ->
+          (* The receiver vouched for the call since our last transmit:
+             the handler is alive, just slow. Refill the budget (the RTO
+             stays at its current backoff — no point hammering a peer
+             that already has the request). *)
+          p.busy <- false;
+          Stats.incr t.stats "chaos.busy_waits";
+          go attempt
+      | `Timeout ->
+          Stats.incr t.stats "chaos.timeouts";
+          go (attempt + 1)
+    end
   in
   go 0
 
@@ -682,36 +643,19 @@ let call t ~src ~dst ~pid ~kind ~size payload =
       with
       | Some reply -> reply
       | None -> assert false (* a call resolves with a reply, never an ack *))
-  | _ -> (
+  | _ ->
       let msg = { Msg.src; dst; pid; size; kind; payload } in
-      (* The reply may not be delivered before we suspend: response delivery
-         is always a separate engine event, and the check/suspend below runs
-         atomically within the calling fiber's current event. *)
-      let arrived = ref None in
-      let waiter = ref None in
+      let reply = Ivar.create () in
       let responded = ref false in
-      let respond ?(size = 64) reply =
+      let respond ?(size = 64) r =
         if !responded then invalid_arg "Fabric: respond called twice";
         responded := true;
-        let rmsg =
-          {
-            Msg.src = dst;
-            dst = src;
-            pid;
-            size;
-            kind = (per_kind t kind).resp;
-            payload = reply;
-          }
-        in
-        transmit t rmsg (fun () ->
-            match !waiter with
-            | Some resume -> resume reply
-            | None -> arrived := Some reply)
+        transmit t
+          (answer msg ~size ~kind:(per_kind t kind).resp r)
+          (fun () -> Ivar.fill reply r)
       in
       transmit t msg (fun () -> dispatch t msg respond);
-      match !arrived with
-      | Some reply -> reply
-      | None -> Engine.suspend t.engine (fun resume -> waiter := Some resume))
+      Ivar.read t.engine reply
 
 let stats t = t.stats
 
@@ -721,8 +665,7 @@ let rel_table_sizes t =
 let send_pool_waits t =
   Array.fold_left (fun acc p -> acc + Resource.Pool.waits p) 0 t.send_pools
 
-let recv_pool_waits t =
-  Array.fold_left (fun acc p -> acc + Resource.Pool.waits p) 0 t.recv_pools
+let recv_pool_waits _ = 0
 
 let sink_waits t =
   Array.fold_left (fun acc s -> acc + Rdma_sink.exhaustion_waits s) 0 t.sinks

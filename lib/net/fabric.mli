@@ -4,22 +4,19 @@
     messages travel on the VERB path: the sender takes a DMA-ready buffer
     from the per-connection send pool (blocking when the pool is exhausted),
     the message is serialized onto the link — a FIFO bandwidth server per
-    directed node pair — and delivered into the destination's receive pool.
-    Messages of {!Net_config.rdma_threshold} bytes or more use the RDMA path:
-    a slot of the destination's {!Rdma_sink} is reserved (backpressure when
-    full), data is RDMA-written, then copied once to its final destination.
+    directed node pair — and delivered at the destination. Messages of
+    {!Net_config.rdma_threshold} bytes or more use the RDMA path: a slot of
+    the destination's {!Rdma_sink} is reserved (backpressure when full),
+    data is RDMA-written, then copied once to its final destination.
 
     Message handlers run in their own fiber at the destination and may
-    block; receive-pool buffers are recycled as soon as the delivery event
-    has been processed, before the handler body runs, exactly like DeX
-    reposts receive work requests after consuming the completion event.
-
-    The two paths deliberately consume different receive-side resources:
-    verb messages take a receive work request from the destination's recv
-    pool, while RDMA transfers land one-sided in pre-registered sink
-    memory — the {!Rdma_sink} slot is the RDMA-side receive analogue and
-    the recv pool is never charged for them. Loopback (src = dst) bypasses
-    both pools: a self-addressed message never touches the NIC. Message
+    block. A verb delivery consumes one receive work request, which DeX
+    re-posts as soon as it has consumed the completion event, before the
+    handler body runs; a verb receive therefore never waits, and the
+    fabric keeps no receive pool. RDMA transfers land one-sided in
+    pre-registered sink memory: the {!Rdma_sink} slot is the receive
+    resource that can run out. Loopback (src = dst) bypasses the send pool
+    and the sink: a self-addressed message never touches the NIC. Message
     sizes may be zero (pure completion events, e.g. zero-payload acks);
     they pay the usual per-message overheads but no serialization time.
 
@@ -95,7 +92,7 @@ type handler = t -> env -> unit
 
 val create : Dex_sim.Engine.t -> Net_config.t -> t
 (** [create engine cfg] builds the fabric: per-pair links and send pools,
-    per-node receive pools and RDMA sinks. Validates [cfg] and, in chaos
+    and per-node RDMA sinks. Validates [cfg] and, in chaos
     mode, plants the crash schedule into the event queue. *)
 
 val engine : t -> Dex_sim.Engine.t
@@ -198,9 +195,10 @@ val send_pool_waits : t -> int
 (** Total send-buffer-pool exhaustion events across all connections. *)
 
 val recv_pool_waits : t -> int
-(** Total receive-pool exhaustion events across all nodes. Only the verb
-    path consumes receive work requests; RDMA transfers use sink slots
-    (see {!sink_waits}) and loopback uses neither. *)
+(** Always 0: a verb delivery re-posts its receive work request at once,
+    so a receive never waits (RDMA transfers wait on sink slots instead,
+    see {!sink_waits}). Kept for readers that report it beside the other
+    pool counters. *)
 
 val sink_waits : t -> int
 (** Total RDMA-sink exhaustion events across all nodes. *)

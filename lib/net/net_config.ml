@@ -48,7 +48,6 @@ type t = {
   rdma_setup : Dex_sim.Time_ns.t;
   rdma_threshold : int;
   send_pool_slots : int;
-  recv_pool_slots : int;
   sink_slots : int;
   copy_ns_per_byte : float;
   loopback_latency : Dex_sim.Time_ns.t;
@@ -67,7 +66,6 @@ let default ?(nodes = 8) () =
     (* Sink negotiation + completion-queue handling. *)
     rdma_setup = Dex_sim.Time_ns.ns 7_800;
     send_pool_slots = 128;
-    recv_pool_slots = 256;
     sink_slots = 64;
     (* One copy from the sink to the final page, ~10 GB/s. *)
     copy_ns_per_byte = 0.1;
@@ -107,7 +105,7 @@ let validate t =
   if t.nodes <= 0 then invalid_arg "Net_config: nodes must be positive";
   if t.link_bandwidth_bytes_per_us <= 0.0 then
     invalid_arg "Net_config: bandwidth must be positive";
-  if t.send_pool_slots <= 0 || t.recv_pool_slots <= 0 || t.sink_slots <= 0 then
+  if t.send_pool_slots <= 0 || t.sink_slots <= 0 then
     invalid_arg "Net_config: pool sizes must be positive";
   if t.rdma_threshold <= 0 then
     invalid_arg "Net_config: rdma_threshold must be positive";

@@ -74,7 +74,6 @@ type t = {
   rdma_threshold : int;
       (** messages of at least this many bytes use the RDMA path *)
   send_pool_slots : int;  (** DMA-mapped send buffers per connection *)
-  recv_pool_slots : int;  (** pre-posted receive buffers per connection *)
   sink_slots : int;  (** 4 KB slots in each node's RDMA sink *)
   copy_ns_per_byte : float;
       (** cost of the sink-to-destination memory copy *)

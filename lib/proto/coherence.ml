@@ -5,8 +5,6 @@ module Msg = Dex_net.Msg
 module Ha = Dex_ha.Ha
 module Log_entry = Dex_ha.Log_entry
 
-type outcome = [ `Done | `Retry ]
-
 (* Handles on the counters the fault, grant and revoke paths bump once per
    fault or message, so those bumps skip the name lookup. *)
 type counters = {
@@ -49,7 +47,7 @@ type t = {
   cfg : Proto_config.t;
   ptables : Page_table.t array;
   stores : Page_store.t array;
-  ftables : outcome Fault_table.t array;
+  ftables : Fault_table.t array;
   rngs : Rng.t array;  (* per-node backoff jitter *)
   stats : Stats.t;
   counters : counters;  (* handles into [stats] *)
@@ -188,7 +186,7 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       cfg;
       ptables = Array.init n (fun _ -> Page_table.create ());
       stores = Array.init n (fun _ -> Page_store.create ());
-      ftables = Array.init n (fun _ -> Fault_table.create engine ());
+      ftables = Array.init n (fun _ -> Fault_table.create engine);
       rngs = Array.init n (fun _ -> Rng.split rng);
       stats;
       counters = counters stats;
@@ -770,11 +768,11 @@ let ensure t ~node ~tid ~site ~vpn ~access =
       else begin
         Engine.delay t.engine t.cfg.Proto_config.fault_entry;
         match Fault_table.enter t.ftables.(node) ~vpn ~access with
-        | Fault_table.Follower _ when t.cfg.Proto_config.coalesce_faults ->
+        | Fault_table.Follower when t.cfg.Proto_config.coalesce_faults ->
             Stats.bump t.counters.fault_coalesced 1;
             Engine.delay t.engine t.cfg.Proto_config.follower_resume;
             loop ()
-        | Fault_table.Follower _ ->
+        | Fault_table.Follower ->
             (* Coalescing disabled (ablation): each concurrent fault runs
                its own protocol request, and — as in the paper's
                description of stock Linux — the prepared page is simply
@@ -794,11 +792,11 @@ let ensure t ~node ~tid ~site ~vpn ~access =
             match request_once t ~node ~vpn ~access with
             | `Granted ->
                 Engine.delay t.engine t.cfg.Proto_config.pte_update;
-                ignore (Fault_table.finish t.ftables.(node) ~vpn `Done)
+                ignore (Fault_table.finish t.ftables.(node) ~vpn)
             | `Nack ->
                 Stats.bump t.counters.fault_retry 1;
                 incr retries;
-                ignore (Fault_table.finish t.ftables.(node) ~vpn `Retry);
+                ignore (Fault_table.finish t.ftables.(node) ~vpn);
                 backoff t ~node ~attempt:!retries;
                 loop ()
             | exception e ->
@@ -806,7 +804,7 @@ let ensure t ~node ~tid ~site ~vpn ~access =
                    fault entry before unwinding so coalesced followers wake
                    up, re-fault, and drain through the same path instead of
                    parking forever. *)
-                ignore (Fault_table.finish t.ftables.(node) ~vpn `Retry);
+                ignore (Fault_table.finish t.ftables.(node) ~vpn);
                 raise e)
       end
     in

@@ -63,7 +63,8 @@ val suspend : t -> (('a -> unit) -> unit) -> 'a
     called immediately with a one-shot [resume] function; invoking
     [resume v] (from any other fiber or event) schedules the blocked fiber
     to continue with value [v] at the then-current time. Must be called from
-    within a fiber. *)
+    within a fiber. It is the primitive under {!Waitq.wait} and
+    {!Ivar.read}; the rest of the simulator parks through those two. *)
 
 val delay : t -> Time_ns.t -> unit
 (** [delay t d] blocks the calling fiber for [d] simulated nanoseconds,

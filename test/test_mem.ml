@@ -541,35 +541,35 @@ let prop_page_store_sharing =
 
 let test_fault_table_coalescing () =
   let e = Dex_sim.Engine.create () in
-  let ft = Fault_table.create e () in
+  let ft = Fault_table.create e in
   let outcomes = ref [] in
   for i = 1 to 3 do
     Dex_sim.Engine.spawn e (fun () ->
         match Fault_table.enter ft ~vpn:9 ~access:Perm.Read with
         | Fault_table.Leader ->
             Dex_sim.Engine.delay e 1000;
-            let followers = Fault_table.finish ft ~vpn:9 "done" in
+            let followers = Fault_table.finish ft ~vpn:9 in
             outcomes := Printf.sprintf "leader%d/%d" i followers :: !outcomes
-        | Fault_table.Follower o ->
-            outcomes := Printf.sprintf "follower%d:%s" i o :: !outcomes
+        | Fault_table.Follower ->
+            outcomes := Printf.sprintf "follower%d" i :: !outcomes
         | Fault_table.Conflict -> Alcotest.fail "unexpected conflict")
   done;
   Dex_sim.Engine.run_until_quiescent e;
   Alcotest.(check (list string))
     "one leader, two followers"
-    [ "follower2:done"; "follower3:done"; "leader1/2" ]
+    [ "follower2"; "follower3"; "leader1/2" ]
     (List.sort compare !outcomes);
   check_int "coalesced counter" 2 (Fault_table.coalesced_total ft)
 
 let test_fault_table_conflict () =
   let e = Dex_sim.Engine.create () in
-  let ft = Fault_table.create e () in
+  let ft = Fault_table.create e in
   let events = ref [] in
   Dex_sim.Engine.spawn e (fun () ->
       match Fault_table.enter ft ~vpn:9 ~access:Perm.Read with
       | Fault_table.Leader ->
           Dex_sim.Engine.delay e 1000;
-          ignore (Fault_table.finish ft ~vpn:9 ());
+          ignore (Fault_table.finish ft ~vpn:9);
           events := "leader-done" :: !events
       | _ -> Alcotest.fail "expected leader");
   Dex_sim.Engine.spawn e (fun () ->
@@ -584,7 +584,7 @@ let test_fault_table_conflict () =
 
 let test_fault_table_independent_pages () =
   let e = Dex_sim.Engine.create () in
-  let ft = Fault_table.create e () in
+  let ft = Fault_table.create e in
   Dex_sim.Engine.spawn e (fun () ->
       (match Fault_table.enter ft ~vpn:1 ~access:Perm.Read with
       | Fault_table.Leader -> ()
@@ -593,17 +593,17 @@ let test_fault_table_independent_pages () =
       | Fault_table.Leader -> ()
       | _ -> Alcotest.fail "expected leader p2");
       check_int "two ongoing" 2 (Fault_table.ongoing ft);
-      ignore (Fault_table.finish ft ~vpn:1 ());
-      ignore (Fault_table.finish ft ~vpn:2 ());
+      ignore (Fault_table.finish ft ~vpn:1);
+      ignore (Fault_table.finish ft ~vpn:2);
       check_int "none ongoing" 0 (Fault_table.ongoing ft));
   Dex_sim.Engine.run_until_quiescent e
 
 let test_fault_table_finish_without_enter () =
   let e = Dex_sim.Engine.create () in
-  let ft = Fault_table.create e () in
+  let ft = Fault_table.create e in
   Alcotest.check_raises "finish without enter"
     (Invalid_argument "Fault_table.finish: no ongoing fault") (fun () ->
-      ignore (Fault_table.finish ft ~vpn:5 ()))
+      ignore (Fault_table.finish ft ~vpn:5))
 
 (* ------------------------------------------------------------------ *)
 (* Allocator / layout *)

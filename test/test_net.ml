@@ -1,5 +1,5 @@
 (* Tests for the simulated InfiniBand fabric: verb/RDMA path selection,
-   buffer-pool backpressure, RPC, loopback, statistics. *)
+   buffer-pool backpressure, RPC, loopback, statistics, allocation per call. *)
 
 open Dex_sim
 open Dex_net
@@ -586,6 +586,54 @@ let test_crash_scheduled_and_keepalive () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation budgets *)
+
+(* Words allocated so far, both heaps: [Gc.minor_words] alone misses
+   blocks allocated straight in the major heap (a table's growth). *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* Words per [Fabric.call] round trip between two nodes (request, handler
+   fiber, reply and, under chaos, the reliable layer's acks and pruning),
+   after 100 warm-up calls. *)
+let words_per_call cfg =
+  let e = Engine.create () in
+  let fabric = Fabric.create e cfg in
+  Fabric.set_handler fabric ~node:1 echo_handler;
+  let call () =
+    ignore
+      (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64
+         (Msg.Ping 1))
+  in
+  let calls = 1_000 and words = ref 0. in
+  Engine.spawn e (fun () ->
+      for _ = 1 to 100 do
+        call ()
+      done;
+      let w0 = allocated_words () in
+      for _ = 1 to calls do
+        call ()
+      done;
+      words := (allocated_words () -. w0) /. float_of_int calls);
+  Engine.run_until_quiescent e;
+  !words
+
+let check_call_budget name cfg bound =
+  let words = words_per_call cfg in
+  check_bool
+    (Printf.sprintf "%.1f words per %s call (at most %.1f)" words name bound)
+    true (words <= bound)
+
+let test_call_budget_pristine () =
+  check_call_budget "pristine" (small_cfg ()) 161.
+
+let test_call_budget_chaos () =
+  check_call_budget "reliable"
+    { (small_cfg ()) with Net_config.chaos = Some Net_config.chaos_default }
+    409.5
+
 let () =
   Alcotest.run "dex_net"
     [
@@ -643,5 +691,12 @@ let () =
             test_crash_blackhole_and_detection;
           Alcotest.test_case "scheduled crash + keepalive backstop" `Quick
             test_crash_scheduled_and_keepalive;
+        ] );
+      ( "budget",
+        [
+          Alcotest.test_case "pristine call allocation" `Quick
+            test_call_budget_pristine;
+          Alcotest.test_case "reliable call allocation" `Quick
+            test_call_budget_chaos;
         ] );
     ]

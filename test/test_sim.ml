@@ -1,5 +1,5 @@
 (* Tests for the discrete-event substrate: event queue, engine/fibers, wait
-   queues, RNG, histograms, stats and contended resources. *)
+   queues, ivars, RNG, histograms, stats and contended resources. *)
 
 open Dex_sim
 
@@ -648,6 +648,73 @@ let test_waitq_wake_empty () =
   check_int "wake_all empty" 0 (Waitq.wake_all q 0)
 
 (* ------------------------------------------------------------------ *)
+(* Ivar *)
+
+let test_ivar_read_then_fill () =
+  let e = Engine.create () in
+  let iv = Ivar.create () in
+  let got = ref None in
+  Engine.spawn e (fun () ->
+      let v = Ivar.read e iv in
+      got := Some (v, Engine.now e));
+  Engine.spawn e (fun () ->
+      Engine.delay e 25;
+      check_bool "empty before the fill" false (Ivar.is_full iv);
+      Ivar.fill iv 42);
+  Engine.run_until_quiescent e;
+  Alcotest.(check (option (pair int int)))
+    "resumed at the fill's instant with the value" (Some (42, 25)) !got
+
+let test_ivar_wake_order () =
+  let e = Engine.create () in
+  let iv = Ivar.create () in
+  let log = ref [] in
+  for i = 1 to 3 do
+    Engine.spawn e (fun () ->
+        Engine.delay e i;
+        let v = Ivar.read e iv in
+        log := (i, v) :: !log)
+  done;
+  Engine.spawn e (fun () ->
+      Engine.delay e 10;
+      Ivar.fill iv "x");
+  Engine.run_until_quiescent e;
+  Alcotest.(check (list (pair int string)))
+    "oldest reader first"
+    [ (1, "x"); (2, "x"); (3, "x") ]
+    (List.rev !log)
+
+(* A read of a full ivar neither parks nor schedules: the reader carries
+   on in its own event, ahead of a fiber spawned after it. *)
+let test_ivar_read_when_full () =
+  let e = Engine.create () in
+  let iv = Ivar.create () in
+  Ivar.fill iv 7;
+  let log = ref [] in
+  Engine.spawn e (fun () ->
+      let live = Engine.live_fibers e in
+      let v = Ivar.read e iv in
+      check_int "still the only live fiber" live (Engine.live_fibers e);
+      log := Printf.sprintf "read %d at %d" v (Engine.now e) :: !log);
+  Engine.spawn e (fun () -> log := "next fiber" :: !log);
+  Engine.run_until_quiescent e;
+  Alcotest.(check (list string))
+    "no park, no event" [ "read 7 at 0"; "next fiber" ] (List.rev !log);
+  check_int "no fiber left" 0 (Engine.live_fibers e)
+
+let test_ivar_fill_once () =
+  let e = Engine.create () in
+  let iv = Ivar.create () in
+  check_bool "try_fill on empty" true (Ivar.try_fill iv 1);
+  Alcotest.check_raises "fill on full"
+    (Invalid_argument "Ivar.fill: already full") (fun () -> Ivar.fill iv 2);
+  check_bool "try_fill on full" false (Ivar.try_fill iv 3);
+  let got = ref 0 in
+  Engine.spawn e (fun () -> got := Ivar.read e iv);
+  Engine.run_until_quiescent e;
+  check_int "first value kept" 1 !got
+
+(* ------------------------------------------------------------------ *)
 (* Rng *)
 
 let test_rng_determinism () =
@@ -1042,6 +1109,15 @@ let () =
         [
           Alcotest.test_case "FIFO wake order" `Quick test_waitq_fifo;
           Alcotest.test_case "wake empty" `Quick test_waitq_wake_empty;
+        ] );
+      ( "ivar",
+        [
+          Alcotest.test_case "read before fill" `Quick test_ivar_read_then_fill;
+          Alcotest.test_case "readers wake oldest first" `Quick
+            test_ivar_wake_order;
+          Alcotest.test_case "read of a full ivar" `Quick
+            test_ivar_read_when_full;
+          Alcotest.test_case "filled once" `Quick test_ivar_fill_once;
         ] );
       ( "rng",
         [
