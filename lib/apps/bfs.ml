@@ -127,13 +127,13 @@ let body p ctx main =
   let buckets =
     List.map
       (fun frontier ->
-        let by_thread = Array.make threads [] in
+        let per_thread = Array.make threads [] in
         for k = Array.length frontier - 1 downto 0 do
           let v = frontier.(k) in
           let t = thread_of v in
-          by_thread.(t) <- v :: by_thread.(t)
+          per_thread.(t) <- v :: per_thread.(t)
         done;
-        by_thread)
+        per_thread)
       frontiers
   in
   (* Scratch shared by every thread's planning, which never yields: two
@@ -171,8 +171,8 @@ let body p ctx main =
   let plan_for i =
     let me = A.node_of ctx i in
     List.map
-      (fun by_thread ->
-        let mine = by_thread.(i) in
+      (fun per_thread ->
+        let mine = per_thread.(i) in
         incr stamp_now;
         let now = !stamp_now in
         let edges = ref 0 and found = ref 0 in

@@ -24,8 +24,6 @@ val default_params : params
     Wikipedia so the full sweep runs on a laptop; normalized results
     depend on ratios, not absolute size. *)
 
-val keys : string list
-
 val conversion : App_common.conversion
 (** Table I row: pthread; 2 lines added to convert (one forward + one
     backward migration call). *)

@@ -2,7 +2,7 @@ open Dex_sim
 
 (* One parked thread, waiting for its verdict. A cancelled waiter (its
    home node crashed) gets [`Crashed] and lingers in the queue as a
-   tombstone, an entry whose verdict is in, that [wake]/[waiters] skip: a
+   tombstone, an entry whose verdict is in, that [wake_tids]/[waiters] skip: a
    ghost that silently swallowed wakes or inflated the waiter count would
    wedge every surviving thread parked behind it. *)
 type waiter = {
@@ -42,8 +42,6 @@ let wake_tids t ~addr ~count =
           go (woken + 1) (w.w_tid :: tids)
   in
   go 0 []
-
-let wake t ~addr ~count = List.length (wake_tids t ~addr ~count)
 
 let waiters t ~addr =
   match Hashtbl.find_opt t.queues addr with

@@ -8,7 +8,7 @@
 
     Waiters are tagged with the node their thread was executing on, so
     that a fail-stop crash can {!cancel} them: a cancelled waiter resumes
-    with the [`Crashed] verdict and becomes invisible to {!wake} and
+    with the [`Crashed] verdict and becomes invisible to {!wake_tids} and
     {!waiters} — ghost waiters must neither swallow wakes destined for
     survivors nor inflate the waiter count. *)
 
@@ -27,14 +27,11 @@ val wait :
     atomic value check against the futex word is the caller's
     responsibility (it must run in the same engine event). *)
 
-val wake : t -> addr:Dex_mem.Page.addr -> count:int -> int
-(** Wake up to [count] live waiters in FIFO order; returns how many were
-    woken. Cancelled waiters are skipped and never counted — waking an
-    address whose waiters all died returns 0. *)
-
 val wake_tids : t -> addr:Dex_mem.Page.addr -> count:int -> int list
-(** Like {!wake}, but returns the woken waiters' [tid] tags in wake
-    order (untagged waiters report [-1]). *)
+(** Wake up to [count] live waiters in FIFO order; returns the woken
+    waiters' [tid] tags in wake order (untagged waiters report [-1]).
+    Cancelled waiters are skipped and never reported — waking an address
+    whose waiters all died returns [[]]. *)
 
 val waiters : t -> addr:Dex_mem.Page.addr -> int
 (** Number of live (non-cancelled) waiters parked on [addr]. *)

@@ -20,4 +20,3 @@ let stream t ~bytes =
     ~finally:(fun () -> t.active <- t.active - 1)
     (fun () -> Dex_sim.Resource.Server.transfer t.server ~bytes:inflated)
 
-let active t = t.active

@@ -16,5 +16,3 @@ val stream : t -> bytes:int -> unit
 (** Block the calling fiber while [bytes] of memory traffic drain through
     the node's memory channels. *)
 
-val active : t -> int
-(** Streams currently in flight. *)

@@ -71,7 +71,6 @@ let allocator t = t.alloc
 let vma_tree t ~node = t.vmas.(node)
 let stats t = Coherence.stats t.coh
 let tid th = th.tid
-let name th = th.thread_name
 let location th = th.location
 let crashed th = th.crashed
 let self_process th = th.proc
@@ -285,22 +284,6 @@ let store_at th site addr v =
   vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
   Coherence.store_i64 (coh th) ~node:th.location ~tid:th.tid ?site addr v
 
-let load32_at th site addr () =
-  vma_check th ~addr ~len:4 ~access:Perm.Read ~queried:false;
-  Coherence.load_i32 (coh th) ~node:th.location ~tid:th.tid ?site addr
-
-let store32_at th site addr v =
-  vma_check th ~addr ~len:4 ~access:Perm.Write ~queried:false;
-  Coherence.store_i32 (coh th) ~node:th.location ~tid:th.tid ?site addr v
-
-let load_byte_at th site addr () =
-  vma_check th ~addr ~len:1 ~access:Perm.Read ~queried:false;
-  Coherence.load_byte (coh th) ~node:th.location ~tid:th.tid ?site addr
-
-let store_byte_at th site addr v =
-  vma_check th ~addr ~len:1 ~access:Perm.Write ~queried:false;
-  Coherence.store_byte (coh th) ~node:th.location ~tid:th.tid ?site addr v
-
 let cas_at th site addr (expected, desired) =
   vma_check th ~addr ~len:8 ~access:Perm.Write ~queried:false;
   Coherence.cas_i64 (coh th) ~node:th.location ~tid:th.tid ?site addr
@@ -313,10 +296,6 @@ let fetch_add_at th site addr delta =
 
 let load th ?site addr = guard th load_at site addr ()
 let store th ?site addr v = guard th store_at site addr v
-let load32 th ?site addr = guard th load32_at site addr ()
-let store32 th ?site addr v = guard th store32_at site addr v
-let load_byte th ?site addr = guard th load_byte_at site addr ()
-let store_byte th ?site addr v = guard th store_byte_at site addr v
 
 let cas th ?site addr ~expected ~desired =
   guard th cas_at site addr (expected, desired)
@@ -449,14 +428,6 @@ let file_write th ~fd ~bytes =
      mirror image of [file_read]'s response accounting. *)
   delegate ~req_size:(64 + bytes) th run
 
-let file_seek th ~fd ~pos =
-  let t = th.proc in
-  let run () =
-    Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.seek t.vfs fd ~pos
-  in
-  delegate th run
-
 let file_close th ~fd =
   let t = th.proc in
   let run () =
@@ -464,8 +435,6 @@ let file_close th ~fd =
     Vfs.close t.vfs fd
   in
   delegate th run
-
-let file_size t name = Vfs.size t.vfs name
 
 (* ------------------------------------------------------------------ *)
 (* Node-wide operations through remote workers.                        *)

@@ -98,8 +98,6 @@ val join : thread -> unit
 
 val tid : thread -> int
 
-val name : thread -> string
-
 val location : thread -> int
 (** The node the thread currently executes on. *)
 
@@ -176,20 +174,12 @@ val write : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
 (** Bulk write: acquire exclusive ownership of every page of the range. *)
 
 val load : thread -> ?site:string -> Dex_mem.Page.addr -> int64
-(** Typed DSM read of an 8-byte cell. *)
+(** Typed DSM read of an 8-byte cell (8-byte aligned). Typed accesses
+    come in this one width; byte ranges go through {!read} and
+    {!write}. *)
 
 val store : thread -> ?site:string -> Dex_mem.Page.addr -> int64 -> unit
 (** Typed DSM write of an 8-byte cell. *)
-
-val load32 : thread -> ?site:string -> Dex_mem.Page.addr -> int32
-(** Typed DSM read of a 4-byte cell (4-byte aligned). *)
-
-val store32 : thread -> ?site:string -> Dex_mem.Page.addr -> int32 -> unit
-
-val load_byte : thread -> ?site:string -> Dex_mem.Page.addr -> int
-(** Typed DSM read of a single byte. *)
-
-val store_byte : thread -> ?site:string -> Dex_mem.Page.addr -> int -> unit
 
 val cas :
   thread ->
@@ -245,12 +235,7 @@ val file_read : thread -> fd:int -> bytes:int -> int
 
 val file_write : thread -> fd:int -> bytes:int -> unit
 
-val file_seek : thread -> fd:int -> pos:int -> unit
-
 val file_close : thread -> fd:int -> unit
-
-val file_size : t -> string -> int option
-(** Size of a file, if it exists (host-side inspection). *)
 
 (** {1 Scheduler hooks}
 

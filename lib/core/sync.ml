@@ -11,8 +11,6 @@ module Mutex = struct
     (* A real pthread_mutex_t is 40 bytes; the futex word leads it. *)
     { addr = Process.alloc_static proc ~align:8 ~bytes:40 ~tag () }
 
-  let addr t = t.addr
-
   let try_lock th t =
     Process.cas th ~site:"mutex.lock" t.addr ~expected:0L ~desired:1L
 
@@ -81,109 +79,4 @@ module Barrier = struct
       in
       sleep ()
     end
-end
-
-module Rwlock = struct
-  (* One state word: -1 = writer holds it, 0 = free, n > 0 = n readers. *)
-  type t = { addr : Dex_mem.Page.addr }
-
-  let create proc ?(tag = "rwlock") () =
-    { addr = Process.alloc_static proc ~align:8 ~bytes:56 ~tag () }
-
-  let rec read_lock th t =
-    let v = Process.load th ~site:"rwlock.rd" t.addr in
-    if v >= 0L then begin
-      if
-        not
-          (Process.cas th ~site:"rwlock.rd" t.addr ~expected:v
-             ~desired:(Int64.add v 1L))
-      then read_lock th t
-    end
-    else begin
-      ignore (Process.futex_wait th ~addr:t.addr ~expected:v);
-      read_lock th t
-    end
-
-  let read_unlock th t =
-    let rec dec () =
-      let v = Process.load th ~site:"rwlock.rdu" t.addr in
-      if v <= 0L then invalid_arg "Rwlock.read_unlock: not read-locked";
-      if
-        not
-          (Process.cas th ~site:"rwlock.rdu" t.addr ~expected:v
-             ~desired:(Int64.sub v 1L))
-      then dec ()
-      else if v = 1L then ignore (Process.futex_wake th ~addr:t.addr ~count:max_int)
-    in
-    dec ()
-
-  let rec write_lock th t =
-    if not (Process.cas th ~site:"rwlock.wr" t.addr ~expected:0L ~desired:(-1L))
-    then begin
-      let v = Process.load th ~site:"rwlock.wr" t.addr in
-      if v <> 0L then ignore (Process.futex_wait th ~addr:t.addr ~expected:v);
-      write_lock th t
-    end
-
-  let write_unlock th t =
-    let v = Process.load th ~site:"rwlock.wru" t.addr in
-    if v <> -1L then invalid_arg "Rwlock.write_unlock: not write-locked";
-    Process.store th ~site:"rwlock.wru" t.addr 0L;
-    ignore (Process.futex_wake th ~addr:t.addr ~count:max_int)
-end
-
-module Semaphore = struct
-  type t = { addr : Dex_mem.Page.addr }
-
-  let create proc ~initial ?(tag = "semaphore") () =
-    if initial < 0 then invalid_arg "Semaphore.create: negative count";
-    let t = { addr = Process.alloc_static proc ~align:8 ~bytes:32 ~tag () } in
-    (* Initialize the count through the origin's coherence layer; creation
-       runs in a fiber (normally the main thread) before any waiter can
-       observe the word. *)
-    Dex_proto.Coherence.store_i64 (Process.coherence proc)
-      ~node:(Process.origin proc) ~tid:(-1) ~site:"sem.init" t.addr
-      (Int64.of_int initial);
-    t
-
-  let post th t =
-    ignore (Process.fetch_add th ~site:"sem.post" t.addr 1L);
-    ignore (Process.futex_wake th ~addr:t.addr ~count:1)
-
-  let rec wait th t =
-    let v = Process.load th ~site:"sem.wait" t.addr in
-    if v > 0L then begin
-      if
-        not
-          (Process.cas th ~site:"sem.wait" t.addr ~expected:v
-             ~desired:(Int64.sub v 1L))
-      then wait th t
-    end
-    else begin
-      ignore (Process.futex_wait th ~addr:t.addr ~expected:v);
-      wait th t
-    end
-
-  let value th t = Int64.to_int (Process.load th ~site:"sem.value" t.addr)
-end
-
-module Condvar = struct
-  type t = { seq_addr : Dex_mem.Page.addr }
-
-  let create proc ?(tag = "condvar") () =
-    { seq_addr = Process.alloc_static proc ~align:8 ~bytes:8 ~tag () }
-
-  let wait th t mutex =
-    let seq = Process.load th ~site:"cond.seq" t.seq_addr in
-    Mutex.unlock th mutex;
-    ignore (Process.futex_wait th ~addr:t.seq_addr ~expected:seq);
-    Mutex.lock th mutex
-
-  let signal th t =
-    ignore (Process.fetch_add th ~site:"cond.signal" t.seq_addr 1L);
-    ignore (Process.futex_wake th ~addr:t.seq_addr ~count:1)
-
-  let broadcast th t =
-    ignore (Process.fetch_add th ~site:"cond.broadcast" t.seq_addr 1L);
-    ignore (Process.futex_wake th ~addr:t.seq_addr ~count:max_int)
 end

@@ -13,11 +13,7 @@ module Mutex : sig
   val create : Process.t -> ?tag:string -> unit -> t
   (** Allocates the lock word on the heap ([tag] defaults to "mutex"). *)
 
-  val addr : t -> Dex_mem.Page.addr
-
   val lock : Process.thread -> t -> unit
-
-  val try_lock : Process.thread -> t -> bool
 
   val unlock : Process.thread -> t -> unit
 
@@ -32,48 +28,4 @@ module Barrier : sig
   val await : Process.thread -> t -> unit
   (** Block until [parties] threads have arrived; the barrier then resets
       for the next round (generation-counted, safe for reuse). *)
-end
-
-module Condvar : sig
-  type t
-
-  val create : Process.t -> ?tag:string -> unit -> t
-
-  val wait : Process.thread -> t -> Mutex.t -> unit
-  (** Atomically release the mutex and sleep; re-acquires before
-      returning. Spurious wakeups are possible, guard with a loop. *)
-
-  val signal : Process.thread -> t -> unit
-
-  val broadcast : Process.thread -> t -> unit
-end
-
-module Rwlock : sig
-  type t
-
-  val create : Process.t -> ?tag:string -> unit -> t
-
-  val read_lock : Process.thread -> t -> unit
-  (** Multiple readers may hold the lock; readers block while a writer
-      holds it. Writer-preference is not implemented (readers can starve
-      writers, like the default pthread rwlock). *)
-
-  val read_unlock : Process.thread -> t -> unit
-
-  val write_lock : Process.thread -> t -> unit
-
-  val write_unlock : Process.thread -> t -> unit
-end
-
-module Semaphore : sig
-  type t
-
-  val create : Process.t -> initial:int -> ?tag:string -> unit -> t
-
-  val post : Process.thread -> t -> unit
-
-  val wait : Process.thread -> t -> unit
-
-  val value : Process.thread -> t -> int
-  (** Current count (racy snapshot, like [sem_getvalue]). *)
 end

@@ -26,9 +26,6 @@ let open_file t name =
   Hashtbl.add t.fds fd { file; cursor = 0 };
   fd
 
-let size t name =
-  Option.map (fun f -> f.size) (Hashtbl.find_opt t.files name)
-
 let lookup t fd name =
   match Hashtbl.find_opt t.fds fd with
   | Some o -> o
@@ -46,10 +43,6 @@ let write t fd ~bytes =
   let o = lookup t fd "write" in
   o.cursor <- o.cursor + bytes;
   if o.cursor > o.file.size then o.file.size <- o.cursor
-
-let seek t fd ~pos =
-  if pos < 0 then invalid_arg "Vfs.seek: negative position";
-  (lookup t fd "seek").cursor <- pos
 
 let close t fd =
   ignore (lookup t fd "close");

@@ -17,15 +17,11 @@ val open_file : t -> string -> fd
 (** Open (creating if absent) and return a fresh descriptor with the
     cursor at 0. *)
 
-val size : t -> string -> int option
-
 val read : t -> fd -> bytes:int -> int
 (** Advance the cursor by up to [bytes]; returns how many bytes were
     actually read (0 at EOF). Raises [Invalid_argument] on a bad fd. *)
 
 val write : t -> fd -> bytes:int -> unit
 (** Append-or-overwrite at the cursor, growing the file as needed. *)
-
-val seek : t -> fd -> pos:int -> unit
 
 val close : t -> fd -> unit

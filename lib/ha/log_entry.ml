@@ -19,22 +19,3 @@ let wire_size = function
   | Reset _ | Dir_set _ | Dir_forget _ | Vma_set _ | Vma_remove _
   | Vma_protect _ | Futex_wait _ | Futex_unpark _ ->
       64
-
-let pp ppf = function
-  | Reset { origin } -> Fmt.pf ppf "reset(origin=%d)" origin
-  | Dir_set { vpn; state = Directory.Exclusive n } ->
-      Fmt.pf ppf "dir[%d]=excl(%d)" vpn n
-  | Dir_set { vpn; state = Directory.Shared s } ->
-      Fmt.pf ppf "dir[%d]=shared(%a)" vpn Node_set.pp s
-  | Dir_forget { vpn } -> Fmt.pf ppf "dir[%d]=forget" vpn
-  | Page_data { vpn; data } ->
-      Fmt.pf ppf "page[%d]=%d bytes" vpn (Bytes.length data)
-  | Vma_set vma ->
-      Fmt.pf ppf "vma+[%#x,+%#x %s]" vma.Vma.start vma.Vma.len vma.Vma.tag
-  | Vma_remove { start; len } -> Fmt.pf ppf "vma-[%#x,+%#x]" start len
-  | Vma_protect { start; len; _ } -> Fmt.pf ppf "vma![%#x,+%#x]" start len
-  | Futex_wait { addr; tid; owner } ->
-      Fmt.pf ppf "futex+[%#x tid=%d@%d]" addr tid owner
-  | Futex_unpark { addr; tid; woken } ->
-      Fmt.pf ppf "futex-[%#x tid=%d %s]" addr tid
-        (if woken then "woken" else "gone")

@@ -41,4 +41,3 @@ type t =
 val wire_size : t -> int
 (** Bytes this entry contributes to a [Repl_append] message. *)
 
-val pp : Format.formatter -> t -> unit

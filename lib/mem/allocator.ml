@@ -3,7 +3,6 @@ module M = Map.Make (Int)
 type t = {
   mutable globals_next : Page.addr;
   mutable heap_next : Page.addr;
-  mutable tls_next : (int, Page.addr) Hashtbl.t;
   mutable objects : (int * string) M.t;  (* base -> (len, tag) *)
 }
 
@@ -11,7 +10,6 @@ let create () =
   {
     globals_next = Layout.globals_base;
     heap_next = Layout.heap_base;
-    tls_next = Hashtbl.create 16;
     objects = M.empty;
   }
 
@@ -44,24 +42,7 @@ let heap_alloc t align bytes tag =
 let malloc t ~bytes ~tag = heap_alloc t 16 bytes tag
 let memalign t ~align ~bytes ~tag = heap_alloc t align bytes tag
 
-let tls_alloc t ~tid ~bytes ~tag =
-  if bytes <= 0 then invalid_arg "Allocator.tls_alloc: bad size";
-  let next =
-    match Hashtbl.find_opt t.tls_next tid with
-    | Some a -> a
-    | None -> Layout.tls_for ~tid
-  in
-  let base = round_up next 8 in
-  if base + bytes > Layout.tls_for ~tid + Layout.tls_slot_size then
-    failwith "Allocator: TLS block exhausted";
-  Hashtbl.replace t.tls_next tid (base + bytes);
-  register t base bytes (Printf.sprintf "%s(tls:%d)" tag tid)
-
 let object_at t addr =
   match M.find_last_opt (fun base -> base <= addr) t.objects with
   | Some (base, (len, tag)) when addr < base + len -> Some (tag, base, len)
   | _ -> None
-
-let objects t =
-  M.fold (fun base (len, tag) acc -> (base, len, tag) :: acc) t.objects []
-  |> List.rev

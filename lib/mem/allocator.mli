@@ -22,11 +22,5 @@ val memalign : t -> align:int -> bytes:int -> tag:string -> Page.addr
 (** Heap allocation at the given power-of-two alignment
     ([posix_memalign]). *)
 
-val tls_alloc : t -> tid:int -> bytes:int -> tag:string -> Page.addr
-(** Allocate inside thread [tid]'s TLS block. *)
-
 val object_at : t -> Page.addr -> (string * Page.addr * int) option
 (** [(tag, base, len)] of the object containing the address, if any. *)
-
-val objects : t -> (Page.addr * int * string) list
-(** All registered objects in address order. *)

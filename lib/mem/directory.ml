@@ -10,8 +10,6 @@ type t = {
 
 let create ~origin = { origin; pages = Radix_tree.create (); observer = None }
 
-let origin t = t.origin
-
 let set_observer t obs = t.observer <- obs
 
 let observer t = t.observer

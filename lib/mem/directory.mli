@@ -15,8 +15,6 @@ type t
 
 val create : origin:int -> t
 
-val origin : t -> int
-
 val set_observer : t -> (Page.vpn -> state option -> unit) option -> unit
 (** Install (or clear) a mutation observer, called after every state
     change: [Some state] for {!set_exclusive}/{!set_shared}/{!add_reader},
@@ -46,8 +44,9 @@ val add_reader : t -> Page.vpn -> int -> unit
 
 val drop_node : t -> Page.vpn -> int -> [ `Owner | `Reader | `Absent ]
 (** Take [node] out of the page's entry, for a node that can no longer
-    hold it: an exclusive owner falls back to {!origin}, a reader leaves
-    the reader set, and a set left empty falls back to {!origin} too.
+    hold it: an exclusive owner falls back to the [~origin] given to
+    {!create}, a reader leaves the reader set, and a set left empty falls
+    back to that origin too.
     Returns which role [node] held ([`Absent]: none, entry untouched).
     The observer sees the one resulting {!set_exclusive} or
     {!set_shared}. *)

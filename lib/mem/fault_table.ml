@@ -9,12 +9,11 @@ type entry = {
 type t = {
   engine : Engine.t;
   table : (Page.vpn, entry) Hashtbl.t;
-  mutable coalesced : int;
 }
 
 type role = Leader | Follower | Conflict
 
-let create engine = { engine; table = Hashtbl.create 16; coalesced = 0 }
+let create engine = { engine; table = Hashtbl.create 16 }
 
 let enter t ~vpn ~access =
   match Hashtbl.find_opt t.table vpn with
@@ -23,7 +22,6 @@ let enter t ~vpn ~access =
         { access; followers = Waitq.create (); conflicters = Waitq.create () };
       Leader
   | Some entry when entry.access = access ->
-      t.coalesced <- t.coalesced + 1;
       Waitq.wait t.engine entry.followers;
       Follower
   | Some entry ->
@@ -47,4 +45,3 @@ let rec await_idle t ~vpn =
       await_idle t ~vpn
 
 let ongoing t = Hashtbl.length t.table
-let coalesced_total t = t.coalesced

@@ -38,6 +38,3 @@ val await_idle : t -> vpn:Page.vpn -> unit
     interleave inconsistently. *)
 
 val ongoing : t -> int
-
-val coalesced_total : t -> int
-(** Cumulative number of faults absorbed as followers. *)

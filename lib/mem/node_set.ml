@@ -30,9 +30,3 @@ let to_list t =
   go 62 []
 
 let of_list l = List.fold_left add empty l
-
-let fold t ~init ~f = List.fold_left (fun acc n -> f n acc) init (to_list t)
-
-let pp fmt t =
-  Format.fprintf fmt "{%s}"
-    (String.concat "," (List.map string_of_int (to_list t)))

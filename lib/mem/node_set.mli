@@ -10,5 +10,3 @@ val is_empty : t -> bool
 val cardinal : t -> int
 val to_list : t -> int list
 val of_list : int list -> t
-val fold : t -> init:'a -> f:(int -> 'a -> 'a) -> 'a
-val pp : Format.formatter -> t -> unit

@@ -24,27 +24,19 @@ let writable t p =
   end;
   e.buf
 
-let check_offset offset width name =
-  if offset < 0 || offset + width > Page.size then
+let check_offset offset name =
+  if offset < 0 || offset + 8 > Page.size then
     invalid_arg ("Page_store." ^ name ^ ": offset out of page");
-  if offset land (width - 1) <> 0 then
+  if offset land 7 <> 0 then
     invalid_arg ("Page_store." ^ name ^ ": misaligned offset")
 
 let read_i64 t p ~offset =
-  check_offset offset 8 "read_i64";
+  check_offset offset "read_i64";
   Bytes.get_int64_le (entry t p).buf offset
 
 let write_i64 t p ~offset v =
-  check_offset offset 8 "write_i64";
+  check_offset offset "write_i64";
   Bytes.set_int64_le (writable t p) offset v
-
-let read_byte t p ~offset =
-  check_offset offset 1 "read_byte";
-  Char.code (Bytes.get (entry t p).buf offset)
-
-let write_byte t p ~offset v =
-  check_offset offset 1 "write_byte";
-  Bytes.set (writable t p) offset (Char.chr (v land 0xff))
 
 let snapshot t p =
   let e = entry t p in

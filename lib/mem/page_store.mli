@@ -5,8 +5,8 @@
     delivers the values written elsewhere. Pages are materialized lazily as
     zero-filled 4 KB buffers (like anonymous-mapping zero pages).
 
-    Page images are shared until written. Only this module's writers
-    ({!write_i64}, {!write_byte}) mutate a page buffer; every other holder
+    Page images are shared until written. Only this module's writer
+    ({!write_i64}) mutates a page buffer; every other holder
     of one (a message, the HA log, a replica, a {!fold} callback) treats its
     bytes as read-only. Each resident page records whether its buffer may
     be shared: {!snapshot}, {!install} and {!fold} mark it so, and the
@@ -23,10 +23,6 @@ val read_i64 : t -> Page.vpn -> offset:int -> int64
     within bounds. *)
 
 val write_i64 : t -> Page.vpn -> offset:int -> int64 -> unit
-
-val read_byte : t -> Page.vpn -> offset:int -> int
-
-val write_byte : t -> Page.vpn -> offset:int -> int -> unit
 
 val snapshot : t -> Page.vpn -> bytes
 (** The page's image, for shipping over the network: the store's own

@@ -11,7 +11,3 @@ let allows t = function Read -> t.read | Write -> t.write
 let is_downgrade ~old_perm ~new_perm =
   (old_perm.read && not new_perm.read)
   || (old_perm.write && not new_perm.write)
-
-let pp fmt t =
-  Format.fprintf fmt "%c%c" (if t.read then 'r' else '-')
-    (if t.write then 'w' else '-')

@@ -12,6 +12,3 @@ let contains t addr = addr >= t.start && addr < end_ t
 let overlaps t ~start ~len =
   let e = start + len in
   start < end_ t && e > t.start
-
-let pp fmt t =
-  Format.fprintf fmt "%s[%#x-%#x %a]" t.tag t.start (end_ t) Perm.pp t.perm

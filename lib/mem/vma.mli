@@ -23,4 +23,3 @@ val contains : t -> Page.addr -> bool
 
 val overlaps : t -> start:Page.addr -> len:int -> bool
 
-val pp : Format.formatter -> t -> unit

@@ -81,7 +81,6 @@ and env = { msg : Msg.t; respond : ?size:int -> Msg.payload -> unit }
 and handler = t -> env -> unit
 
 let engine t = t.engine
-let config t = t.cfg
 let node_count t = t.cfg.Net_config.nodes
 let reliable t = t.chaos <> None
 

@@ -98,9 +98,6 @@ val create : Dex_sim.Engine.t -> Net_config.t -> t
 val engine : t -> Dex_sim.Engine.t
 (** The engine this fabric schedules on. *)
 
-val config : t -> Net_config.t
-(** The (validated) configuration the fabric was built with. *)
-
 val node_count : t -> int
 (** Number of nodes, i.e. [config.nodes]. *)
 

@@ -1,5 +1,4 @@
 type t = {
-  engine : Dex_sim.Engine.t;
   pool : Dex_sim.Resource.Pool.t;
   copy_ns_per_byte : float;
 }
@@ -7,7 +6,6 @@ type t = {
 let create engine ~slots ~copy_ns_per_byte =
   if copy_ns_per_byte < 0.0 then invalid_arg "Rdma_sink: negative copy cost";
   {
-    engine;
     pool = Dex_sim.Resource.Pool.create engine ~capacity:slots;
     copy_ns_per_byte;
   }
@@ -21,7 +19,3 @@ let copy_ns t ~bytes =
   int_of_float (Float.round (float_of_int bytes *. t.copy_ns_per_byte))
 
 let release t = Dex_sim.Resource.Pool.release t.pool
-
-let copy_out_and_release t ~bytes =
-  Dex_sim.Engine.delay t.engine (copy_ns t ~bytes);
-  release t

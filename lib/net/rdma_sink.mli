@@ -30,9 +30,4 @@ val copy_ns : t -> bytes:int -> Dex_sim.Time_ns.t
 (** The modeled duration of copying [bytes] out of a slot. *)
 
 val release : t -> unit
-(** Free one slot without modeling a copy (the caller charged
-    {!copy_ns} itself). *)
-
-val copy_out_and_release : t -> bytes:int -> unit
-(** Model the copy from the sink slot to the final destination, then free
-    the slot. Blocks the caller for the copy duration. *)
+(** Free one slot; the caller charges {!copy_ns} for the copy itself. *)

@@ -25,13 +25,6 @@ let by_object alloc events =
   in
   descending (count_by name events)
 
-let by_page events = descending (count_by (fun e -> e.FE.addr) events)
-
-let by_thread events =
-  descending (count_by (fun e -> (e.FE.node, e.FE.tid)) events)
-
-let by_kind events = descending (count_by (fun e -> e.FE.kind) events)
-
 let timeline events ~bucket =
   if bucket <= 0 then invalid_arg "Analysis.timeline: bucket must be positive";
   count_by (fun e -> e.FE.time / bucket * bucket) events
@@ -55,22 +48,6 @@ let contended_pages events =
   (* Count descending, page address as the tie-break: ties must not come
      out in Hashtbl.fold order on a deterministic simulator. *)
   |> List.sort (fun (pa, a, _) (pb, b, _) -> compare (b, pa) (a, pb))
-
-let sharing_matrix events =
-  let tbl = Hashtbl.create 32 in
-  List.iter
-    (fun e ->
-      if is_fault e then begin
-        let nodes = Option.value (Hashtbl.find_opt tbl e.FE.addr) ~default:[] in
-        if not (List.mem e.FE.node nodes) then
-          Hashtbl.replace tbl e.FE.addr (e.FE.node :: nodes)
-      end)
-    events;
-  Hashtbl.fold
-    (fun page nodes acc -> (page, List.sort compare nodes) :: acc)
-    tbl []
-  |> List.sort (fun (pa, a) (pb, b) ->
-         compare (List.length b, pa) (List.length a, pb))
 
 (* ------------------------------------------------------------------ *)
 (* Windowed per-page traffic for the placement autopilot: who reads,

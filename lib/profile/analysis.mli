@@ -2,9 +2,9 @@
 
     Reproduces the paper's analyses: which program objects and source
     locations cause the most cross-node traffic, page-fault frequency over
-    time, per-thread access patterns, and contention hot spots — the
-    information developers use to separate per-node data onto distinct
-    pages and stage global updates locally. *)
+    time, per-page reader, writer and thread traffic, and contention hot
+    spots — the information developers use to separate per-node data onto
+    distinct pages and stage global updates locally. *)
 
 type event = Dex_proto.Fault_event.t
 
@@ -14,15 +14,6 @@ val by_site : event list -> (string * int) list
 val by_object : Dex_mem.Allocator.t -> event list -> (string * int) list
 (** Fault counts attributed to named program objects via the allocator's
     registry; unattributed addresses group under ["<unknown>"]. *)
-
-val by_page : event list -> (Dex_mem.Page.addr * int) list
-(** Fault counts per page base address, descending. *)
-
-val by_thread : event list -> ((int * int) * int) list
-(** Fault counts per (node, tid), descending; invalidations count under
-    tid [-1]. *)
-
-val by_kind : event list -> (Dex_proto.Fault_event.kind * int) list
 
 val timeline :
   event list -> bucket:Dex_sim.Time_ns.t -> (Dex_sim.Time_ns.t * int) list
@@ -34,12 +25,6 @@ val contended_pages :
 (** Pages whose faults needed NACK retries: [(page base, retried fault
     count, mean latency ns)], by retried count descending. These are the
     false-sharing suspects. *)
-
-val sharing_matrix : event list -> (Dex_mem.Page.addr * int list) list
-(** For every faulted page, the sorted list of nodes that faulted on it —
-    pages touched by many nodes are the cross-node interference suspects
-    (the "contention matrix" of the toolchain). Sorted by sharer count,
-    descending. *)
 
 val window :
   now:Dex_sim.Time_ns.t -> width:Dex_sim.Time_ns.t -> event list -> event list

@@ -31,37 +31,3 @@ let events t = List.of_seq (Queue.to_seq t.q)
 let count t = Queue.length t.q
 
 let dropped t = t.dropped
-
-let clear t = Queue.clear t.q
-
-let kind_name = function
-  | Dex_proto.Fault_event.Read -> "R"
-  | Dex_proto.Fault_event.Write -> "W"
-  | Dex_proto.Fault_event.Invalidation -> "I"
-
-(* RFC-4180 quoting: a field containing a separator, quote or line break
-   is wrapped in double quotes, with embedded quotes doubled. *)
-let csv_field s =
-  let needs_quoting =
-    String.exists (fun c -> c = ',' || c = '"' || c = '\n' || c = '\r') s
-  in
-  if not needs_quoting then s
-  else "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "time_ns,node,tid,kind,site,addr,latency_ns,retries\n";
-  Queue.iter
-    (fun e ->
-      let open Dex_proto.Fault_event in
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%s,%s,%#x,%d,%d\n" e.time e.node e.tid
-           (kind_name e.kind) (csv_field e.site) e.addr e.latency e.retries))
-    t.q;
-  Buffer.contents buf
-
-let save_csv t path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_csv t))

@@ -25,15 +25,5 @@ val count : t -> int
 (** Events currently retained (at most [capacity] when bounded). *)
 
 val dropped : t -> int
-(** Events evicted by the capacity ring since {!attach}; not reset by
-    {!clear}. Always 0 for an unbounded trace. *)
-
-val clear : t -> unit
-
-val to_csv : t -> string
-(** The raw trace as CSV ([time_ns,node,tid,kind,site,addr,latency_ns,
-    retries]) — the equivalent of the paper's ftrace dump handed to the
-    post-processing tool. *)
-
-val save_csv : t -> string -> unit
-(** Write {!to_csv} to a file. *)
+(** Events evicted by the capacity ring since {!attach}. Always 0 for an
+    unbounded trace. *)

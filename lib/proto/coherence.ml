@@ -218,7 +218,6 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
              | None -> Log_entry.Dir_forget { vpn })));
   t
 
-let pid t = t.pid
 let cfg t = t.cfg
 let node_count t = Array.length t.ptables
 let page_table t ~node = t.ptables.(node)
@@ -862,51 +861,6 @@ let store_i64 t ~node ~tid ?(site = "?") addr v =
   Page_store.write_i64 t.stores.(node) vpn ~offset:(Page.offset_in_page addr) v;
   if node = Authority.home_of t.authority vpn then origin_store_mutated t vpn
 
-(* 32-bit and byte accessors share a page with their 64-bit neighbours;
-   the protocol is oblivious to the width. Stored little-endian within the
-   containing 8-byte cell for simplicity. *)
-let load_i32 t ~node ~tid ?(site = "?") addr =
-  check_node t node "load_i32";
-  if addr land 3 <> 0 then invalid_arg "Coherence.load_i32: misaligned";
-  let vpn = Page.page_of_addr addr in
-  ensure t ~node ~tid ~site ~vpn ~access:Perm.Read;
-  let base = addr land lnot 7 in
-  let cell =
-    Page_store.read_i64 t.stores.(node) vpn ~offset:(Page.offset_in_page base)
-  in
-  let shift = (addr land 4) * 8 in
-  Int64.to_int32 (Int64.shift_right_logical cell shift)
-
-let store_i32 t ~node ~tid ?(site = "?") addr v =
-  check_node t node "store_i32";
-  if addr land 3 <> 0 then invalid_arg "Coherence.store_i32: misaligned";
-  let vpn = Page.page_of_addr addr in
-  ensure t ~node ~tid ~site ~vpn ~access:Perm.Write;
-  let base = addr land lnot 7 in
-  let offset = Page.offset_in_page base in
-  let cell = Page_store.read_i64 t.stores.(node) vpn ~offset in
-  let shift = (addr land 4) * 8 in
-  let mask = Int64.shift_left 0xFFFF_FFFFL shift in
-  let v64 =
-    Int64.shift_left (Int64.logand (Int64.of_int32 v) 0xFFFF_FFFFL) shift
-  in
-  Page_store.write_i64 t.stores.(node) vpn ~offset
-    (Int64.logor (Int64.logand cell (Int64.lognot mask)) v64);
-  if node = Authority.home_of t.authority vpn then origin_store_mutated t vpn
-
-let load_byte t ~node ~tid ?(site = "?") addr =
-  check_node t node "load_byte";
-  let vpn = Page.page_of_addr addr in
-  ensure t ~node ~tid ~site ~vpn ~access:Perm.Read;
-  Page_store.read_byte t.stores.(node) vpn ~offset:(Page.offset_in_page addr)
-
-let store_byte t ~node ~tid ?(site = "?") addr v =
-  check_node t node "store_byte";
-  let vpn = Page.page_of_addr addr in
-  ensure t ~node ~tid ~site ~vpn ~access:Perm.Write;
-  Page_store.write_byte t.stores.(node) vpn ~offset:(Page.offset_in_page addr) v;
-  if node = Authority.home_of t.authority vpn then origin_store_mutated t vpn
-
 let cas_i64 t ~node ~tid ?(site = "?") addr ~expected ~desired =
   check_node t node "cas_i64";
   let vpn = Page.page_of_addr addr in
@@ -1011,10 +965,9 @@ let rehome_page t ~vpn ~node =
             end
             else begin
               (* The target died undetected: the shipment exhausting its
-                 budget is the failure detector, same as a revoke. *)
-              Stats.incr t.stats "crash.escalations";
-              Fabric.crash t.fabric ~node;
-              Fabric.declare_dead t.fabric ~node;
+                 budget is the failure detector, same as a revoke. [cur]
+                 is alive here, so the escalation pins the target. *)
+              crash_escalate t ~src:cur ~target:node;
               `Dead_target
             end
         | () ->

@@ -97,9 +97,6 @@ val create :
     set with more than one shard, or (from {!Dex_ha.Ha.arm}) a malformed
     replica set. *)
 
-val pid : t -> int
-(** The process id this instance's messages are addressed to. *)
-
 val cfg : t -> Proto_config.t
 (** The configuration the instance was created with. *)
 
@@ -140,27 +137,14 @@ val access_range :
 val load_i64 :
   t -> node:int -> tid:int -> ?site:string -> Dex_mem.Page.addr -> int64
 (** Typed DSM read: acquires read access to the page, then reads the real
-    bytes from the node's page store. Address must be 8-byte aligned. *)
+    bytes from the node's page store. Address must be 8-byte aligned:
+    typed accesses come in this one width, byte ranges go through
+    {!access_range}. *)
 
 val store_i64 :
   t -> node:int -> tid:int -> ?site:string -> Dex_mem.Page.addr -> int64 -> unit
 (** Typed DSM write: acquires exclusive access, then updates the node's
     page store. *)
-
-val load_i32 :
-  t -> node:int -> tid:int -> ?site:string -> Dex_mem.Page.addr -> int32
-(** Typed 4-byte read (4-byte aligned). *)
-
-val store_i32 :
-  t -> node:int -> tid:int -> ?site:string -> Dex_mem.Page.addr -> int32 -> unit
-(** Typed 4-byte write (4-byte aligned). *)
-
-val load_byte : t -> node:int -> tid:int -> ?site:string -> Dex_mem.Page.addr -> int
-(** Typed single-byte read. *)
-
-val store_byte :
-  t -> node:int -> tid:int -> ?site:string -> Dex_mem.Page.addr -> int -> unit
-(** Typed single-byte write. *)
 
 val cas_i64 :
   t ->

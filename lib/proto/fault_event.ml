@@ -10,13 +10,3 @@ type t = {
   latency : Dex_sim.Time_ns.t;
   retries : int;
 }
-
-let pp_kind fmt = function
-  | Read -> Format.pp_print_string fmt "R"
-  | Write -> Format.pp_print_string fmt "W"
-  | Invalidation -> Format.pp_print_string fmt "I"
-
-let pp fmt t =
-  Format.fprintf fmt "%a node%d tid%d %a %s %#x lat=%a retries=%d"
-    Dex_sim.Time_ns.pp t.time t.node t.tid pp_kind t.kind t.site t.addr
-    Dex_sim.Time_ns.pp t.latency t.retries

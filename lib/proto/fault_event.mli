@@ -21,6 +21,3 @@ type t = {
       (** time spent handling the fault; 0 for invalidations *)
   retries : int;  (** NACK-and-retry rounds before success *)
 }
-
-val pp : Format.formatter -> t -> unit
-(** One-line rendering of a record, for debugging and CSV-ish dumps. *)

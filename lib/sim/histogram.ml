@@ -100,27 +100,3 @@ let merge a b =
   t
 
 let to_list t = Array.to_list (Array.sub t.data 0 t.size)
-
-let buckets t ~width =
-  if width <= 0 then invalid_arg "Histogram.buckets: width must be positive";
-  let tbl = Hashtbl.create 16 in
-  (* Floor division: [/] truncates toward zero, which would fold
-     negative samples into the buckets on either side of zero. *)
-  let floor_div v = if v >= 0 then v / width else -((-v + width - 1) / width) in
-  for i = 0 to t.size - 1 do
-    let b = floor_div t.data.(i) * width in
-    let cur = Option.value (Hashtbl.find_opt tbl b) ~default:0 in
-    Hashtbl.replace tbl b (cur + 1)
-  done;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let pp_summary fmt t =
-  if t.size = 0 then Format.fprintf fmt "n=0"
-  else
-    Format.fprintf fmt "n=%d mean=%.1fus p50=%.1fus p99=%.1fus max=%.1fus"
-      t.size
-      (Time_ns.to_us_f (int_of_float (Float.round (mean t))))
-      (Time_ns.to_us_f (percentile t 50.0))
-      (Time_ns.to_us_f (percentile t 99.0))
-      (Time_ns.to_us_f (max_value t))

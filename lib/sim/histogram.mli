@@ -33,10 +33,3 @@ val merge : t -> t -> t
 val to_list : t -> int list
 (** Samples in insertion order. *)
 
-val buckets : t -> width:int -> (int * int) list
-(** [buckets t ~width] is the sample distribution as
-    [(bucket_start, count)] pairs for non-empty fixed-[width] buckets,
-    sorted by bucket start; useful to exhibit bimodality. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** One-line summary: count / mean / p50 / p99 / max, in µs. *)

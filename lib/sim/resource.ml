@@ -90,6 +90,4 @@ module Server = struct
     t.busy_until - now
 
   let transfer t ~bytes = Engine.delay t.engine (reserve t ~bytes)
-
-  let busy_until t = t.busy_until
 end

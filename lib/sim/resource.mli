@@ -57,7 +57,4 @@ module Server : sig
   val transfer : t -> bytes:int -> unit
   (** [transfer t ~bytes] blocks the calling fiber until the server has
       serviced this request behind all earlier ones. *)
-
-  val busy_until : t -> Time_ns.t
-  (** Time at which already-accepted work drains. *)
 end

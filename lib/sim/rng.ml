@@ -17,7 +17,6 @@ let of_state s =
 
 let create ~seed = of_state (mix (Int64.of_int seed))
 
-let copy = Bytes.copy
 
 let[@inline] next_int64 t =
   let s = Int64.add (Bytes.get_int64_ne t 0) golden in
@@ -35,12 +34,4 @@ let[@inline] float t bound =
   let r = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   bound *. (r /. 9007199254740992.0 (* 2^53 *))
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
 
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -7,8 +7,6 @@ type t
 
 val create : seed:int -> t
 
-val copy : t -> t
-
 val split : t -> t
 (** [split t] derives an independent generator and advances [t]; use it to
     hand child components their own streams. *)
@@ -21,7 +19,4 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
 
-val shuffle : t -> 'a array -> unit
-(** In-place Fisher–Yates shuffle. *)

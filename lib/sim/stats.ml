@@ -33,6 +33,3 @@ let reset t =
       c.n <- 0;
       c.used <- false)
     t
-
-let pp fmt t =
-  List.iter (fun (k, v) -> Format.fprintf fmt "%s=%d@ " k v) (to_list t)

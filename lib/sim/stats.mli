@@ -29,4 +29,3 @@ val to_list : t -> (string * int) list
 val reset : t -> unit
 (** Zero and unlist every counter. *)
 
-val pp : Format.formatter -> t -> unit

@@ -1,7 +1,6 @@
 type 'a t = ('a -> unit) Queue.t
 
 let create () = Queue.create ()
-let is_empty = Queue.is_empty
 let length = Queue.length
 
 let wait engine q = Engine.suspend engine (fun resume -> Queue.add resume q)

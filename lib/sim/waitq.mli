@@ -8,8 +8,6 @@ type 'a t
 
 val create : unit -> 'a t
 
-val is_empty : _ t -> bool
-
 val length : _ t -> int
 
 val wait : Engine.t -> 'a t -> 'a

@@ -308,9 +308,10 @@ let test_sink_accounting () =
       Rdma_sink.acquire sink;
       Rdma_sink.acquire sink;
       check_int "two in use" 2 (Rdma_sink.in_use sink);
-      Rdma_sink.copy_out_and_release sink ~bytes:4096;
+      check_int "copy cost" 410 (Rdma_sink.copy_ns sink ~bytes:4096);
+      Rdma_sink.release sink;
       check_int "one released" 1 (Rdma_sink.in_use sink);
-      Rdma_sink.copy_out_and_release sink ~bytes:4096);
+      Rdma_sink.release sink);
   Engine.run_until_quiescent e;
   check_int "all released" 0 (Rdma_sink.in_use sink);
   check_int "no waits" 0 (Rdma_sink.exhaustion_waits sink)

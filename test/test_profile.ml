@@ -51,6 +51,19 @@ let test_trace_collects () =
   let events = Trace.events trace in
   check_int "events list matches count" (Trace.count trace)
     (List.length events);
+  let kinds = List.map (fun e -> e.FE.kind) events in
+  check_bool "write faults present" true (List.mem FE.Write kinds);
+  check_bool "invalidations present" true (List.mem FE.Invalidation kinds);
+  check_bool "several (node,tid) pairs" true
+    (List.length
+       (List.sort_uniq compare (List.map (fun e -> (e.FE.node, e.FE.tid)) events))
+    >= 2);
+  (match Analysis.page_traffic events with
+  | pt :: _ ->
+      (* the flag page is written from both nodes *)
+      check_bool "hottest page written by 2+ nodes" true
+        (List.length pt.Analysis.pt_writers >= 2)
+  | [] -> Alcotest.fail "no page traffic");
   (* oldest first *)
   match events with
   | a :: b :: _ -> check_bool "sorted by time" true (a.FE.time <= b.FE.time)
@@ -78,17 +91,6 @@ let test_by_object_attribution () =
     (List.exists (fun (tag, _) -> tag = "shared_flag") objs);
   check_bool "buf attributed" true
     (List.exists (fun (tag, _) -> tag = "buf") objs)
-
-let test_by_thread_and_kind () =
-  let trace, _ = run_traced () in
-  let events = Trace.events trace in
-  let threads = Analysis.by_thread events in
-  check_bool "several (node,tid) buckets" true (List.length threads >= 2);
-  let kinds = Analysis.by_kind events in
-  check_bool "write faults present" true
-    (List.exists (fun (k, _) -> k = FE.Write) kinds);
-  check_bool "invalidations present" true
-    (List.exists (fun (k, _) -> k = FE.Invalidation) kinds)
 
 let test_timeline_buckets () =
   let trace, _ = run_traced () in
@@ -145,42 +147,7 @@ let test_detach_stops_collection () =
                Process.store th cell 3L)
          in
          Process.join th2;
-         check_int "no growth after detach" n (Trace.count trace);
-         Trace.clear trace;
-         check_int "cleared" 0 (Trace.count trace)))
-
-let test_sharing_matrix () =
-  let trace, _ = run_traced () in
-  let matrix = Analysis.sharing_matrix (Trace.events trace) in
-  (match matrix with
-  | (_, sharers) :: _ ->
-      (* the flag page is faulted on by both nodes *)
-      check_bool "hottest page shared by 2+ nodes" true
-        (List.length sharers >= 2)
-  | [] -> Alcotest.fail "empty matrix");
-  (* descending by sharer count *)
-  let counts = List.map (fun (_, s) -> List.length s) matrix in
-  check_bool "sorted descending" true
-    (List.sort (fun a b -> compare b a) counts = counts)
-
-let test_csv_export () =
-  let trace, _ = run_traced () in
-  let csv = Trace.to_csv trace in
-  let lines = String.split_on_char '\n' csv in
-  (match lines with
-  | header :: _ ->
-      Alcotest.(check string) "header"
-        "time_ns,node,tid,kind,site,addr,latency_ns,retries" header
-  | [] -> Alcotest.fail "empty csv");
-  (* header + one row per event + trailing newline *)
-  check_int "one row per event"
-    (Trace.count trace + 2)
-    (List.length lines);
-  let path = Filename.temp_file "dex_trace" ".csv" in
-  Trace.save_csv trace path;
-  let size = (Unix.stat path).Unix.st_size in
-  Sys.remove path;
-  check_int "file written" (String.length csv) size
+         check_int "no growth after detach" n (Trace.count trace)))
 
 (* --- bounded trace ring ------------------------------------------------- *)
 
@@ -233,48 +200,6 @@ let test_trace_ring_bounded () =
   check_bool "retained events are the newest window" true
     (max_t - min_t < Time_ns.us 500)
 
-(* --- RFC-4180 CSV escaping ---------------------------------------------- *)
-
-(* Site tags are user strings: a comma, quote or newline in one must not
-   shear the CSV row. *)
-let test_csv_escapes_sites () =
-  let cl = Dex.cluster ~nodes:2 () in
-  let trace = ref None in
-  ignore
-    (Dex.run cl (fun proc main ->
-         trace := Some (Trace.attach (Process.coherence proc));
-         (* One page per site: each access is that page's first from the
-            remote node, so each site tag lands in exactly one record. *)
-         let page tag = Process.memalign main ~align:4096 ~bytes:8 ~tag in
-         let a = page "a" and b = page "b" and c = page "c" and d = page "d" in
-         Process.store main a 1L;
-         let th =
-           Process.spawn proc (fun th ->
-               Process.migrate th 1;
-               ignore (Process.load th ~site:"f(a, b)" a);
-               Process.store th ~site:"say \"hi\"" b 2L;
-               Process.store th ~site:"line\nbreak" c 3L;
-               Process.store th ~site:"plain_site" d 4L)
-         in
-         Process.join th));
-  let csv = Trace.to_csv (Option.get !trace) in
-  check_bool "comma field quoted" true (contains csv ",\"f(a, b)\",");
-  check_bool "embedded quotes doubled" true
-    (contains csv ",\"say \"\"hi\"\"\",");
-  check_bool "newline field quoted" true (contains csv ",\"line\nbreak\",");
-  check_bool "plain field left bare" true (contains csv ",plain_site,");
-  (* Un-shearing check: parsing quote-aware yields one record per event,
-     while a naive line count would now overcount. *)
-  let rows = ref 0 and in_quotes = ref false in
-  String.iter
-    (fun c ->
-      if c = '"' then in_quotes := not !in_quotes
-      else if c = '\n' && not !in_quotes then incr rows)
-    csv;
-  check_int "quote-aware row count = header + events"
-    (Trace.count (Option.get !trace) + 1)
-    !rows
-
 (* --- deterministic analysis orderings ----------------------------------- *)
 
 let ev ?(kind = FE.Write) ?(node = 0) ?(tid = 0) ?(site = "s") ~time addr =
@@ -286,26 +211,20 @@ let ev ?(kind = FE.Write) ?(node = 0) ?(tid = 0) ?(site = "s") ~time addr =
 let test_analysis_tie_determinism () =
   let events =
     [
-      ev ~time:1 0x2000; ev ~time:2 0x1000; ev ~time:3 0x3000;
-      ev ~time:4 0x3000; ev ~time:5 0x1000; ev ~time:6 0x2000;
+      ev ~site:"b" ~time:1 0x2000; ev ~site:"a" ~time:2 0x1000;
+      ev ~site:"c" ~time:3 0x3000; ev ~site:"c" ~time:4 0x3000;
+      ev ~site:"a" ~time:5 0x1000; ev ~site:"b" ~time:6 0x2000;
     ]
   in
-  Alcotest.(check (list (pair int int)))
-    "by_page ties break on ascending page"
-    [ (0x1000, 2); (0x2000, 2); (0x3000, 2) ]
-    (Analysis.by_page events);
+  Alcotest.(check (list (pair string int)))
+    "by_site ties break on ascending site"
+    [ ("a", 2); ("b", 2); ("c", 2) ]
+    (Analysis.by_site events);
   let traffic = Analysis.page_traffic events in
   Alcotest.(check (list int))
     "page_traffic ties break on ascending page"
     [ 0x1000; 0x2000; 0x3000 ]
-    (List.map (fun pt -> pt.Analysis.pt_addr) traffic);
-  let sites =
-    Analysis.by_site
-      [ ev ~site:"b" ~time:1 0x1000; ev ~site:"a" ~time:2 0x1000 ]
-  in
-  Alcotest.(check (list (pair string int)))
-    "by_site ties break on ascending site"
-    [ ("a", 1); ("b", 1) ] sites
+    (List.map (fun pt -> pt.Analysis.pt_addr) traffic)
 
 (* Directed classification table: the four classes from synthetic windows. *)
 let test_classify_directed () =
@@ -397,17 +316,12 @@ let () =
           Alcotest.test_case "by_site ranking" `Quick test_by_site_ranks_hot_flag;
           Alcotest.test_case "object attribution" `Quick
             test_by_object_attribution;
-          Alcotest.test_case "by thread/kind" `Quick test_by_thread_and_kind;
           Alcotest.test_case "timeline" `Quick test_timeline_buckets;
           Alcotest.test_case "contended pages" `Quick
             test_contended_pages_found;
           Alcotest.test_case "summary + report" `Quick test_summary_and_report;
           Alcotest.test_case "detach" `Quick test_detach_stops_collection;
-          Alcotest.test_case "CSV export" `Quick test_csv_export;
-          Alcotest.test_case "sharing matrix" `Quick test_sharing_matrix;
           Alcotest.test_case "bounded trace ring" `Quick test_trace_ring_bounded;
-          Alcotest.test_case "CSV escaping (RFC 4180)" `Quick
-            test_csv_escapes_sites;
           Alcotest.test_case "deterministic tie ordering" `Quick
             test_analysis_tie_determinism;
           Alcotest.test_case "directed page classification" `Quick

@@ -397,23 +397,6 @@ let test_no_lost_updates_origin_race () =
     !final;
   Coherence.check_invariants coh
 
-let test_width_accessors () =
-  let engine, coh = setup () in
-  run_fiber engine (fun () ->
-      (* Mixed widths within one 8-byte cell survive ownership moves. *)
-      Coherence.store_i32 coh ~node:0 ~tid:0 addr0 0x11223344l;
-      Coherence.store_i32 coh ~node:1 ~tid:1 (addr0 + 4) 0x55667788l;
-      Coherence.store_byte coh ~node:2 ~tid:2 (addr0 + 9) 0xAB;
-      Alcotest.(check int32) "low word" 0x11223344l
-        (Coherence.load_i32 coh ~node:3 ~tid:3 addr0);
-      Alcotest.(check int32) "high word" 0x55667788l
-        (Coherence.load_i32 coh ~node:3 ~tid:3 (addr0 + 4));
-      check_int "byte" 0xAB (Coherence.load_byte coh ~node:3 ~tid:3 (addr0 + 9));
-      (match Coherence.load_i32 coh ~node:0 ~tid:0 (addr0 + 2) with
-      | _ -> Alcotest.fail "expected misalignment rejection"
-      | exception Invalid_argument _ -> ()));
-  Coherence.check_invariants coh
-
 let test_zap_range () =
   let engine, coh = setup () in
   run_fiber engine (fun () ->
@@ -1175,8 +1158,6 @@ let () =
             test_single_writer_monotonic_readers;
           Alcotest.test_case "no lost updates (origin race)" `Quick
             test_no_lost_updates_origin_race;
-          Alcotest.test_case "mixed-width accessors" `Quick
-            test_width_accessors;
           Alcotest.test_case "zap range" `Quick test_zap_range;
           Alcotest.test_case "fault tracer" `Quick test_tracer_records_faults;
           Alcotest.test_case "contended ping-pong bimodal" `Quick
