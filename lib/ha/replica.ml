@@ -29,11 +29,9 @@ let apply t (e : Log_entry.t) =
       Hashtbl.reset t.data;
       Hashtbl.reset t.waiters;
       Hashtbl.reset t.wakes
-  | Dir_set { vpn; state = Directory.Exclusive node } ->
-      Directory.set_exclusive t.dir vpn node
-  | Dir_set { vpn; state = Directory.Shared readers } ->
-      Directory.set_shared t.dir vpn readers
-  | Dir_forget { vpn } -> Directory.forget t.dir vpn
+  | Dir_set { vpn; state } ->
+      ignore (Directory.apply t.dir vpn (Restore (Some state)))
+  | Dir_forget { vpn } -> ignore (Directory.apply t.dir vpn (Restore None))
   | Page_data { vpn; data } -> Hashtbl.replace t.data vpn data
   | Vma_set vma -> install_vma t.vmas vma
   | Vma_remove { start; len } ->

@@ -72,17 +72,16 @@ let route a vpn =
 let pinned a vpn = (override a vpn).pinned
 let pin a vpn = set_override a vpn { (override a vpn) with pinned = true }
 
+let restore dir vpn state = ignore (Directory.apply dir vpn (Restore state))
+
 let move a vpn ~from ~node state =
-  Directory.forget from vpn;
+  restore from vpn None;
   let target = if node = home_of a vpn then None else Some node in
   set_override a vpn { (override a vpn) with target };
-  let { dir; _ } = route a vpn in
-  match state with
-  | Directory.Exclusive owner -> Directory.set_exclusive dir vpn owner
-  | Directory.Shared readers -> Directory.set_shared dir vpn readers
+  restore (route a vpn).dir vpn (Some state)
 
 let forget a vpn =
-  Directory.forget (route a vpn).dir vpn;
+  restore (route a vpn).dir vpn None;
   Hashtbl.remove a.overrides vpn
 
 let rehomed_pages a =

@@ -78,21 +78,24 @@ let replicate_marked t vpn = Hashtbl.mem t.replicate_hint vpn
    dropping those writes is linearizable: it is as if they never executed.
    Runs synchronously from the failure declaration (the process's crash
    handler), possibly while grant fibers are blocked mid-fan-out with
-   directory locks held — that is safe because every transition those
-   fibers later apply re-checks the requester's liveness and filters dead
-   nodes out of the membership it installs, so the scrub can never be
-   undone by an in-flight grant. *)
+   directory locks held — the one change {!Directory.step} lets through a
+   lock, because every transition those fibers later apply re-checks the
+   requester's liveness and filters dead nodes out of the membership it
+   installs, so the scrub can never be undone by an in-flight grant. *)
 let scrub_dir t ~dir ~node =
   (* Snapshot first: the scrub mutates the directory while iterating. *)
   let vpns = ref [] in
   Directory.iter dir (fun vpn _ -> vpns := vpn :: !vpns);
   List.iter
     (fun vpn ->
-      match Directory.drop_node dir vpn node with
-      | `Owner -> Stats.incr t.stats "crash.pages_reclaimed"
-      | `Reader -> Stats.incr t.stats "crash.readers_scrubbed"
-      | `Absent -> ())
+      match Directory.apply dir vpn (Drop { node; dead = true }) with
+      | Dropped (Owner, _) -> Stats.incr t.stats "crash.pages_reclaimed"
+      | Dropped (Reader, _) -> Stats.incr t.stats "crash.readers_scrubbed"
+      | _ -> ())
     !vpns
+
+let restore ?holder dir vpn state =
+  ignore (Directory.apply dir ?holder vpn (Restore state))
 
 (* Undo every autopilot re-home whose target just died: the authority of
    each affected page falls back to its static shard home, with the entry
@@ -115,9 +118,8 @@ let rehome_fallback t ~node =
             | None -> ())
         t.ptables;
       (match (!writer, !readers) with
-      | Some w, _ -> Directory.set_exclusive dir vpn w
-      | None, (_ :: _ as rs) ->
-          Directory.set_shared dir vpn (Node_set.of_list rs)
+      | Some w, _ -> restore dir vpn (Some (Exclusive w))
+      | None, (_ :: _ as rs) -> restore dir vpn (Some (Shared (Node_set.of_list rs)))
       | None, [] -> ());
       Stats.incr t.stats "autopilot.fallbacks")
     (Authority.fall_back t.authority ~node)
@@ -358,13 +360,14 @@ let revoke_local t ~home ~vpn ~mode =
 (* Revoke [vpn] from every node in [targets] in parallel, joining before
    returning. Used to invalidate all readers ahead of a write grant. *)
 let revoke_parallel t ~home targets ~vpn =
-  fanout t ~label:"revoke"
-    (List.map
-       (fun target () ->
-         ignore
-           (revoke_rpc t ~home ~target ~vpn ~mode:Messages.Invalidate
-              ~want_data:false))
-       targets)
+  if not (Node_set.is_empty targets) then
+    fanout t ~label:"revoke"
+      (List.map
+         (fun target () ->
+           ignore
+             (revoke_rpc t ~home ~target ~vpn ~mode:Messages.Invalidate
+                ~want_data:false))
+         (Node_set.to_list targets))
 
 (* Ship a re-homed page's current bytes back to its static shard home,
    keeping the staging copy there fresh: crash fallback rebuilds the entry
@@ -431,13 +434,6 @@ let reclaim_from_owner t ~home ~owner ~vpn ~mode =
 let requester_gone t ~home ~requester =
   requester <> home && Fabric.crash_detected t.fabric ~node:requester
 
-(* Drop freshly-declared-dead nodes from a membership about to be
-   installed: a revocation inside the current fan-out may have escalated
-   one of them to a crash after the transition was decided. *)
-let live_set t nodes =
-  Node_set.of_list
-    (List.filter (fun n -> not (Fabric.crash_detected t.fabric ~node:n)) nodes)
-
 (* Per-shard load accounting, live only with more than one shard: grants
    served at the home for requesters co-located with it vs remote ones. *)
 let note_shard_grant t ~shard ~home ~requester =
@@ -453,9 +449,10 @@ let note_shard_grant t ~shard ~home ~requester =
    back instead of letting each one re-fault. One Hashtbl probe on the
    unmarked path. *)
 let note_push_subs t ~vpn nodes =
-  if nodes <> [] && Hashtbl.mem t.replicate_hint vpn then begin
+  if (not (Node_set.is_empty nodes)) && Hashtbl.mem t.replicate_hint vpn then begin
     let prev = Option.value ~default:[] (Hashtbl.find_opt t.push_subs vpn) in
-    Hashtbl.replace t.push_subs vpn (List.sort_uniq compare (nodes @ prev))
+    Hashtbl.replace t.push_subs vpn
+      (List.sort_uniq compare (Node_set.to_list nodes @ prev))
   end
 
 (* Push unsolicited read copies of a replicate-marked page to the readers
@@ -464,7 +461,7 @@ let note_push_subs t ~vpn nodes =
    staging copy is fresh at exactly that point. Victims may decline (stale
    epoch); the accepted ones join the Shared set so the next write revokes
    them normally. *)
-let push_replicas t ~home ~dir ~vpn ~requester =
+let push_replicas t ~home ~dir ~lock ~vpn ~requester =
   match Hashtbl.find_opt t.push_subs vpn with
   | None -> ()
   | Some subs -> (
@@ -510,13 +507,73 @@ let push_replicas t ~home ~dir ~vpn ~requester =
             in
             if live <> [] then begin
               Stats.add t.stats "autopilot.replica_pushes" (List.length live);
-              match Directory.state dir vpn with
-              | Directory.Shared rs ->
-                  Directory.set_shared dir vpn
-                    (Node_set.of_list (live @ Node_set.to_list rs))
-              | Directory.Exclusive _ -> ()
+              ignore (Directory.apply dir ?holder:lock vpn (Join live))
             end
           end)
+
+(* The grant proper, under the page's lock ([lock], as {!Directory.try_lock}
+   returned it): plan the transition, carry out its revocations, then
+   install the planned state. *)
+let grant_locked t ~home ~dir ~lock ~requester ~vpn ~access =
+  (* The home itself may have a fault in flight on this page (granted but
+     not yet retired); revoking its copy underneath it would lose the
+     pending update. Remote owners get the same protection in their
+     Revoke handler. *)
+  if requester <> home then Fault_table.await_idle t.ftables.(home) ~vpn;
+  let nodata = t.cfg.Proto_config.grant_without_data in
+  match
+    Directory.apply dir ?holder:lock vpn
+      (Grant { requester; access; home; nodata })
+  with
+  | Plan { reclaim; revoke; invalidate_home; displaced; ships_data; next } ->
+      (match reclaim with
+      | Nobody -> ()
+      | Downgrade owner ->
+          reclaim_from_owner t ~home ~owner ~vpn ~mode:Messages.Downgrade
+      | Invalidate owner ->
+          reclaim_from_owner t ~home ~owner ~vpn ~mode:Messages.Invalidate);
+      revoke_parallel t ~home revoke ~vpn;
+      if invalidate_home then revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
+      note_push_subs t ~vpn displaced;
+      (match next with
+      | Some (Shared readers) when reclaim <> Nobody ->
+          (* The reclaim may have escalated a node to a declared crash
+             after the plan was made: leave the dead out of the readers. *)
+          let live n = not (Fabric.crash_detected t.fabric ~node:n) in
+          let live = List.filter live (Node_set.to_list readers) in
+          restore ?holder:lock dir vpn (Some (Shared (Node_set.of_list live)))
+      | None -> ()
+      | next -> restore ?holder:lock dir vpn next);
+      let data =
+        if ships_data then snapshot_if_materialized t.stores.(home) vpn
+        else None
+      in
+      (* Both extras below can block; they run before the ghost re-check
+         so a requester dying under them is still caught. *)
+      mirror_to_static t ~src:home ~vpn ~shipped:(Option.is_some data);
+      if access = Perm.Read then
+        push_replicas t ~home ~dir ~lock ~vpn ~requester;
+      if requester_gone t ~home ~requester then begin
+        (* The requester's failure was declared while we were blocked in
+           the fan-out, i.e. after the reclaim pass already scrubbed the
+           directory; the transition just applied may have reintroduced
+           the ghost. Undo it: ownership falls back to the home. *)
+        Stats.incr t.stats "crash.grants_refused";
+        ignore
+          (Directory.apply dir ?holder:lock vpn
+             (Drop { node = requester; dead = true }));
+        `Nack
+      end
+      else begin
+        Stats.bump
+          (if ships_data then t.counters.grant_data
+           else t.counters.grant_nodata)
+          1;
+        note_shard_grant t ~shard:(Authority.shard_of t.authority vpn) ~home
+          ~requester;
+        `Grant (data, ships_data)
+      end
+  | _ -> failwith "Coherence: a grant under its own lock was refused"
 
 (* Decide a request at the page's serving home, against the route resolved
    when the request was admitted — before the handler delay. *)
@@ -529,91 +586,31 @@ let origin_grant t ~(route : Authority.route) ~requester ~vpn ~access =
     Stats.incr t.stats "crash.grants_refused";
     `Nack
   end
-  else if not (Directory.try_lock dir vpn) then begin
-    Stats.bump t.counters.grant_nack 1;
-    `Nack
-  end
-  else if (Authority.route t.authority vpn).dir != dir then begin
-    (* The page's authority moved (re-home, fallback or promotion) between
-       admission and lock: this directory no longer speaks for it, and the
-       lock just taken may even have auto-created a fresh entry here. Drop
-       the bogus entry wholesale and NACK — the requester's retry
-       re-steers to the new home. *)
-    Directory.forget dir vpn;
-    Stats.bump t.counters.grant_nack 1;
-    `Nack
-  end
   else
-    (* The revocation fan-out below can raise (and, under crashes, the
-       escalation path can run arbitrary recovery); the lock must never
-       outlive this fiber either way. *)
-    Fun.protect
-      ~finally:(fun () -> Directory.unlock dir vpn)
-      (fun () ->
-        (* The home itself may have a fault in flight on this page
-           (granted but not yet retired); revoking its copy underneath it
-           would lose the pending update. Remote owners get the same
-           protection in their Revoke handler. *)
-        if requester <> home then Fault_table.await_idle t.ftables.(home) ~vpn;
-        let had_copy = Directory.has_valid_copy dir vpn requester in
-        (match (access, Directory.state dir vpn) with
-        | Perm.Read, Directory.Exclusive owner when owner = requester -> ()
-        | Perm.Read, Directory.Exclusive owner ->
-            reclaim_from_owner t ~home ~owner ~vpn ~mode:Messages.Downgrade;
-            (* The home mediated the transfer, so it now holds a valid
-               copy alongside the old owner and the requester. *)
-            Directory.set_shared dir vpn
-              (live_set t [ owner; home; requester ])
-        | Perm.Read, Directory.Shared _ ->
-            Directory.add_reader dir vpn requester
-        | Perm.Write, Directory.Exclusive owner when owner = requester -> ()
-        | Perm.Write, Directory.Exclusive owner ->
-            reclaim_from_owner t ~home ~owner ~vpn ~mode:Messages.Invalidate;
-            note_push_subs t ~vpn [ owner ];
-            Directory.set_exclusive dir vpn requester
-        | Perm.Write, Directory.Shared readers ->
-            let victims =
-              List.filter
-                (fun n -> n <> requester && n <> home)
-                (Node_set.to_list readers)
-            in
-            revoke_parallel t ~home victims ~vpn;
-            if Node_set.mem readers home && requester <> home then
-              revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
-            note_push_subs t ~vpn victims;
-            Directory.set_exclusive dir vpn requester);
-        let wire_data =
-          ((not had_copy) || not t.cfg.Proto_config.grant_without_data)
-          && requester <> home
-        in
-        let data =
-          if wire_data then snapshot_if_materialized t.stores.(home) vpn
-          else None
-        in
-        (* Both extras below can block; they run before the ghost re-check
-           so a requester dying under them is still caught. *)
-        mirror_to_static t ~src:home ~vpn ~shipped:(Option.is_some data);
-        if access = Perm.Read then
-          push_replicas t ~home ~dir ~vpn ~requester;
-        if requester_gone t ~home ~requester then begin
-          (* The requester's failure was declared while we were blocked in
-             the fan-out, i.e. after the reclaim pass already scrubbed the
-             directory; the transition just applied may have reintroduced
-             the ghost. Undo it: ownership falls back to the home. *)
-          Stats.incr t.stats "crash.grants_refused";
-          ignore (Directory.drop_node dir vpn requester);
-          `Nack
-        end
-        else begin
-          Stats.bump
-            (if wire_data then t.counters.grant_data
-             else t.counters.grant_nodata)
-            1;
-          note_shard_grant t
-            ~shard:(Authority.shard_of t.authority vpn)
-            ~home ~requester;
-          `Grant (data, wire_data)
-        end)
+    match Directory.try_lock dir vpn with
+    | None ->
+        Stats.bump t.counters.grant_nack 1;
+        `Nack
+    | Some _ as lock when (Authority.route t.authority vpn).dir != dir ->
+        (* The page's authority moved (re-home, fallback or promotion)
+           between admission and lock: this directory no longer speaks for
+           it, and the lock just taken may even have auto-created a fresh
+           entry here. Drop the bogus entry wholesale and NACK — the
+           requester's retry re-steers to the new home. *)
+        restore ?holder:lock dir vpn None;
+        Stats.bump t.counters.grant_nack 1;
+        `Nack
+    | Some holder as lock -> (
+        (* The revocation fan-out can raise (and, under crashes, the
+           escalation path can run arbitrary recovery); the lock must
+           never outlive this fiber either way. *)
+        match grant_locked t ~home ~dir ~lock ~requester ~vpn ~access with
+        | granted ->
+            Directory.unlock dir holder;
+            granted
+        | exception e ->
+            Directory.unlock dir holder;
+            raise e)
 
 (* ------------------------------------------------------------------ *)
 (* Node side: fault handling.                                          *)
@@ -923,12 +920,11 @@ let rehome_page t ~vpn ~node =
          home — the futex check-and-sleep needs home-local reads. *)
       `Noop
     else begin
-      if not (Directory.try_lock dir vpn) then begin
+      match Directory.try_lock dir vpn with
+      | None ->
         Stats.incr t.stats "autopilot.rehome_busy";
         `Busy
-      end
-      else begin
-        let state = Directory.state dir vpn in
+      | Some holder ->
         (* The staging snapshot only serves a target with no current copy.
            A target already holding the page has bytes at least as fresh —
            and the exclusive owner's dirty copy is STRICTLY fresher, so
@@ -951,7 +947,7 @@ let rehome_page t ~vpn ~node =
         in
         match ship () with
         | exception Fabric.Unreachable _ ->
-            Directory.unlock dir vpn;
+            Directory.unlock dir holder;
             if Fabric.crashed t.fabric ~node:cur then begin
               (* The shipping home died under the call (as in
                  [crash_escalate], the source is checked first): declaring
@@ -977,11 +973,10 @@ let rehome_page t ~vpn ~node =
                fault on the page steers by the new route, so it goes
                straight to the new home; requests already in flight are
                answered with a redirect. *)
-            Directory.unlock dir vpn;
-            Authority.move a vpn ~from:dir ~node state;
+            Directory.unlock dir holder;
+            Authority.move a vpn ~from:dir ~node (Directory.state dir vpn);
             Stats.incr t.stats "autopilot.rehomes";
             `Rehomed
-      end
     end
   end
 
@@ -1278,25 +1273,20 @@ let promote t ~new_origin ~dir_entries ~page_data =
     (fun (vpn, state) ->
       if holds vpn state then Hashtbl.replace standby_had vpn ())
     dir_entries;
+  let live n = n <> old && not (Fabric.crash_detected t.fabric ~node:n) in
   List.iter
     (fun (vpn, state) ->
-      match state with
-      | Directory.Exclusive owner ->
-          if owner <> old && not (Fabric.crash_detected t.fabric ~node:owner)
-          then Directory.set_exclusive dir vpn owner
-          (* else: the entry is dropped and the page reverts to implicit
-             Exclusive new_origin — it re-homes to the promoted standby,
-             whose store holds the replicated data. Same linearizability
-             argument as reclaim_node: whatever the dead home wrote
-             since the last logged snapshot was observed by nobody. *)
-      | Directory.Shared readers ->
-          let live =
-            List.filter
-              (fun n ->
-                n <> old && not (Fabric.crash_detected t.fabric ~node:n))
-              (Node_set.to_list readers)
-          in
-          Directory.set_shared dir vpn (Node_set.of_list (new_origin :: live)))
+      restore dir vpn
+        (match state with
+        | Directory.Exclusive owner -> if live owner then Some state else None
+        (* else: the page stays untracked, implicitly Exclusive new_origin
+           — it re-homes to the promoted standby, whose store holds the
+           replicated data. Same linearizability argument as reclaim_node:
+           whatever the dead home wrote since the last logged snapshot was
+           observed by nobody. *)
+        | Directory.Shared readers ->
+            let live = List.filter live (Node_set.to_list readers) in
+            Some (Shared (Node_set.of_list (new_origin :: live)))))
     dir_entries;
   (* Backfill the standby's store with the replicated home staging copy,
      except where the standby's own copy is at least as fresh: per the
@@ -1374,14 +1364,7 @@ let fence_survivors t =
               List.iter
                 (fun vpn ->
                   Stats.incr t.stats "ha.fence_demoted";
-                  match Directory.state dir vpn with
-                  | Directory.Exclusive owner when owner = node ->
-                      Directory.forget dir vpn
-                  | Directory.Shared readers when Node_set.mem readers node ->
-                      let rest = Node_set.remove readers node in
-                      if Node_set.is_empty rest then Directory.forget dir vpn
-                      else Directory.set_shared dir vpn rest
-                  | _ -> ())
+                  ignore (Directory.apply dir vpn (Drop { node; dead = false })))
                 missing
           | _ -> failwith "Coherence: unexpected fence reply"
           | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:node)

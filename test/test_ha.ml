@@ -79,12 +79,13 @@ let prop_replay_determinism =
       let checkpoints = ref [] in
       List.iter
         (fun (kind, vpn, arg) ->
+          let restore st = ignore (Directory.apply dir vpn (Restore st)) in
           (match kind with
-          | 0 -> Directory.set_exclusive dir vpn (arg mod 4)
+          | 0 -> restore (Some (Exclusive (arg mod 4)))
           | 1 ->
-              Directory.set_shared dir vpn
-                (Node_set.of_list [ arg mod 4; (arg / 4) mod 4 ])
-          | _ -> Directory.forget dir vpn);
+              restore
+                (Some (Shared (Node_set.of_list [ arg mod 4; (arg / 4) mod 4 ])))
+          | _ -> restore None);
           checkpoints := (List.length !log, Directory.snapshot dir) :: !checkpoints)
         ops;
       let entries = Array.of_list (List.rev !log) in

@@ -18,7 +18,6 @@ let test_page_arith () =
   check_int "offset" 123 (Page.offset_in_page (8192 + 123));
   check_int "align up" 8192 (Page.align_up 4097);
   check_int "align up aligned" 4096 (Page.align_up 4096);
-  check_int "align down" 4096 (Page.align_down 8191);
   check_bool "aligned" true (Page.is_aligned 8192);
   check_bool "unaligned" false (Page.is_aligned 8193)
 
@@ -26,8 +25,6 @@ let test_page_ranges () =
   let first, last = Page.pages_of_range 4000 ~len:200 in
   check_int "straddles boundary first" 0 first;
   check_int "straddles boundary last" 1 last;
-  check_int "count single" 1 (Page.count_pages 0 ~len:4096);
-  check_int "count straddle" 2 (Page.count_pages 4095 ~len:2);
   Alcotest.check_raises "zero len"
     (Invalid_argument "Page.pages_of_range: len must be positive") (fun () ->
       ignore (Page.pages_of_range 0 ~len:0))
@@ -37,8 +34,7 @@ let prop_page_range_count =
     QCheck.(pair (int_bound 1_000_000) (int_range 1 100_000))
     (fun (addr, len) ->
       let first, last = Page.pages_of_range addr ~len in
-      Page.count_pages addr ~len = last - first + 1
-      && first = addr / 4096
+      first = addr / 4096
       && last = (addr + len - 1) / 4096)
 
 (* ------------------------------------------------------------------ *)
@@ -79,13 +75,6 @@ let test_radix_iter_sorted () =
   Radix_tree.iter t (fun k () -> keys := k :: !keys);
   Alcotest.(check (list int)) "ascending order" [ 3; 4; 77; 512; 100_000 ]
     (List.rev !keys)
-
-let test_radix_update () =
-  let t = Radix_tree.create () in
-  let v = Radix_tree.update t 5 ~default:(fun () -> 0) (fun x -> x + 1) in
-  check_int "default then f" 1 v;
-  let v = Radix_tree.update t 5 ~default:(fun () -> 0) (fun x -> x + 1) in
-  check_int "update existing" 2 v
 
 (* Lookups remember the last leaf they went through; hopping between
    leaves, and to keys with no leaf at all, must never answer from the
@@ -333,37 +322,42 @@ let test_directory_default_origin () =
   | _ -> Alcotest.fail "untracked pages belong to the origin");
   check_int "nothing tracked" 0 (Directory.tracked_pages d)
 
+let restore d p st = ignore (Directory.apply d p (Restore st))
+
 let test_directory_transitions () =
   let d = Directory.create ~origin:0 in
-  Directory.set_shared d 5 (Node_set.of_list [ 0; 2 ]);
-  Directory.add_reader d 5 3;
+  restore d 5 (Some (Shared (Node_set.of_list [ 0; 2 ])));
+  ignore (Directory.apply d 5 (Join [ 3 ]));
   (match Directory.state d 5 with
   | Directory.Shared readers ->
       Alcotest.(check (list int)) "readers" [ 0; 2; 3 ]
         (Node_set.to_list readers)
   | _ -> Alcotest.fail "expected shared");
-  Directory.set_exclusive d 5 2;
+  restore d 5 (Some (Exclusive 2));
   (match Directory.state d 5 with
   | Directory.Exclusive 2 -> ()
   | _ -> Alcotest.fail "expected exclusive 2");
   check_bool "valid copy at writer" true (Directory.has_valid_copy d 5 2);
   check_bool "no copy elsewhere" false (Directory.has_valid_copy d 5 0);
-  Alcotest.check_raises "add_reader under exclusive"
-    (Invalid_argument "Directory.add_reader: page exclusively owned elsewhere")
-    (fun () -> Directory.add_reader d 5 1);
+  check_bool "readers join no exclusive entry" true
+    (Directory.apply d 5 (Join [ 1 ]) = Keep);
+  Alcotest.check_raises "empty reader set"
+    (Invalid_argument "Directory: empty reader set") (fun () ->
+      restore d 5 (Some (Shared Node_set.empty)));
   Directory.check_invariants d
 
 let test_directory_busy_lock () =
   let d = Directory.create ~origin:0 in
-  check_bool "lock" true (Directory.try_lock d 9);
-  check_bool "second lock NACKed" false (Directory.try_lock d 9);
+  let holder = Directory.try_lock d 9 in
+  check_bool "lock" true (Option.is_some holder);
+  check_bool "second lock NACKed" true (Directory.try_lock d 9 = None);
   check_bool "locked" true (Directory.locked d 9);
-  Directory.unlock d 9;
-  check_bool "relock after unlock" true (Directory.try_lock d 9);
-  Directory.unlock d 9;
+  Directory.unlock d (Option.get holder);
+  let holder = Option.get (Directory.try_lock d 9) in
+  Directory.unlock d holder;
   Alcotest.check_raises "double unlock"
     (Invalid_argument "Directory.unlock: page not locked") (fun () ->
-      Directory.unlock d 9)
+      Directory.unlock d holder)
 
 let prop_directory_invariants =
   QCheck.Test.make ~name:"directory invariants under random transitions"
@@ -372,16 +366,193 @@ let prop_directory_invariants =
     (fun ops ->
       let d = Directory.create ~origin:0 in
       List.iter
-        (fun (p, (exclusive, node)) ->
-          if exclusive then Directory.set_exclusive d p node
-          else
-            match Directory.state d p with
-            | Directory.Shared _ -> Directory.add_reader d p node
-            | Directory.Exclusive owner ->
-                Directory.set_shared d p (Node_set.of_list [ owner; node ]))
+        (fun (p, (write, node)) ->
+          let holder = Option.get (Directory.try_lock d p) in
+          let access = if write then Perm.Write else Perm.Read in
+          (match
+             Directory.apply d ~holder p
+               (Grant { requester = node; access; home = 0; nodata = true })
+           with
+          | Plan { next; _ } -> restore d p next
+          | _ -> Alcotest.fail "a grant under its lock was refused");
+          Directory.unlock d holder)
         ops;
       Directory.check_invariants d;
       true)
+
+(* The fence demotion of a page a grant holds locked (the survivor it
+   names never got the bytes) waits for the holder's unlock, and the
+   holder's own writes go through meanwhile. *)
+let test_directory_demotion_waits_for_holder () =
+  let d = Directory.create ~origin:0 in
+  let demote p node = Directory.apply d p (Drop { node; dead = false }) in
+  restore d 7 (Some (Exclusive 1));
+  restore d 8 (Some (Shared (Node_set.of_list [ 1; 2 ])));
+  let h7 = Option.get (Directory.try_lock d 7) in
+  let h8 = Option.get (Directory.try_lock d 8) in
+  check_bool "demotion of a locked entry deferred" true (demote 7 1 = Deferred);
+  check_bool "reader demotion deferred" true (demote 8 1 = Deferred);
+  check_bool "still owned" true (Directory.state d 7 = Exclusive 1);
+  check_bool "a dead node's drop goes through the lock" true
+    (Directory.apply d 8 (Drop { node = 2; dead = true })
+    = Dropped (Reader, Some (Shared (Node_set.of_list [ 1 ]))));
+  check_bool "a grant without the lock is refused" true
+    (Directory.apply d 7
+       (Grant { requester = 2; access = Perm.Write; home = 0; nodata = true })
+    = Refused);
+  ignore (Directory.apply d ~holder:h8 8 (Restore (Some (Shared (Node_set.of_list [ 1; 3 ])))));
+  check_bool "the holder's write lands" true
+    (Directory.state d 8 = Shared (Node_set.of_list [ 1; 3 ]));
+  Directory.unlock d h7;
+  check_bool "demoted owner leaves the page untracked" false
+    (Directory.is_tracked d 7);
+  Directory.unlock d h8;
+  check_bool "demoted reader leaves the set" true
+    (Directory.state d 8 = Shared (Node_set.of_list [ 3 ]));
+  check_bool "unlocked" false (Directory.locked d 8)
+
+(* [Directory.step] over every entry state of 2-4 nodes, every lock
+   state and every event with every argument. *)
+let test_directory_step_exhaustive () =
+  let check = Alcotest.(check bool) in
+  for n = 2 to 4 do
+    let nodes = List.init n Fun.id in
+    let sets =
+      List.init ((1 lsl n) - 1) (fun m ->
+          Node_set.of_list (List.filter (fun i -> (m + 1) land (1 lsl i) <> 0) nodes))
+    in
+    let states =
+      None
+      :: List.map (fun k -> Some (Directory.Exclusive k)) nodes
+      @ List.map (fun s -> Some (Directory.Shared s)) sets
+    in
+    let events =
+      List.concat_map
+        (fun node ->
+          [ Directory.Drop { node; dead = true }; Drop { node; dead = false } ]
+          @ List.concat_map
+              (fun home ->
+                List.concat_map
+                  (fun access ->
+                    List.map
+                      (fun nodata ->
+                        Directory.Grant { requester = node; access; home; nodata })
+                      [ true; false ])
+                  [ Perm.Read; Perm.Write ])
+              nodes)
+        nodes
+      @ List.map (fun s -> Directory.Join (Node_set.to_list s)) sets
+      @ [ Directory.Join [] ]
+      @ List.map (fun st -> Directory.Restore st) states
+    in
+    let valid = function
+      | Some (Directory.Shared s) -> not (Node_set.is_empty s)
+      | _ -> true
+    in
+    List.iter
+      (fun origin ->
+        List.iter
+          (fun entry ->
+            let pre = Option.value entry ~default:(Directory.Exclusive origin) in
+            let holds node =
+              match pre with
+              | Exclusive o -> o = node
+              | Shared rs -> Node_set.mem rs node
+            in
+            List.iter
+              (fun lock ->
+                List.iter
+                  (fun event ->
+                    let out = Directory.step ~origin entry lock event in
+                    let case =
+                      Printf.sprintf "%d nodes, origin %d" n origin
+                    in
+                    (* A busy entry changes only through its holder or by
+                       a dead node's drop; a grant needs the lock. *)
+                    (match (lock, event, out) with
+                    | _, Grant _, (Refused | Plan _) -> ()
+                    | Directory.Theirs, Drop { dead = true; _ }, _ -> ()
+                    | Theirs, _, (Deferred | Refused) -> ()
+                    | Theirs, _, _ -> Alcotest.fail ("busy entry changed: " ^ case)
+                    | _, _, Deferred -> Alcotest.fail ("deferred a free entry: " ^ case)
+                    | _ -> ());
+                    (match (lock, event, out) with
+                    | Mine, Grant _, Plan _ | (Free | Theirs), Grant _, Refused -> ()
+                    | _, Grant _, _ -> Alcotest.fail ("grant outcome: " ^ case)
+                    | _ -> ());
+                    (* Shared is never empty. *)
+                    (match out with
+                    | Set st | Dropped (_, st) | Plan { next = st; _ } ->
+                        check ("shared never empty: " ^ case) true (valid st)
+                    | Refused | Deferred | Keep -> ());
+                    (* A drop reports the role the node held; a dead node's
+                       page stays tracked, a live node's may not. *)
+                    (match (event, out) with
+                    | Drop { node; _ }, Dropped (Owner, _) ->
+                        check "owner" true (pre = Exclusive node && entry <> None)
+                    | Drop { node; _ }, Dropped (Reader, _) ->
+                        check "reader" true (holds node && pre <> Exclusive node)
+                    | Drop { node; _ }, Keep ->
+                        check "absent" true (entry = None || not (holds node))
+                    | _ -> ());
+                    (match (event, out) with
+                    | Drop { dead = true; _ }, Dropped (_, None) ->
+                        Alcotest.fail ("dead drop untracked: " ^ case)
+                    | _ -> ());
+                    match (event, out) with
+                    | Grant { requester; access; home; _ }, Plan p ->
+                        (* A no-data grant goes only to a holder of a
+                           valid copy, or to the home. *)
+                        if not p.ships_data then
+                          check ("no-data grant: " ^ case) true
+                            (requester = home || holds requester);
+                        (* Single writer: after the actions, a writer is
+                           alone, and the installed state names every
+                           node left holding a copy. *)
+                        let after node =
+                          let before =
+                            if pre = Exclusive node then 2
+                            else if holds node then 1
+                            else 0
+                          in
+                          let before =
+                            match p.reclaim with
+                            | Downgrade o when o = node -> min before 1
+                            | Invalidate o when o = node -> 0
+                            | _ -> before
+                          in
+                          let before =
+                            if Node_set.mem p.revoke node
+                               || (p.invalidate_home && node = home)
+                            then 0
+                            else before
+                          in
+                          if node = requester then
+                            max before (if access = Perm.Write then 2 else 1)
+                          else before
+                        in
+                        let final = Option.value p.next ~default:pre in
+                        let writers = List.filter (fun k -> after k = 2) nodes in
+                        let holders = List.filter (fun k -> after k > 0) nodes in
+                        (match writers with
+                        | [] -> ()
+                        | [ w ] ->
+                            check ("writer alone: " ^ case) true
+                              (holders = [ w ] && final = Exclusive w)
+                        | _ -> Alcotest.fail ("two writers: " ^ case));
+                        List.iter
+                          (fun k ->
+                            check ("holder named: " ^ case) true
+                              (match final with
+                              | Exclusive o -> o = k
+                              | Shared rs -> Node_set.mem rs k))
+                          holders
+                    | _ -> ())
+                  events)
+              [ Directory.Free; Mine; Theirs ])
+          states)
+      nodes
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Node set *)
@@ -718,7 +889,6 @@ let () =
           Alcotest.test_case "basic ops" `Quick test_radix_basic;
           Alcotest.test_case "sparse keys" `Quick test_radix_sparse_keys;
           Alcotest.test_case "sorted iteration" `Quick test_radix_iter_sorted;
-          Alcotest.test_case "update" `Quick test_radix_update;
           Alcotest.test_case "leaf hops" `Quick test_radix_leaf_hops;
           Alcotest.test_case "far keys" `Quick test_radix_far_keys;
           Alcotest.test_case "length" `Quick test_radix_length;
@@ -750,6 +920,13 @@ let () =
           Alcotest.test_case "busy lock" `Quick test_directory_busy_lock;
         ]
         @ qsuite [ prop_directory_invariants ] );
+      ( "ownership_rule",
+        [
+          Alcotest.test_case "every state, lock and event" `Quick
+            test_directory_step_exhaustive;
+          Alcotest.test_case "fence demotion waits for the holder" `Quick
+            test_directory_demotion_waits_for_holder;
+        ] );
       ("node_set", [ Alcotest.test_case "set ops" `Quick test_node_set ]);
       ( "page_store",
         [
