@@ -550,11 +550,16 @@ let mprotect th ~addr ~len ~perm =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.vma_op;
-    ignore (Vma_tree.protect_range t.vmas.(origin t) ~start:addr ~len ~perm);
-    Ha.append (ha t) (Log_entry.Vma_protect { start = addr; len; perm });
+    let tree = t.vmas.(origin t) in
     (* Downgrades must reach every node before the call returns;
        permissive changes propagate lazily via on-demand sync. *)
-    if not (perm.Perm.read && perm.Perm.write) then begin
+    let downgrade = ref false in
+    Vma_tree.iter tree (fun { Vma.start; len = l; perm = old_perm; _ } ->
+        if start < addr + len && addr < start + l then
+          if Perm.is_downgrade ~old_perm ~new_perm:perm then downgrade := true);
+    ignore (Vma_tree.protect_range tree ~start:addr ~len ~perm);
+    Ha.append (ha t) (Log_entry.Vma_protect { start = addr; len; perm });
+    if !downgrade then begin
       let first, last = Page.pages_of_range addr ~len in
       ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
       Ha.fence (ha t);
@@ -965,16 +970,13 @@ let spawn t ?name:(thread_name = "worker") f =
     }
   in
   t.threads <- th :: t.threads;
-  (* Thread-private VMAs live in the origin's authoritative tree. *)
-  let private_vma ~start ~len ~tag =
-    let vma = Vma.make ~start ~len ~perm:Perm.rw ~tag in
-    Vma_tree.insert t.vmas.(origin t) vma;
-    Ha.append (ha t) (Log_entry.Vma_set vma)
+  (* The thread's stack lives in the origin's authoritative tree. *)
+  let stack =
+    Vma.make ~start:(Layout.stack_for ~tid) ~len:Layout.stack_size
+      ~perm:Perm.rw ~tag:(Printf.sprintf "stack:%d" tid)
   in
-  private_vma ~start:(Layout.stack_for ~tid) ~len:Layout.stack_size
-    ~tag:(Printf.sprintf "stack:%d" tid);
-  private_vma ~start:(Layout.tls_for ~tid) ~len:Layout.tls_slot_size
-    ~tag:(Printf.sprintf "tls:%d" tid);
+  Vma_tree.insert t.vmas.(origin t) stack;
+  Ha.append (ha t) (Log_entry.Vma_set stack);
   Engine.spawn (engine t) ~label:th.thread_name (fun () ->
       Engine.delay (engine t) (cfg t).Core_config.spawn_thread;
       (try f th with

@@ -91,7 +91,7 @@ val stats : t -> Dex_sim.Stats.t
 
 val spawn : t -> ?name:string -> (thread -> unit) -> thread
 (** [pthread_create]: start a thread at the origin, running [f] as a
-    fiber. Allocates the thread's stack and TLS VMAs. *)
+    fiber. Allocates the thread's stack VMA. *)
 
 val join : thread -> unit
 (** Block the calling fiber until the thread's function returns. *)

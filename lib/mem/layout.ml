@@ -14,19 +14,12 @@ let max_threads = 512
 let mmap_base = 0x7000_0000_0000
 let mmap_zone_size = 65536 * mib
 
-let tls_base = 0x7e00_0000_0000
-let tls_slot_size = mib
-
 let stack_base = 0x7f00_0000_0000
 let stack_slot_size = 16 * mib
 let stack_size = 8 * mib
 
 let check_tid tid =
   if tid < 0 || tid >= max_threads then invalid_arg "Layout: bad thread id"
-
-let tls_for ~tid =
-  check_tid tid;
-  tls_base + (tid * tls_slot_size)
 
 let stack_for ~tid =
   check_tid tid;

@@ -1,9 +1,8 @@
 (** Canonical address-space layout for simulated processes.
 
     Mirrors a classic x86-64 layout: text low, then a global-data segment,
-    a large heap reservation, thread-local-storage blocks, and per-thread
-    stacks high in the address space. Sizes are reservations, not resident
-    memory. *)
+    a large heap reservation, and per-thread stacks high in the address
+    space. Sizes are reservations, not resident memory. *)
 
 val text_base : Page.addr
 val text_size : int
@@ -18,11 +17,6 @@ val mmap_base : Page.addr
 val mmap_zone_size : int
 (** Region from which anonymous [mmap] carves fresh VMAs. *)
 
-val tls_base : Page.addr
-val tls_slot_size : int
-(** Per-thread TLS block size; thread [tid]'s block starts at
-    [tls_base + tid * tls_slot_size]. *)
-
 val stack_base : Page.addr
 val stack_slot_size : int
 (** Reservation stride between thread stacks. *)
@@ -31,9 +25,6 @@ val stack_size : int
 (** Usable stack bytes per thread (top of each slot). *)
 
 val max_threads : int
-
-val tls_for : tid:int -> Page.addr
-(** Start of thread [tid]'s TLS block. *)
 
 val stack_for : tid:int -> Page.addr
 (** Lowest address of thread [tid]'s stack area. *)

@@ -25,13 +25,8 @@ val offset_in_page : addr -> int
 val align_up : addr -> addr
 (** Round up to the next page boundary. *)
 
-val align_down : addr -> addr
-
 val is_aligned : addr -> bool
 
 val pages_of_range : addr -> len:int -> vpn * vpn
 (** [pages_of_range addr ~len] is the inclusive [(first, last)] page-number
     span touched by the byte range; [len] must be positive. *)
-
-val count_pages : addr -> len:int -> int
-(** Number of distinct pages touched by the range. *)

@@ -6,7 +6,7 @@ let bits = 9
 let fanout = 1 lsl bits
 let max_key = (1 lsl 36) - 1
 
-(* Prefixes of far-apart regions (text, heap, mmap, TLS, stacks) share
+(* Prefixes of far-apart regions (text, heap, mmap, stacks) share
    their low bits; a multiplicative hash spreads them over the buckets.
    Prefixes are below 2^27, so the product's bits from 30 up depend on
    every bit of the prefix. *)
@@ -81,11 +81,6 @@ let remove t key =
     if Option.is_some cells.(s) then t.length <- t.length - 1;
     cells.(s) <- None
   end
-
-let update t key ~default f =
-  let v = match find t key with Some v -> f v | None -> f (default ()) in
-  set t key v;
-  v
 
 let length t = t.length
 

@@ -24,10 +24,6 @@ val set : 'a t -> int -> 'a -> unit
 
 val remove : 'a t -> int -> unit
 
-val update : 'a t -> int -> default:(unit -> 'a) -> ('a -> 'a) -> 'a
-(** [update t key ~default f] stores and returns [f v] where [v] is the
-    current binding or [default ()]. *)
-
 val length : 'a t -> int
 
 val iter : 'a t -> (int -> 'a -> unit) -> unit

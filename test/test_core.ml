@@ -318,6 +318,31 @@ let test_mprotect_downgrade_broadcast () =
       Process.read main region ~len:4096;
       Process.write main region ~len:8)
 
+(* Only a downgrade is broadcast eagerly: none -> ro grants a right and
+   sends no node op, rw -> ro takes one away and reaches node 1 (whose
+   worker exists once a thread has been there). *)
+let test_mprotect_broadcasts_only_downgrades () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let node_ops () =
+    Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl)) "sent.node_op"
+  in
+  let upgrade = ref (-1) and downgrade = ref (-1) in
+  ignore
+    (Dex.run cl (fun _proc main ->
+         let closed =
+           Process.mmap main ~perm:Dex_mem.Perm.none ~len:4096 ~tag:"closed" ()
+         in
+         let open_ = Process.mmap main ~len:4096 ~tag:"open" () in
+         Process.migrate main 1;
+         Process.migrate main 0;
+         let n0 = node_ops () in
+         Process.mprotect main ~addr:closed ~len:4096 ~perm:Dex_mem.Perm.ro;
+         upgrade := node_ops () - n0;
+         Process.mprotect main ~addr:open_ ~len:4096 ~perm:Dex_mem.Perm.ro;
+         downgrade := node_ops () - n0 - !upgrade));
+  check_int "none -> ro sends no node op" 0 !upgrade;
+  check_int "rw -> ro reaches the other node" 1 !downgrade
+
 (* ------------------------------------------------------------------ *)
 (* Work delegation.                                                    *)
 
@@ -1204,6 +1229,8 @@ let () =
             test_munmap_forgets_rehomed_page;
           Alcotest.test_case "mprotect downgrade" `Quick
             test_mprotect_downgrade_broadcast;
+          Alcotest.test_case "mprotect broadcasts only downgrades" `Quick
+            test_mprotect_broadcasts_only_downgrades;
           Alcotest.test_case "fault-free access allocation" `Quick
             test_fault_free_access_allocation;
         ] );

@@ -111,7 +111,7 @@ let test_radix_far_keys () =
       vpn Layout.heap_base;
       max_key;
       vpn Layout.text_base;
-      vpn Layout.tls_base;
+      vpn 0x7e00_0000_0000;
       vpn Layout.mmap_base;
       vpn Layout.heap_base + 1;
     ]
