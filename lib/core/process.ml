@@ -555,8 +555,9 @@ let mprotect th ~addr ~len ~perm =
        permissive changes propagate lazily via on-demand sync. *)
     let downgrade = ref false in
     Vma_tree.iter tree (fun { Vma.start; len = l; perm = old_perm; _ } ->
-        if start < addr + len && addr < start + l then
-          if Perm.is_downgrade ~old_perm ~new_perm:perm then downgrade := true);
+        if start < addr + len && addr < start + l
+           && Perm.is_downgrade ~old_perm ~new_perm:perm
+        then downgrade := true);
     ignore (Vma_tree.protect_range tree ~start:addr ~len ~perm);
     Ha.append (ha t) (Log_entry.Vma_protect { start = addr; len; perm });
     if !downgrade then begin

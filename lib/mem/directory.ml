@@ -1,7 +1,12 @@
 type state = Exclusive of int | Shared of Node_set.t
 
 type event =
-  | Grant of { requester : int; access : Perm.access; home : int; nodata : bool }
+  | Grant of {
+      requester : int;
+      access : Perm.access;
+      home : int;
+      nodata : bool;
+    }
   | Drop of { node : int; dead : bool }
   | Join of int list
   | Restore of state option
@@ -25,6 +30,8 @@ type outcome =
       next : state option;
     }
 
+let one node = Node_set.add Node_set.empty node
+
 let holds st node =
   match st with
   | Exclusive owner -> owner = node
@@ -39,10 +46,11 @@ let grant st ~requester ~access ~home ~nodata =
     | _, Exclusive owner when owner = requester -> (Nobody, none, false, None)
     | Perm.Read, Exclusive owner ->
         (* The home mediates the transfer, so it keeps a valid copy too. *)
-        let readers = Node_set.of_list [ owner; home; requester ] in
+        let readers = Node_set.add (Node_set.add (one owner) home) requester in
         (Downgrade owner, none, false, Some (Shared readers))
     | Perm.Read, Shared readers ->
-        (Nobody, none, false, Some (Shared (Node_set.add readers requester)))
+        let readers = Node_set.add readers requester in
+        (Nobody, none, false, Some (Shared readers))
     | Perm.Write, Exclusive owner ->
         (Invalidate owner, none, false, Some (Exclusive requester))
     | Perm.Write, Shared readers ->
@@ -53,7 +61,7 @@ let grant st ~requester ~access ~home ~nodata =
   in
   let displaced =
     match reclaim with
-    | Invalidate owner -> Node_set.add none owner
+    | Invalidate owner -> one owner
     | Nobody | Downgrade _ -> revoke
   in
   let ships_data = requester <> home && not (nodata && holds st requester) in

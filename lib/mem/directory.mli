@@ -17,7 +17,12 @@ type state =
   | Shared of Node_set.t  (** read-only copies on these nodes *)
 
 type event =
-  | Grant of { requester : int; access : Perm.access; home : int; nodata : bool }
+  | Grant of {
+      requester : int;
+      access : Perm.access;
+      home : int;
+      nodata : bool;
+    }
       (** [nodata]: a requester holding a valid copy gets no bytes *)
   | Drop of { node : int; dead : bool }
       (** [node] loses its copy. A dead node's page falls back to the
@@ -74,6 +79,7 @@ val is_tracked : t -> Page.vpn -> bool
     mapped at the origin with a plain minor fault, no protocol needed. *)
 
 val has_valid_copy : t -> Page.vpn -> int -> bool
+(** Whether the entry names [node] as its owner or a reader. *)
 
 type holder
 (** Proof of holding one page's lock. *)

@@ -72,16 +72,14 @@ let route a vpn =
 let pinned a vpn = (override a vpn).pinned
 let pin a vpn = set_override a vpn { (override a vpn) with pinned = true }
 
-let restore dir vpn state = ignore (Directory.apply dir vpn (Restore state))
-
 let move a vpn ~from ~node state =
-  restore from vpn None;
+  ignore (Directory.apply from vpn (Restore None));
   let target = if node = home_of a vpn then None else Some node in
   set_override a vpn { (override a vpn) with target };
-  restore (route a vpn).dir vpn (Some state)
+  ignore (Directory.apply (route a vpn).dir vpn (Restore (Some state)))
 
 let forget a vpn =
-  restore (route a vpn).dir vpn None;
+  ignore (Directory.apply (route a vpn).dir vpn (Restore None));
   Hashtbl.remove a.overrides vpn
 
 let rehomed_pages a =

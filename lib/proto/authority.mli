@@ -76,16 +76,17 @@ val move :
   node:int ->
   Dex_mem.Directory.state ->
   unit
-(** Re-home a page: forget its entry in [from], record [state] in the
+(** Re-home a page: untrack its entry in [from], restore [state] in the
     directory serving [node] (the shard's when [node] is the static home),
-    and route the page there. *)
+    both through {!Dex_mem.Directory.apply}, and route the page there. *)
 
 val pin : t -> Dex_mem.Page.vpn -> unit
 val pinned : t -> Dex_mem.Page.vpn -> bool
 
 val forget : t -> Dex_mem.Page.vpn -> unit
-(** Unmap a page: its entry goes from the directory serving it, with its
-    re-home and pin. *)
+(** Unmap a page: its entry is untracked in the directory serving it (at
+    the holder's unlock if a grant holds it), and its re-home and pin
+    go. *)
 
 val rehomed_pages : t -> (Dex_mem.Page.vpn * int) list
 (** Every re-homed page with its target, sorted by page. *)

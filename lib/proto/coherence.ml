@@ -119,7 +119,8 @@ let rehome_fallback t ~node =
         t.ptables;
       (match (!writer, !readers) with
       | Some w, _ -> restore dir vpn (Some (Exclusive w))
-      | None, (_ :: _ as rs) -> restore dir vpn (Some (Shared (Node_set.of_list rs)))
+      | None, (_ :: _ as rs) ->
+          restore dir vpn (Some (Shared (Node_set.of_list rs)))
       | None, [] -> ());
       Stats.incr t.stats "autopilot.fallbacks")
     (Authority.fall_back t.authority ~node)
@@ -449,7 +450,8 @@ let note_shard_grant t ~shard ~home ~requester =
    back instead of letting each one re-fault. One Hashtbl probe on the
    unmarked path. *)
 let note_push_subs t ~vpn nodes =
-  if (not (Node_set.is_empty nodes)) && Hashtbl.mem t.replicate_hint vpn then begin
+  if (not (Node_set.is_empty nodes)) && Hashtbl.mem t.replicate_hint vpn
+  then begin
     let prev = Option.value ~default:[] (Hashtbl.find_opt t.push_subs vpn) in
     Hashtbl.replace t.push_subs vpn
       (List.sort_uniq compare (Node_set.to_list nodes @ prev))
@@ -533,15 +535,19 @@ let grant_locked t ~home ~dir ~lock ~requester ~vpn ~access =
       | Invalidate owner ->
           reclaim_from_owner t ~home ~owner ~vpn ~mode:Messages.Invalidate);
       revoke_parallel t ~home revoke ~vpn;
-      if invalidate_home then revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
+      if invalidate_home then
+        revoke_local t ~home ~vpn ~mode:Messages.Invalidate;
       note_push_subs t ~vpn displaced;
       (match next with
       | Some (Shared readers) when reclaim <> Nobody ->
           (* The reclaim may have escalated a node to a declared crash
              after the plan was made: leave the dead out of the readers. *)
-          let live n = not (Fabric.crash_detected t.fabric ~node:n) in
-          let live = List.filter live (Node_set.to_list readers) in
-          restore ?holder:lock dir vpn (Some (Shared (Node_set.of_list live)))
+          let live = ref readers in
+          for node = 0 to node_count t - 1 do
+            if Fabric.crash_detected t.fabric ~node then
+              live := Node_set.remove !live node
+          done;
+          restore ?holder:lock dir vpn (Some (Shared !live))
       | None -> ()
       | next -> restore ?holder:lock dir vpn next);
       let data =
@@ -1273,17 +1279,17 @@ let promote t ~new_origin ~dir_entries ~page_data =
     (fun (vpn, state) ->
       if holds vpn state then Hashtbl.replace standby_had vpn ())
     dir_entries;
+  (* A dead owner's page stays untracked, implicitly Exclusive new_origin:
+     it re-homes to the promoted standby, whose store holds the replicated
+     data. Same linearizability argument as reclaim_node: whatever the
+     dead home wrote since the last logged snapshot was observed by
+     nobody. *)
   let live n = n <> old && not (Fabric.crash_detected t.fabric ~node:n) in
   List.iter
     (fun (vpn, state) ->
       restore dir vpn
         (match state with
         | Directory.Exclusive owner -> if live owner then Some state else None
-        (* else: the page stays untracked, implicitly Exclusive new_origin
-           — it re-homes to the promoted standby, whose store holds the
-           replicated data. Same linearizability argument as reclaim_node:
-           whatever the dead home wrote since the last logged snapshot was
-           observed by nobody. *)
         | Directory.Shared readers ->
             let live = List.filter live (Node_set.to_list readers) in
             Some (Shared (Node_set.of_list (new_origin :: live)))))
@@ -1364,7 +1370,8 @@ let fence_survivors t =
               List.iter
                 (fun vpn ->
                   Stats.incr t.stats "ha.fence_demoted";
-                  ignore (Directory.apply dir vpn (Drop { node; dead = false })))
+                  ignore
+                    (Directory.apply dir vpn (Drop { node; dead = false })))
                 missing
           | _ -> failwith "Coherence: unexpected fence reply"
           | exception Fabric.Unreachable _ -> crash_escalate t ~src ~target:node)

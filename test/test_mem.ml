@@ -400,9 +400,9 @@ let test_directory_demotion_waits_for_holder () =
     (Directory.apply d 7
        (Grant { requester = 2; access = Perm.Write; home = 0; nodata = true })
     = Refused);
-  ignore (Directory.apply d ~holder:h8 8 (Restore (Some (Shared (Node_set.of_list [ 1; 3 ])))));
-  check_bool "the holder's write lands" true
-    (Directory.state d 8 = Shared (Node_set.of_list [ 1; 3 ]));
+  let both = Directory.Shared (Node_set.of_list [ 1; 3 ]) in
+  ignore (Directory.apply d ~holder:h8 8 (Restore (Some both)));
+  check_bool "the holder's write lands" true (Directory.state d 8 = both);
   Directory.unlock d h7;
   check_bool "demoted owner leaves the page untracked" false
     (Directory.is_tracked d 7);
@@ -411,143 +411,131 @@ let test_directory_demotion_waits_for_holder () =
     (Directory.state d 8 = Shared (Node_set.of_list [ 3 ]));
   check_bool "unlocked" false (Directory.locked d 8)
 
-(* [Directory.step] over every entry state of 2-4 nodes, every lock
-   state and every event with every argument. *)
+(* The oracles for one [Directory.step] case; [pre] is the entry's state,
+   untracked read as [Exclusive origin]. *)
+let check_step ~case ~nodes ~origin entry lock event out =
+  let open Directory in
+  let fail what = Alcotest.fail (what ^ ": " ^ case) in
+  let pre = Option.value entry ~default:(Exclusive origin) in
+  let holds node =
+    match pre with Exclusive o -> o = node | Shared rs -> Node_set.mem rs node
+  in
+  (* A busy entry changes only through its holder or by a dead node's
+     drop; a grant needs the lock. *)
+  (match (lock, event, out) with
+  | Mine, Grant _, Plan _ | (Free | Theirs), Grant _, Refused -> ()
+  | _, Grant _, _ -> fail "grant outcome"
+  | Theirs, Drop { dead = true; _ }, Deferred -> fail "dead drop deferred"
+  | Theirs, Drop { dead = true; _ }, _ | Theirs, _, Deferred -> ()
+  | Theirs, _, _ -> fail "busy entry changed"
+  | _, _, Deferred -> fail "free entry deferred"
+  | _ -> ());
+  (* Shared is never empty. *)
+  (match out with
+  | Set (Some (Shared s)) | Dropped (_, Some (Shared s)) ->
+      if Node_set.is_empty s then fail "empty Shared"
+  | Plan { next = Some (Shared s); _ } ->
+      if Node_set.is_empty s then fail "empty Shared"
+  | _ -> ());
+  (* A drop reports the role the node held; a dead node's page stays
+     tracked. *)
+  (match (event, out) with
+  | Drop { dead = true; _ }, Dropped (_, None) -> fail "dead drop untracked"
+  | Drop { node; _ }, Dropped (Owner, _) ->
+      if entry = None || pre <> Exclusive node then fail "owner"
+  | Drop { node; _ }, Dropped (Reader, _) ->
+      if pre = Exclusive node || not (holds node) then fail "reader"
+  | Drop { node; _ }, Keep -> if entry <> None && holds node then fail "absent"
+  | _ -> ());
+  match (event, out) with
+  | Grant { requester; access; home; _ }, Plan p ->
+      (* A no-data grant goes only to a holder of a valid copy, or to the
+         home. *)
+      if not (p.ships_data || requester = home || holds requester) then
+        fail "no-data grant";
+      (* Single writer: after the actions a writer is alone, and the
+         installed state names every node left holding a copy
+         (0: none, 1: read, 2: write). *)
+      let after node =
+        let copy =
+          if pre = Exclusive node then 2 else if holds node then 1 else 0
+        in
+        let copy =
+          match p.reclaim with
+          | Downgrade o when o = node -> min copy 1
+          | Invalidate o when o = node -> 0
+          | _ -> copy
+        in
+        let revoked =
+          Node_set.mem p.revoke node || (p.invalidate_home && node = home)
+        in
+        let copy = if revoked then 0 else copy in
+        if node <> requester then copy
+        else max copy (if access = Perm.Write then 2 else 1)
+      in
+      let final = Option.value p.next ~default:pre in
+      let holders = List.filter (fun k -> after k > 0) nodes in
+      (match List.filter (fun k -> after k = 2) nodes with
+      | [] -> ()
+      | [ w ] ->
+          if holders <> [ w ] || final <> Exclusive w then fail "writer alone"
+      | _ -> fail "two writers");
+      List.iter
+        (fun k ->
+          match final with
+          | Exclusive o -> if o <> k then fail "holder named"
+          | Shared rs -> if not (Node_set.mem rs k) then fail "holder named")
+        holders
+  | _ -> ()
+
+(* [Directory.step] over every entry state of 2-4 nodes (untracked, every
+   owner, every non-empty reader set), every lock state and every event
+   with every argument, for every origin. *)
 let test_directory_step_exhaustive () =
-  let check = Alcotest.(check bool) in
   for n = 2 to 4 do
     let nodes = List.init n Fun.id in
     let sets =
       List.init ((1 lsl n) - 1) (fun m ->
-          Node_set.of_list (List.filter (fun i -> (m + 1) land (1 lsl i) <> 0) nodes))
+          Node_set.of_list
+            (List.filter (fun i -> (m + 1) land (1 lsl i) <> 0) nodes))
     in
     let states =
-      None
-      :: List.map (fun k -> Some (Directory.Exclusive k)) nodes
+      (None :: List.map (fun k -> Some (Directory.Exclusive k)) nodes)
       @ List.map (fun s -> Some (Directory.Shared s)) sets
+    in
+    let grants node =
+      List.concat_map
+        (fun (home, access, nodata) ->
+          [ Directory.Grant { requester = node; access; home; nodata } ])
+        (List.concat_map
+           (fun home ->
+             List.concat_map
+               (fun access -> [ (home, access, true); (home, access, false) ])
+               [ Perm.Read; Perm.Write ])
+           nodes)
     in
     let events =
       List.concat_map
         (fun node ->
-          [ Directory.Drop { node; dead = true }; Drop { node; dead = false } ]
-          @ List.concat_map
-              (fun home ->
-                List.concat_map
-                  (fun access ->
-                    List.map
-                      (fun nodata ->
-                        Directory.Grant { requester = node; access; home; nodata })
-                      [ true; false ])
-                  [ Perm.Read; Perm.Write ])
-              nodes)
+          Directory.Drop { node; dead = true }
+          :: Drop { node; dead = false }
+          :: grants node)
         nodes
-      @ List.map (fun s -> Directory.Join (Node_set.to_list s)) sets
-      @ [ Directory.Join [] ]
+      @ Directory.Join []
+        :: List.map (fun s -> Directory.Join (Node_set.to_list s)) sets
       @ List.map (fun st -> Directory.Restore st) states
-    in
-    let valid = function
-      | Some (Directory.Shared s) -> not (Node_set.is_empty s)
-      | _ -> true
     in
     List.iter
       (fun origin ->
+        let case = Printf.sprintf "%d nodes, origin %d" n origin in
         List.iter
           (fun entry ->
-            let pre = Option.value entry ~default:(Directory.Exclusive origin) in
-            let holds node =
-              match pre with
-              | Exclusive o -> o = node
-              | Shared rs -> Node_set.mem rs node
-            in
             List.iter
               (fun lock ->
                 List.iter
                   (fun event ->
-                    let out = Directory.step ~origin entry lock event in
-                    let case =
-                      Printf.sprintf "%d nodes, origin %d" n origin
-                    in
-                    (* A busy entry changes only through its holder or by
-                       a dead node's drop; a grant needs the lock. *)
-                    (match (lock, event, out) with
-                    | _, Grant _, (Refused | Plan _) -> ()
-                    | Directory.Theirs, Drop { dead = true; _ }, _ -> ()
-                    | Theirs, _, (Deferred | Refused) -> ()
-                    | Theirs, _, _ -> Alcotest.fail ("busy entry changed: " ^ case)
-                    | _, _, Deferred -> Alcotest.fail ("deferred a free entry: " ^ case)
-                    | _ -> ());
-                    (match (lock, event, out) with
-                    | Mine, Grant _, Plan _ | (Free | Theirs), Grant _, Refused -> ()
-                    | _, Grant _, _ -> Alcotest.fail ("grant outcome: " ^ case)
-                    | _ -> ());
-                    (* Shared is never empty. *)
-                    (match out with
-                    | Set st | Dropped (_, st) | Plan { next = st; _ } ->
-                        check ("shared never empty: " ^ case) true (valid st)
-                    | Refused | Deferred | Keep -> ());
-                    (* A drop reports the role the node held; a dead node's
-                       page stays tracked, a live node's may not. *)
-                    (match (event, out) with
-                    | Drop { node; _ }, Dropped (Owner, _) ->
-                        check "owner" true (pre = Exclusive node && entry <> None)
-                    | Drop { node; _ }, Dropped (Reader, _) ->
-                        check "reader" true (holds node && pre <> Exclusive node)
-                    | Drop { node; _ }, Keep ->
-                        check "absent" true (entry = None || not (holds node))
-                    | _ -> ());
-                    (match (event, out) with
-                    | Drop { dead = true; _ }, Dropped (_, None) ->
-                        Alcotest.fail ("dead drop untracked: " ^ case)
-                    | _ -> ());
-                    match (event, out) with
-                    | Grant { requester; access; home; _ }, Plan p ->
-                        (* A no-data grant goes only to a holder of a
-                           valid copy, or to the home. *)
-                        if not p.ships_data then
-                          check ("no-data grant: " ^ case) true
-                            (requester = home || holds requester);
-                        (* Single writer: after the actions, a writer is
-                           alone, and the installed state names every
-                           node left holding a copy. *)
-                        let after node =
-                          let before =
-                            if pre = Exclusive node then 2
-                            else if holds node then 1
-                            else 0
-                          in
-                          let before =
-                            match p.reclaim with
-                            | Downgrade o when o = node -> min before 1
-                            | Invalidate o when o = node -> 0
-                            | _ -> before
-                          in
-                          let before =
-                            if Node_set.mem p.revoke node
-                               || (p.invalidate_home && node = home)
-                            then 0
-                            else before
-                          in
-                          if node = requester then
-                            max before (if access = Perm.Write then 2 else 1)
-                          else before
-                        in
-                        let final = Option.value p.next ~default:pre in
-                        let writers = List.filter (fun k -> after k = 2) nodes in
-                        let holders = List.filter (fun k -> after k > 0) nodes in
-                        (match writers with
-                        | [] -> ()
-                        | [ w ] ->
-                            check ("writer alone: " ^ case) true
-                              (holders = [ w ] && final = Exclusive w)
-                        | _ -> Alcotest.fail ("two writers: " ^ case));
-                        List.iter
-                          (fun k ->
-                            check ("holder named: " ^ case) true
-                              (match final with
-                              | Exclusive o -> o = k
-                              | Shared rs -> Node_set.mem rs k))
-                          holders
-                    | _ -> ())
+                    check_step ~case ~nodes ~origin entry lock event
+                      (Directory.step ~origin entry lock event))
                   events)
               [ Directory.Free; Mine; Theirs ])
           states)
