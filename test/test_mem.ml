@@ -908,7 +908,7 @@ let () =
           Alcotest.test_case "busy lock" `Quick test_directory_busy_lock;
         ]
         @ qsuite [ prop_directory_invariants ] );
-      ( "ownership_rule",
+      ( "ownership",
         [
           Alcotest.test_case "every state, lock and event" `Quick
             test_directory_step_exhaustive;
