@@ -636,14 +636,8 @@ let crash_bench () =
   let coh = Process.coherence proc in
   Format.printf "  ";
   Dex_profile.Report.pp_crash Format.std_formatter (Dex_proto.Coherence.stats coh);
-  let pget = Dex_sim.Stats.get (Process.stats proc) in
-  Format.printf
-    "  recovery: threads_aborted=%d threads_rehomed=%d futex_cancelled=%d \
-     migrations_refused=%d@."
-    (pget "crash.threads_aborted")
-    (pget "crash.threads_rehomed")
-    (pget "crash.futex_cancelled")
-    (pget "crash.migrations_refused");
+  Format.printf "  ";
+  Dex_profile.Report.pp_recovery Format.std_formatter (Process.stats proc);
   (* The reclaim pass must leave consistent, ghost-free ownership. *)
   Dex_proto.Coherence.check_invariants coh;
   Format.printf

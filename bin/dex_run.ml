@@ -395,14 +395,7 @@ let crash_cmd =
     let coh = P.coherence proc in
     Dex_profile.Report.pp_crash Format.std_formatter
       (Dex_proto.Coherence.stats coh);
-    let pget = Dex_sim.Stats.get (P.stats proc) in
-    Format.printf
-      "recovery: threads_aborted=%d threads_rehomed=%d futex_cancelled=%d \
-       migrations_refused=%d@."
-      (pget "crash.threads_aborted")
-      (pget "crash.threads_rehomed")
-      (pget "crash.futex_cancelled")
-      (pget "crash.migrations_refused");
+    Dex_profile.Report.pp_recovery Format.std_formatter (P.stats proc);
     Dex_proto.Coherence.check_invariants coh;
     Format.printf "post-reclaim invariants: ok (ghost directory entries: %d)@."
       (Dex_proto.Authority.entries_naming

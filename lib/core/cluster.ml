@@ -6,13 +6,22 @@ type registration = {
   on_crash : int -> unit;
 }
 
+(* A node's memory channels. The controller delivers its nominal
+   bandwidth to a single stream; each additional concurrent stream
+   degrades aggregate throughput (bank conflicts, row-buffer misses), so
+   [k] concurrent streamers share [B / (1 + c·(k-1))]. This is the
+   resource behind the paper's super-linear BP result: on one node, 8
+   threads strangle the memory channels; spreading them over nodes
+   multiplies bandwidth and reduces per-node contention. *)
+type channels = { server : Resource.Server.t; mutable streams : int }
+
 type t = {
   engine : Engine.t;
   fabric : Dex_net.Fabric.t;
   config : Core_config.t;
   proto_config : Dex_proto.Proto_config.t;
   cores : Resource.Pool.t array;
-  membw : Membw.t array;
+  mem : channels array;
   storage : Resource.Server.t;
   rng : Rng.t;
   mutable procs : registration Pids.t;
@@ -29,6 +38,8 @@ let create ?(config = Core_config.default) ?net
   in
   if net.Dex_net.Net_config.nodes <> nodes then
     invalid_arg "Cluster.create: node count mismatch with net config";
+  if config.Core_config.mem_contention < 0.0 then
+    invalid_arg "Cluster.create: negative memory contention";
   let engine = Engine.create () in
   let fabric = Dex_net.Fabric.create engine net in
   let t =
@@ -40,11 +51,14 @@ let create ?(config = Core_config.default) ?net
       cores =
         Array.init nodes (fun _ ->
             Resource.Pool.create engine ~capacity:config.Core_config.cores_per_node);
-      membw =
+      mem =
         Array.init nodes (fun _ ->
-            Membw.create engine
-              ~bytes_per_us:config.Core_config.mem_bw_bytes_per_us
-              ~contention:config.Core_config.mem_contention);
+            {
+              server =
+                Resource.Server.create engine
+                  ~bytes_per_us:config.Core_config.mem_bw_bytes_per_us;
+              streams = 0;
+            });
       storage =
         Resource.Server.create engine
           ~bytes_per_us:config.Core_config.storage_bytes_per_us;
@@ -73,7 +87,17 @@ let config t = t.config
 let proto_config t = t.proto_config
 let nodes t = Dex_net.Fabric.node_count t.fabric
 let cores t ~node = t.cores.(node)
-let membw t ~node = t.membw.(node)
+
+let stream_memory t ~node ~bytes =
+  let ch = t.mem.(node) in
+  ch.streams <- ch.streams + 1;
+  let contention = t.config.Core_config.mem_contention in
+  let factor = 1.0 +. (contention *. float_of_int (ch.streams - 1)) in
+  let inflated = int_of_float (Float.round (float_of_int bytes *. factor)) in
+  Fun.protect
+    ~finally:(fun () -> ch.streams <- ch.streams - 1)
+    (fun () -> Resource.Server.transfer ch.server ~bytes:inflated)
+
 let storage t = t.storage
 let rng t = t.rng
 

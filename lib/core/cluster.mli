@@ -1,8 +1,8 @@
 (** A simulated rack of nodes running DeX.
 
     Owns the discrete-event engine, the InfiniBand fabric, and per-node
-    hardware resources (core pools, memory-bandwidth channels). Each
-    process registers once ({!add_process}) under its pid; the cluster
+    hardware resources (core pools, memory channels). Each process
+    registers once ({!add_process}) under its pid; the cluster
     installs one fabric handler per node that hands each incoming message
     to the process its envelope names ({!Dex_net.Msg.t.pid}), and one
     fabric crash handler that runs every process's crash recovery. *)
@@ -30,7 +30,12 @@ val nodes : t -> int
 
 val cores : t -> node:int -> Dex_sim.Resource.Pool.t
 
-val membw : t -> node:int -> Membw.t
+val stream_memory : t -> node:int -> bytes:int -> unit
+(** Block the calling fiber while [bytes] of memory traffic drain through
+    [node]'s memory channels, of bandwidth
+    {!Core_config.t.mem_bw_bytes_per_us}. A stream that starts while
+    [k - 1] others run on the node moves [bytes * (1 + c * (k - 1))],
+    [c] being {!Core_config.t.mem_contention}. *)
 
 val storage : t -> Dex_sim.Resource.Server.t
 (** The shared NAS appliance backing the NFS share every node mounts. *)

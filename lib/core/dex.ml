@@ -1,9 +1,6 @@
 module Cluster = Cluster
-module Config = Core_config
 module Process = Process
 module Sync = Sync
-module Membw = Membw
-module Futex = Futex
 
 let cluster = Cluster.create
 

@@ -20,11 +20,8 @@
     ]} *)
 
 module Cluster = Cluster
-module Config = Core_config
 module Process = Process
 module Sync = Sync
-module Membw = Membw
-module Futex = Futex
 
 val cluster :
   ?config:Core_config.t ->

@@ -4,13 +4,101 @@ module Fabric = Dex_net.Fabric
 module Msg = Dex_net.Msg
 module Coherence = Dex_proto.Coherence
 module Authority = Dex_proto.Authority
-module M = Core_messages
 module Ha = Dex_ha.Ha
 module Log_entry = Dex_ha.Log_entry
 module Replica = Dex_ha.Replica
 
 exception Segfault of { node : int; addr : Page.addr }
 exception Thread_crashed of { pid : int; tid : int }
+
+(* ------------------------------------------------------------------ *)
+(* Wire messages of migration, delegation and VMA sync.                *)
+
+(* The envelope's [Msg.t.pid] names the process; the payloads carry only
+   what their receiver reads. *)
+
+(* A node-wide operation, sent by the origin to each remote worker. *)
+type node_op =
+  | Vma_shrink of { start : Page.addr; len : int }
+      (* unmap a range everywhere *)
+  | Vma_protect of { start : Page.addr; len : int; perm : Perm.t }
+      (* permission downgrade, broadcast eagerly *)
+  | Process_exit  (* tear down the remote worker *)
+
+type Msg.payload +=
+  | Migrate of {
+      tid : int;
+      origin_ns : int;
+          (* origin-side cost already incurred, for the migration log *)
+      resume : unit -> unit;
+          (* continuation restarting the thread at the destination *)
+    }
+      (* → destination: rebuild thread [tid] there (building the remote
+         worker first if the node has none) *)
+  | Migrate_back of {
+      tid : int;
+      remote_ns : int;  (* remote-side capture cost, for the log *)
+      resume : unit -> unit;
+    }  (* remote → origin: refresh the original thread [tid] *)
+  | Delegate of { resp_size : int; run : unit -> unit }
+      (* remote → home: run a stateful kernel operation in the context of
+         the paired original thread, then reply [Delegate_done] with
+         [resp_size] wire bytes. [run] stores the operation's result in
+         the caller's own cell, so the result is an OCaml value and never
+         a wire type. *)
+  | Delegate_done
+  | Vma_query of { addr : Page.addr }
+      (* remote → origin: on-demand VMA lookup *)
+  | Vma_info of Vma.t option
+  | Node_op of node_op  (* origin → remote worker: node-wide operation *)
+  | Node_op_ack
+
+let kind_migrate = "migrate"
+let kind_delegate = "delegate"
+let kind_vma = "vma"
+let kind_node_op = "node_op"
+
+(* ------------------------------------------------------------------ *)
+(* The file table.                                                     *)
+
+(* File descriptors, cursors and file sizes live at the origin; remote
+   threads reach them through work delegation exactly like futexes
+   (§III-A: "stateful OS features such as futexes and file I/O"). Data
+   transfer is charged against the cluster's shared storage appliance.
+   Only sizes are tracked: file contents are not simulated (applications
+   keep real data host-side). *)
+type file = { mutable size : int }
+type open_file = { file : file; mutable cursor : int }
+
+type files = {
+  by_name : (string, file) Hashtbl.t;
+  fds : (int, open_file) Hashtbl.t;
+  mutable next_fd : int;
+}
+
+let create_files () =
+  { by_name = Hashtbl.create 16; fds = Hashtbl.create 16; next_fd = 3 }
+
+(* Open (creating if absent) and return a fresh descriptor with the
+   cursor at 0. *)
+let open_fd files name =
+  let file =
+    match Hashtbl.find_opt files.by_name name with
+    | Some f -> f
+    | None ->
+        let f = { size = 0 } in
+        Hashtbl.add files.by_name name f;
+        f
+  in
+  let fd = files.next_fd in
+  files.next_fd <- fd + 1;
+  Hashtbl.add files.fds fd { file; cursor = 0 };
+  fd
+
+let lookup_fd files fd name =
+  match Hashtbl.find_opt files.fds fd with
+  | Some o -> o
+  | None -> invalid_arg (Printf.sprintf "Process.%s: bad fd %d" name fd)
 
 type worker_state = Absent | Creating of unit Ivar.t | Ready
 
@@ -31,7 +119,7 @@ type t = {
   alloc : Allocator.t;
   vmas : Vma_tree.t array;
   futexes : Futex.t array;  (* per shard: the futex word's home serves it *)
-  vfs : Vfs.t;  (* the file table, at the origin with the other services *)
+  files : files;  (* the file table, at the origin with the other services *)
   mutable next_tid : int;
   mutable threads : thread list;  (* newest first *)
   workers : worker_state array;
@@ -186,13 +274,13 @@ and vma_miss th ~addr ~len ~access ~queried =
     Stats.incr (stats t) "vma.sync";
     match
       origin_rpc t ~src:node ~stat:"ha.vma_syncs_retried" (fun ~dst ->
-          Fabric.call (fabric t) ~src:node ~dst ~pid:t.pid ~kind:M.kind_vma
-            ~size:64 (M.Vma_query { addr }))
+          Fabric.call (fabric t) ~src:node ~dst ~pid:t.pid ~kind:kind_vma
+            ~size:64 (Vma_query { addr }))
     with
-    | M.Vma_info (Some vma) ->
+    | Vma_info (Some vma) ->
         install_vma t.vmas.(node) vma;
         vma_check th ~addr ~len ~access ~queried:true
-    | M.Vma_info None -> fail ()
+    | Vma_info None -> fail ()
     | _ -> failwith "Process: unexpected VMA reply"
   end
 
@@ -231,11 +319,11 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
             let result = ref None in
             match
               Fabric.call (fabric t) ~src:th.location ~dst ~pid:t.pid
-                ~kind:M.kind_delegate ~size:req_size
-                (M.Delegate
+                ~kind:kind_delegate ~size:req_size
+                (Delegate
                    { resp_size; run = (fun () -> result := Some (run ())) })
             with
-            | M.Delegate_done -> Option.get !result
+            | Delegate_done -> Option.get !result
             | _ -> failwith "Process: unexpected delegate reply")
       end)
 
@@ -326,7 +414,7 @@ let compute_membound th ~ns ~bytes =
     (fun () ->
       if ns > 0 then Engine.delay (engine th.proc) ns;
       if bytes > 0 then
-        Membw.stream (Cluster.membw th.proc.cluster ~node:th.location) ~bytes);
+        Cluster.stream_memory th.proc.cluster ~node:th.location ~bytes);
   safepoint th
 
 (* ------------------------------------------------------------------ *)
@@ -400,7 +488,7 @@ let file_open th name =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.open_file t.vfs name
+    open_fd t.files name
   in
   delegate th run
 
@@ -408,7 +496,10 @@ let file_read th ~fd ~bytes =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    let n = Vfs.read t.vfs fd ~bytes in
+    if bytes < 0 then invalid_arg "Process.file_read: negative size";
+    let o = lookup_fd t.files fd "file_read" in
+    let n = max 0 (min bytes (o.file.size - o.cursor)) in
+    o.cursor <- o.cursor + n;
     (* The origin pulls the data from the shared storage appliance. *)
     if n > 0 then Resource.Server.transfer (Cluster.storage t.cluster) ~bytes:n;
     n
@@ -421,7 +512,11 @@ let file_write th ~fd ~bytes =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.write t.vfs fd ~bytes;
+    if bytes < 0 then invalid_arg "Process.file_write: negative size";
+    (* Append-or-overwrite at the cursor, growing the file as needed. *)
+    let o = lookup_fd t.files fd "file_write" in
+    o.cursor <- o.cursor + bytes;
+    if o.cursor > o.file.size then o.file.size <- o.cursor;
     Resource.Server.transfer (Cluster.storage t.cluster) ~bytes
   in
   (* The payload travels WITH the request: charge the forward leg, the
@@ -432,7 +527,8 @@ let file_close th ~fd =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    Vfs.close t.vfs fd
+    ignore (lookup_fd t.files fd "file_close");
+    Hashtbl.remove t.files.fds fd
   in
   delegate th run
 
@@ -443,13 +539,13 @@ let file_close th ~fd =
    fabric handler fiber that delivered it. *)
 let apply_node_op t ~node op =
   match op with
-  | M.Process_exit -> t.workers.(node) <- Absent
-  | M.Vma_shrink { start; len } ->
+  | Process_exit -> t.workers.(node) <- Absent
+  | Vma_shrink { start; len } ->
       Engine.delay (engine t) (cfg t).Core_config.vma_op;
       ignore (Vma_tree.remove_range t.vmas.(node) ~start ~len);
       let first, last = Page.pages_of_range start ~len in
       ignore (Coherence.zap_range t.coh ~first ~last ~node)
-  | M.Vma_protect { start; len; perm } ->
+  | Vma_protect { start; len; perm } ->
       Engine.delay (engine t) (cfg t).Core_config.vma_op;
       ignore (Vma_tree.protect_range t.vmas.(node) ~start ~len ~perm);
       let first, last = Page.pages_of_range start ~len in
@@ -483,9 +579,9 @@ let rec broadcast_node_op t op =
           Engine.spawn (engine t) ~label:"node-op" (fun () ->
               (match
                  Fabric.call (fabric t) ~src ~dst:node ~pid:t.pid
-                   ~kind:M.kind_node_op ~size:96 (M.Node_op op)
+                   ~kind:kind_node_op ~size:96 (Node_op op)
                with
-              | M.Node_op_ack -> ()
+              | Node_op_ack -> ()
               | exception Fabric.Unreachable _
                 when Fabric.crashed (fabric t) ~node ->
                   (* A dead node holds no state worth shrinking: count the
@@ -507,7 +603,7 @@ let rec broadcast_node_op t op =
         | Some _ | None ->
             (* No promotion path: the origin crash is fatal anyway (the
                crash handler refuses it); just unwind this fiber. *)
-            raise (Fabric.Unreachable { src; dst = src; kind = M.kind_node_op })
+            raise (Fabric.Unreachable { src; dst = src; kind = kind_node_op })
 
 (* ------------------------------------------------------------------ *)
 (* VMA-manipulating system calls (origin-side, possibly delegated).     *)
@@ -541,7 +637,7 @@ let munmap th ~addr ~len =
     (* Shrinks are broadcast eagerly (§III-D); the shrink must be durable
        on the standbys before any remote node observes it. *)
     Ha.fence (ha t);
-    broadcast_node_op t (M.Vma_shrink { start = addr; len });
+    broadcast_node_op t (Vma_shrink { start = addr; len });
     Coherence.forget_range t.coh ~first ~last
   in
   delegate th run
@@ -564,7 +660,7 @@ let mprotect th ~addr ~len ~perm =
       let first, last = Page.pages_of_range addr ~len in
       ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
       Ha.fence (ha t);
-      broadcast_node_op t (M.Vma_protect { start = addr; len; perm })
+      broadcast_node_op t (Vma_protect { start = addr; len; perm })
     end
   in
   delegate th run
@@ -582,7 +678,7 @@ let send_and_park th ~src ~dst build =
   let arrived = Ivar.create () in
   let resume () = if Ivar.try_fill arrived () then th.mig_park <- None in
   th.mig_park <- Some (src, dst, resume);
-  Fabric.send (fabric t) ~src ~dst ~pid:t.pid ~kind:M.kind_migrate
+  Fabric.send (fabric t) ~src ~dst ~pid:t.pid ~kind:kind_migrate
     ~size:(cfg t).Core_config.context_size (build resume);
   Ivar.read (engine t) arrived
 
@@ -620,12 +716,12 @@ and migrate_send th target =
       Engine.delay eng c.Core_config.backward_capture;
       let remote_ns = Engine.now eng - t0 in
       send_and_park th ~src ~dst:target (fun resume ->
-          M.Migrate_back { tid = th.tid; remote_ns; resume });
+          Migrate_back { tid = th.tid; remote_ns; resume });
       (* Woken by crash recovery rather than the origin handler: the
          source node (and the context captured on it) died mid-flight.
          Surface it as the fabric would so {!guard} applies the policy. *)
       if th.location = src && Fabric.crashed (fabric t) ~node:src then
-        raise (Fabric.Unreachable { src; dst = target; kind = M.kind_migrate })
+        raise (Fabric.Unreachable { src; dst = target; kind = kind_migrate })
     end
     else begin
       (* Forward migration. *)
@@ -637,7 +733,7 @@ and migrate_send th target =
         + if first then c.Core_config.first_session_setup else 0);
       let origin_ns = Engine.now eng - t0 in
       send_and_park th ~src ~dst:target (fun resume ->
-          M.Migrate { tid = th.tid; origin_ns; resume });
+          Migrate { tid = th.tid; origin_ns; resume });
       (* The destination died while the context was in flight (or while
          it was rebuilding the thread): the migration failed, the thread
          never left. *)
@@ -848,13 +944,13 @@ let router t (env : Fabric.env) =
   else
     let msg = env.Fabric.msg in
     match msg.Msg.payload with
-    | M.Migrate { tid; origin_ns; resume } ->
+    | Migrate { tid; origin_ns; resume } ->
         handle_migrate t ~node:msg.Msg.dst ~tid ~origin_ns resume;
         true
-    | M.Migrate_back { tid; remote_ns; resume } ->
+    | Migrate_back { tid; remote_ns; resume } ->
         handle_migrate_back t ~node:msg.Msg.dst ~tid ~remote_ns resume;
         true
-    | M.Delegate { resp_size; run } ->
+    | Delegate { resp_size; run } ->
         Engine.delay (engine t) (cfg t).Core_config.delegation_dispatch;
         run ();
         (* Replicate-before-externalize: whatever the syscall mutated
@@ -862,19 +958,19 @@ let router t (env : Fabric.env) =
            the reply publishes the effect to another node. Only the
            origin's state is replicated. *)
         if msg.Msg.dst = origin t then Ha.fence (ha t);
-        env.Fabric.respond ~size:resp_size M.Delegate_done;
+        env.Fabric.respond ~size:resp_size Delegate_done;
         true
-    | M.Vma_query { addr } ->
+    | Vma_query { addr } ->
         Engine.delay (engine t) (cfg t).Core_config.vma_op;
-        let r = M.Vma_info (Vma_tree.find t.vmas.(origin t) addr) in
+        let r = Vma_info (Vma_tree.find t.vmas.(origin t) addr) in
         Ha.fence (ha t);
         env.Fabric.respond r;
         true
-    | M.Node_op op ->
+    | Node_op op ->
         let node = msg.Msg.dst in
         (* Without a worker the node holds no state for this process. *)
         if t.workers.(node) = Ready then apply_node_op t ~node op;
-        env.Fabric.respond M.Node_op_ack;
+        env.Fabric.respond Node_op_ack;
         true
     | _ -> false
 
@@ -898,7 +994,7 @@ let create cluster ?(origin = 0) () =
       vmas = Array.init (Cluster.nodes cluster) (fun _ -> Vma_tree.create ());
       futexes =
         Array.init nshards (fun _ -> Futex.create (Cluster.engine cluster));
-      vfs = Vfs.create ();
+      files = create_files ();
       next_tid = 0;
       threads = [];
       workers = Array.make (Cluster.nodes cluster) Absent;
@@ -1029,7 +1125,7 @@ let shutdown t =
   (* Periodic fibers (the autopilot tick) notice on their next wake and
      exit, so the simulation still quiesces. *)
   t.stopping <- true;
-  broadcast_node_op t M.Process_exit;
+  broadcast_node_op t Process_exit;
   (* Every thread is joined and every remote worker has acked teardown
      (in chaos mode a send only returns once acked, and duplicate copies
      are filtered at the fabric's dedup layer before routing), so no

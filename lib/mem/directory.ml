@@ -32,17 +32,18 @@ type outcome =
 
 let one node = Node_set.add Node_set.empty node
 
-let holds st node =
+let access st node =
   match st with
-  | Exclusive owner -> owner = node
-  | Shared readers -> Node_set.mem readers node
+  | Exclusive owner when owner = node -> Some Perm.Write
+  | Shared readers when Node_set.mem readers node -> Some Perm.Read
+  | Exclusive _ | Shared _ -> None
 
 (* §III-B: many readers or one writer. A reader joins the Shared set; a
    writer's grant takes every other copy back first. *)
-let grant st ~requester ~access ~home ~nodata =
+let grant st ~requester ~access:want ~home ~nodata =
   let none = Node_set.empty in
   let reclaim, revoke, invalidate_home, next =
-    match (access, st) with
+    match (want, st) with
     | _, Exclusive owner when owner = requester -> (Nobody, none, false, None)
     | Perm.Read, Exclusive owner ->
         (* The home mediates the transfer, so it keeps a valid copy too. *)
@@ -64,7 +65,9 @@ let grant st ~requester ~access ~home ~nodata =
     | Invalidate owner -> one owner
     | Nobody | Downgrade _ -> revoke
   in
-  let ships_data = requester <> home && not (nodata && holds st requester) in
+  let ships_data =
+    requester <> home && not (nodata && Option.is_some (access st requester))
+  in
   Plan { reclaim; revoke; invalidate_home; displaced; ships_data; next }
 
 (* A dead node's page falls back to the origin's copy and stays tracked; a
@@ -140,7 +143,7 @@ let state t p =
   | None -> Exclusive t.origin
 
 let is_tracked t p = Radix_tree.mem t.pages p
-let has_valid_copy t p node = holds (state t p) node
+let has_valid_copy t p node = Option.is_some (access (state t p) node)
 
 let write t p next =
   (match next with

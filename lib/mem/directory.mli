@@ -31,6 +31,10 @@ type event =
   | Join of int list  (** readers join a [Shared] entry *)
   | Restore of state option  (** a whole state; [None] untracks the page *)
 
+val access : state -> int -> Perm.access option
+(** What [state] lets [node] map: [Write] for the owner, [Read] for a
+    reader, [None] for anyone else. *)
+
 type lock = Free | Mine | Theirs  (** as the caller sees the busy flag *)
 
 (** How a grant takes the page back from its exclusive owner. *)

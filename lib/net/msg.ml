@@ -1,5 +1,4 @@
 type payload = ..
-type payload += Ping of int | Pong of int
 
 type t = {
   src : int;

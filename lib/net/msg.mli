@@ -7,8 +7,6 @@
 type payload = ..
 (** Open sum of message bodies; each layer adds its own constructors. *)
 
-type payload += Ping of int | Pong of int  (** used by tests and examples *)
-
 (** One message on the fabric: routing header plus opaque payload. *)
 type t = {
   src : int;  (** sending node *)

@@ -48,6 +48,18 @@ let pp_crash fmt stats =
       (get "crash.escalations")
       (get "crash.grants_refused")
 
+(* What a crash did to the process's threads: the thread crash policy's
+   verdicts, the futex waits it cancelled and the migrations it refused. *)
+let pp_recovery fmt stats =
+  let get = Dex_sim.Stats.get stats in
+  Format.fprintf fmt
+    "recovery: threads_aborted=%d threads_rehomed=%d futex_cancelled=%d \
+     migrations_refused=%d@."
+    (get "crash.threads_aborted")
+    (get "crash.threads_rehomed")
+    (get "crash.futex_cancelled")
+    (get "crash.migrations_refused")
+
 (* Placement-autopilot digest from the protocol's counters: what the
    profiling loop observed and did. Silent unless an autopilot ticked. *)
 let pp_autopilot fmt stats =

@@ -20,6 +20,11 @@ val pp_crash : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Just the crash-recovery digest from the protocol's [crash.*] counters
     ({!Dex_proto.Coherence.stats}); prints nothing when no node crashed. *)
 
+val pp_recovery : Format.formatter -> Dex_sim.Stats.t -> unit
+(** The thread side of crash recovery from the process's [crash.*]
+    counters ({!Dex_proto.Coherence.stats}): threads aborted and re-homed,
+    futex waits cancelled, migrations refused. Always prints its line. *)
+
 val pp_autopilot : Format.formatter -> Dex_sim.Stats.t -> unit
 (** Placement-autopilot digest from the protocol's [autopilot.*] counters
     ({!Dex_proto.Coherence.stats}): profiling ticks, thread co-locations,

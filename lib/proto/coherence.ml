@@ -1269,9 +1269,7 @@ let promote t ~new_origin ~dir_entries ~page_data =
      the home, so the entry may describe a copy whose bytes died in
      flight. Only a valid local PTE proves the bytes arrived. *)
   let holds vpn state =
-    (match state with
-    | Directory.Exclusive owner -> owner = new_origin
-    | Directory.Shared readers -> Node_set.mem readers new_origin)
+    Option.is_some (Directory.access state new_origin)
     && Page_table.allows t.ptables.(new_origin) vpn Perm.Read
   in
   let standby_had = Hashtbl.create 64 in
@@ -1336,15 +1334,12 @@ let fence_survivors t =
   let dir = Authority.directory t.authority ~shard:0 in
   let keeps = Array.make n [] in
   Directory.iter dir (fun vpn state ->
-      match state with
-      | Directory.Exclusive owner ->
-          if owner <> home then
-            keeps.(owner) <- (vpn, Perm.Write) :: keeps.(owner)
-      | Directory.Shared readers ->
-          List.iter
-            (fun r ->
-              if r <> home then keeps.(r) <- (vpn, Perm.Read) :: keeps.(r))
-            (Node_set.to_list readers));
+      for node = 0 to n - 1 do
+        match Directory.access state node with
+        | Some access when node <> home ->
+            keeps.(node) <- (vpn, access) :: keeps.(node)
+        | Some _ | None -> ()
+      done);
   let jobs = ref [] in
   let src = home in
   for node = n - 1 downto 0 do
@@ -1411,11 +1406,10 @@ let fence_survivors t =
 let check_entry_invariants t vpn state =
   Array.iteri
     (fun node pt ->
-      match (Page_table.get pt vpn, state) with
-      | None, _ -> ()
-      | Some _, Directory.Exclusive owner when owner = node -> ()
-      | Some Perm.Read, Directory.Shared rs when Node_set.mem rs node -> ()
-      | Some access, _ ->
+      match (Page_table.get pt vpn, Directory.access state node) with
+      | None, _ | Some Perm.Read, Some _ | Some Perm.Write, Some Perm.Write ->
+          ()
+      | Some access, (Some Perm.Read | None) ->
           failwith
             (Printf.sprintf
                "Coherence: node %d has a %s PTE on page %d, recorded as %s"

@@ -617,14 +617,45 @@ let test_file_write_remote_bills_request () =
          in
          Process.join th))
 
+(* A descriptor never opened, and one already closed. *)
 let test_file_bad_fd () =
+  List.iter
+    (fun (case, body) ->
+      let cl = Dex.cluster ~nodes:1 () in
+      match Dex.run cl (fun _proc main -> body main) with
+      | _ -> Alcotest.fail ("expected failure: " ^ case)
+      | exception Engine.Fiber_failure (_, Invalid_argument _) -> ())
+    [
+      ( "never opened",
+        fun main -> ignore (Process.file_read main ~fd:99 ~bytes:10) );
+      ( "closed",
+        fun main ->
+          let fd = Process.file_open main "gone.dat" in
+          Process.file_write main ~fd ~bytes:10;
+          Process.file_close main ~fd;
+          ignore (Process.file_read main ~fd ~bytes:10) );
+    ]
+
+(* Each descriptor has its own cursor, also on a file another one has
+   open; a write through one grows the file the other reads. *)
+let test_file_fds_keep_own_cursors () =
   let cl = Dex.cluster ~nodes:1 () in
-  match
-    Dex.run cl (fun _proc main ->
-        ignore (Process.file_read main ~fd:99 ~bytes:10))
-  with
-  | _ -> Alcotest.fail "expected failure"
-  | exception Engine.Fiber_failure (_, Invalid_argument _) -> ()
+  ignore
+    (Dex.run cl (fun _proc main ->
+         let a = Process.file_open main "shared.dat" in
+         let b = Process.file_open main "shared.dat" in
+         check_bool "fresh descriptors" true (a <> b);
+         Process.file_write main ~fd:a ~bytes:100;
+         check_int "b reads from its own cursor" 60
+           (Process.file_read main ~fd:b ~bytes:60);
+         check_int "a is at the end" 0 (Process.file_read main ~fd:a ~bytes:10);
+         check_int "b reads the rest" 40
+           (Process.file_read main ~fd:b ~bytes:100);
+         Process.file_write main ~fd:b ~bytes:20;
+         check_int "a sees b's growth" 20
+           (Process.file_read main ~fd:a ~bytes:100);
+         Process.file_close main ~fd:a;
+         Process.file_close main ~fd:b))
 
 (* ------------------------------------------------------------------ *)
 (* Protocol ablation flags keep results correct.                       *)
@@ -1279,6 +1310,8 @@ let () =
           Alcotest.test_case "remote write bills the request leg" `Quick
             test_file_write_remote_bills_request;
           Alcotest.test_case "bad fd" `Quick test_file_bad_fd;
+          Alcotest.test_case "descriptors keep their own cursors" `Quick
+            test_file_fds_keep_own_cursors;
         ] );
       ( "ablation",
         [

@@ -474,6 +474,10 @@ let check_step ~case ~nodes ~origin entry lock event out =
         else max copy (if access = Perm.Write then 2 else 1)
       in
       let final = Option.value p.next ~default:pre in
+      (* The installed entry lets the requester map what it asked for. *)
+      (match (access, Directory.access final requester) with
+      | _, Some Perm.Write | Perm.Read, Some Perm.Read -> ()
+      | _ -> fail "requester's access");
       let holders = List.filter (fun k -> after k > 0) nodes in
       (match List.filter (fun k -> after k = 2) nodes with
       | [] -> ()
@@ -488,21 +492,25 @@ let check_step ~case ~nodes ~origin entry lock event out =
         holders
   | _ -> ()
 
-(* [Directory.step] over every entry state of 2-4 nodes (untracked, every
-   owner, every non-empty reader set), every lock state and every event
-   with every argument, for every origin. *)
+(* Every non-empty reader set of [nodes], and every entry state: untracked,
+   every owner, every reader set. *)
+let entry_states nodes =
+  let n = List.length nodes in
+  let sets =
+    List.init ((1 lsl n) - 1) (fun m ->
+        Node_set.of_list
+          (List.filter (fun i -> (m + 1) land (1 lsl i) <> 0) nodes))
+  in
+  ( sets,
+    (None :: List.map (fun k -> Some (Directory.Exclusive k)) nodes)
+    @ List.map (fun s -> Some (Directory.Shared s)) sets )
+
+(* [Directory.step] over every entry state of 2-4 nodes, every lock state
+   and every event with every argument, for every origin. *)
 let test_directory_step_exhaustive () =
   for n = 2 to 4 do
     let nodes = List.init n Fun.id in
-    let sets =
-      List.init ((1 lsl n) - 1) (fun m ->
-          Node_set.of_list
-            (List.filter (fun i -> (m + 1) land (1 lsl i) <> 0) nodes))
-    in
-    let states =
-      (None :: List.map (fun k -> Some (Directory.Exclusive k)) nodes)
-      @ List.map (fun s -> Some (Directory.Shared s)) sets
-    in
+    let sets, states = entry_states nodes in
     let grants node =
       List.concat_map
         (fun (home, access, nodata) ->
@@ -556,6 +564,40 @@ let test_node_set () =
   Alcotest.check_raises "out of range"
     (Invalid_argument "Node_set: node id out of range") (fun () ->
       ignore (Node_set.add Node_set.empty 63))
+
+(* [Directory.access] over every entry state of 2-4 nodes and every node,
+   for every origin: [Write] for the owner, [Read] for a reader, nothing
+   for anyone else, and a copy exactly where [has_valid_copy] finds one. *)
+let test_directory_access_exhaustive () =
+  for n = 2 to 4 do
+    let nodes = List.init n Fun.id in
+    let _, states = entry_states nodes in
+    List.iter
+      (fun origin ->
+        List.iter
+          (fun entry ->
+            let d = Directory.create ~origin in
+            ignore (Directory.apply d 1 (Restore entry));
+            let pre = Directory.state d 1 in
+            List.iter
+              (fun node ->
+                let case =
+                  Printf.sprintf "%d nodes, origin %d, node %d" n origin node
+                in
+                let expected =
+                  match pre with
+                  | Exclusive o when o = node -> Some Perm.Write
+                  | Shared rs when Node_set.mem rs node -> Some Perm.Read
+                  | Exclusive _ | Shared _ -> None
+                in
+                let got = Directory.access pre node in
+                check_bool ("access: " ^ case) true (got = expected);
+                check_bool ("has_valid_copy: " ^ case) (Option.is_some got)
+                  (Directory.has_valid_copy d 1 node))
+              nodes)
+          states)
+      nodes
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Page store *)
@@ -912,6 +954,8 @@ let () =
         [
           Alcotest.test_case "every state, lock and event" `Quick
             test_directory_step_exhaustive;
+          Alcotest.test_case "access over every state and node" `Quick
+            test_directory_access_exhaustive;
           Alcotest.test_case "fence demotion waits for the holder" `Quick
             test_directory_demotion_waits_for_holder;
         ] );

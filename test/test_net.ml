@@ -4,6 +4,9 @@
 open Dex_sim
 open Dex_net
 
+(* The payloads these tests send: a number out, the same number back. *)
+type Msg.payload += Ping of int | Pong of int
+
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
@@ -20,7 +23,7 @@ let small_cfg ?(nodes = 2) ?send_pool_slots ?sink_slots () =
 
 let echo_handler _fabric (env : Fabric.env) =
   match env.Fabric.msg.Msg.payload with
-  | Msg.Ping n -> env.Fabric.respond (Msg.Pong n)
+  | Ping n -> env.Fabric.respond (Pong n)
   | _ -> Alcotest.fail "unexpected payload"
 
 let test_rpc_roundtrip () =
@@ -31,9 +34,9 @@ let test_rpc_roundtrip () =
   let elapsed = ref 0 in
   Engine.spawn e (fun () ->
       let t0 = Engine.now e in
-      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 7)
+      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 7)
        with
-      | Msg.Pong n -> result := n
+      | Pong n -> result := n
       | _ -> Alcotest.fail "bad reply");
       elapsed := Engine.now e - t0);
   Engine.run_until_quiescent e;
@@ -51,9 +54,9 @@ let test_rpc_concurrent_interleaved () =
   for i = 1 to 10 do
     Engine.spawn e (fun () ->
         match
-          Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping i)
+          Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping i)
         with
-        | Msg.Pong n -> replies := n :: !replies
+        | Pong n -> replies := n :: !replies
         | _ -> Alcotest.fail "bad reply")
   done;
   Engine.run_until_quiescent e;
@@ -68,7 +71,7 @@ let test_loopback () =
   let elapsed = ref 0 in
   Engine.spawn e (fun () ->
       let t0 = Engine.now e in
-      ignore (Fabric.call fabric ~src:0 ~dst:0 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1));
+      ignore (Fabric.call fabric ~src:0 ~dst:0 ~pid:0 ~kind:"ping" ~size:64 (Ping 1));
       elapsed := Engine.now e - t0);
   Engine.run_until_quiescent e;
   check_bool "loopback much faster than network" true (!elapsed < Time_ns.us 1);
@@ -80,8 +83,8 @@ let test_path_selection () =
   let received = ref 0 in
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr received);
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0);
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Ping 0);
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Ping 0));
   Engine.run_until_quiescent e;
   let st = Fabric.stats fabric in
   check_int "both delivered" 2 !received;
@@ -99,7 +102,7 @@ let test_rdma_slower_than_verb_for_page () =
   let arrival = ref 0 in
   Fabric.set_handler fabric ~node:1 (fun _ _ -> arrival := Engine.now e);
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Ping 0));
   Engine.run_until_quiescent e;
   check_bool "page transfer ~10us" true
     (!arrival > Time_ns.us 8 && !arrival < Time_ns.us 14)
@@ -112,15 +115,15 @@ let test_zero_size_messages () =
   let fabric = Fabric.create e (small_cfg ()) in
   Fabric.set_handler fabric ~node:1 (fun _ env ->
       if env.Fabric.msg.Msg.kind = "ping" then
-        env.Fabric.respond ~size:0 (Msg.Pong 9));
+        env.Fabric.respond ~size:0 (Pong 9));
   let got = ref (-1) in
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ack" ~size:0 (Msg.Ping 0);
-      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:0 (Msg.Ping 9)
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ack" ~size:0 (Ping 0);
+      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:0 (Ping 9)
        with
-      | Msg.Pong n -> got := n
+      | Pong n -> got := n
       | _ -> Alcotest.fail "bad reply");
-      match Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"bad" ~size:(-1) (Msg.Ping 0)
+      match Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"bad" ~size:(-1) (Ping 0)
       with
       | () -> Alcotest.fail "negative size must be rejected"
       | exception Invalid_argument _ -> ());
@@ -141,9 +144,9 @@ let test_per_path_accounting () =
   Fabric.set_handler fabric ~node:0 (fun _ _ -> ());
   Fabric.set_handler fabric ~node:1 (fun _ _ -> ());
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0);
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:8192 (Msg.Ping 0);
-      Fabric.send fabric ~src:0 ~dst:0 ~pid:0 ~kind:"self" ~size:64 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Ping 0);
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:8192 (Ping 0);
+      Fabric.send fabric ~src:0 ~dst:0 ~pid:0 ~kind:"self" ~size:64 (Ping 0));
   Engine.run_until_quiescent e;
   let st = Fabric.stats fabric in
   check_int "one verb message" 1 (Stats.get st "path.verb");
@@ -166,7 +169,7 @@ let test_counters_survive_reset () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> ());
   let send size =
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size (Msg.Ping 0));
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size (Ping 0));
     Engine.run_until_quiescent e
   in
   send 64;
@@ -187,7 +190,7 @@ let test_send_pool_backpressure () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr received);
   for _ = 1 to 8 do
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:1024 (Msg.Ping 0))
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:1024 (Ping 0))
   done;
   Engine.run_until_quiescent e;
   check_int "all delivered despite exhaustion" 8 !received;
@@ -200,7 +203,7 @@ let test_sink_backpressure () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr received);
   for _ = 1 to 4 do
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Msg.Ping 0))
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"page" ~size:4096 (Ping 0))
   done;
   Engine.run_until_quiescent e;
   check_int "all delivered despite sink pressure" 4 !received;
@@ -212,11 +215,11 @@ let test_link_fifo_ordering () =
   let log = ref [] in
   Fabric.set_handler fabric ~node:1 (fun _ env ->
       match env.Fabric.msg.Msg.payload with
-      | Msg.Ping n -> log := n :: !log
+      | Ping n -> log := n :: !log
       | _ -> ());
   Engine.spawn e (fun () ->
       for i = 1 to 5 do
-        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping i)
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Ping i)
       done);
   Engine.run_until_quiescent e;
   Alcotest.(check (list int)) "in-order delivery" [ 1; 2; 3; 4; 5 ]
@@ -226,7 +229,7 @@ let test_no_handler_error () =
   let e = Engine.create () in
   let fabric = Fabric.create e (small_cfg ()) in
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Ping 0));
   (match Engine.run_until_quiescent e with
   | () -> Alcotest.fail "expected failure"
   | exception Engine.Fiber_failure (_, Invalid_argument _) -> ()
@@ -236,7 +239,7 @@ let test_bad_node_rejected () =
   let e = Engine.create () in
   let fabric = Fabric.create e (small_cfg ()) in
   Engine.spawn e (fun () ->
-      match Fabric.send fabric ~src:0 ~dst:5 ~pid:0 ~kind:"x" ~size:1 (Msg.Ping 0) with
+      match Fabric.send fabric ~src:0 ~dst:5 ~pid:0 ~kind:"x" ~size:1 (Ping 0) with
       | () -> Alcotest.fail "expected rejection"
       | exception Invalid_argument _ -> ());
   Engine.run_until_quiescent e
@@ -245,12 +248,12 @@ let test_respond_twice_rejected () =
   let e = Engine.create () in
   let fabric = Fabric.create e (small_cfg ()) in
   Fabric.set_handler fabric ~node:1 (fun _ env ->
-      env.Fabric.respond (Msg.Pong 1);
-      match env.Fabric.respond (Msg.Pong 2) with
+      env.Fabric.respond (Pong 1);
+      match env.Fabric.respond (Pong 2) with
       | () -> Alcotest.fail "second respond should raise"
       | exception Invalid_argument _ -> ());
   Engine.spawn e (fun () ->
-      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1)));
+      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 1)));
   Engine.run_until_quiescent e
 
 let test_respond_on_oneway_rejected () =
@@ -258,12 +261,12 @@ let test_respond_on_oneway_rejected () =
   let fabric = Fabric.create e (small_cfg ()) in
   let checked = ref false in
   Fabric.set_handler fabric ~node:1 (fun _ env ->
-      (match env.Fabric.respond (Msg.Pong 0) with
+      (match env.Fabric.respond (Pong 0) with
       | () -> Alcotest.fail "respond on one-way should raise"
       | exception Invalid_argument _ -> ());
       checked := true);
   Engine.spawn e (fun () ->
-      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0));
+      Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Ping 0));
   Engine.run_until_quiescent e;
   check_bool "handler ran" true !checked
 
@@ -277,7 +280,7 @@ let test_bandwidth_contention () =
     for _ = 1 to n do
       Engine.spawn e (fun () ->
           Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"bulk" ~size:1_000_000
-            (Msg.Ping 0))
+            (Ping 0))
     done;
     Engine.run_until_quiescent e;
     Engine.now e
@@ -354,7 +357,7 @@ let test_chaos_off_is_pristine () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   check_bool "reliable layer off" false (Fabric.reliable fabric);
   Engine.spawn e (fun () ->
-      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1)));
+      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 1)));
   Engine.run_until_quiescent e;
   check_int "no chaos counters" 0
     (chaos_stat fabric "chaos.drops" + chaos_stat fabric "chaos.retransmits")
@@ -368,8 +371,8 @@ let test_chaos_rpc_survives_drops () =
   let got = ref [] in
   Engine.spawn e (fun () ->
       for i = 1 to 25 do
-        match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping i) with
-        | Msg.Pong n -> got := n :: !got
+        match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping i) with
+        | Pong n -> got := n :: !got
         | _ -> Alcotest.fail "bad reply"
       done);
   Engine.run_until_quiescent e;
@@ -390,7 +393,7 @@ let test_chaos_exactly_once_under_dup () =
   Fabric.set_handler fabric ~node:1 (fun _ _ -> incr delivered);
   Engine.spawn e (fun () ->
       for _ = 1 to 30 do
-        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping 0)
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Ping 0)
       done);
   Engine.run_until_quiescent e;
   check_int "each logical send dispatched exactly once" 30 !delivered;
@@ -411,8 +414,8 @@ let test_chaos_partition_heals () =
   Fabric.set_handler fabric ~node:1 echo_handler;
   let done_at = ref 0 in
   Engine.spawn e (fun () ->
-      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 9) with
-      | Msg.Pong 9 -> ()
+      (match Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 9) with
+      | Pong 9 -> ()
       | _ -> Alcotest.fail "bad reply");
       done_at := Engine.now e);
   Engine.run_until_quiescent e;
@@ -434,7 +437,7 @@ let test_chaos_unreachable () =
   in
   Fabric.set_handler fabric ~node:1 echo_handler;
   Engine.spawn e (fun () ->
-      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 0)));
+      ignore (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 0)));
   (match Engine.run_until_quiescent e with
   | () -> Alcotest.fail "expected Unreachable"
   | exception Engine.Fiber_failure (_, Fabric.Unreachable { src = 0; dst = 1; _ })
@@ -449,11 +452,11 @@ let test_chaos_reordering () =
   let log = ref [] in
   Fabric.set_handler fabric ~node:1 (fun _ env ->
       match env.Fabric.msg.Msg.payload with
-      | Msg.Ping n -> log := n :: !log
+      | Ping n -> log := n :: !log
       | _ -> ());
   for i = 1 to 10 do
     Engine.spawn e (fun () ->
-        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Msg.Ping i))
+        Fabric.send fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ctl" ~size:64 (Ping i))
   done;
   Engine.run_until_quiescent e;
   let log = List.rev !log in
@@ -508,7 +511,7 @@ let test_chaos_tables_pruned () =
   for i = 1 to 50 do
     Engine.spawn e (fun () ->
         ignore
-          (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping i)))
+          (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping i)))
   done;
   Engine.run_until_quiescent e;
   (* A dropped reply-ack can leave its entry stranded; the next message's
@@ -516,7 +519,7 @@ let test_chaos_tables_pruned () =
      round trip drains the tail of the chaotic burst. *)
   Engine.spawn e (fun () ->
       ignore
-        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 0)));
+        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 0)));
   Engine.run_until_quiescent e;
   let seen, pending = Fabric.rel_table_sizes fabric in
   check_int "no pending transactions" 0 pending;
@@ -538,13 +541,13 @@ let test_crash_blackhole_and_detection () =
   Fabric.set_crash_handler fabric (fun node -> declared := node :: !declared);
   Engine.spawn e (fun () ->
       ignore
-        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 1));
+        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 1));
       Fabric.crash fabric ~node:1;
       check_bool "dead immediately" true (Fabric.crashed fabric ~node:1);
       check_bool "not yet detected" false (Fabric.crash_detected fabric ~node:1);
       (* Talking to the dead node exhausts the retry budget. *)
       match
-        Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 2)
+        Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 2)
       with
       | _ -> Alcotest.fail "expected Unreachable"
       | exception Fabric.Unreachable { dst = 1; _ } ->
@@ -575,7 +578,7 @@ let test_crash_scheduled_and_keepalive () =
       if node = 2 then declared_at := Engine.now e);
   Engine.spawn e (fun () ->
       ignore
-        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Msg.Ping 7)));
+        (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64 (Ping 7)));
   Engine.run_until_quiescent e;
   check_bool "dead at the scheduled time" true (Fabric.crashed fabric ~node:2);
   check_bool "keepalive declared the silent death" true
@@ -606,7 +609,7 @@ let words_per_call cfg =
   let call () =
     ignore
       (Fabric.call fabric ~src:0 ~dst:1 ~pid:0 ~kind:"ping" ~size:64
-         (Msg.Ping 1))
+         (Ping 1))
   in
   let calls = 1_000 and words = ref 0. in
   Engine.spawn e (fun () ->
