@@ -67,7 +67,6 @@ let fig2 () =
   List.iter
     (fun e ->
       let name = e.Dex_apps.Apps.name in
-      let t0 = Unix.gettimeofday () in
       let base = e.Dex_apps.Apps.run ~nodes:1 ~variant:A.Baseline () in
       Format.printf "@.%s — %s (baseline %.2f ms simulated)@." name
         e.Dex_apps.Apps.descr
@@ -91,8 +90,7 @@ let fig2 () =
           Format.printf "         opt  %s@." (bar so))
         node_counts;
       if !best > 1.05 then incr winners;
-      Format.printf "  best speedup %.2fx   [%.0fs host]@." !best
-        (Unix.gettimeofday () -. t0))
+      Format.printf "  best speedup %.2fx@." !best)
     Dex_apps.Apps.all;
   Format.printf
     "@.%d of 8 applications scaled beyond the single machine (paper: 6 of \

@@ -51,7 +51,6 @@ let run_app ~name ~nodes ~variant ?config ?proto ?(threads_per_node = 8)
   if nodes <= 0 then invalid_arg "run_app: nodes";
   let cl = Dex.cluster ?config ?proto ~nodes ~seed () in
   let checksum = ref 0L in
-  let ctx_out = ref None in
   let proc =
     Dex.run cl (fun proc main ->
         let core = Cluster.config cl in
@@ -71,7 +70,6 @@ let run_app ~name ~nodes ~variant ?config ?proto ?(threads_per_node = 8)
             nodemap = Fun.id;
           }
         in
-        ctx_out := Some ctx;
         checksum := body ctx main)
   in
   let stats = Process.stats proc in
@@ -106,6 +104,24 @@ let worker_pool ctx f =
 let join_all threads = List.iter Process.join threads
 
 let parallel_region ctx f = join_all (worker_pool ctx f)
+
+let alloc ctx th ~bytes ~tag =
+  match ctx.variant with
+  | Optimized -> Process.memalign th ~align:Dex_mem.Page.size ~bytes ~tag
+  | Baseline | Initial -> Process.malloc th ~bytes ~tag
+
+let slabs ctx th ~bytes ~tag =
+  let offsets = Array.make (ctx.threads + 1) 0 in
+  for i = 0 to ctx.threads - 1 do
+    let stride =
+      match ctx.variant with
+      | Optimized -> Dex_mem.Page.align_up (bytes i)
+      | Baseline | Initial -> bytes i
+    in
+    offsets.(i + 1) <- offsets.(i) + stride
+  done;
+  let base = alloc ctx th ~bytes:offsets.(ctx.threads) ~tag in
+  fun i -> base + offsets.(i)
 
 let partition ~total ~parts ~index =
   if parts <= 0 || index < 0 || index >= parts then invalid_arg "partition";

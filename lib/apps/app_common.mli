@@ -104,6 +104,24 @@ val worker_pool :
 
 val join_all : Process.thread list -> unit
 
+val alloc :
+  ctx -> Process.thread -> bytes:int -> tag:string -> Dex_mem.Page.addr
+(** One object in the §IV layout: under [Optimized] it starts on a page
+    boundary ([Process.memalign]), so it shares no page with any other
+    aligned object; under [Baseline] and [Initial] it is a plain
+    [Process.malloc], packed beside its neighbours. Each application's
+    layout goes through this and {!slabs}. *)
+
+val slabs :
+  ctx -> Process.thread -> bytes:(int -> int) -> tag:string -> int ->
+  Dex_mem.Page.addr
+(** [slabs ctx th ~bytes ~tag] allocates, with {!alloc}, one block of
+    per-thread slabs for workers [0 .. ctx.threads-1], slab [i] holding
+    [bytes i] bytes. The slabs sit end to end; under [Optimized] each is
+    padded to whole pages, so no two workers' slabs share a page. The
+    result maps [i] to slab [i]'s address, and [ctx.threads] to the
+    block's end. *)
+
 val partition : total:int -> parts:int -> index:int -> int * int
 (** [(offset, length)] of block [index] when [total] items are divided
     into [parts] near-equal contiguous blocks. *)

@@ -98,17 +98,11 @@ let body p ctx main =
       ~bytes:(Array.length g.Workloads.targets * 8)
       ~tag:"bfs.targets"
   in
-  let levels_addr, counter_addr =
-    match ctx.A.variant with
-    | A.Baseline | A.Initial ->
-        ( Process.malloc main ~bytes:(vertices * 8) ~tag:"bfs.levels",
-          Process.malloc main ~bytes:8 ~tag:"bfs.frontier_count" )
-    | A.Optimized ->
-        ( Process.memalign main ~align:4096 ~bytes:(vertices * 8)
-            ~tag:"bfs.levels",
-          Process.memalign main ~align:4096 ~bytes:8 ~tag:"bfs.frontier_count"
-        )
-  in
+  (* The counter comes before the level array: that order is the layout
+     Fig 2 measures. In Initial the counter then shares its page with the
+     array's first levels. *)
+  let counter_addr = A.alloc ctx main ~bytes:8 ~tag:"bfs.frontier_count" in
+  let levels_addr = A.alloc ctx main ~bytes:(vertices * 8) ~tag:"bfs.levels" in
   let inbox_addr =
     (* One page-aligned inbox per node (Polymer's per-node structures). *)
     Process.memalign main ~align:4096 ~bytes:(ctx.A.nodes * 16 * 4096)

@@ -44,41 +44,12 @@ let body p ctx main =
   let options_addr =
     Process.malloc main ~bytes:(p.options * 40) ~tag:"blk.options"
   in
-  let slice_bytes i =
-    let _, count = A.partition ~total:p.options ~parts:threads ~index:i in
-    count * 8
-  in
-  let prices_addr, price_off =
-    match ctx.A.variant with
-    | A.Baseline | A.Initial ->
-        (* One packed output array: adjacent slices share pages. *)
-        let a = Process.malloc main ~bytes:(p.options * 8) ~tag:"blk.prices" in
-        let off i =
-          let first, _ = A.partition ~total:p.options ~parts:threads ~index:i in
-          first * 8
-        in
-        (a, off)
-    | A.Optimized ->
-        (* Page-padded per-thread slices. *)
-        let total =
-          let sum = ref 0 in
-          for i = 0 to threads - 1 do
-            sum := !sum + ((slice_bytes i + 4095) / 4096 * 4096)
-          done;
-          !sum
-        in
-        let a =
-          Process.memalign main ~align:4096 ~bytes:(max total 4096)
-            ~tag:"blk.prices"
-        in
-        let off i =
-          let o = ref 0 in
-          for j = 0 to i - 1 do
-            o := !o + ((slice_bytes j + 4095) / 4096 * 4096)
-          done;
-          !o
-        in
-        (a, off)
+  (* One output array of per-thread slices: Initial packs them, so
+     adjacent slices share pages. *)
+  let price_addr =
+    A.slabs ctx main ~tag:"blk.prices" ~bytes:(fun i ->
+        let _, count = A.partition ~total:p.options ~parts:threads ~index:i in
+        count * 8)
   in
   A.parallel_region ctx (fun i th ->
       let first, count = A.partition ~total:p.options ~parts:threads ~index:i in
@@ -93,7 +64,7 @@ let body p ctx main =
             Process.compute th
               ~ns:(int_of_float (float_of_int n *. p.ns_per_option));
             Process.write th ~site:"blk.price_write"
-              (prices_addr + price_off i + (!pos * 8))
+              (price_addr i + (!pos * 8))
               ~len:(n * 8);
             pos := !pos + n
           done

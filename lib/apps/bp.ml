@@ -61,30 +61,12 @@ let reference_sum p ~seed =
 let body p ctx main =
   let threads = ctx.A.threads in
   let proc = ctx.A.proc in
-  let aligned = ctx.A.variant = A.Optimized in
-  let slab_stride i =
-    let _, count = A.partition ~total:p.vertices ~parts:threads ~index:i in
-    let bytes = count * p.bytes_per_vertex in
-    if aligned then (bytes + 4095) / 4096 * 4096 else bytes
-  in
-  let total_bytes =
-    let sum = ref 0 in
-    for i = 0 to threads - 1 do
-      sum := !sum + slab_stride i
-    done;
-    max !sum 4096
-  in
-  let data_addr =
-    if aligned then
-      Process.memalign main ~align:4096 ~bytes:total_bytes ~tag:"bp.vertex_data"
-    else Process.malloc main ~bytes:total_bytes ~tag:"bp.vertex_data"
-  in
-  let slab_addr i =
-    let off = ref 0 in
-    for j = 0 to i - 1 do
-      off := !off + slab_stride j
-    done;
-    data_addr + !off
+  (* Vertex slabs, one per thread: Initial packs them, so neighbouring
+     slabs share their boundary pages. *)
+  let slab_addr =
+    A.slabs ctx main ~tag:"bp.vertex_data" ~bytes:(fun i ->
+        let _, count = A.partition ~total:p.vertices ~parts:threads ~index:i in
+        count * p.bytes_per_vertex)
   in
   (* Master-published globals (scheduling state, the running convergence
      aggregate) plus the read-only model parameters every worker checks
@@ -98,23 +80,19 @@ let body p ctx main =
     if p.globals_bytes = 0 then (0, 0, 0)
     else if p.globals_bytes < 16 then
       invalid_arg "bp: globals_bytes must be 0 or >= 16"
-    else if aligned then begin
-      let d = Process.memalign main ~align:4096 ~bytes:8 ~tag:"bp.delta" in
-      let prm =
-        Process.memalign main ~align:4096 ~bytes:(p.globals_bytes - 8)
-          ~tag:"bp.params"
-      in
-      (prm, p.globals_bytes - 8, d)
-    end
-    else begin
-      let g = Process.malloc main ~bytes:p.globals_bytes ~tag:"bp.globals" in
-      (g, p.globals_bytes, g)
-    end
+    else
+      match ctx.A.variant with
+      | A.Optimized ->
+          let d = A.alloc ctx main ~bytes:8 ~tag:"bp.delta" in
+          let prm =
+            A.alloc ctx main ~bytes:(p.globals_bytes - 8) ~tag:"bp.params"
+          in
+          (prm, p.globals_bytes - 8, d)
+      | A.Baseline | A.Initial ->
+          let g = A.alloc ctx main ~bytes:p.globals_bytes ~tag:"bp.globals" in
+          (g, p.globals_bytes, g)
   in
-  let flag_addr =
-    if aligned then Process.memalign main ~align:4096 ~bytes:8 ~tag:"bp.flag"
-    else Process.malloc main ~bytes:8 ~tag:"bp.flag"
-  in
+  let flag_addr = A.alloc ctx main ~bytes:8 ~tag:"bp.flag" in
   let barrier = Sync.Barrier.create proc ~parties:threads () in
   (* DRAM traffic per sweep: the share of the per-node working set that
      does not fit the cache hierarchy. *)
@@ -133,9 +111,7 @@ let body p ctx main =
         for _iter = 1 to p.iterations do
           (* Halo from the neighbouring slabs. *)
           if i > 0 then
-            Process.read th ~site:"bp.halo"
-              (slab_addr (i - 1) + (slab_stride (i - 1) - 8))
-              ~len:8;
+            Process.read th ~site:"bp.halo" (slab_addr i - 8) ~len:8;
           if i < threads - 1 then
             Process.read th ~site:"bp.halo" (slab_addr (i + 1)) ~len:8;
           Process.read th ~site:"bp.sweep_read" my_slab ~len:slab_bytes;

@@ -75,17 +75,8 @@ let body p o ctx main =
   let nbatches = batches p in
   (* Read-only solver parameters and the shared work-claim counter: packed
      on one page in Initial, separated in Optimized. *)
-  let params_addr, claim_addr =
-    match ctx.A.variant with
-    | A.Baseline | A.Initial ->
-        let pa = Process.malloc main ~bytes:128 ~tag:"ep.params" in
-        let ca = Process.malloc main ~bytes:8 ~tag:"ep.claim" in
-        (pa, ca)
-    | A.Optimized ->
-        let pa = Process.memalign main ~align:4096 ~bytes:128 ~tag:"ep.params" in
-        let ca = Process.memalign main ~align:4096 ~bytes:8 ~tag:"ep.claim" in
-        (pa, ca)
-  in
+  let params_addr = A.alloc ctx main ~bytes:128 ~tag:"ep.params" in
+  let claim_addr = A.alloc ctx main ~bytes:8 ~tag:"ep.claim" in
   let tallies_addr =
     Process.malloc main ~bytes:(annuli * 8) ~tag:"ep.tallies"
   in

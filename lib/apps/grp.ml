@@ -76,23 +76,9 @@ let body p positions ctx main =
   let threads = ctx.A.threads in
   (* Thread argument blocks: the original program packs them into one
      array — on Initial they share pages; Optimized page-aligns each. *)
-  let args_addr, args_stride =
-    match ctx.A.variant with
-    | A.Baseline | A.Initial ->
-        (Process.malloc main ~bytes:(threads * 32) ~tag:"grp.args", 32)
-    | A.Optimized ->
-        ( Process.memalign main ~align:4096 ~bytes:(threads * 4096)
-            ~tag:"grp.args",
-          4096 )
-  in
-  let total_addr =
-    match ctx.A.variant with
-    | A.Baseline | A.Initial ->
-        (* Co-located with whatever the allocator packs next to it. *)
-        Process.malloc main ~bytes:8 ~tag:"grp.total"
-    | A.Optimized ->
-        Process.memalign main ~align:4096 ~bytes:8 ~tag:"grp.total"
-  in
+  let args_addr = A.slabs ctx main ~bytes:(fun _ -> 32) ~tag:"grp.args" in
+  (* On Initial, co-located with whatever the allocator packs next to it. *)
+  let total_addr = A.alloc ctx main ~bytes:8 ~tag:"grp.total" in
   Process.store main total_addr 0L;
   A.parallel_region ctx (fun i th ->
       let off, len = A.partition ~total:p.text_bytes ~parts:threads ~index:i in
@@ -129,8 +115,7 @@ let body p positions ctx main =
                 incr local_count;
                 ignore
                   (Process.fetch_add th ~site:"grp.total_update" total_addr 1L);
-                Process.store th ~site:"grp.args_update"
-                  (args_addr + (i * args_stride))
+                Process.store th ~site:"grp.args_update" (args_addr i)
                   (Int64.of_int !local_count)
               done;
               scan th (!pos + chunk - !cursor)
@@ -144,8 +129,7 @@ let body p positions ctx main =
         match ctx.A.variant with
         | A.Optimized ->
             (* Locally staged: one global update per thread. *)
-            Process.store th ~site:"grp.args_update"
-              (args_addr + (i * args_stride))
+            Process.store th ~site:"grp.args_update" (args_addr i)
               (Int64.of_int !local_count);
             ignore
               (Process.fetch_add th ~site:"grp.total_update" total_addr

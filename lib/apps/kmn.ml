@@ -109,30 +109,12 @@ let body p ctx main =
     Process.malloc main ~bytes:(p.points * 24) ~tag:"kmn.points"
   in
   let centers_bytes = p.clusters * 24 in
-  let centers_addr, flag_addr, gsums_addr =
-    match ctx.A.variant with
-    | A.Baseline | A.Initial ->
-        (* Centers, convergence flag and global accumulators packed
-           together by successive mallocs: heavy page sharing. *)
-        let c = Process.malloc main ~bytes:centers_bytes ~tag:"kmn.centers" in
-        let f = Process.malloc main ~bytes:8 ~tag:"kmn.flag" in
-        let s =
-          Process.malloc main ~bytes:(centers_bytes + (p.clusters * 8))
-            ~tag:"kmn.sums"
-        in
-        (c, f, s)
-    | A.Optimized ->
-        let c =
-          Process.memalign main ~align:4096 ~bytes:centers_bytes
-            ~tag:"kmn.centers"
-        in
-        let f = Process.memalign main ~align:4096 ~bytes:8 ~tag:"kmn.flag" in
-        let s =
-          Process.memalign main ~align:4096
-            ~bytes:(centers_bytes + (p.clusters * 8))
-            ~tag:"kmn.sums"
-        in
-        (c, f, s)
+  (* In Initial, centers, convergence flag and global accumulators are
+     packed together by successive mallocs: heavy page sharing. *)
+  let centers_addr = A.alloc ctx main ~bytes:centers_bytes ~tag:"kmn.centers" in
+  let flag_addr = A.alloc ctx main ~bytes:8 ~tag:"kmn.flag" in
+  let gsums_addr =
+    A.alloc ctx main ~bytes:(centers_bytes + (p.clusters * 8)) ~tag:"kmn.sums"
   in
   let membership_addr =
     Process.malloc main ~bytes:(p.points * 4) ~tag:"kmn.membership"

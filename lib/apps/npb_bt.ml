@@ -61,42 +61,17 @@ let body p ctx main =
   let threads = ctx.A.threads in
   let proc = ctx.A.proc in
   let cell_bytes = 8 in
-  let aligned = ctx.A.variant = A.Optimized in
-  (* Grid slabs: page-aligned per thread in Optimized, packed otherwise. *)
-  let slab_stride i =
-    let _, count = A.partition ~total:p.cells ~parts:threads ~index:i in
-    let bytes = count * cell_bytes in
-    if aligned then (bytes + 4095) / 4096 * 4096 else bytes
-  in
-  let grid_bytes =
-    let sum = ref 0 in
-    for i = 0 to threads - 1 do
-      sum := !sum + slab_stride i
-    done;
-    max !sum 4096
-  in
-  let grid_addr =
-    if aligned then
-      Process.memalign main ~align:4096 ~bytes:grid_bytes ~tag:"bt.grid"
-    else Process.malloc main ~bytes:grid_bytes ~tag:"bt.grid"
-  in
-  let slab_addr i =
-    let off = ref 0 in
-    for j = 0 to i - 1 do
-      off := !off + slab_stride j
-    done;
-    grid_addr + !off
+  (* Grid slabs, one per thread: Initial packs them, so neighbouring
+     slabs share their boundary pages. *)
+  let slab_addr =
+    A.slabs ctx main ~tag:"bt.grid" ~bytes:(fun i ->
+        let _, count = A.partition ~total:p.cells ~parts:threads ~index:i in
+        count * cell_bytes)
   in
   (* Loop-range parameters; in Initial they share a page with the
      frequently-updated residual norm. *)
-  let params_addr, norm_addr =
-    if aligned then
-      ( Process.memalign main ~align:4096 ~bytes:256 ~tag:"bt.params",
-        Process.memalign main ~align:4096 ~bytes:8 ~tag:"bt.norm" )
-    else
-      ( Process.malloc main ~bytes:256 ~tag:"bt.params",
-        Process.malloc main ~bytes:8 ~tag:"bt.norm" )
-  in
+  let params_addr = A.alloc ctx main ~bytes:256 ~tag:"bt.params" in
+  let norm_addr = A.alloc ctx main ~bytes:8 ~tag:"bt.norm" in
   (* The parent passes per-region values on its own stack in Initial. *)
   let parent_stack = Layout.stack_top ~tid:(Process.tid main) - 4096 in
   let barrier = Sync.Barrier.create proc ~parties:(threads + 1) () in
@@ -122,8 +97,8 @@ let body p ctx main =
               let my_slab = slab_addr i in
               (* Boundary exchange with the neighbouring slabs. *)
               if i > 0 then
-                Process.read th ~site:"bt.halo" (slab_addr (i - 1)
-                  + ((slab_stride (i - 1)) - cell_bytes)) ~len:cell_bytes;
+                Process.read th ~site:"bt.halo" (slab_addr i - cell_bytes)
+                  ~len:cell_bytes;
               if i < threads - 1 then
                 Process.read th ~site:"bt.halo" (slab_addr (i + 1))
                   ~len:cell_bytes;

@@ -60,38 +60,17 @@ let reference_checksum p ~seed = (oracle p ~seed).reference_checksum
 let body p ctx main =
   let threads = ctx.A.threads in
   let proc = ctx.A.proc in
-  let aligned = ctx.A.variant = A.Optimized in
-  let slab_stride i =
-    let _, count = A.partition ~total:p.grid_bytes ~parts:threads ~index:i in
-    if aligned then (count + 4095) / 4096 * 4096 else count
+  (* Grid slabs, one per thread: Initial packs them, so neighbouring
+     slabs share their boundary pages. *)
+  let slab_addr =
+    A.slabs ctx main ~tag:"ft.grid" ~bytes:(fun i ->
+        snd (A.partition ~total:p.grid_bytes ~parts:threads ~index:i))
   in
-  let total_bytes =
-    let sum = ref 0 in
-    for i = 0 to threads - 1 do
-      sum := !sum + slab_stride i
-    done;
-    max !sum 4096
-  in
-  let grid_addr =
-    if aligned then
-      Process.memalign main ~align:4096 ~bytes:total_bytes ~tag:"ft.grid"
-    else Process.malloc main ~bytes:total_bytes ~tag:"ft.grid"
-  in
-  let slab_addr i =
-    let off = ref 0 in
-    for j = 0 to i - 1 do
-      off := !off + slab_stride j
-    done;
-    grid_addr + !off
-  in
-  let params_addr, counter_addr =
-    if aligned then
-      ( Process.memalign main ~align:4096 ~bytes:256 ~tag:"ft.params",
-        Process.memalign main ~align:4096 ~bytes:8 ~tag:"ft.counter" )
-    else
-      ( Process.malloc main ~bytes:256 ~tag:"ft.params",
-        Process.malloc main ~bytes:8 ~tag:"ft.counter" )
-  in
+  let grid_addr = slab_addr 0 and grid_end = slab_addr threads in
+  (* Read-only parameters; in Initial they share a page with the progress
+     counter every pass bumps. *)
+  let params_addr = A.alloc ctx main ~bytes:256 ~tag:"ft.params" in
+  let counter_addr = A.alloc ctx main ~bytes:8 ~tag:"ft.counter" in
   let barrier = Sync.Barrier.create proc ~parties:threads () in
   let workers =
     A.worker_pool ctx (fun i th ->
@@ -118,7 +97,7 @@ let body p ctx main =
           (* Transpose: read everybody's slab, rewrite our own. *)
           if count > 0 then begin
             Process.read th ~site:"ft.transpose_read" grid_addr
-              ~len:total_bytes;
+              ~len:(grid_end - grid_addr);
             Process.compute th
               ~ns:(int_of_float (float_of_int count *. p.ns_per_byte *. 0.5));
             Process.write th ~site:"ft.transpose_write" my_slab ~len:count

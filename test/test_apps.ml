@@ -114,6 +114,94 @@ let test_variant_names () =
   Alcotest.(check string) "initial" "initial" (A.variant_name A.Initial);
   Alcotest.(check string) "optimized" "optimized" (A.variant_name A.Optimized)
 
+(* The §IV layout read back through the allocator's object registry:
+   under Optimized every [alloc] object and every slab starts on a page
+   and no two share one; under Baseline and Initial [alloc] returns what
+   the same [Process.malloc] calls return; slab [i] starts at the running
+   sum of the earlier strides, and the last address is the block's end. *)
+let layout_sizes = [ 8; 256; 4096; 5000; 8 ]
+let layout_slab i = 100 + (i * 3000)
+
+let allocate_layout variant alloc =
+  let out = ref None in
+  ignore
+    (A.run_app ~name:"layout" ~nodes:2 ~threads_per_node:2 ~variant
+       (fun ctx main ->
+         let objects =
+           List.mapi
+             (fun k bytes ->
+               (alloc ctx main ~bytes ~tag:(Printf.sprintf "obj%d" k), bytes))
+             layout_sizes
+         in
+         let slab = A.slabs ctx main ~bytes:layout_slab ~tag:"slabs" in
+         out :=
+           Some
+             ( objects,
+               List.init (ctx.A.threads + 1) slab,
+               Dex_core.Process.allocator ctx.A.proc );
+         0L));
+  Option.get !out
+
+let test_layout () =
+  let open Dex_mem in
+  let registered = Alcotest.(option (triple string int int)) in
+  List.iter
+    (fun variant ->
+      let name what = A.variant_name variant ^ ": " ^ what in
+      let objects, slabs, allocator = allocate_layout variant A.alloc in
+      List.iteri
+        (fun k (addr, bytes) ->
+          Alcotest.check registered (name "object registered")
+            (Some (Printf.sprintf "obj%d" k, addr, bytes))
+            (Allocator.object_at allocator addr))
+        objects;
+      let stride i =
+        if variant = A.Optimized then Page.align_up (layout_slab i)
+        else layout_slab i
+      in
+      let base = List.hd slabs in
+      ignore
+        (List.fold_left
+           (fun (i, expect) addr ->
+             check_int (name (Printf.sprintf "slab %d offset" i)) expect addr;
+             (i + 1, expect + stride i))
+           (0, base) slabs);
+      Alcotest.check registered (name "one slab block")
+        (Some ("slabs", base, List.nth slabs (List.length slabs - 1) - base))
+        (Allocator.object_at allocator base);
+      match variant with
+      | A.Optimized ->
+          let spans =
+            objects
+            @ List.init (List.length slabs - 1) (fun i ->
+                  (List.nth slabs i, layout_slab i))
+          in
+          List.iter
+            (fun (addr, _) ->
+              check_bool (name "page-aligned") true (Page.is_aligned addr))
+            spans;
+          let pages =
+            List.sort compare
+              (List.map
+                 (fun (addr, len) ->
+                   (Page.page_of_addr addr, Page.page_of_addr (addr + len - 1)))
+                 spans)
+          in
+          ignore
+            (List.fold_left
+               (fun prev (first, last) ->
+                 check_bool (name "no shared page") true (first > prev);
+                 last)
+               (-1) pages)
+      | A.Baseline | A.Initial ->
+          let malloced, _, _ =
+            allocate_layout variant (fun _ th ~bytes ~tag ->
+                Dex_core.Process.malloc th ~bytes ~tag)
+          in
+          Alcotest.(check (list (pair int int)))
+            (name "alloc is malloc") malloced objects)
+    [ A.Baseline; A.Initial; A.Optimized ]
+
 (* ------------------------------------------------------------------ *)
 (* Applications: cross-variant correctness at reduced scale. *)
 
@@ -374,7 +462,8 @@ let () =
           Alcotest.test_case "variant names" `Quick test_variant_names;
           Alcotest.test_case "memo evicts" `Quick test_memo_evicts;
         ]
-        @ qsuite [ prop_partition_covers ] );
+        @ qsuite [ prop_partition_covers ]
+        @ [ Alcotest.test_case "layout" `Quick test_layout ] );
       ( "applications",
         [
           Alcotest.test_case "GRP correctness" `Quick test_grp;
