@@ -55,6 +55,9 @@ let set t p b ~shared ~name =
 let install t p b = set t p b ~shared:true ~name:"install"
 let adopt t p b = set t p b ~shared:false ~name:"adopt"
 
+let own t p =
+  match Radix_tree.find t p with Some e -> e.shared <- false | None -> ()
+
 let take t p =
   match Radix_tree.find t p with
   | None -> None

@@ -12,7 +12,10 @@
     be shared: {!snapshot}, {!install} and {!fold} mark it so, and the
     first write to a shared buffer copies it, after which the page is
     private again. Reads never copy. So a page transfer makes at most one
-    copy, made by the first write after it. *)
+    copy, made by the first write after it. A transfer that hands a
+    buffer over as the receiver's alone ({!adopt}, {!own}) makes none:
+    the caller vouches that no other holder reads the buffer as page
+    bytes again. *)
 
 type t
 
@@ -38,6 +41,12 @@ val adopt : t -> Page.vpn -> bytes -> unit
 (** {!install} a buffer no other holder can see (one {!take} handed over
     as private): the page is private, so its next write needs no copy. The
     caller must not keep the buffer nor hand it anywhere else. *)
+
+val own : t -> Page.vpn -> unit
+(** Mark the resident page private, so its next write needs no copy: the
+    caller vouches that every other holder of its buffer is gone or never
+    reads it again (a write grant revoked every other copy). No-op if the
+    page is not resident. *)
 
 val take : t -> Page.vpn -> (bytes * bool) option
 (** [take t p] removes page [p], as {!drop} does, but hands its buffer over

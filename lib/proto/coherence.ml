@@ -54,6 +54,10 @@ type t = {
   fault_latencies : Histogram.t;
   mutable tracer : (Fault_event.t -> unit) option;
   ha : Ha.t;  (* origin replication; disabled from the start with no standbys *)
+  lend : bool;
+      (* no recovery path can read a staging image (no node can fail, no
+         replica streams the origin's store): a write grant at a page's
+         static home leaves the new owner's buffer private *)
   service : Resource.Server.t array option;
       (* per-node handler occupancy when [serial_home_service] is on:
          requests at one home queue behind each other instead of
@@ -196,6 +200,7 @@ let create ?(cfg = Proto_config.default) ?(seed = 1) ?(pid = 0) fabric ~origin
       fault_latencies = Histogram.create ();
       tracer = None;
       ha;
+      lend = (not (Fabric.reliable fabric)) && not (Ha.configured ha);
       service =
         (if cfg.Proto_config.serial_home_service then
            Some
@@ -247,6 +252,14 @@ let home_service t ~node d =
 let snapshot_if_materialized store vpn =
   if Page_store.mem store vpn then Some (Page_store.snapshot store vpn)
   else None
+
+(* Whether a write grant by [home] leaves the new owner's buffer private
+   (DESIGN.md, "A write grant lends the home's image"): only where no
+   recovery path reads a staging image, and only at the page's static
+   home, since a re-homed page's serving home mirrors its buffer to the
+   static home, whose copy crash fallback reads. *)
+let lends t ~home ~vpn ~access =
+  t.lend && access = Perm.Write && home = Authority.home_of t.authority vpn
 
 (* Feed a mutation of a home's staging store to the replication log:
    home-local dirtying never crosses the wire, so the directory observer
@@ -350,9 +363,11 @@ let revoke_rpc t ~home ~target ~vpn ~mode ~want_data =
   end
 
 (* Apply a revocation to the home's own page table. The home's page
-   store is never dropped: it is the staging copy that grants snapshot
-   from, and every flow that could leave it stale re-installs fresh data
-   (reclaim_from_owner) before the next snapshot. *)
+   store entry is never dropped: it is the staging copy that grants
+   snapshot from, and every flow that could leave it stale re-installs
+   fresh data (reclaim_from_owner) before the next snapshot. Where the
+   home lends its buffer to a new owner ({!lends}), the entry holds that
+   owner's buffer, which no one reads until such a reclaim replaces it. *)
 let revoke_local t ~home ~vpn ~mode =
   match mode with
   | Messages.Invalidate -> Page_table.invalidate t.ptables.(home) vpn
@@ -714,6 +729,9 @@ let request_once t ~node ~vpn ~access =
     match origin_grant t ~route ~requester:node ~vpn ~access with
     | `Nack -> `Nack
     | `Grant _ ->
+        (* Every other copy is revoked: the home's buffer is its own. *)
+        if lends t ~home:node ~vpn ~access then
+          Page_store.own t.stores.(node) vpn;
         Page_table.set t.ptables.(node) vpn access;
         `Granted
     | exception Origin_dead ->
@@ -738,8 +756,12 @@ let request_once t ~node ~vpn ~access =
            the retry steers by the current authority table. *)
         Stats.incr t.stats "autopilot.resteers";
         `Nack
-    | Some (Messages.Page_grant { data }) ->
-        Option.iter (Page_store.install t.stores.(node) vpn) data;
+    | Some (Messages.Page_grant { data; owned }) ->
+        let store = t.stores.(node) in
+        (match data with
+        | Some data when owned -> Page_store.adopt store vpn data
+        | Some data -> Page_store.install store vpn data
+        | None -> if owned then Page_store.own store vpn);
         Page_table.set t.ptables.(node) vpn access;
         `Granted
     | Some _ -> failwith "Coherence: unexpected page reply"
@@ -1106,7 +1128,9 @@ let handler_unguarded t (env : Fabric.env) =
                 if wire_data then t.cfg.Proto_config.page_msg_size
                 else t.cfg.Proto_config.ctl_msg_size
               in
-              env.Fabric.respond ~size (Messages.Page_grant { data })
+              env.Fabric.respond ~size
+                (Messages.Page_grant
+                   { data; owned = lends t ~home ~vpn ~access })
       end;
       true
   | Messages.Revoke { vpn; mode; want_data; epoch } ->

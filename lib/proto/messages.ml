@@ -6,7 +6,7 @@ type Dex_net.Msg.payload +=
       access : Dex_mem.Perm.access;
       epoch : int;
     }
-  | Page_grant of { data : bytes option }
+  | Page_grant of { data : bytes option; owned : bool }
   | Page_nack
   | Page_stale of { epoch : int }
   | Revoke of {

@@ -7,8 +7,10 @@
 
     A [data] field is a page image shared with its sender (see
     {!Dex_mem.Page_store}): no one writes to it, and a receiver installs it
-    without copying. Only an invalidating {!Revoke_ack} can hand over an
-    image no one else holds ([owned]). *)
+    without copying. Two replies can hand over an image as the receiver's
+    alone ([owned]): an invalidating {!Revoke_ack}, and a write
+    {!Page_grant} from a page's static home where no recovery path reads
+    the home's staging image. *)
 
 (** How an owner must surrender a page. *)
 type revoke_mode =
@@ -25,12 +27,19 @@ type Dex_net.Msg.payload +=
           [epoch] is the requester's view of the origin epoch — part of
           the 64-byte control header, not extra wire bytes; always [0]
           unless a failover has promoted a standby. *)
-  | Page_grant of { data : bytes option }
+  | Page_grant of { data : bytes option; owned : bool }
       (** origin → node: ownership of the requested page granted; [data]
           carries page contents when the requester lacked a valid copy and
           the page is materialized. It is the home's staging image, which
-          the home keeps: a write grant's requester copies it on its first
-          write, so the staging copy keeps the pre-grant bytes. *)
+          the home keeps. [owned] says the requester's image is its alone:
+          it adopts [data], or marks its own copy private when no data
+          came, and its writes copy nothing; the home's entry then holds
+          the requester's buffer, which nothing reads until a reclaim
+          replaces it. [owned] is set on a write grant at the page's
+          static home when no node can fail and no replica set streams
+          the origin's store. Otherwise the requester copies the image on
+          its first write, so the staging copy keeps the pre-grant bytes
+          that crash recovery serves. *)
   | Page_nack  (** origin → node: page busy, back off and retry *)
   | Page_stale of { epoch : int }
       (** origin → node: your epoch is stale — a failover has happened.

@@ -10,9 +10,10 @@ let check_bool = Alcotest.(check bool)
 let check_i64 = Alcotest.(check int64)
 
 (* One protocol instance over a fresh n-node fabric, message routing
-   installed on every node and failure declarations routed to the
-   directory reclaim. [net] overrides the fabric configuration (used by
-   the chaos suite); its node count must match [nodes]. *)
+   (protocol and replication) installed on every node and failure
+   declarations routed to the directory reclaim. [net] overrides the
+   fabric configuration (used by the chaos suite); its node count must
+   match [nodes]. *)
 let setup_with_fabric ?(nodes = 4) ?seed ?cfg ?net () =
   let engine = Engine.create () in
   let net_cfg =
@@ -24,8 +25,11 @@ let setup_with_fabric ?(nodes = 4) ?seed ?cfg ?net () =
   let coh = Coherence.create ?cfg ?seed fabric ~origin:0 in
   for node = 0 to nodes - 1 do
     Dex_net.Fabric.set_handler fabric ~node (fun _ env ->
-        if not (Coherence.handler coh env) then
-          failwith "test_proto: unrouted message")
+        if
+          not
+            (Coherence.handler coh env
+            || Dex_ha.Ha.router (Coherence.ha coh) env)
+        then failwith "test_proto: unrouted message")
   done;
   Dex_net.Fabric.set_crash_handler fabric (fun node ->
       Coherence.reclaim_node coh ~node);
@@ -57,9 +61,10 @@ let harvest_chaos fabric =
     + get "chaos.reorders"
 
 (* The fault mix the acceptance criteria call for: 5% drops, 2% dups,
-   reordering and jitter on, and a transient partition cutting node 2 off
-   from the origin that heals mid-run. RTOs are tightened so the short
-   property programs retransmit through the outage instead of idling. *)
+   reordering and jitter on, and (with more than 2 nodes) a transient
+   partition cutting node 2 off from the origin that heals mid-run. RTOs
+   are tightened so the short property programs retransmit through the
+   outage instead of idling. *)
 let chaos_net ~nodes =
   let open Dex_net.Net_config in
   let chaos =
@@ -71,7 +76,16 @@ let chaos_net ~nodes =
       reorder_prob = 0.05;
       delay_jitter_ns = Time_ns.ns 1_000;
       partitions =
-        [ { p_a = 0; p_b = 2; p_from = Time_ns.us 50; p_until = Time_ns.us 250 } ];
+        (if nodes > 2 then
+           [
+             {
+               p_a = 0;
+               p_b = 2;
+               p_from = Time_ns.us 50;
+               p_until = Time_ns.us 250;
+             };
+           ]
+         else []);
       rto = Time_ns.us 50;
       rto_cap = Time_ns.us 400;
     }
@@ -1075,61 +1089,158 @@ let test_page_buffer_budget () =
   check_i64 "the home's write landed" 13L (raw_word coh ~node:0 vpn);
   Coherence.check_invariants coh
 
+(* The three write-grant shapes on 2 nodes, each after the home (node 0)
+   stored 1 to the page: node 1 takes the page from the home, which ships
+   its image ([`Remote]); node 1 reads the page and upgrades its read copy,
+   granted without data ([`Upgrade]); or node 1 reads it and the home
+   takes it back, revoking node 1's copy ([`Home]). Returns the engine,
+   the protocol and the new owner, after the grant and before the owner
+   writes. *)
+let write_grant ?cfg ?net shape =
+  let engine, coh, _ = setup_with_fabric ~nodes:2 ?cfg ?net () in
+  let owner = match shape with `Home -> 0 | `Remote | `Upgrade -> 1 in
+  run_fiber engine (fun () ->
+      Coherence.store_i64 coh ~node:0 ~tid:0 addr0 1L;
+      (match shape with
+      | `Remote -> ()
+      | `Upgrade | `Home ->
+          check_i64 "the reader sees the home's write" 1L
+            (Coherence.load_i64 coh ~node:1 ~tid:1 addr0));
+      Coherence.access_range coh ~node:owner ~tid:owner ~addr:addr0 ~len:8
+        ~access:Perm.Write ());
+  (engine, coh, owner)
+
+let shape_name = function
+  | `Remote -> "remote write grant"
+  | `Upgrade -> "remote upgrade"
+  | `Home -> "home-local write grant"
+
+(* Page buffers the new owner's two writes after [write_grant] allocate,
+   and the home's word 0 after them. *)
+let owner_writes coh ~owner =
+  let vpn = Page.page_of_addr addr0 in
+  let store = Coherence.page_store coh ~node:owner in
+  let page_buffer =
+    major_words_of (fun () ->
+        ignore (Sys.opaque_identity (Bytes.create Page.size)))
+  in
+  let words =
+    major_words_of (fun () ->
+        Page_store.write_i64 store vpn ~offset:0 2L;
+        Page_store.write_i64 store vpn ~offset:8 3L)
+  in
+  check_i64 "the owner reads its write" 2L (raw_word coh ~node:owner vpn);
+  (words /. page_buffer, raw_word coh ~node:0 vpn)
+
+(* Where no node can fail and no replica set streams the origin's store,
+   a write grant at the page's static home leaves the new owner's buffer
+   private in every shape: its writes copy nothing. The home keeps the
+   buffer in its entry, unread until a reclaim replaces it. *)
+let test_write_grant_lends shape () =
+  let engine, coh, owner = write_grant shape in
+  let copies, _ = owner_writes coh ~owner in
+  check_bool
+    (Printf.sprintf "owner's writes copy no page (%.2f pages)" copies)
+    true (copies < 1.);
+  (* The page travels on unchanged: the other node reads the owner's
+     write after the next transfer. *)
+  let other = 1 - owner in
+  run_fiber engine (fun () ->
+      check_i64 "the other node reads the owner's write" 2L
+        (Coherence.load_i64 coh ~node:other ~tid:other addr0));
+  Coherence.check_invariants coh
+
+(* With a recovery path (a chaos fabric, where nodes can fail, or one
+   standby), the same grants keep the home's pre-grant image: the
+   owner's first write copies the page, exactly once. *)
+let test_write_grant_keeps_staging ?cfg ?net () =
+  List.iter
+    (fun shape ->
+      let _, coh, owner = write_grant ?cfg ?net shape in
+      let copies, home_word = owner_writes coh ~owner in
+      let name = shape_name shape in
+      check_bool
+        (Printf.sprintf "%s: owner's writes copy one page (%.2f pages)" name
+           copies)
+        true
+        (copies >= 1. && copies < 2.);
+      if owner <> 0 then
+        check_i64 (name ^ ": the home keeps the pre-grant image") 1L home_word)
+    [ `Remote; `Upgrade; `Home ]
+
 (* Words allocated so far, both heaps, as in test_net's call budget. *)
 let allocated_words () =
   let _, promoted, major = Gc.counters () in
   Gc.minor_words () +. major -. promoted
 
-(* Words per write grant on 2 nodes, after warm-up: a remote grant (node
-   1 takes the page from the home, which invalidates its own copy and
-   ships the data) and a home-local one (the home takes the page back,
-   revoking node 1's copy over the wire). Each covers the whole fault:
-   request, handler fibers, revoke, reply, install and the write. *)
-let words_per_grant () =
+(* Mean words of [step] on 2 nodes, after 50 rounds of warm-up, over 500
+   rounds that each run [prepare] and then [step]. Each step covers the
+   whole fault: request, handler fibers, revokes, reply, install and the
+   write. *)
+let words_per_step ~prepare ~step =
   let engine, coh = setup ~nodes:2 () in
-  let rounds = 500 and remote = ref 0. and local = ref 0. in
-  let store node i = Coherence.store_i64 coh ~node ~tid:node addr0 i in
+  let warmup = 50 and rounds = 500 and words = ref 0. in
   run_fiber engine (fun () ->
-      for _ = 1 to 50 do
-        store 1 1L;
-        store 0 0L
-      done;
-      for _ = 1 to rounds do
+      for round = 1 to warmup + rounds do
+        prepare coh;
         let w0 = allocated_words () in
-        store 1 1L;
+        step coh;
         let w1 = allocated_words () in
-        store 0 0L;
-        let w2 = allocated_words () in
-        remote := !remote +. (w1 -. w0);
-        local := !local +. (w2 -. w1)
+        if round > warmup then words := !words +. (w1 -. w0)
       done);
   Coherence.check_invariants coh;
-  (!remote /. float_of_int rounds, !local /. float_of_int rounds)
+  !words /. float_of_int rounds
 
+let store node i coh = Coherence.store_i64 coh ~node ~tid:node addr0 i
+
+(* Words per write grant: a remote one (node 1 takes the page from the
+   home, which invalidates its own copy and ships the data), a remote
+   upgrade (node 1 read the page, and its write is granted without data)
+   and a home-local one (the home takes the page back, revoking node 1's
+   copy over the wire). *)
 let test_grant_budget () =
-  let remote, local = words_per_grant () in
   List.iter
     (fun (name, words, bound) ->
       check_bool
         (Printf.sprintf "%.1f words per %s write grant (at most %.1f)" words
            name bound)
         true (words <= bound))
-    [ ("remote", remote, 792.); ("home-local", local, 264.) ]
+    [
+      ("remote", words_per_step ~prepare:(store 0 0L) ~step:(store 1 1L), 268.);
+      ( "remote upgrade",
+        words_per_step
+          ~prepare:(fun coh ->
+            store 0 0L coh;
+            ignore (Coherence.load_i64 coh ~node:1 ~tid:1 addr0))
+          ~step:(store 1 1L),
+        248. );
+      ( "home-local",
+        words_per_step ~prepare:(store 1 1L) ~step:(store 0 0L),
+        264. );
+    ]
 
-let prop_monotonic_under_autopilot_actions ~name () =
+(* Readers see each address's values in store order while the autopilot
+   re-homes, pins and marks the pages under test. At quiescence, every
+   node whose page table allows a read of a page reads, in its own store,
+   the last value stored to each address: a copy the protocol vouches for
+   is never a stale or lent image. On a pristine fabric, write grants at a
+   page's static home lend the home's image; on [chaos_net] they do not. *)
+let prop_monotonic_under_autopilot_actions ?net ~name () =
   QCheck.Test.make ~name ~count:15
     QCheck.(pair small_int (int_range 1 4))
     (fun (seed, n_addrs) ->
       let cfg = { Proto_config.default with sharding = `Hash 4 } in
       let engine, coh, fabric =
-        setup_with_fabric ~nodes:4 ~seed ~cfg ~net:(chaos_net ~nodes:4) ()
+        setup_with_fabric ~nodes:4 ~seed ~cfg ?net ()
       in
       let addr_of k = addr0 + (k * 192) in
+      let last = Array.make n_addrs 0L in
       for k = 0 to n_addrs - 1 do
         Engine.spawn engine (fun () ->
             for i = 1 to 12 do
               Coherence.store_i64 coh ~node:(k mod 4) ~tid:k (addr_of k)
                 (Int64.of_int i);
+              last.(k) <- Int64.of_int i;
               Engine.delay engine (Time_ns.us 17)
             done)
       done;
@@ -1167,6 +1278,19 @@ let prop_monotonic_under_autopilot_actions ~name () =
       Engine.run_until_quiescent engine;
       Coherence.check_invariants coh;
       harvest_chaos fabric;
+      for node = 0 to 3 do
+        for k = 0 to n_addrs - 1 do
+          let addr = addr_of k in
+          let vpn = Page.page_of_addr addr in
+          if
+            Page_table.allows (Coherence.page_table coh ~node) vpn Perm.Read
+            && Page_store.read_i64
+                 (Coherence.page_store coh ~node)
+                 vpn ~offset:(Page.offset_in_page addr)
+               <> last.(k)
+          then ok := false
+        done
+      done;
       !ok)
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
@@ -1275,6 +1399,20 @@ let () =
             test_moved_and_mirrored_buffer_shared;
           Alcotest.test_case "page-buffer budget" `Quick
             test_page_buffer_budget;
+        ]
+        @ List.map
+            (fun shape ->
+              Alcotest.test_case
+                (shape_name shape ^ " lends the home's image")
+                `Quick
+                (test_write_grant_lends shape))
+            [ `Remote; `Upgrade; `Home ]
+        @ [
+            Alcotest.test_case "chaos keeps the pre-grant image" `Quick
+              (test_write_grant_keeps_staging ~net:(chaos_net ~nodes:2));
+            Alcotest.test_case "a standby keeps the pre-grant image" `Quick
+              (test_write_grant_keeps_staging
+                 ~cfg:{ Proto_config.default with standbys = [ 1 ] });
         ] );
       ( "budget",
         [ Alcotest.test_case "write grant allocation" `Quick test_grant_budget ]
@@ -1296,9 +1434,13 @@ let () =
         ]
         @ qsuite
             [
-              prop_monotonic_under_autopilot_actions
+              prop_monotonic_under_autopilot_actions ~net:(chaos_net ~nodes:4)
                 ~name:
                   "single-writer monotonicity with live re-home/pin/replicate \
                    under chaos (sharded)" ();
+              prop_monotonic_under_autopilot_actions
+                ~name:
+                  "single-writer monotonicity with live re-home/pin/replicate \
+                   (sharded)" ();
             ] );
     ]
