@@ -631,6 +631,44 @@ let test_async_zero_is_sync () =
   Alcotest.(check int64) "same final count" final_sync final_async;
   Alcotest.(check int64) "no lost write" (Int64.of_int expect) final_sync
 
+(* Every VMA change is replayed at the standby: after the failover the
+   promoted origin's tree is the one the old origin held, splits and
+   permissions included, and a remote write to the protected part is
+   refused there. *)
+let test_vma_changes_replayed () =
+  let nodes = 3 and page = 4096 in
+  let cl =
+    Dex.cluster ~nodes ~net:(crash_net ~nodes ()) ~proto:(ha_proto `Sync) ()
+  in
+  let before = ref [] and refused = ref false in
+  let proc =
+    Dex.run cl (fun proc main ->
+        let r = Process.mmap main ~len:(8 * page) ~tag:"replay" () in
+        Process.munmap main ~addr:(r + (2 * page)) ~len:(2 * page);
+        Process.mprotect main ~addr:(r + (5 * page)) ~len:(2 * page)
+          ~perm:Dex_mem.Perm.ro;
+        let writer =
+          Process.spawn proc (fun th ->
+              Process.migrate th 2;
+              Process.compute th ~ns:(us 3000);
+              try Process.write th (r + (5 * page)) ~len:8
+              with Process.Segfault _ -> refused := true)
+        in
+        Process.migrate main 2;
+        before := Dex_mem.Vma_tree.to_list (Process.vma_tree proc ~node:0);
+        Cluster.crash_node cl ~node:0;
+        Process.join writer)
+  in
+  check_int "one failover" 1 (pstat proc "ha.failovers");
+  check_int "origin moved to the standby" 1 (Process.origin proc);
+  check_bool "the promoted tree is the pre-crash tree" true
+    (Dex_mem.Vma_tree.to_list (Process.vma_tree proc ~node:1) = !before);
+  check_bool "the unmap and the protect split the mapping" true
+    (List.length
+       (List.filter (fun v -> v.Dex_mem.Vma.tag = "replay") !before)
+    = 4);
+  check_bool "a remote write to the protected part segfaults" true !refused
+
 (* ------------------------------------------------------------------ *)
 (* Futexes across a failover: a waiter parked at the old origin re-parks
    at the promoted one (the wait is in the log) and the post-crash wake
@@ -920,6 +958,8 @@ let () =
             test_zero_standbys_is_off;
           Alcotest.test_case "`Async 0 runs like `Sync" `Quick
             test_async_zero_is_sync;
+          Alcotest.test_case "VMA changes replayed across a failover" `Quick
+            test_vma_changes_replayed;
         ] );
       ( "quorum",
         [
