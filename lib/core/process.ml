@@ -19,10 +19,7 @@ exception Thread_crashed of { pid : int; tid : int }
 
 (* A node-wide operation, sent by the origin to each remote worker. *)
 type node_op =
-  | Vma_shrink of { start : Page.addr; len : int }
-      (* unmap a range everywhere *)
-  | Vma_protect of { start : Page.addr; len : int; perm : Perm.t }
-      (* permission downgrade, broadcast eagerly *)
+  | Vma of Vma_tree.change  (* a change that narrows access (§III-D) *)
   | Process_exit  (* tear down the remote worker *)
 
 type Msg.payload +=
@@ -174,11 +171,6 @@ let find_thread t tid =
   | Some th -> th
   | None -> failwith (Printf.sprintf "Process %d: unknown thread %d" t.pid tid)
 
-(* Replace any stale local view with [vma] (on-demand synchronization). *)
-let install_vma tree vma =
-  ignore (Vma_tree.remove_range tree ~start:vma.Vma.start ~len:vma.Vma.len);
-  Vma_tree.insert tree vma
-
 (* ------------------------------------------------------------------ *)
 (* Calls to a home that may fail over.                                 *)
 
@@ -278,7 +270,8 @@ and vma_miss th ~addr ~len ~access ~queried =
             ~size:64 (Vma_query { addr }))
     with
     | Vma_info (Some vma) ->
-        install_vma t.vmas.(node) vma;
+        (* The origin's VMA replaces whatever stale view the node held. *)
+        Vma_tree.apply t.vmas.(node) (Map vma);
         vma_check th ~addr ~len ~access ~queried:true
     | Vma_info None -> fail ()
     | _ -> failwith "Process: unexpected VMA reply"
@@ -287,13 +280,18 @@ and vma_miss th ~addr ~len ~access ~queried =
 (* ------------------------------------------------------------------ *)
 (* Work delegation (§III-A).                                           *)
 
+(* A delegated attempt's result cell before the home has run it. *)
+let unanswered = Error (Failure "Process: delegated call never ran")
+
 (* Run [run] in the context of the paired original thread at [shard]'s
    home node and return its result — shard 0 (the default) is the origin,
    where the allocator/VMA/file services live; futex delegations route
    to the word's shard. Threads local to the home call straight into the
    kernel. [req_size] is the request-leg wire size — operations that
    carry a payload to the home (file writes) must charge for it. The
-   result comes back as an OCaml value, never as a wire type. *)
+   result comes back as an OCaml value, never as a wire type, and so does
+   a bad argument: [run]'s [Invalid_argument] is raised in the caller,
+   not in the home's handler fiber. *)
 let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
   let t = th.proc in
   guard_thunk th (fun () ->
@@ -316,14 +314,20 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
                can only fill its own, never its retry's. The fabric runs a
                handler at most once per call, so a chaos replay of the
                reply finds the cell that one execution filled. *)
-            let result = ref None in
+            let result = ref unanswered in
+            let run () =
+              result :=
+                match run () with
+                | v -> Ok v
+                | exception (Invalid_argument _ as e) -> Error e
+            in
             match
               Fabric.call (fabric t) ~src:th.location ~dst ~pid:t.pid
                 ~kind:kind_delegate ~size:req_size
-                (Delegate
-                   { resp_size; run = (fun () -> result := Some (run ())) })
+                (Delegate { resp_size; run })
             with
-            | Delegate_done -> Option.get !result
+            | Delegate_done -> (
+                match !result with Ok v -> v | Error e -> raise e)
             | _ -> failwith "Process: unexpected delegate reply")
       end)
 
@@ -492,11 +496,13 @@ let file_open th name =
   in
   delegate th run
 
+(* A negative size is refused before the call: the wire size of the
+   payload leg is computed from it. *)
 let file_read th ~fd ~bytes =
+  if bytes < 0 then invalid_arg "Process.file_read: negative size";
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    if bytes < 0 then invalid_arg "Process.file_read: negative size";
     let o = lookup_fd t.files fd "file_read" in
     let n = max 0 (min bytes (o.file.size - o.cursor)) in
     o.cursor <- o.cursor + n;
@@ -509,10 +515,10 @@ let file_read th ~fd ~bytes =
   delegate ~resp_size:(64 + bytes) th run
 
 let file_write th ~fd ~bytes =
+  if bytes < 0 then invalid_arg "Process.file_write: negative size";
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.file_op;
-    if bytes < 0 then invalid_arg "Process.file_write: negative size";
     (* Append-or-overwrite at the cursor, growing the file as needed. *)
     let o = lookup_fd t.files fd "file_write" in
     o.cursor <- o.cursor + bytes;
@@ -535,21 +541,26 @@ let file_close th ~fd =
 (* ------------------------------------------------------------------ *)
 (* Node-wide operations through remote workers.                        *)
 
+(* Apply a VMA change to [node]'s view. Only an unmap touches pages: every
+   access passes [vma_check] before it reaches the protocol, so a narrowed
+   permission refuses there, and the page's bytes and directory entry
+   stay. *)
+let change_view t ~node change =
+  Vma_tree.apply t.vmas.(node) change;
+  match change with
+  | Vma_tree.Unmap { start; len } ->
+      let first, last = Page.pages_of_range start ~len in
+      ignore (Coherence.zap_range t.coh ~first ~last ~node)
+  | Map _ | Protect _ -> ()
+
 (* Apply a node-wide operation at [node]'s remote worker. Runs in the
    fabric handler fiber that delivered it. *)
 let apply_node_op t ~node op =
   match op with
   | Process_exit -> t.workers.(node) <- Absent
-  | Vma_shrink { start; len } ->
+  | Vma change ->
       Engine.delay (engine t) (cfg t).Core_config.vma_op;
-      ignore (Vma_tree.remove_range t.vmas.(node) ~start ~len);
-      let first, last = Page.pages_of_range start ~len in
-      ignore (Coherence.zap_range t.coh ~first ~last ~node)
-  | Vma_protect { start; len; perm } ->
-      Engine.delay (engine t) (cfg t).Core_config.vma_op;
-      ignore (Vma_tree.protect_range t.vmas.(node) ~start ~len ~perm);
-      let first, last = Page.pages_of_range start ~len in
-      ignore (Coherence.zap_range t.coh ~first ~last ~node)
+      change_view t ~node change
 
 (* Broadcast a node-wide operation to every live remote worker and join
    all acknowledgements. Must run at the origin. If the origin fail-stops
@@ -621,49 +632,38 @@ let mmap th ?(perm = Perm.rw) ~len ~tag () =
     t.mmap_next <- addr + len + Page.size;
     let vma = Vma.make ~start:addr ~len ~perm ~tag in
     Vma_tree.insert t.vmas.(origin t) vma;
-    Ha.append (ha t) (Log_entry.Vma_set vma);
+    Ha.append (ha t) (Log_entry.Vma (Map vma));
     addr
   in
   delegate th run
 
-let munmap th ~addr ~len =
+(* The body of [munmap] and [mprotect]. A change that narrows access is
+   broadcast eagerly (§III-D), after it is durable on the standbys;
+   others reach remote nodes through on-demand sync. An unmap then
+   forgets the range's pages. *)
+let change_vmas th change =
   let t = th.proc in
   let run () =
     Engine.delay (engine t) (cfg t).Core_config.vma_op;
-    ignore (Vma_tree.remove_range t.vmas.(origin t) ~start:addr ~len);
-    Ha.append (ha t) (Log_entry.Vma_remove { start = addr; len });
-    let first, last = Page.pages_of_range addr ~len in
-    ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
-    (* Shrinks are broadcast eagerly (§III-D); the shrink must be durable
-       on the standbys before any remote node observes it. *)
-    Ha.fence (ha t);
-    broadcast_node_op t (Vma_shrink { start = addr; len });
-    Coherence.forget_range t.coh ~first ~last
+    let narrows = Vma_tree.narrows t.vmas.(origin t) change in
+    change_view t ~node:(origin t) change;
+    Ha.append (ha t) (Log_entry.Vma change);
+    if narrows then begin
+      Ha.fence (ha t);
+      broadcast_node_op t (Vma change)
+    end;
+    match change with
+    | Vma_tree.Unmap { start; len } ->
+        let first, last = Page.pages_of_range start ~len in
+        Coherence.forget_range t.coh ~first ~last
+    | Map _ | Protect _ -> ()
   in
   delegate th run
 
+let munmap th ~addr ~len = change_vmas th (Vma_tree.Unmap { start = addr; len })
+
 let mprotect th ~addr ~len ~perm =
-  let t = th.proc in
-  let run () =
-    Engine.delay (engine t) (cfg t).Core_config.vma_op;
-    let tree = t.vmas.(origin t) in
-    (* Downgrades must reach every node before the call returns;
-       permissive changes propagate lazily via on-demand sync. *)
-    let downgrade = ref false in
-    Vma_tree.iter tree (fun { Vma.start; len = l; perm = old_perm; _ } ->
-        if start < addr + len && addr < start + l
-           && Perm.is_downgrade ~old_perm ~new_perm:perm
-        then downgrade := true);
-    ignore (Vma_tree.protect_range tree ~start:addr ~len ~perm);
-    Ha.append (ha t) (Log_entry.Vma_protect { start = addr; len; perm });
-    if !downgrade then begin
-      let first, last = Page.pages_of_range addr ~len in
-      ignore (Coherence.zap_range t.coh ~first ~last ~node:(origin t));
-      Ha.fence (ha t);
-      broadcast_node_op t (Vma_protect { start = addr; len; perm })
-    end
-  in
-  delegate th run
+  change_vmas th (Vma_tree.Protect { start = addr; len; perm })
 
 (* ------------------------------------------------------------------ *)
 (* Migration (§III-A).                                                 *)
@@ -1020,7 +1020,7 @@ let create cluster ?(origin = 0) () =
         (* Bootstrap snapshot seeding the next replication generation. *)
         let vmas = ref [] in
         Vma_tree.iter t.vmas.(new_origin) (fun vma ->
-            vmas := Log_entry.Vma_set vma :: !vmas);
+            vmas := Log_entry.Vma (Map vma) :: !vmas);
         let pages =
           Page_store.fold
             (Coherence.page_store t.coh ~node:new_origin)
@@ -1039,7 +1039,7 @@ let create cluster ?(origin = 0) () =
   let layout_vma ~start ~len ~perm ~tag =
     let vma = Vma.make ~start ~len ~perm ~tag in
     Vma_tree.insert tree vma;
-    Ha.append (ha t) (Log_entry.Vma_set vma)
+    Ha.append (ha t) (Log_entry.Vma (Map vma))
   in
   layout_vma ~start:Layout.text_base ~len:Layout.text_size ~perm:Perm.ro
     ~tag:"text";
@@ -1073,7 +1073,7 @@ let spawn t ?name:(thread_name = "worker") f =
       ~perm:Perm.rw ~tag:(Printf.sprintf "stack:%d" tid)
   in
   Vma_tree.insert t.vmas.(origin t) stack;
-  Ha.append (ha t) (Log_entry.Vma_set stack);
+  Ha.append (ha t) (Log_entry.Vma (Map stack));
   Engine.spawn (engine t) ~label:th.thread_name (fun () ->
       Engine.delay (engine t) (cfg t).Core_config.spawn_thread;
       (try f th with

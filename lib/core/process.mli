@@ -12,9 +12,10 @@
     accesses go through the memory consistency protocol, and stateful
     kernel services (futex, VMA manipulation) are transparently delegated
     to the paired original thread at the origin. Node-wide operations
-    (VMA shrinks and downgrades, process exit) are broadcast from the
+    (VMA changes that narrow access, process exit) are broadcast from the
     origin and applied at each remote worker by the fabric handler that
-    delivers them.
+    delivers them. A bad argument to a delegated call raises
+    [Invalid_argument] in the calling thread, wherever it runs.
 
     The process keeps only process state (threads, VMAs, futexes, files,
     remote workers). Its protocol instance ({!coherence}) owns the rest:
@@ -158,13 +159,20 @@ val mmap :
     nodes learn it through on-demand VMA synchronization. *)
 
 val munmap : thread -> addr:Dex_mem.Page.addr -> len:int -> unit
-(** Unmap a range. Shrinking is broadcast eagerly to every remote worker,
-    which zaps local VMAs and page-table entries before the call returns. *)
+(** Unmap a range. The unmap is broadcast eagerly to every remote worker,
+    which drops the range from its VMA view and zaps its page-table
+    entries and page contents before the call returns; the range's pages
+    are then forgotten. Raises [Invalid_argument] if the range is not
+    page-aligned. *)
 
 val mprotect :
   thread -> addr:Dex_mem.Page.addr -> len:int -> perm:Dex_mem.Perm.t -> unit
-(** Change permissions. Downgrades are broadcast eagerly; upgrades are
-    lazy. *)
+(** Change permissions. A change that removes a right from a VMA in the
+    range is broadcast eagerly to every remote worker's VMA view; one
+    that only grants rights reaches them lazily. Pages keep their
+    contents and ownership: the narrowed view refuses the access before
+    it reaches the protocol. Raises [Invalid_argument] if the range is
+    not page-aligned. *)
 
 val read : thread -> ?site:string -> Dex_mem.Page.addr -> len:int -> unit
 (** Bulk read: fault in every page of the range with read access. Page

@@ -5,9 +5,7 @@ type t =
   | Dir_set of { vpn : Page.vpn; state : Directory.state }
   | Dir_forget of { vpn : Page.vpn }
   | Page_data of { vpn : Page.vpn; data : bytes }
-  | Vma_set of Vma.t
-  | Vma_remove of { start : Page.addr; len : int }
-  | Vma_protect of { start : Page.addr; len : int; perm : Perm.t }
+  | Vma of Vma_tree.change
   | Futex_wait of { addr : Page.addr; tid : int; owner : int }
   | Futex_unpark of { addr : Page.addr; tid : int; woken : bool }
 
@@ -16,6 +14,6 @@ type t =
    automatically). *)
 let wire_size = function
   | Page_data { data; _ } -> 64 + Bytes.length data
-  | Reset _ | Dir_set _ | Dir_forget _ | Vma_set _ | Vma_remove _
-  | Vma_protect _ | Futex_wait _ | Futex_unpark _ ->
+  | Reset _ | Dir_set _ | Dir_forget _ | Vma _ | Futex_wait _
+  | Futex_unpark _ ->
       64

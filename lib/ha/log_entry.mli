@@ -24,10 +24,10 @@ type t =
       (** contents of an origin-staged page after an origin-local write or
           a data pull-back; consecutive writes to the same page compact to
           the newest image while the entry is still queued *)
-  | Vma_set of Vma.t  (** VMA mapped (or refreshed) in the origin tree *)
-  | Vma_remove of { start : Page.addr; len : int }  (** munmap *)
-  | Vma_protect of { start : Page.addr; len : int; perm : Perm.t }
-      (** mprotect *)
+  | Vma of Vma_tree.change
+      (** a change to the origin's VMA tree: a mapping (from [mmap], a
+          thread's stack, the static layout or a re-arm snapshot), an
+          [munmap] or an [mprotect] *)
   | Futex_wait of { addr : Page.addr; tid : int; owner : int }
       (** thread [tid] (executing on node [owner]) parked on the futex *)
   | Futex_unpark of { addr : Page.addr; tid : int; woken : bool }

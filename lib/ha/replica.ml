@@ -17,10 +17,6 @@ let create ~origin =
     wakes = Hashtbl.create 16;
   }
 
-let install_vma tree vma =
-  ignore (Vma_tree.remove_range tree ~start:vma.Vma.start ~len:vma.Vma.len);
-  Vma_tree.insert tree vma
-
 let apply t (e : Log_entry.t) =
   match e with
   | Reset { origin } ->
@@ -33,11 +29,7 @@ let apply t (e : Log_entry.t) =
       ignore (Directory.apply t.dir vpn (Restore (Some state)))
   | Dir_forget { vpn } -> ignore (Directory.apply t.dir vpn (Restore None))
   | Page_data { vpn; data } -> Hashtbl.replace t.data vpn data
-  | Vma_set vma -> install_vma t.vmas vma
-  | Vma_remove { start; len } ->
-      ignore (Vma_tree.remove_range t.vmas ~start ~len)
-  | Vma_protect { start; len; perm } ->
-      ignore (Vma_tree.protect_range t.vmas ~start ~len ~perm)
+  | Vma change -> Vma_tree.apply t.vmas change
   | Futex_wait { addr; tid; owner } ->
       Hashtbl.replace t.waiters (addr, tid) owner;
       (* A fresh park supersedes any stale pending-wake record: the thread

@@ -16,7 +16,8 @@ val create : origin:int -> t
 
 val apply : t -> Log_entry.t -> unit
 (** Apply one log record. Deterministic and idempotent for state-image
-    entries ([Dir_set], [Page_data], [Vma_set]); see {!Log_entry}.
+    entries ([Dir_set], [Page_data], [Vma]); see {!Log_entry}. A [Vma]
+    change goes through {!Vma_tree.apply}, as at the origin.
     [Dir_set] and [Dir_forget] restore through {!Directory.apply}, the rule
     the live directory follows. *)
 

@@ -7,7 +7,3 @@ let ro = { read = true; write = false }
 let none = { read = false; write = false }
 
 let allows t = function Read -> t.read | Write -> t.write
-
-let is_downgrade ~old_perm ~new_perm =
-  (old_perm.read && not new_perm.read)
-  || (old_perm.write && not new_perm.write)

@@ -36,64 +36,55 @@ let overlapping t ~start ~len =
   in
   first @ List.rev rest
 
+let add t vma = t.map <- M.add vma.Vma.start vma t.map
+
 let insert t vma =
   if overlapping t ~start:vma.Vma.start ~len:vma.Vma.len <> [] then
     invalid_arg "Vma_tree.insert: overlapping VMA";
   t.last <- None;
-  t.map <- M.add vma.Vma.start vma t.map
+  add t vma
 
-let check_aligned_range start len name =
+type change =
+  | Map of Vma.t
+  | Unmap of { start : Page.addr; len : int }
+  | Protect of { start : Page.addr; len : int; perm : Perm.t }
+
+(* Cut [start, start+len) out of every VMA it overlaps, keeping the parts
+   outside; [perm] puts the cut parts back with that permission. *)
+let rewrite t ~start ~len perm =
   if not (Page.is_aligned start) || len <= 0 || not (Page.is_aligned len) then
-    invalid_arg ("Vma_tree." ^ name ^ ": range must be page-aligned")
-
-(* Split [vma] against [start, start+len): returns
-   (left fragment outside, middle inside, right fragment outside). *)
-let split vma ~start ~len =
-  let s = max vma.Vma.start start in
-  let e = min (Vma.end_ vma) (start + len) in
-  let left =
-    if vma.Vma.start < s then
-      Some { vma with Vma.len = s - vma.Vma.start }
-    else None
-  in
-  let middle = { vma with Vma.start = s; len = e - s } in
-  let right =
-    if Vma.end_ vma > e then
-      Some { vma with Vma.start = e; len = Vma.end_ vma - e }
-    else None
-  in
-  (left, middle, right)
-
-let remove_range t ~start ~len =
-  check_aligned_range start len "remove_range";
+    invalid_arg "Vma_tree.apply: range must be page-aligned";
   t.last <- None;
-  let victims = overlapping t ~start ~len in
-  let removed =
-    List.map
-      (fun vma ->
-        t.map <- M.remove vma.Vma.start t.map;
-        let left, middle, right = split vma ~start ~len in
-        Option.iter (fun v -> t.map <- M.add v.Vma.start v t.map) left;
-        Option.iter (fun v -> t.map <- M.add v.Vma.start v t.map) right;
-        middle)
-      victims
-  in
-  removed
-
-let protect_range t ~start ~len ~perm =
-  check_aligned_range start len "protect_range";
-  t.last <- None;
-  let victims = overlapping t ~start ~len in
-  List.map
+  let stop = start + len in
+  List.iter
     (fun vma ->
-      t.map <- M.remove vma.Vma.start t.map;
-      let left, middle, right = split vma ~start ~len in
-      let middle = { middle with Vma.perm = perm } in
-      Option.iter (fun v -> t.map <- M.add v.Vma.start v t.map) left;
-      Option.iter (fun v -> t.map <- M.add v.Vma.start v t.map) right;
-      t.map <- M.add middle.Vma.start middle t.map;
-      middle)
-    victims
+      let s = vma.Vma.start and e = Vma.end_ vma in
+      t.map <- M.remove s t.map;
+      if s < start then add t { vma with Vma.len = start - s };
+      if e > stop then add t { vma with Vma.start = stop; len = e - stop };
+      Option.iter
+        (fun perm ->
+          let s = max s start in
+          add t { vma with Vma.start = s; len = min e stop - s; perm })
+        perm)
+    (overlapping t ~start ~len)
+
+let apply t = function
+  | Map vma ->
+      rewrite t ~start:vma.Vma.start ~len:vma.Vma.len None;
+      add t vma
+  | Unmap { start; len } -> rewrite t ~start ~len None
+  | Protect { start; len; perm } -> rewrite t ~start ~len (Some perm)
+
+let narrows t = function
+  | Map _ -> false
+  | Unmap _ -> true
+  | Protect { start; len; perm } ->
+      List.exists
+        (fun { Vma.perm = old; _ } ->
+          (old.Perm.read && not perm.Perm.read)
+          || (old.Perm.write && not perm.Perm.write))
+        (overlapping t ~start ~len)
 
 let iter t f = M.iter (fun _ vma -> f vma) t.map
 let to_list t = M.fold (fun _ vma acc -> vma :: acc) t.map [] |> List.rev

@@ -2,27 +2,38 @@
     space's layout.
 
     The origin holds the authoritative tree; remote nodes hold lazily
-    populated copies refreshed by on-demand VMA synchronization. Removal and
-    permission changes operate on arbitrary page-aligned ranges, splitting
-    VMAs as needed (like [munmap]/[mprotect]). *)
+    populated copies refreshed by on-demand VMA synchronization. Every
+    change to a tree after its VMAs are laid out is one {!change}: the
+    origin, its remote workers and its standbys all {!apply} the same
+    value. *)
 
 type t
 
 val create : unit -> t
 
 val insert : t -> Vma.t -> unit
-(** Raises [Invalid_argument] if the new VMA overlaps an existing one. *)
+(** Add a new mapping. Raises [Invalid_argument] if it overlaps an
+    existing one. *)
 
 val find : t -> Page.addr -> Vma.t option
 (** The VMA containing the address, if any. *)
 
-val remove_range : t -> start:Page.addr -> len:int -> Vma.t list
-(** Unmap a range: affected VMAs are truncated or split; returns the VMAs
-    (or fragments) that were removed. [start]/[len] must be page-aligned. *)
+(** A change to an address range, as [mmap], [munmap] and [mprotect] make
+    it. *)
+type change =
+  | Map of Vma.t  (** the VMA replaces whatever the range held *)
+  | Unmap of { start : Page.addr; len : int }
+  | Protect of { start : Page.addr; len : int; perm : Perm.t }
 
-val protect_range : t -> start:Page.addr -> len:int -> perm:Perm.t -> Vma.t list
-(** Change permissions over a range, splitting VMAs at the boundaries;
-    returns the resulting VMAs now covering the range. *)
+val apply : t -> change -> unit
+(** Apply a change, splitting VMAs at the range's ends. Raises
+    [Invalid_argument] if the range is not page-aligned or is empty. *)
+
+val narrows : t -> change -> bool
+(** Whether applying the change to [t] takes access away: an unmap, or a
+    protect that removes a right from a VMA it covers. §III-D broadcasts
+    exactly these eagerly; the rest reach other nodes through on-demand
+    synchronization. *)
 
 val iter : t -> (Vma.t -> unit) -> unit
 (** In increasing address order. *)

@@ -172,8 +172,9 @@ val page_store : t -> node:int -> Dex_mem.Page_store.t
 
 val zap_range :
   t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> node:int -> int
-(** Drop every page-table entry of [node] in the range (VMA shrink);
-    returns the number of zapped entries. Page stores are dropped too. *)
+(** Drop every page-table entry of [node] in the range, and its page
+    contents, for an unmap; returns the number of zapped entries. A
+    permission change never zaps: the bytes must outlive it. *)
 
 val forget_range : t -> first:Dex_mem.Page.vpn -> last:Dex_mem.Page.vpn -> unit
 (** Unmap a range from the authority table ({!Authority.forget}): each

@@ -343,6 +343,56 @@ let test_mprotect_broadcasts_only_downgrades () =
   check_int "none -> ro sends no node op" 0 !upgrade;
   check_int "rw -> ro reaches the other node" 1 !downgrade
 
+(* Node 1 stores 42 in a fresh page; once its store is in, the origin
+   applies [perms] to the page, reads it, and lets node 1's thread read it
+   and try one more store. An mprotect edits VMA views only, so the bytes
+   stay wherever they are. Returns (origin read, node 1 read, whether node
+   1's last store was refused). *)
+let mprotect_after_remote_store perms =
+  let cl = Dex.cluster ~nodes:2 () in
+  let eng = Cluster.engine cl in
+  let at_origin = ref 0L and at_remote = ref 0L and refused = ref false in
+  ignore
+    (Dex.run cl (fun proc main ->
+         let page = Process.mmap main ~len:4096 ~tag:"data" () in
+         let stored = Ivar.create () and changed = Ivar.create () in
+         let th =
+           Process.spawn proc (fun th ->
+               Process.migrate th 1;
+               Process.store th page 42L;
+               Ivar.fill stored ();
+               Ivar.read eng changed;
+               at_remote := Process.load th page;
+               try Process.store th page 7L
+               with Process.Segfault _ -> refused := true)
+         in
+         Ivar.read eng stored;
+         List.iter
+           (fun perm -> Process.mprotect main ~addr:page ~len:4096 ~perm)
+           perms;
+         at_origin := Process.load main page;
+         Ivar.fill changed ();
+         Process.join th));
+  (!at_origin, !at_remote, !refused)
+
+let test_mprotect_keeps_contents () =
+  let at_origin, at_remote, _ = mprotect_after_remote_store [ Dex_mem.Perm.ro ] in
+  Alcotest.(check int64) "the origin reads node 1's store" 42L at_origin;
+  Alcotest.(check int64) "node 1 reads its own store" 42L at_remote
+
+let test_mprotect_refuses_cached_writer () =
+  let _, at_remote, refused = mprotect_after_remote_store [ Dex_mem.Perm.ro ] in
+  check_bool "the write through the cached rw view segfaults" true refused;
+  Alcotest.(check int64) "the read through it still works" 42L at_remote
+
+let test_mprotect_none_and_back () =
+  let at_origin, at_remote, refused =
+    mprotect_after_remote_store Dex_mem.Perm.[ none; rw ]
+  in
+  Alcotest.(check int64) "the origin reads node 1's store" 42L at_origin;
+  Alcotest.(check int64) "node 1 reads its own store" 42L at_remote;
+  check_bool "node 1 writes again" false refused
+
 (* ------------------------------------------------------------------ *)
 (* Work delegation.                                                    *)
 
@@ -361,6 +411,50 @@ let test_remote_malloc_is_delegated () =
   in
   check_bool "delegations recorded" true
     (Stats.get (Process.stats proc) "delegation" >= 1)
+
+(* A bad argument to a delegated call raises [Invalid_argument] in the
+   calling thread, at the origin and on node 1 alike, and the run goes on. *)
+let test_delegated_bad_argument () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let raised = ref [] in
+  let bad_calls th page =
+    let fd = Process.file_open th "args.dat" in
+    List.iter
+      (fun (name, call) ->
+        match call () with
+        | () -> ()
+        | exception Invalid_argument _ ->
+            raised := (Process.location th, name) :: !raised)
+      [
+        ("unaligned munmap", fun () -> Process.munmap th ~addr:(page + 8) ~len:4096);
+        ( "unaligned mprotect",
+          fun () ->
+            Process.mprotect th ~addr:page ~len:100 ~perm:Dex_mem.Perm.ro );
+        ("negative read", fun () -> ignore (Process.file_read th ~fd ~bytes:(-1)));
+        ( "negative read past the header",
+          fun () -> ignore (Process.file_read th ~fd ~bytes:(-100_000)) );
+        ("negative write", fun () -> Process.file_write th ~fd ~bytes:(-100_000));
+        ("unknown fd", fun () -> ignore (Process.file_read th ~fd:99 ~bytes:10));
+      ]
+  in
+  ignore
+    (Dex.run cl (fun proc main ->
+         let page = Process.mmap main ~len:(2 * 4096) ~tag:"args" () in
+         bad_calls main page;
+         Process.join
+           (Process.spawn proc (fun th ->
+                Process.migrate th 1;
+                bad_calls th page))));
+  let names =
+    [
+      "unaligned munmap"; "unaligned mprotect"; "negative read";
+      "negative read past the header"; "negative write"; "unknown fd";
+    ]
+  in
+  Alcotest.(check (list (pair int string)))
+    "every bad call raised in its caller"
+    (List.map (fun n -> (0, n)) names @ List.map (fun n -> (1, n)) names)
+    (List.rev !raised)
 
 let test_futex_eagain () =
   let cl = Dex.cluster ~nodes:2 () in
@@ -1262,6 +1356,12 @@ let () =
             test_mprotect_downgrade_broadcast;
           Alcotest.test_case "mprotect broadcasts only downgrades" `Quick
             test_mprotect_broadcasts_only_downgrades;
+          Alcotest.test_case "mprotect keeps the page's contents" `Quick
+            test_mprotect_keeps_contents;
+          Alcotest.test_case "mprotect refuses a cached writer" `Quick
+            test_mprotect_refuses_cached_writer;
+          Alcotest.test_case "mprotect none and back keeps the bytes" `Quick
+            test_mprotect_none_and_back;
           Alcotest.test_case "fault-free access allocation" `Quick
             test_fault_free_access_allocation;
         ] );
@@ -1275,6 +1375,8 @@ let () =
           Alcotest.test_case "remote malloc" `Quick
             test_remote_malloc_is_delegated;
           Alcotest.test_case "futex EAGAIN" `Quick test_futex_eagain;
+          Alcotest.test_case "bad argument raises in the caller" `Quick
+            test_delegated_bad_argument;
           Alcotest.test_case "futex wake across nodes" `Quick
             test_futex_wake_across_nodes;
         ] );

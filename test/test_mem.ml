@@ -176,6 +176,18 @@ let page = 4096
 let vma start pages perm tag =
   Vma.make ~start:(start * page) ~len:(pages * page) ~perm ~tag
 
+let unmap start pages =
+  Vma_tree.Unmap { start = start * page; len = pages * page }
+
+let protect start pages perm =
+  Vma_tree.Protect { start = start * page; len = pages * page; perm }
+
+(* Each VMA as (first page, pages). *)
+let spans t =
+  List.map
+    (fun v -> (v.Vma.start / page, v.Vma.len / page))
+    (Vma_tree.to_list t)
+
 let test_vma_tree_find () =
   let t = Vma_tree.create () in
   Vma_tree.insert t (vma 10 5 Perm.rw "heap");
@@ -203,14 +215,16 @@ let test_vma_tree_find_after_change () =
   Vma_tree.insert t (vma 20 5 Perm.rw "b");
   check "new VMA after insert" (Some ("b", 20, true)) 21;
   check "a still found" (Some ("a", 10, true)) 12;
-  ignore (Vma_tree.protect_range t ~start:(12 * page) ~len:page ~perm:Perm.ro);
+  Vma_tree.apply t (protect 12 1 Perm.ro);
   check "protected middle" (Some ("a", 12, false)) 12;
   check "left fragment" (Some ("a", 10, true)) 11;
-  ignore (Vma_tree.remove_range t ~start:(10 * page) ~len:(2 * page));
+  Vma_tree.apply t (unmap 10 2);
   check "removed range" None 11;
   check "protected part survives" (Some ("a", 12, false)) 12;
-  ignore (Vma_tree.remove_range t ~start:(12 * page) ~len:page);
-  check "removed after a hit" None 12
+  Vma_tree.apply t (unmap 12 1);
+  check "removed after a hit" None 12;
+  Vma_tree.apply t (Map (vma 12 1 Perm.rw "c"));
+  check "mapped after a miss" (Some ("c", 12, true)) 12
 
 let test_vma_tree_overlap_rejected () =
   let t = Vma_tree.create () in
@@ -225,8 +239,9 @@ let test_vma_tree_overlap_rejected () =
 let test_vma_tree_remove_splits () =
   let t = Vma_tree.create () in
   Vma_tree.insert t (vma 10 10 Perm.rw "big");
-  let removed = Vma_tree.remove_range t ~start:(13 * page) ~len:(2 * page) in
-  check_int "one removed fragment" 1 (List.length removed);
+  Vma_tree.apply t (unmap 13 2);
+  Alcotest.(check (list (pair int int))) "both sides kept" [ (10, 3); (15, 5) ]
+    (spans t);
   Vma_tree.check_invariants t;
   check_int "split into two" 2 (Vma_tree.count t);
   check_bool "hole unmapped" true (Vma_tree.find t (13 * page) = None);
@@ -238,8 +253,9 @@ let test_vma_tree_remove_spanning () =
   Vma_tree.insert t (vma 10 2 Perm.rw "a");
   Vma_tree.insert t (vma 12 2 Perm.rw "b");
   Vma_tree.insert t (vma 20 2 Perm.rw "c");
-  let removed = Vma_tree.remove_range t ~start:(11 * page) ~len:(2 * page) in
-  check_int "two fragments removed" 2 (List.length removed);
+  Vma_tree.apply t (unmap 11 2);
+  Alcotest.(check (list (pair int int))) "two VMAs cut" [ (10, 1); (13, 1); (20, 2) ]
+    (spans t);
   Vma_tree.check_invariants t;
   (* a truncated to one page, b truncated to one page, c untouched. *)
   check_int "three vmas remain" 3 (Vma_tree.count t);
@@ -249,18 +265,22 @@ let test_vma_tree_remove_spanning () =
 let test_vma_tree_protect () =
   let t = Vma_tree.create () in
   Vma_tree.insert t (vma 10 4 Perm.rw "a");
-  let changed =
-    Vma_tree.protect_range t ~start:(11 * page) ~len:(2 * page) ~perm:Perm.ro
-  in
-  check_int "one changed" 1 (List.length changed);
+  Vma_tree.apply t (protect 11 2 Perm.ro);
   Vma_tree.check_invariants t;
   check_int "split into three" 3 (Vma_tree.count t);
   (match Vma_tree.find t (11 * page) with
   | Some v -> check_bool "downgraded" true (v.Vma.perm = Perm.ro)
   | None -> Alcotest.fail "vma missing");
-  match Vma_tree.find t (10 * page) with
+  (match Vma_tree.find t (10 * page) with
   | Some v -> check_bool "left unchanged" true (v.Vma.perm = Perm.rw)
-  | None -> Alcotest.fail "vma missing"
+  | None -> Alcotest.fail "vma missing");
+  (* A mapping replaces whatever the range held, across VMA ends. *)
+  Vma_tree.apply t (Map (vma 12 3 Perm.none "b"));
+  Alcotest.(check (list (pair int int))) "map replaces" [ (10, 1); (11, 1); (12, 3) ]
+    (spans t);
+  Alcotest.check_raises "unaligned range"
+    (Invalid_argument "Vma_tree.apply: range must be page-aligned") (fun () ->
+      Vma_tree.apply t (Unmap { start = page + 8; len = page }))
 
 let prop_vma_tree_invariant =
   (* Random mixes of insert/remove keep the tree sorted and disjoint. *)
@@ -275,10 +295,7 @@ let prop_vma_tree_invariant =
           if is_insert then
             try Vma_tree.insert t (vma start pages Perm.rw "x")
             with Invalid_argument _ -> ()
-          else
-            ignore
-              (Vma_tree.remove_range t ~start:(start * page)
-                 ~len:(pages * page)))
+          else Vma_tree.apply t (unmap start pages))
         ops;
       Vma_tree.check_invariants t;
       true)
@@ -832,13 +849,21 @@ let test_layout_stacks_disjoint () =
     (Invalid_argument "Layout: bad thread id") (fun () ->
       ignore (Layout.stack_for ~tid:Layout.max_threads))
 
+(* Which changes narrow access, over a tree holding one VMA with [o]. *)
 let test_perm_downgrade_table () =
-  let d o n = Perm.is_downgrade ~old_perm:o ~new_perm:n in
+  let narrows o change =
+    let t = Vma_tree.create () in
+    Vma_tree.insert t (vma 10 4 o "a");
+    Vma_tree.narrows t change
+  in
+  let d o n = narrows o (protect 11 2 n) in
   check_bool "rw->ro downgrades" true (d Perm.rw Perm.ro);
   check_bool "rw->none downgrades" true (d Perm.rw Perm.none);
   check_bool "ro->rw permissive" false (d Perm.ro Perm.rw);
   check_bool "ro->ro unchanged" false (d Perm.ro Perm.ro);
-  check_bool "none->ro permissive" false (d Perm.none Perm.ro)
+  check_bool "none->ro permissive" false (d Perm.none Perm.ro);
+  check_bool "unmap narrows" true (narrows Perm.none (unmap 11 2));
+  check_bool "map widens" false (narrows Perm.rw (Map (vma 20 1 Perm.none "b")))
 
 let test_allocator_exhaustion () =
   let a = Allocator.create () in
