@@ -37,12 +37,12 @@ type Msg.payload +=
       remote_ns : int;  (* remote-side capture cost, for the log *)
       resume : unit -> unit;
     }  (* remote → origin: refresh the original thread [tid] *)
-  | Delegate of { resp_size : int; run : unit -> unit }
+  | Delegate of { run : unit -> int }
       (* remote → home: run a stateful kernel operation in the context of
-         the paired original thread, then reply [Delegate_done] with
-         [resp_size] wire bytes. [run] stores the operation's result in
-         the caller's own cell, so the result is an OCaml value and never
-         a wire type. *)
+         the paired original thread, then reply [Delegate_done] with as
+         many wire bytes as [run] returns. [run] stores the operation's
+         result in the caller's own cell, so the result is an OCaml value
+         and never a wire type. *)
   | Delegate_done
   | Vma_query of { addr : Page.addr }
       (* remote → origin: on-demand VMA lookup *)
@@ -283,16 +283,24 @@ and vma_miss th ~addr ~len ~access ~queried =
 (* A delegated attempt's result cell before the home has run it. *)
 let unanswered = Error (Failure "Process: delegated call never ran")
 
+(* The reply leg of most delegated calls: a header alone. *)
+let header_reply _ = 64
+
 (* Run [run] in the context of the paired original thread at [shard]'s
    home node and return its result — shard 0 (the default) is the origin,
    where the allocator/VMA/file services live; futex delegations route
    to the word's shard. Threads local to the home call straight into the
    kernel. [req_size] is the request-leg wire size — operations that
-   carry a payload to the home (file writes) must charge for it. The
-   result comes back as an OCaml value, never as a wire type, and so does
-   a bad argument: [run]'s [Invalid_argument] is raised in the caller,
-   not in the home's handler fiber. *)
-let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
+   carry a payload to the home (file writes) must charge for it — and
+   [resp_size] gives the reply leg's from the result (a read's payload).
+   The result comes back as an OCaml value, never as a wire type, and so
+   does an exception [run] raises: it is raised in the caller, as at the
+   home, not in the home's handler fiber. Only crash signals stay where
+   they are raised: a lost peer ([Fabric.Unreachable]), an aborted thread
+   ([Thread_crashed]), and whatever a home that has itself crashed
+   raises, whose reply is never sent. *)
+let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = header_reply) th run
+    =
   let t = th.proc in
   guard_thunk th (fun () ->
       Engine.delay (engine t) (cfg t).Core_config.syscall;
@@ -316,15 +324,20 @@ let delegate ?(shard = 0) ?(req_size = 64) ?(resp_size = 64) th run =
                reply finds the cell that one execution filled. *)
             let result = ref unanswered in
             let run () =
-              result :=
-                match run () with
-                | v -> Ok v
-                | exception (Invalid_argument _ as e) -> Error e
+              match run () with
+              | v ->
+                  result := Ok v;
+                  resp_size v
+              | exception ((Fabric.Unreachable _ | Thread_crashed _) as e) ->
+                  raise e
+              | exception e when Fabric.crashed (fabric t) ~node:dst -> raise e
+              | exception e ->
+                  result := Error e;
+                  header_reply ()
             in
             match
               Fabric.call (fabric t) ~src:th.location ~dst ~pid:t.pid
-                ~kind:kind_delegate ~size:req_size
-                (Delegate { resp_size; run })
+                ~kind:kind_delegate ~size:req_size (Delegate { run })
             with
             | Delegate_done -> (
                 match !result with Ok v -> v | Error e -> raise e)
@@ -510,9 +523,9 @@ let file_read th ~fd ~bytes =
     if n > 0 then Resource.Server.transfer (Cluster.storage t.cluster) ~bytes:n;
     n
   in
-  (* The payload travels back to the caller as the syscall result: big
+  (* The bytes read travel back to the caller as the syscall result: big
      reads ride the RDMA path of the fabric automatically. *)
-  delegate ~resp_size:(64 + bytes) th run
+  delegate ~resp_size:(fun n -> 64 + n) th run
 
 let file_write th ~fd ~bytes =
   if bytes < 0 then invalid_arg "Process.file_write: negative size";
@@ -950,9 +963,9 @@ let router t (env : Fabric.env) =
     | Migrate_back { tid; remote_ns; resume } ->
         handle_migrate_back t ~node:msg.Msg.dst ~tid ~remote_ns resume;
         true
-    | Delegate { resp_size; run } ->
+    | Delegate { run } ->
         Engine.delay (engine t) (cfg t).Core_config.delegation_dispatch;
-        run ();
+        let resp_size = run () in
         (* Replicate-before-externalize: whatever the syscall mutated
            (futex state, VMAs, allocations) must be on the standbys before
            the reply publishes the effect to another node. Only the

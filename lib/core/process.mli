@@ -14,8 +14,9 @@
     to the paired original thread at the origin. Node-wide operations
     (VMA changes that narrow access, process exit) are broadcast from the
     origin and applied at each remote worker by the fabric handler that
-    delivers them. A bad argument to a delegated call raises
-    [Invalid_argument] in the calling thread, wherever it runs.
+    delivers them. A delegated call that fails (a bad argument, an
+    exhausted allocator) raises in the calling thread, wherever it runs,
+    as it does at the origin.
 
     The process keeps only process state (threads, VMAs, futexes, files,
     remote workers). Its protocol instance ({!coherence}) owns the rest:
@@ -239,7 +240,7 @@ val file_open : thread -> string -> int
 
 val file_read : thread -> fd:int -> bytes:int -> int
 (** Read up to [bytes] at the cursor; returns the actual count (0 at
-    EOF). *)
+    EOF). A remote read's reply bills the bytes read, not [bytes]. *)
 
 val file_write : thread -> fd:int -> bytes:int -> unit
 

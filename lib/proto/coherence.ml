@@ -1089,6 +1089,10 @@ let stale_origin_traffic t ~node ~src ~epoch =
   end
   else false
 
+let ack_revoke_unchanged t (env : Fabric.env) =
+  env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
+    (Messages.Revoke_ack { data = None; owned = false })
+
 let handler_unguarded t (env : Fabric.env) =
   let msg = env.Fabric.msg in
   match msg.Msg.payload with
@@ -1135,37 +1139,45 @@ let handler_unguarded t (env : Fabric.env) =
       true
   | Messages.Revoke { vpn; mode; want_data; epoch } ->
       let node = msg.Msg.dst in
-      if stale_origin_traffic t ~node ~src:msg.Msg.src ~epoch then begin
-        env.Fabric.respond ~size:t.cfg.Proto_config.ctl_msg_size
-          (Messages.Revoke_ack { data = None; owned = false })
-      end
+      if stale_origin_traffic t ~node ~src:msg.Msg.src ~epoch then
+        ack_revoke_unchanged t env
       else begin
         (* A fault in flight on this page must complete before the
            revocation applies, or PTE updates would interleave. *)
         Fault_table.await_idle t.ftables.(node) ~vpn;
         Engine.delay t.engine t.cfg.Proto_config.invalidate_handler;
-        let store = t.stores.(node) in
-        let reply =
-          match mode with
-          | _ when not want_data ->
-              Messages.Revoke_ack { data = None; owned = false }
-          | Messages.Downgrade ->
-              Messages.Revoke_ack
-                { data = snapshot_if_materialized store vpn; owned = false }
-          | Messages.Invalidate -> (
-              (* The copy is dropped below anyway: hand its buffer over
-                 instead of an image of it, private if it was. *)
-              match Page_store.take store vpn with
-              | Some (data, owned) ->
-                  Messages.Revoke_ack { data = Some data; owned }
-              | None -> Messages.Revoke_ack { data = None; owned = false })
-        in
-        apply_invalidation t ~node ~vpn ~mode;
-        let size =
-          if want_data then t.cfg.Proto_config.page_msg_size
-          else t.cfg.Proto_config.ctl_msg_size
-        in
-        env.Fabric.respond ~size reply
+        if Fabric.crash_detected t.fabric ~node:msg.Msg.src then begin
+          (* The home died while the revoke was parked. Its epoch may
+             still be this node's view (a fence carries none), but the
+             promoted home rebuilt the directory from the replica, which
+             can still count on this copy: the revoke changes nothing. *)
+          Stats.incr t.stats "ha.stale_revokes";
+          ack_revoke_unchanged t env
+        end
+        else begin
+          let store = t.stores.(node) in
+          let reply =
+            match mode with
+            | _ when not want_data ->
+                Messages.Revoke_ack { data = None; owned = false }
+            | Messages.Downgrade ->
+                Messages.Revoke_ack
+                  { data = snapshot_if_materialized store vpn; owned = false }
+            | Messages.Invalidate -> (
+                (* The copy is dropped below anyway: hand its buffer over
+                   instead of an image of it, private if it was. *)
+                match Page_store.take store vpn with
+                | Some (data, owned) ->
+                    Messages.Revoke_ack { data = Some data; owned }
+                | None -> Messages.Revoke_ack { data = None; owned = false })
+          in
+          apply_invalidation t ~node ~vpn ~mode;
+          let size =
+            if want_data then t.cfg.Proto_config.page_msg_size
+            else t.cfg.Proto_config.ctl_msg_size
+          in
+          env.Fabric.respond ~size reply
+        end
       end;
       true
   | Messages.Epoch_fence { keep } ->

@@ -15,17 +15,39 @@ type t = {
   mutable live : int;
   mutable horizon : Time_ns.t;
       (* The latest instant the current [run] may pop; -1 outside [run]. *)
+  mutable current : fiber;  (* the fiber running, [Idle] between fibers *)
   handler : (unit, unit) Effect.Deep.handler;
   mutable pending : Time_ns.t;  (* the delay of the [Delay] being handled *)
   on_delay : ((unit, unit) Effect.Deep.continuation -> unit) option;
+  on_park : ((unit, unit) Effect.Deep.continuation -> unit) option;
 }
+
+(* A fiber's one record, made by [spawn] and reused by every park; [Idle]
+   is no fiber, an immediate, so a slot can be cleared without one.
+   [step] is the fiber's start (while [k] is [None], before its first
+   park) and its resume (continuing [k], which stays in place: continuing
+   it again would raise). A spawn, a timer and a wake all enqueue [step],
+   so no park allocates a closure. [parked] is set while the fiber waits
+   for one more event before its step may resume it: a {!wake} clears
+   it, and so does the first run of a zero-delay {!delay}'s step, which
+   is that delay's bounce. *)
+and fiber =
+  | Idle
+  | Fiber of {
+      engine : t;
+      mutable k : (unit, unit) Effect.Deep.continuation option;
+      mutable parked : bool;
+      body : unit -> unit;
+      label : string;
+      mutable step : unit -> unit;  (* set once, by [spawn] *)
+    }
 
 exception Deadlock
 exception Fiber_failure of string * exn
 
-type _ Effect.t +=
-  | Suspend : (('a -> unit) -> unit) -> 'a Effect.t
-  | Delay : Time_ns.t -> unit Effect.t
+(* Constant effects: the delay travels in [pending] and the fiber in
+   [current], so a perform allocates no effect block. *)
+type _ Effect.t += Park : unit Effect.t | Delay : unit Effect.t
 
 let now t = t.now
 
@@ -73,10 +95,6 @@ let after t d f =
   if d > 0 then push t ~time:(t.now + d) ~timer:1 f
   else enqueue t (fun () -> if busy t then enqueue t f else f ())
 
-let suspend (t : t) register =
-  ignore t;
-  Effect.perform (Suspend register)
-
 (* A wake-up strictly before every queued event and within the current
    [run]'s horizon is the timer [after] would pop next, and it would resume
    the fiber directly: advancing the clock in place is the same
@@ -88,24 +106,57 @@ let delay t d =
     && d < Event_queue.min_time t.queue - t.now
     && d <= t.horizon - t.now
   then t.now <- t.now + d
-  else Effect.perform (Delay d)
+  else begin
+    if d < 0 then invalid_arg "Engine.delay: negative delay";
+    t.pending <- d;
+    Effect.perform Delay
+  end
 
+let current t = t.current
+let none = Idle
+
+let park t =
+  match t.current with
+  | Fiber f ->
+      f.parked <- true;
+      Effect.perform Park
+  | Idle -> invalid_arg "Engine.park: not in a fiber"
+
+let wake = function
+  | Fiber f when f.parked ->
+      f.parked <- false;
+      enqueue f.engine f.step
+  | Fiber _ | Idle -> invalid_arg "Engine.wake: fiber not parked"
+
+(* Run [fb] until it parks or ends, as [t]'s current fiber. The
+   handler's [retc] and [exnc] drop it when it ends; a parked fiber stays
+   [current] until the next step, as nothing runs between. *)
+let resume t fb =
+  t.current <- fb;
+  match fb with
+  | Fiber { k = Some k; _ } -> Effect.Deep.continue k ()
+  | Fiber { body; _ } -> Effect.Deep.match_with body () t.handler
+  | Idle -> ()
+
+(* A step with [parked] set is a zero-delay bounce's first run: it moves
+   to the ring's tail if another event is due now, as [after]'s bounce
+   does. *)
+let step fb =
+  match fb with
+  | Fiber ({ engine = t; _ } as f) when f.parked ->
+      f.parked <- false;
+      if busy t then enqueue t f.step else resume t fb
+  | Fiber { engine = t; _ } -> resume t fb
+  | Idle -> ()
+
+(* The handlers run at once, in the performing fiber's event, so
+   [current] and [pending] are the performer's. A delay is [after] applied
+   to the fiber's step. *)
 let effc t (type a) (eff : a Effect.t) :
     ((a, unit) Effect.Deep.continuation -> unit) option =
   match eff with
-  | Suspend register ->
-      Some
-        (fun k ->
-          let resumed = ref false in
-          register (fun v ->
-              if !resumed then invalid_arg "Engine: fiber resumed twice";
-              resumed := true;
-              enqueue t (fun () -> Effect.Deep.continue k v)))
-  | Delay d ->
-      (* The handler calls the returned function at once, so [pending]
-         cannot change before it is read. *)
-      t.pending <- d;
-      t.on_delay
+  | Park -> t.on_park
+  | Delay -> t.on_delay
   | _ -> None
 
 let create () =
@@ -120,24 +171,56 @@ let create () =
       seq = 0;
       live = 0;
       horizon = -1;
-      handler = { retc = Fun.id; exnc = raise; effc = (fun e -> effc t e) };
+      current = Idle;
+      handler =
+        {
+          retc =
+            (fun () ->
+              t.live <- t.live - 1;
+              t.current <- Idle);
+          exnc =
+            (fun e ->
+              let label =
+                match t.current with Fiber f -> f.label | Idle -> "idle"
+              in
+              t.current <- Idle;
+              raise (Fiber_failure (label, e)));
+          effc = (fun e -> effc t e);
+        };
       pending = 0;
       on_delay =
-        Some (fun k -> after t t.pending (fun () -> Effect.Deep.continue k ()));
+        Some
+          (fun k ->
+            match t.current with
+            | Fiber f ->
+                f.k <- Some k;
+                if t.pending > 0 then
+                  push t ~time:(t.now + t.pending) ~timer:1 f.step
+                else begin
+                  f.parked <- true;
+                  enqueue t f.step
+                end
+            | Idle -> ());
+      on_park =
+        Some
+          (fun k -> match t.current with Fiber f -> f.k <- Some k | Idle -> ());
     }
   in
   t
 
-(* Every fiber runs under its engine's one handler; the body carries the
-   fiber's label and its end. *)
-let spawn t ?(label = "fiber") f =
+(* Every fiber runs under its engine's one handler, which counts the
+   fiber's end and labels its failure. [step] is set after the record is
+   made because a [let rec] record is allocated twice. *)
+let spawn t ?(label = "fiber") body =
   t.live <- t.live + 1;
-  let body () =
-    match f () with
-    | () -> t.live <- t.live - 1
-    | exception e -> raise (Fiber_failure (label, e))
+  let fb =
+    Fiber { engine = t; k = None; parked = false; body; label; step = ignore }
   in
-  enqueue t (fun () -> Effect.Deep.match_with body () t.handler)
+  match fb with
+  | Fiber f ->
+      f.step <- (fun () -> step fb);
+      enqueue t f.step
+  | Idle -> ()
 
 let live_fibers t = t.live
 

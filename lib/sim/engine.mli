@@ -2,16 +2,25 @@
 
     The engine owns a virtual clock and its pending events. Simulated
     threads ("fibers") are ordinary OCaml functions running under an effect
-    handler: a fiber blocks by performing a [Suspend] effect whose
-    resumption is re-scheduled as an event, so execution is fully
-    trampolined and strictly ordered by (time, sequence number). Identical
-    inputs always produce identical executions.
+    handler: a fiber blocks by performing a constant effect ([Park] or
+    [Delay]) whose resumption is re-scheduled as an event, so execution is
+    fully trampolined and strictly ordered by (time, sequence number).
+    Identical inputs always produce identical executions.
+
+    {b One record per fiber.} {!spawn} makes the fiber's record: its
+    engine, body, label, the continuation it parked with and one closure
+    that is both its start and its resume. A park stores the continuation
+    in the record; a timer, a {!wake} or the start enqueues that closure.
+    So parking and resuming allocate nothing beyond the continuation the
+    runtime makes (and the option holding it). A wait carries no value:
+    a waker that has one stores it where the fiber reads it after it
+    resumes, as {!Ivar} does.
 
     {b Where events wait.} An event due at the current instant (a
     zero-delay {!schedule}, an {!at} in the past or present, a {!spawn}'s
-    start, a {!suspend} resume) joins a FIFO runnable ring; a later one
-    joins a binary heap keyed by (time, sequence number). {!run} pops the
-    heap while its earliest event is due now, then the ring, and only then
+    start, a {!wake}) joins a FIFO runnable ring; a later one joins a
+    binary heap keyed by (time, sequence number). {!run} pops the heap
+    while its earliest event is due now, then the ring, and only then
     advances the clock to the heap's minimum. That is (time, sequence)
     order exactly: an event in the heap due now was pushed at an earlier
     instant, so it precedes every ring entry, and the ring drains before
@@ -46,9 +55,9 @@ val at : t -> time:Time_ns.t -> (unit -> unit) -> unit
 val after : t -> Time_ns.t -> (unit -> unit) -> unit
 (** [after t d f] runs [f] [d] nanoseconds from now, ordered exactly as a
     fiber calling [delay t d] would resume: in the timer event itself
-    unless another event is due at that instant, in which case [f] takes
-    the same zero-delay bounce as a {!suspend} resume. It is the callback
-    form of {!delay}, for a chain of timed steps that needs no fiber. For
+    unless another event is due at that instant, in which case [f] joins
+    the runnable ring's tail, as a {!wake} does. It is the callback form
+    of {!delay}, for a chain of timed steps that needs no fiber. For
     [d > 0] the timer is [f] itself in the heap and allocates nothing.
     [d] must be non-negative. *)
 
@@ -58,23 +67,37 @@ val spawn : t -> ?label:string -> (unit -> unit) -> unit
     simulation with the fiber's [label] attached. Every fiber of an engine
     runs under one handler, built by {!create}. *)
 
-val suspend : t -> (('a -> unit) -> unit) -> 'a
-(** [suspend t register] blocks the calling fiber. [register resume] is
-    called immediately with a one-shot [resume] function; invoking
-    [resume v] (from any other fiber or event) schedules the blocked fiber
-    to continue with value [v] at the then-current time. Must be called from
-    within a fiber. It is the primitive under {!Waitq.wait} and
-    {!Ivar.read}; the rest of the simulator parks through those two. *)
-
 val delay : t -> Time_ns.t -> unit
 (** [delay t d] blocks the calling fiber for [d] simulated nanoseconds,
-    resuming it as {!after} would run a callback, so event order is the
-    same as if it were written with {!suspend}. When no event is due now,
+    resuming it as {!after} would run a callback: from the timer event
+    itself, or after a zero-delay bounce when another event is due at the
+    wake-up instant. When no event is due now,
     the wake-up time is strictly earlier than every queued event and it is
     not past the bound of the enclosing {!run}, that timer would be the
     next event popped and would resume the fiber directly; [delay] then
     advances the clock in place and returns, with no effect, event or
-    allocation. *)
+    allocation. Raises [Invalid_argument] if [d] is negative. *)
+
+type fiber
+(** A fiber's record, made once by {!spawn}. *)
+
+val current : t -> fiber
+(** [current t] is the fiber running in [t], {!none} between fibers. *)
+
+val none : fiber
+(** No fiber: what {!current} is outside fibers, and the filler of an
+    empty slot in an array of fibers. *)
+
+val park : t -> unit
+(** [park t] blocks the calling fiber until a {!wake} of it. A caller
+    first stores [current t] where its waker finds it: the primitive under
+    {!Waitq.wait} and {!Ivar.read}, where the rest of the simulator
+    parks. Raises [Invalid_argument] outside a fiber. *)
+
+val wake : fiber -> unit
+(** [wake fb] schedules the parked fiber [fb] to resume at the current
+    time, after the events already due then. Raises [Invalid_argument] if
+    [fb] is not parked (a second wake of one park, or {!none}). *)
 
 val live_fibers : t -> int
 (** [live_fibers t] is the number of fibers that have started and not yet

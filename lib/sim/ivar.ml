@@ -1,7 +1,9 @@
+(* A reader parks as its fiber and, once woken, finds the value in the
+   cell: the fill stores it before it wakes anyone. *)
 type 'a state =
   | Empty
   | Full of 'a
-  | Waiting of ('a -> unit) * ('a -> unit) list
+  | Waiting of Engine.fiber * Engine.fiber list
       (* the oldest reader, then the later ones newest first: a lone
          reader needs no list cell *)
 
@@ -10,23 +12,24 @@ type 'a t = { mutable state : 'a state }
 let create () = { state = Empty }
 let is_full t = match t.state with Full _ -> true | Empty | Waiting _ -> false
 
-let park t resume =
-  t.state <-
-    (match t.state with
-    | Waiting (first, later) -> Waiting (first, resume :: later)
-    | Empty | Full _ -> Waiting (resume, []))
+let park engine t waiting =
+  t.state <- waiting;
+  Engine.park engine;
+  match t.state with Full v -> v | Empty | Waiting _ -> assert false
 
 let read engine t =
   match t.state with
   | Full v -> v
-  | Empty | Waiting _ -> Engine.suspend engine (fun resume -> park t resume)
+  | Empty -> park engine t (Waiting (Engine.current engine, []))
+  | Waiting (first, later) ->
+      park engine t (Waiting (first, Engine.current engine :: later))
 
 (* The later readers are newest first: wake from the list's end. *)
-let rec wake_later v = function
+let rec wake_later = function
   | [] -> ()
-  | resume :: earlier ->
-      wake_later v earlier;
-      resume v
+  | fb :: earlier ->
+      wake_later earlier;
+      Engine.wake fb
 
 let try_fill t v =
   match t.state with
@@ -36,8 +39,8 @@ let try_fill t v =
       true
   | Waiting (first, later) ->
       t.state <- Full v;
-      first v;
-      wake_later v later;
+      Engine.wake first;
+      wake_later later;
       true
 
 let fill t v = if not (try_fill t v) then invalid_arg "Ivar.fill: already full"

@@ -1,10 +1,13 @@
 (** One-shot cells for blocking fibers.
 
     An ivar is filled at most once; a fiber that reads it before the fill
-    parks until the fill delivers the value. It is the one-shot sibling of
-    {!Waitq} (a reply, a rebuilt context, a thread's end): a read and a
-    fill meet in either order, so a caller never checks a flag before it
-    parks. *)
+    parks until the fill. It is the one-shot sibling of {!Waitq} (a reply,
+    a rebuilt context, a thread's end): a read and a fill meet in either
+    order, so a caller never checks a flag before it parks. The value
+    travels through the ivar, not through the wake: a parked reader is
+    its fiber's record ({!Engine.fiber}), and once woken it reads the
+    value the fill stored. A park costs the reader's [Waiting] state (a
+    list cell for each reader after the first) and the engine's park. *)
 
 type 'a t
 

@@ -456,6 +456,47 @@ let test_delegated_bad_argument () =
     (List.map (fun n -> (0, n)) names @ List.map (fun n -> (1, n)) names)
     (List.rev !raised)
 
+(* An exhausted allocator fails the call in the calling thread, at the
+   origin and on node 1 alike, with the same exception, and the run goes
+   on. *)
+let test_delegated_failure () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let raised = ref [] in
+  let huge = 1 lsl 40 in
+  let calls th =
+    List.iter
+      (fun (name, call) ->
+        match call () with
+        | (_ : int) -> ()
+        | exception e ->
+            raised := (Process.location th, name, Printexc.to_string e) :: !raised)
+      [
+        ("mmap", fun () -> Process.mmap th ~len:huge ~tag:"huge" ());
+        ("malloc", fun () -> Process.malloc th ~bytes:huge ~tag:"huge");
+      ]
+  in
+  let finished = ref false in
+  ignore
+    (Dex.run cl (fun proc main ->
+         calls main;
+         Process.join
+           (Process.spawn proc (fun th ->
+                Process.migrate th 1;
+                calls th;
+                (* The thread and its process carry on. *)
+                Process.store th (Process.malloc th ~bytes:8 ~tag:"after") 1L));
+         finished := true));
+  check_bool "the run completed" true !finished;
+  match List.rev !raised with
+  | [ (0, "mmap", mmap0); (0, "malloc", malloc0); (1, "mmap", mmap1);
+      (1, "malloc", malloc1) ] ->
+      Alcotest.(check string) "mmap raises as at the origin" mmap0 mmap1;
+      Alcotest.(check string) "malloc raises as at the origin" malloc0 malloc1
+  | l ->
+      Alcotest.failf "expected both calls to raise at both nodes, got %s"
+        (String.concat "; "
+           (List.map (fun (n, name, _) -> Printf.sprintf "%s@%d" name n) l))
+
 let test_futex_eagain () =
   let cl = Dex.cluster ~nodes:2 () in
   ignore
@@ -707,6 +748,28 @@ let test_file_write_remote_bills_request () =
                  (get "bytes.delegate.resp" - resp);
                check_int "nothing else crossed the fabric" (64 + 4096 + 64)
                  (wire () - total);
+               Process.file_close th ~fd)
+         in
+         Process.join th))
+
+(* A remote read bills its reply for the bytes it read: at EOF, the
+   64-byte header alone. *)
+let test_file_read_remote_bills_bytes_read () =
+  let cl = Dex.cluster ~nodes:2 () in
+  let get = Stats.get (Dex_net.Fabric.stats (Cluster.fabric cl)) in
+  ignore
+    (Dex.run cl (fun proc main ->
+         let fd = Process.file_open main "empty.dat" in
+         Process.file_close main ~fd;
+         let th =
+           Process.spawn proc (fun th ->
+               Process.migrate th 1;
+               let fd = Process.file_open th "empty.dat" in
+               let resp = get "bytes.delegate.resp" in
+               check_int "an empty file reads 0" 0
+                 (Process.file_read th ~fd ~bytes:(1 lsl 20));
+               check_int "the reply is the header alone" 64
+                 (get "bytes.delegate.resp" - resp);
                Process.file_close th ~fd)
          in
          Process.join th))
@@ -1377,6 +1440,8 @@ let () =
           Alcotest.test_case "futex EAGAIN" `Quick test_futex_eagain;
           Alcotest.test_case "bad argument raises in the caller" `Quick
             test_delegated_bad_argument;
+          Alcotest.test_case "failed call raises in the caller" `Quick
+            test_delegated_failure;
           Alcotest.test_case "futex wake across nodes" `Quick
             test_futex_wake_across_nodes;
         ] );
@@ -1411,6 +1476,8 @@ let () =
             test_file_io_large_read_uses_rdma;
           Alcotest.test_case "remote write bills the request leg" `Quick
             test_file_write_remote_bills_request;
+          Alcotest.test_case "remote read bills the bytes read" `Quick
+            test_file_read_remote_bills_bytes_read;
           Alcotest.test_case "bad fd" `Quick test_file_bad_fd;
           Alcotest.test_case "descriptors keep their own cursors" `Quick
             test_file_fds_keep_own_cursors;

@@ -785,36 +785,68 @@ let prop_minority_crash_schedules =
       final = Int64.of_int expect
       && pstat proc "crash.threads_aborted" = 0)
 
-(* qcheck SC: k=2 with a mid-run double crash — the origin, then the
-   promoted origin again after a random slice of the re-arm window.      *)
+(* k=2 with a mid-run double crash: the origin at [at_us], then the
+   promoted origin [window_us] after the first failover is counted.
+   Returns whether every acknowledged write survived, both failovers were
+   counted and no thread aborted. *)
+let double_crash_survives ~at_us ~window_us =
+  let proc, final, expect =
+    run_failover_workload ~nodes:5 ~k:2 ~writer_nodes:[ 3; 4; 4 ]
+      ~mode:`Sync ~rounds:25
+      ~crash:(fun cl proc main ->
+        Process.compute main ~ns:(us at_us);
+        Cluster.crash_node cl ~node:0;
+        (* Wait for the *counted* failover, not the origin flip: the
+           origin field changes inside the promotion hook before
+           ha.failovers increments, so keying on the flip with a zero
+           window crashes the winner mid-promotion and turns the
+           second handover into a re-election (see
+           test_double_crash_mid_promotion for that directed case). *)
+        while pstat proc "ha.failovers" < 1 do
+          Process.compute main ~ns:(us 25)
+        done;
+        if window_us > 0 then Process.compute main ~ns:(us window_us);
+        Cluster.crash_node cl ~node:(Process.origin proc))
+      ()
+  in
+  final = Int64.of_int expect
+  && pstat proc "ha.failovers" = 2
+  && pstat proc "crash.threads_aborted" = 0
+
+(* qcheck SC: the double crash after a random slice of the re-arm
+   window. *)
 let prop_sync_double_crash_sc =
   QCheck.Test.make
     ~name:"k=2: back-to-back origin crashes lose no writes (random window)"
     ~count:6
     QCheck.(pair (int_range 1200 3000) (int_range 0 800))
-    (fun (at_us, window_us) ->
-      let proc, final, expect =
-        run_failover_workload ~nodes:5 ~k:2 ~writer_nodes:[ 3; 4; 4 ]
-          ~mode:`Sync ~rounds:25
-          ~crash:(fun cl proc main ->
-            Process.compute main ~ns:(us at_us);
-            Cluster.crash_node cl ~node:0;
-            (* Wait for the *counted* failover, not the origin flip: the
-               origin field changes inside the promotion hook before
-               ha.failovers increments, so keying on the flip with a zero
-               window crashes the winner mid-promotion and turns the
-               second handover into a re-election (see
-               test_double_crash_mid_promotion for that directed case). *)
-            while pstat proc "ha.failovers" < 1 do
-              Process.compute main ~ns:(us 25)
-            done;
-            if window_us > 0 then Process.compute main ~ns:(us window_us);
-            Cluster.crash_node cl ~node:(Process.origin proc))
-          ()
-      in
-      final = Int64.of_int expect
-      && pstat proc "ha.failovers" = 2
-      && pstat proc "crash.threads_aborted" = 0)
+    (fun (at_us, window_us) -> double_crash_survives ~at_us ~window_us)
+
+(* Regression: at (1267, 421) the promoted origin (node 1) dies 47 ns
+   after its Invalidate reaches node 4, which parks the revoke behind its
+   own write fault stalled on the dead home. Applied after node 2's
+   promotion, that revoke dropped node 4's copy, the only current one,
+   and node 2's directory still named node 4 the owner: its next write
+   was granted without data into a zero-filled page, losing 60 writes. *)
+let test_revoke_outlives_its_home () =
+  check_bool "(1267, 421) loses no write" true
+    (double_crash_survives ~at_us:1267 ~window_us:421)
+
+(* The band where the second crash lands between a parked revoke's
+   arrival and its apply, and its neighbours: window_us 415-430 in 1 us
+   steps at at_us 1267-1270. *)
+let test_revoke_outlives_its_home_sweep () =
+  let lost =
+    List.concat_map
+      (fun at_us ->
+        List.filter_map
+          (fun window_us ->
+            if double_crash_survives ~at_us ~window_us then None
+            else Some (Printf.sprintf "(%d, %d)" at_us window_us))
+          (List.init 16 (fun i -> 415 + i)))
+      [ 1267; 1268; 1269; 1270 ]
+  in
+  Alcotest.(check (list string)) "no input loses a write" [] lost
 
 (* Regression: the input prop_sync_double_crash_sc used to shrink to
    before its readiness signal was fixed (at_us=1634, window_us=0).
@@ -969,6 +1001,10 @@ let () =
             test_back_to_back_origin_crashes;
           Alcotest.test_case "k=2: crash lands mid-promotion" `Quick
             test_double_crash_mid_promotion;
+          Alcotest.test_case "k=2: a revoke outlives its home" `Quick
+            test_revoke_outlives_its_home;
+          Alcotest.test_case "k=2: a revoke outlives its home (sweep)" `Quick
+            test_revoke_outlives_its_home_sweep;
           Alcotest.test_case "k=2: standby loss degrades, not stalls" `Quick
             test_standby_loss_degrades_not_stalls;
           Alcotest.test_case "k=3: quorum lost stalls, then disables" `Quick

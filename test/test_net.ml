@@ -631,12 +631,12 @@ let check_call_budget name cfg bound =
     true (words <= bound)
 
 let test_call_budget_pristine () =
-  check_call_budget "pristine" (small_cfg ()) 161.
+  check_call_budget "pristine" (small_cfg ()) 134.
 
 let test_call_budget_chaos () =
   check_call_budget "reliable"
     { (small_cfg ()) with Net_config.chaos = Some Net_config.chaos_default }
-    409.5
+    358.
 
 let () =
   Alcotest.run "dex_net"

@@ -1206,17 +1206,17 @@ let test_grant_budget () =
            name bound)
         true (words <= bound))
     [
-      ("remote", words_per_step ~prepare:(store 0 0L) ~step:(store 1 1L), 268.);
+      ("remote", words_per_step ~prepare:(store 0 0L) ~step:(store 1 1L), 243.);
       ( "remote upgrade",
         words_per_step
           ~prepare:(fun coh ->
             store 0 0L coh;
             ignore (Coherence.load_i64 coh ~node:1 ~tid:1 addr0))
           ~step:(store 1 1L),
-        248. );
+        223. );
       ( "home-local",
         words_per_step ~prepare:(store 1 1L) ~step:(store 0 0L),
-        264. );
+        240. );
     ]
 
 (* Readers see each address's values in store order while the autopilot

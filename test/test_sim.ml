@@ -169,12 +169,24 @@ let test_engine_same_instant_fifo () =
   Alcotest.(check (list int)) "spawn order preserved" [ 1; 2; 3; 4; 5 ]
     (List.rev !log)
 
+(* A park that a callback ends with a value, built from [current], [park]
+   and [wake]: the shape of a one-shot wait, for the tests below and the
+   reference engine's [Park] step. *)
+let suspend e register =
+  let fb = Engine.current e and v = ref None in
+  register (fun x ->
+      if Option.is_some !v then invalid_arg "suspend: resumed twice";
+      v := Some x;
+      Engine.wake fb);
+  Engine.park e;
+  Option.get !v
+
 let test_engine_suspend_resume () =
   let e = Engine.create () in
   let resumer = ref None in
   let got = ref 0 in
   Engine.spawn e (fun () ->
-      let v = Engine.suspend e (fun resume -> resumer := Some resume) in
+      let v = suspend e (fun resume -> resumer := Some resume) in
       got := v);
   Engine.spawn e (fun () ->
       Engine.delay e (Time_ns.us 3);
@@ -184,9 +196,7 @@ let test_engine_suspend_resume () =
 
 let test_engine_deadlock_detection () =
   let e = Engine.create () in
-  Engine.spawn e (fun () ->
-      let (_ : int) = Engine.suspend e (fun _resume -> ()) in
-      ());
+  Engine.spawn e (fun () -> Engine.park e);
   Alcotest.check_raises "deadlock" Engine.Deadlock (fun () ->
       Engine.run_until_quiescent e)
 
@@ -198,17 +208,21 @@ let test_engine_fiber_failure_labelled () =
   | exception Engine.Fiber_failure ("boom", Failure _) -> ()
   | exception _ -> Alcotest.fail "wrong exception"
 
+(* The second wake of one park is refused, and so is a wake of a fiber
+   that is not parked. *)
 let test_engine_double_resume_rejected () =
   let e = Engine.create () in
-  let resumer = ref None in
+  let parked = ref Engine.none in
   Engine.spawn e (fun () ->
-      let (_ : int) = Engine.suspend e (fun r -> resumer := Some r) in
-      ());
+      parked := Engine.current e;
+      Engine.park e);
   Engine.spawn e (fun () ->
-      let r = Option.get !resumer in
-      r 1;
-      match r 2 with
-      | () -> Alcotest.fail "second resume should raise"
+      Engine.wake !parked;
+      (match Engine.wake !parked with
+      | () -> Alcotest.fail "second wake should raise"
+      | exception Invalid_argument _ -> ());
+      match Engine.wake (Engine.current e) with
+      | () -> Alcotest.fail "waking a running fiber should raise"
       | exception Invalid_argument _ -> ());
   Engine.run_until_quiescent e
 
@@ -301,7 +315,7 @@ let test_engine_after_matches_delay () =
           Engine.delay e d;
           k ()
       | `Suspend ->
-          Engine.suspend e (fun resume -> Engine.schedule e ~delay:d resume);
+          suspend e (fun resume -> Engine.schedule e ~delay:d resume);
           k ()
       | `After -> Engine.after e d k
     in
@@ -452,6 +466,7 @@ module Real_engine : ENGINE = struct
   include Engine
 
   let spawn t f = Engine.spawn t f
+  let suspend = suspend
 end
 
 (* A random engine program. Every step logs its id and the clock when it
@@ -621,31 +636,60 @@ let prop_engine_matches_reference =
 (* ------------------------------------------------------------------ *)
 (* Waitq *)
 
+(* Waiters wake oldest first, each at the instant of its wake. *)
 let test_waitq_fifo () =
   let e = Engine.create () in
   let q = Waitq.create () in
   let log = ref [] in
   for i = 1 to 3 do
     Engine.spawn e (fun () ->
-        let v = Waitq.wait e q in
-        log := (i, v) :: !log)
+        Waitq.wait e q;
+        log := (i, Engine.now e) :: !log)
   done;
   Engine.spawn e (fun () ->
       Engine.delay e 10;
       check_int "queue length" 3 (Waitq.length q);
-      check_bool "wake one" true (Waitq.wake_one q "x");
-      let n = Waitq.wake_all q "y" in
-      check_int "woke remaining" 2 n);
+      check_bool "wake one" true (Waitq.wake_one q ());
+      check_int "one left the queue" 2 (Waitq.length q);
+      Engine.delay e 1;
+      let n = Waitq.wake_all q () in
+      check_int "woke remaining" 2 n;
+      check_int "queue drained" 0 (Waitq.length q));
   Engine.run_until_quiescent e;
-  Alcotest.(check (list (pair int string)))
+  Alcotest.(check (list (pair int int)))
     "FIFO order"
-    [ (1, "x"); (2, "y"); (3, "y") ]
+    [ (1, 10); (2, 11); (3, 11) ]
     (List.rev !log)
+
+(* The ring keeps FIFO order when it wraps and when it grows: two of
+   three waiters leave, then six more join (past the first array's four
+   slots, with its head moved). *)
+let test_waitq_ring_grows () =
+  let e = Engine.create () in
+  let q = Waitq.create () in
+  let log = ref [] in
+  let waiter i =
+    Engine.spawn e (fun () ->
+        Waitq.wait e q;
+        log := i :: !log)
+  in
+  List.iter waiter [ 1; 2; 3 ];
+  Engine.spawn e (fun () ->
+      Engine.delay e 1;
+      ignore (Waitq.wake_one q ());
+      ignore (Waitq.wake_one q ());
+      List.iter waiter [ 4; 5; 6; 7; 8; 9 ];
+      Engine.delay e 1;
+      check_int "waiters after the joins" 7 (Waitq.length q);
+      check_int "woke the rest" 7 (Waitq.wake_all q ()));
+  Engine.run_until_quiescent e;
+  Alcotest.(check (list int))
+    "FIFO order" [ 1; 2; 3; 4; 5; 6; 7; 8; 9 ] (List.rev !log)
 
 let test_waitq_wake_empty () =
   let q = Waitq.create () in
-  check_bool "wake_one empty" false (Waitq.wake_one q 0);
-  check_int "wake_all empty" 0 (Waitq.wake_all q 0)
+  check_bool "wake_one empty" false (Waitq.wake_one q ());
+  check_int "wake_all empty" 0 (Waitq.wake_all q ())
 
 (* ------------------------------------------------------------------ *)
 (* Ivar *)
@@ -1017,6 +1061,71 @@ let test_spawn_budget () =
     (Printf.sprintf "%.2f words per spawn + run (at most 17)" words)
     true (words <= 17.)
 
+(* Mean words per round of [round], run [rounds] times in a fiber after
+   100 rounds of warm-up, with [companion] spawned beside it. *)
+let words_per_round ?(companion = ignore) ~per_round round =
+  let e = Engine.create () and rounds = 1_000 and words = ref 0. in
+  Engine.spawn e (fun () ->
+      for _ = 1 to 100 do
+        round e
+      done;
+      let w0 = allocated_words () in
+      for _ = 1 to rounds do
+        round e
+      done;
+      words := (allocated_words () -. w0) /. float_of_int (per_round * rounds));
+  Engine.spawn e (fun () -> companion e);
+  Engine.run e;
+  !words
+
+let check_words name words bound =
+  check_bool
+    (Printf.sprintf "%.2f words per %s (at most %.2f)" words name bound)
+    true (words <= bound)
+
+(* A delay that cannot run inline parks the fiber: its continuation and
+   the option holding it; the timer is the fiber's own step. Two sleepers
+   a nanosecond apart find each other's wake-up queued first, so every
+   delay of both parks. *)
+let test_delay_budget () =
+  let sleep e = Engine.delay e 2 in
+  check_words "parked delay"
+    (words_per_round ~per_round:2 sleep ~companion:(fun e ->
+         Engine.delay e 1;
+         for _ = 1 to 1_200 do
+           sleep e
+         done))
+    4.05
+
+(* Two fibers take turns on two queues: each wakes the other and parks.
+   A round is two waits and two wakes. *)
+let test_waitq_budget () =
+  let ping = Waitq.create () and pong = Waitq.create () in
+  let turn e wake park =
+    ignore (Waitq.wake_one wake ());
+    Waitq.wait e park
+  in
+  check_words "Waitq park + wake"
+    (words_per_round ~per_round:2
+       (fun e -> turn e pong ping)
+       ~companion:(fun e ->
+         while true do
+           turn e ping pong
+         done))
+    4.05
+
+(* A fresh ivar read before a zero-delay event fills it: the ivar, its
+   [Waiting] and [Full] states, and the park. *)
+let test_ivar_budget () =
+  let cell = ref (Ivar.create ()) in
+  let fill () = Ivar.fill !cell () in
+  check_words "Ivar park + fill"
+    (words_per_round ~per_round:1 (fun e ->
+         cell := Ivar.create ();
+         Engine.schedule e ~delay:0 fill;
+         Ivar.read e !cell))
+    11.05
+
 (* A push and a take move integers and one pool entry: on a queue that
    has grown to hold them, they allocate nothing. *)
 let test_eventq_budget () =
@@ -1083,6 +1192,8 @@ let () =
         [
           Alcotest.test_case "FIFO wake order" `Quick test_waitq_fifo;
           Alcotest.test_case "wake empty" `Quick test_waitq_wake_empty;
+          Alcotest.test_case "ring wraps and grows in order" `Quick
+            test_waitq_ring_grows;
         ] );
       ( "ivar",
         [
@@ -1129,6 +1240,9 @@ let () =
           Alcotest.test_case "zero-delay schedule allocation" `Quick
             test_zero_delay_budget;
           Alcotest.test_case "spawn allocation" `Quick test_spawn_budget;
+          Alcotest.test_case "parked delay" `Quick test_delay_budget;
+          Alcotest.test_case "Waitq park + wake" `Quick test_waitq_budget;
+          Alcotest.test_case "Ivar park + fill" `Quick test_ivar_budget;
           Alcotest.test_case "event queue push + take allocation" `Quick
             test_eventq_budget;
         ] );
