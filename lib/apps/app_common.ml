@@ -91,7 +91,7 @@ let node_of ctx i = ctx.nodemap (i * ctx.nodes / ctx.threads)
 
 let worker_pool ctx f =
   List.init ctx.threads (fun i ->
-      Process.spawn ctx.proc ~name:(Printf.sprintf "worker%d" i) (fun th ->
+      Process.spawn ctx.proc ~name:("worker" ^ string_of_int i) (fun th ->
           (match ctx.variant with
           | Baseline -> ()
           | Initial | Optimized -> Process.migrate th (node_of ctx i));

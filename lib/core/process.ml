@@ -1072,7 +1072,7 @@ let spawn t ?name:(thread_name = "worker") f =
     {
       proc = t;
       tid;
-      thread_name = Printf.sprintf "%s:%d" thread_name tid;
+      thread_name = thread_name ^ ":" ^ string_of_int tid;
       location = origin t;
       crashed = false;
       mig_park = None;
@@ -1083,7 +1083,7 @@ let spawn t ?name:(thread_name = "worker") f =
   (* The thread's stack lives in the origin's authoritative tree. *)
   let stack =
     Vma.make ~start:(Layout.stack_for ~tid) ~len:Layout.stack_size
-      ~perm:Perm.rw ~tag:(Printf.sprintf "stack:%d" tid)
+      ~perm:Perm.rw ~tag:("stack:" ^ string_of_int tid)
   in
   Vma_tree.insert t.vmas.(origin t) stack;
   Ha.append (ha t) (Log_entry.Vma (Map stack));

@@ -6,19 +6,31 @@ type entry = {
   conflicters : unit Waitq.t;
 }
 
-type t = {
-  engine : Engine.t;
-  table : (Page.vpn, entry) Hashtbl.t;
-}
+(* Most nodes of a process never fault: the table is made at the first
+   fault. *)
+type table = Idle | Table of (Page.vpn, entry) Hashtbl.t
+
+type t = { engine : Engine.t; mutable table : table }
 
 type role = Leader | Follower | Conflict
 
-let create engine = { engine; table = Hashtbl.create 16 }
+let create engine = { engine; table = Idle }
+
+let find t vpn =
+  match t.table with Idle -> None | Table tbl -> Hashtbl.find_opt tbl vpn
+
+let table t =
+  match t.table with
+  | Table tbl -> tbl
+  | Idle ->
+      let tbl = Hashtbl.create 16 in
+      t.table <- Table tbl;
+      tbl
 
 let enter t ~vpn ~access =
-  match Hashtbl.find_opt t.table vpn with
+  match find t vpn with
   | None ->
-      Hashtbl.add t.table vpn
+      Hashtbl.add (table t) vpn
         { access; followers = Waitq.create (); conflicters = Waitq.create () };
       Leader
   | Some entry when entry.access = access ->
@@ -29,19 +41,19 @@ let enter t ~vpn ~access =
       Conflict
 
 let finish t ~vpn =
-  match Hashtbl.find_opt t.table vpn with
+  match find t vpn with
   | None -> invalid_arg "Fault_table.finish: no ongoing fault"
   | Some entry ->
-      Hashtbl.remove t.table vpn;
+      Hashtbl.remove (table t) vpn;
       let n = Waitq.wake_all entry.followers () in
       ignore (Waitq.wake_all entry.conflicters ());
       n
 
 let rec await_idle t ~vpn =
-  match Hashtbl.find_opt t.table vpn with
+  match find t vpn with
   | None -> ()
   | Some entry ->
       Waitq.wait t.engine entry.conflicters;
       await_idle t ~vpn
 
-let ongoing t = Hashtbl.length t.table
+let ongoing t = match t.table with Idle -> 0 | Table tbl -> Hashtbl.length tbl

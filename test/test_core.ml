@@ -172,8 +172,10 @@ let allocated_bytes () =
 
 (* A process pays for the nodes and pages it uses, not for the rack: on
    8 nodes, creating a process and shutting it down allocates at most
-   24 KB (about 112 KB when every page-number table began with a 4 KB
-   root array). The first round warms what a cluster builds once. *)
+   7,250 bytes (about 112 KB when every page-number table began with a
+   4 KB root array, 13,592 bytes while every table, fault table and
+   overlay directory was built at creation). The first round warms what
+   a cluster builds once. *)
 let test_process_allocation_budget () =
   let cl = Dex.cluster ~nodes:8 () in
   let create_and_shut_down () =
@@ -187,10 +189,26 @@ let test_process_allocation_budget () =
   ignore (create_and_shut_down ());
   let bytes = create_and_shut_down () in
   check_bool
-    (Printf.sprintf "%.0f bytes per Process.create + shutdown (at most 24 KB)"
-       bytes)
-    true
-    (bytes <= 24. *. 1024.)
+    (Printf.sprintf
+       "%.0f bytes per Process.create + shutdown (at most 7,250)" bytes)
+    true (bytes <= 7_250.)
+
+(* A local thread costs its record, its stack VMA and its fiber: spawning
+   one and joining it allocates at most 142 words (210 when the thread
+   name and stack tag went through [Printf.sprintf]). The first
+   round warms the process's thread list and VMA tree. *)
+let test_spawn_allocation_budget () =
+  let words = ref 0. in
+  let spawn_and_join proc = Process.join (Process.spawn proc (fun _ -> ())) in
+  ignore
+    (Dex.run (Dex.cluster ~nodes:8 ()) (fun proc _main ->
+         spawn_and_join proc;
+         let a0 = allocated_bytes () in
+         spawn_and_join proc;
+         words := (allocated_bytes () -. a0) /. float_of_int (Sys.word_size / 8)));
+  check_bool
+    (Printf.sprintf "%.0f words per spawn + join (at most 142)" !words)
+    true (!words <= 142.)
 
 let expect_segfault f =
   let cl = Dex.cluster ~nodes:2 () in
@@ -1432,6 +1450,8 @@ let () =
         [
           Alcotest.test_case "process create + shutdown allocation" `Quick
             test_process_allocation_budget;
+          Alcotest.test_case "thread spawn + join allocation" `Quick
+            test_spawn_allocation_budget;
         ] );
       ( "delegation",
         [
