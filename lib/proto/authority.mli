@@ -11,9 +11,10 @@
     in-band by [Page_stale] NACKs and home-to-node traffic carrying a
     newer epoch. {e Per-page overrides}: the autopilot
     may re-home a page to another node, whose {e overlay} directory then
-    holds its entry, and the futex layer may pin a page to its static
-    home. {!route} resolves both layers with at most one hash probe, and
-    none while no page has an override.
+    holds its entry (a node's overlay exists from the first re-home to
+    it; no other run builds one), and the futex layer may pin a page to
+    its static home. {!route} resolves both layers with at most one hash
+    probe, and none while no page has an override.
 
     Invariants ({!Coherence.check_invariants}): every entry sits in the
     directory {!route} resolves for its page, and no re-home names its
@@ -99,7 +100,7 @@ val fall_back : t -> node:int -> Dex_mem.Page.vpn list
 (** {2 Every directory} *)
 
 val iter_dirs : t -> (route -> unit) -> unit
-(** Every shard directory, then every node's overlay. *)
+(** Every shard directory, then every overlay that exists, by node. *)
 
 val entries_naming : t -> node:int -> int
 (** Entries, over every directory, still naming [node] as owner or
